@@ -81,9 +81,9 @@ def scan_for_cusp_obstruction(form: Form, accepted, cache=None, min_rank=None):
 
     Groups the affine components of the current diagram by their common
     null vector; groups of total rank at least min_rank (default n - 2)
-    have their quotient tested.  The verdict for a null vector depends on
-    the form alone, so it is cached across batches.  Returns an
-    ideal_vertex_failure certificate, or None.
+    have their quotient tested.  The root classes of a null vector depend
+    on the form alone, so they are cached across batches and handed to the
+    certificate.  Returns an ideal_vertex_failure certificate, or None.
     """
     if cache is None:
         cache = {}
@@ -100,9 +100,9 @@ def scan_for_cusp_obstruction(form: Form, accepted, cache=None, min_rank=None):
             continue
         if e not in cache:
             quot = quotient.null_quotient(form, e)
-            cache[e] = quotient.root_classes(form, quot)["full_rank"]
-        if not cache[e]:
-            return ideal_vertex_certificate(form, accepted, e, comps)
+            cache[e] = quotient.root_classes(form, quot)
+        if not cache[e]["full_rank"]:
+            return ideal_vertex_certificate(form, accepted, e, comps, cache[e])
     return None
 
 
@@ -120,9 +120,10 @@ def _document(form: Form, kind: str, payload: dict) -> dict:
     }
 
 
-def ideal_vertex_certificate(form: Form, accepted, e, components) -> dict:
+def ideal_vertex_certificate(form: Form, accepted, e, components, rc) -> dict:
+    """Certificate that the quotient at e has rank-deficient root classes;
+    rc is quotient.root_classes at e."""
     quot = quotient.null_quotient(form, e)
-    rc = quotient.root_classes(form, quot)
     comps_out = []
     all_nodes = []
     for comp in sorted(components, key=lambda c: sorted(c["nodes"])):

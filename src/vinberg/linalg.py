@@ -3,12 +3,18 @@
 Matrices are plain lists of row lists, vectors are sequences of ints or
 Fractions.  Nothing here ever touches floating point; every routine is
 deterministic, so identical inputs give byte-identical downstream reports.
+
+The two routines on the hot path of the search run in integer arithmetic
+only.  short_vectors (Fincke-Pohst) clears the denominators of one
+rational LDL decomposition and then walks its tree on an integer
+remainder with isqrt windows; psd_classify uses Bareiss's fraction-free
+elimination, whose exact divisions keep entries the size of minors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 
@@ -339,12 +345,23 @@ def psd_classify(G) -> str:
     """Classify a symmetric rational matrix by its quadratic form.
 
     Returns "definite" (positive definite), "degenerate" (positive
-    semidefinite with nontrivial kernel) or "indefinite".  Uses exact
-    Schur-complement pivoting on positive diagonal entries: a PSD matrix
-    with a zero diagonal entry must have the whole row zero.
+    semidefinite with nontrivial kernel) or "indefinite".  Pivots on the
+    first positive diagonal entry of the active block, as Schur-complement
+    elimination would; a PSD matrix with no positive diagonal entry left
+    must have the whole active block zero.
+
+    The elimination is Bareiss's fraction-free one on the matrix with its
+    denominators cleared.  With pivot p, d = A[p][p] and prev the previous
+    pivot (1 at first), each update (d A[i][j] - A[i][p] A[p][j]) // prev
+    divides exactly: every active entry is the minor of G on the pivots
+    plus row i and column j, that is the Schur-complement entry times the
+    positive minor on the pivots.  So signs and zeros match the rational
+    elimination, while entries stay the size of minors.
     """
-    A = [[Fraction(x) for x in row] for row in G]
+    den = lcm(*(x.denominator for row in G for x in row))
+    A = [[int(x * den) for x in row] for row in G]
     active = list(range(len(A)))
+    prev = 1
     while active:
         piv = next((i for i in active if A[i][i] > 0), None)
         if piv is None:
@@ -355,11 +372,13 @@ def psd_classify(G) -> str:
             return "degenerate"
         active.remove(piv)
         d = A[piv][piv]
+        prow = A[piv]
         for i in active:
-            if A[i][piv] != 0:
-                f = A[i][piv] / d
-                for j in active:
-                    A[i][j] -= f * A[piv][j]
+            row = A[i]
+            f = row[piv]
+            for j in active:
+                row[j] = (d * row[j] - f * prow[j]) // prev
+        prev = d
     return "definite"
 
 
@@ -404,52 +423,59 @@ def ldl(G) -> tuple[list[list[Fraction]], list[Fraction]]:
 
 
 def short_vectors(G, bound) -> list[tuple[int, ...]]:
-    """All x in Z^n with 0 < x^T G x <= bound, one per sign pair.
+    """All x in Z^n with 0 < x^T G x <= bound, one per sign pair, sorted.
 
     G must be positive definite.  The representative of {x, -x} has its
-    first nonzero coordinate positive.  Exact Fincke-Pohst walk; interval
-    endpoints come from integer square roots plus a two-sided exact
-    correction, so no candidate is ever missed.
+    first nonzero coordinate positive.
+
+    Exact Fincke-Pohst walk in integer arithmetic.  The rational LDL form
+    Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 is computed once and its
+    denominators cleared: with D_i the common denominator of row i of L,
+    a_ij = D_i l_ij and one scale S making S bound and every
+    w_i = S d_i / D_i^2 integral,
+
+        S Q(x) = sum_i w_i N_i^2,   N_i = D_i x_i + sum_{j>i} a_ij x_j.
+
+    Coordinates are chosen from x_{n-1} down to x_0 against an integer
+    remainder R (S bound minus the terms already fixed).  w_i N_i^2 <= R
+    holds exactly when |N_i| <= s = isqrt(R // w_i), so the window for x_i
+    is -((s + c) // D_i) <= x_i <= (s - c) // D_i with c = N_i - D_i x_i.
+    While every coordinate above level i is zero the window is symmetric
+    and only x_i >= 0 is walked: the skipped half holds the negatives of
+    the walked vectors.  A leaf is negated when its first nonzero
+    coordinate is negative; the zero vector has none and is not emitted.
     """
     n = len(G)
     L, d = ldl(G)
     bound = Fraction(bound)
+    D = [lcm(*(L[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    scaled = [d[i] / (D[i] * D[i]) for i in range(n)]
+    S = lcm(bound.denominator, *(q.denominator for q in scaled))
+    w = [int(S * q) for q in scaled]
+    terms = [
+        [(j, int(D[i] * L[i][j])) for j in range(i + 1, n) if L[i][j]]
+        for i in range(n)
+    ]
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def center(i: int) -> Fraction:
-        return sum(L[i][j] * x[j] for j in range(i + 1, n))
-
-    def walk(i: int, remaining: Fraction) -> None:
+    def walk(i: int, R: int, free: bool) -> None:
         if i < 0:
-            if remaining < bound:  # excludes the zero vector: x = 0 keeps remaining == bound
-                vec = tuple(x)
-                for entry in vec:
-                    if entry > 0:
-                        found.append(vec)
-                        break
-                    if entry < 0:
-                        break
+            vec = tuple(x)
+            for entry in vec:
+                if entry:
+                    found.append(vec if entry > 0 else tuple(-v for v in vec))
+                    break
             return
-        c = center(i)
-        r = remaining / d[i]
-        # integer window: -c - sqrt(r) <= t <= -c + sqrt(r)
-        s = isqrt(r.numerator * r.denominator)
-        approx = Fraction(s, r.denominator)  # sqrt(r) lies in [approx, approx + 1/den)
-
-        def fits(v: Fraction) -> bool:
-            return v <= 0 or v * v <= r
-
-        hi = floor(approx - c)
-        if fits(hi + 1 + c):
-            hi += 1
-        lo = -floor(approx + c)
-        if fits(-(lo - 1) - c):
-            lo -= 1
-        for t in range(lo, hi + 1):
+        c = sum(a * x[j] for j, a in terms[i])
+        Di, wi = D[i], w[i]
+        s = isqrt(R // wi)
+        lo = 0 if free else -((s + c) // Di)
+        for t in range(lo, (s - c) // Di + 1):
             x[i] = t
-            walk(i - 1, remaining - d[i] * (t + c) ** 2)
+            N = Di * t + c
+            walk(i - 1, R - wi * N * N, free and t == 0)
         x[i] = 0
 
-    walk(n - 1, bound)
+    walk(n - 1, int(S * bound), True)
     return sorted(found)

@@ -184,22 +184,3 @@ def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> 
         data["index"] = None
     return data
 
-
-def class_order_modulo(quot: NullQuotient, sublattice_rows, coords) -> int | None:
-    """Order of the class of coords in Mbar / span(sublattice_rows), or None
-    if the quotient by the span is infinite in that direction."""
-    span = [list(r) for r in sublattice_rows]
-    for k in range(1, 10000):
-        scaled = [k * c for c in coords]
-        sol = _in_span(span, scaled)
-        if sol:
-            return k
-    return None
-
-
-def _in_span(rows, target) -> bool:
-    if not rows:
-        return all(x == 0 for x in target)
-    H = linalg.hnf_basis(rows + [target])
-    H0 = linalg.hnf_basis(rows)
-    return H == H0

@@ -78,6 +78,9 @@ class Budget:
     max_batches: Optional[int] = None
 
 
+STATE_SCHEMA_VERSION = 2
+
+
 def _default_counters() -> dict:
     return {"batches": 0, "candidates": 0, "accepted": 0, "volume_checks": 0}
 
@@ -99,9 +102,8 @@ class SearchState:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
-            "p": self.form.p,
-            "n": self.form.n,
+            "schema_version": STATE_SCHEMA_VERSION,
+            "form": {"p": self.form.p, "n": self.form.n},
             "accepted": [list(r) for r in self.accepted],
             "batches_done": self.batches_done,
             "counters": dict(self.counters),
@@ -109,9 +111,16 @@ class SearchState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SearchState":
-        form = Form(doc["p"], doc["n"])
+        """Read a state document; schema 1 kept p and n at the top level."""
+        version = doc["schema_version"]
+        if version == STATE_SCHEMA_VERSION:
+            p, n = doc["form"]["p"], doc["form"]["n"]
+        elif version == 1:
+            p, n = doc["p"], doc["n"]
+        else:
+            raise ValueError(f"schema_version: unsupported value {version!r}")
         return cls(
-            form=form,
+            form=Form(p, n),
             accepted=[tuple(r) for r in doc["accepted"]],
             batches_done=doc["batches_done"],
             counters=dict(doc["counters"]),

@@ -191,6 +191,17 @@ def test_cusp_scan_finds_the_rank_9_obstruction(report):
     assert certificates.verify_certificate(cert)
 
 
+def test_direct_rank_10_search_agrees_with_inherited_verdict(report):
+    rep = report(5, 10)
+    assert rep["verdict"] == "non_reflective"
+    cert = rep["certificate"]
+    assert cert["kind"] == "ideal_vertex_failure"
+    assert certificates.verify_certificate(cert)
+    inherited = certificates.inherited_certificate(report(5, 9)["certificate"], 10)
+    assert inherited["form"] == cert["form"]
+    assert certificates.verify_certificate(inherited)
+
+
 def test_cusp_scan_silent_at_genuine_ideal_vertex(search):
     # the 7-wall chamber has an honest ideal vertex whose root classes
     # span a sublattice of index 2; the scan must not flag it

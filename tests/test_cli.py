@@ -54,7 +54,8 @@ def test_classify_emit_roots(runner):
     res = runner.invoke(main, ["classify", "5", "2", "--emit", "roots"])
     assert res.exit_code == 0
     roots = [tuple(r) for r in json.loads(res.output)]
-    assert roots == list(corpus.expected_root_set(Form(5, 2)))
+    assert len(roots) == len(set(roots))
+    assert set(roots) == corpus.expected_root_set(Form(5, 2))
 
 
 def test_classify_emit_certificate(runner):

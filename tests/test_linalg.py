@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import isqrt, prod
 
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from vinberg import linalg
@@ -119,7 +123,6 @@ def test_short_vectors_against_box_scan():
         brute = set()
         def norm(v):
             return sum(v[i] * G[i][j] * v[j] for i in range(d) for j in range(d))
-        from itertools import product
         for v in product(range(-lim, lim + 1), repeat=d):
             if not any(v):
                 continue
@@ -135,6 +138,8 @@ def test_psd_classify():
     assert linalg.psd_classify([[2, 0], [0, 3]]) == "definite"
     assert linalg.psd_classify([[1, 1], [1, 1]]) == "degenerate"
     assert linalg.psd_classify([[1, 3], [3, 1]]) == "indefinite"
+    assert linalg.psd_classify([[0, 1], [1, 0]]) == "indefinite"
+    assert linalg.psd_classify([[4, 2, 2], [2, 1, 1], [2, 1, 1]]) == "degenerate"
     assert linalg.psd_classify([[0]]) == "degenerate"
     assert linalg.psd_classify([[-1]]) == "indefinite"
 
@@ -153,3 +158,95 @@ def test_ldl_reconstructs_gram():
             for j in range(d):
                 s = sum(diag[k] * L[k][i] * L[k][j] for k in range(d))
                 assert s == G[i][j]
+
+
+def quadratic_norm(G, v):
+    return sum(a * sum(g * b for g, b in zip(row, v)) for a, row in zip(v, G))
+
+
+@st.composite
+def skewed_definite_grams(draw, max_rank=5):
+    """U G0 U^T with G0 strictly diagonally dominant (so positive definite)
+    and U a product of elementary integer row operations (so unimodular).
+    The skew makes the LDL coefficients and weights non-integral."""
+    d = draw(st.integers(1, max_rank))
+    G0 = [[0] * d for _ in range(d)]
+    for i, j in combinations(range(d), 2):
+        G0[i][j] = G0[j][i] = draw(st.integers(-2, 2))
+    for i in range(d):
+        G0[i][i] = sum(abs(x) for x in G0[i]) + draw(st.integers(1, 4))
+    U = linalg.identity(d)
+    if d > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(d)))[:2]
+            m = draw(st.integers(-2, 2))
+            U[i] = [a + m * b for a, b in zip(U[i], U[j])]
+    return linalg.mat_mul(linalg.mat_mul(U, G0), linalg.transpose(U))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    G=skewed_definite_grams(),
+    bound=st.one_of(
+        st.integers(0, 40),
+        st.fractions(min_value=0, max_value=40, max_denominator=12),
+    ),
+)
+def test_short_vectors_match_box_scan_on_skewed_lattices(G, bound):
+    d = len(G)
+    # x_i^2 <= Q(x) (G^-1)_ii by Cauchy-Schwarz, which boxes in every solution
+    inv = linalg.mat_inv(G)
+    lims = [isqrt(int(bound * inv[i][i])) for i in range(d)]
+    assume(prod(2 * lim + 1 for lim in lims) <= 20000)
+    expected = []
+    for v in product(*(range(-lim, lim + 1) for lim in lims)):
+        first = next((x for x in v if x), 0)
+        if first > 0 and quadratic_norm(G, v) <= bound:
+            expected.append(v)
+    assert linalg.short_vectors(G, bound) == sorted(expected)
+
+
+def principal_minor_class(G):
+    """Sylvester's criteria: definite iff every leading principal minor is
+    positive; semidefinite iff every principal minor is nonnegative."""
+    d = len(G)
+    if all(linalg.det([row[:k] for row in G[:k]]) > 0 for k in range(1, d + 1)):
+        return "definite"
+    for k in range(1, d + 1):
+        for idx in combinations(range(d), k):
+            if linalg.det([[G[i][j] for j in idx] for i in idx]) < 0:
+                return "indefinite"
+    return "degenerate"
+
+
+@st.composite
+def symmetric_matrices(draw, max_rank=6):
+    """Random symmetric matrices, biased toward the semidefinite boundary:
+    Gram matrices B^T B of k x d integer matrices (degenerate when k < d),
+    optionally shifted by a small diagonal perturbation, or with some
+    diagonal entries zeroed; then scaled by 1/q."""
+    d = draw(st.integers(1, max_rank))
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, d + 1))
+        B = [[draw(entries) for _ in range(d)] for _ in range(k)]
+        G = [[sum(B[r][i] * B[r][j] for r in range(k)) for j in range(d)] for i in range(d)]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, d - 1))
+            G[i][i] += draw(st.integers(-2, 2))
+    else:
+        G = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                G[i][j] = G[j][i] = draw(entries)
+        # zero diagonal entries leave no pivot in their rows
+        for i in draw(st.sets(st.integers(0, d - 1))):
+            G[i][i] = 0
+    q = draw(st.integers(1, 5))
+    return [[Fraction(x, q) for x in row] for row in G] if q > 1 else G
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(G=symmetric_matrices())
+def test_psd_classify_matches_principal_minor_oracle(G):
+    assert linalg.psd_classify(G) == principal_minor_class(G)

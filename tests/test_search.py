@@ -92,3 +92,19 @@ def test_state_round_trip():
     assert back.accepted == res.state.accepted
     assert back.batches_done == res.state.batches_done
     assert back.to_json() == doc
+
+
+def test_state_reads_schema_1_and_rejects_unknown_schemas():
+    res = run_search(Form(5, 3), Budget(max_roots=4))
+    doc = res.state.to_json()
+    assert doc["schema_version"] == 2
+    assert doc["form"] == {"p": 5, "n": 3}
+    old = {k: v for k, v in doc.items() if k != "form"}
+    old.update(schema_version=1, p=5, n=3)
+    assert SearchState.from_json(old).to_json() == doc
+    for version in (0, 3, "2", None):
+        with pytest.raises(ValueError, match="schema_version"):
+            SearchState.from_json(dict(doc, schema_version=version))
+    missing = {k: v for k, v in doc.items() if k != "schema_version"}
+    with pytest.raises(KeyError, match="schema_version"):
+        SearchState.from_json(missing)
