@@ -33,7 +33,7 @@ from vinberg import linalg, published, quotient
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _KINDS = ("reflective", "ideal_vertex_failure", "infinite_symmetry", "inherited_nonreflectivity")
 

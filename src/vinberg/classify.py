@@ -48,7 +48,10 @@ def classify_form(
 
     With verify=True every non-reflective certificate is re-checked from
     scratch before it is attached; a verification failure is an internal
-    error and raises ConsistencyError.
+    error and raises ConsistencyError.  A resumed run (state given) trusts
+    the state's accepted roots, so it re-checks the certificate of every
+    verdict, reflective included, and a tampered state raises
+    ConsistencyError instead of yielding a verdict.
     """
     form = Form(p, n)
     if budget is None:
@@ -72,6 +75,8 @@ def classify_form(
         report["certificate"] = certificates.reflective_certificate(
             form, roots, result.volume_report, check_every=check_every
         )
+        if state is not None:
+            _check_certificate(report["certificate"])
         return report
 
     certificate = result.certificate
@@ -93,13 +98,8 @@ def classify_form(
             )
 
     if certificate is not None:
-        if verify:
-            failures = certificates.verification_failures(certificate)
-            if failures:
-                raise ConsistencyError(
-                    "generated certificate failed verification: "
-                    + "; ".join(failures)
-                )
+        if verify or state is not None:
+            _check_certificate(certificate)
         report["verdict"] = "non_reflective"
         report["certificate"] = certificate
         return report
@@ -107,6 +107,14 @@ def classify_form(
     report["verdict"] = "undecided"
     report["state"] = result.state.to_json()
     return report
+
+
+def _check_certificate(certificate: dict) -> None:
+    failures = certificates.verification_failures(certificate)
+    if failures:
+        raise ConsistencyError(
+            "generated certificate failed verification: " + "; ".join(failures)
+        )
 
 
 def _inherited_report(

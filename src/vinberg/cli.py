@@ -120,10 +120,13 @@ def classify_cmd(p, n, max_height, max_roots, check_every, emit, fmt, resume_pat
         if state is not None and (state.form.p != p or state.form.n != n):
             raise click.UsageError("--resume: state file is for a different form")
 
-    report = classify.classify_form(
-        p, n, budget=_budget(max_height, max_roots),
-        check_every=check_every, state=state,
-    )
+    try:
+        report = classify.classify_form(
+            p, n, budget=_budget(max_height, max_roots),
+            check_every=check_every, state=state,
+        )
+    except VinbergError as exc:
+        raise click.UsageError(f"--resume: {exc}" if state is not None else str(exc))
 
     if resume_path is not None and report["verdict"] == "undecided":
         with open(resume_path, "w") as fh:

@@ -534,13 +534,6 @@ def cycle_period(seq) -> int:
     return k
 
 
-def format_polygon_sequence(seq) -> str:
-    """Compact one-line form, e.g. '2_4 1_2 13_inf 13_2'."""
-    return " ".join(
-        f"{norm}_{'inf' if label is None else label}" for norm, label in seq
-    )
-
-
 def diagram_json(form, roots) -> dict:
     """Serializable description of the wall diagram.
 

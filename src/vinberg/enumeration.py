@@ -1,43 +1,71 @@
-"""Batch candidate enumeration with kernel selection.
+"""Batch candidate enumeration.
 
-The hot loop lives in _enum_cy (compiled) when available, falling back to
-the pure-Python twin _enum_py.  Set VINBERG_PURE_KERNEL=1 to force the
-fallback.  Batches whose numbers could overflow signed 64-bit arithmetic
-are routed to the pure kernel regardless of selection.
+A batch (k0, m) holds the candidate roots with first coordinate k0 and
+norm m.  Their spatial parts are the sorted nonnegative vectors of
+squared length m + p k0^2, found by a depth-first walk over coordinates
+in non-increasing order, in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import os
 from math import isqrt
-
-from vinberg import _enum_py
-
-_kernel = _enum_py
-_backend = "pure"
-if not os.environ.get("VINBERG_PURE_KERNEL"):
-    try:
-        from vinberg import _enum_cy
-
-        _kernel = _enum_cy
-        _backend = "compiled"
-    except ImportError:
-        pass
-
-# headroom below 2^63 for the dot products the kernel accumulates
-_INT64_SAFE = 2**61
 
 
 def kernel_backend() -> str:
-    """Either "compiled" or "pure"."""
-    return _backend
+    """Name of the enumeration kernel; there is one, in pure Python."""
+    return "pure"
 
 
-def _fits_int64(n, target, step, consts, coeffs) -> bool:
-    big_c = max((abs(c) for c in consts), default=0)
-    big_a = max((abs(a) for row in coeffs for a in row), default=0)
-    worst = big_c + n * big_a * step * (isqrt(target) + 1)
-    return target < _INT64_SAFE and worst < _INT64_SAFE
+def enumerate_batch_vectors(n, target, step, prior_consts, prior_coeffs):
+    """Spatial parts of candidate roots for one batch.
+
+    Yields every tuple (k_1, ..., k_n) with
+      k_1 >= k_2 >= ... >= k_n >= 0,
+      step | k_i for all i,
+      k_1^2 + ... + k_n^2 = target,
+      prior_consts[r] + sum_i prior_coeffs[r][i] * k_i <= 0 for every r,
+    as a list in lexicographically decreasing order.
+    """
+    if step > 1:
+        sq = step * step
+        if target % sq:
+            return []
+        target //= sq
+        prior_coeffs = [[c * step for c in row] for row in prior_coeffs]
+    priors = list(zip(prior_consts, prior_coeffs))
+    out = []
+    j = [0] * n
+
+    def emit():
+        for base, row in priors:
+            s = base
+            for a, b in zip(row, j):
+                s += a * b
+            if s > 0:
+                return
+        out.append(tuple(x * step for x in j))
+
+    def dfs(depth, remaining, cap):
+        if depth == n - 1:
+            r = isqrt(remaining)
+            if r * r == remaining and r <= cap:
+                j[depth] = r
+                emit()
+            return
+        v = isqrt(remaining)
+        if v > cap:
+            v = cap
+        slots = n - depth
+        while v >= 0:
+            sq = v * v
+            if sq * slots < remaining:
+                break
+            j[depth] = v
+            dfs(depth + 1, remaining - sq, v)
+            v -= 1
+
+    dfs(0, target, isqrt(target))
+    return out
 
 
 def enumerate_batch(form, k0, m, prior_roots) -> list[tuple[int, ...]]:
@@ -53,8 +81,5 @@ def enumerate_batch(form, k0, m, prior_roots) -> list[tuple[int, ...]]:
     step = form.p if m % form.p == 0 else 1
     consts = [-form.p * k0 * r[0] for r in prior_roots]
     coeffs = [list(r[1:]) for r in prior_roots]
-    kern = _kernel
-    if kern is not _enum_py and not _fits_int64(form.n, target, step, consts, coeffs):
-        kern = _enum_py
-    vecs = kern.enumerate_batch_vectors(form.n, target, step, consts, coeffs)
+    vecs = enumerate_batch_vectors(form.n, target, step, consts, coeffs)
     return [(k0, *v) for v in vecs]

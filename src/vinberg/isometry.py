@@ -21,23 +21,20 @@ certified exactly:
    to it, a finite computation in the definite lattice x^perp cap L that
    does not depend on the search state at all.
 
-Order is decided exactly from the characteristic polynomial: an integer
-matrix has finite order iff every irreducible factor is cyclotomic and
-the matrix is semisimple (the squarefree part annihilates it).
+Order is decided exactly by integer matrix powers.  A finite-order
+matrix in GL_d(Z) is semisimple with roots of unity as eigenvalues, so
+its order is at most max_finite_order(d); if no power up to that bound
+is the identity, the order is infinite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from vinberg import cones, linalg
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
-
-try:  # factorization of integer polynomials; only needed on this route
-    import sympy
-except ImportError:  # pragma: no cover
-    sympy = None
 
 
 def _units(dim):
@@ -230,62 +227,62 @@ def polygon_rotation(form: Form, roots, shift: int):
     return frame_map(form, f_from, f_to)
 
 
-def cyclotomic_factor_index(factor_coeffs) -> int | None:
-    """Index k with factor = k-th cyclotomic polynomial, or None.
+def _totient(k: int) -> int:
+    out, m, q = k, k, 2
+    while q * q <= m:
+        if m % q == 0:
+            while m % q == 0:
+                m //= q
+            out -= out // q
+        q += 1
+    if m > 1:
+        out -= out // m
+    return out
 
-    factor_coeffs are descending-degree integer coefficients, leading 1.
-    Euler phi(k) >= sqrt(k/2), so k <= 2 d^2 covers all degree-d candidates.
+
+def max_finite_order(d: int) -> int:
+    """Largest order of a finite-order matrix in GL_d(Z).
+
+    Such a matrix is semisimple and its characteristic polynomial is a
+    product of cyclotomic polynomials Phi_k_i, so its order is lcm(k_i)
+    with sum phi(k_i) = d; padding with Phi_1 makes <= d equivalent.  A
+    0/1 knapsack over the indices k collects every reachable lcm per total
+    degree.  phi(k) >= sqrt(k/2), so k <= 2 d^2 covers every index.
     """
-    x = sympy.Symbol("x")
-    f = sympy.Poly(factor_coeffs, x)
-    d = f.degree()
-    for k in range(1, 2 * d * d + 2):
-        if sympy.totient(k) == d and sympy.Poly(sympy.cyclotomic_poly(k, x), x) == f:
-            return k
-    return None
+    reach = {0: {1}}
+    for k in range(1, 2 * d * d + 1):
+        f = _totient(k)
+        if f > d:
+            continue
+        for used in sorted(reach, reverse=True):
+            if used + f <= d:
+                reach.setdefault(used + f, set()).update(
+                    lcm(o, k) for o in reach[used]
+                )
+    return max(max(orders) for orders in reach.values())
 
 
 def infinite_order_evidence(T) -> dict | None:
     """Evidence that the integer matrix T has infinite order, or None.
 
-    Finite order forces every eigenvalue to be a root of unity and T to be
-    semisimple.  So either some irreducible factor of the characteristic
-    polynomial is not cyclotomic, or all are but the squarefree part fails
-    to annihilate T; both are exact certificates of infinite order.
+    T has finite order iff T^k = I for some k up to max_finite_order of
+    its size, so checking those powers decides the order exactly.  The
+    characteristic polynomial rides along for readers.
     """
-    if sympy is None:  # pragma: no cover
-        raise RuntimeError("sympy is required for the order test")
-    cp = linalg.charpoly(T)
-    x = sympy.Symbol("x")
-    _, factors = sympy.Poly(cp, x).factor_list()
-    for poly, _mult in factors:
-        coeffs = [int(c) for c in poly.all_coeffs()]
-        if cyclotomic_factor_index(coeffs) is None:
-            return {"reason": "non_cyclotomic_factor", "factor": coeffs, "charpoly": cp}
-    radical = sympy.Poly(1, x)
-    for poly, _mult in factors:
-        radical = radical * poly
-    R = _poly_apply([int(c) for c in radical.all_coeffs()], T)
-    for i, row in enumerate(R):
-        for j, entry in enumerate(row):
-            if entry != 0:
-                return {
-                    "reason": "repeated_root_of_unity",
-                    "radical": [int(c) for c in radical.all_coeffs()],
-                    "witness_entry": [i, j],
-                    "charpoly": cp,
-                }
-    return None
-
-
-def _poly_apply(coeffs, T):
+    T = [list(row) for row in T]
     dim = len(T)
-    acc = [[0] * dim for _ in range(dim)]
-    for c in coeffs:
-        acc = linalg.mat_mul(acc, T)
-        for i in range(dim):
-            acc[i][i] += c
-    return acc
+    bound = max_finite_order(dim)
+    identity = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    power = T
+    for _ in range(bound):
+        if power == identity:
+            return None
+        power = linalg.mat_mul(power, T)
+    return {
+        "reason": "no_power_up_to_order_bound_is_identity",
+        "order_bound": bound,
+        "charpoly": linalg.charpoly(T),
+    }
 
 
 def _matching_frames(form: Form, roots, orth, target_norms, target_gram):

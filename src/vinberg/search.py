@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from vinberg.enumeration import enumerate_batch, kernel_backend
+from vinberg.enumeration import enumerate_batch
 from vinberg.forms import Form, Vector
 
 

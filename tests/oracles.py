@@ -2,7 +2,8 @@
 
 Each oracle recomputes its answer from first principles: reflections as
 exact rational matrices, candidate enumeration as full box scans, root
-classes by widening the shift window far past the claimed period.  None
+classes by widening the shift window far past the claimed period, matrix
+order by factoring the characteristic polynomial with sympy.  None
 of them share code with the fast paths they check.
 """
 
@@ -10,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+
+import sympy
 
 
 def reflection_matrix(form, r):
@@ -106,3 +109,45 @@ def root_class_witness_window(form, quot, coords, factor=10):
         if form.norm(v) == m and reflection_is_integral(form, v):
             return t
     return None
+
+
+def charpoly_factors(T):
+    """Irreducible factors of det(x I - T) over Z, as descending-degree
+    coefficient lists, by sympy's factorisation."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Matrix(T).charpoly(x).factor_list()
+    return [[int(c) for c in poly.all_coeffs()] for poly, _mult in factors]
+
+
+def cyclotomic_index(coeffs):
+    """Index k with coeffs the k-th cyclotomic polynomial, or None.
+
+    Euler phi(k) >= sqrt(k/2), so k <= 2 d^2 covers all degree-d candidates.
+    """
+    x = sympy.Symbol("x")
+    f = sympy.Poly(coeffs, x)
+    d = f.degree()
+    for k in range(1, 2 * d * d + 2):
+        if sympy.totient(k) == d and sympy.Poly(sympy.cyclotomic_poly(k, x), x) == f:
+            return k
+    return None
+
+
+def has_finite_order(T):
+    """Whether the integer matrix T has finite order.
+
+    Finite order holds iff every eigenvalue is a root of unity and T is
+    semisimple: every irreducible factor of the characteristic polynomial
+    is cyclotomic and their product (the squarefree part) annihilates T.
+    """
+    factors = charpoly_factors(T)
+    if any(cyclotomic_index(f) is None for f in factors):
+        return False
+    M = sympy.Matrix(T)
+    radical = sympy.eye(M.rows)
+    for f in factors:
+        acc = sympy.zeros(M.rows)
+        for c in f:
+            acc = acc * M + c * sympy.eye(M.rows)
+        radical = radical * acc
+    return radical.is_zero_matrix

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import corpus
+import vinberg
 from vinberg.cli import main
 from vinberg.forms import Form
 
@@ -120,6 +125,31 @@ def test_resume_rejects_mismatched_state(runner, tmp_path):
     (tmp_path / "state.json").write_text("garbage")
     bad = runner.invoke(main, ["classify", "13", "2", "--resume", state_file])
     assert bad.exit_code == 2
+
+
+def test_resume_rejects_tampered_state(runner, tmp_path, search):
+    state_file = tmp_path / "state.json"
+    doc = search(7, 3).state.to_json()
+    doc["accepted"][3] = [2, 5, 2, 1]
+    state_file.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["classify", "7", "3", "--resume", str(state_file)])
+    assert res.exit_code == 2
+    assert "payload.roots" in res.output
+
+
+def test_runtime_imports_leave_sympy_unloaded():
+    src = str(Path(vinberg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    code = (
+        "import sys, vinberg.cli, vinberg.classify, vinberg.certificates; "
+        "print('sympy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_family_inherits_past_first_failure(runner):

@@ -1,9 +1,13 @@
 """Corner geometry, frame maps, and infinite-order symmetry detection."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracles
@@ -118,6 +122,47 @@ def test_unique_frame_map_between_published_corners(search):
     assert tuple(linalg.mat_vec([list(r) for r in T], list(cf))) == ct
 
 
+ORDER_REASON = "no_power_up_to_order_bound_is_identity"
+
+
+def _identity(dim):
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def _block_diagonal(blocks):
+    dim = sum(len(b) for b in blocks)
+    out = [[0] * dim for _ in range(dim)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def _companion(coeffs):
+    """Companion matrix of a monic polynomial, descending coefficients."""
+    d = len(coeffs) - 1
+    C = [[0] * d for _ in range(d)]
+    for i in range(1, d):
+        C[i][i - 1] = 1
+    for i in range(d):
+        C[i][d - 1] = -coeffs[d - i]
+    return C
+
+
+def _cyclotomic(k):
+    x = sympy.Symbol("x")
+    return [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()]
+
+
+def test_max_finite_order_small_dimensions():
+    # maximal finite order in GL_d(Z), OEIS A051593
+    assert [isometry.max_finite_order(d) for d in range(1, 12)] == [
+        2, 6, 6, 12, 12, 30, 30, 60, 60, 120, 120
+    ]
+
+
 def test_infinite_order_evidence_on_finite_order_maps():
     form = Form(5, 2)
     # reflections have order two
@@ -126,30 +171,138 @@ def test_infinite_order_evidence_on_finite_order_maps():
     assert isometry.infinite_order_evidence(R) is None
     assert isometry.infinite_order_evidence([[1, 0], [0, 1]]) is None
     assert isometry.infinite_order_evidence([[0, -1], [1, 0]]) is None  # order 4
+    # orders that meet the bound of their size exactly
+    for ks, order in (((6,), 6), ((3, 4), 12), ((5, 6), 30)):
+        T = _block_diagonal([_companion(_cyclotomic(k)) for k in ks])
+        assert isometry.max_finite_order(len(T)) == order
+        assert isometry.infinite_order_evidence(T) is None
 
 
 def test_infinite_order_evidence_unipotent():
     ev = isometry.infinite_order_evidence([[1, 1], [0, 1]])
-    assert ev is not None
-    assert ev["reason"] == "repeated_root_of_unity"
+    assert ev == {"reason": ORDER_REASON, "order_bound": 6, "charpoly": [1, -2, 1]}
 
 
 def test_infinite_order_evidence_on_stored_witness():
     T = [list(r) for r in corpus.EXPECTED_P23_MATRIX]
     ev = isometry.infinite_order_evidence(T)
     assert ev is not None
-    assert ev["reason"] == "non_cyclotomic_factor"
-    assert ev["factor"] == corpus.EXPECTED_P23_FACTOR
+    assert ev["reason"] == ORDER_REASON
+    assert ev["order_bound"] == 12
+    assert ev["charpoly"] == linalg.charpoly(T)
+    # the oracle's factorisation holds the non-cyclotomic factor
+    factors = oracles.charpoly_factors(T)
+    assert corpus.EXPECTED_P23_FACTOR in factors
+    assert oracles.cyclotomic_index(corpus.EXPECTED_P23_FACTOR) is None
 
 
-def test_cyclotomic_factor_index_small_cases():
-    assert isometry.cyclotomic_factor_index([1, -1]) == 1
-    assert isometry.cyclotomic_factor_index([1, 1]) == 2
-    assert isometry.cyclotomic_factor_index([1, 1, 1]) == 3
-    assert isometry.cyclotomic_factor_index([1, 0, 1]) == 4
-    assert isometry.cyclotomic_factor_index([1, -1, 1]) == 6
-    assert isometry.cyclotomic_factor_index([1, -2]) is None
-    assert isometry.cyclotomic_factor_index(corpus.EXPECTED_P23_FACTOR) is None
+@st.composite
+def unimodular_pairs(draw, dim):
+    """(U, U^-1) as products of elementary integer matrices."""
+    U, U_inv = _identity(dim), _identity(dim)
+    if dim < 2:
+        return U, U_inv
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.permutations(range(dim)))[:2]
+        c = draw(st.integers(-3, 3))
+        # U <- U (I + c E_ij): column j += c column i
+        for row in U:
+            row[j] += c * row[i]
+        # U^-1 <- (I - c E_ij) U^-1: row i -= c row j
+        U_inv[i] = [a - c * b for a, b in zip(U_inv[i], U_inv[j])]
+    return U, U_inv
+
+
+@st.composite
+def signed_permutations(draw, dim):
+    perm = draw(st.permutations(range(dim)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    P = [[0] * dim for _ in range(dim)]
+    for k in range(dim):
+        P[perm[k]][k] = signs[k]
+    return P
+
+
+@st.composite
+def cyclotomic_blocks(draw, dim):
+    """Block-diagonal companions of cyclotomic polynomials, padded with 1."""
+    blocks = []
+    used = 0
+    for k in draw(st.lists(st.integers(1, 18), max_size=4)):
+        block = _companion(_cyclotomic(k))
+        if used + len(block) <= dim:
+            blocks.append(block)
+            used += len(block)
+    blocks += [[[1]]] * (dim - used)
+    return _block_diagonal(blocks)
+
+
+@st.composite
+def unipotents(draw, dim):
+    return [
+        [draw(st.integers(-2, 2)) if j > i else int(i == j) for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+@st.composite
+def conjugated(draw, kind):
+    dim = draw(st.integers(1, 6))
+    M = draw(kind(dim))
+    U, U_inv = draw(unimodular_pairs(dim))
+    return linalg.mat_mul(linalg.mat_mul(U, M), U_inv)
+
+
+@lru_cache(maxsize=None)
+def _corpus_frame_maps():
+    """Integral frame maps between corners of the (23,3) chamber, the
+    rotations of the rank-2 polygons, and the stored p=23 witness."""
+    maps = {tuple(map(tuple, corpus.EXPECTED_P23_MATRIX))}
+    form = Form(23, 3)
+    roots = vsearch.run_search(form).roots
+    corners = [
+        c for c in isometry.chamber_corners(form, roots)
+        if len(c["orthogonal"]) == form.n
+    ]
+    for a in corners:
+        f_from = [roots[i] for i in a["orthogonal"]] + [a["vector"]]
+        for b in corners:
+            for perm in permutations(b["orthogonal"]):
+                f_to = [roots[i] for i in perm] + [b["vector"]]
+                if form.gram(f_from) != form.gram(f_to):
+                    continue
+                T = isometry.frame_map(form, f_from, f_to)
+                if T is not None:
+                    maps.add(tuple(map(tuple, T)))
+    for p in (13, 17, 19, 23):
+        form = Form(p, 2)
+        roots = vsearch.run_search(form).roots
+        for shift in range(len(roots)):
+            T = isometry.polygon_rotation(form, roots, shift)
+            if T is not None:
+                maps.add(tuple(map(tuple, T)))
+    return sorted(maps)
+
+
+def test_corpus_frame_maps_have_both_orders():
+    finite = [oracles.has_finite_order(T) for T in _corpus_frame_maps()]
+    assert any(finite) and not all(finite)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(T=st.one_of(
+    conjugated(signed_permutations),
+    conjugated(cyclotomic_blocks),
+    conjugated(unipotents),
+    st.deferred(lambda: st.sampled_from(_corpus_frame_maps())),
+))
+def test_infinite_order_evidence_matches_factoring_oracle(T):
+    T = [list(row) for row in T]
+    evidence = isometry.infinite_order_evidence(T)
+    assert (evidence is None) == oracles.has_finite_order(T)
+    if evidence is not None:
+        assert evidence["order_bound"] == isometry.max_finite_order(len(T))
+        assert evidence["charpoly"] == linalg.charpoly(T)
 
 
 def test_find_infinite_symmetry_on_the_16_wall_chamber(search):
@@ -163,7 +316,7 @@ def test_find_infinite_symmetry_on_the_16_wall_chamber(search):
     T = witness["matrix"]
     F = form.form_matrix
     assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), F), T) == F
-    assert witness["evidence"]["reason"] == "non_cyclotomic_factor"
+    assert witness["evidence"]["reason"] == ORDER_REASON
     # the map really moves one certified corner to another
     c_from = witness["frame_from"]["corner"]
     c_to = witness["frame_to"]["corner"]

@@ -6,6 +6,8 @@ import pytest
 
 import corpus
 import oracles
+from vinberg.classify import classify_form
+from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 from vinberg.search import Budget, SearchState, open_height, run_search
 
@@ -70,6 +72,16 @@ def test_resume_equals_uninterrupted_run(search):
     resumed = run_search(form, state=state)
     assert resumed.status == "reflective"
     assert resumed.roots == search(17, 2).roots
+
+
+def test_resume_rejects_tampered_reflective_state(search):
+    # the final (7,3) state with accepted[3] reflected in accepted[4]: the
+    # resumed search closes a chamber that the real search never reaches
+    doc = search(7, 3).state.to_json()
+    assert doc["accepted"][3] == [1, 3, 0, 0]
+    doc["accepted"][3] = [2, 5, 2, 1]
+    with pytest.raises(ConsistencyError, match="payload.roots"):
+        classify_form(7, 3, state=SearchState.from_json(doc))
 
 
 def test_budget_exhaustion_is_undecided():
