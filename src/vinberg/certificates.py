@@ -30,6 +30,7 @@ from math import gcd
 
 from vinberg import diagram as _diagram
 from vinberg import linalg, published, quotient
+from vinberg import volume as _volume
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 
@@ -76,24 +77,27 @@ def affine_null_marks(form: Form, roots, nodes):
     return marks_out, tuple(x // g for x in e)
 
 
-def scan_for_cusp_obstruction(form: Form, accepted, cache=None, min_rank=None):
+def scan_for_cusp_obstruction(form: Form, accepted, memo=None, min_rank=None):
     """Look for a null direction whose root classes have deficient rank.
 
     Groups the affine components of the current diagram by their common
     null vector; groups of total rank at least min_rank (default n - 2)
-    have their quotient tested.  The root classes of a null vector depend
-    on the form alone, so they are cached across batches and handed to the
+    have their quotient tested.  memo is the search's volume.PrefixMemo:
+    it supplies the PSD classes finite_volume already computed on this
+    prefix, and keeps the root classes of each null vector, which depend
+    on the form alone, across batches; they are handed to the
     certificate.  Returns an ideal_vertex_failure certificate, or None.
     """
-    if cache is None:
-        cache = {}
+    if memo is None:
+        memo = _volume.PrefixMemo()
     if min_rank is None:
         min_rank = form.n - 2
     d = _diagram.build_diagram(form, accepted)
     groups: dict = {}
-    for comp in _diagram.affine_components(d):
+    for comp in _diagram.affine_components(d, memo.classifier(d, accepted)):
         marks, e = affine_null_marks(form, accepted, comp["nodes"])
         groups.setdefault(e, []).append(comp)
+    cache = memo.root_classes
     for e in sorted(groups):
         comps = groups[e]
         if sum(c["rank"] for c in comps) < min_rank:
@@ -302,7 +306,6 @@ def _state_reproduces(form: Form, roots) -> bool:
 
 
 def _verify_reflective(form: Form, payload) -> list[str]:
-    from vinberg import volume as _volume
     from vinberg.search import Budget, run_search
 
     _require(payload, "check_every", "payload.check_every")

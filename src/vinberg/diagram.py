@@ -61,6 +61,10 @@ class Diagram:
     def subgram(self, subset):
         return [[self.gram[i][j] for j in subset] for i in subset]
 
+    def psd_class(self, nodes) -> str:
+        """linalg.psd_classify of the Gram of a set of nodes."""
+        return linalg.psd_classify(self.subgram(sorted(nodes)))
+
 
 def diagram_from_gram(gram) -> Diagram:
     """Diagram of a wall system given its exact Gram matrix."""
@@ -323,12 +327,14 @@ def classify_subdiagram(diagram: Diagram, subset) -> dict:
     return {"kind": kind, "types": sorted(names)}
 
 
-def affine_components(diagram: Diagram) -> list[dict]:
+def affine_components(diagram: Diagram, classify) -> list[dict]:
     """Every connected affine subdiagram, with its type and rank.
 
     Found by growing connected elliptic subsets one adjacent node at a
     time: a connected affine diagram minus a suitable node is connected
-    and elliptic, so this walk reaches every one of them.
+    and elliptic, so this walk reaches every one of them.  classify maps
+    a node set to its PSD class: Diagram.psd_class, or a classifier that
+    remembers classes from earlier calls (volume.PrefixMemo).
     """
     n = len(diagram)
     elliptic: set = set()
@@ -347,7 +353,7 @@ def affine_components(diagram: Diagram) -> list[dict]:
             t = s | {v}
             if t in elliptic or t in affine:
                 continue
-            cls = linalg.psd_classify(diagram.subgram(sorted(t)))
+            cls = classify(t)
             if cls == "definite":
                 elliptic.add(t)
                 frontier.append(t)
@@ -370,10 +376,11 @@ def _orthogonal(diagram: Diagram, a, b) -> bool:
     return all(diagram.kind(i, j) is None for i in a for j in b)
 
 
-def affine_sets_of_rank(diagram: Diagram, rank: int) -> list[dict]:
+def affine_sets_of_rank(diagram: Diagram, rank: int, classify) -> list[dict]:
     """All unions of pairwise orthogonal affine components with the given
-    total rank.  Components must be node-disjoint and unjoined by edges."""
-    comps = affine_components(diagram)
+    total rank.  Components must be node-disjoint and unjoined by edges;
+    classify is as in affine_components."""
+    comps = affine_components(diagram, classify)
     out = []
     chosen: list[int] = []
 
@@ -415,7 +422,10 @@ def maximal_affine_types(form, roots) -> set:
     result is a set of sorted type tuples.
     """
     diagram = build_diagram(form, roots)
-    return {item["types"] for item in affine_sets_of_rank(diagram, form.n - 1)}
+    return {
+        item["types"]
+        for item in affine_sets_of_rank(diagram, form.n - 1, diagram.psd_class)
+    }
 
 
 def polygon_cycle(form, roots) -> dict:
@@ -429,8 +439,7 @@ def polygon_cycle(form, roots) -> dict:
     if form.n != 2:
         raise ValueError("polygon walk requires a rank-2 form")
     dim = form.dim
-    units = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rows = [tuple(form.inner_product(r, u) for u in units) for r in roots]
+    rows = [form.dual(r) for r in roots]
     lines, rays = cones.cone_generators(rows, dim)
     if lines:
         raise ValueError("chamber cone contains a line")

@@ -56,6 +56,16 @@ class Form:
     def norm(self, v: Vector) -> int:
         return self.inner_product(v, v)
 
+    def dual(self, v: Vector) -> Vector:
+        """G v = (-p v0, v1, ..., vn): the functional x -> <v, x> as a row.
+
+        A wall's constraint and orthogonality rows are this vector, so
+        <v, x> is a plain dot product with it.
+        """
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        return (-self.p * v[0],) + tuple(v[1:])
+
     def gram(self, vectors) -> list[list[int]]:
         return [[self.inner_product(u, v) for v in vectors] for u in vectors]
 

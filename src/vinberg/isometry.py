@@ -37,10 +37,6 @@ from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 
 
-def _units(dim):
-    return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-
-
 def chamber_corners(form: Form, roots) -> list[dict]:
     """Ordinary vertices of the partial chamber cut out by the given roots.
 
@@ -48,10 +44,8 @@ def chamber_corners(form: Form, roots) -> list[dict]:
     non-positive side of every root, as primitive future-pointing vectors,
     each with the indices of all roots orthogonal to it.  Sorted by vector.
     """
-    dim = form.dim
-    units = _units(dim)
-    rows = [tuple(form.inner_product(r, u) for u in units) for r in roots]
-    lines, rays = cones.cone_generators(rows, dim)
+    rows = [form.dual(r) for r in roots]
+    lines, rays = cones.cone_generators(rows, form.dim)
     if lines:
         return []
     corners = []
@@ -76,10 +70,7 @@ def null_corner_vector(form: Form, walls):
     vertex and 0 for an ideal one.  A positive-norm line means the walls
     do not bound a corner, which is an error.
     """
-    dim = form.dim
-    units = _units(dim)
-    rows = [[form.inner_product(w, u) for u in units] for w in walls]
-    line = linalg.integer_kernel(rows)
+    line = linalg.integer_kernel([form.dual(w) for w in walls])
     if len(line) != 1:
         raise ValueError("walls must cut out a line")
     v = tuple(line[0])
@@ -142,9 +133,7 @@ def vertex_walls(form: Form, corner) -> list:
     the closure of the full chamber.
     """
     dim = form.dim
-    units = _units(dim)
-    row = [[form.inner_product(corner, u) for u in units]]
-    basis = linalg.integer_kernel(row)
+    basis = linalg.integer_kernel([form.dual(corner)])
     gram = [
         [form.inner_product(a, b) for b in basis] for a in basis
     ]
@@ -160,7 +149,7 @@ def vertex_walls(form: Form, corner) -> list:
         if form.is_root(v):
             oriented.add(orient_root(form, v))
     walls = sorted(oriented)
-    rows = [[form.inner_product(w, u) for u in units] for w in walls]
+    rows = [form.dual(w) for w in walls]
     lines, rays = cones.cone_generators(rows, dim)
     gens = [tuple(l) for l in lines] + [tuple(-x for x in l) for l in lines]
     gens += [tuple(r) for r in rays]

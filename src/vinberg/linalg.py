@@ -101,7 +101,41 @@ def rref(A) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(A) -> int:
-    return len(rref(A)[1])
+    """Rank over the rationals, by fraction-free elimination.
+
+    Each row has its denominators cleared, which keeps the rank, and then
+    Bareiss's elimination runs on the integer matrix as in psd_classify:
+    with pivot d at (r, c) and prev the previous pivot, every entry right
+    of the pivot column in a later row becomes (d A[i][j] - A[i][c] A[r][j])
+    // prev, an exact division, since each active entry is a minor of the
+    cleared matrix.  So zeros, and with them the pivots, match the
+    rational elimination.
+    """
+    M = []
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        M.append([int(x * den) for x in row])
+    cols = len(M[0]) if M else 0
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        prow = M[r]
+        d = prow[c]
+        for i in range(r + 1, len(M)):
+            row = M[i]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (d * row[j] - f * prow[j]) // prev
+            row[c] = 0
+        prev = d
+        r += 1
+        if r == len(M):
+            break
+    return r
 
 
 def kernel(A) -> list[list[Fraction]]:

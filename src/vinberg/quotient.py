@@ -66,8 +66,7 @@ def null_quotient(form: Form, e) -> NullQuotient:
         raise ValueError("null vector required")
     if not form.is_primitive(e):
         raise ValueError("primitive vector required")
-    functional = [[form.inner_product(e, _unit(form.dim, k)) for k in range(form.dim)]]
-    m_rows = linalg.integer_kernel(functional)
+    m_rows = linalg.integer_kernel([form.dual(e)])
     # coordinates of e inside M, then a change of basis putting e first
     A = [[m_rows[j][i] for j in range(len(m_rows))] for i in range(form.dim)]
     coords = linalg.solve(A, list(e))
@@ -84,10 +83,6 @@ def null_quotient(form: Form, e) -> NullQuotient:
     if linalg.psd_classify([list(r) for r in gram]) != "definite":
         raise ValueError("quotient is not positive definite; e is not isotropic-primitive as expected")
     return NullQuotient(form=form, e=e, m_basis=tuple(basis), class_basis=class_basis, gram=gram)
-
-
-def _unit(dim, i):
-    return tuple(1 if j == i else 0 for j in range(dim))
 
 
 def root_class_shift(form: Form, quot: NullQuotient, coords) -> int | None:

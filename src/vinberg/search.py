@@ -154,27 +154,37 @@ def run_search(
     ("batch").  The certificate scan looks for null directions whose
     orthogonal quotient cannot be generated by root classes; a hit proves
     the chamber will never close up and stops the search early.
+
+    A resumed search (state given) runs the finite-volume test once on
+    entry: a closed chamber accepts no further root, so a final state
+    would otherwise run on to the budget.  Both tests share one
+    volume.PrefixMemo, which lives as long as this call.
     """
+    from vinberg import volume as _volume
+
     if check_every not in ("root", "batch"):
         raise ValueError("check_every must be 'root' or 'batch'")
     if budget is None:
         budget = Budget()
+    resumed = state is not None
     if state is None:
         state = SearchState.fresh(form)
-    if finite_volume_check:
-        from vinberg import volume as _volume
     if certificate_scan:
         from vinberg import certificates as _certificates
 
-        scan_cache: dict = {}
-
     accepted = [tuple(r) for r in state.accepted]
     state.accepted = accepted
+    memo = _volume.PrefixMemo()
 
     def volume_now() -> Optional[dict]:
         state.counters["volume_checks"] += 1
-        report = _volume.finite_volume(form, accepted)
+        report = _volume.finite_volume(form, accepted, memo)
         return report if report["finite"] else None
+
+    if resumed and finite_volume_check:
+        report = volume_now()
+        if report:
+            return SearchResult("reflective", state, volume_report=report)
 
     gen = batch_sequence(form)
     for _ in range(state.batches_done):
@@ -211,8 +221,6 @@ def run_search(
             if report:
                 return SearchResult("reflective", state, volume_report=report)
         if fresh and certificate_scan:
-            cert = _certificates.scan_for_cusp_obstruction(
-                form, accepted, cache=scan_cache
-            )
+            cert = _certificates.scan_for_cusp_obstruction(form, accepted, memo)
             if cert is not None:
                 return SearchResult("nonreflective", state, certificate=cert)

@@ -18,6 +18,34 @@ Two independent deciders run on every call and must agree:
 
 Disagreement raises ConsistencyError: the two characterizations are
 equivalent theorems, so a mismatch means an implementation bug.
+
+One call builds one Diagram, one list of affine subdiagrams of rank n - 1
+and one PSD classifier, and both deciders read them.
+
+The search calls finite_volume after every accepted root on a list that
+only grows, so most of each call was already proved on the previous
+prefix.  A PrefixMemo carries those facts from call to call.  Its scope is
+one search: run_search creates it, passes it to every finite_volume call
+and cusp scan on its own root list, and drops it when it returns.  It
+keeps
+
+- the PSD class of every wall subset classified so far, keyed by the
+  subset's roots in index order.  The class is a function of the Gram of
+  those roots, so the key determines it whatever list the roots sit in;
+- condition (b) proofs.  The fixed cone of a hyperbolic S is cut out by
+  every root of the list, so adding roots can only shrink it: a cone
+  proved {0} stays {0} while the roots only grow.  A proof is stored with
+  S's roots and the set of roots it used, and reused only when that set
+  lies inside the current roots, so a call on a shorter or different list
+  recomputes and a misused memo can never change an answer.  Only
+  trivial cones are kept; a non-trivial one is recomputed on every call;
+- the quotient root classes of each null vector the cusp scan tested,
+  which depend on the form alone.
+
+Both deciders and their cross-check still run on every call.  Certificate
+verification (certificates._verify_reflective) makes its final
+finite_volume call without a memo, so the stored report is re-derived
+from the roots alone.
 """
 
 from __future__ import annotations
@@ -28,14 +56,37 @@ from vinberg import cones, diagram as dg, linalg
 from vinberg.errors import ConsistencyError
 
 
-def critical_submatrices(form, roots) -> list[dict]:
+class PrefixMemo:
+    """Facts proved on earlier prefixes of one search's root list."""
+
+    def __init__(self):
+        self.classes: dict = {}  # roots of a wall subset -> PSD class
+        self.trivial_cones: dict = {}  # roots of S -> roots its proof used
+        self.root_classes: dict = {}  # null vector -> quotient.root_classes
+
+    def classifier(self, diagram, roots):
+        """PSD class of a set of node indices of the diagram of roots."""
+        classes = self.classes
+
+        def classify(nodes):
+            nodes = sorted(nodes)
+            key = tuple(map(roots.__getitem__, nodes))
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = diagram.psd_class(nodes)
+            return cls
+
+        return classify
+
+
+def critical_submatrices(diagram, classify) -> list[dict]:
     """All critical (connected, minimal non-elliptic) wall subsets.
 
     Each entry carries the node tuple and its class: "parabolic" for
-    degenerate Gram, "hyperbolic" for indefinite.
+    degenerate Gram, "hyperbolic" for indefinite.  classify maps a node
+    set to its PSD class (Diagram.psd_class or a PrefixMemo classifier).
     """
-    diagram = dg.build_diagram(form, roots)
-    n = len(roots)
+    n = len(diagram)
     elliptic: set = {frozenset([i]) for i in range(n)}
     frontier = list(elliptic)
     critical: dict = {}
@@ -48,17 +99,13 @@ def critical_submatrices(form, roots) -> list[dict]:
             t = s | {v}
             if t in elliptic or t in critical:
                 continue
-            cls = linalg.psd_classify(diagram.subgram(sorted(t)))
+            cls = classify(t)
             if cls == "definite":
                 elliptic.add(t)
                 frontier.append(t)
                 continue
             # minimality: removing any one wall must leave an elliptic set
-            minimal = all(
-                linalg.psd_classify(diagram.subgram(sorted(t - {u}))) == "definite"
-                for u in t
-            )
-            if minimal:
+            if all(classify(t - {u}) == "definite" for u in t):
                 critical[t] = "parabolic" if cls == "degenerate" else "hyperbolic"
     # lists, not tuples: the report is embedded in JSON certificates and
     # must compare equal after a serialization round trip
@@ -70,33 +117,18 @@ def critical_submatrices(form, roots) -> list[dict]:
     return out
 
 
-def check_condition_a(form, roots, parabolic_nodes, affine_full=None) -> bool:
-    """Does the parabolic subdiagram extend to an affine one of rank n - 1?"""
-    if affine_full is None:
-        diagram = dg.build_diagram(form, roots)
-        affine_full = dg.affine_sets_of_rank(diagram, form.n - 1)
-    target = set(parabolic_nodes)
-    return any(target <= set(item["nodes"]) for item in affine_full)
-
-
 def cone_fixed_set(form, roots, nodes) -> tuple[list, list]:
     """Generators of {x : x orthogonal to the given walls, x . r <= 0 for all
     accepted roots r}, as (lines, rays) in lattice coordinates."""
     dim = form.dim
-    ortho = [
-        [form.inner_product(roots[i], unit) for unit in _units(dim)]
-        for i in nodes
-    ]
+    walls = [form.dual(r) for r in roots]
     # x orthogonal to S: restrict to the rational kernel of the S rows
-    basis = linalg.kernel(ortho) if nodes else [list(u) for u in _units(dim)]
-    basis = [cones.primitive_vector(b) for b in basis]
-    constraints = []
-    for r in roots:
-        row = [
-            sum(form.inner_product(r, _unit(dim, k)) * b[k] for k in range(dim))
-            for b in basis
-        ]
-        constraints.append(tuple(row))
+    if nodes:
+        ortho = [walls[i] for i in nodes]
+        basis = [cones.primitive_vector(b) for b in linalg.kernel(ortho)]
+    else:
+        basis = linalg.identity(dim)
+    constraints = [tuple(linalg.dot(w, b) for b in basis) for w in walls]
     lines, rays = cones.cone_generators(constraints, len(basis))
     to_ambient = lambda y: tuple(
         sum(y[j] * basis[j][k] for j in range(len(basis))) for k in range(dim)
@@ -107,72 +139,57 @@ def cone_fixed_set(form, roots, nodes) -> tuple[list, list]:
     )
 
 
-def _units(dim):
-    return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+def _trivial_fixed_cone(form, roots, nodes, memo, current) -> bool:
+    """Condition (b) for S = nodes, reusing a proof made on fewer roots."""
+    key = tuple(roots[i] for i in nodes)
+    used = memo.trivial_cones.get(key)
+    if used is not None and used <= current:
+        return True
+    lines, rays = cone_fixed_set(form, roots, nodes)
+    if lines or rays:
+        return False
+    memo.trivial_cones[key] = current
+    return True
 
 
-def _unit(dim, i):
-    return tuple(1 if j == i else 0 for j in range(dim))
-
-
-def check_condition_b(form, roots, hyperbolic_nodes) -> bool:
-    """Is the fixed cone of the hyperbolic subdiagram trivial?"""
-    lines, rays = cone_fixed_set(form, roots, hyperbolic_nodes)
-    return not lines and not rays
-
-
-def _critical_decider(form, roots, report) -> bool:
-    gram = form.gram(roots)
-    rk = linalg.rank(gram)
+def _critical_decider(form, roots, diagram, classify, affine_nodes, memo, report) -> bool:
+    rk = linalg.rank(diagram.gram)
     report["rank"] = rk
     if rk != form.dim:
         report["rank_deficient"] = True
         return False
-    criticals = critical_submatrices(form, roots)
+    criticals = critical_submatrices(diagram, classify)
     report["critical"] = criticals
-    diagram = dg.build_diagram(form, roots)
-    affine_full = dg.affine_sets_of_rank(diagram, form.n - 1)
+    current = frozenset(roots)
     cond_a = []
     cond_b = []
     ok = True
     for item in criticals:
+        nodes = item["nodes"]
         if item["class"] == "parabolic":
-            good = check_condition_a(form, roots, item["nodes"], affine_full)
-            cond_a.append({"nodes": item["nodes"], "extends": good})
-            ok = ok and good
+            # does the parabolic subdiagram extend to an affine one of rank n - 1?
+            good = any(set(nodes) <= a for a in affine_nodes)
+            cond_a.append({"nodes": nodes, "extends": good})
         else:
-            good = check_condition_b(form, roots, item["nodes"])
-            cond_b.append({"nodes": item["nodes"], "trivial_cone": good})
-            ok = ok and good
+            good = _trivial_fixed_cone(form, roots, nodes, memo, current)
+            cond_b.append({"nodes": nodes, "trivial_cone": good})
+        ok = ok and good
     report["condition_a"] = cond_a
     report["condition_b"] = cond_b
     return ok
 
 
-def _edge_decider(form, roots) -> bool:
+def _edge_decider(diagram, n, classify, affine_nodes) -> bool:
     """Count vertex completions of every elliptic edge subdiagram."""
-    diagram = dg.build_diagram(form, roots)
-    n = form.n
-    count = len(roots)
-    affine_full = dg.affine_sets_of_rank(diagram, n - 1)
-    affine_nodes = [set(item["nodes"]) for item in affine_full]
-    memo: dict = {}
-
-    def definite(nodes: frozenset) -> bool:
-        hit = memo.get(nodes)
-        if hit is None:
-            hit = linalg.psd_classify(diagram.subgram(sorted(nodes))) == "definite"
-            memo[nodes] = hit
-        return hit
-
+    count = len(diagram)
     found_any_vertex = False
     for subset in combinations(range(count), n - 1):
         s = frozenset(subset)
-        if not definite(s):
+        if classify(s) != "definite":
             continue
         vertices = 0
         for v in range(count):
-            if v not in s and definite(s | {v}):
+            if v not in s and classify(s | {v}) == "definite":
                 vertices += 1
         vertices += sum(1 for nodes in affine_nodes if s <= nodes)
         if vertices != 2:
@@ -181,11 +198,23 @@ def _edge_decider(form, roots) -> bool:
     return found_any_vertex
 
 
-def finite_volume(form, roots) -> dict:
-    """Joint verdict of both deciders, as a serializable report."""
+def finite_volume(form, roots, memo=None) -> dict:
+    """Joint verdict of both deciders, as a serializable report.
+
+    memo is the calling search's PrefixMemo; without one, the call starts
+    from nothing.  The report is the same either way.
+    """
+    if memo is None:
+        memo = PrefixMemo()
+    diagram = dg.build_diagram(form, roots)
+    classify = memo.classifier(diagram, roots)
+    affine_nodes = [
+        set(item["nodes"])
+        for item in dg.affine_sets_of_rank(diagram, form.n - 1, classify)
+    ]
     report: dict = {"finite": False}
-    verdict_a = _critical_decider(form, roots, report)
-    verdict_b = _edge_decider(form, roots)
+    verdict_a = _critical_decider(form, roots, diagram, classify, affine_nodes, memo, report)
+    verdict_b = _edge_decider(diagram, form.n, classify, affine_nodes)
     if verdict_a != verdict_b:
         raise ConsistencyError(
             f"finite-volume deciders disagree ({verdict_a} vs {verdict_b}) "

@@ -114,6 +114,18 @@ def test_resume_round_trip(runner, tmp_path):
     assert rep_resumed["certificate"] == rep_direct["certificate"]
 
 
+def test_resume_from_final_reflective_state(runner, tmp_path, search):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(search(7, 3).state.to_json()))
+    resumed = runner.invoke(main, ["classify", "7", "3", "--resume", str(state_file)])
+    assert resumed.exit_code == 0
+    direct = runner.invoke(main, ["classify", "7", "3"])
+    rep_resumed = json.loads(resumed.output)
+    rep_direct = json.loads(direct.output)
+    assert rep_resumed["verdict"] == rep_direct["verdict"] == "reflective"
+    assert rep_resumed["certificate"] == rep_direct["certificate"]
+
+
 def test_resume_rejects_mismatched_state(runner, tmp_path):
     state_file = str(tmp_path / "state.json")
     first = runner.invoke(

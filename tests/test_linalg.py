@@ -250,3 +250,34 @@ def symmetric_matrices(draw, max_rank=6):
 @given(G=symmetric_matrices())
 def test_psd_classify_matches_principal_minor_oracle(G):
     assert linalg.psd_classify(G) == principal_minor_class(G)
+
+
+@st.composite
+def rational_matrices(draw, max_size=7):
+    """Rational matrices up to 7 x 7 with per-entry denominators and many
+    zero entries, so that pivots must be searched for; half of them are
+    products B C through an inner dimension k below both sizes, so
+    rank-deficient, with some rows scaled by zero."""
+    rows, cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    entries = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    )
+    if draw(st.booleans()):
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    B = [[draw(entries) for _ in range(k)] for _ in range(rows)]
+    C = [[draw(entries) for _ in range(cols)] for _ in range(k)]
+    A = [[sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
+         for i in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        A[i] = [Fraction(0)] * cols
+    return A
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(A=rational_matrices())
+def test_rank_matches_rref_pivot_count(A):
+    assert linalg.rank(A) == len(linalg.rref(A)[1])
+    ints = [[int(x * 420) for x in row] for row in A]
+    assert linalg.rank(ints) == len(linalg.rref(ints)[1])

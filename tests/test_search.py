@@ -74,6 +74,21 @@ def test_resume_equals_uninterrupted_run(search):
     assert resumed.roots == search(17, 2).roots
 
 
+def test_resume_from_final_reflective_state(search):
+    # a closed chamber accepts no further root, so only the closure test
+    # on entry can see that a resumed final state is already decided
+    fresh = search(7, 3)
+    resumed = run_search(Form(7, 3), state=SearchState.from_json(fresh.state.to_json()))
+    assert resumed.status == "reflective"
+    assert resumed.roots == fresh.roots
+    assert resumed.volume_report == fresh.volume_report
+    checks = resumed.state.counters["volume_checks"]
+    assert checks == fresh.state.counters["volume_checks"] + 1
+    report = classify_form(7, 3, state=SearchState.from_json(fresh.state.to_json()))
+    assert report["verdict"] == "reflective"
+    assert report["certificate"] == classify_form(7, 3)["certificate"]
+
+
 def test_resume_rejects_tampered_reflective_state(search):
     # the final (7,3) state with accepted[3] reflected in accepted[4]: the
     # resumed search closes a chamber that the real search never reaches

@@ -33,12 +33,40 @@ def test_infinite_on_final_nonreflective_state(search):
     assert report["finite"] is False
 
 
+MEMO_FORMS = [(13, 3), (23, 3), (17, 3), (11, 4), (5, 8)]
+
+
+@pytest.mark.parametrize("p,n", MEMO_FORMS)
+def test_shared_memo_matches_fresh_report_on_every_prefix(search, p, n):
+    form = Form(p, n)
+    roots = search(p, n).roots
+    memo = volume.PrefixMemo()
+    for k in range(n, len(roots) + 1):
+        prefix = roots[:k]
+        assert volume.finite_volume(form, prefix, memo) == volume.finite_volume(form, prefix)
+
+
+@pytest.mark.parametrize("p,n", MEMO_FORMS)
+def test_memo_warmed_on_more_roots_changes_no_answer(search, p, n):
+    # proofs made on the full list do not hold on fewer roots; the subset
+    # guard must send every such call back to the cone computation
+    form = Form(p, n)
+    roots = search(p, n).roots
+    memo = volume.PrefixMemo()
+    volume.finite_volume(form, roots, memo)
+    shorter = roots[:-1]
+    dropped = roots[:n] + roots[n + 1:]
+    for fewer in (shorter, dropped):
+        assert volume.finite_volume(form, fewer, memo) == volume.finite_volume(form, fewer)
+
+
 def test_critical_submatrices_are_minimal_non_definite(search):
-    from vinberg import linalg
+    from vinberg import diagram, linalg
     form = Form(5, 3)
     roots = search(5, 3).roots
     gram = form.gram(roots)
-    for item in volume.critical_submatrices(form, roots):
+    d = diagram.build_diagram(form, roots)
+    for item in volume.critical_submatrices(d, d.psd_class):
         nodes = item["nodes"]
         sub = [[gram[i][j] for j in nodes] for i in nodes]
         assert linalg.psd_classify(sub) != "definite"
