@@ -1,12 +1,14 @@
 """Top-level classification of one form or a whole family of ranks.
 
 classify_form runs the root search and turns the outcome into a report
-with one of three verdicts: reflective (finite-volume chamber found),
-non_reflective (a verified obstruction certificate exists), or undecided
-(budget ran out and no obstruction was found; a resumable state is
-attached).  classify_family walks ranks upward and stops searching after
-the first non-reflective rank, since the obstruction persists in all
-higher ranks; later ranks get inheritance certificates instead.
+with one of three verdicts: reflective (the search's finite-volume test,
+run once per batch that accepted a root, closed the chamber; the
+certificate is checkable from its roots alone), non_reflective (a
+verified obstruction certificate exists), or undecided (budget ran out
+and no obstruction was found; a resumable state is attached).
+classify_family walks ranks upward and stops searching after the first
+non-reflective rank, since the obstruction persists in all higher ranks;
+later ranks get inheritance certificates instead.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from vinberg.errors import ConsistencyError, VinbergError
 from vinberg.forms import Form
 from vinberg.search import Budget, SearchState, open_height, run_search
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
-def _budget_json(budget: Budget, check_every: str) -> dict:
+def _budget_json(budget: Budget) -> dict:
     height = Fraction(budget.max_height)
     return {
         "max_height": f"{height.numerator}/{height.denominator}",
         "max_roots": budget.max_roots,
-        "check_every": check_every,
     }
 
 
@@ -36,7 +37,6 @@ def classify_form(
     p: int,
     n: int,
     budget: Optional[Budget] = None,
-    check_every: str = "root",
     state: Optional[SearchState] = None,
     verify: bool = True,
 ) -> dict:
@@ -56,7 +56,7 @@ def classify_form(
     form = Form(p, n)
     if budget is None:
         budget = Budget()
-    result = run_search(form, budget, check_every=check_every, state=state)
+    result = run_search(form, budget, state=state)
     roots = result.roots
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -66,14 +66,14 @@ def classify_form(
         "diagram": diagram.diagram_json(form, roots),
         "certificate": None,
         "timings": dict(result.state.counters),
-        "budget": _budget_json(budget, check_every),
+        "budget": _budget_json(budget),
     }
 
     if result.status == "reflective":
         report["verdict"] = "reflective"
         report["volume"] = result.volume_report
         report["certificate"] = certificates.reflective_certificate(
-            form, roots, result.volume_report, check_every=check_every
+            form, roots, result.volume_report
         )
         if state is not None:
             _check_certificate(report["certificate"])
@@ -118,7 +118,7 @@ def _check_certificate(certificate: dict) -> None:
 
 
 def _inherited_report(
-    p: int, n: int, base_certificate: dict, budget: Budget, check_every: str
+    p: int, n: int, base_certificate: dict, budget: Budget
 ) -> dict:
     certificate = certificates.inherited_certificate(base_certificate, n)
     return {
@@ -129,21 +129,20 @@ def _inherited_report(
         "diagram": None,
         "certificate": certificate,
         "timings": {"batches": 0, "candidates": 0, "accepted": 0, "volume_checks": 0},
-        "budget": _budget_json(budget, check_every),
+        "budget": _budget_json(budget),
         "inherited_from": base_certificate["form"]["n"],
     }
 
 
 def _classify_cell(args) -> dict:
-    p, n, budget, check_every = args
-    return classify_form(p, n, budget=budget, check_every=check_every)
+    p, n, budget = args
+    return classify_form(p, n, budget=budget)
 
 
 def classify_family(
     p: int,
     max_rank: int,
     budget: Optional[Budget] = None,
-    check_every: str = "root",
     jobs: int = 1,
 ) -> list:
     """Classify ranks 2..max_rank of one family, lowest first.
@@ -160,7 +159,7 @@ def classify_family(
 
     searched = {}
     if jobs > 1:
-        cells = [(p, n, budget, check_every) for n in range(2, max_rank + 1)]
+        cells = [(p, n, budget) for n in range(2, max_rank + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for n, report in zip(
                 range(2, max_rank + 1), pool.map(_classify_cell, cells)
@@ -171,13 +170,11 @@ def classify_family(
     base_certificate = None
     for n in range(2, max_rank + 1):
         if base_certificate is not None:
-            reports.append(
-                _inherited_report(p, n, base_certificate, budget, check_every)
-            )
+            reports.append(_inherited_report(p, n, base_certificate, budget))
             continue
         report = searched.get(n)
         if report is None:
-            report = classify_form(p, n, budget=budget, check_every=check_every)
+            report = classify_form(p, n, budget=budget)
         reports.append(report)
         if report["verdict"] == "non_reflective":
             base_certificate = report["certificate"]
@@ -188,7 +185,6 @@ def root_table(
     p: int,
     max_rank: int,
     budget: Optional[Budget] = None,
-    check_every: str = "root",
 ) -> dict:
     """Merged table of found roots for ranks 2..max_rank.
 
@@ -206,9 +202,7 @@ def root_table(
     verdicts = {}
     for rank in range(2, max_rank + 1):
         form = Form(p, rank)
-        result = run_search(
-            form, budget, check_every=check_every, certificate_scan=False
-        )
+        result = run_search(form, budget, certificate_scan=False)
         verdicts[rank] = result.status
         initial = len(form.initial_roots())
         for root in result.roots[initial:]:

@@ -59,13 +59,6 @@ def _budget_options(fn):
         type=int,
         help="Stop once this many roots are accepted.",
     )(fn)
-    fn = click.option(
-        "--check-every",
-        default="root",
-        show_default=True,
-        type=click.Choice(["root", "batch"]),
-        help="Run the finite-volume check after every root or every batch.",
-    )(fn)
     return fn
 
 
@@ -104,7 +97,7 @@ def main() -> None:
     type=click.Path(dir_okay=False),
     help="State file: resumed from if present, rewritten while undecided.",
 )
-def classify_cmd(p, n, max_height, max_roots, check_every, emit, fmt, resume_path):
+def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
     """Classify one form and print the result."""
     form = _form(p, n)
     state = None
@@ -122,8 +115,7 @@ def classify_cmd(p, n, max_height, max_roots, check_every, emit, fmt, resume_pat
 
     try:
         report = classify.classify_form(
-            p, n, budget=_budget(max_height, max_roots),
-            check_every=check_every, state=state,
+            p, n, budget=_budget(max_height, max_roots), state=state
         )
     except VinbergError as exc:
         raise click.UsageError(f"--resume: {exc}" if state is not None else str(exc))
@@ -178,15 +170,14 @@ def classify_cmd(p, n, max_height, max_roots, check_every, emit, fmt, resume_pat
     type=int,
     help="Worker processes for independent ranks.",
 )
-def family_cmd(p, max_height, max_roots, check_every, max_rank, jobs):
+def family_cmd(p, max_height, max_roots, max_rank, jobs):
     """Classify every rank of one family, inheriting past the first failure."""
     _form(p, 2)
     if max_rank < 2:
         raise click.UsageError("--max-rank must be at least 2")
     try:
         reports = classify.classify_family(
-            p, max_rank, budget=_budget(max_height, max_roots),
-            check_every=check_every, jobs=jobs,
+            p, max_rank, budget=_budget(max_height, max_roots), jobs=jobs
         )
     except VinbergError as exc:
         raise click.UsageError(str(exc))
@@ -230,12 +221,10 @@ def _table_text(table) -> str:
     show_default=True,
     type=click.Choice(["json", "text"]),
 )
-def table_cmd(p, n, max_height, max_roots, check_every, fmt):
+def table_cmd(p, n, max_height, max_roots, fmt):
     """Print the found-root table for ranks 2..N of family p."""
     _form(p, n)
-    table = classify.root_table(
-        p, n, budget=_budget(max_height, max_roots), check_every=check_every
-    )
+    table = classify.root_table(p, n, budget=_budget(max_height, max_roots))
     if fmt == "text":
         click.echo(_table_text(table))
     else:
@@ -255,12 +244,10 @@ def table_cmd(p, n, max_height, max_roots, check_every, fmt):
     show_default=True,
     type=click.Choice(["json", "dot", "tikz"]),
 )
-def diagram_cmd(p, n, max_height, max_roots, check_every, fmt):
+def diagram_cmd(p, n, max_height, max_roots, fmt):
     """Print the Coxeter diagram of the chamber found for one form."""
     form = _form(p, n)
-    report = classify.classify_form(
-        p, n, budget=_budget(max_height, max_roots), check_every=check_every
-    )
+    report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
     roots = [tuple(r) for r in report["roots"]]
     if fmt == "dot":
         click.echo(diagram.diagram_dot(form, roots))
@@ -276,12 +263,10 @@ def diagram_cmd(p, n, max_height, max_roots, check_every, fmt):
 @click.argument("p", type=int)
 @click.argument("n", type=int)
 @_budget_options
-def certify_cmd(p, n, max_height, max_roots, check_every):
+def certify_cmd(p, n, max_height, max_roots):
     """Print the verdict certificate for one form."""
     _form(p, n)
-    report = classify.classify_form(
-        p, n, budget=_budget(max_height, max_roots), check_every=check_every
-    )
+    report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
     _dump(report["certificate"])
     if report["verdict"] == "undecided":
         sys.exit(EXIT_UNDECIDED)

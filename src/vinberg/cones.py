@@ -32,13 +32,20 @@ def _dot(a, v):
 
 
 def cone_generators(constraints, dim) -> tuple[list, list]:
-    """Generators (lines, rays) of {y in Q^dim : a . y <= 0 for all a}."""
+    """Generators (lines, rays) of {y in Q^dim : a . y <= 0 for all a}.
+
+    Each ray carries the set of indices of the processed constraints it
+    is tight on, updated as constraints are added, so adjacency never
+    re-evaluates old constraints.
+    """
     lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[tuple] = []
+    tight: list[frozenset] = []  # tight[k]: processed constraints zero on rays[k]
     processed: list[tuple] = []
 
     for a in constraints:
         a = tuple(a)
+        here = frozenset([len(processed)])
         pivot_idx = next((i for i, l in enumerate(lines) if _dot(a, l) != 0), None)
         if pivot_idx is not None:
             pivot = lines.pop(pivot_idx)
@@ -58,29 +65,34 @@ def cone_generators(constraints, dim) -> tuple[list, list]:
                 )
                 for r in rays
             ]
+            # the pivot line lies in every processed hyperplane, and so do
+            # the projections' pivot components: old tight sets carry over
+            tight = [t | here for t in tight]
             # the pivot line itself survives as the ray pointing inside
             rays.append(pivot if pv < 0 else tuple(-x for x in pivot))
+            tight.append(frozenset(range(len(processed))))
         else:
-            neg = [r for r in rays if _dot(a, r) < 0]
-            zero = [r for r in rays if _dot(a, r) == 0]
-            pos = [r for r in rays if _dot(a, r) > 0]
-            tight = {
-                r: [c for c in processed if _dot(c, r) == 0] for r in rays
-            }
-            new_rays = neg + zero
-            for rp in pos:
-                tp = set(map(tuple, tight[rp]))
-                for rn in neg:
-                    common = [c for c in tight[rn] if tuple(c) in tp]
+            values = [_dot(a, r) for r in rays]
+            neg = [k for k, v in enumerate(values) if v < 0]
+            zero = [k for k, v in enumerate(values) if v == 0]
+            pos = [k for k, v in enumerate(values) if v > 0]
+            new_rays = [rays[k] for k in neg + zero]
+            new_tight = [tight[k] for k in neg] + [tight[k] | here for k in zero]
+            for kp in pos:
+                for kn in neg:
+                    common = tight[kp] & tight[kn]
                     # rays span a 2-face exactly when the common tight
                     # constraints cut the space down to lineality plus a plane
-                    if len(rays) > 2 and linalg.rank(common) != dim - len(lines) - 2:
+                    if len(rays) > 2 and linalg.rank(
+                        [processed[c] for c in sorted(common)]
+                    ) != dim - len(lines) - 2:
                         continue
-                    vp, vn = _dot(a, rp), _dot(a, rn)
-                    new_rays.append(
-                        primitive_vector([vp * x - vn * y for x, y in zip(rn, rp)])
-                    )
-            rays = new_rays
+                    vp, vn = values[kp], values[kn]
+                    new_rays.append(primitive_vector(
+                        [vp * x - vn * y for x, y in zip(rays[kn], rays[kp])]
+                    ))
+                    new_tight.append(common | here)
+            rays, tight = new_rays, new_tight
         processed.append(a)
 
     seen = set()
@@ -90,9 +102,3 @@ def cone_generators(constraints, dim) -> tuple[list, list]:
             seen.add(r)
             unique.append(r)
     return sorted(lines), sorted(unique)
-
-
-def cone_is_trivial(constraints, dim) -> bool:
-    """Whether the cone {a . y <= 0} is exactly the origin."""
-    lines, rays = cone_generators(constraints, dim)
-    return not lines and not rays

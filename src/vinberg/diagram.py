@@ -415,19 +415,6 @@ def affine_sets_of_rank(diagram: Diagram, rank: int, classify) -> list[dict]:
     return unique
 
 
-def maximal_affine_types(form, roots) -> set:
-    """Type multisets of affine subdiagrams of full rank n - 1.
-
-    These are the ideal vertex configurations the chamber can have; the
-    result is a set of sorted type tuples.
-    """
-    diagram = build_diagram(form, roots)
-    return {
-        item["types"]
-        for item in affine_sets_of_rank(diagram, form.n - 1, diagram.psd_class)
-    }
-
-
 def polygon_cycle(form, roots) -> dict:
     """Cyclic wall order of a closed planar chamber.
 

@@ -61,27 +61,6 @@ def chamber_corners(form: Form, roots) -> list[dict]:
     return corners
 
 
-def null_corner_vector(form: Form, walls):
-    """Primitive generator of the line orthogonal to n independent walls,
-    oriented toward the future light cone.
-
-    The walls of a chamber meeting at a corner (ordinary or ideal) pin the
-    corner down as this line; its generator has norm < 0 for an ordinary
-    vertex and 0 for an ideal one.  A positive-norm line means the walls
-    do not bound a corner, which is an error.
-    """
-    line = linalg.integer_kernel([form.dual(w) for w in walls])
-    if len(line) != 1:
-        raise ValueError("walls must cut out a line")
-    v = tuple(line[0])
-    if form.norm(v) > 0:
-        raise ValueError("orthogonal line has positive norm; not a corner")
-    if v[0] < 0:
-        v = tuple(-x for x in v)
-    assert v[0] > 0, "non-positive norm forces a nonzero first coordinate"
-    return v
-
-
 def corner_height_bound(form: Form, corner) -> Fraction:
     """Max batch height of a wall separating the corner from the control
     vertex.

@@ -6,6 +6,13 @@ Within a batch, candidates are taken in lexicographically decreasing order
 of their spatial part; a candidate is accepted when its inner product with
 every previously accepted root (including earlier accepts from the same
 batch) is non-positive.
+
+The finite-volume test runs once after each batch that accepted a root,
+not after each root.  That returns the same roots, because no root is
+ever accepted after the chamber closes: an accepted r has <r, r_i> <= 0
+for every wall r_i, so r lies in the closed chamber cone; a closed
+chamber's cone lies in the closed light cone, so norm(r) <= 0; but a root
+has positive norm.
 """
 
 from __future__ import annotations
@@ -142,18 +149,16 @@ class SearchResult:
 def run_search(
     form: Form,
     budget: Optional[Budget] = None,
-    check_every: str = "root",
     state: Optional[SearchState] = None,
     finite_volume_check: bool = True,
     certificate_scan: bool = True,
 ) -> SearchResult:
     """Run the root search until decided or out of budget.
 
-    check_every selects how often the finite-volume test runs: after every
-    accepted root ("root") or after every batch that accepted something
-    ("batch").  The certificate scan looks for null directions whose
-    orthogonal quotient cannot be generated by root classes; a hit proves
-    the chamber will never close up and stops the search early.
+    After every batch that accepted a root, the finite-volume test runs
+    first and then the certificate scan, which looks for null directions
+    whose orthogonal quotient cannot be generated by root classes; a hit
+    proves the chamber will never close up and stops the search early.
 
     A resumed search (state given) runs the finite-volume test once on
     entry: a closed chamber accepts no further root, so a final state
@@ -162,8 +167,6 @@ def run_search(
     """
     from vinberg import volume as _volume
 
-    if check_every not in ("root", "batch"):
-        raise ValueError("check_every must be 'root' or 'batch'")
     if budget is None:
         budget = Budget()
     resumed = state is not None
@@ -207,16 +210,10 @@ def run_search(
             ok, _ = accept(form, fresh, cand)
             if ok:
                 fresh.append(cand)
-        for root in fresh:
-            accepted.append(root)
-            state.counters["accepted"] += 1
-            if finite_volume_check and check_every == "root":
-                report = volume_now()
-                if report:
-                    state.batches_done += 1
-                    return SearchResult("reflective", state, volume_report=report)
+        accepted.extend(fresh)
+        state.counters["accepted"] += len(fresh)
         state.batches_done += 1
-        if fresh and finite_volume_check and check_every == "batch":
+        if fresh and finite_volume_check:
             report = volume_now()
             if report:
                 return SearchResult("reflective", state, volume_report=report)

@@ -1,33 +1,28 @@
 """Finite-volume test for the chamber cut out by the accepted roots.
 
-Two independent deciders run on every call and must agree:
-
-1. The critical-subdiagram decider.  A critical subdiagram is a connected,
-   inclusion-minimal non-elliptic set of walls; by eigenvalue interlacing it
-   is either parabolic (degenerate) or hyperbolic (indefinite).  The chamber
-   has finite volume iff the walls span the whole space and
-     (a) every parabolic critical subdiagram extends to an affine subdiagram
-         of full rank n - 1, and
-     (b) for every hyperbolic critical subdiagram S, the set of directions
-         orthogonal to S and on the non-positive side of every wall is {0}.
-
-2. The edge decider.  Every elliptic subdiagram of rank n - 1 is an edge of
-   the chamber and must connect exactly two vertices, where a vertex is
-   either an elliptic extension of rank n (an interior point) or an affine
-   subdiagram of rank n - 1 containing the edge (an ideal point).
-
-Disagreement raises ConsistencyError: the two characterizations are
-equivalent theorems, so a mismatch means an implementation bug.
+The test is Vinberg's critical-subdiagram criterion (Vinberg 1972).  A
+critical subdiagram is a connected, inclusion-minimal non-elliptic set of
+walls; by eigenvalue interlacing it is either parabolic (degenerate) or
+hyperbolic (indefinite).  The chamber has finite volume iff the walls
+span the whole space and
+  (a) every parabolic critical subdiagram extends to an affine subdiagram
+      of full rank n - 1, and
+  (b) for every hyperbolic critical subdiagram S, the set of directions
+      orthogonal to S and on the non-positive side of every wall is {0}.
 
 One call builds one Diagram, one list of affine subdiagrams of rank n - 1
-and one PSD classifier, and both deciders read them.
+and one PSD classifier.  This is the only finite-volume decider the
+search runs.  Reflective certificates confirm its verdict independently:
+certificates._verify_reflective checks that the chamber cone's extreme
+rays all lie in the closed future light cone.  tests/oracles.py keeps a
+second, edge-counting decider as a reference.
 
-The search calls finite_volume after every accepted root on a list that
-only grows, so most of each call was already proved on the previous
-prefix.  A PrefixMemo carries those facts from call to call.  Its scope is
-one search: run_search creates it, passes it to every finite_volume call
-and cusp scan on its own root list, and drops it when it returns.  It
-keeps
+The search calls finite_volume after every batch that accepted a root, on
+a list that only grows, so most of each call was already proved on the
+previous prefix.  A PrefixMemo carries those facts from call to call.
+Its scope is one search: run_search creates it, passes it to every
+finite_volume call and cusp scan on its own root list, and drops it when
+it returns.  It keeps
 
 - the PSD class of every wall subset classified so far, keyed by the
   subset's roots in index order.  The class is a function of the Gram of
@@ -42,18 +37,13 @@ keeps
 - the quotient root classes of each null vector the cusp scan tested,
   which depend on the form alone.
 
-Both deciders and their cross-check still run on every call.  Certificate
-verification (certificates._verify_reflective) makes its final
-finite_volume call without a memo, so the stored report is re-derived
-from the roots alone.
+Certificate verification makes its finite_volume call without a memo, so
+the stored report is re-derived from the roots alone.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from vinberg import cones, diagram as dg, linalg
-from vinberg.errors import ConsistencyError
 
 
 class PrefixMemo:
@@ -179,27 +169,8 @@ def _critical_decider(form, roots, diagram, classify, affine_nodes, memo, report
     return ok
 
 
-def _edge_decider(diagram, n, classify, affine_nodes) -> bool:
-    """Count vertex completions of every elliptic edge subdiagram."""
-    count = len(diagram)
-    found_any_vertex = False
-    for subset in combinations(range(count), n - 1):
-        s = frozenset(subset)
-        if classify(s) != "definite":
-            continue
-        vertices = 0
-        for v in range(count):
-            if v not in s and classify(s | {v}) == "definite":
-                vertices += 1
-        vertices += sum(1 for nodes in affine_nodes if s <= nodes)
-        if vertices != 2:
-            return False
-        found_any_vertex = True
-    return found_any_vertex
-
-
 def finite_volume(form, roots, memo=None) -> dict:
-    """Joint verdict of both deciders, as a serializable report.
+    """Critical-subdiagram verdict on the chamber, as a serializable report.
 
     memo is the calling search's PrefixMemo; without one, the call starts
     from nothing.  The report is the same either way.
@@ -213,13 +184,7 @@ def finite_volume(form, roots, memo=None) -> dict:
         for item in dg.affine_sets_of_rank(diagram, form.n - 1, classify)
     ]
     report: dict = {"finite": False}
-    verdict_a = _critical_decider(form, roots, diagram, classify, affine_nodes, memo, report)
-    verdict_b = _edge_decider(diagram, form.n, classify, affine_nodes)
-    if verdict_a != verdict_b:
-        raise ConsistencyError(
-            f"finite-volume deciders disagree ({verdict_a} vs {verdict_b}) "
-            f"on {len(roots)} roots for p={form.p}, n={form.n}"
-        )
-    report["finite"] = verdict_a
-    report["cross_checked"] = True
+    report["finite"] = _critical_decider(
+        form, roots, diagram, classify, affine_nodes, memo, report
+    )
     return report

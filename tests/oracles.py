@@ -3,13 +3,14 @@
 Each oracle recomputes its answer from first principles: reflections as
 exact rational matrices, candidate enumeration as full box scans, root
 classes by widening the shift window far past the claimed period, matrix
-order by factoring the characteristic polynomial with sympy.  None
-of them share code with the fast paths they check.
+order by factoring the characteristic polynomial with sympy, finite
+volume by counting the vertices on every edge of the chamber.  None of
+them share a decision procedure with the fast paths they check.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 
 import sympy
@@ -151,3 +152,36 @@ def has_finite_order(T):
             acc = acc * M + c * sympy.eye(M.rows)
         radical = radical * acc
     return radical.is_zero_matrix
+
+
+def edge_decider(form, roots):
+    """Finite volume of the chamber by counting vertices on its edges.
+
+    Every elliptic subdiagram of rank n - 1 is an edge of the chamber and
+    must connect exactly two vertices, where a vertex is either an
+    elliptic extension of rank n (an interior point) or an affine
+    subdiagram of rank n - 1 containing the edge (an ideal point).  The
+    diagram and its affine subsets come from the package; the decision
+    is independent of volume.finite_volume's critical subdiagrams.
+    """
+    from vinberg import diagram as dg
+
+    d = dg.build_diagram(form, roots)
+    affine_nodes = [
+        set(item["nodes"])
+        for item in dg.affine_sets_of_rank(d, form.n - 1, d.psd_class)
+    ]
+    found_any_vertex = False
+    for subset in combinations(range(len(d)), form.n - 1):
+        s = frozenset(subset)
+        if d.psd_class(s) != "definite":
+            continue
+        vertices = sum(
+            1 for v in range(len(d))
+            if v not in s and d.psd_class(s | {v}) == "definite"
+        )
+        vertices += sum(1 for nodes in affine_nodes if s <= nodes)
+        if vertices != 2:
+            return False
+        found_any_vertex = True
+    return found_any_vertex

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from vinberg import certificates, quotient
+from vinberg import certificates
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
@@ -63,6 +63,62 @@ def test_tampered_reflective_roots(cert_5_2):
     del cert["payload"]["roots"][-1]
     failures = certificates.verification_failures(cert)
     assert failures and not certificates.verify_certificate(cert)
+
+
+def _negate(v):
+    return [-x for x in v]
+
+
+def _swap(roots, i, j):
+    roots[i], roots[j] = roots[j], roots[i]
+
+
+# (name, edit of the (11,3) certificate's payload, field the failure names);
+# roots 0-2 are the initial roots, 3-6 the found ones
+REFLECTIVE_TAMPERS = [
+    ("dropped_wall", lambda pl: pl["roots"].pop(4), "payload.volume"),
+    ("negated_root", lambda pl: pl["roots"].__setitem__(6, _negate(pl["roots"][6])),
+     "payload.roots[6]"),
+    ("appended_negative", lambda pl: pl["roots"].append(_negate(pl["roots"][6])),
+     "payload.roots[7]"),
+    ("non_root", lambda pl: pl["roots"][6].__setitem__(0, pl["roots"][6][0] + 1),
+     "payload.roots[6]"),
+    ("swapped_roots", lambda pl: _swap(pl["roots"], 3, 5), "payload.volume"),
+    ("edited_volume", lambda pl: pl["volume"]["critical"].pop(), "payload.volume"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,field", [t[1:] for t in REFLECTIVE_TAMPERS], ids=[t[0] for t in REFLECTIVE_TAMPERS]
+)
+def test_tampered_reflective_certificate_names_the_field(report, edit, field):
+    cert = copy.deepcopy(report(11, 3)["certificate"])
+    assert len(cert["payload"]["roots"]) == 7
+    edit(cert["payload"])
+    failures = certificates.verification_failures(cert)
+    assert any(f.startswith(field + ":") for f in failures), failures
+
+
+def test_reflective_certificate_of_an_older_schema_is_malformed(cert_5_2):
+    cert = copy.deepcopy(cert_5_2)
+    cert["schema_version"] = 2
+    cert["payload"]["check_every"] = "root"
+    cert["payload"]["volume"]["cross_checked"] = True
+    with pytest.raises(CertificateError, match="schema_version"):
+        certificates.verification_failures(cert)
+
+
+@pytest.mark.parametrize("which", ["cert_5_2", "cert_7_4", "cert_13_3"])
+def test_malformed_roots_name_the_field(request, which):
+    cert = copy.deepcopy(request.getfixturevalue(which))
+    del cert["payload"]["roots"]
+    with pytest.raises(CertificateError, match=r"payload\.roots: missing"):
+        certificates.verification_failures(cert)
+    for bad in ([0.5, 1, 0], None, [1, "2", 3], 7):
+        cert = copy.deepcopy(request.getfixturevalue(which))
+        cert["payload"]["roots"][1] = bad
+        with pytest.raises(CertificateError, match=r"payload\.roots\[1\]"):
+            certificates.verification_failures(cert)
 
 
 def test_tampered_volume_report(cert_5_2):

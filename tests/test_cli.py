@@ -93,6 +93,10 @@ def test_bad_arguments_exit_two(runner):
         main, ["classify", "5", "2", "--max-height", "bogus"]
     ).exit_code == 2
     assert runner.invoke(main, ["family", "7", "--max-rank", "1"]).exit_code == 2
+    # the search has one mode; the old option is gone
+    assert runner.invoke(
+        main, ["classify", "5", "2", "--check-every", "batch"]
+    ).exit_code == 2
 
 
 def test_resume_round_trip(runner, tmp_path):

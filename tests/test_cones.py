@@ -1,9 +1,13 @@
 """Polyhedral cone generators: {y : a . y <= 0 for all constraints a}."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
-from vinberg.cones import cone_generators, cone_is_trivial, primitive_vector
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vinberg import linalg
+from vinberg.cones import cone_generators, primitive_vector
 
 
 def test_primitive_vector():
@@ -43,8 +47,8 @@ def test_redundant_constraint_changes_nothing():
 def test_trivial_cone_detection():
     # x <= 0, -x <= 0, y <= 0, -y <= 0 pins the origin
     cons = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    assert cone_is_trivial(cons, 2)
-    assert not cone_is_trivial([(1, 0)], 2)
+    assert cone_generators(cons, 2) == ([], [])
+    assert cone_generators([(1, 0)], 2) != ([], [])
 
 
 def test_generators_satisfy_constraints_randomly():
@@ -105,3 +109,62 @@ def test_grid_membership_small_cases():
         s = Fraction(pt[0] * r2[1] - pt[1] * r2[0], det)
         t = Fraction(r1[0] * pt[1] - r1[1] * pt[0], det)
         assert inside == (s >= 0 and t >= 0)
+
+
+def _dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
+def _brute_force_faces(cons, dim):
+    """Tight-constraint sets of the one-step-above-lineality faces of
+    {a . y <= 0}, and a primitive direction for each, by scanning every
+    constraint subset of rank one below the full rank."""
+    r = linalg.rank(cons)
+    faces = {}
+    for size in range(r):
+        for subset in combinations(range(len(cons)), size):
+            if linalg.rank([cons[i] for i in subset]) != r - 1:
+                continue
+            rows = [cons[i] for i in subset] or [[0] * dim]
+            for k in linalg.kernel(rows):
+                values = [_dot(a, k) for a in cons]
+                if not any(values):
+                    continue  # in the lineality space
+                if all(v <= 0 for v in values):
+                    d = primitive_vector(k)
+                elif all(v >= 0 for v in values):
+                    d = primitive_vector([-x for x in k])
+                else:
+                    continue
+                tight = frozenset(i for i, v in enumerate(values) if v == 0)
+                faces.setdefault(tight, d)
+    return faces
+
+
+constraint_sets = st.integers(1, 5).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=8),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(constraint_sets)
+def test_generators_match_brute_force_extreme_rays(case):
+    dim, cons = case
+    lines, rays = cone_generators(cons, dim)
+    assert len(lines) == dim - linalg.rank(cons)
+    for l in lines:
+        assert all(_dot(a, l) == 0 for a in cons)
+    if cons:
+        assert linalg.rank(lines + [list(a) for a in cons]) == dim
+    faces = _brute_force_faces(cons, dim)
+    tight = [frozenset(i for i, a in enumerate(cons) if _dot(a, r) == 0) for r in rays]
+    for r in rays:
+        assert all(_dot(a, r) <= 0 for a in cons)
+    # one ray per face, and no ray off a face
+    assert sorted(tight, key=sorted) == sorted(faces, key=sorted)
+    if not lines:
+        # a pointed cone's extreme rays are determined exactly
+        assert rays == sorted(faces.values())

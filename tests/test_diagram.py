@@ -61,7 +61,11 @@ def test_type_rank_and_affinity():
 def test_affine_sets_of_full_rank(search):
     form = Form(5, 5)
     roots = search(5, 5).roots
-    types = diagram.maximal_affine_types(form, roots)
+    d = diagram.build_diagram(form, roots)
+    types = {
+        item["types"]
+        for item in diagram.affine_sets_of_rank(d, form.n - 1, d.psd_class)
+    }
     assert types == corpus.EXPECTED_P5_AFFINE_TYPES[5]
 
 

@@ -1,6 +1,5 @@
 """Corner geometry, frame maps, and infinite-order symmetry detection."""
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -50,26 +49,6 @@ def test_chamber_corners_of_the_16_wall_chamber(search):
         assert c["vector"][0] > 0
         for i in c["orthogonal"]:
             assert form.inner_product(roots[i], c["vector"]) == 0
-
-
-def test_null_corner_vector_recovers_corners(search):
-    form = Form(23, 3)
-    roots = search(23, 3).roots
-    for c in isometry.chamber_corners(form, roots):
-        if len(c["orthogonal"]) != form.n:
-            continue
-        walls = [roots[i] for i in c["orthogonal"]]
-        assert isometry.null_corner_vector(form, walls) == c["vector"]
-
-
-def test_null_corner_vector_error_cases():
-    form = Form(5, 2)
-    with pytest.raises(ValueError):
-        # two parallel constraints leave a plane, not a line
-        isometry.null_corner_vector(form, [(0, 1, 0), (0, 2, 0)])
-    with pytest.raises(ValueError):
-        # orthogonal line is spacelike
-        isometry.null_corner_vector(form, [(1, 0, 0), (0, 1, 0)])
 
 
 def test_vertex_walls_match_accepted_walls_at_certified_corners(search):

@@ -1,9 +1,11 @@
-"""Finite-volume decision: both deciders, critical submatrices, prefixes."""
+"""Finite-volume decision: the critical-subdiagram decider, its
+independent confirmations, critical submatrices, prefixes."""
 
 import pytest
 
 import corpus
-from vinberg import volume
+import oracles
+from vinberg import certificates, volume
 from vinberg.forms import Form
 
 
@@ -12,9 +14,36 @@ def test_finite_on_every_reflective_chamber(search, p, n):
     form = Form(p, n)
     roots = search(p, n).roots
     report = volume.finite_volume(form, roots)
-    # finite_volume raises if the two deciders ever disagree
     assert report["finite"] is True
-    assert report["cross_checked"] is True
+    # the chamber cone and the edge count confirm the closure
+    assert certificates.chamber_cone_closes(form, roots)
+    assert oracles.edge_decider(form, roots)
+
+
+@pytest.mark.parametrize("p,n", sorted(corpus.EXPECTED_REFLECTIVE))
+def test_chamber_is_open_one_root_before_closure(search, p, n):
+    # finite volume persists as walls are added, so an open chamber one
+    # root short means no shorter prefix closes either: a closure test
+    # after every root would have stopped at the same root as the test
+    # after every batch
+    form = Form(p, n)
+    roots = search(p, n).roots
+    assert volume.finite_volume(form, roots[:-1])["finite"] is False
+
+
+AGREEMENT_FORMS = [(5, 8), (11, 4), (17, 3), (13, 3), (19, 3), (23, 3), (5, 9), (7, 4)]
+
+
+@pytest.mark.parametrize("p,n", AGREEMENT_FORMS)
+def test_deciders_agree_on_every_prefix(search, p, n):
+    form = Form(p, n)
+    roots = search(p, n).roots
+    memo = volume.PrefixMemo()
+    for k in range(n, len(roots) + 1):
+        prefix = roots[:k]
+        finite = volume.finite_volume(form, prefix, memo)["finite"]
+        assert certificates.chamber_cone_closes(form, prefix) == finite, k
+        assert oracles.edge_decider(form, prefix) == finite, k
 
 
 def test_infinite_on_proper_prefixes(search):
