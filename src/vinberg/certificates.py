@@ -98,8 +98,10 @@ def scan_for_cusp_obstruction(form: Form, accepted, memo=None, min_rank=None):
     have their quotient tested.  memo is the search's volume.PrefixMemo:
     it supplies the PSD classes finite_volume already computed on this
     prefix, and keeps the root classes of each null vector, which depend
-    on the form alone, across batches; they are handed to the
-    certificate.  Returns an ideal_vertex_failure certificate, or None.
+    on the form alone, across batches.  A full-rank entry stopped its walk
+    early and only full_rank is read from it; a deficient entry is complete
+    and is handed to the certificate.  Returns an ideal_vertex_failure
+    certificate, or None.
     """
     if memo is None:
         memo = _volume.PrefixMemo()

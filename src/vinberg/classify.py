@@ -13,7 +13,6 @@ later ranks get inheritance certificates instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -134,37 +133,20 @@ def _inherited_report(
     }
 
 
-def _classify_cell(args) -> dict:
-    p, n, budget = args
-    return classify_form(p, n, budget=budget)
-
-
 def classify_family(
     p: int,
     max_rank: int,
     budget: Optional[Budget] = None,
-    jobs: int = 1,
 ) -> list:
     """Classify ranks 2..max_rank of one family, lowest first.
 
     After the first non-reflective rank every later rank gets an
-    inheritance certificate instead of a fresh search.  jobs > 1 runs the
-    per-rank searches speculatively in parallel; results above the first
-    failure are discarded, so the output is identical to a sequential run.
+    inheritance certificate instead of a fresh search.
     """
     if max_rank < 2:
         raise VinbergError(f"max_rank must be at least 2, got {max_rank}")
     if budget is None:
         budget = Budget()
-
-    searched = {}
-    if jobs > 1:
-        cells = [(p, n, budget) for n in range(2, max_rank + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for n, report in zip(
-                range(2, max_rank + 1), pool.map(_classify_cell, cells)
-            ):
-                searched[n] = report
 
     reports = []
     base_certificate = None
@@ -172,9 +154,7 @@ def classify_family(
         if base_certificate is not None:
             reports.append(_inherited_report(p, n, base_certificate, budget))
             continue
-        report = searched.get(n)
-        if report is None:
-            report = classify_form(p, n, budget=budget)
+        report = classify_form(p, n, budget=budget)
         reports.append(report)
         if report["verdict"] == "non_reflective":
             base_certificate = report["certificate"]

@@ -163,21 +163,14 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
     type=int,
     help="Classify ranks 2 through this value.",
 )
-@click.option(
-    "--jobs",
-    default=1,
-    show_default=True,
-    type=int,
-    help="Worker processes for independent ranks.",
-)
-def family_cmd(p, max_height, max_roots, max_rank, jobs):
+def family_cmd(p, max_height, max_roots, max_rank):
     """Classify every rank of one family, inheriting past the first failure."""
     _form(p, 2)
     if max_rank < 2:
         raise click.UsageError("--max-rank must be at least 2")
     try:
         reports = classify.classify_family(
-            p, max_rank, budget=_budget(max_height, max_roots), jobs=jobs
+            p, max_rank, budget=_budget(max_height, max_roots)
         )
     except VinbergError as exc:
         raise click.UsageError(str(exc))

@@ -120,7 +120,7 @@ def vertex_walls(form: Form, corner) -> list:
         raise ValueError("corner must be timelike")
     oriented = set()
     bound = max(form.admissible_root_norms)
-    for coords in linalg.short_vectors(gram, bound):
+    for coords, _ in linalg.short_vectors(gram, bound):
         v = tuple(
             sum(coords[i] * basis[i][j] for i in range(len(basis)))
             for j in range(dim)

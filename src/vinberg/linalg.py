@@ -456,11 +456,15 @@ def ldl(G) -> tuple[list[list[Fraction]], list[Fraction]]:
     return L, d
 
 
-def short_vectors(G, bound) -> list[tuple[int, ...]]:
-    """All x in Z^n with 0 < x^T G x <= bound, one per sign pair, sorted.
+class _StopWalk(Exception):
+    """Raised at a leaf of the short_vectors walk when stop returns true."""
 
-    G must be positive definite.  The representative of {x, -x} has its
-    first nonzero coordinate positive.
+
+def short_vectors(G, bound, stop=None) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    """All x in Z^n with 0 < x^T G x <= bound, one per sign pair, in walk order.
+
+    Returns (x, x^T G x) pairs.  G must be positive definite.  The
+    representative of {x, -x} has its first nonzero coordinate positive.
 
     Exact Fincke-Pohst walk in integer arithmetic.  The rational LDL form
     Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 is computed once and its
@@ -478,6 +482,16 @@ def short_vectors(G, bound) -> list[tuple[int, ...]]:
     and only x_i >= 0 is walked: the skipped half holds the negatives of
     the walked vectors.  A leaf is negated when its first nonzero
     coordinate is negative; the zero vector has none and is not emitted.
+    At a leaf every term is fixed, so its norm is read off the remainder
+    exactly: Q(x) = (S bound - R) / S, an int when S divides and a
+    Fraction otherwise.
+
+    The walk order is deterministic but not sorted; callers that need an
+    order sort.  stop, if given, is called as stop(x, norm) on each vector
+    right after it is recorded.  A true return ends the walk at once: the
+    result then holds exactly the vectors walked so far, and stop is not
+    called again.  If stop never returns true the result is the complete
+    one.
     """
     n = len(G)
     L, d = ldl(G)
@@ -490,7 +504,8 @@ def short_vectors(G, bound) -> list[tuple[int, ...]]:
         [(j, int(D[i] * L[i][j])) for j in range(i + 1, n) if L[i][j]]
         for i in range(n)
     ]
-    found: list[tuple[int, ...]] = []
+    top = int(S * bound)
+    found: list = []
     x = [0] * n
 
     def walk(i: int, R: int, free: bool) -> None:
@@ -498,7 +513,13 @@ def short_vectors(G, bound) -> list[tuple[int, ...]]:
             vec = tuple(x)
             for entry in vec:
                 if entry:
-                    found.append(vec if entry > 0 else tuple(-v for v in vec))
+                    if entry < 0:
+                        vec = tuple(-v for v in vec)
+                    q, r = divmod(top - R, S)
+                    norm = q if r == 0 else Fraction(top - R, S)
+                    found.append((vec, norm))
+                    if stop is not None and stop(vec, norm):
+                        raise _StopWalk
                     break
             return
         c = sum(a * x[j] for j, a in terms[i])
@@ -511,5 +532,8 @@ def short_vectors(G, bound) -> list[tuple[int, ...]]:
             walk(i - 1, R - wi * N * N, free and t == 0)
         x[i] = 0
 
-    walk(n - 1, int(S * bound), True)
-    return sorted(found)
+    try:
+        walk(n - 1, top, True)
+    except _StopWalk:
+        pass
+    return found

@@ -85,14 +85,14 @@ def null_quotient(form: Form, e) -> NullQuotient:
     return NullQuotient(form=form, e=e, m_basis=tuple(basis), class_basis=class_basis, gram=gram)
 
 
-def root_class_shift(form: Form, quot: NullQuotient, coords) -> int | None:
+def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
     """Shift t making lift(coords) + t e a root, or None if no t works.
 
-    The divisibility conditions on x + t e depend on t only modulo the class
-    norm m, so scanning t in [0, m) is exhaustive.  The returned shift is the
-    smallest witness.
+    m is the class norm of coords, as linalg.short_vectors returns it
+    (quot.class_norm re-derives it).  The divisibility conditions on
+    x + t e depend on t only modulo m, so scanning t in [0, m) is
+    exhaustive.  The returned shift is the smallest witness.
     """
-    m = quot.class_norm(coords)
     if m <= 0 or m not in form.admissible_root_norms:
         return None
     x = quot.lift(coords)
@@ -107,22 +107,37 @@ def root_class_shift(form: Form, quot: NullQuotient, coords) -> int | None:
 
 
 def root_classes(form: Form, quot: NullQuotient) -> dict:
-    """All root classes of the quotient up to sign, with the lattice they span.
+    """Root classes of the quotient up to sign, with the lattice they span.
 
-    Enumerates every class of norm up to 2p, keeps those containing a root,
-    and returns their coordinate vectors together with the rank and (when
-    full) the index of their span inside the quotient.
+    Walks the classes of norm up to 2p (linalg.short_vectors, which hands
+    over each class with its norm), keeps those containing a root, and
+    returns their coordinate vectors, sorted, together with the rank and
+    (when full) the index of their span inside the quotient.
+
+    The walk ends as soon as the classes found so far span the quotient
+    rationally: full rank is all the obstruction test needs to know.  So
+    classes, rank and index are those of every root class only when
+    full_rank is false; a full-rank result covers the classes walked
+    before the stop.
     """
     bound = 2 * form.p
     admissible = set(form.admissible_root_norms)
     classes = []
-    for v in linalg.short_vectors([list(r) for r in quot.gram], bound):
-        m = quot.class_norm(v)
+    independent = []
+
+    def visit(v, m) -> bool:
         if m not in admissible:
-            continue
-        t = root_class_shift(form, quot, v)
-        if t is not None:
-            classes.append({"coords": list(v), "norm": m, "shift": t})
+            return False
+        t = root_class_shift(form, quot, v, m)
+        if t is None:
+            return False
+        classes.append({"coords": list(v), "norm": m, "shift": t})
+        if linalg.rank(independent + [v]) > len(independent):
+            independent.append(v)
+        return len(independent) == quot.rank
+
+    linalg.short_vectors([list(r) for r in quot.gram], bound, visit)
+    classes.sort(key=lambda c: c["coords"])
     span = linalg.hnf_basis([c["coords"] for c in classes])
     rank = len(span)
     if rank == quot.rank:

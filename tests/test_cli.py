@@ -97,6 +97,8 @@ def test_bad_arguments_exit_two(runner):
     assert runner.invoke(
         main, ["classify", "5", "2", "--check-every", "batch"]
     ).exit_code == 2
+    # family runs its ranks in order in one process; the option is gone
+    assert runner.invoke(main, ["family", "7", "--jobs", "2"]).exit_code == 2
 
 
 def test_resume_round_trip(runner, tmp_path):

@@ -111,15 +111,18 @@ def test_charpoly_matches_sympy():
 
 def test_short_vectors_against_box_scan():
     rng = random.Random(29)
-    for _ in range(15):
+    for k in range(30):
         d = rng.randint(1, 3)
         B = random_matrix(rng, d, d, -2, 2)
         G = [[sum(B[i][k] * B[j][k] for k in range(d)) + (4 if i == j else 0)
               for j in range(d)] for i in range(d)]
-        bound = rng.randint(1, 30)
-        got = set(linalg.short_vectors(G, bound))
+        # integer bounds, then Fraction bounds
+        bound = rng.randint(1, 30) if k < 15 else Fraction(rng.randint(1, 90), rng.randint(2, 5))
+        found = linalg.short_vectors(G, bound)
+        got = {v for v, _ in found}
+        assert len(got) == len(found)
         # brute force over a generous box
-        lim = bound  # diagonal entries are >= 4, so coords are small
+        lim = int(bound) + 1  # diagonal entries are >= 4, so coords are small
         brute = set()
         def norm(v):
             return sum(v[i] * G[i][j] * v[j] for i in range(d) for j in range(d))
@@ -128,10 +131,34 @@ def test_short_vectors_against_box_scan():
                 continue
             if norm(v) <= bound:
                 brute.add(v)
+        # every returned norm is x^T G x exactly; G is integral, so an int
+        for v, m in found:
+            assert type(m) is int and m == norm(v) <= bound
         # short_vectors returns one of each +/- pair
-        assert all(norm(v) <= bound for v in got)
         paired = got | {tuple(-x for x in v) for v in got}
         assert paired == brute
+
+
+def test_short_vectors_stop_ends_the_walk_at_the_kth_vector():
+    G = [[4, 1, 0], [1, 3, -1], [0, -1, 5]]
+    bound = 24
+    full = linalg.short_vectors(G, bound)
+    assert len(full) > 10
+    assert linalg.short_vectors(G, bound, lambda v, m: False) == full
+    for k in range(1, len(full) + 1):
+        walked = []
+        fired = []
+
+        def stop(v, m):
+            walked.append((v, m))
+            if len(walked) == k:
+                fired.append(v)
+                return True
+            return False
+
+        got = linalg.short_vectors(G, bound, stop)
+        assert len(walked) == k and len(fired) == 1
+        assert got == walked == full[:k]
 
 
 def test_psd_classify():
@@ -191,8 +218,11 @@ def skewed_definite_grams(draw, max_rank=5):
         st.integers(0, 40),
         st.fractions(min_value=0, max_value=40, max_denominator=12),
     ),
+    scale=st.integers(1, 3),
 )
-def test_short_vectors_match_box_scan_on_skewed_lattices(G, bound):
+def test_short_vectors_match_box_scan_on_skewed_lattices(G, bound, scale):
+    # scale > 1 divides the Gram, so norms need not be integers
+    G = [[Fraction(x, scale) for x in row] for row in G]
     d = len(G)
     # x_i^2 <= Q(x) (G^-1)_ii by Cauchy-Schwarz, which boxes in every solution
     inv = linalg.mat_inv(G)
@@ -202,8 +232,13 @@ def test_short_vectors_match_box_scan_on_skewed_lattices(G, bound):
     for v in product(*(range(-lim, lim + 1) for lim in lims)):
         first = next((x for x in v if x), 0)
         if first > 0 and quadratic_norm(G, v) <= bound:
-            expected.append(v)
-    assert linalg.short_vectors(G, bound) == sorted(expected)
+            expected.append((v, quadratic_norm(G, v)))
+    found = linalg.short_vectors(G, bound)
+    assert sorted(found) == sorted(expected)
+    # the norm is exact, and an int exactly when it is integral
+    for v, m in found:
+        assert m == quadratic_norm(G, v)
+        assert type(m) is (int if Fraction(m).denominator == 1 else Fraction)
 
 
 def principal_minor_class(G):

@@ -1,9 +1,12 @@
 """The quotient lattice at a null direction and its root classes."""
 
+from math import prod
+
 import pytest
 
 import oracles
-from vinberg import quotient
+from vinberg import linalg, quotient
+from vinberg.classify import classify_form
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
 
@@ -34,14 +37,34 @@ def test_quotient_rejects_bad_vectors():
 
 
 def _classes(quot, bound):
-    from vinberg import linalg
+    return sorted(linalg.short_vectors([list(r) for r in quot.gram], bound))
 
-    return list(linalg.short_vectors([list(r) for r in quot.gram], bound))
+
+def _all_root_classes(form, quot):
+    """root_classes without its full-rank stop: every class of norm up to
+    2p that contains a root, with its norm from quot.class_norm."""
+    classes = []
+    for coords, _ in _classes(quot, 2 * form.p):
+        m = quot.class_norm(coords)
+        t = quotient.root_class_shift(form, quot, coords, m)
+        if t is not None:
+            classes.append({"coords": list(coords), "norm": m, "shift": t})
+    classes.sort(key=lambda c: c["coords"])
+    span = linalg.hnf_basis([c["coords"] for c in classes])
+    full = len(span) == quot.rank
+    return {
+        "norm_bound": 2 * form.p,
+        "classes": classes,
+        "rank": len(span),
+        "index": prod(row[i] for i, row in enumerate(span)) if full else None,
+        "full_rank": full,
+    }
 
 
 def test_root_class_shift_matches_wide_window_oracle():
     # the fast path scans t in [0, m); the oracle scans [-10m, 10m).
     # Exhaustive on the small quotients, a fixed sample on the rank-8 one.
+    # The norm the walk hands over must be the class norm itself.
     import random
 
     for p, n, sample in ((7, 4, None), (13, 3, None), (5, 9, 150)):
@@ -52,10 +75,49 @@ def test_root_class_shift_matches_wide_window_oracle():
         if sample is not None and len(classes) > sample:
             classes = random.Random(0).sample(classes, sample)
         assert classes
-        for coords in classes:
-            fast = quotient.root_class_shift(form, quot, list(coords))
+        for coords, m in classes:
+            assert m == quot.class_norm(coords)
+            fast = quotient.root_class_shift(form, quot, list(coords), m)
             wide = oracles.root_class_witness_window(form, quot, list(coords))
             assert (fast is None) == (wide is None), (p, n, coords, fast, wide)
+
+
+def _scanned_null_vectors(monkeypatch, p, n):
+    """Every null vector whose root classes classify_form(p, n) asks for."""
+    seen = []
+    original = quotient.root_classes
+
+    def record(form, quot):
+        seen.append(quot.e)
+        return original(form, quot)
+
+    with monkeypatch.context() as m:
+        m.setattr(quotient, "root_classes", record)
+        classify_form(p, n)
+    return sorted(set(seen))
+
+
+@pytest.mark.parametrize(
+    "p,n", [(5, 9), (7, 4), (11, 5), (13, 3), (19, 3), (23, 3), (11, 3), (17, 3)]
+)
+def test_early_stop_agrees_with_the_full_walk(monkeypatch, p, n):
+    # root_classes stops its walk once the classes reach full rank; at
+    # every null vector the scan meets, that answer must be the full
+    # walk's, and a deficient result must be the full result itself
+    form = Form(p, n)
+    null_vectors = _scanned_null_vectors(monkeypatch, p, n)
+    # the (23,3) chamber has no affine subdiagram, so its scan meets none
+    assert bool(null_vectors) == ((p, n) != (23, 3))
+    for e in null_vectors:
+        quot = quotient.null_quotient(form, e)
+        full = _all_root_classes(form, quot)
+        early = quotient.root_classes(form, quot)
+        assert early["full_rank"] == full["full_rank"], e
+        if not full["full_rank"]:
+            assert early == full, e
+        else:
+            assert early["rank"] == quot.rank
+            assert all(c in full["classes"] for c in early["classes"]), e
 
 
 def test_rank_deficit_at_first_failures():
@@ -73,7 +135,8 @@ def test_full_rank_with_index_two_at_genuine_cusp():
     # regression: the 7-wall chamber of this form has a real ideal vertex
     # whose root classes generate a sublattice of index 2.  Rank, not
     # index, is the sound obstruction test; this vertex must not be
-    # flagged.
+    # flagged.  root_classes stops at full rank, so the index is read off
+    # the full walk.
     form = Form(11, 3)
     e = (1, 3, 1, 1)
     assert form.norm(e) == 0
@@ -81,7 +144,9 @@ def test_full_rank_with_index_two_at_genuine_cusp():
     rc = quotient.root_classes(form, quot)
     assert rc["full_rank"]
     assert rc["rank"] == quot.rank == 2
-    assert rc["index"] == 2
+    full = _all_root_classes(form, quot)
+    assert full["full_rank"]
+    assert full["index"] == 2
 
 
 def test_published_blocks_reproduce_as_lattice_data():
