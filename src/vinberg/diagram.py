@@ -465,71 +465,6 @@ def polygon_cycle(form, roots) -> dict:
     return {"sides": sides_order, "vertices": vert_order}
 
 
-_ANGLE_LABEL = {
-    Fraction(0): 2,
-    Fraction(1, 4): 3,
-    Fraction(1, 2): 4,
-    Fraction(3, 4): 6,
-}
-
-
-def polygon_sequence(form, roots) -> list:
-    """Norm/angle symbol of a closed planar chamber.
-
-    One entry per side in cyclic order: (norm, label) where label m means
-    the angle to the next side is pi/m, and None marks an ideal corner
-    between parallel sides.
-    """
-    cyc = polygon_cycle(form, roots)
-    k = len(cyc["sides"])
-    out = []
-    for t in range(k):
-        i = cyc["sides"][t]
-        j = cyc["sides"][(t + 1) % k]
-        v = cyc["vertices"][t]
-        ni = form.norm(roots[i])
-        ip = form.inner_product(roots[i], roots[j])
-        cos2 = Fraction(ip * ip, ni * form.norm(roots[j]))
-        if form.norm(v) == 0:
-            if cos2 != 1:
-                raise ConsistencyError("ideal corner between non-parallel sides")
-            out.append((ni, None))
-        else:
-            out.append((ni, _ANGLE_LABEL[cos2]))
-    return out
-
-
-def _cycle_entry_key(entry):
-    norm, label = entry
-    return (norm, 0 if label is None else label)
-
-
-def canonical_cycle(seq) -> list:
-    """Least representative of a norm/angle symbol under rotation and
-    reversal, for structural comparison of polygons.
-
-    Reversing a polygon pairs each side's norm with the angle behind it,
-    so the reversed symbol shifts the labels by one position.
-    """
-    k = len(seq)
-    fwd = list(seq)
-    rev = [(seq[(k - t) % k][0], seq[(k - t - 1) % k][1]) for t in range(k)]
-    cands = []
-    for base in (fwd, rev):
-        for s in range(k):
-            cands.append([base[(s + t) % k] for t in range(k)])
-    return min(cands, key=lambda c: [_cycle_entry_key(e) for e in c])
-
-
-def cycle_period(seq) -> int:
-    """Smallest d dividing the length with seq invariant under rotation by d."""
-    k = len(seq)
-    for d in range(1, k + 1):
-        if k % d == 0 and all(seq[t] == seq[(t + d) % k] for t in range(k)):
-            return d
-    return k
-
-
 def diagram_json(form, roots) -> dict:
     """Serializable description of the wall diagram.
 

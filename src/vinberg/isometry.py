@@ -119,8 +119,7 @@ def vertex_walls(form: Form, corner) -> list:
     if linalg.psd_classify(gram) != "definite":
         raise ValueError("corner must be timelike")
     oriented = set()
-    bound = max(form.admissible_root_norms)
-    for coords, _ in linalg.short_vectors(gram, bound):
+    for coords, _ in linalg.short_vectors(gram, form.admissible_root_norms):
         v = tuple(
             sum(coords[i] * basis[i][j] for i in range(len(basis)))
             for j in range(dim)

@@ -4,17 +4,21 @@ Matrices are plain lists of row lists, vectors are sequences of ints or
 Fractions.  Nothing here ever touches floating point; every routine is
 deterministic, so identical inputs give byte-identical downstream reports.
 
-The two routines on the hot path of the search run in integer arithmetic
-only.  short_vectors (Fincke-Pohst) clears the denominators of one
-rational LDL decomposition and then walks its tree on an integer
-remainder with isqrt windows; psd_classify uses Bareiss's fraction-free
-elimination, whose exact divisions keep entries the size of minors.
+Elimination runs in integer arithmetic.  rref, rank, det and
+psd_classify clear each row's denominators and use Bareiss's
+fraction-free elimination, whose exact divisions keep entries the size of
+minors; rref builds its Fractions only at output, and solve, kernel and
+mat_inv read their answers off it.  short_vectors (Fincke-Pohst) clears
+the denominators of one rational LDL decomposition, done in Fractions
+once per walk, and then walks its tree on an integer remainder with isqrt
+windows, solving its last coordinate for each wanted norm directly.
+row_hnf, snf and integer_kernel work over the integers throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Sequence
 
 
@@ -71,33 +75,52 @@ def exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _cleared_rows(A) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators, as ints."""
+    M = []
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        M.append([int(x * den) for x in row])
+    return M
+
+
 def rref(A) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals.
 
     Returns (R, pivots) where pivots lists the pivot column of each nonzero
     row.  The input is not modified.
+
+    Fraction-free Gauss-Jordan elimination: each row has its denominators
+    cleared, and with pivot d at (r, c) and prev the previous pivot, every
+    other row i becomes (d A[i] - A[i][c] A[r]) // prev.  The division is
+    exact (Bareiss): afterwards the entries of the unreduced rows are minors
+    of the cleared matrix, and by Cramer's rule those of a pivot row are
+    the pivot minor times its reduced row, so every pivot entry equals the
+    last pivot.  Dividing by it once at the end gives the unique RREF.
     """
-    R = [[Fraction(x) for x in row] for row in A]
-    m = len(R)
-    n = len(R[0]) if m else 0
+    M = _cleared_rows(A)
+    m = len(M)
+    n = len(M[0]) if m else 0
     pivots: list[int] = []
     r = 0
+    prev = 1
     for c in range(n):
-        pr = next((i for i in range(r, m) if R[i][c] != 0), None)
+        pr = next((i for i in range(r, m) if M[i][c]), None)
         if pr is None:
             continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
+        M[r], M[pr] = M[pr], M[r]
+        prow = M[r]
+        d = prow[c]
         for i in range(m):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            if i != r:
+                f = M[i][c]
+                M[i] = [(d * a - f * b) // prev for a, b in zip(M[i], prow)]
+        prev = d
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return R, pivots
+    return [[Fraction(v, prev) for v in row] for row in M], pivots
 
 
 def rank(A) -> int:
@@ -111,10 +134,7 @@ def rank(A) -> int:
     cleared matrix.  So zeros, and with them the pivots, match the
     rational elimination.
     """
-    M = []
-    for row in A:
-        den = lcm(*(x.denominator for x in row))
-        M.append([int(x * den) for x in row])
+    M = _cleared_rows(A)
     cols = len(M[0]) if M else 0
     r = 0
     prev = 1
@@ -169,32 +189,41 @@ def solve(A, b):
 
 
 def det(A):
-    """Exact determinant; integer input gives an int back."""
+    """Exact determinant; integer input gives an int back.
+
+    Bareiss's fraction-free elimination on the matrix with each row's
+    denominators cleared, as in rank; the last pivot is the determinant of
+    the cleared matrix, which is divided back by the row scales at the end.
+    """
     n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
+    dens = [lcm(*(x.denominator for x in row)) for row in A]
+    M = [[int(x * den) for x in row] for row, den in zip(A, dens)]
+    scale = prod(dens)
     sign = 1
-    result = Fraction(1)
+    prev = 1
     for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if M[i][c]), None)
         if pr is None:
             return 0
         if pr != c:
             M[c], M[pr] = M[pr], M[c]
             sign = -sign
-        piv = M[c][c]
-        result *= piv
+        prow = M[c]
+        d = prow[c]
         for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] / piv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    result *= sign
-    return int(result) if result.denominator == 1 else result
+            row = M[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (d * row[j] - f * prow[j]) // prev
+        prev = d
+    q, r = divmod(sign * prev, scale)
+    return q if r == 0 else Fraction(sign * prev, scale)
 
 
 def mat_inv(A) -> list[list[Fraction]]:
     """Exact inverse of a square matrix; raises on singular input."""
     n = len(A)
-    aug = [list(map(Fraction, A[i])) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [list(A[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     R, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
@@ -460,31 +489,37 @@ class _StopWalk(Exception):
     """Raised at a leaf of the short_vectors walk when stop returns true."""
 
 
-def short_vectors(G, bound, stop=None) -> list[tuple[tuple[int, ...], int | Fraction]]:
-    """All x in Z^n with 0 < x^T G x <= bound, one per sign pair, in walk order.
+def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    """All x in Z^n with x^T G x in the finite set norms, one per sign pair,
+    in walk order.
 
-    Returns (x, x^T G x) pairs.  G must be positive definite.  The
+    Returns (x, x^T G x) pairs.  G must be positive definite and norms a
+    nonempty collection of positive ints or Fractions; the norm is handed
+    back as an int when it is integral and as a Fraction otherwise.  The
     representative of {x, -x} has its first nonzero coordinate positive.
 
-    Exact Fincke-Pohst walk in integer arithmetic.  The rational LDL form
+    Exact Fincke-Pohst walk in integer arithmetic, bounded by
+    bound = max(norms).  The rational LDL form
     Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 is computed once and its
     denominators cleared: with D_i the common denominator of row i of L,
-    a_ij = D_i l_ij and one scale S making S bound and every
-    w_i = S d_i / D_i^2 integral,
+    a_ij = D_i l_ij and one scale S making S m for every m in norms and
+    every w_i = S d_i / D_i^2 integral,
 
         S Q(x) = sum_i w_i N_i^2,   N_i = D_i x_i + sum_{j>i} a_ij x_j.
 
-    Coordinates are chosen from x_{n-1} down to x_0 against an integer
+    Coordinates are chosen from x_{n-1} down to x_1 against an integer
     remainder R (S bound minus the terms already fixed).  w_i N_i^2 <= R
     holds exactly when |N_i| <= s = isqrt(R // w_i), so the window for x_i
     is -((s + c) // D_i) <= x_i <= (s - c) // D_i with c = N_i - D_i x_i.
     While every coordinate above level i is zero the window is symmetric
     and only x_i >= 0 is walked: the skipped half holds the negatives of
-    the walked vectors.  A leaf is negated when its first nonzero
-    coordinate is negative; the zero vector has none and is not emitted.
-    At a leaf every term is fixed, so its norm is read off the remainder
-    exactly: Q(x) = (S bound - R) / S, an int when S divides and a
-    Fraction otherwise.
+    the walked vectors.  The last level fixes Q(x) = m: for each m it
+    solves w_0 N_0^2 = R - (S bound - S m) with one isqrt and keeps the
+    roots N_0 = +-s with D_0 | N_0 - c; no other x_0 can give a norm in
+    the set.  Those x_0 are emitted in ascending order, as the full walk
+    of the window would meet them, and x_0 >= 1 only while every other
+    coordinate is zero.  A vector is negated when its first nonzero
+    coordinate is negative.
 
     The walk order is deterministic but not sorted; callers that need an
     order sort.  stop, if given, is called as stop(x, norm) on each vector
@@ -495,32 +530,54 @@ def short_vectors(G, bound, stop=None) -> list[tuple[tuple[int, ...], int | Frac
     """
     n = len(G)
     L, d = ldl(G)
-    bound = Fraction(bound)
+    norms = sorted({Fraction(m) for m in norms})
+    bound = norms[-1]
     D = [lcm(*(L[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     scaled = [d[i] / (D[i] * D[i]) for i in range(n)]
-    S = lcm(bound.denominator, *(q.denominator for q in scaled))
+    S = lcm(*(m.denominator for m in norms), *(q.denominator for q in scaled))
     w = [int(S * q) for q in scaled]
     terms = [
         [(j, int(D[i] * L[i][j])) for j in range(i + 1, n) if L[i][j]]
         for i in range(n)
     ]
     top = int(S * bound)
+    # (S bound - S m, m), with m an int when it is integral
+    gaps = [
+        (top - int(S * m), m.numerator if m.denominator == 1 else m)
+        for m in norms
+    ]
     found: list = []
     x = [0] * n
+    D0, w0 = D[0], w[0]
+
+    def leaves(R: int, free: bool) -> None:
+        c = sum(a * x[j] for j, a in terms[0])
+        hits = []
+        for gap, m in gaps:
+            q, r = divmod(R - gap, w0)
+            if q < 0 or r:
+                continue
+            s = isqrt(q)
+            if s * s != q:
+                continue
+            for N in {s, -s}:
+                t, r = divmod(N - c, D0)
+                if r == 0 and (t >= 1 or not free):
+                    hits.append((t, m))
+        hits.sort()
+        for t, m in hits:
+            x[0] = t
+            vec = tuple(x)
+            if next(v for v in vec if v) < 0:
+                vec = tuple(-v for v in vec)
+            found.append((vec, m))
+            if stop is not None and stop(vec, m):
+                raise _StopWalk
+        x[0] = 0
 
     def walk(i: int, R: int, free: bool) -> None:
-        if i < 0:
-            vec = tuple(x)
-            for entry in vec:
-                if entry:
-                    if entry < 0:
-                        vec = tuple(-v for v in vec)
-                    q, r = divmod(top - R, S)
-                    norm = q if r == 0 else Fraction(top - R, S)
-                    found.append((vec, norm))
-                    if stop is not None and stop(vec, norm):
-                        raise _StopWalk
-                    break
+        if i == 0:
+            leaves(R, free)
             return
         c = sum(a * x[j] for j, a in terms[i])
         Di, wi = D[i], w[i]

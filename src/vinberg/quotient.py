@@ -109,10 +109,12 @@ def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
 def root_classes(form: Form, quot: NullQuotient) -> dict:
     """Root classes of the quotient up to sign, with the lattice they span.
 
-    Walks the classes of norm up to 2p (linalg.short_vectors, which hands
-    over each class with its norm), keeps those containing a root, and
-    returns their coordinate vectors, sorted, together with the rank and
-    (when full) the index of their span inside the quotient.
+    Walks the classes whose norm is an admissible root norm (1, 2, p or
+    2p; linalg.short_vectors, which hands over each class with its norm),
+    keeps those containing a root, and returns their coordinate vectors,
+    sorted, together with the rank and (when full) the index of their span
+    inside the quotient.  A class of any other norm holds no root.
+    norm_bound records 2p, the largest norm a root can have.
 
     The walk ends as soon as the classes found so far span the quotient
     rationally: full rank is all the obstruction test needs to know.  So
@@ -120,14 +122,10 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     full_rank is false; a full-rank result covers the classes walked
     before the stop.
     """
-    bound = 2 * form.p
-    admissible = set(form.admissible_root_norms)
     classes = []
     independent = []
 
     def visit(v, m) -> bool:
-        if m not in admissible:
-            return False
         t = root_class_shift(form, quot, v, m)
         if t is None:
             return False
@@ -136,7 +134,8 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
             independent.append(v)
         return len(independent) == quot.rank
 
-    linalg.short_vectors([list(r) for r in quot.gram], bound, visit)
+    gram = [list(r) for r in quot.gram]
+    linalg.short_vectors(gram, form.admissible_root_norms, visit)
     classes.sort(key=lambda c: c["coords"])
     span = linalg.hnf_basis([c["coords"] for c in classes])
     rank = len(span)
@@ -147,7 +146,7 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     else:
         index = None
     return {
-        "norm_bound": bound,
+        "norm_bound": 2 * form.p,
         "classes": classes,
         "rank": rank,
         "index": index,

@@ -4,7 +4,8 @@ Each oracle recomputes its answer from first principles: reflections as
 exact rational matrices, candidate enumeration as full box scans, root
 classes by widening the shift window far past the claimed period, matrix
 order by factoring the characteristic polynomial with sympy, finite
-volume by counting the vertices on every edge of the chamber.  None of
+volume by counting the vertices on every edge of the chamber, reduced
+row echelon forms and determinants by elimination in Fraction arithmetic.  None of
 them share a decision procedure with the fast paths they check.
 """
 
@@ -14,6 +15,59 @@ from itertools import combinations, product
 from math import isqrt
 
 import sympy
+
+
+def fraction_rref(A):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions.
+
+    Returns (R, pivots) as linalg.rref does; the reference its
+    fraction-free elimination is checked against.
+    """
+    R = [[Fraction(x) for x in row] for row in A]
+    m = len(R)
+    n = len(R[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = R[r][c]
+        R[r] = [x / inv for x in R[r]]
+        for i in range(m):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return R, pivots
+
+
+def fraction_det(A):
+    """Determinant by Gaussian elimination over Fractions; an int when
+    integral, as linalg.det returns it."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] for row in A]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if M[i][c] != 0), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            M[c], M[pr] = M[pr], M[c]
+            sign = -sign
+        piv = M[c][c]
+        result *= piv
+        for i in range(c + 1, n):
+            if M[i][c] != 0:
+                f = M[i][c] / piv
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    result *= sign
+    return int(result) if result.denominator == 1 else result
 
 
 def reflection_matrix(form, r):

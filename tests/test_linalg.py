@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, prod
+from unittest.mock import patch
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+import oracles
 from vinberg import linalg
 
 
@@ -109,6 +112,30 @@ def test_charpoly_matches_sympy():
         assert ours == [int(c) for c in theirs]
 
 
+def walk_order_scan(G, norms, box):
+    """Vectors of the box whose norm lies in norms, one per sign pair, in
+    the order the Fincke-Pohst walk meets them.
+
+    The walk fixes x_{n-1} first and x_0 last, each in ascending order, and
+    walks the half of every sign pair whose last nonzero coordinate is
+    positive; so its order is the lexicographic order of the reversed
+    vector.  It reports the sign with the first nonzero coordinate
+    positive.
+    """
+    hits = []
+    for v in product(*box):
+        if next((x for x in reversed(v) if x), 0) > 0:
+            m = quadratic_norm(G, v)
+            if m in norms:
+                hits.append((v[::-1], v, m))
+    out = []
+    for _, v, m in sorted(hits):
+        if next(x for x in v if x) < 0:
+            v = tuple(-x for x in v)
+        out.append((v, m))
+    return out
+
+
 def test_short_vectors_against_box_scan():
     rng = random.Random(29)
     for k in range(30):
@@ -116,35 +143,40 @@ def test_short_vectors_against_box_scan():
         B = random_matrix(rng, d, d, -2, 2)
         G = [[sum(B[i][k] * B[j][k] for k in range(d)) + (4 if i == j else 0)
               for j in range(d)] for i in range(d)]
-        # integer bounds, then Fraction bounds
-        bound = rng.randint(1, 30) if k < 15 else Fraction(rng.randint(1, 90), rng.randint(2, 5))
-        found = linalg.short_vectors(G, bound)
-        got = {v for v, _ in found}
-        assert len(got) == len(found)
-        # brute force over a generous box
-        lim = int(bound) + 1  # diagonal entries are >= 4, so coords are small
-        brute = set()
-        def norm(v):
-            return sum(v[i] * G[i][j] * v[j] for i in range(d) for j in range(d))
-        for v in product(range(-lim, lim + 1), repeat=d):
-            if not any(v):
-                continue
-            if norm(v) <= bound:
-                brute.add(v)
+        # integer norms, then Fraction norms, which an integral G reaches
+        # only where they are integers
+        if k < 15:
+            norms = set(rng.sample(range(1, 31), rng.randint(1, 5)))
+        else:
+            norms = {Fraction(rng.randint(1, 90), rng.randint(1, 5)) for _ in range(3)}
+        found = linalg.short_vectors(G, norms)
+        # G - 4I is semidefinite, so 4 x_i^2 <= Q(x) boxes in every solution
+        lim = isqrt(int(max(norms)) // 4)
+        assert found == walk_order_scan(G, norms, [range(-lim, lim + 1)] * d)
         # every returned norm is x^T G x exactly; G is integral, so an int
         for v, m in found:
-            assert type(m) is int and m == norm(v) <= bound
-        # short_vectors returns one of each +/- pair
-        paired = got | {tuple(-x for x in v) for v in got}
-        assert paired == brute
+            assert type(m) is int
+
+
+def test_short_vectors_on_rank_one_and_unreached_norms():
+    assert linalg.short_vectors([[3]], {27, 3, 12, 5}) == [((1,), 3), ((2,), 12), ((3,), 27)]
+    assert linalg.short_vectors([[3]], {5}) == []
+    half = Fraction(3, 2)
+    assert linalg.short_vectors([[half]], [6, half, Fraction(12, 2)]) == [
+        ((1,), half), ((2,), 6)
+    ]
+    # A2 root lattice: norms 2, 6, 8 are reached, 4 and 5 never are
+    A2 = [[2, -1], [-1, 2]]
+    assert linalg.short_vectors(A2, {4, 5}) == []
+    assert linalg.short_vectors(A2, {2}) == [((1, 0), 2), ((0, 1), 2), ((1, 1), 2)]
 
 
 def test_short_vectors_stop_ends_the_walk_at_the_kth_vector():
     G = [[4, 1, 0], [1, 3, -1], [0, -1, 5]]
-    bound = 24
-    full = linalg.short_vectors(G, bound)
+    norms = range(1, 25)
+    full = linalg.short_vectors(G, norms)
     assert len(full) > 10
-    assert linalg.short_vectors(G, bound, lambda v, m: False) == full
+    assert linalg.short_vectors(G, norms, lambda v, m: False) == full
     for k in range(1, len(full) + 1):
         walked = []
         fired = []
@@ -156,7 +188,7 @@ def test_short_vectors_stop_ends_the_walk_at_the_kth_vector():
                 return True
             return False
 
-        got = linalg.short_vectors(G, bound, stop)
+        got = linalg.short_vectors(G, norms, stop)
         assert len(walked) == k and len(fired) == 1
         assert got == walked == full[:k]
 
@@ -214,27 +246,31 @@ def skewed_definite_grams(draw, max_rank=5):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     G=skewed_definite_grams(),
-    bound=st.one_of(
-        st.integers(0, 40),
-        st.fractions(min_value=0, max_value=40, max_denominator=12),
+    norms=st.sets(
+        st.one_of(
+            st.integers(1, 40),
+            st.fractions(min_value=Fraction(1, 12), max_value=40, max_denominator=12),
+        ),
+        min_size=1,
+        max_size=5,
     ),
     scale=st.integers(1, 3),
 )
-def test_short_vectors_match_box_scan_on_skewed_lattices(G, bound, scale):
+def test_short_vectors_match_box_scan_on_skewed_lattices(G, norms, scale):
     # scale > 1 divides the Gram, so norms need not be integers
     G = [[Fraction(x, scale) for x in row] for row in G]
     d = len(G)
+    bound = max(norms)
     # x_i^2 <= Q(x) (G^-1)_ii by Cauchy-Schwarz, which boxes in every solution
     inv = linalg.mat_inv(G)
     lims = [isqrt(int(bound * inv[i][i])) for i in range(d)]
     assume(prod(2 * lim + 1 for lim in lims) <= 20000)
-    expected = []
-    for v in product(*(range(-lim, lim + 1) for lim in lims)):
-        first = next((x for x in v if x), 0)
-        if first > 0 and quadratic_norm(G, v) <= bound:
-            expected.append((v, quadratic_norm(G, v)))
-    found = linalg.short_vectors(G, bound)
-    assert sorted(found) == sorted(expected)
+    found = linalg.short_vectors(G, norms)
+    assert found == walk_order_scan(G, norms, [range(-lim, lim + 1) for lim in lims])
+    # scale Q(x) is an integer, so these norms make the full walk up to
+    # bound, and restricting it to norms keeps its order
+    every = norms | {Fraction(k, scale) for k in range(1, int(bound * scale) + 1)}
+    assert found == [(v, m) for v, m in linalg.short_vectors(G, every) if m in norms]
     # the norm is exact, and an int exactly when it is integral
     for v, m in found:
         assert m == quadratic_norm(G, v)
@@ -288,12 +324,13 @@ def test_psd_classify_matches_principal_minor_oracle(G):
 
 
 @st.composite
-def rational_matrices(draw, max_size=7):
+def rational_matrices(draw, max_size=7, square=False):
     """Rational matrices up to 7 x 7 with per-entry denominators and many
     zero entries, so that pivots must be searched for; half of them are
     products B C through an inner dimension k below both sizes, so
     rank-deficient, with some rows scaled by zero."""
-    rows, cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    rows = draw(st.integers(1, max_size))
+    cols = rows if square else draw(st.integers(1, max_size))
     entries = st.one_of(
         st.just(Fraction(0)),
         st.fractions(min_value=-6, max_value=6, max_denominator=7),
@@ -310,9 +347,80 @@ def rational_matrices(draw, max_size=7):
     return A
 
 
+@st.composite
+def rational_systems(draw):
+    """A rational matrix with zero rows and columns, and a right-hand side
+    that is either random (often inconsistent when A is rank-deficient)
+    or A x for a random x (always consistent)."""
+    A = draw(rational_matrices())
+    for j in draw(st.sets(st.integers(0, len(A[0]) - 1), max_size=2)):
+        for row in A:
+            row[j] = Fraction(0)
+    entries = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    if draw(st.booleans()):
+        b = [draw(entries) for _ in A]
+    else:
+        x = [draw(entries) for _ in A[0]]
+        b = [sum((a * t for a, t in zip(row, x)), Fraction(0)) for row in A]
+    return A, b
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(A=rational_matrices())
 def test_rank_matches_rref_pivot_count(A):
     assert linalg.rank(A) == len(linalg.rref(A)[1])
     ints = [[int(x * 420) for x in row] for row in A]
     assert linalg.rank(ints) == len(linalg.rref(ints)[1])
+
+
+def fraction_reference(f, *args):
+    """f(*args) with linalg.rref replaced by the Fraction reference, or the
+    ValueError it raised."""
+    with patch.object(linalg, "rref", oracles.fraction_rref):
+        try:
+            return f(*args)
+        except ValueError as err:
+            return err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=rational_systems())
+def test_rref_solve_kernel_match_the_fraction_reference(system):
+    A, b = system
+    for M in (A, [[int(x * 420) for x in row] for row in A]):
+        assert linalg.rref(M) == oracles.fraction_rref(M)
+        assert linalg.kernel(M) == fraction_reference(linalg.kernel, M)
+    assert linalg.solve(A, b) == fraction_reference(linalg.solve, A, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(A=rational_matrices(square=True))
+def test_det_and_inverse_match_the_fraction_reference(A):
+    for M in (A, [[int(x * 420) for x in row] for row in A]):
+        det = linalg.det(M)
+        assert det == oracles.fraction_det(M)
+        assert type(det) is type(oracles.fraction_det(M))
+        expected = fraction_reference(linalg.mat_inv, M)
+        if isinstance(expected, ValueError):
+            assert det == 0
+            with pytest.raises(ValueError):
+                linalg.mat_inv(M)
+        else:
+            assert linalg.mat_inv(M) == expected
+
+
+def test_elimination_on_edge_shapes():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.det([]) == 1
+    assert linalg.mat_inv([]) == linalg.kernel([]) == linalg.solve([], []) == []
+    for A in ([[0, 2, 4]], [[0, 0, 0]], [[0], [3], [Fraction(1, 2)]], [[0], [0]]):
+        assert linalg.rref(A) == oracles.fraction_rref(A)
+    assert linalg.rref([[0, 2, 4]]) == ([[0, 1, 2]], [1])
+    assert linalg.kernel([[0, 2, 4]]) == [[1, 0, 0], [0, -2, 1]]
+    assert linalg.solve([[0], [3], [Fraction(1, 2)]], [0, 6, 1]) == [2]
+    assert linalg.solve([[0], [3], [Fraction(1, 2)]], [1, 6, 1]) is None
+    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
+    with pytest.raises(ValueError):
+        linalg.mat_inv([[1, 2], [2, 4]])
+    assert linalg.det([[Fraction(1, 2), 1], [1, 4]]) == 1
+    assert linalg.det([[Fraction(1, 2), 1], [1, 3]]) == Fraction(1, 2)

@@ -36,15 +36,18 @@ def test_quotient_rejects_bad_vectors():
         quotient.null_quotient(form, (2, 4, 2, 2, 2))  # not primitive
 
 
-def _classes(quot, bound):
-    return sorted(linalg.short_vectors([list(r) for r in quot.gram], bound))
+def _classes(form, quot):
+    """Every class of norm 1..2p, so a full walk up to the largest root
+    norm, not one restricted to the admissible root norms."""
+    norms = range(1, 2 * form.p + 1)
+    return sorted(linalg.short_vectors([list(r) for r in quot.gram], norms))
 
 
 def _all_root_classes(form, quot):
     """root_classes without its full-rank stop: every class of norm up to
     2p that contains a root, with its norm from quot.class_norm."""
     classes = []
-    for coords, _ in _classes(quot, 2 * form.p):
+    for coords, _ in _classes(form, quot):
         m = quot.class_norm(coords)
         t = quotient.root_class_shift(form, quot, coords, m)
         if t is not None:
@@ -71,7 +74,7 @@ def test_root_class_shift_matches_wide_window_oracle():
         form = Form(p, n)
         e = NONREFLECTIVITY_BLOCKS[(p, n)]["null_vector"]
         quot = quotient.null_quotient(form, e)
-        classes = _classes(quot, 2 * p)
+        classes = _classes(form, quot)
         if sample is not None and len(classes) > sample:
             classes = random.Random(0).sample(classes, sample)
         assert classes
