@@ -34,11 +34,18 @@ Three verdict-carrying documents plus an inheritance wrapper:
 verify_certificate re-derives every stored quantity from the form and the
 primary data; any mismatch rejects the document.  Malformed documents
 raise CertificateError naming the offending field.
+
+The ideal-vertex and symmetry checks re-derive the stored roots by
+replaying the search's batch stream (search.reproduces reads
+search.replay) with no closure test.  The stored data bound each replay:
+it stops at the first batch whose accepts are not a prefix of the stored
+roots, the ideal-vertex replay also at the stored root count or above
+the height of the highest stored root, and the symmetry replay after the
+stored batches_done.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from vinberg import diagram as _diagram
@@ -46,6 +53,7 @@ from vinberg import cones, linalg, published, quotient
 from vinberg import volume as _volume
 from vinberg.errors import CertificateError, DiagramError
 from vinberg.forms import Form
+from vinberg.search import Budget, open_height, reproduces
 
 SCHEMA_VERSION = 3
 
@@ -314,32 +322,6 @@ def _acute_pair(form: Form, roots) -> list[str]:
     return []
 
 
-def _root_state_failures(form: Form, payload) -> tuple[list, list[str]]:
-    roots, issues = _roots(form, payload)
-    if issues:
-        return roots, issues
-    issues = _acute_pair(form, roots)
-    if issues:
-        return roots, issues
-    if not _state_reproduces(form, roots):
-        issues.append("payload.roots: not a state of the root search")
-    return roots, issues
-
-
-def _state_reproduces(form: Form, roots) -> bool:
-    from vinberg.search import Budget, run_search
-
-    if list(roots[: form.n]) != list(form.initial_roots()):
-        return False
-    res = run_search(
-        form,
-        Budget(max_height=Fraction(10**9), max_roots=len(roots)),
-        finite_volume_check=False,
-        certificate_scan=False,
-    )
-    return list(res.roots) == list(roots)
-
-
 def chamber_cone_closes(form: Form, roots) -> bool:
     """Whether the chamber of the roots has finite volume, by its cone.
 
@@ -389,9 +371,17 @@ def _verify_ideal_vertex(form: Form, payload) -> list[str]:
     for key in ("components", "null_vector", "affine_rank", "quotient",
                 "affine_image", "complement", "glue", "root_classes", "conclusion"):
         _require(payload, key, f"payload.{key}")
-    roots, issues = _root_state_failures(form, payload)
+    roots, issues = _roots(form, payload)
     if issues:
         return issues
+    issues = _acute_pair(form, roots)
+    if issues:
+        return issues
+    # the search accepts roots in order of height, so it has reached the
+    # stored count by the batch of the highest stored root or never
+    top = max(map(form.height, roots), default=0)
+    if not reproduces(form, roots, budget=Budget(max_height=top, max_roots=len(roots))):
+        return ["payload.roots: not a state of the root search"]
     e = tuple(payload["null_vector"])
     if len(e) != form.dim or form.norm(e) != 0 or not any(e) or not form.is_primitive(e):
         issues.append("payload.null_vector: not a primitive null vector")
@@ -479,7 +469,6 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     walls, which is impossible.
     """
     from vinberg import isometry
-    from vinberg.search import Budget, open_height, run_search
 
     for key in ("matrix", "batches_done", "frame_from", "frame_to",
                 "evidence", "conclusion"):
@@ -488,17 +477,10 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     if issues:
         return issues
     batches = payload["batches_done"]
-    if not isinstance(batches, int) or batches < 0:
+    if not isinstance(batches, int) or isinstance(batches, bool) or batches < 0:
         raise CertificateError("payload.batches_done: not a non-negative integer")
-    res = run_search(
-        form,
-        Budget(max_height=Fraction(10**9), max_roots=10**9, max_batches=batches),
-        finite_volume_check=False,
-        certificate_scan=False,
-    )
-    if res.status != "undecided" or list(res.roots) != list(roots):
-        issues.append("payload.roots: not the search state after this many batches")
-        return issues
+    if not reproduces(form, roots, batches):
+        return ["payload.roots: not the search state after this many batches"]
     frontier = open_height(form, batches)
 
     T = payload["matrix"]

@@ -16,10 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from vinberg import certificates, diagram, isometry
+from vinberg import certificates, diagram, isometry, volume
 from vinberg.errors import ConsistencyError, VinbergError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, open_height, run_search
+from vinberg.search import Budget, SearchState, open_height, replay, run_search
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -47,10 +47,9 @@ def classify_form(
 
     With verify=True every non-reflective certificate is re-checked from
     scratch before it is attached; a verification failure is an internal
-    error and raises ConsistencyError.  A resumed run (state given) trusts
-    the state's accepted roots, so it re-checks the certificate of every
-    verdict, reflective included, and a tampered state raises
-    ConsistencyError instead of yielding a verdict.
+    error and raises ConsistencyError.  A resumed run (state given)
+    re-derives the state's roots by replaying its batch cursor, so a
+    tampered state raises ConsistencyError instead of yielding a verdict.
     """
     form = Form(p, n)
     if budget is None:
@@ -74,8 +73,6 @@ def classify_form(
         report["certificate"] = certificates.reflective_certificate(
             form, roots, result.volume_report
         )
-        if state is not None:
-            _check_certificate(report["certificate"])
         return report
 
     certificate = result.certificate
@@ -97,7 +94,7 @@ def classify_form(
             )
 
     if certificate is not None:
-        if verify or state is not None:
+        if verify:
             _check_certificate(certificate)
         report["verdict"] = "non_reflective"
         report["certificate"] = certificate
@@ -172,7 +169,9 @@ def root_table(
     the table keeps one row per padded vector with the list of ranks where
     the search accepted it.  Rows sort by batch height and carry 1-based
     labels.  Initial basis roots are omitted, matching the convention that
-    tables list found vectors only.
+    tables list found vectors only.  Each rank reads the search's batch
+    stream with the finite-volume test after every batch that accepted a
+    root and no cusp scan, so its verdict is reflective or undecided.
     """
     if max_rank < 2:
         raise VinbergError(f"max_rank must be at least 2, got {max_rank}")
@@ -182,10 +181,14 @@ def root_table(
     verdicts = {}
     for rank in range(2, max_rank + 1):
         form = Form(p, rank)
-        result = run_search(form, budget, certificate_scan=False)
-        verdicts[rank] = result.status
-        initial = len(form.initial_roots())
-        for root in result.roots[initial:]:
+        state = SearchState.fresh(form)
+        memo = volume.PrefixMemo()
+        verdicts[rank] = "undecided"
+        for accepts in replay(state, budget):
+            if accepts and volume.finite_volume(form, state.accepted, memo)["finite"]:
+                verdicts[rank] = "reflective"
+                break
+        for root in state.accepted[form.n:]:
             key = tuple(root) + (0,) * (max_rank - rank)
             entry = rows.setdefault(
                 key,

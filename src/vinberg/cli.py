@@ -79,7 +79,7 @@ def main() -> None:
     "--emit",
     default="report",
     show_default=True,
-    type=click.Choice(["report", "roots", "diagram", "certificate", "table"]),
+    type=click.Choice(["report", "roots", "diagram", "certificate"]),
     help="Which artifact to print.",
 )
 @click.option(
@@ -87,8 +87,8 @@ def main() -> None:
     "fmt",
     default="json",
     show_default=True,
-    type=click.Choice(["json", "dot", "tikz", "text"]),
-    help="Output format; dot/tikz apply to diagrams, text to tables.",
+    type=click.Choice(["json", "dot", "tikz"]),
+    help="Output format; dot/tikz apply to diagrams.",
 )
 @click.option(
     "--resume",
@@ -134,20 +134,10 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
             click.echo(diagram.diagram_dot(form, roots))
         elif fmt == "tikz":
             click.echo(diagram.diagram_tikz(form, roots))
-        elif fmt == "json":
+        else:
             _dump(report["diagram"])
-        else:
-            raise click.UsageError("--format text does not apply to diagrams")
-    elif emit == "certificate":
-        _dump(report["certificate"])
     else:
-        table = classify.root_table(p, n, budget=_budget(max_height, max_roots))
-        if fmt == "text":
-            click.echo(_table_text(table))
-        elif fmt == "json":
-            _dump(table)
-        else:
-            raise click.UsageError(f"--format {fmt} does not apply to tables")
+        _dump(report["certificate"])
 
     if report["verdict"] == "undecided":
         sys.exit(EXIT_UNDECIDED)

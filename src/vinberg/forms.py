@@ -77,11 +77,6 @@ class Form:
             for i in range(d)
         ]
 
-    @property
-    def control_vector(self) -> Vector:
-        """The norm -p vector the fundamental chamber is built around."""
-        return (1,) + (0,) * self.n
-
     def is_primitive(self, v: Vector) -> bool:
         g = 0
         for x in v:

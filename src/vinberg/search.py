@@ -1,4 +1,4 @@
-"""The root search: batches ordered by height, acceptance, budgets, resume.
+"""The root search: one stream of batches ordered by height, and budgets.
 
 A batch is a pair (k0, m): all candidate roots with first coordinate k0 and
 norm m.  Batches are processed in increasing order of the height k0^2/m.
@@ -6,6 +6,12 @@ Within a batch, candidates are taken in lexicographically decreasing order
 of their spatial part; a candidate is accepted when its inner product with
 every previously accepted root (including earlier accepts from the same
 batch) is non-positive.
+
+replay is that stream, and the only code that enumerates batches.
+run_search reads it and tests the chamber after each batch that accepted
+a root; classify.root_table reads it with the finite-volume test alone.
+reproduces replays it with no closure test, to check a resumed state and
+the roots of ideal-vertex and symmetry certificates.
 
 The finite-volume test runs once after each batch that accepted a root,
 not after each root.  That returns the same roots, because no root is
@@ -20,10 +26,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional
 
 from vinberg.enumeration import enumerate_batch
-from vinberg.forms import Form, Vector
+from vinberg.errors import ConsistencyError
+from vinberg.forms import Form
 
 
 def batch_sequence(form: Form) -> Iterator[tuple[int, int]]:
@@ -56,33 +64,17 @@ def open_height(form: Form, batches_done: int) -> Fraction:
     return Fraction(k0 * k0, m)
 
 
-def accept(form: Form, prior_roots, candidate) -> tuple[bool, Optional[Vector]]:
-    """Acceptance test with witness.
-
-    Returns (True, None) if the candidate has non-positive inner product
-    with every prior root, else (False, w) where w is the first violating
-    prior root in list order.
-    """
-    for r in prior_roots:
-        if form.inner_product(candidate, r) > 0:
-            return False, r
-    return True, None
-
-
 @dataclass
 class Budget:
     """Stopping bounds for the search.
 
     The search stops (undecided) before a batch whose height exceeds
     max_height, or after a batch that brings the accepted count to
-    max_roots or beyond.  max_batches, when set, stops before batch
-    number max_batches + 1; certificate verification uses it to replay
-    a recorded run to the exact same cut.
+    max_roots or beyond.
     """
 
     max_height: Fraction = Fraction(400)
     max_roots: int = 64
-    max_batches: Optional[int] = None
 
 
 STATE_SCHEMA_VERSION = 2
@@ -118,18 +110,16 @@ class SearchState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SearchState":
-        """Read a state document; schema 1 kept p and n at the top level."""
         version = doc["schema_version"]
-        if version == STATE_SCHEMA_VERSION:
-            p, n = doc["form"]["p"], doc["form"]["n"]
-        elif version == 1:
-            p, n = doc["p"], doc["n"]
-        else:
+        if version != STATE_SCHEMA_VERSION:
             raise ValueError(f"schema_version: unsupported value {version!r}")
+        batches = doc["batches_done"]
+        if not isinstance(batches, int) or isinstance(batches, bool) or batches < 0:
+            raise ValueError("batches_done: not a non-negative integer")
         return cls(
-            form=Form(p, n),
+            form=Form(doc["form"]["p"], doc["form"]["n"]),
             accepted=[tuple(r) for r in doc["accepted"]],
-            batches_done=doc["batches_done"],
+            batches_done=batches,
             counters=dict(doc["counters"]),
         )
 
@@ -146,12 +136,53 @@ class SearchResult:
         return list(self.state.accepted)
 
 
+def replay(state: SearchState, budget: Optional[Budget] = None) -> Iterator[list]:
+    """The batch stream from state's cursor on, advancing state as it goes.
+
+    Each step enumerates one batch, accepts its candidates into
+    state.accepted, updates the counters and batches_done, and yields the
+    batch's accepts.  With a budget the stream ends where the budget stops
+    the search; without one it never ends, and the caller bounds it.
+    """
+    form = state.form
+    accepted = state.accepted
+    for k0, m in islice(batch_sequence(form), state.batches_done, None):
+        if budget is not None and (
+            len(accepted) >= budget.max_roots
+            or Fraction(k0 * k0, m) > budget.max_height
+        ):
+            return
+        candidates = enumerate_batch(form, k0, m, accepted)
+        fresh = []
+        for cand in candidates:
+            if all(form.inner_product(cand, r) <= 0 for r in fresh):
+                fresh.append(cand)
+        accepted.extend(fresh)
+        state.counters["batches"] += 1
+        state.counters["candidates"] += len(candidates)
+        state.counters["accepted"] += len(fresh)
+        state.batches_done += 1
+        yield fresh
+
+
+def reproduces(form: Form, roots, batches=None, budget=None) -> bool:
+    """Whether a fresh replay accepts exactly roots: in exactly the given
+    number of batches, or where the budget stops it.
+
+    The replay stops at the first batch whose accepts are not a prefix of
+    roots, so roots that the search never reaches bound it too.
+    """
+    state = SearchState.fresh(form)
+    for _ in islice(replay(state, budget), batches):
+        if state.accepted != roots[: len(state.accepted)]:
+            return False
+    return state.accepted == roots and batches in (None, state.batches_done)
+
+
 def run_search(
     form: Form,
     budget: Optional[Budget] = None,
     state: Optional[SearchState] = None,
-    finite_volume_check: bool = True,
-    certificate_scan: bool = True,
 ) -> SearchResult:
     """Run the root search until decided or out of budget.
 
@@ -160,64 +191,47 @@ def run_search(
     whose orthogonal quotient cannot be generated by root classes; a hit
     proves the chamber will never close up and stops the search early.
 
-    A resumed search (state given) runs the finite-volume test once on
-    entry: a closed chamber accepts no further root, so a final state
-    would otherwise run on to the budget.  Both tests share one
+    A resumed search (state given) first replays a fresh search through
+    the state's batches_done batches, no higher than budget.max_height,
+    and raises ConsistencyError naming accepted unless that reaches the
+    cursor with the same roots.  It then runs the finite-volume test once:
+    a closed chamber accepts no further root, so a final state would
+    otherwise run on to the budget.  Both tests share one
     volume.PrefixMemo, which lives as long as this call.
     """
+    from vinberg import certificates as _certificates
     from vinberg import volume as _volume
 
     if budget is None:
         budget = Budget()
-    resumed = state is not None
-    if state is None:
-        state = SearchState.fresh(form)
-    if certificate_scan:
-        from vinberg import certificates as _certificates
-
-    accepted = [tuple(r) for r in state.accepted]
-    state.accepted = accepted
     memo = _volume.PrefixMemo()
 
     def volume_now() -> Optional[dict]:
         state.counters["volume_checks"] += 1
-        report = _volume.finite_volume(form, accepted, memo)
+        report = _volume.finite_volume(form, state.accepted, memo)
         return report if report["finite"] else None
 
-    if resumed and finite_volume_check:
+    if state is None:
+        state = SearchState.fresh(form)
+    else:
+        state.accepted = [tuple(r) for r in state.accepted]
+        bound = Budget(budget.max_height, max_roots=len(state.accepted) + 1)
+        if not reproduces(form, state.accepted, state.batches_done, bound):
+            raise ConsistencyError(
+                f"accepted: not the roots the search accepts in "
+                f"{state.batches_done} batches up to height {budget.max_height}"
+            )
         report = volume_now()
         if report:
             return SearchResult("reflective", state, volume_report=report)
 
-    gen = batch_sequence(form)
-    for _ in range(state.batches_done):
-        next(gen)
-
-    while True:
-        if budget.max_batches is not None and state.batches_done >= budget.max_batches:
-            return SearchResult("undecided", state)
-        if len(accepted) >= budget.max_roots:
-            return SearchResult("undecided", state)
-        k0, m = next(gen)
-        if Fraction(k0 * k0, m) > budget.max_height:
-            return SearchResult("undecided", state)
-
-        candidates = enumerate_batch(form, k0, m, accepted)
-        state.counters["batches"] += 1
-        state.counters["candidates"] += len(candidates)
-        fresh = []
-        for cand in candidates:
-            ok, _ = accept(form, fresh, cand)
-            if ok:
-                fresh.append(cand)
-        accepted.extend(fresh)
-        state.counters["accepted"] += len(fresh)
-        state.batches_done += 1
-        if fresh and finite_volume_check:
-            report = volume_now()
-            if report:
-                return SearchResult("reflective", state, volume_report=report)
-        if fresh and certificate_scan:
-            cert = _certificates.scan_for_cusp_obstruction(form, accepted, memo)
-            if cert is not None:
-                return SearchResult("nonreflective", state, certificate=cert)
+    for fresh in replay(state, budget):
+        if not fresh:
+            continue
+        report = volume_now()
+        if report:
+            return SearchResult("reflective", state, volume_report=report)
+        cert = _certificates.scan_for_cusp_obstruction(form, state.accepted, memo)
+        if cert is not None:
+            return SearchResult("nonreflective", state, certificate=cert)
+    return SearchResult("undecided", state)

@@ -1,6 +1,11 @@
 """Certificate construction, verification, and tamper resistance."""
 
 import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,9 @@ from vinberg import certificates
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
+from vinberg.search import SearchState, replay
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +171,59 @@ def test_tampered_root_class_shift(cert_7_4):
     assert any("root_classes" in f for f in failures)
 
 
+# edits of the (7,4) certificate's roots that keep them pairwise obtuse
+IDEAL_VERTEX_ROOT_TAMPERS = {
+    "dropped_last_root": lambda roots: roots.pop(),
+    "swapped_roots_4_5": lambda roots: _swap(roots, 4, 5),
+}
+
+
+@pytest.mark.parametrize("edit", list(IDEAL_VERTEX_ROOT_TAMPERS.values()),
+                         ids=list(IDEAL_VERTEX_ROOT_TAMPERS))
+def test_ideal_vertex_roots_must_replay(cert_7_4, edit):
+    cert = copy.deepcopy(cert_7_4)
+    edit(cert["payload"]["roots"])
+    failures = certificates.verification_failures(cert)
+    assert failures == ["payload.roots: not a state of the root search"]
+
+
+def test_forged_ideal_vertex_roots_are_rejected_without_hanging(cert_7_4):
+    # seven pairwise-obtuse roots of (5,3), two of them out of batch order;
+    # the search's chamber closes at six roots, so a replay bounded only by
+    # the root count would never stop.  A subprocess with a timeout turns
+    # a hang into a failure.
+    cert = copy.deepcopy(cert_7_4)
+    cert["form"] = {"p": 5, "n": 3}
+    cert["payload"]["roots"] = [
+        [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1],
+        [2, 5, 0, 0], [2, 3, 3, 2], [3, 5, 5, 0], [2, 4, 2, 1],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys; from vinberg import certificates; "
+        "print(json.dumps(certificates.verification_failures(json.load(sys.stdin))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(cert),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["payload.roots: not a state of the root search"]
+
+
+def test_symmetry_roots_must_be_the_state_after_batches_done(cert_13_3):
+    # cut the replay before the batch that accepted the last stored root
+    cert = copy.deepcopy(cert_13_3)
+    count = len(cert["payload"]["roots"])
+    state = SearchState.fresh(Form(13, 3))
+    for _ in replay(state):
+        if len(state.accepted) >= count:
+            break
+    assert len(state.accepted) == count
+    cert["payload"]["batches_done"] = state.batches_done - 1
+    failures = certificates.verification_failures(cert)
+    assert failures == ["payload.roots: not the search state after this many batches"]
+
+
 def test_tampered_symmetry_matrix(cert_13_3):
     cert = copy.deepcopy(cert_13_3)
     cert["payload"]["matrix"][0][0] += 1
@@ -215,7 +276,7 @@ def test_annotations_required_but_content_ignored(cert_5_2):
     assert certificates.verify_certificate(cert)
 
 
-def test_malformed_documents_raise(cert_5_2):
+def test_malformed_documents_raise(cert_5_2, cert_13_3):
     with pytest.raises(CertificateError):
         certificates.verification_failures({})
     cert = copy.deepcopy(cert_5_2)
@@ -234,6 +295,11 @@ def test_malformed_documents_raise(cert_5_2):
     del cert["payload"]
     with pytest.raises(CertificateError):
         certificates.verification_failures(cert)
+    for bad in (True, -1, "3", 2.0):
+        cert = copy.deepcopy(cert_13_3)
+        cert["payload"]["batches_done"] = bad
+        with pytest.raises(CertificateError, match=r"payload\.batches_done"):
+            certificates.verification_failures(cert)
 
 
 def test_cusp_scan_finds_the_rank_9_obstruction(report):

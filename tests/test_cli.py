@@ -82,7 +82,10 @@ def test_classify_emit_diagram_formats(runner):
 
 
 def test_classify_emit_table_format_validation(runner):
-    bad = runner.invoke(main, ["classify", "5", "2", "--emit", "table", "--format", "dot"])
+    # the table has its own subcommand; classify no longer emits it
+    bad = runner.invoke(main, ["classify", "5", "2", "--emit", "table"])
+    assert bad.exit_code == 2
+    bad = runner.invoke(main, ["classify", "5", "2", "--emit", "table", "--format", "text"])
     assert bad.exit_code == 2
 
 
@@ -152,14 +155,47 @@ def test_resume_rejects_tampered_state(runner, tmp_path, search):
     state_file.write_text(json.dumps(doc))
     res = runner.invoke(main, ["classify", "7", "3", "--resume", str(state_file)])
     assert res.exit_code == 2
-    assert "payload.roots" in res.output
+    assert "accepted" in res.output
+
+
+def test_resume_rejects_forged_undecided_state(runner, tmp_path, forged_13_3_state):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(forged_13_3_state))
+    before = state_file.read_text()
+    res = runner.invoke(
+        main, ["classify", "13", "3", "--max-roots", "8", "--resume", str(state_file)]
+    )
+    assert res.exit_code == 2
+    assert "accepted" in res.output
+    assert state_file.read_text() == before
+
+
+def _package_env() -> dict:
+    src = str(Path(vinberg.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+
+
+def test_resume_rejects_a_cursor_past_the_budget(tmp_path, search):
+    # the final (7,3) state with a forged cursor: a closed chamber accepts
+    # nothing more, so only the budget's height bounds the cursor replay.
+    # A subprocess with a timeout turns a hang into a failure.
+    state_file = tmp_path / "state.json"
+    doc = search(7, 3).state.to_json()
+    doc["batches_done"] = 10**7
+    state_file.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vinberg.cli", "classify", "7", "3",
+         "--resume", str(state_file)],
+        env=_package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "accepted" in proc.stderr
 
 
 def test_runtime_imports_leave_sympy_unloaded():
-    src = str(Path(vinberg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    ))
+    env = _package_env()
     code = (
         "import sys, vinberg.cli, vinberg.classify, vinberg.certificates; "
         "print('sympy' in sys.modules)"

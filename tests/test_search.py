@@ -1,6 +1,7 @@
 """The root search: acceptance stream, budgets, resumability, replay."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -9,7 +10,7 @@ import oracles
 from vinberg.classify import classify_form
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, open_height, run_search
+from vinberg.search import Budget, SearchState, open_height, replay, run_search
 
 
 def test_terminates_reflective_with_expected_roots(search):
@@ -31,36 +32,35 @@ def test_accepted_roots_pairwise_obtuse(search):
 @pytest.mark.parametrize("p,n", [(5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (11, 3)])
 def test_matches_brute_force_oracle_low_heights(p, n):
     form = Form(p, n)
-    budget = Budget(max_height=Fraction(2), max_roots=10**6)
-    res = run_search(form, budget, finite_volume_check=False,
-                     certificate_scan=False)
+    state = SearchState.fresh(form)
+    for _ in replay(state, Budget(max_height=Fraction(2), max_roots=10**6)):
+        pass
     expect = oracles.brute_force_accepted(form, Fraction(2))
-    assert res.roots == expect
+    assert state.accepted == expect
 
 
 def test_open_height_is_next_batch_height():
     form = Form(13, 2)
     assert open_height(form, 0) < open_height(form, 1) < open_height(form, 5)
     # the frontier after k batches admits exactly the first k batch heights
-    res = run_search(form, Budget(max_batches=7), finite_volume_check=False,
-                     certificate_scan=False)
+    state = SearchState.fresh(form)
+    for _ in islice(replay(state), 7):
+        pass
     frontier = open_height(form, 7)
-    for r in res.roots:
+    for r in state.accepted:
         if r[0] > 0:
             assert form.height(r) < frontier
 
 
-def test_max_batches_replay_reproduces_prefix(search):
+def test_replay_reproduces_prefix(search):
     full = search(13, 3)
     k = full.state.batches_done
-    replay = run_search(
-        Form(13, 3),
-        Budget(max_height=Fraction(10**9), max_roots=10**9, max_batches=k),
-        finite_volume_check=False, certificate_scan=False,
-    )
-    assert replay.status == "undecided"
-    assert replay.roots == full.roots
-    assert replay.state.batches_done == k
+    state = SearchState.fresh(Form(13, 3))
+    for _ in islice(replay(state), k):
+        pass
+    assert state.accepted == full.roots
+    assert state.batches_done == k
+    assert state.counters == {**full.state.counters, "volume_checks": 0}
 
 
 def test_resume_equals_uninterrupted_run(search):
@@ -95,8 +95,14 @@ def test_resume_rejects_tampered_reflective_state(search):
     doc = search(7, 3).state.to_json()
     assert doc["accepted"][3] == [1, 3, 0, 0]
     doc["accepted"][3] = [2, 5, 2, 1]
-    with pytest.raises(ConsistencyError, match="payload.roots"):
+    with pytest.raises(ConsistencyError, match="accepted"):
         classify_form(7, 3, state=SearchState.from_json(doc))
+
+
+def test_resume_rejects_forged_undecided_state(forged_13_3_state):
+    state = SearchState.from_json(forged_13_3_state)
+    with pytest.raises(ConsistencyError, match="accepted"):
+        classify_form(13, 3, budget=Budget(max_roots=8), state=state)
 
 
 def test_budget_exhaustion_is_undecided():
@@ -121,17 +127,22 @@ def test_state_round_trip():
     assert back.to_json() == doc
 
 
-def test_state_reads_schema_1_and_rejects_unknown_schemas():
+def test_state_rejects_unknown_schemas_and_bad_cursors():
     res = run_search(Form(5, 3), Budget(max_roots=4))
     doc = res.state.to_json()
     assert doc["schema_version"] == 2
     assert doc["form"] == {"p": 5, "n": 3}
+    # schema 1 kept p and n at the top level; it is no longer read
     old = {k: v for k, v in doc.items() if k != "form"}
     old.update(schema_version=1, p=5, n=3)
-    assert SearchState.from_json(old).to_json() == doc
+    with pytest.raises(ValueError, match="schema_version"):
+        SearchState.from_json(old)
     for version in (0, 3, "2", None):
         with pytest.raises(ValueError, match="schema_version"):
             SearchState.from_json(dict(doc, schema_version=version))
+    for batches in (True, -1, "3", 2.0):
+        with pytest.raises(ValueError, match="batches_done"):
+            SearchState.from_json(dict(doc, batches_done=batches))
     missing = {k: v for k, v in doc.items() if k != "schema_version"}
     with pytest.raises(KeyError, match="schema_version"):
         SearchState.from_json(missing)
