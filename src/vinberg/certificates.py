@@ -41,7 +41,8 @@ search.replay) with no closure test.  The stored data bound each replay:
 it stops at the first batch whose accepts are not a prefix of the stored
 roots, the ideal-vertex replay also at the stored root count or above
 the height of the highest stored root, and the symmetry replay after the
-stored batches_done.
+stored batches_done or above the lowest image under the stored isometry
+of a stored root that is not stored, whichever comes first.
 """
 
 from __future__ import annotations
@@ -98,29 +99,27 @@ def affine_null_marks(form: Form, roots, nodes):
     return marks_out, tuple(x // g for x in e)
 
 
-def scan_for_cusp_obstruction(form: Form, accepted, memo=None, min_rank=None):
+def scan_for_cusp_obstruction(form: Form, accepted, chamber=None, min_rank=None):
     """Look for a null direction whose root classes have deficient rank.
 
     Groups the affine components of the current diagram by their common
     null vector; groups of total rank at least min_rank (default n - 2)
-    have their quotient tested.  memo is the search's volume.PrefixMemo:
-    it supplies the PSD classes finite_volume already computed on this
-    prefix, and keeps the root classes of each null vector, which depend
+    have their quotient tested.  chamber is the search's
+    volume.ChamberDiagram (without one a fresh one is built), grown here on
+    accepted; it keeps the root classes of each null vector, which depend
     on the form alone, across batches.  A full-rank entry stopped its walk
     early and only full_rank is read from it; a deficient entry is complete
     and is handed to the certificate.  Returns an ideal_vertex_failure
     certificate, or None.
     """
-    if memo is None:
-        memo = _volume.PrefixMemo()
     if min_rank is None:
         min_rank = form.n - 2
-    d = _diagram.build_diagram(form, accepted)
+    chamber = _volume.grown(form, accepted, chamber)
     groups: dict = {}
-    for comp in _diagram.affine_components(d, memo.classifier(d, accepted)):
+    for comp in chamber.affine_components():
         marks, e = affine_null_marks(form, accepted, comp["nodes"])
         groups.setdefault(e, []).append(comp)
-    cache = memo.root_classes
+    cache = chamber.root_classes
     for e in sorted(groups):
         comps = groups[e]
         if sum(c["rank"] for c in comps) < min_rank:
@@ -467,6 +466,10 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     framed corner to the other.  A chamber of finite volume would then
     carry an infinite-order permutation of its finitely many spanning
     walls, which is impossible.
+
+    The replay runs last, capped by the stored data: the isometry maps
+    walls to walls and the search accepts every wall below its frontier,
+    so a stored root's image that is not stored lies above the replay.
     """
     from vinberg import isometry
 
@@ -479,9 +482,6 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     batches = payload["batches_done"]
     if not isinstance(batches, int) or isinstance(batches, bool) or batches < 0:
         raise CertificateError("payload.batches_done: not a non-negative integer")
-    if not reproduces(form, roots, batches):
-        return ["payload.roots: not the search state after this many batches"]
-    frontier = open_height(form, batches)
 
     T = payload["matrix"]
     if (len(T) != form.dim or any(len(row) != form.dim for row in T)
@@ -518,12 +518,6 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
         if str(bound) != fr["height_bound"]:
             issues.append(f"payload.{label}.height_bound: does not re-derive")
             return issues
-        if bound >= frontier:
-            issues.append(
-                f"payload.{label}.corner: separating-wall bound not cleared "
-                "by the scanned height"
-            )
-            return issues
         if any(form.inner_product(roots[i], corner) != 0 for i in idx):
             issues.append(f"payload.{label}.root_indices: frame roots must contain the corner")
             return issues
@@ -533,8 +527,8 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
                 "through the corner"
             )
             return issues
-        frames.append((idx, corner))
-    (idx_from, c_from), (idx_to, c_to) = frames
+        frames.append((label, idx, corner, bound))
+    (_, idx_from, c_from, _), (_, idx_to, c_to, _) = frames
     if form.norm(c_from) != form.norm(c_to) or c_from == c_to:
         issues.append("payload.frame_to.corner: corners must be distinct of equal norm")
         return issues
@@ -554,6 +548,22 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
         issues.append("payload.evidence: does not re-derive")
     if payload["conclusion"] != "chamber_admits_infinite_order_symmetry":
         issues.append("payload.conclusion: unexpected value")
+    if issues:
+        return issues
+
+    stored = set(roots)
+    images = [form.height(v) for v in map(apply, roots) if v not in stored]
+    # with no image outside the roots, T permutes them; a cap of 0 stops the replay
+    cap = Budget(max_height=min(images, default=0), max_roots=len(roots) + 1)
+    if not reproduces(form, roots, batches, cap):
+        return ["payload.roots: not the search state after this many batches"]
+    frontier = open_height(form, batches)
+    for label, _, _, bound in frames:
+        if bound >= frontier:
+            return [
+                f"payload.{label}.corner: separating-wall bound not cleared "
+                "by the scanned height"
+            ]
     return issues
 
 

@@ -81,7 +81,7 @@ def classify_form(
         # then hunt for a symmetry between corners certified by the
         # height frontier the search has cleared.
         certificate = certificates.scan_for_cusp_obstruction(
-            form, roots, min_rank=1
+            form, roots, result.chamber, min_rank=1
         )
     if certificate is None:
         batches = result.state.batches_done
@@ -182,10 +182,10 @@ def root_table(
     for rank in range(2, max_rank + 1):
         form = Form(p, rank)
         state = SearchState.fresh(form)
-        memo = volume.PrefixMemo()
+        chamber = volume.ChamberDiagram(form)
         verdicts[rank] = "undecided"
         for accepts in replay(state, budget):
-            if accepts and volume.finite_volume(form, state.accepted, memo)["finite"]:
+            if accepts and volume.finite_volume(form, state.accepted, chamber)["finite"]:
                 verdicts[rank] = "reflective"
                 break
         for root in state.accepted[form.n:]:

@@ -13,7 +13,6 @@ semidefiniteness of the Gram matrix; a mismatch raises ConsistencyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,27 +35,59 @@ _COS2_KIND = {
 }
 
 
-@dataclass(frozen=True)
 class Diagram:
-    """Walls with their pairwise angle data."""
+    """Walls with their pairwise angle data.
 
-    norms: tuple[int, ...]
-    gram: tuple[tuple[int, ...], ...]
-    edges: dict  # (i, j) with i < j -> edge kind
+    A diagram only grows: extend appends walls, and the edges between old
+    walls never change.
+    """
+
+    def __init__(self):
+        self.norms: list[int] = []
+        self.gram: list[list[int]] = []
+        self.edges: dict = {}  # (i, j) with i < j -> edge kind
+        self.adjacent: list[set] = []  # node -> the nodes it shares an edge with
 
     def __len__(self) -> int:
         return len(self.norms)
 
-    def kind(self, i: int, j: int):
-        if i == j:
-            return None
-        if i > j:
-            i, j = j, i
-        return self.edges.get((i, j))
+    def extend(self, rows) -> None:
+        """Append one wall per row, each row its inner products with every
+        wall, old and new.
 
-    def neighbors(self, i: int, subset=None):
-        pool = range(len(self.norms)) if subset is None else subset
-        return [j for j in pool if j != i and self.kind(i, j) is not None]
+        The new pairs are checked in lexicographic order before anything
+        is stored, so a bad angle raises the DiagramError that building the
+        whole list at once would, and leaves the diagram as it was.
+        """
+        k = len(self.norms)
+        norms = self.norms + [row[k + t] for t, row in enumerate(rows)]
+        edges = {}
+        for i in range(len(norms)):
+            for j in range(max(i + 1, k), len(norms)):
+                ip = rows[j - k][i]
+                if ip:
+                    cos2 = Fraction(ip * ip, norms[i] * norms[j])
+                    edges[(i, j)] = DIVERGENT if cos2 > 1 else _COS2_KIND.get(cos2)
+                    if edges[(i, j)] is None:
+                        raise DiagramError(
+                            f"walls {i} and {j} meet at cos^2 = {cos2}, outside the crystallographic set"
+                        )
+        for i, row in enumerate(self.gram):
+            row.extend(new[i] for new in rows)
+        self.gram.extend(list(row) for row in rows)
+        self.norms = norms
+        self.edges.update(edges)
+        self.adjacent.extend(set() for _ in rows)
+        for i, j in edges:
+            self.adjacent[i].add(j)
+            self.adjacent[j].add(i)
+
+    def kind(self, i: int, j: int):
+        return self.edges.get((min(i, j), max(i, j)))
+
+    def neighbors(self, i: int, subset):
+        adjacent = self.adjacent[i]
+        return [j for j in subset if j in adjacent]
 
     def subgram(self, subset):
         return [[self.gram[i][j] for j in subset] for i in subset]
@@ -66,29 +97,11 @@ class Diagram:
         return linalg.psd_classify(self.subgram(sorted(nodes)))
 
 
-def diagram_from_gram(gram) -> Diagram:
-    """Diagram of a wall system given its exact Gram matrix."""
-    norms = tuple(gram[i][i] for i in range(len(gram)))
-    edges = {}
-    for i, j in combinations(range(len(gram)), 2):
-        ip = gram[i][j]
-        if ip == 0:
-            continue
-        cos2 = Fraction(ip * ip, norms[i] * norms[j])
-        if cos2 > 1:
-            edges[(i, j)] = DIVERGENT
-        elif cos2 in _COS2_KIND:
-            edges[(i, j)] = _COS2_KIND[cos2]
-        else:
-            raise DiagramError(
-                f"walls {i} and {j} meet at cos^2 = {cos2}, outside the crystallographic set"
-            )
-    return Diagram(norms=norms, gram=tuple(tuple(row) for row in gram), edges=edges)
-
-
 def build_diagram(form, roots) -> Diagram:
     """Diagram of a list of roots under the given form."""
-    return diagram_from_gram(form.gram(roots))
+    diagram = Diagram()
+    diagram.extend(form.gram(roots))
+    return diagram
 
 
 def components(diagram: Diagram, subset) -> list[tuple[int, ...]]:
@@ -327,60 +340,15 @@ def classify_subdiagram(diagram: Diagram, subset) -> dict:
     return {"kind": kind, "types": sorted(names)}
 
 
-def affine_components(diagram: Diagram, classify) -> list[dict]:
-    """Every connected affine subdiagram, with its type and rank.
-
-    Found by growing connected elliptic subsets one adjacent node at a
-    time: a connected affine diagram minus a suitable node is connected
-    and elliptic, so this walk reaches every one of them.  classify maps
-    a node set to its PSD class: Diagram.psd_class, or a classifier that
-    remembers classes from earlier calls (volume.PrefixMemo).
-    """
-    n = len(diagram)
-    elliptic: set = set()
-    affine: dict = {}
-    frontier = []
-    for i in range(n):
-        s = frozenset([i])
-        elliptic.add(s)
-        frontier.append(s)
-    while frontier:
-        s = frontier.pop()
-        reachable = set()
-        for i in s:
-            reachable.update(diagram.neighbors(i))
-        for v in sorted(reachable - s):
-            t = s | {v}
-            if t in elliptic or t in affine:
-                continue
-            cls = classify(t)
-            if cls == "definite":
-                elliptic.add(t)
-                frontier.append(t)
-            elif cls == "degenerate":
-                name = classify_component(diagram, sorted(t))
-                if name is None or not is_affine_type(name):
-                    raise ConsistencyError(
-                        f"degenerate connected subdiagram {sorted(t)} failed affine classification"
-                    )
-                affine[t] = name
-    out = [
-        {"nodes": tuple(sorted(s)), "type": name, "rank": type_rank(name)}
-        for s, name in affine.items()
-    ]
-    out.sort(key=lambda d: (d["nodes"],))
-    return out
-
-
 def _orthogonal(diagram: Diagram, a, b) -> bool:
     return all(diagram.kind(i, j) is None for i in a for j in b)
 
 
-def affine_sets_of_rank(diagram: Diagram, rank: int, classify) -> list[dict]:
+def affine_sets_of_rank(diagram: Diagram, rank: int, comps) -> list[dict]:
     """All unions of pairwise orthogonal affine components with the given
-    total rank.  Components must be node-disjoint and unjoined by edges;
-    classify is as in affine_components."""
-    comps = affine_components(diagram, classify)
+    total rank.  comps lists the connected affine subdiagrams as
+    volume.ChamberDiagram.affine_components does; the chosen ones must be
+    node-disjoint and unjoined by edges."""
     out = []
     chosen: list[int] = []
 
@@ -405,14 +373,10 @@ def affine_sets_of_rank(diagram: Diagram, rank: int, classify) -> list[dict]:
             chosen.pop()
 
     backtrack(0, 0)
-    seen = set()
-    unique = []
-    for item in out:
-        if item["nodes"] not in seen:
-            seen.add(item["nodes"])
-            unique.append(item)
-    unique.sort(key=lambda d: d["nodes"])
-    return unique
+    # the chosen components are the connected components of their union,
+    # so distinct choices give distinct node sets
+    out.sort(key=lambda d: d["nodes"])
+    return out
 
 
 def polygon_cycle(form, roots) -> dict:

@@ -130,6 +130,7 @@ class SearchResult:
     state: SearchState
     certificate: Optional[dict] = None
     volume_report: Optional[dict] = None
+    chamber: object = None  # the search's volume.ChamberDiagram
 
     @property
     def roots(self):
@@ -196,19 +197,20 @@ def run_search(
     and raises ConsistencyError naming accepted unless that reaches the
     cursor with the same roots.  It then runs the finite-volume test once:
     a closed chamber accepts no further root, so a final state would
-    otherwise run on to the budget.  Both tests share one
-    volume.PrefixMemo, which lives as long as this call.
+    otherwise run on to the budget.  Both tests read one
+    volume.ChamberDiagram grown with the roots, which the result carries
+    to the caller's post-search rescan.
     """
     from vinberg import certificates as _certificates
     from vinberg import volume as _volume
 
     if budget is None:
         budget = Budget()
-    memo = _volume.PrefixMemo()
+    chamber = _volume.ChamberDiagram(form)
 
     def volume_now() -> Optional[dict]:
         state.counters["volume_checks"] += 1
-        report = _volume.finite_volume(form, state.accepted, memo)
+        report = _volume.finite_volume(form, state.accepted, chamber)
         return report if report["finite"] else None
 
     if state is None:
@@ -223,15 +225,15 @@ def run_search(
             )
         report = volume_now()
         if report:
-            return SearchResult("reflective", state, volume_report=report)
+            return SearchResult("reflective", state, volume_report=report, chamber=chamber)
 
     for fresh in replay(state, budget):
         if not fresh:
             continue
         report = volume_now()
         if report:
-            return SearchResult("reflective", state, volume_report=report)
-        cert = _certificates.scan_for_cusp_obstruction(form, state.accepted, memo)
+            return SearchResult("reflective", state, volume_report=report, chamber=chamber)
+        cert = _certificates.scan_for_cusp_obstruction(form, state.accepted, chamber)
         if cert is not None:
-            return SearchResult("nonreflective", state, certificate=cert)
-    return SearchResult("undecided", state)
+            return SearchResult("nonreflective", state, certificate=cert, chamber=chamber)
+    return SearchResult("undecided", state, chamber=chamber)

@@ -10,101 +10,135 @@ span the whole space and
   (b) for every hyperbolic critical subdiagram S, the set of directions
       orthogonal to S and on the non-positive side of every wall is {0}.
 
-One call builds one Diagram, one list of affine subdiagrams of rank n - 1
-and one PSD classifier.  This is the only finite-volume decider the
-search runs.  Reflective certificates confirm its verdict independently:
+This is the only finite-volume decider the search runs.  Reflective
+certificates confirm its verdict independently:
 certificates._verify_reflective checks that the chamber cone's extreme
 rays all lie in the closed future light cone.  tests/oracles.py keeps a
 second, edge-counting decider as a reference.
 
-The search calls finite_volume after every batch that accepted a root, on
-a list that only grows, so most of each call was already proved on the
-previous prefix.  A PrefixMemo carries those facts from call to call.
-Its scope is one search: run_search creates it, passes it to every
-finite_volume call and cusp scan on its own root list, and drops it when
-it returns.  It keeps
+The diagram work lives in a ChamberDiagram.  Whether a wall subset is
+elliptic, critical or affine depends only on the Gram of its roots, so
+the sets found for roots[:k] stay valid for roots[:k + j], and every new
+one holds a new wall.  grow adds the new Gram rows and edges, then one
+walk (critical_submatrices) from the new walls records the new critical
+sets and affine components.  The object also keeps the PSD class of
+every wall subset classified, keyed by node set; condition (b) proofs,
+since the fixed cone of a hyperbolic S is cut out by every root and a
+cone proved {0} stays {0} while the roots grow (a non-trivial cone is
+recomputed on every call); and the cusp scan's quotient root classes per
+null vector, which depend on the form alone.
 
-- the PSD class of every wall subset classified so far, keyed by the
-  subset's roots in index order.  The class is a function of the Gram of
-  those roots, so the key determines it whatever list the roots sit in;
-- condition (b) proofs.  The fixed cone of a hyperbolic S is cut out by
-  every root of the list, so adding roots can only shrink it: a cone
-  proved {0} stays {0} while the roots only grow.  A proof is stored with
-  S's roots and the set of roots it used, and reused only when that set
-  lies inside the current roots, so a call on a shorter or different list
-  recomputes and a misused memo can never change an answer.  Only
-  trivial cones are kept; a non-trivial one is recomputed on every call;
-- the quotient root classes of each null vector the cusp scan tested,
-  which depend on the form alone.
-
-Certificate verification makes its finite_volume call without a memo, so
-the stored report is re-derived from the roots alone.
+Every fact it holds was proved on a prefix of its roots, so a list that
+does not extend them, or another form, starts it from nothing: a misused
+object cannot change an answer.  search.run_search owns one per run;
+finite_volume and the cusp scan on the same prefix share it, so the
+second does no diagram work, and the post-search rescan reads it too.
+Without one, finite_volume and certificates.scan_for_cusp_obstruction
+build a fresh one in one grow.  Certificate verification calls them that
+way, so a stored report is re-derived from the roots alone.
 """
 
 from __future__ import annotations
 
 from vinberg import cones, diagram as dg, linalg
+from vinberg.errors import ConsistencyError
 
 
-class PrefixMemo:
-    """Facts proved on earlier prefixes of one search's root list."""
+class ChamberDiagram(dg.Diagram):
+    """The Coxeter diagram of one search's roots, grown as they grow."""
 
-    def __init__(self):
-        self.classes: dict = {}  # roots of a wall subset -> PSD class
-        self.trivial_cones: dict = {}  # roots of S -> roots its proof used
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+        self.roots: list = []
+        self.classes: dict = {}  # node set -> PSD class
+        self.critical: dict = {}  # node set -> "parabolic" | "hyperbolic"
+        self.affine: dict = {}  # connected affine node set -> catalog type
+        self.trivial_cones: set = set()  # hyperbolic S whose fixed cone is {0}
         self.root_classes: dict = {}  # null vector -> quotient.root_classes
 
-    def classifier(self, diagram, roots):
-        """PSD class of a set of node indices of the diagram of roots."""
-        classes = self.classes
+    def psd_class(self, nodes) -> str:
+        """Diagram.psd_class of a frozenset of nodes, remembered."""
+        cls = self.classes.get(nodes)
+        if cls is None:
+            cls = self.classes[nodes] = super().psd_class(nodes)
+        return cls
 
-        def classify(nodes):
-            nodes = sorted(nodes)
-            key = tuple(map(roots.__getitem__, nodes))
-            cls = classes.get(key)
-            if cls is None:
-                cls = classes[key] = diagram.psd_class(nodes)
-            return cls
+    def grow(self, roots) -> None:
+        """Make roots the walls, exploring only the ones not seen before.
 
-        return classify
+        A list that does not extend the roots grown so far, or a grow cut
+        short by an exception, starts the diagram from nothing.
+        """
+        k = len(self.roots)
+        if len(self) != k or list(roots[:k]) != self.roots:
+            self.__init__(self.form)
+            k = 0
+        if len(roots) == k:
+            return  # a second call on the same prefix does no diagram work
+        self.extend([[self.form.inner_product(r, s) for r in roots] for s in roots[k:]])
+        critical, affine = critical_submatrices(self, range(k, len(roots)))
+        self.critical.update(critical)
+        self.affine.update(affine)
+        self.roots.extend(roots[k:])
+
+    def affine_components(self) -> list[dict]:
+        """Every connected affine subdiagram with its type and rank, by nodes."""
+        out = [
+            {"nodes": tuple(sorted(s)), "type": name, "rank": dg.type_rank(name)}
+            for s, name in self.affine.items()
+        ]
+        out.sort(key=lambda d: d["nodes"])
+        return out
 
 
-def critical_submatrices(diagram, classify) -> list[dict]:
-    """All critical (connected, minimal non-elliptic) wall subsets.
+def grown(form, roots, chamber=None) -> ChamberDiagram:
+    """chamber grown on roots, or a fresh one when there is none for form."""
+    if chamber is None or chamber.form != form:
+        chamber = ChamberDiagram(form)
+    chamber.grow(roots)
+    return chamber
 
-    Each entry carries the node tuple and its class: "parabolic" for
-    degenerate Gram, "hyperbolic" for indefinite.  classify maps a node
-    set to its PSD class (Diagram.psd_class or a PrefixMemo classifier).
+
+def critical_submatrices(diagram, start) -> tuple[dict, dict]:
+    """The critical and the connected affine wall subsets holding a start node.
+
+    One walk grows connected elliptic sets from the start nodes, one
+    adjacent wall at a time.  It reaches every connected t holding a start
+    node v whose proper subsets are all elliptic: for a leaf w != v of a
+    spanning tree of t, t - {w} is connected, elliptic and holds v.  A
+    degenerate t must then be in the affine catalog (classify_component
+    checks structure against Gram), so it is critical and parabolic.  An
+    indefinite t is critical, and hyperbolic, when dropping any one wall
+    leaves an elliptic set.  Returns (critical, affine): node sets to
+    "parabolic" or "hyperbolic", and node sets to catalog types.
     """
-    n = len(diagram)
-    elliptic: set = {frozenset([i]) for i in range(n)}
+    adjacent = diagram.adjacent
+    elliptic = {frozenset([i]) for i in start}
     frontier = list(elliptic)
     critical: dict = {}
+    affine: dict = {}
     while frontier:
         s = frontier.pop()
-        reachable = set()
-        for i in s:
-            reachable.update(diagram.neighbors(i))
-        for v in sorted(reachable - s):
+        for v in set().union(*(adjacent[i] for i in s)) - s:
             t = s | {v}
             if t in elliptic or t in critical:
                 continue
-            cls = classify(t)
+            cls = diagram.psd_class(t)
             if cls == "definite":
                 elliptic.add(t)
                 frontier.append(t)
-                continue
-            # minimality: removing any one wall must leave an elliptic set
-            if all(classify(t - {u}) == "definite" for u in t):
-                critical[t] = "parabolic" if cls == "degenerate" else "hyperbolic"
-    # lists, not tuples: the report is embedded in JSON certificates and
-    # must compare equal after a serialization round trip
-    out = [
-        {"nodes": sorted(s), "class": c}
-        for s, c in critical.items()
-    ]
-    out.sort(key=lambda d: d["nodes"])
-    return out
+            elif cls == "degenerate":
+                name = dg.classify_component(diagram, t)
+                if name is None or not dg.is_affine_type(name):
+                    raise ConsistencyError(
+                        f"degenerate connected subdiagram {sorted(t)} failed affine classification"
+                    )
+                affine[t] = name
+                critical[t] = "parabolic"
+            elif all(diagram.psd_class(t - {u}) == "definite" for u in t):
+                critical[t] = "hyperbolic"
+    return critical, affine
 
 
 def cone_fixed_set(form, roots, nodes) -> tuple[list, list]:
@@ -129,28 +163,20 @@ def cone_fixed_set(form, roots, nodes) -> tuple[list, list]:
     )
 
 
-def _trivial_fixed_cone(form, roots, nodes, memo, current) -> bool:
-    """Condition (b) for S = nodes, reusing a proof made on fewer roots."""
-    key = tuple(roots[i] for i in nodes)
-    used = memo.trivial_cones.get(key)
-    if used is not None and used <= current:
-        return True
-    lines, rays = cone_fixed_set(form, roots, nodes)
-    if lines or rays:
-        return False
-    memo.trivial_cones[key] = current
-    return True
-
-
-def _critical_decider(form, roots, diagram, classify, affine_nodes, memo, report) -> bool:
-    rk = linalg.rank(diagram.gram)
+def _critical_decider(chamber, report) -> bool:
+    form = chamber.form
+    rk = linalg.rank(chamber.gram)
     report["rank"] = rk
     if rk != form.dim:
         report["rank_deficient"] = True
         return False
-    criticals = critical_submatrices(diagram, classify)
+    # lists, not tuples: the report is embedded in JSON certificates and
+    # must compare equal after a serialization round trip
+    criticals = [{"nodes": sorted(s), "class": c} for s, c in chamber.critical.items()]
+    criticals.sort(key=lambda d: d["nodes"])
     report["critical"] = criticals
-    current = frozenset(roots)
+    full = dg.affine_sets_of_rank(chamber, form.n - 1, chamber.affine_components())
+    affine_nodes = [set(item["nodes"]) for item in full]
     cond_a = []
     cond_b = []
     ok = True
@@ -161,7 +187,13 @@ def _critical_decider(form, roots, diagram, classify, affine_nodes, memo, report
             good = any(set(nodes) <= a for a in affine_nodes)
             cond_a.append({"nodes": nodes, "extends": good})
         else:
-            good = _trivial_fixed_cone(form, roots, nodes, memo, current)
+            # a fixed cone proved {0} on fewer roots stays {0}
+            key = frozenset(nodes)
+            good = key in chamber.trivial_cones or not any(
+                cone_fixed_set(form, chamber.roots, nodes)
+            )
+            if good:
+                chamber.trivial_cones.add(key)
             cond_b.append({"nodes": nodes, "trivial_cone": good})
         ok = ok and good
     report["condition_a"] = cond_a
@@ -169,22 +201,14 @@ def _critical_decider(form, roots, diagram, classify, affine_nodes, memo, report
     return ok
 
 
-def finite_volume(form, roots, memo=None) -> dict:
+def finite_volume(form, roots, chamber=None) -> dict:
     """Critical-subdiagram verdict on the chamber, as a serializable report.
 
-    memo is the calling search's PrefixMemo; without one, the call starts
-    from nothing.  The report is the same either way.
+    chamber is the calling search's ChamberDiagram, grown here on roots;
+    without one, the call starts from nothing.  The report is the same
+    either way.
     """
-    if memo is None:
-        memo = PrefixMemo()
-    diagram = dg.build_diagram(form, roots)
-    classify = memo.classifier(diagram, roots)
-    affine_nodes = [
-        set(item["nodes"])
-        for item in dg.affine_sets_of_rank(diagram, form.n - 1, classify)
-    ]
+    chamber = grown(form, roots, chamber)
     report: dict = {"finite": False}
-    report["finite"] = _critical_decider(
-        form, roots, diagram, classify, affine_nodes, memo, report
-    )
+    report["finite"] = _critical_decider(chamber, report)
     return report

@@ -4,7 +4,8 @@ Each oracle recomputes its answer from first principles: reflections as
 exact rational matrices, candidate enumeration as full box scans, root
 classes by widening the shift window far past the claimed period, matrix
 order by factoring the characteristic polynomial with sympy, finite
-volume by counting the vertices on every edge of the chamber, reduced
+volume by counting the vertices on every edge of the chamber, diagram
+edges, critical sets and affine components from scratch, reduced
 row echelon forms and determinants by elimination in Fraction arithmetic.  None of
 them share a decision procedure with the fast paths they check.
 """
@@ -208,6 +209,101 @@ def has_finite_order(T):
     return radical.is_zero_matrix
 
 
+def scratch_edges(form, roots):
+    """Diagram edges of roots from their whole Gram, pair by pair in
+    lexicographic order, raising DiagramError at the first angle outside
+    the crystallographic set."""
+    from vinberg.diagram import DIVERGENT, DOUBLE, PARALLEL, SIMPLE, TRIPLE
+    from vinberg.errors import DiagramError
+
+    kinds = {Fraction(1, 4): SIMPLE, Fraction(1, 2): DOUBLE,
+             Fraction(3, 4): TRIPLE, Fraction(1): PARALLEL}
+    gram = form.gram(roots)
+    edges = {}
+    for i, j in combinations(range(len(roots)), 2):
+        ip = gram[i][j]
+        if ip == 0:
+            continue
+        cos2 = Fraction(ip * ip, gram[i][i] * gram[j][j])
+        if cos2 > 1:
+            edges[(i, j)] = DIVERGENT
+        elif cos2 in kinds:
+            edges[(i, j)] = kinds[cos2]
+        else:
+            raise DiagramError(
+                f"walls {i} and {j} meet at cos^2 = {cos2}, outside the crystallographic set"
+            )
+    return edges
+
+
+def _elliptic_walk(d, classify, found):
+    """Grow connected elliptic node sets of d from every node, one adjacent
+    node at a time, and call found(t, cls) on each non-elliptic extension t
+    not seen before."""
+    elliptic = {frozenset([i]) for i in range(len(d))}
+    seen = set()
+    frontier = list(elliptic)
+    while frontier:
+        s = frontier.pop()
+        reachable = set()
+        for i in s:
+            reachable.update(d.adjacent[i])
+        for v in sorted(reachable - s):
+            t = s | {v}
+            if t in elliptic or t in seen:
+                continue
+            cls = classify(t)
+            if cls == "definite":
+                elliptic.add(t)
+                frontier.append(t)
+            elif found(t, cls):
+                seen.add(t)
+
+
+def critical_submatrices(d, classify):
+    """All critical (connected, minimal non-elliptic) node sets of d, as
+    sorted {"nodes", "class"} entries, from a walk over the whole diagram."""
+    critical = {}
+
+    def found(t, cls):
+        if all(classify(t - {u}) == "definite" for u in t):
+            critical[t] = "parabolic" if cls == "degenerate" else "hyperbolic"
+            return True
+        return False
+
+    _elliptic_walk(d, classify, found)
+    return sorted(
+        ({"nodes": sorted(s), "class": c} for s, c in critical.items()),
+        key=lambda item: item["nodes"],
+    )
+
+
+def affine_components(d, classify):
+    """Every connected affine node set of d with its type and rank, from a
+    walk over the whole diagram: a connected affine diagram minus a
+    suitable node is connected and elliptic."""
+    from vinberg import diagram as dg
+    from vinberg.errors import ConsistencyError
+
+    affine = {}
+
+    def found(t, cls):
+        if cls != "degenerate":
+            return False
+        name = dg.classify_component(d, sorted(t))
+        if name is None or not dg.is_affine_type(name):
+            raise ConsistencyError(f"degenerate connected subdiagram {sorted(t)} is not affine")
+        affine[t] = name
+        return True
+
+    _elliptic_walk(d, classify, found)
+    return sorted(
+        ({"nodes": tuple(sorted(s)), "type": name, "rank": dg.type_rank(name)}
+         for s, name in affine.items()),
+        key=lambda item: item["nodes"],
+    )
+
+
 def edge_decider(form, roots):
     """Finite volume of the chamber by counting vertices on its edges.
 
@@ -215,15 +311,18 @@ def edge_decider(form, roots):
     must connect exactly two vertices, where a vertex is either an
     elliptic extension of rank n (an interior point) or an affine
     subdiagram of rank n - 1 containing the edge (an ideal point).  The
-    diagram and its affine subsets come from the package; the decision
-    is independent of volume.finite_volume's critical subdiagrams.
+    diagram comes from the package and its affine components from the
+    walk above; the decision is independent of volume.finite_volume's
+    critical subdiagrams and of the search's grown diagram.
     """
     from vinberg import diagram as dg
 
     d = dg.build_diagram(form, roots)
     affine_nodes = [
         set(item["nodes"])
-        for item in dg.affine_sets_of_rank(d, form.n - 1, d.psd_class)
+        for item in dg.affine_sets_of_rank(
+            d, form.n - 1, affine_components(d, d.psd_class)
+        )
     ]
     found_any_vertex = False
     for subset in combinations(range(len(d)), form.n - 1):

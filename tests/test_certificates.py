@@ -224,6 +224,50 @@ def test_symmetry_roots_must_be_the_state_after_batches_done(cert_13_3):
     assert failures == ["payload.roots: not the search state after this many batches"]
 
 
+def test_forged_symmetry_certificate_is_rejected_without_hanging(cert_13_3, report):
+    # a closed chamber accepts nothing after its last root, so the (7,3)
+    # roots with a huge batches_done pass every prefix check of the replay;
+    # the (13,3) certificate around them must still be rejected, in a
+    # subprocess whose timeout turns a hang into a failure.  The genuine
+    # (13,3) roots with the same count are rejected at the next root the
+    # replay accepts.
+    closed = copy.deepcopy(cert_13_3)
+    closed["form"] = {"p": 7, "n": 3}
+    closed["payload"]["roots"] = report(7, 3)["roots"]
+    closed["payload"]["batches_done"] = 10**6
+    late = copy.deepcopy(cert_13_3)
+    late["payload"]["batches_done"] = 10**6
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys; from vinberg import certificates; "
+        "print(json.dumps([certificates.verification_failures(c) for c in json.load(sys.stdin)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps([closed, late]),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    closed_failures, late_failures = json.loads(proc.stdout)
+    assert closed_failures
+    assert late_failures == ["payload.roots: not the search state after this many batches"]
+
+
+def test_symmetry_replay_is_capped_below_an_unreached_wall(cert_13_3, monkeypatch):
+    # the stored isometry maps chamber walls to chamber walls, so an image
+    # of a stored root that is not stored is a wall the search has not yet
+    # reached; the lowest one, at height 2025, caps the replay, above the
+    # frontier 5329/13 of the stored 120 batches
+    caps = []
+    reproduces = certificates.reproduces
+
+    def spy(form, roots, batches=None, budget=None):
+        caps.append(budget.max_height)
+        return reproduces(form, roots, batches, budget)
+
+    monkeypatch.setattr(certificates, "reproduces", spy)
+    assert certificates.verify_certificate(cert_13_3)
+    assert caps == [2025]
+
+
 def test_tampered_symmetry_matrix(cert_13_3):
     cert = copy.deepcopy(cert_13_3)
     cert["payload"]["matrix"][0][0] += 1

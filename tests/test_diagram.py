@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import corpus
-from vinberg import diagram
+from vinberg import diagram, volume
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 
@@ -28,7 +28,9 @@ def test_edge_kinds_on_rank2_chamber(search):
 
 
 def gram_diagram(gram):
-    return diagram.diagram_from_gram(gram)
+    d = diagram.Diagram()
+    d.extend(gram)
+    return d
 
 
 def test_elliptic_path_types():
@@ -63,10 +65,12 @@ def test_type_rank_and_affinity():
 def test_affine_sets_of_full_rank(search):
     form = Form(5, 5)
     roots = search(5, 5).roots
-    d = diagram.build_diagram(form, roots)
+    chamber = volume.grown(form, roots)
     types = {
         item["types"]
-        for item in diagram.affine_sets_of_rank(d, form.n - 1, d.psd_class)
+        for item in diagram.affine_sets_of_rank(
+            chamber, form.n - 1, chamber.affine_components()
+        )
     }
     assert types == corpus.EXPECTED_P5_AFFINE_TYPES[5]
 

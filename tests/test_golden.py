@@ -1,10 +1,12 @@
-"""Certificates are byte-stable: SHA-256 digests of their canonical JSON.
+"""Outputs are byte-stable: SHA-256 digests of their canonical JSON.
 
 The digests were frozen from a run that verified every certificate, on
-the forms of the benchmark workloads plus (5,10).  A change meant to
+the forms of the benchmark workloads plus (5,10): their certificates,
+their whole classify_form reports (volume, diagram and work counters
+included), and the root tables of four families.  A change meant to
 leave the output alone must keep them; a change that alters a
-certificate on purpose bumps certificates.SCHEMA_VERSION and refreezes
-them with
+certificate or a report on purpose bumps certificates.SCHEMA_VERSION or
+classify.REPORT_SCHEMA_VERSION and refreezes them with
 
     PYTHONPATH=src python -c "from test_golden import digests; digests()"
 
@@ -16,7 +18,7 @@ import json
 
 import pytest
 
-from vinberg.classify import classify_form
+from vinberg.classify import classify_form, root_table
 
 CERTIFICATE_SHA256 = {
     (5, 2): "476d74aa750a9b47cc01322a45e041f8a141240c817863dcc3438b4bd97e733c",
@@ -45,6 +47,41 @@ CERTIFICATE_SHA256 = {
     (5, 10): "d03a423d1d7f1854db0db83e002de4a86ad4fb454cee2b9ba941ea2a111286e5",
 }
 
+REPORT_SHA256 = {
+    (5, 2): "b95818513d70dffe7156532aa1fc65118fda0f1c97373034c030e0d20d64e1d6",
+    (5, 3): "0c32541b72620797b53ca236f7d094e43526801c7faab8fb262cea7f7fc382a9",
+    (5, 4): "7373cb35a2b91a7e47f0e252b70508563bf004f5d9eda6bdf8c3f52e6012ef95",
+    (5, 5): "d86fe79082c33ab0312953eb462e1824d4d74de79d9a77adbda41edd04f22f89",
+    (5, 6): "9367eb15052f843f72b2e5bae1c208524fb141ac8dd8296882aed61ff14a1535",
+    (5, 7): "3aadbfcf032fb96bcf8718d6a49286caf16699af022f439d39cb758680bf2811",
+    (5, 8): "a781736b879ffba665c201ff7506c200f278b0d8458adc57e0894dd7765d0b65",
+    (7, 2): "c0035a864be857cc58a16eb4bb78dd4733169c1a127d237689dc8491806e8bf2",
+    (7, 3): "bf80de0b1bd4b3a7498ebb44a2ec78258d3fa2b05697f215fe81b2804adb30da",
+    (11, 2): "dfc75a640f2288d3dc96c1b4a3bef7fbc0bbaecaaa43249b3241e34d3220c4e0",
+    (11, 3): "75da712618f7a770ded517e2a66ccbc5b693273f755d0f73d6ecf43bf788fe0c",
+    (11, 4): "52254f4cd95a0a59bc246b954bc8978349ba4036287bbbd8db6e5788209e1f23",
+    (13, 2): "a1bc2d294c8432221b5dadef15a0682a0bcdfeca4002b0145ed72ddb035f80cf",
+    (17, 2): "3679d2998de2654fc3ce46b027338318268ed5d787ab11cd06e3d2257b2b0914",
+    (17, 3): "a483c3e8eea737f9d0082263a38490f8678f7526753b9a74680ff45f1df58b7a",
+    (19, 2): "383dc030c3e4ac723736869df2c8cbfd3edd3e8ad5e5eb6e143e306c51f0a355",
+    (23, 2): "d2761151f7dc0706bd49bc99be9e44e5429d34b033e51d71dfebc5cae8eec146",
+    (5, 9): "3538e64b247d8889fe094f6f92beaaa8893332c80b6d775b300eb7389fa37104",
+    (7, 4): "86ba7449374aca94e85f7fea17fc3a388346fcbd47d4fd10becb7165a1fc5610",
+    (11, 5): "331d63c1e97148b89038e897f8732ad91d424fff762038119ce1185bee1b275c",
+    (13, 3): "4d32e28d2d908c2e40cceb31d6b5421bbca7d522be20ac64eb1ce6882870a3cb",
+    (19, 3): "4462c2dc72858736a625a792dbd13bf93b75c272bd30d7066d8da01b9f793743",
+    (23, 3): "0e39bb80b8d46ea5f4fac44952aa284748d56f64e04ea7566a845aa22c65921a",
+    (5, 10): "8d4c2499538977f0872478dfa12b736abd0601d804b5ae3108e92907922910c6",
+}
+
+# root_table(p, max_rank) with the default budget, keyed by (p, max_rank)
+ROOT_TABLE_SHA256 = {
+    (5, 4): "a129307333b6e0b26cd3ba03d21d11cf96608e460396bc8f9ff5cf8e8e102159",
+    (13, 3): "d4c2929cf3d58292fc2acca5154434aa9fe002eac4a0ab79924a49aeb6c1685b",
+    (17, 3): "650e9b0de01a55be5ea200f235f5a270921573fbfa1c37cdea52fec8321c0d20",
+    (7, 4): "fb3ef8f2b100a3ce0d397906c26982c0f591e87ea58e0ed41b814a0bb026dc98",
+}
+
 
 def certificate_digest(certificate) -> str:
     canonical = json.dumps(certificate, sort_keys=True, separators=(",", ":"))
@@ -52,11 +89,29 @@ def certificate_digest(certificate) -> str:
 
 
 def digests() -> None:
-    """Print the table above from a fresh run."""
-    for p, n in CERTIFICATE_SHA256:
-        print(f'    ({p}, {n}): "{certificate_digest(classify_form(p, n)["certificate"])}",')
+    """Print the tables above from a fresh run."""
+    reports = {key: classify_form(*key) for key in CERTIFICATE_SHA256}
+    for label, table, digest in (
+        ("CERTIFICATE_SHA256", CERTIFICATE_SHA256, lambda key: reports[key]["certificate"]),
+        ("REPORT_SHA256", REPORT_SHA256, reports.__getitem__),
+        ("ROOT_TABLE_SHA256", ROOT_TABLE_SHA256, lambda key: root_table(*key)),
+    ):
+        print(f"{label} = {{")
+        for p, n in table:
+            print(f'    ({p}, {n}): "{certificate_digest(digest((p, n)))}",')
+        print("}")
 
 
 @pytest.mark.parametrize("p,n", sorted(CERTIFICATE_SHA256))
 def test_certificate_digest_is_frozen(report, p, n):
     assert certificate_digest(report(p, n)["certificate"]) == CERTIFICATE_SHA256[(p, n)]
+
+
+@pytest.mark.parametrize("p,n", sorted(REPORT_SHA256))
+def test_report_digest_is_frozen(report, p, n):
+    assert certificate_digest(report(p, n)) == REPORT_SHA256[(p, n)]
+
+
+@pytest.mark.parametrize("p,max_rank", sorted(ROOT_TABLE_SHA256))
+def test_root_table_digest_is_frozen(p, max_rank):
+    assert certificate_digest(root_table(p, max_rank)) == ROOT_TABLE_SHA256[(p, max_rank)]

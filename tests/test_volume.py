@@ -1,11 +1,13 @@
 """Finite-volume decision: the critical-subdiagram decider, its
-independent confirmations, critical submatrices, prefixes."""
+independent confirmations, critical submatrices, the grown chamber
+diagram, prefixes."""
 
 import pytest
 
 import corpus
 import oracles
-from vinberg import certificates, volume
+from vinberg import certificates, diagram, volume
+from vinberg.errors import DiagramError
 from vinberg.forms import Form
 
 
@@ -38,12 +40,55 @@ AGREEMENT_FORMS = [(5, 8), (11, 4), (17, 3), (13, 3), (19, 3), (23, 3), (5, 9), 
 def test_deciders_agree_on_every_prefix(search, p, n):
     form = Form(p, n)
     roots = search(p, n).roots
-    memo = volume.PrefixMemo()
+    chamber = volume.ChamberDiagram(form)
     for k in range(n, len(roots) + 1):
         prefix = roots[:k]
-        finite = volume.finite_volume(form, prefix, memo)["finite"]
+        finite = volume.finite_volume(form, prefix, chamber)["finite"]
         assert certificates.chamber_cone_closes(form, prefix) == finite, k
         assert oracles.edge_decider(form, prefix) == finite, k
+
+
+@pytest.mark.parametrize("p,n", AGREEMENT_FORMS)
+@pytest.mark.parametrize("step", [1, 2])
+def test_grown_diagram_matches_a_scratch_build_on_every_prefix(search, p, n, step):
+    # grown one root at a time and two at a time, as batches grow it
+    form = Form(p, n)
+    roots = search(p, n).roots
+    chamber = volume.ChamberDiagram(form)
+    for k in range(step, len(roots) + step, step):
+        prefix = roots[:k]
+        chamber.grow(prefix)
+        d = diagram.build_diagram(form, prefix)
+        assert chamber.edges == oracles.scratch_edges(form, prefix), k
+        critical = oracles.critical_submatrices(d, d.psd_class)
+        assert chamber.critical == {
+            frozenset(item["nodes"]): item["class"] for item in critical
+        }, k
+        assert chamber.affine_components() == oracles.affine_components(d, d.psd_class), k
+
+
+def test_growing_by_a_bad_angle_raises_as_build_diagram_does(search):
+    # neither appended vector is a root: two roots always meet at a
+    # crystallographic angle.  (0,1,1,1) meets wall 2 badly, (0,3,3,2)
+    # walls 1 and 2, so checking the new pairs wall by wall would name
+    # walls 2 and 6, not the first bad pair of the whole list
+    form = Form(5, 3)
+    roots = search(5, 3).roots
+    bad = roots + [(0, 1, 1, 1), (0, 3, 3, 2)]
+    with pytest.raises(DiagramError) as whole:
+        diagram.build_diagram(form, bad)
+    with pytest.raises(DiagramError) as scratch:
+        oracles.scratch_edges(form, bad)
+    chamber = volume.ChamberDiagram(form)
+    chamber.grow(roots)
+    edges = dict(chamber.edges)
+    with pytest.raises(DiagramError) as grown:
+        chamber.grow(bad)
+    assert str(grown.value) == str(whole.value) == str(scratch.value)
+    assert str(grown.value).startswith("walls 1 and 7 ")
+    # the failed grow stored nothing
+    assert chamber.roots == roots and chamber.edges == edges
+    assert volume.finite_volume(form, roots, chamber) == volume.finite_volume(form, roots)
 
 
 def test_infinite_on_proper_prefixes(search):
@@ -69,34 +114,40 @@ MEMO_FORMS = [(13, 3), (23, 3), (17, 3), (11, 4), (5, 8)]
 def test_shared_memo_matches_fresh_report_on_every_prefix(search, p, n):
     form = Form(p, n)
     roots = search(p, n).roots
-    memo = volume.PrefixMemo()
+    chamber = volume.ChamberDiagram(form)
     for k in range(n, len(roots) + 1):
         prefix = roots[:k]
-        assert volume.finite_volume(form, prefix, memo) == volume.finite_volume(form, prefix)
+        assert volume.finite_volume(form, prefix, chamber) == volume.finite_volume(form, prefix)
 
 
 @pytest.mark.parametrize("p,n", MEMO_FORMS)
 def test_memo_warmed_on_more_roots_changes_no_answer(search, p, n):
-    # proofs made on the full list do not hold on fewer roots; the subset
-    # guard must send every such call back to the cone computation
+    # proofs made on the full list do not hold on fewer roots; a list that
+    # does not extend the chamber's roots must start it from nothing
     form = Form(p, n)
     roots = search(p, n).roots
-    memo = volume.PrefixMemo()
-    volume.finite_volume(form, roots, memo)
     shorter = roots[:-1]
     dropped = roots[:n] + roots[n + 1:]
     for fewer in (shorter, dropped):
-        assert volume.finite_volume(form, fewer, memo) == volume.finite_volume(form, fewer)
+        chamber = volume.ChamberDiagram(form)
+        volume.finite_volume(form, roots, chamber)
+        assert volume.finite_volume(form, fewer, chamber) == volume.finite_volume(form, fewer)
+        assert chamber.roots == fewer
+    # a chamber of another form is not grown, and changes no answer either
+    other = volume.ChamberDiagram(Form(7, 3))
+    assert volume.finite_volume(form, roots, other) == volume.finite_volume(form, roots)
+    assert other.roots == []
 
 
 def test_critical_submatrices_are_minimal_non_definite(search):
-    from vinberg import diagram, linalg
+    from vinberg import linalg
     form = Form(5, 3)
     roots = search(5, 3).roots
     gram = form.gram(roots)
     d = diagram.build_diagram(form, roots)
-    for item in volume.critical_submatrices(d, d.psd_class):
-        nodes = item["nodes"]
+    critical, _ = volume.critical_submatrices(d, range(len(d)))
+    assert critical
+    for nodes in map(sorted, critical):
         sub = [[gram[i][j] for j in nodes] for i in nodes]
         assert linalg.psd_classify(sub) != "definite"
         # every proper principal subset is definite (minimality)
