@@ -15,7 +15,10 @@ Three verdict-carrying documents plus an inheritance wrapper:
   volume, so the reflections in its walls generate a discrete subgroup
   of O(L) with the chamber as fundamental domain; it has finite
   covolume, hence finite index, and the form is reflective.  Which
-  search produced the roots does not matter.
+  search produced the roots does not matter.  The report's condition (b)
+  and the cone check both rest on cones.cone_generators, so one fault in
+  the double description could pass both; a check that shares no cone
+  code is ROADMAP direction 5.
 - ideal_vertex_failure: a primitive null vector e arising from affine
   subdiagrams of the accepted set whose quotient lattice e^perp / Z e has
   root classes of deficient rank.  An affine subset of the simple roots
@@ -47,8 +50,6 @@ of a stored root that is not stored, whichever comes first.
 
 from __future__ import annotations
 
-from math import gcd
-
 from vinberg import diagram as _diagram
 from vinberg import cones, linalg, published, quotient
 from vinberg import volume as _volume
@@ -75,28 +76,14 @@ def affine_null_marks(form: Form, roots, nodes):
     ker = linalg.kernel(G)
     if len(ker) != 1:
         raise ValueError("marks are only defined for affine subdiagrams")
-    marks = ker[0]
-    den = 1
-    for c in marks:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in marks]
-    if all(m <= 0 for m in ints):
-        ints = [-m for m in ints]
-    if not all(m > 0 for m in ints):
+    marks = list(cones.primitive_vector(ker[0]))
+    if marks[0] < 0:
+        marks = [-m for m in marks]
+    if not all(m > 0 for m in marks):
         raise ValueError("marks of an affine diagram must have one sign")
-    g = 0
-    for m in ints:
-        g = gcd(g, m)
-    marks_out = [m // g for m in ints]
-    e = [0] * form.dim
-    for mk, i in zip(marks_out, nodes):
-        for k in range(form.dim):
-            e[k] += mk * roots[i][k]
+    e = [sum(m * roots[i][k] for m, i in zip(marks, nodes)) for k in range(form.dim)]
     # the marks are coprime but their root combination need not be
-    g = 0
-    for x in e:
-        g = gcd(g, x)
-    return marks_out, tuple(x // g for x in e)
+    return marks, cones.primitive_vector(e)
 
 
 def scan_for_cusp_obstruction(form: Form, accepted, chamber=None, min_rank=None):
@@ -106,19 +93,23 @@ def scan_for_cusp_obstruction(form: Form, accepted, chamber=None, min_rank=None)
     null vector; groups of total rank at least min_rank (default n - 2)
     have their quotient tested.  chamber is the search's
     volume.ChamberDiagram (without one a fresh one is built), grown here on
-    accepted; it keeps the root classes of each null vector, which depend
-    on the form alone, across batches.  A full-rank entry stopped its walk
-    early and only full_rank is read from it; a deficient entry is complete
-    and is handed to the certificate.  Returns an ideal_vertex_failure
-    certificate, or None.
+    accepted; it keeps across batches the null vector of each affine
+    component, which depends on its roots alone, and the root classes of
+    each null vector, which depend on the form alone.  A full-rank entry
+    stopped its walk early and only full_rank is read from it; a deficient
+    entry is complete and is handed to the certificate.  Returns an
+    ideal_vertex_failure certificate, or None.
     """
     if min_rank is None:
         min_rank = form.n - 2
     chamber = _volume.grown(form, accepted, chamber)
     groups: dict = {}
+    null_marks = chamber.null_marks
     for comp in chamber.affine_components():
-        marks, e = affine_null_marks(form, accepted, comp["nodes"])
-        groups.setdefault(e, []).append(comp)
+        key = frozenset(comp["nodes"])
+        if key not in null_marks:
+            null_marks[key] = affine_null_marks(form, accepted, comp["nodes"])
+        groups.setdefault(null_marks[key][1], []).append(comp)
     cache = chamber.root_classes
     for e in sorted(groups):
         comps = groups[e]

@@ -86,7 +86,7 @@ def classify_form(
     if certificate is None:
         batches = result.state.batches_done
         symmetry = isometry.find_infinite_symmetry(
-            form, roots, height_limit=open_height(form, batches)
+            form, roots, height_limit=open_height(form, batches), chamber=result.chamber
         )
         if symmetry is not None:
             certificate = certificates.infinite_symmetry_certificate(

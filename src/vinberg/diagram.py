@@ -389,20 +389,16 @@ def polygon_cycle(form, roots) -> dict:
     """
     if form.n != 2:
         raise ValueError("polygon walk requires a rank-2 form")
-    dim = form.dim
-    rows = [form.dual(r) for r in roots]
-    lines, rays = cones.cone_generators(rows, dim)
+    cone = cones.Cone(form.dim)
+    lines, rays = cones.cone_generators([form.dual(r) for r in roots], form.dim, cone)
     if lines:
         raise ValueError("chamber cone contains a line")
+    tight = dict(zip(cone.rays, cone.tight))
     verts = []
-    for ray in rays:
-        v = cones.primitive_vector(ray)
+    for v in rays:
         if form.norm(v) > 0:
             raise ValueError("spacelike extreme ray; the polygon does not close")
-        active = tuple(
-            i for i in range(len(roots))
-            if sum(rows[i][j] * v[j] for j in range(dim)) == 0
-        )
+        active = tuple(sorted(tight[v]))
         if len(active) != 2:
             raise ConsistencyError("polygon corner must lie on exactly two sides")
         verts.append({"vector": tuple(v), "sides": active})

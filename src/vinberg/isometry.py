@@ -32,24 +32,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from vinberg import cones, linalg
+from vinberg import cones, linalg, volume
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 
 
-def chamber_corners(form: Form, roots) -> list[dict]:
+def chamber_corners(form: Form, roots, chamber=None) -> list[dict]:
     """Ordinary vertices of the partial chamber cut out by the given roots.
 
     Corners are the negative-norm extreme rays of the cone on the
     non-positive side of every root, as primitive future-pointing vectors,
     each with the indices of all roots orthogonal to it.  Sorted by vector.
+    The cone is read from chamber, the search's volume.ChamberDiagram,
+    grown on roots; without one, a fresh one is built.
     """
-    rows = [form.dual(r) for r in roots]
-    lines, rays = cones.cone_generators(rows, form.dim)
+    lines, rays = volume.grown(form, roots, chamber).chamber_cone().generators()
     if lines:
         return []
     corners = []
-    for ray in sorted(cones.primitive_vector(y) for y in rays):
+    for ray in rays:
         if form.norm(ray) >= 0 or ray[0] <= 0:
             continue
         orth = [
@@ -127,19 +128,14 @@ def vertex_walls(form: Form, corner) -> list:
         if form.is_root(v):
             oriented.add(orient_root(form, v))
     walls = sorted(oriented)
-    rows = [form.dual(w) for w in walls]
-    lines, rays = cones.cone_generators(rows, dim)
-    gens = [tuple(l) for l in lines] + [tuple(-x for x in l) for l in lines]
-    gens += [tuple(r) for r in rays]
-    facets = []
-    for k, w in enumerate(walls):
-        active = [
-            list(g) for g in gens
-            if sum(rows[k][j] * g[j] for j in range(dim)) == 0
-        ]
-        if linalg.rank(active) == dim - 1:
-            facets.append(w)
-    return facets
+    cone = cones.Cone(dim)
+    cones.cone_generators([form.dual(w) for w in walls], dim, cone)
+    # a wall is a facet when the generators tight on it span a hyperplane
+    return [
+        w for k, w in enumerate(walls)
+        if linalg.rank(cone.lines + [r for r, t in zip(cone.rays, cone.tight) if k in t])
+        == dim - 1
+    ]
 
 
 def frame_map(form: Form, frame_from, frame_to):
@@ -281,7 +277,7 @@ def _matching_frames(form: Form, roots, orth, target_norms, target_gram):
     return out
 
 
-def find_infinite_symmetry(form: Form, roots, height_limit=None) -> dict | None:
+def find_infinite_symmetry(form: Form, roots, height_limit=None, chamber=None) -> dict | None:
     """Search for an infinite-order isometry between two corner frames.
 
     For every ordered pair of distinct corners one fixed frame at the
@@ -292,9 +288,10 @@ def find_infinite_symmetry(form: Form, roots, height_limit=None) -> dict | None:
 
     height_limit, when given, restricts the sweep to corners whose
     separating-wall bound lies strictly below it, the ones certified to
-    survive into the full chamber.  Deterministic throughout.
+    survive into the full chamber.  chamber is passed on to
+    chamber_corners.  Deterministic throughout.
     """
-    corners = chamber_corners(form, roots)
+    corners = chamber_corners(form, roots, chamber)
     if height_limit is not None:
         corners = [
             c for c in corners

@@ -18,7 +18,7 @@ row_hnf, snf and integer_kernel work over the integers throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 
@@ -39,25 +39,9 @@ def mat_vec(A, v):
     return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
-def dot(u, v):
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
-
-
 def vec_content(v) -> int:
     """Gcd of the entries, 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd_int(g, x)
-    return g
-
-
-def gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(*v)
 
 
 def exgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -9,6 +9,10 @@ span the whole space and
       of full rank n - 1, and
   (b) for every hyperbolic critical subdiagram S, the set of directions
       orthogonal to S and on the non-positive side of every wall is {0}.
+That set is the face of the chamber cone C = {x : <x, r> <= 0 for every
+root} tight on S.  The rank is checked first, so C is pointed, and a face
+of a pointed cone is spanned by the extreme rays it holds: (b) fails for
+S exactly when some ray of C is tight on every wall of S.
 
 This is the only finite-volume decider the search runs.  Reflective
 certificates confirm its verdict independently:
@@ -22,11 +26,11 @@ the sets found for roots[:k] stay valid for roots[:k + j], and every new
 one holds a new wall.  grow adds the new Gram rows and edges, then one
 walk (critical_submatrices) from the new walls records the new critical
 sets and affine components.  The object also keeps the PSD class of
-every wall subset classified, keyed by node set; condition (b) proofs,
-since the fixed cone of a hyperbolic S is cut out by every root and a
-cone proved {0} stays {0} while the roots grow (a non-trivial cone is
-recomputed on every call); and the cusp scan's quotient root classes per
-null vector, which depend on the form alone.
+every wall subset classified, keyed by node set; C as one live
+cones.Cone, given only the walls it lacks when (b) or a corner is read;
+the hyperbolic S proved to meet (b), since a face proved {0} stays {0}
+while the roots grow; and, for the cusp scan, the null vector of each
+affine component and the quotient root classes of each null vector.
 
 Every fact it holds was proved on a prefix of its roots, so a list that
 does not extend them, or another form, starts it from nothing: a misused
@@ -55,6 +59,8 @@ class ChamberDiagram(dg.Diagram):
         self.critical: dict = {}  # node set -> "parabolic" | "hyperbolic"
         self.affine: dict = {}  # connected affine node set -> catalog type
         self.trivial_cones: set = set()  # hyperbolic S whose fixed cone is {0}
+        self.cone = cones.Cone(form.dim)  # the chamber cone, on a prefix of roots
+        self.null_marks: dict = {}  # affine node set -> (marks, null vector)
         self.root_classes: dict = {}  # null vector -> quotient.root_classes
 
     def psd_class(self, nodes) -> str:
@@ -81,6 +87,13 @@ class ChamberDiagram(dg.Diagram):
         self.critical.update(critical)
         self.affine.update(affine)
         self.roots.extend(roots[k:])
+
+    def chamber_cone(self) -> cones.Cone:
+        """The cone {x : <x, r> <= 0 for every root}, given the walls it lacks."""
+        new = self.roots[len(self.cone.processed):]
+        if new:
+            cones.cone_generators([self.form.dual(r) for r in new], self.form.dim, self.cone)
+        return self.cone
 
     def affine_components(self) -> list[dict]:
         """Every connected affine subdiagram with its type and rank, by nodes."""
@@ -141,26 +154,17 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
     return critical, affine
 
 
-def cone_fixed_set(form, roots, nodes) -> tuple[list, list]:
-    """Generators of {x : x orthogonal to the given walls, x . r <= 0 for all
-    accepted roots r}, as (lines, rays) in lattice coordinates."""
-    dim = form.dim
-    walls = [form.dual(r) for r in roots]
-    # x orthogonal to S: restrict to the rational kernel of the S rows
-    if nodes:
-        ortho = [walls[i] for i in nodes]
-        basis = [cones.primitive_vector(b) for b in linalg.kernel(ortho)]
-    else:
-        basis = linalg.identity(dim)
-    constraints = [tuple(linalg.dot(w, b) for b in basis) for w in walls]
-    lines, rays = cones.cone_generators(constraints, len(basis))
-    to_ambient = lambda y: tuple(
-        sum(y[j] * basis[j][k] for j in range(len(basis))) for k in range(dim)
-    )
-    return (
-        [cones.primitive_vector(to_ambient(l)) for l in lines],
-        [cones.primitive_vector(to_ambient(r)) for r in rays],
-    )
+def cone_fixed_set(chamber, nodes) -> list:
+    """Rays of the chamber cone tight on every wall in nodes.
+
+    They span the face {x in C : <x, r_i> = 0 for i in nodes} of the
+    chamber cone C; when C is pointed, that face is the fixed cone of the
+    walls and is {0} exactly when the list is empty.
+    """
+    cone = chamber.chamber_cone()
+    nodes = set(nodes)
+    # a zero ray is tight on every wall and spans nothing
+    return [r for r, t in zip(cone.rays, cone.tight) if nodes <= t and any(r)]
 
 
 def _critical_decider(chamber, report) -> bool:
@@ -189,9 +193,7 @@ def _critical_decider(chamber, report) -> bool:
         else:
             # a fixed cone proved {0} on fewer roots stays {0}
             key = frozenset(nodes)
-            good = key in chamber.trivial_cones or not any(
-                cone_fixed_set(form, chamber.roots, nodes)
-            )
+            good = key in chamber.trivial_cones or not cone_fixed_set(chamber, nodes)
             if good:
                 chamber.trivial_cones.add(key)
             cond_b.append({"nodes": nodes, "trivial_cone": good})

@@ -6,7 +6,8 @@ classes by widening the shift window far past the claimed period, matrix
 order by factoring the characteristic polynomial with sympy, finite
 volume by counting the vertices on every edge of the chamber, diagram
 edges, critical sets and affine components from scratch, reduced
-row echelon forms and determinants by elimination in Fraction arithmetic.  None of
+row echelon forms and determinants by elimination in Fraction arithmetic,
+fixed cones of wall sets by a double description of their own.  None of
 them share a decision procedure with the fast paths they check.
 """
 
@@ -338,3 +339,33 @@ def edge_decider(form, roots):
             return False
         found_any_vertex = True
     return found_any_vertex
+
+
+def cone_fixed_set(form, roots, nodes):
+    """Generators (lines, rays) of {x : <x, r_i> = 0 for i in nodes,
+    <x, r> <= 0 for every root r}, in lattice coordinates.
+
+    One double description from scratch inside the rational kernel of the
+    walls in nodes, with no chamber cone and no tight sets read: the
+    reference for volume.cone_fixed_set's face test.  It shares
+    cones.cone_generators with the package; tests/test_cones.py checks
+    that against brute force.
+    """
+    from vinberg import cones, linalg
+
+    dim = form.dim
+    walls = [form.dual(r) for r in roots]
+    if nodes:
+        ortho = [walls[i] for i in nodes]
+        basis = [cones.primitive_vector(b) for b in linalg.kernel(ortho)]
+    else:
+        basis = linalg.identity(dim)
+    constraints = [tuple(sum(x * y for x, y in zip(w, b)) for b in basis) for w in walls]
+    lines, rays = cones.cone_generators(constraints, len(basis))
+    to_ambient = lambda y: tuple(
+        sum(y[j] * basis[j][k] for j in range(len(basis))) for k in range(dim)
+    )
+    return (
+        [cones.primitive_vector(to_ambient(l)) for l in lines],
+        [cones.primitive_vector(to_ambient(r)) for r in rays],
+    )

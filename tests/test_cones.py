@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vinberg import linalg
-from vinberg.cones import cone_generators, primitive_vector
+from vinberg.cones import Cone, cone_generators, primitive_vector
 
 
 def test_primitive_vector():
@@ -168,3 +168,30 @@ def test_generators_match_brute_force_extreme_rays(case):
     if not lines:
         # a pointed cone's extreme rays are determined exactly
         assert rays == sorted(faces.values())
+
+
+chunked_constraint_sets = constraint_sets.flatmap(
+    lambda case: st.tuples(
+        st.just(case),
+        st.lists(st.integers(0, len(case[1])), max_size=4).map(sorted),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(chunked_constraint_sets)
+def test_live_cone_fed_in_chunks_matches_one_shot_on_every_prefix(case):
+    # the chamber cone of a search is fed each batch's new walls; after
+    # every chunk it must be the cone of the whole prefix, and every ray
+    # must know exactly the constraints it is tight on (the face test
+    # of condition (b) reads nothing else)
+    (dim, cons), cuts = case
+    cone = Cone(dim)
+    for start, stop in zip([0] + cuts, cuts + [len(cons)]):
+        prefix = cons[:stop]
+        assert cone_generators(cons[start:stop], dim, cone) == cone_generators(prefix, dim)
+        assert cone.processed == [tuple(a) for a in prefix]
+        assert len(cone.tight) == len(cone.rays)
+        for r, tight in zip(cone.rays, cone.tight):
+            assert any(r)
+            assert tight == {i for i, a in enumerate(prefix) if _dot(a, r) == 0}

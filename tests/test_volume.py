@@ -6,7 +6,7 @@ import pytest
 
 import corpus
 import oracles
-from vinberg import certificates, diagram, volume
+from vinberg import certificates, diagram, linalg, volume
 from vinberg.errors import DiagramError
 from vinberg.forms import Form
 
@@ -140,7 +140,6 @@ def test_memo_warmed_on_more_roots_changes_no_answer(search, p, n):
 
 
 def test_critical_submatrices_are_minimal_non_definite(search):
-    from vinberg import linalg
     form = Form(5, 3)
     roots = search(5, 3).roots
     gram = form.gram(roots)
@@ -161,3 +160,22 @@ def test_critical_submatrices_are_minimal_non_definite(search):
 def test_initial_cone_alone_has_infinite_volume():
     form = Form(7, 2)
     assert volume.finite_volume(form, form.initial_roots())["finite"] is False
+
+
+@pytest.mark.parametrize("p,n", AGREEMENT_FORMS)
+def test_face_test_matches_a_scratch_fixed_cone_on_every_prefix(search, p, n):
+    # one live cone, grown prefix by prefix as the search grows it, against
+    # a fresh double description in each hyperbolic set's orthogonal space;
+    # (5,9) has no hyperbolic critical set on a full-rank prefix
+    form = Form(p, n)
+    roots = search(p, n).roots
+    chamber = volume.ChamberDiagram(form)
+    for k in range(n, len(roots) + 1):
+        prefix = roots[:k]
+        chamber.grow(prefix)
+        if linalg.rank(chamber.gram) != form.dim:
+            continue  # condition (b) is read only on a pointed chamber cone
+        for nodes, cls in chamber.critical.items():
+            if cls == "hyperbolic":
+                face = volume.cone_fixed_set(chamber, nodes)
+                assert bool(face) == any(oracles.cone_fixed_set(form, prefix, sorted(nodes))), k
