@@ -10,15 +10,16 @@ Three verdict-carrying documents plus an inheritance wrapper:
   vertex lie strictly inside every wall and the chamber has interior.
   Every pair of walls meets at an angle pi/k or not at all.  The
   critical-subdiagram report re-derives and says finite, and the chamber
-  cone, computed separately, has all its extreme rays in the closed
-  future light cone.  The chamber is then a Coxeter polytope of finite
-  volume, so the reflections in its walls generate a discrete subgroup
-  of O(L) with the chamber as fundamental domain; it has finite
-  covolume, hence finite index, and the form is reflective.  Which
-  search produced the roots does not matter.  The report's condition (b)
-  and the cone check both rest on cones.cone_generators, so one fault in
-  the double description could pass both; a check that shares no cone
-  code is ROADMAP direction 5.
+  cone has all its extreme rays in the closed future light cone.  The
+  chamber is then a Coxeter polytope of finite volume, so the
+  reflections in its walls generate a discrete subgroup of O(L) with the
+  chamber as fundamental domain; it has finite covolume, hence finite
+  index, and the form is reflective.  Which search produced the roots
+  does not matter.  The angle, report and cone checks read one
+  volume.ChamberDiagram built fresh on the stored roots, and the report's
+  condition (b) and the cone check read its one chamber cone, so one
+  fault in the double description could pass both; a check that shares
+  no cone code is ROADMAP direction 5.
 - ideal_vertex_failure: a primitive null vector e arising from affine
   subdiagrams of the accepted set whose quotient lattice e^perp / Z e has
   root classes of deficient rank.  An affine subset of the simple roots
@@ -60,6 +61,7 @@ from vinberg.search import Budget, open_height, reproduces
 SCHEMA_VERSION = 3
 
 _KINDS = ("reflective", "ideal_vertex_failure", "infinite_symmetry", "inherited_nonreflectivity")
+_NONREFLECTIVE = _KINDS[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +88,22 @@ def affine_null_marks(form: Form, roots, nodes):
     return marks, cones.primitive_vector(e)
 
 
-def scan_for_cusp_obstruction(form: Form, accepted, chamber=None, min_rank=None):
+def scan_for_cusp_obstruction(chamber, min_rank=None):
     """Look for a null direction whose root classes have deficient rank.
 
-    Groups the affine components of the current diagram by their common
-    null vector; groups of total rank at least min_rank (default n - 2)
-    have their quotient tested.  chamber is the search's
-    volume.ChamberDiagram (without one a fresh one is built), grown here on
-    accepted; it keeps across batches the null vector of each affine
-    component, which depends on its roots alone, and the root classes of
-    each null vector, which depend on the form alone.  A full-rank entry
-    stopped its walk early and only full_rank is read from it; a deficient
-    entry is complete and is handed to the certificate.  Returns an
-    ideal_vertex_failure certificate, or None.
+    Groups the affine components of a grown volume.ChamberDiagram by their
+    common null vector; groups of total rank at least min_rank (default
+    n - 2) have their quotient tested.  The chamber keeps across batches
+    the null vector of each affine component, which depends on its roots
+    alone, and the root classes of each null vector, which depend on the
+    form alone.  A full-rank entry stopped its walk early and only
+    full_rank is read from it; a deficient entry is complete and is handed
+    to the certificate.  Returns an ideal_vertex_failure certificate, or
+    None.
     """
+    form, accepted = chamber.form, chamber.roots
     if min_rank is None:
         min_rank = form.n - 2
-    chamber = _volume.grown(form, accepted, chamber)
     groups: dict = {}
     null_marks = chamber.null_marks
     for comp in chamber.affine_components():
@@ -119,7 +120,7 @@ def scan_for_cusp_obstruction(form: Form, accepted, chamber=None, min_rank=None)
             quot = quotient.null_quotient(form, e)
             cache[e] = quotient.root_classes(form, quot)
         if not cache[e]["full_rank"]:
-            return ideal_vertex_certificate(form, accepted, e, comps, cache[e])
+            return ideal_vertex_certificate(chamber, e, comps, cache[e])
     return None
 
 
@@ -137,16 +138,20 @@ def _document(form: Form, kind: str, payload: dict) -> dict:
     }
 
 
-def ideal_vertex_certificate(form: Form, accepted, e, components, rc) -> dict:
-    """Certificate that the quotient at e has rank-deficient root classes;
-    rc is quotient.root_classes at e."""
+def ideal_vertex_certificate(chamber, e, components, rc) -> dict:
+    """Certificate that the quotient at e has rank-deficient root classes.
+
+    components are affine components of the chamber with null vector e,
+    whose marks the cusp scan left in chamber.null_marks; rc is
+    quotient.root_classes at e.
+    """
+    form, accepted = chamber.form, chamber.roots
     quot = quotient.null_quotient(form, e)
     comps_out = []
     all_nodes = []
     for comp in sorted(components, key=lambda c: sorted(c["nodes"])):
         nodes = sorted(comp["nodes"])
-        marks, e_comp = affine_null_marks(form, accepted, nodes)
-        assert e_comp == tuple(e)
+        marks = chamber.null_marks[frozenset(nodes)][0]
         comps_out.append({"nodes": nodes, "type": comp["type"], "marks": marks})
         all_nodes.extend(nodes)
     all_nodes = sorted(all_nodes)
@@ -226,7 +231,7 @@ def inherited_certificate(base: dict, n: int) -> dict:
     propagates upward; no new search is needed.
     """
     _require(base, "kind")
-    if base["kind"] not in ("ideal_vertex_failure", "infinite_symmetry", "inherited_nonreflectivity"):
+    if base["kind"] not in _NONREFLECTIVE:
         raise CertificateError("payload.base.kind: not a nonreflectivity certificate")
     if n <= base["form"]["n"]:
         raise CertificateError("form.n: inherited rank must exceed the base rank")
@@ -312,18 +317,21 @@ def _acute_pair(form: Form, roots) -> list[str]:
     return []
 
 
-def chamber_cone_closes(form: Form, roots) -> bool:
-    """Whether the chamber of the roots has finite volume, by its cone.
+def chamber_cone_closes(chamber) -> bool:
+    """Whether a grown volume.ChamberDiagram's chamber has finite volume,
+    by its cone.
 
-    The cone {x : <x, r> <= 0 for every root r} is computed by double
-    description.  Finite volume holds iff it has no lines and every
-    extreme ray points into the future (x0 > 0) with norm <= 0: the
-    chamber is then the hull of finitely many points of hyperbolic space
-    and its boundary at infinity.  This test reads no Coxeter diagram, so
-    it confirms volume.finite_volume's critical-subdiagram verdict
-    independently.
+    The cone {x : <x, r> <= 0 for every root r} is the chamber's own
+    (ChamberDiagram.chamber_cone), which condition (b) may already have
+    read.  Finite volume holds iff it has no lines and every extreme ray
+    points into the future (x0 > 0) with norm <= 0: the chamber is then
+    the hull of finitely many points of hyperbolic space and its boundary
+    at infinity.  This test reads no Coxeter diagram, so it confirms
+    volume.finite_volume's critical-subdiagram verdict independently of
+    the diagram walk.
     """
-    lines, rays = cones.cone_generators([form.dual(r) for r in roots], form.dim)
+    form = chamber.form
+    lines, rays = chamber.chamber_cone().generators()
     return not lines and bool(rays) and all(
         r[0] > 0 and form.norm(r) <= 0 for r in rays
     )
@@ -344,15 +352,15 @@ def _verify_reflective(form: Form, payload) -> list[str]:
     if issues:
         return issues
     try:
-        _diagram.build_diagram(form, roots)
+        chamber = _volume.ChamberDiagram(form, roots)
     except DiagramError as exc:
         return [f"payload.roots: {exc}"]
-    report = _volume.finite_volume(form, roots)
+    report = _volume.finite_volume(chamber)
     if not report["finite"]:
         issues.append("payload.volume: chamber volume is not finite")
     if report != payload["volume"]:
         issues.append("payload.volume: report does not re-derive")
-    if not chamber_cone_closes(form, roots):
+    if not chamber_cone_closes(chamber):
         issues.append("payload.roots: chamber cone is not in the closed light cone")
     return issues
 
@@ -564,7 +572,7 @@ def _verify_inherited(form: Form, payload) -> list[str]:
     _require(base, "kind", "payload.base.kind")
     _require(base, "form", "payload.base.form")
     issues = []
-    if base["kind"] not in ("ideal_vertex_failure", "infinite_symmetry", "inherited_nonreflectivity"):
+    if base["kind"] not in _NONREFLECTIVE:
         issues.append("payload.base.kind: not a nonreflectivity certificate")
         return issues
     if base["form"].get("p") != form.p:

@@ -37,7 +37,6 @@ def classify_form(
     n: int,
     budget: Optional[Budget] = None,
     state: Optional[SearchState] = None,
-    verify: bool = True,
 ) -> dict:
     """Classify one form, returning a report dict.
 
@@ -45,11 +44,11 @@ def classify_form(
     counters, so reports are byte-identical across runs), budget; plus
     volume for reflective verdicts and state for undecided ones.
 
-    With verify=True every non-reflective certificate is re-checked from
-    scratch before it is attached; a verification failure is an internal
-    error and raises ConsistencyError.  A resumed run (state given)
-    re-derives the state's roots by replaying its batch cursor, so a
-    tampered state raises ConsistencyError instead of yielding a verdict.
+    Every non-reflective certificate is re-checked from scratch before it
+    is attached; a verification failure is an internal error and raises
+    ConsistencyError.  A resumed run (state given) re-derives the state's
+    roots by replaying its batch cursor, so a tampered state raises
+    ConsistencyError instead of yielding a verdict.
     """
     form = Form(p, n)
     if budget is None:
@@ -80,13 +79,11 @@ def classify_form(
         # Budget ran out.  Rescan the final state without the rank gate,
         # then hunt for a symmetry between corners certified by the
         # height frontier the search has cleared.
-        certificate = certificates.scan_for_cusp_obstruction(
-            form, roots, result.chamber, min_rank=1
-        )
+        certificate = certificates.scan_for_cusp_obstruction(result.chamber, min_rank=1)
     if certificate is None:
         batches = result.state.batches_done
         symmetry = isometry.find_infinite_symmetry(
-            form, roots, height_limit=open_height(form, batches), chamber=result.chamber
+            result.chamber, open_height(form, batches)
         )
         if symmetry is not None:
             certificate = certificates.infinite_symmetry_certificate(
@@ -94,8 +91,7 @@ def classify_form(
             )
 
     if certificate is not None:
-        if verify:
-            _check_certificate(certificate)
+        _check_certificate(certificate)
         report["verdict"] = "non_reflective"
         report["certificate"] = certificate
         return report
@@ -182,10 +178,13 @@ def root_table(
     for rank in range(2, max_rank + 1):
         form = Form(p, rank)
         state = SearchState.fresh(form)
-        chamber = volume.ChamberDiagram(form)
+        chamber = volume.ChamberDiagram(form, state.accepted)
         verdicts[rank] = "undecided"
         for accepts in replay(state, budget):
-            if accepts and volume.finite_volume(form, state.accepted, chamber)["finite"]:
+            if not accepts:
+                continue
+            chamber.grow(state.accepted)
+            if volume.finite_volume(chamber)["finite"]:
                 verdicts[rank] = "reflective"
                 break
         for root in state.accepted[form.n:]:

@@ -233,7 +233,7 @@ def classify_component(diagram: Diagram, comp) -> str | None:
     semidefiniteness of the Gram matrix."""
     comp = tuple(sorted(comp))
     name = _classify_component_structurally(diagram, comp)
-    cls = linalg.psd_classify(diagram.subgram(comp))
+    cls = diagram.psd_class(frozenset(comp))
     if name is None:
         expected = "indefinite"
     elif "~" in name:

@@ -32,30 +32,31 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from vinberg import cones, linalg, volume
+from vinberg import cones, linalg
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 
 
-def chamber_corners(form: Form, roots, chamber=None) -> list[dict]:
-    """Ordinary vertices of the partial chamber cut out by the given roots.
+def chamber_corners(chamber) -> list[dict]:
+    """Ordinary vertices of the partial chamber of a grown
+    volume.ChamberDiagram.
 
-    Corners are the negative-norm extreme rays of the cone on the
-    non-positive side of every root, as primitive future-pointing vectors,
-    each with the indices of all roots orthogonal to it.  Sorted by vector.
-    The cone is read from chamber, the search's volume.ChamberDiagram,
-    grown on roots; without one, a fresh one is built.
+    Corners are the negative-norm extreme rays of the chamber cone, the
+    cone on the non-positive side of every root, as primitive
+    future-pointing vectors, each with the indices of all roots
+    orthogonal to it: the cone's tight set of the ray.  Sorted by vector.
     """
-    lines, rays = volume.grown(form, roots, chamber).chamber_cone().generators()
+    form, roots = chamber.form, chamber.roots
+    cone = chamber.chamber_cone()
+    lines, rays = cone.generators()
     if lines:
         return []
+    tight = dict(zip(cone.rays, cone.tight))
     corners = []
     for ray in rays:
         if form.norm(ray) >= 0 or ray[0] <= 0:
             continue
-        orth = [
-            i for i in range(len(roots)) if form.inner_product(roots[i], ray) == 0
-        ]
+        orth = sorted(tight[ray])
         if linalg.rank([list(roots[i]) for i in orth]) < form.n:
             continue
         corners.append({"vector": ray, "orthogonal": orth})
@@ -277,7 +278,7 @@ def _matching_frames(form: Form, roots, orth, target_norms, target_gram):
     return out
 
 
-def find_infinite_symmetry(form: Form, roots, height_limit=None, chamber=None) -> dict | None:
+def find_infinite_symmetry(chamber, height_limit) -> dict | None:
     """Search for an infinite-order isometry between two corner frames.
 
     For every ordered pair of distinct corners one fixed frame at the
@@ -286,26 +287,23 @@ def find_infinite_symmetry(form: Form, roots, height_limit=None, chamber=None) -
     of those, so the sweep is complete.  Maps fixing a corner are never
     tried: point stabilizers in a discrete group are finite.
 
-    height_limit, when given, restricts the sweep to corners whose
-    separating-wall bound lies strictly below it, the ones certified to
-    survive into the full chamber.  chamber is passed on to
-    chamber_corners.  Deterministic throughout.
+    The corners are those of a grown volume.ChamberDiagram
+    (chamber_corners) whose separating-wall bound lies strictly below
+    height_limit, the ones certified to survive into the full chamber.
+    Deterministic throughout.
     """
-    corners = chamber_corners(form, roots, chamber)
-    if height_limit is not None:
-        corners = [
-            c for c in corners
-            if corner_height_bound(form, c["vector"]) < height_limit
-        ]
-        for c in corners:
-            # a vertex of the full chamber is simple: exactly n walls
-            if len(c["orthogonal"]) != form.n:
-                raise ConsistencyError(
-                    "certified corner must lie on exactly "
-                    f"{form.n} walls, got {len(c['orthogonal'])}"
-                )
-    else:
-        corners = [c for c in corners if len(c["orthogonal"]) == form.n]
+    form, roots = chamber.form, chamber.roots
+    corners = [
+        c for c in chamber_corners(chamber)
+        if corner_height_bound(form, c["vector"]) < height_limit
+    ]
+    for c in corners:
+        # a vertex of the full chamber is simple: exactly n walls
+        if len(c["orthogonal"]) != form.n:
+            raise ConsistencyError(
+                "certified corner must lie on exactly "
+                f"{form.n} walls, got {len(c['orthogonal'])}"
+            )
     for ci, c_from in enumerate(corners):
         base = tuple(sorted(c_from["orthogonal"]))
         norms = [form.norm(roots[i]) for i in base]

@@ -24,7 +24,6 @@ from vinberg.forms import Form, Vector
 class NullQuotient:
     form: Form
     e: Vector
-    m_basis: tuple  # basis of e^perp as rows; first row is e
     class_basis: tuple  # lattice representatives of the quotient generators
     gram: tuple  # positive definite Gram of the quotient
 
@@ -82,7 +81,7 @@ def null_quotient(form: Form, e) -> NullQuotient:
     gram = tuple(tuple(row) for row in form.gram(class_basis))
     if linalg.psd_classify([list(r) for r in gram]) != "definite":
         raise ValueError("quotient is not positive definite; e is not isotropic-primitive as expected")
-    return NullQuotient(form=form, e=e, m_basis=tuple(basis), class_basis=class_basis, gram=gram)
+    return NullQuotient(form=form, e=e, class_basis=class_basis, gram=gram)
 
 
 def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
@@ -165,13 +164,9 @@ def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> 
     d_basis = linalg.hnf_basis(image_coords)
     rows = [linalg.mat_vec(G, d) for d in d_basis]
     c_basis = linalg.integer_kernel(rows) if rows else linalg.identity(quot.rank)
-    data: dict = {
-        "d_basis": [list(r) for r in d_basis],
-        "c_basis": [list(r) for r in c_basis],
-    }
+    data: dict = {"c_basis": [list(r) for r in c_basis]}
     if len(c_basis) == 1:
         gen = c_basis[0]
-        data["generator_coords"] = list(gen)
         data["generator"] = list(quot.lift(gen))
         data["generator_norm"] = quot.class_norm(gen)
     stack = [list(r) for r in d_basis] + [list(r) for r in c_basis]
@@ -186,7 +181,6 @@ def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> 
             # rows of V^-1 are a basis in which the sublattice is diagonal
             big = max(range(len(D)), key=lambda i: D[i][i])
             glue = [int(x) for x in Vinv[big]]
-            data["glue_coords"] = glue
             data["glue_vector"] = list(quot.lift(glue))
             data["glue_order"] = D[big][big]
     else:

@@ -128,9 +128,9 @@ class SearchState:
 class SearchResult:
     status: str  # "reflective" | "nonreflective" | "undecided"
     state: SearchState
+    chamber: object  # the search's volume.ChamberDiagram, grown on its roots
     certificate: Optional[dict] = None
     volume_report: Optional[dict] = None
-    chamber: object = None  # the search's volume.ChamberDiagram
 
     @property
     def roots(self):
@@ -198,24 +198,17 @@ def run_search(
     cursor with the same roots.  It then runs the finite-volume test once:
     a closed chamber accepts no further root, so a final state would
     otherwise run on to the budget.  Both tests read one
-    volume.ChamberDiagram grown with the roots, which the result carries
-    to the caller's post-search rescan.
+    volume.ChamberDiagram, built on the starting roots and grown after
+    each batch that accepted a root; the result carries it, grown on the
+    final roots, to the caller's post-search rescan and symmetry hunt.
     """
     from vinberg import certificates as _certificates
     from vinberg import volume as _volume
 
     if budget is None:
         budget = Budget()
-    chamber = _volume.ChamberDiagram(form)
-
-    def volume_now() -> Optional[dict]:
-        state.counters["volume_checks"] += 1
-        report = _volume.finite_volume(form, state.accepted, chamber)
-        return report if report["finite"] else None
-
-    if state is None:
-        state = SearchState.fresh(form)
-    else:
+    resumed = state is not None
+    if resumed:
         state.accepted = [tuple(r) for r in state.accepted]
         bound = Budget(budget.max_height, max_roots=len(state.accepted) + 1)
         if not reproduces(form, state.accepted, state.batches_done, bound):
@@ -223,17 +216,28 @@ def run_search(
                 f"accepted: not the roots the search accepts in "
                 f"{state.batches_done} batches up to height {budget.max_height}"
             )
+    else:
+        state = SearchState.fresh(form)
+    chamber = _volume.ChamberDiagram(form, state.accepted)
+
+    def volume_now() -> Optional[dict]:
+        state.counters["volume_checks"] += 1
+        report = _volume.finite_volume(chamber)
+        return report if report["finite"] else None
+
+    if resumed:
         report = volume_now()
         if report:
-            return SearchResult("reflective", state, volume_report=report, chamber=chamber)
+            return SearchResult("reflective", state, chamber, volume_report=report)
 
     for fresh in replay(state, budget):
         if not fresh:
             continue
+        chamber.grow(state.accepted)
         report = volume_now()
         if report:
-            return SearchResult("reflective", state, volume_report=report, chamber=chamber)
-        cert = _certificates.scan_for_cusp_obstruction(form, state.accepted, chamber)
+            return SearchResult("reflective", state, chamber, volume_report=report)
+        cert = _certificates.scan_for_cusp_obstruction(chamber)
         if cert is not None:
-            return SearchResult("nonreflective", state, certificate=cert, chamber=chamber)
-    return SearchResult("undecided", state, chamber=chamber)
+            return SearchResult("nonreflective", state, chamber, certificate=cert)
+    return SearchResult("undecided", state, chamber)

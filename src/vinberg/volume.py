@@ -15,7 +15,7 @@ of a pointed cone is spanned by the extreme rays it holds: (b) fails for
 S exactly when some ray of C is tight on every wall of S.
 
 This is the only finite-volume decider the search runs.  Reflective
-certificates confirm its verdict independently:
+certificates confirm its verdict without the diagram:
 certificates._verify_reflective checks that the chamber cone's extreme
 rays all lie in the closed future light cone.  tests/oracles.py keeps a
 second, edge-counting decider as a reference.
@@ -33,13 +33,16 @@ while the roots grow; and, for the cusp scan, the null vector of each
 affine component and the quotient root classes of each null vector.
 
 Every fact it holds was proved on a prefix of its roots, so a list that
-does not extend them, or another form, starts it from nothing: a misused
-object cannot change an answer.  search.run_search owns one per run;
-finite_volume and the cusp scan on the same prefix share it, so the
-second does no diagram work, and the post-search rescan reads it too.
-Without one, finite_volume and certificates.scan_for_cusp_obstruction
-build a fresh one in one grow.  Certificate verification calls them that
-way, so a stored report is re-derived from the roots alone.
+does not extend them starts it from nothing: a misused object cannot
+change an answer.  Its readers (finite_volume, the cusp scan, the corner
+and symmetry hunt in isometry) take it grown and read its form and roots;
+none builds or grows one.  search.run_search owns one per run and grows
+it after each batch that accepted a root, so finite_volume and the cusp
+scan on the same prefix share it, and the post-search rescan and
+symmetry hunt read it too.  classify.root_table owns one per rank.
+certificates._verify_reflective builds a fresh one on the stored roots,
+so a stored report is re-derived from the roots alone, sharing nothing
+with the search.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from vinberg.errors import ConsistencyError
 class ChamberDiagram(dg.Diagram):
     """The Coxeter diagram of one search's roots, grown as they grow."""
 
-    def __init__(self, form):
+    def __init__(self, form, roots=()):
         super().__init__()
         self.form = form
         self.roots: list = []
@@ -62,6 +65,7 @@ class ChamberDiagram(dg.Diagram):
         self.cone = cones.Cone(form.dim)  # the chamber cone, on a prefix of roots
         self.null_marks: dict = {}  # affine node set -> (marks, null vector)
         self.root_classes: dict = {}  # null vector -> quotient.root_classes
+        self.grow(roots)
 
     def psd_class(self, nodes) -> str:
         """Diagram.psd_class of a frozenset of nodes, remembered."""
@@ -103,14 +107,6 @@ class ChamberDiagram(dg.Diagram):
         ]
         out.sort(key=lambda d: d["nodes"])
         return out
-
-
-def grown(form, roots, chamber=None) -> ChamberDiagram:
-    """chamber grown on roots, or a fresh one when there is none for form."""
-    if chamber is None or chamber.form != form:
-        chamber = ChamberDiagram(form)
-    chamber.grow(roots)
-    return chamber
 
 
 def critical_submatrices(diagram, start) -> tuple[dict, dict]:
@@ -203,14 +199,9 @@ def _critical_decider(chamber, report) -> bool:
     return ok
 
 
-def finite_volume(form, roots, chamber=None) -> dict:
-    """Critical-subdiagram verdict on the chamber, as a serializable report.
-
-    chamber is the calling search's ChamberDiagram, grown here on roots;
-    without one, the call starts from nothing.  The report is the same
-    either way.
-    """
-    chamber = grown(form, roots, chamber)
+def finite_volume(chamber) -> dict:
+    """Critical-subdiagram verdict on a grown ChamberDiagram's roots, as a
+    serializable report."""
     report: dict = {"finite": False}
     report["finite"] = _critical_decider(chamber, report)
     return report

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from vinberg import certificates
+import corpus
+from vinberg import certificates, cones, diagram, volume
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
@@ -133,6 +134,28 @@ def test_tampered_volume_report(cert_5_2):
     cert = copy.deepcopy(cert_5_2)
     cert["payload"]["volume"]["finite"] = False
     assert not certificates.verify_certificate(cert)
+
+
+@pytest.mark.parametrize("p,n", sorted(corpus.EXPECTED_REFLECTIVE))
+def test_reflective_verification_builds_one_chamber(report, monkeypatch, p, n):
+    # the angle check, condition (b) and the cone check read one fresh
+    # chamber: one double description, and no separate diagram build
+    cert = report(p, n)["certificate"]
+    calls = {"cone_generators": 0, "build_diagram": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cones, "cone_generators")
+    counted(diagram, "build_diagram")
+    assert certificates.verify_certificate(cert)
+    assert calls == {"cone_generators": 1, "build_diagram": 0}
 
 
 def test_tampered_null_vector_orientation(cert_7_4):
@@ -350,7 +373,7 @@ def test_cusp_scan_finds_the_rank_9_obstruction(report):
     rep = report(5, 9)
     form = Form(5, 9)
     roots = [tuple(r) for r in rep["roots"]]
-    cert = certificates.scan_for_cusp_obstruction(form, roots, min_rank=1)
+    cert = certificates.scan_for_cusp_obstruction(volume.ChamberDiagram(form, roots), min_rank=1)
     assert cert is not None
     blk = NONREFLECTIVITY_BLOCKS[(5, 9)]
     assert tuple(cert["payload"]["null_vector"]) == blk["null_vector"]
@@ -373,7 +396,7 @@ def test_cusp_scan_silent_at_genuine_ideal_vertex(search):
     # span a sublattice of index 2; the scan must not flag it
     form = Form(11, 3)
     roots = search(11, 3).roots
-    cert = certificates.scan_for_cusp_obstruction(form, roots, min_rank=1)
+    cert = certificates.scan_for_cusp_obstruction(volume.ChamberDiagram(form, roots), min_rank=1)
     assert cert is None
 
 

@@ -65,7 +65,7 @@ def test_type_rank_and_affinity():
 def test_affine_sets_of_full_rank(search):
     form = Form(5, 5)
     roots = search(5, 5).roots
-    chamber = volume.grown(form, roots)
+    chamber = volume.ChamberDiagram(form, roots)
     types = {
         item["types"]
         for item in diagram.affine_sets_of_rank(

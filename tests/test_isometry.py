@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from vinberg import isometry, linalg, search as vsearch
+from vinberg import isometry, linalg, search as vsearch, volume
 from vinberg.forms import Form
 
 
@@ -39,7 +39,7 @@ def test_corner_height_bound_rejects_non_corners():
 def test_chamber_corners_of_the_16_wall_chamber(search):
     form = Form(23, 3)
     roots = search(23, 3).roots
-    corners = isometry.chamber_corners(form, roots)
+    corners = isometry.chamber_corners(volume.ChamberDiagram(form, roots))
     assert len(corners) == 24
     by_vector = {c["vector"]: c["orthogonal"] for c in corners}
     assert by_vector[corpus.P23_CORNER_FROM] == [0, 7, 9]
@@ -51,12 +51,29 @@ def test_chamber_corners_of_the_16_wall_chamber(search):
             assert form.inner_product(roots[i], c["vector"]) == 0
 
 
+@pytest.mark.parametrize("p,n", [(13, 3), (19, 3), (23, 3), (17, 4), (29, 3)])
+def test_corner_walls_are_the_roots_orthogonal_to_it(search, p, n):
+    # chamber_corners reads each corner's walls off the cone's tight sets;
+    # the reference evaluates every inner product, on the search's grown
+    # chamber and on one built from nothing
+    form = Form(p, n)
+    result = search(p, n)
+    roots = result.roots
+    for chamber in (result.chamber, volume.ChamberDiagram(form, roots)):
+        corners = isometry.chamber_corners(chamber)
+        assert corners
+        for c in corners:
+            assert c["orthogonal"] == [
+                i for i, r in enumerate(roots) if form.inner_product(r, c["vector"]) == 0
+            ], c
+
+
 def test_vertex_walls_match_accepted_walls_at_certified_corners(search):
     form = Form(23, 3)
     result = search(23, 3)
     roots = result.roots
     frontier = vsearch.open_height(form, result.state.batches_done)
-    for c in isometry.chamber_corners(form, roots):
+    for c in isometry.chamber_corners(volume.ChamberDiagram(form, roots)):
         if isometry.corner_height_bound(form, c["vector"]) >= frontier:
             continue
         walls = isometry.vertex_walls(form, c["vector"])
@@ -240,7 +257,7 @@ def _corpus_frame_maps():
     form = Form(23, 3)
     roots = vsearch.run_search(form).roots
     corners = [
-        c for c in isometry.chamber_corners(form, roots)
+        c for c in isometry.chamber_corners(volume.ChamberDiagram(form, roots))
         if len(c["orthogonal"]) == form.n
     ]
     for a in corners:
@@ -289,7 +306,7 @@ def test_find_infinite_symmetry_on_the_16_wall_chamber(search):
     result = search(23, 3)
     frontier = vsearch.open_height(form, result.state.batches_done)
     witness = isometry.find_infinite_symmetry(
-        form, result.roots, height_limit=frontier
+        volume.ChamberDiagram(form, result.roots), frontier
     )
     assert witness is not None
     T = witness["matrix"]
@@ -304,9 +321,14 @@ def test_find_infinite_symmetry_on_the_16_wall_chamber(search):
 
 
 def test_find_infinite_symmetry_absent_on_reflective_chamber(search):
+    # a closed chamber is the full one, so every corner is a vertex of it:
+    # a limit above every corner's bound sweeps them all
     form = Form(13, 2)
-    result = search(13, 2)
-    assert isometry.find_infinite_symmetry(form, result.roots) is None
+    chamber = volume.ChamberDiagram(form, search(13, 2).roots)
+    bounds = [isometry.corner_height_bound(form, c["vector"])
+              for c in isometry.chamber_corners(chamber)]
+    assert bounds
+    assert isometry.find_infinite_symmetry(chamber, max(bounds) + 1) is None
 
 
 def test_polygon_rotation_shifts(search):

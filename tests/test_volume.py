@@ -11,14 +11,20 @@ from vinberg.errors import DiagramError
 from vinberg.forms import Form
 
 
+def fresh_report(form, roots):
+    """finite_volume on a chamber built from nothing on roots."""
+    return volume.finite_volume(volume.ChamberDiagram(form, roots))
+
+
 @pytest.mark.parametrize("p,n", sorted(corpus.EXPECTED_REFLECTIVE))
 def test_finite_on_every_reflective_chamber(search, p, n):
     form = Form(p, n)
     roots = search(p, n).roots
-    report = volume.finite_volume(form, roots)
+    chamber = volume.ChamberDiagram(form, roots)
+    report = volume.finite_volume(chamber)
     assert report["finite"] is True
     # the chamber cone and the edge count confirm the closure
-    assert certificates.chamber_cone_closes(form, roots)
+    assert certificates.chamber_cone_closes(chamber)
     assert oracles.edge_decider(form, roots)
 
 
@@ -30,7 +36,7 @@ def test_chamber_is_open_one_root_before_closure(search, p, n):
     # after every batch
     form = Form(p, n)
     roots = search(p, n).roots
-    assert volume.finite_volume(form, roots[:-1])["finite"] is False
+    assert fresh_report(form, roots[:-1])["finite"] is False
 
 
 AGREEMENT_FORMS = [(5, 8), (11, 4), (17, 3), (13, 3), (19, 3), (23, 3), (5, 9), (7, 4)]
@@ -43,8 +49,11 @@ def test_deciders_agree_on_every_prefix(search, p, n):
     chamber = volume.ChamberDiagram(form)
     for k in range(n, len(roots) + 1):
         prefix = roots[:k]
-        finite = volume.finite_volume(form, prefix, chamber)["finite"]
-        assert certificates.chamber_cone_closes(form, prefix) == finite, k
+        chamber.grow(prefix)
+        finite = volume.finite_volume(chamber)["finite"]
+        # a cone built from nothing on the prefix, not the grown one
+        fresh = volume.ChamberDiagram(form, prefix)
+        assert certificates.chamber_cone_closes(fresh) == finite, k
         assert oracles.edge_decider(form, prefix) == finite, k
 
 
@@ -88,14 +97,14 @@ def test_growing_by_a_bad_angle_raises_as_build_diagram_does(search):
     assert str(grown.value).startswith("walls 1 and 7 ")
     # the failed grow stored nothing
     assert chamber.roots == roots and chamber.edges == edges
-    assert volume.finite_volume(form, roots, chamber) == volume.finite_volume(form, roots)
+    assert volume.finite_volume(chamber) == fresh_report(form, roots)
 
 
 def test_infinite_on_proper_prefixes(search):
     form = Form(5, 2)
     roots = search(5, 2).roots
     for k in range(2, len(roots)):
-        report = volume.finite_volume(form, roots[:k])
+        report = fresh_report(form, roots[:k])
         assert report["finite"] is False
 
 
@@ -103,7 +112,7 @@ def test_infinite_on_final_nonreflective_state(search):
     # the chamber of a symmetry-route failure never closes up
     form = Form(13, 3)
     roots = search(13, 3).roots
-    report = volume.finite_volume(form, roots)
+    report = fresh_report(form, roots)
     assert report["finite"] is False
 
 
@@ -117,7 +126,8 @@ def test_shared_memo_matches_fresh_report_on_every_prefix(search, p, n):
     chamber = volume.ChamberDiagram(form)
     for k in range(n, len(roots) + 1):
         prefix = roots[:k]
-        assert volume.finite_volume(form, prefix, chamber) == volume.finite_volume(form, prefix)
+        chamber.grow(prefix)
+        assert volume.finite_volume(chamber) == fresh_report(form, prefix)
 
 
 @pytest.mark.parametrize("p,n", MEMO_FORMS)
@@ -129,14 +139,11 @@ def test_memo_warmed_on_more_roots_changes_no_answer(search, p, n):
     shorter = roots[:-1]
     dropped = roots[:n] + roots[n + 1:]
     for fewer in (shorter, dropped):
-        chamber = volume.ChamberDiagram(form)
-        volume.finite_volume(form, roots, chamber)
-        assert volume.finite_volume(form, fewer, chamber) == volume.finite_volume(form, fewer)
+        chamber = volume.ChamberDiagram(form, roots)
+        volume.finite_volume(chamber)
+        chamber.grow(fewer)
+        assert volume.finite_volume(chamber) == fresh_report(form, fewer)
         assert chamber.roots == fewer
-    # a chamber of another form is not grown, and changes no answer either
-    other = volume.ChamberDiagram(Form(7, 3))
-    assert volume.finite_volume(form, roots, other) == volume.finite_volume(form, roots)
-    assert other.roots == []
 
 
 def test_critical_submatrices_are_minimal_non_definite(search):
@@ -159,7 +166,7 @@ def test_critical_submatrices_are_minimal_non_definite(search):
 
 def test_initial_cone_alone_has_infinite_volume():
     form = Form(7, 2)
-    assert volume.finite_volume(form, form.initial_roots())["finite"] is False
+    assert fresh_report(form, form.initial_roots())["finite"] is False
 
 
 @pytest.mark.parametrize("p,n", AGREEMENT_FORMS)
