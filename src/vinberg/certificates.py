@@ -35,9 +35,26 @@ Three verdict-carrying documents plus an inheritance wrapper:
 - inherited_nonreflectivity: lifts a failure at rank n to any rank above,
   by restricting to the orthogonal complement of a norm-one basis root.
 
-verify_certificate re-derives every stored quantity from the form and the
-primary data; any mismatch rejects the document.  Malformed documents
-raise CertificateError naming the offending field.
+Each kind has one payload builder, which construction and verification
+both call.  A verifier checks the primary fields against the form, then
+rebuilds the payload from them and compares it with the stored one, key
+by key: a key that differs fails as "payload.<key>: does not re-derive".
+
+- reflective: primary roots; re-derived volume and conclusion.
+- ideal_vertex_failure: primary roots, null_vector and each component's
+  nodes (a connected affine subdiagram whose null vector is null_vector,
+  disjoint from the others); re-derived components (type and marks),
+  affine_rank, quotient, affine_image, complement, glue, root_classes
+  (checked rank-deficient) and conclusion.
+- infinite_symmetry: primary roots, batches_done, matrix and each
+  frame's root_indices and corner; re-derived frame_from and frame_to
+  (height_bound, also checked per frame), evidence and conclusion.
+- inherited_nonreflectivity: primary base (a nonreflectivity certificate
+  of the same prime and a lower rank, verified in turn); re-derived
+  conclusion.
+
+Malformed documents (a missing field, or a primary field of the wrong
+type) raise CertificateError naming the offending field.
 
 The ideal-vertex and symmetry checks re-derive the stored roots by
 replaying the search's batch stream (search.reproduces reads
@@ -145,22 +162,32 @@ def ideal_vertex_certificate(chamber, e, components, rc) -> dict:
     whose marks the cusp scan left in chamber.null_marks; rc is
     quotient.root_classes at e.
     """
-    form, accepted = chamber.form, chamber.roots
-    quot = quotient.null_quotient(form, e)
-    comps_out = []
-    all_nodes = []
-    for comp in sorted(components, key=lambda c: sorted(c["nodes"])):
-        nodes = sorted(comp["nodes"])
-        marks = chamber.null_marks[frozenset(nodes)][0]
-        comps_out.append({"nodes": nodes, "type": comp["type"], "marks": marks})
-        all_nodes.extend(nodes)
-    all_nodes = sorted(all_nodes)
-    image = [quot.class_coordinates(accepted[i]) for i in all_nodes]
+    comps = [
+        {"nodes": sorted(c["nodes"]), "type": c["type"],
+         "marks": chamber.null_marks[frozenset(c["nodes"])][0]}
+        for c in components
+    ]
+    quot = quotient.null_quotient(chamber.form, e)
+    payload = _ideal_vertex_payload(quot, chamber.roots, comps, rc)
+    return _document(chamber.form, "ideal_vertex_failure", payload)
+
+
+def _ideal_vertex_payload(quot, roots, components, rc) -> dict:
+    """The ideal-vertex payload at the null vector of quot.
+
+    components are {"nodes", "type", "marks"} of affine components of the
+    roots with that null vector, nodes sorted; rc is
+    quotient.root_classes of quot.
+    """
+    form = quot.form
+    components = sorted(components, key=lambda c: c["nodes"])
+    image = [quot.class_coordinates(roots[i]) for i in sorted(
+        i for c in components for i in c["nodes"])]
     comp_data = quotient.orthogonal_complement_data(form, quot, image)
-    payload = {
-        "roots": [list(r) for r in accepted],
-        "components": comps_out,
-        "null_vector": list(e),
+    return {
+        "roots": [list(r) for r in roots],
+        "components": components,
+        "null_vector": list(quot.e),
         "affine_rank": len(linalg.hnf_basis(image)),
         "quotient": {
             "class_basis": [list(r) for r in quot.class_basis],
@@ -181,7 +208,6 @@ def ideal_vertex_certificate(chamber, e, components, rc) -> dict:
         "root_classes": rc,
         "conclusion": "root_classes_rank_deficient",
     }
-    return _document(form, "ideal_vertex_failure", payload)
 
 
 def infinite_symmetry_certificate(form: Form, accepted, symmetry, batches_done) -> dict:
@@ -192,6 +218,13 @@ def infinite_symmetry_certificate(form: Form, accepted, symmetry, batches_done) 
     frame corner carries its separating-wall bound, which must lie below
     that frontier for the corner to be a certified chamber vertex.
     """
+    payload = _symmetry_payload(form, accepted, symmetry, batches_done)
+    return _document(form, "infinite_symmetry", payload)
+
+
+def _symmetry_payload(form: Form, roots, symmetry, batches_done) -> dict:
+    """The symmetry payload; symmetry is isometry.find_infinite_symmetry's
+    matrix, frames (root_indices and corner) and evidence."""
     from vinberg import isometry
 
     def frame_out(fr):
@@ -202,8 +235,8 @@ def infinite_symmetry_certificate(form: Form, accepted, symmetry, batches_done) 
             "height_bound": str(isometry.corner_height_bound(form, corner)),
         }
 
-    payload = {
-        "roots": [list(r) for r in accepted],
+    return {
+        "roots": [list(r) for r in roots],
         "batches_done": batches_done,
         "matrix": [list(row) for row in symmetry["matrix"]],
         "frame_from": frame_out(symmetry["frame_from"]),
@@ -211,16 +244,18 @@ def infinite_symmetry_certificate(form: Form, accepted, symmetry, batches_done) 
         "evidence": symmetry["evidence"],
         "conclusion": "chamber_admits_infinite_order_symmetry",
     }
-    return _document(form, "infinite_symmetry", payload)
 
 
 def reflective_certificate(form: Form, roots, volume_report) -> dict:
-    payload = {
+    return _document(form, "reflective", _reflective_payload(roots, volume_report))
+
+
+def _reflective_payload(roots, volume_report) -> dict:
+    return {
         "roots": [list(r) for r in roots],
         "volume": volume_report,
         "conclusion": "chamber_has_finite_volume",
     }
-    return _document(form, "reflective", payload)
 
 
 def inherited_certificate(base: dict, n: int) -> dict:
@@ -236,11 +271,11 @@ def inherited_certificate(base: dict, n: int) -> dict:
     if n <= base["form"]["n"]:
         raise CertificateError("form.n: inherited rank must exceed the base rank")
     form = Form(base["form"]["p"], n)
-    payload = {
-        "base": base,
-        "conclusion": "nonreflectivity_inherited_from_lower_rank",
-    }
-    return _document(form, "inherited_nonreflectivity", payload)
+    return _document(form, "inherited_nonreflectivity", _inherited_payload(base))
+
+
+def _inherited_payload(base) -> dict:
+    return {"base": base, "conclusion": "nonreflectivity_inherited_from_lower_rank"}
 
 
 # ---------------------------------------------------------------------------
@@ -257,56 +292,84 @@ def verification_failures(cert: dict) -> list[str]:
     Malformed documents (missing or type-broken fields) raise
     CertificateError naming the field instead.
     """
-    _require(cert, "schema_version")
-    if cert["schema_version"] != SCHEMA_VERSION:
+    if _require(cert, "schema_version") != SCHEMA_VERSION:
         raise CertificateError("schema_version: unsupported value")
-    _require(cert, "kind")
-    if cert["kind"] not in _KINDS:
+    kind = _require(cert, "kind")
+    if kind not in _KINDS:
         raise CertificateError("kind: unknown certificate kind")
-    _require(cert, "form")
-    _require(cert["form"], "p", "form.p")
-    _require(cert["form"], "n", "form.n")
-    _require(cert, "payload")
-    _require(cert, "annotations")
-    if not isinstance(cert["annotations"], dict):
+    form = _form(cert, "")
+    payload = _require(cert, "payload")
+    if not isinstance(_require(cert, "annotations"), dict):
         raise CertificateError("annotations: must be an object")
-    try:
-        form = Form(cert["form"]["p"], cert["form"]["n"])
-    except (ValueError, TypeError) as exc:
-        raise CertificateError(f"form: {exc}")
-    kind = cert["kind"]
     if kind == "reflective":
-        return _verify_reflective(form, cert["payload"])
+        return _verify_reflective(form, payload)
     if kind == "ideal_vertex_failure":
-        return _verify_ideal_vertex(form, cert["payload"])
+        return _verify_ideal_vertex(form, payload)
     if kind == "infinite_symmetry":
-        return _verify_infinite_symmetry(form, cert["payload"])
-    return _verify_inherited(form, cert["payload"])
+        return _verify_infinite_symmetry(form, payload)
+    return _verify_inherited(form, payload)
 
 
 def _require(doc, key, label=None):
+    """doc[key]; CertificateError naming the field if doc has no such key."""
     if not isinstance(doc, dict) or key not in doc:
         raise CertificateError(f"{label or key}: missing field")
+    return doc[key]
+
+
+def _form(doc, prefix: str) -> Form:
+    """The Form of a certificate's form field; prefix places it in the
+    enclosing document."""
+    _require(doc, "form", f"{prefix}form")
+    p = _require(doc["form"], "p", f"{prefix}form.p")
+    n = _require(doc["form"], "n", f"{prefix}form.n")
+    try:
+        return Form(p, n)
+    except (ValueError, TypeError) as exc:
+        raise CertificateError(f"{prefix}form: {exc}")
+
+
+def _ints(doc, key, label: str) -> list[int]:
+    """doc[key], which must be a list of integers; CertificateError naming
+    label otherwise.  Every list-of-integers primary field is read here."""
+    try:
+        value = doc[key]
+    except (KeyError, IndexError, TypeError):
+        raise CertificateError(f"{label}: missing field")
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise CertificateError(f"{label}: not a list of integers")
+    return value
+
+
+def _rows(payload, key) -> list[list[int]]:
+    """payload[key], which must be a list of lists of integers."""
+    rows = _require(payload, key, f"payload.{key}")
+    if not isinstance(rows, list):
+        raise CertificateError(f"payload.{key}: not a list")
+    return [_ints(rows, i, f"payload.{key}[{i}]") for i in range(len(rows))]
 
 
 def _roots(form: Form, payload) -> tuple[list, list[str]]:
     """payload.roots as tuples, with a failure for each entry that is not a
-    root of the form.  An entry that is not a list of integers is
-    malformed and raises CertificateError naming it."""
-    _require(payload, "roots", "payload.roots")
-    if not isinstance(payload["roots"], list):
-        raise CertificateError("payload.roots: not a list")
-    roots = []
-    issues = []
-    for i, r in enumerate(payload["roots"]):
-        if not isinstance(r, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in r
-        ):
-            raise CertificateError(f"payload.roots[{i}]: not a list of integers")
-        roots.append(tuple(r))
-        if len(r) != form.dim or not form.is_root(roots[-1]):
-            issues.append(f"payload.roots[{i}]: not a root of the form")
-    return roots, issues
+    root of the form."""
+    roots = [tuple(r) for r in _rows(payload, "roots")]
+    return roots, [
+        f"payload.roots[{i}]: not a root of the form"
+        for i, r in enumerate(roots) if len(r) != form.dim or not form.is_root(r)
+    ]
+
+
+def _rederived(payload, rebuilt: dict) -> list[str]:
+    """The top-level keys on which payload and the rebuilt payload differ,
+    a stored key that the builder does not make included.  A key missing
+    from payload raises CertificateError naming it."""
+    for key in rebuilt:
+        _require(payload, key, f"payload.{key}")
+    return [
+        f"payload.{key}: does not re-derive"
+        for key in payload
+        if key not in rebuilt or payload[key] != rebuilt[key]
+    ]
 
 
 def _acute_pair(form: Form, roots) -> list[str]:
@@ -339,7 +402,6 @@ def chamber_cone_closes(chamber) -> bool:
 
 def _verify_reflective(form: Form, payload) -> list[str]:
     """The reflective checks of the module docstring, in that order."""
-    _require(payload, "volume", "payload.volume")
     roots, issues = _roots(form, payload)
     if issues:
         return issues
@@ -358,99 +420,61 @@ def _verify_reflective(form: Form, payload) -> list[str]:
     report = _volume.finite_volume(chamber)
     if not report["finite"]:
         issues.append("payload.volume: chamber volume is not finite")
-    if report != payload["volume"]:
-        issues.append("payload.volume: report does not re-derive")
     if not chamber_cone_closes(chamber):
         issues.append("payload.roots: chamber cone is not in the closed light cone")
-    return issues
+    return issues + _rederived(payload, _reflective_payload(roots, report))
 
 
 def _verify_ideal_vertex(form: Form, payload) -> list[str]:
-    for key in ("components", "null_vector", "affine_rank", "quotient",
-                "affine_image", "complement", "glue", "root_classes", "conclusion"):
-        _require(payload, key, f"payload.{key}")
     roots, issues = _roots(form, payload)
+    e = tuple(_ints(payload, "null_vector", "payload.null_vector"))
+    comps = _require(payload, "components", "payload.components")
+    if not isinstance(comps, list):
+        raise CertificateError("payload.components: not a list")
+    node_sets = []
+    for ci in range(len(comps)):
+        node_sets.append(_ints(comps[ci], "nodes", f"payload.components[{ci}].nodes"))
+        _ints(comps[ci], "marks", f"payload.components[{ci}].marks")
     if issues:
         return issues
+    if not node_sets:
+        return ["payload.components: no affine component"]
     issues = _acute_pair(form, roots)
     if issues:
         return issues
     # the search accepts roots in order of height, so it has reached the
     # stored count by the batch of the highest stored root or never
     top = max(map(form.height, roots), default=0)
-    if not reproduces(form, roots, budget=Budget(max_height=top, max_roots=len(roots))):
+    if not reproduces(form, roots, None, Budget(max_height=top, max_roots=len(roots))):
         return ["payload.roots: not a state of the root search"]
-    e = tuple(payload["null_vector"])
     if len(e) != form.dim or form.norm(e) != 0 or not any(e) or not form.is_primitive(e):
-        issues.append("payload.null_vector: not a primitive null vector")
-        return issues
+        return ["payload.null_vector: not a primitive null vector"]
     if e[0] <= 0:
-        issues.append("payload.null_vector: wrong light-cone orientation")
-        return issues
+        return ["payload.null_vector: wrong light-cone orientation"]
 
     d = _diagram.build_diagram(form, roots)
-    all_nodes = []
-    for ci, comp in enumerate(payload["components"]):
-        _require(comp, "nodes", f"payload.components[{ci}].nodes")
-        _require(comp, "type", f"payload.components[{ci}].type")
-        _require(comp, "marks", f"payload.components[{ci}].marks")
-        nodes = list(comp["nodes"])
+    components = []
+    for ci, nodes in enumerate(node_sets):
+        label = f"payload.components[{ci}].nodes"
         if nodes != sorted(set(nodes)) or not all(0 <= i < len(roots) for i in nodes):
-            issues.append(f"payload.components[{ci}].nodes: bad index set")
-            return issues
-        sub = _diagram.classify_subdiagram(d, nodes)
-        if sub["kind"] != "affine" or len(sub["types"]) != 1 or sub["types"][0] != comp["type"]:
-            issues.append(f"payload.components[{ci}].type: subdiagram is not affine of this type")
-            continue
-        try:
-            marks, e_comp = affine_null_marks(form, roots, nodes)
-        except ValueError:
-            issues.append(f"payload.components[{ci}].marks: marks are undefined")
-            continue
-        if marks != list(comp["marks"]) or e_comp != e:
-            issues.append(f"payload.components[{ci}].marks: null vector does not re-derive")
-        all_nodes.extend(nodes)
-    if issues:
-        return issues
-    if len(set(all_nodes)) != len(all_nodes):
-        issues.append("payload.components: overlapping components")
-        return issues
-    all_nodes = sorted(all_nodes)
+            return [f"{label}: bad index set"]
+        if _diagram.components(d, nodes) != [tuple(nodes)]:
+            return [f"{label}: not a connected subdiagram"]
+        name = _diagram.classify_component(d, nodes)
+        if name is None or not _diagram.is_affine_type(name):
+            return [f"{label}: not an affine subdiagram"]
+        marks, e_comp = affine_null_marks(form, roots, nodes)
+        if e_comp != e:
+            return [f"{label}: null vector is not payload.null_vector"]
+        components.append({"nodes": nodes, "type": name, "marks": marks})
+    if len({i for nodes in node_sets for i in nodes}) != sum(map(len, node_sets)):
+        return ["payload.components: overlapping components"]
 
     quot = quotient.null_quotient(form, e)
-    if [list(r) for r in quot.class_basis] != payload["quotient"].get("class_basis") or [
-        list(r) for r in quot.gram
-    ] != payload["quotient"].get("gram"):
-        issues.append("payload.quotient: basis or Gram does not re-derive")
-        return issues
-    image = [quot.class_coordinates(roots[i]) for i in all_nodes]
-    if image != payload["affine_image"]:
-        issues.append("payload.affine_image: coordinates do not re-derive")
-        return issues
-    if len(linalg.hnf_basis(image)) != payload["affine_rank"]:
-        issues.append("payload.affine_rank: rank does not re-derive")
-
-    comp_data = quotient.orthogonal_complement_data(form, quot, image)
-    stored = payload["complement"]
-    if (comp_data["c_basis"] != stored.get("basis")
-            or comp_data.get("generator") != stored.get("generator")
-            or comp_data.get("generator_norm") != stored.get("generator_norm")):
-        issues.append("payload.complement: complement does not re-derive")
-    glue = payload["glue"]
-    if (comp_data["index"] != glue.get("index")
-            or comp_data.get("invariants", []) != glue.get("invariants")
-            or comp_data.get("glue_vector") != glue.get("vector")
-            or comp_data.get("glue_order") != glue.get("order")):
-        issues.append("payload.glue: glue data does not re-derive")
-
     rc = quotient.root_classes(form, quot)
-    if rc != payload["root_classes"]:
-        issues.append("payload.root_classes: classes do not re-derive")
     if rc["full_rank"]:
         issues.append("payload.root_classes: root classes span the quotient rationally")
-    if payload["conclusion"] != "root_classes_rank_deficient":
-        issues.append("payload.conclusion: unexpected value")
-    return issues
+    return issues + _rederived(payload, _ideal_vertex_payload(quot, roots, components, rc))
 
 
 def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
@@ -466,71 +490,62 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     carry an infinite-order permutation of its finitely many spanning
     walls, which is impossible.
 
-    The replay runs last, capped by the stored data: the isometry maps
-    walls to walls and the search accepts every wall below its frontier,
-    so a stored root's image that is not stored lies above the replay.
+    The replay runs after the matrix and frame checks, capped by the
+    stored data: the isometry maps walls to walls and the search accepts
+    every wall below its frontier, so a stored root's image that is not
+    stored lies above the replay.
     """
     from vinberg import isometry
 
-    for key in ("matrix", "batches_done", "frame_from", "frame_to",
-                "evidence", "conclusion"):
-        _require(payload, key, f"payload.{key}")
     roots, issues = _roots(form, payload)
-    if issues:
-        return issues
-    batches = payload["batches_done"]
+    batches = _require(payload, "batches_done", "payload.batches_done")
     if not isinstance(batches, int) or isinstance(batches, bool) or batches < 0:
         raise CertificateError("payload.batches_done: not a non-negative integer")
-
-    T = payload["matrix"]
-    if (len(T) != form.dim or any(len(row) != form.dim for row in T)
-            or any(not isinstance(x, int) for row in T for x in row)):
-        issues.append("payload.matrix: not an integer matrix of the right size")
+    T = _rows(payload, "matrix")
+    labels = ("frame_from", "frame_to")
+    frames = {}
+    for label in labels:
+        fr = _require(payload, label, f"payload.{label}")
+        frames[label] = {
+            key: _ints(fr, key, f"payload.{label}.{key}") for key in ("root_indices", "corner")
+        }
+    if issues:
         return issues
+
+    if len(T) != form.dim or any(len(row) != form.dim for row in T):
+        return ["payload.matrix: not an integer matrix of the right size"]
     F = form.form_matrix
     if linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), F), T) != F:
-        issues.append("payload.matrix: does not preserve the form")
-        return issues
+        return ["payload.matrix: does not preserve the form"]
 
-    frames = []
-    for label in ("frame_from", "frame_to"):
-        fr = payload[label]
-        _require(fr, "root_indices", f"payload.{label}.root_indices")
-        _require(fr, "corner", f"payload.{label}.corner")
-        _require(fr, "height_bound", f"payload.{label}.height_bound")
-        idx = list(fr["root_indices"])
-        corner = tuple(fr["corner"])
-        if (len(idx) != form.n or len(set(idx)) != form.n
-                or not all(isinstance(i, int) and 0 <= i < len(roots) for i in idx)):
-            issues.append(f"payload.{label}.root_indices: bad index set")
-            return issues
+    bounds = {}
+    for label in labels:
+        idx = frames[label]["root_indices"]
+        corner = tuple(frames[label]["corner"])
+        if len(idx) != form.n or len(set(idx)) != form.n or not all(
+                0 <= i < len(roots) for i in idx):
+            return [f"payload.{label}.root_indices: bad index set"]
         if len(corner) != form.dim or form.norm(corner) >= 0 or corner[0] <= 0:
-            issues.append(f"payload.{label}.corner: not a future timelike vector")
-            return issues
+            return [f"payload.{label}.corner: not a future timelike vector"]
         if not form.is_primitive(corner):
-            issues.append(f"payload.{label}.corner: not primitive")
-            return issues
+            return [f"payload.{label}.corner: not primitive"]
         if any(form.inner_product(r, corner) > 0 for r in roots):
-            issues.append(f"payload.{label}.corner: outside the chamber")
-            return issues
-        bound = isometry.corner_height_bound(form, corner)
-        if str(bound) != fr["height_bound"]:
-            issues.append(f"payload.{label}.height_bound: does not re-derive")
-            return issues
+            return [f"payload.{label}.corner: outside the chamber"]
+        bounds[label] = isometry.corner_height_bound(form, corner)
+        if str(bounds[label]) != _require(payload[label], "height_bound",
+                                          f"payload.{label}.height_bound"):
+            return [f"payload.{label}.height_bound: does not re-derive"]
         if any(form.inner_product(roots[i], corner) != 0 for i in idx):
-            issues.append(f"payload.{label}.root_indices: frame roots must contain the corner")
-            return issues
+            return [f"payload.{label}.root_indices: frame roots must contain the corner"]
         if isometry.vertex_walls(form, corner) != sorted(roots[i] for i in idx):
-            issues.append(
+            return [
                 f"payload.{label}.root_indices: not the complete wall set "
                 "through the corner"
-            )
-            return issues
-        frames.append((label, idx, corner, bound))
-    (_, idx_from, c_from, _), (_, idx_to, c_to, _) = frames
+            ]
+    source, target = (frames[label] for label in labels)
+    c_from, c_to = tuple(source["corner"]), tuple(target["corner"])
     if form.norm(c_from) != form.norm(c_to) or c_from == c_to:
-        issues.append("payload.frame_to.corner: corners must be distinct of equal norm")
-        return issues
+        return ["payload.frame_to.corner: corners must be distinct of equal norm"]
 
     def apply(v):
         return tuple(sum(T[i][j] * v[j] for j in range(form.dim)) for i in range(form.dim))
@@ -538,50 +553,46 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     if apply(c_from) != c_to:
         issues.append("payload.matrix: does not map the source corner to the target")
     for s in range(form.n):
-        if apply(roots[idx_from[s]]) != roots[idx_to[s]]:
+        if apply(roots[source["root_indices"][s]]) != roots[target["root_indices"][s]]:
             issues.append(f"payload.matrix: does not map frame root {s} as stated")
-    evidence = isometry.infinite_order_evidence([list(row) for row in T])
+    evidence = isometry.infinite_order_evidence(T)
     if evidence is None:
         issues.append("payload.matrix: matrix has finite order")
-    elif evidence != payload["evidence"]:
-        issues.append("payload.evidence: does not re-derive")
-    if payload["conclusion"] != "chamber_admits_infinite_order_symmetry":
-        issues.append("payload.conclusion: unexpected value")
     if issues:
         return issues
 
-    stored = set(roots)
-    images = [form.height(v) for v in map(apply, roots) if v not in stored]
+    in_roots = set(roots)
+    images = [form.height(v) for v in map(apply, roots) if v not in in_roots]
     # with no image outside the roots, T permutes them; a cap of 0 stops the replay
     cap = Budget(max_height=min(images, default=0), max_roots=len(roots) + 1)
     if not reproduces(form, roots, batches, cap):
         return ["payload.roots: not the search state after this many batches"]
     frontier = open_height(form, batches)
-    for label, _, _, bound in frames:
-        if bound >= frontier:
+    for label in labels:
+        if bounds[label] >= frontier:
             return [
                 f"payload.{label}.corner: separating-wall bound not cleared "
                 "by the scanned height"
             ]
-    return issues
+    symmetry = {"matrix": T, **frames, "evidence": evidence}
+    return _rederived(payload, _symmetry_payload(form, roots, symmetry, batches))
 
 
 def _verify_inherited(form: Form, payload) -> list[str]:
-    _require(payload, "base", "payload.base")
-    base = payload["base"]
-    _require(base, "kind", "payload.base.kind")
-    _require(base, "form", "payload.base.form")
+    base = _require(payload, "base", "payload.base")
+    kind = _require(base, "kind", "payload.base.kind")
+    base_form = _form(base, "payload.base.")
+    if kind not in _NONREFLECTIVE:
+        return ["payload.base.kind: not a nonreflectivity certificate"]
     issues = []
-    if base["kind"] not in _NONREFLECTIVE:
-        issues.append("payload.base.kind: not a nonreflectivity certificate")
-        return issues
-    if base["form"].get("p") != form.p:
+    if base_form.p != form.p:
         issues.append("payload.base.form: prime mismatch")
-    if base["form"].get("n", form.n) >= form.n:
+    if base_form.n >= form.n:
         issues.append("payload.base.form: base rank must be lower")
     if issues:
         return issues
-    sub = verification_failures(base)
-    if sub:
-        issues.extend(f"payload.base.{s}" for s in sub)
-    return issues
+    try:
+        issues = [f"payload.base.{s}" for s in verification_failures(base)]
+    except CertificateError as exc:
+        raise CertificateError(f"payload.base.{exc}")
+    return issues + _rederived(payload, _inherited_payload(base))

@@ -313,33 +313,6 @@ def is_affine_type(name: str) -> bool:
     return "~" in name
 
 
-def classify_subdiagram(diagram: Diagram, subset) -> dict:
-    """Classification of an arbitrary subdiagram.
-
-    Returns {"kind": ..., "types": ...} where kind is "elliptic" (all
-    components spherical), "affine" (all components affine), "mixed"
-    (spherical and affine components together) or "other", and types lists
-    the component names sorted, or None as soon as a component is outside
-    both catalogs.
-    """
-    subset = tuple(sorted(subset))
-    names = []
-    for comp in components(diagram, subset):
-        name = classify_component(diagram, comp)
-        if name is None:
-            return {"kind": "other", "types": None}
-        names.append(name)
-    if not names:
-        return {"kind": "elliptic", "types": []}
-    if all(not is_affine_type(t) for t in names):
-        kind = "elliptic"
-    elif all(is_affine_type(t) for t in names):
-        kind = "affine"
-    else:
-        kind = "mixed"
-    return {"kind": kind, "types": sorted(names)}
-
-
 def _orthogonal(diagram: Diagram, a, b) -> bool:
     return all(diagram.kind(i, j) is None for i in a for j in b)
 

@@ -89,20 +89,26 @@ def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
 
     m is the class norm of coords, as linalg.short_vectors returns it
     (quot.class_norm re-derives it).  The divisibility conditions on
-    x + t e depend on t only modulo m, so scanning t in [0, m) is
-    exhaustive.  The returned shift is the smallest witness.
+    v = x + t e are m | 2p v0 and m | 2 vi.  For m = 1 or 2 every t
+    satisfies them; for m = p or 2p they say p | xi + t ei for each
+    i >= 1, and some such ei is prime to p (else the null norm would make
+    p divide e0 too, against primitivity), which fixes t modulo p.  The
+    returned shift is the smallest witness in [0, m).
     """
     if m <= 0 or m not in form.admissible_root_norms:
         return None
     x = quot.lift(coords)
     e = quot.e
-    for t in range(m):
-        v = tuple(a + t * b for a, b in zip(x, e))
-        if form.satisfies_crystallographic_condition(v, m):
-            # admissible norms are squarefree, so v is automatically primitive
-            assert form.is_root(v)
-            return t
-    return None
+    t = 0
+    if m % form.p == 0:
+        i = next(i for i in range(1, form.dim) if e[i] % form.p)
+        t = -x[i] * pow(e[i], -1, form.p) % form.p
+    v = tuple(a + t * b for a, b in zip(x, e))
+    if not form.satisfies_crystallographic_condition(v, m):
+        return None
+    # admissible norms are squarefree, so v is automatically primitive
+    assert form.is_root(v)
+    return t
 
 
 def root_classes(form: Form, quot: NullQuotient) -> dict:

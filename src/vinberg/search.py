@@ -137,21 +137,17 @@ class SearchResult:
         return list(self.state.accepted)
 
 
-def replay(state: SearchState, budget: Optional[Budget] = None) -> Iterator[list]:
+def replay(state: SearchState, budget: Budget) -> Iterator[list]:
     """The batch stream from state's cursor on, advancing state as it goes.
 
     Each step enumerates one batch, accepts its candidates into
     state.accepted, updates the counters and batches_done, and yields the
-    batch's accepts.  With a budget the stream ends where the budget stops
-    the search; without one it never ends, and the caller bounds it.
+    batch's accepts.  The stream ends where the budget stops the search.
     """
     form = state.form
     accepted = state.accepted
     for k0, m in islice(batch_sequence(form), state.batches_done, None):
-        if budget is not None and (
-            len(accepted) >= budget.max_roots
-            or Fraction(k0 * k0, m) > budget.max_height
-        ):
+        if len(accepted) >= budget.max_roots or Fraction(k0 * k0, m) > budget.max_height:
             return
         candidates = enumerate_batch(form, k0, m, accepted)
         fresh = []
@@ -166,9 +162,9 @@ def replay(state: SearchState, budget: Optional[Budget] = None) -> Iterator[list
         yield fresh
 
 
-def reproduces(form: Form, roots, batches=None, budget=None) -> bool:
+def reproduces(form: Form, roots, batches: Optional[int], budget: Budget) -> bool:
     """Whether a fresh replay accepts exactly roots: in exactly the given
-    number of batches, or where the budget stops it.
+    number of batches, or (batches None) where the budget stops it.
 
     The replay stops at the first batch whose accepts are not a prefix of
     roots, so roots that the search never reaches bound it too.

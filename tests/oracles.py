@@ -2,7 +2,8 @@
 
 Each oracle recomputes its answer from first principles: reflections as
 exact rational matrices, candidate enumeration as full box scans, root
-classes by widening the shift window far past the claimed period, matrix
+classes by widening the shift window far past the claimed period or by
+scanning every shift in it, matrix
 order by factoring the characteristic polynomial with sympy, finite
 volume by counting the vertices on every edge of the chamber, diagram
 edges, critical sets and affine components from scratch, reduced
@@ -369,3 +370,19 @@ def cone_fixed_set(form, roots, nodes):
         [cones.primitive_vector(to_ambient(l)) for l in lines],
         [cones.primitive_vector(to_ambient(r)) for r in rays],
     )
+
+
+def root_class_shift_scan(form, quot, coords, m):
+    """quotient.root_class_shift by scanning every shift t in [0, m).
+
+    The divisibility conditions on lift(coords) + t e depend on t only
+    modulo m, so the scan is exhaustive and returns the smallest witness.
+    """
+    if m <= 0 or m not in form.admissible_root_norms:
+        return None
+    x = quot.lift(coords)
+    for t in range(m):
+        v = tuple(a + t * b for a, b in zip(x, quot.e))
+        if form.satisfies_crystallographic_condition(v, m):
+            return t
+    return None

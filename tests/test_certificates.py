@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import corpus
-from vinberg import certificates, cones, diagram, volume
+from vinberg import certificates, cones, diagram, quotient, volume
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
-from vinberg.search import SearchState, replay
+from vinberg.search import Budget, SearchState, replay
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -158,6 +158,91 @@ def test_reflective_verification_builds_one_chamber(report, monkeypatch, p, n):
     assert calls == {"cone_generators": 1, "build_diagram": 0}
 
 
+@pytest.fixture(scope="module")
+def cert_inherited(cert_7_4):
+    return certificates.inherited_certificate(cert_7_4, 5)
+
+
+KIND_FIXTURES = ["cert_5_2", "cert_7_4", "cert_13_3", "cert_inherited"]
+
+
+def _field_paths(value, path=()):
+    """Each field under value: every key of an object, the first entry of
+    a list."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = list(range(min(len(value), 1)))
+    else:
+        keys = []
+    for key in keys:
+        yield path + (key,)
+        yield from _field_paths(value[key], path + (key,))
+
+
+@pytest.mark.parametrize("which", KIND_FIXTURES)
+def test_type_broken_payload_fields_are_invalid_or_malformed(request, which):
+    # every payload field in turn, set to a value of each JSON type that
+    # breaks it: the verdict is a failure list or CertificateError, never
+    # another exception, and never valid unless the field is commentary
+    cert = request.getfixturevalue(which)
+    edits = 0
+    for path in _field_paths(cert["payload"]):
+        for bad in (None, "x", [], {}):
+            edited = copy.deepcopy(cert)
+            parent = edited["payload"]
+            for key in path[:-1]:
+                parent = parent[key]
+            if parent[path[-1]] == bad:
+                continue
+            parent[path[-1]] = bad
+            edits += 1
+            try:
+                failures = certificates.verification_failures(edited)
+            except CertificateError:
+                continue
+            assert isinstance(failures, list), (path, bad)
+            assert failures or "annotations" in path, (path, bad)
+    assert edits > 20
+
+
+# top-level payload keys that each kind re-derives from its primary fields
+DERIVED_KEYS = {
+    "cert_5_2": ["volume", "conclusion"],
+    "cert_7_4": ["affine_rank", "quotient", "affine_image", "complement", "glue",
+                 "root_classes", "conclusion"],
+    "cert_13_3": ["evidence", "conclusion"],
+    "cert_inherited": ["conclusion"],
+}
+
+
+@pytest.mark.parametrize(
+    "which,key", [(which, key) for which, keys in DERIVED_KEYS.items() for key in keys]
+)
+def test_edited_derived_key_does_not_re_derive(request, which, key):
+    cert = copy.deepcopy(request.getfixturevalue(which))
+    cert["payload"][key] = "chamber_has_infinite_volume"
+    failures = certificates.verification_failures(cert)
+    assert failures == [f"payload.{key}: does not re-derive"], failures
+    del cert["payload"][key]
+    with pytest.raises(CertificateError, match=rf"payload\.{key}: missing"):
+        certificates.verification_failures(cert)
+
+
+@pytest.mark.parametrize("which", KIND_FIXTURES)
+def test_unknown_payload_key_does_not_re_derive(request, which):
+    cert = copy.deepcopy(request.getfixturevalue(which))
+    cert["payload"]["note"] = None
+    assert certificates.verification_failures(cert) == ["payload.note: does not re-derive"]
+
+
+def test_edited_component_type_does_not_re_derive(cert_7_4):
+    cert = copy.deepcopy(cert_7_4)
+    cert["payload"]["components"][0]["type"] = "A~3"
+    failures = certificates.verification_failures(cert)
+    assert failures == ["payload.components: does not re-derive"]
+
+
 def test_tampered_null_vector_orientation(cert_7_4):
     cert = copy.deepcopy(cert_7_4)
     cert["payload"]["null_vector"] = [-x for x in cert["payload"]["null_vector"]]
@@ -184,6 +269,18 @@ def test_tampered_component_marks(cert_7_4):
     cert = copy.deepcopy(cert_7_4)
     cert["payload"]["components"][0]["marks"][0] += 1
     assert not certificates.verify_certificate(cert)
+
+
+def test_ideal_vertex_certificate_needs_a_component(cert_7_4):
+    # the obstruction is argued at a null vector that affine components of
+    # the roots span; a payload with none, rebuilt consistently around the
+    # same null vector, must not verify
+    cert = copy.deepcopy(cert_7_4)
+    payload = cert["payload"]
+    quot = quotient.null_quotient(Form(7, 4), payload["null_vector"])
+    roots = [tuple(r) for r in payload["roots"]]
+    cert["payload"] = certificates._ideal_vertex_payload(quot, roots, [], payload["root_classes"])
+    assert certificates.verification_failures(cert) == ["payload.components: no affine component"]
 
 
 def test_tampered_root_class_shift(cert_7_4):
@@ -238,7 +335,7 @@ def test_symmetry_roots_must_be_the_state_after_batches_done(cert_13_3):
     cert = copy.deepcopy(cert_13_3)
     count = len(cert["payload"]["roots"])
     state = SearchState.fresh(Form(13, 3))
-    for _ in replay(state):
+    for _ in replay(state, Budget()):
         if len(state.accepted) >= count:
             break
     assert len(state.accepted) == count

@@ -278,3 +278,9 @@ def test_verify_malformed_documents(runner, tmp_path):
     assert res.exit_code == 2
     missing = runner.invoke(main, ["verify", str(tmp_path / "absent.json")])
     assert missing.exit_code == 2
+    cert = json.loads(runner.invoke(main, ["certify", "7", "4"]).output)
+    cert["payload"]["null_vector"] = None
+    cert_file.write_text(json.dumps(cert))
+    res = runner.invoke(main, ["verify", str(cert_file)])
+    assert res.exit_code == 2
+    assert "malformed: payload.null_vector" in res.stderr

@@ -65,7 +65,7 @@ def _all_root_classes(form, quot):
 
 
 def test_root_class_shift_matches_wide_window_oracle():
-    # the fast path scans t in [0, m); the oracle scans [-10m, 10m).
+    # the fast path solves for t modulo p; the oracle scans [-10m, 10m).
     # Exhaustive on the small quotients, a fixed sample on the rank-8 one.
     # The norm the walk hands over must be the class norm itself.
     import random
@@ -121,6 +121,21 @@ def test_early_stop_agrees_with_the_full_walk(monkeypatch, p, n):
         else:
             assert early["rank"] == quot.rank
             assert all(c in full["classes"] for c in early["classes"]), e
+
+
+@pytest.mark.parametrize("p,n", [(5, 9), (7, 4), (11, 5), (5, 10)])
+def test_root_class_shift_matches_the_scan(monkeypatch, p, n):
+    # the direct shift against every shift in [0, m), on every class of
+    # root norm at each null vector the classification meets
+    form = Form(p, n)
+    null_vectors = _scanned_null_vectors(monkeypatch, p, n)
+    assert null_vectors
+    for e in null_vectors:
+        quot = quotient.null_quotient(form, e)
+        gram = [list(r) for r in quot.gram]
+        for coords, m in linalg.short_vectors(gram, form.admissible_root_norms):
+            assert quotient.root_class_shift(form, quot, coords, m) == \
+                oracles.root_class_shift_scan(form, quot, coords, m), (e, coords)
 
 
 def test_rank_deficit_at_first_failures():

@@ -44,7 +44,7 @@ def test_open_height_is_next_batch_height():
     assert open_height(form, 0) < open_height(form, 1) < open_height(form, 5)
     # the frontier after k batches admits exactly the first k batch heights
     state = SearchState.fresh(form)
-    for _ in islice(replay(state), 7):
+    for _ in islice(replay(state, Budget()), 7):
         pass
     frontier = open_height(form, 7)
     for r in state.accepted:
@@ -56,7 +56,7 @@ def test_replay_reproduces_prefix(search):
     full = search(13, 3)
     k = full.state.batches_done
     state = SearchState.fresh(Form(13, 3))
-    for _ in islice(replay(state), k):
+    for _ in islice(replay(state, Budget()), k):
         pass
     assert state.accepted == full.roots
     assert state.batches_done == k
