@@ -159,7 +159,8 @@ def frame_map(form: Form, frame_from, frame_to):
     T = [[int(x) for x in row] for row in T]
     F = form.form_matrix
     TtFT = linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), F), T)
-    assert TtFT == F, "matching Grams must force form preservation"
+    if TtFT != F:
+        raise ConsistencyError("matching Grams must force form preservation")
     return T
 
 

@@ -8,10 +8,12 @@ Elimination runs in integer arithmetic.  rref, rank, det and
 psd_classify clear each row's denominators and use Bareiss's
 fraction-free elimination, whose exact divisions keep entries the size of
 minors; rref builds its Fractions only at output, and solve, kernel and
-mat_inv read their answers off it.  short_vectors (Fincke-Pohst) clears
-the denominators of one rational LDL decomposition, done in Fractions
-once per walk, and then walks its tree on an integer remainder with isqrt
-windows, solving its last coordinate for each wanted norm directly.
+mat_inv read their answers off it.  Echelon keeps a growing set of rows
+in echelon form, so each new row's independence costs one reduction.
+short_vectors (Fincke-Pohst) clears the denominators of one rational LDL
+decomposition, done in Fractions once per walk, and then walks its tree
+on an integer remainder with isqrt windows, solving its last coordinate
+for each wanted norm directly.
 row_hnf, snf and integer_kernel work over the integers throughout.
 """
 
@@ -140,6 +142,40 @@ def rank(A) -> int:
         if r == len(M):
             break
     return r
+
+
+class Echelon:
+    """Integer rows of rank len(rows), kept in echelon form as they come.
+
+    rows holds (pivot column, row) pairs; each row is zero at the pivot
+    columns of the rows before it.  add(v) clears v at every stored pivot
+    by the fraction-free step v <- row[c] v - v[c] row and divides out the
+    content.  Each step scales v by a nonzero integer and subtracts a
+    multiple of a stored row, and the rows are triangular on their pivots,
+    so v lies in their rational span exactly when nothing is left; a
+    nonzero remainder is stored, with its first nonzero column as pivot.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def add(self, v) -> bool:
+        """Store v's remainder and return True when v is independent of
+        the stored rows; return False, storing nothing, otherwise."""
+        v = list(v)
+        for c, row in self.rows:
+            f = v[c]
+            if f:
+                d = row[c]
+                v = [d * a - f * b for a, b in zip(v, row)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
+        c = next((j for j, a in enumerate(v) if a), None)
+        if c is None:
+            return False
+        self.rows.append((c, v))
+        return True
 
 
 def kernel(A) -> list[list[Fraction]]:

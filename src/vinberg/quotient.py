@@ -4,19 +4,33 @@ For a primitive isotropic lattice vector e, the sublattice M = e^perp
 contains e in its radical; the quotient Mbar = M / Z e is a positive
 definite lattice of rank n - 1.  A class x + Z e has a well defined norm,
 and whether the class contains an actual root of the ambient lattice is
-decided by a finite residue scan.  These quotients drive the ideal-vertex
+decided by residues modulo p, below.  These quotients drive the ideal-vertex
 obstruction: a chamber of finite volume meeting the boundary at e needs
 its walls through e to span a full-rank reflection group on the
 horosphere, so the root classes of Mbar must span it rationally.  Their
 index in Mbar can exceed one even at a genuine ideal vertex; only a rank
 deficit is an obstruction.
+
+A class of norm 1 or 2 always holds a root.  A class of norm m = p or 2p
+holds one exactly when some v = x + t e has p | v_i for every i >= 1
+(the reflection conditions m | 2p v0 and m | 2 v_i; the first holds for
+any v).  Fix i0 >= 1 with e[i0] prime to p and u = e[i0]^-1 mod p: the
+i0 condition forces t = -x[i0] u mod p, and the others then read
+x_i - x[i0] u e[i] = 0 mod p.  Since x = sum_j c_j B_j over the class
+basis B, that is one linear form per i != i0 in the class coordinates c,
+with coefficients B_j[i] - B_j[i0] u e[i] mod p: the residue rows.  A
+class of norm p or 2p holds a root exactly when c is in their common
+kernel mod p, so a class outside it is rejected without being lifted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from vinberg import linalg
+from vinberg.errors import ConsistencyError
 from vinberg.forms import Form, Vector
 
 
@@ -30,6 +44,22 @@ class NullQuotient:
     @property
     def rank(self) -> int:
         return self.form.n - 1
+
+    @cached_property
+    def residue_rows(self) -> tuple:
+        """(i0, u, rows): the index and inverse fixing t, and the residue
+        rows; a class c of norm p or 2p holds a root iff every row has
+        sum_j row[j] c_j = 0 mod p (see the module docstring)."""
+        p, e = self.form.p, self.e
+        # some e[i] with i >= 1 is prime to p: else p | e0^2 p would give p | e0
+        i0 = next(i for i in range(1, self.form.dim) if e[i] % p)
+        u = pow(e[i0], -1, p)
+        rows = tuple(
+            tuple((b[i] - b[i0] * u * e[i]) % p for b in self.class_basis)
+            for i in range(1, self.form.dim)
+            if i != i0
+        )
+        return i0, u, rows
 
     def lift(self, coords) -> Vector:
         """Lattice representative of the class with the given coordinates."""
@@ -69,14 +99,16 @@ def null_quotient(form: Form, e) -> NullQuotient:
     # coordinates of e inside M, then a change of basis putting e first
     A = [[m_rows[j][i] for j in range(len(m_rows))] for i in range(form.dim)]
     coords = linalg.solve(A, list(e))
-    assert coords is not None and all(c.denominator == 1 for c in coords)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        raise ConsistencyError("null vector is not in the integer kernel of its own dual")
     coords = [int(c) for c in coords]
     W = linalg.complete_basis(coords)
     basis = [
         tuple(sum(W[i][j] * m_rows[j][k] for j in range(len(m_rows))) for k in range(form.dim))
         for i in range(len(m_rows))
     ]
-    assert basis[0] == e
+    if basis[0] != e:
+        raise ConsistencyError("basis completion did not keep the null vector first")
     class_basis = tuple(basis[1:])
     gram = tuple(tuple(row) for row in form.gram(class_basis))
     if linalg.psd_classify([list(r) for r in gram]) != "definite":
@@ -91,23 +123,31 @@ def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
     (quot.class_norm re-derives it).  The divisibility conditions on
     v = x + t e are m | 2p v0 and m | 2 vi.  For m = 1 or 2 every t
     satisfies them; for m = p or 2p they say p | xi + t ei for each
-    i >= 1, and some such ei is prime to p (else the null norm would make
-    p divide e0 too, against primitivity), which fixes t modulo p.  The
-    returned shift is the smallest witness in [0, m).
+    i >= 1.  The i0 condition fixes t = -x[i0] u modulo p, and the others
+    are then linear in coords modulo p: quot.residue_rows.  A class that
+    fails a residue row is rejected before it is lifted; one that passes
+    is lifted, shifted and checked in full.  The returned shift is the
+    smallest witness in [0, m).
     """
     if m <= 0 or m not in form.admissible_root_norms:
         return None
-    x = quot.lift(coords)
-    e = quot.e
+    p = form.p
     t = 0
-    if m % form.p == 0:
-        i = next(i for i in range(1, form.dim) if e[i] % form.p)
-        t = -x[i] * pow(e[i], -1, form.p) % form.p
-    v = tuple(a + t * b for a, b in zip(x, e))
+    if m % p == 0:
+        i0, u, rows = quot.residue_rows
+        for row in rows:
+            if sum(map(mul, row, coords)) % p:
+                return None
+        x = quot.lift(coords)
+        t = -x[i0] * u % p
+    else:
+        x = quot.lift(coords)
+    v = tuple(a + t * b for a, b in zip(x, quot.e))
     if not form.satisfies_crystallographic_condition(v, m):
         return None
     # admissible norms are squarefree, so v is automatically primitive
-    assert form.is_root(v)
+    if not form.is_root(v):
+        raise ConsistencyError(f"class {list(coords)} shifted by {t} is not a root")
     return t
 
 
@@ -128,16 +168,15 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     before the stop.
     """
     classes = []
-    independent = []
+    span = linalg.Echelon()
 
     def visit(v, m) -> bool:
         t = root_class_shift(form, quot, v, m)
         if t is None:
             return False
         classes.append({"coords": list(v), "norm": m, "shift": t})
-        if linalg.rank(independent + [v]) > len(independent):
-            independent.append(v)
-        return len(independent) == quot.rank
+        span.add(v)
+        return len(span.rows) == quot.rank
 
     gram = [list(r) for r in quot.gram]
     linalg.short_vectors(gram, form.admissible_root_norms, visit)

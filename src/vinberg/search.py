@@ -23,7 +23,6 @@ has positive norm.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -38,16 +37,21 @@ def batch_sequence(form: Form) -> Iterator[tuple[int, int]]:
     """Yield (k0, m) pairs in strictly increasing order of k0^2/m.
 
     Distinct batches never share a height for these forms: the ratio of two
-    admissible norms is never a rational square.  The heap still breaks
+    admissible norms is never a rational square.  The merge still breaks
     hypothetical ties toward larger m, so the order is total by construction.
+    Each norm has its own stream of k0; the at most four stream heads are
+    compared by cross-multiplying, k^2 m' < k'^2 m, in integers.
     """
-    heap = []
-    for m in form.admissible_root_norms:
-        heapq.heappush(heap, (Fraction(1, m), -m, 1, m))
+    norms = form.admissible_root_norms  # increasing
+    head = dict.fromkeys(norms, 1)
     while True:
-        _, negm, k0, m = heapq.heappop(heap)
-        yield k0, m
-        heapq.heappush(heap, (Fraction((k0 + 1) ** 2, m), negm, k0 + 1, m))
+        m = norms[0]
+        for other in norms[1:]:
+            # other > m, so a tie goes to other
+            if head[other] ** 2 * m <= head[m] ** 2 * other:
+                m = other
+        yield head[m], m
+        head[m] += 1
 
 
 def open_height(form: Form, batches_done: int) -> Fraction:
@@ -146,8 +150,10 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
     """
     form = state.form
     accepted = state.accepted
+    top = Fraction(budget.max_height)
     for k0, m in islice(batch_sequence(form), state.batches_done, None):
-        if len(accepted) >= budget.max_roots or Fraction(k0 * k0, m) > budget.max_height:
+        # k0^2 / m > max_height, by cross-multiplying
+        if len(accepted) >= budget.max_roots or k0 * k0 * top.denominator > top.numerator * m:
             return
         candidates = enumerate_batch(form, k0, m, accepted)
         fresh = []

@@ -1,7 +1,8 @@
 """Independent brute-force re-implementations used to cross-check the package.
 
 Each oracle recomputes its answer from first principles: reflections as
-exact rational matrices, candidate enumeration as full box scans, root
+exact rational matrices (integrality tested entry by entry in integers),
+candidate enumeration as full box scans, root
 classes by widening the shift window far past the claimed period or by
 scanning every shift in it, matrix
 order by factoring the characteristic polynomial with sympy, finite
@@ -88,10 +89,18 @@ def reflection_matrix(form, r):
 
 
 def reflection_is_integral(form, r):
-    """Root test via integrality of the reflection matrix."""
-    if form.norm(r) <= 0:
+    """Root test via integrality of the reflection matrix.
+
+    Entry (i, j) of reflection_matrix is delta_ij - 2 <r, b_j> r_i / m, so
+    it is integral exactly when m divides 2 <r, b_j> r_i; every entry is
+    tested in integers, without building the matrix.
+    """
+    m = form.norm(r)
+    if m <= 0:
         return False
-    return all(x.denominator == 1 for row in reflection_matrix(form, r) for x in row)
+    dim = form.dim
+    units = [tuple(1 if k == j else 0 for k in range(dim)) for j in range(dim)]
+    return all(2 * form.inner_product(r, b) * x % m == 0 for b in units for x in r)
 
 
 def reflection_preserves_form(form, r):

@@ -373,6 +373,34 @@ def test_rank_matches_rref_pivot_count(A):
     assert linalg.rank(ints) == len(linalg.rref(ints)[1])
 
 
+@st.composite
+def vector_sequences(draw, max_dim=8):
+    """Integer vectors of one length, each drawn afresh or as an integer
+    combination of two earlier ones, so dependent vectors come often."""
+    d = draw(st.integers(1, max_dim))
+    entries = st.integers(-4, 4)
+    vectors = []
+    for _ in range(draw(st.integers(0, d + 3))):
+        if len(vectors) >= 2 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(len(vectors))))[:2]
+            a, b = draw(entries), draw(entries)
+            vectors.append([a * x + b * y for x, y in zip(vectors[i], vectors[j])])
+        else:
+            vectors.append([draw(entries) for _ in range(d)])
+    return vectors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vectors=vector_sequences())
+def test_echelon_tracks_the_rank_of_every_prefix(vectors):
+    span = linalg.Echelon()
+    for k, v in enumerate(vectors, 1):
+        before = len(span.rows)
+        grew = span.add(v)
+        assert len(span.rows) == linalg.rank(vectors[:k])
+        assert grew == (len(span.rows) == before + 1)
+
+
 def fraction_reference(f, *args):
     """f(*args) with linalg.rref replaced by the Fraction reference, or the
     ValueError it raised."""

@@ -1,14 +1,34 @@
 """The quotient lattice at a null direction and its root classes."""
 
+from functools import cache
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vinberg import linalg, quotient
 from vinberg.classify import classify_form
+from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
+
+
+@cache
+def _block_quotient(p, n):
+    return quotient.null_quotient(Form(p, n), NONREFLECTIVITY_BLOCKS[(p, n)]["null_vector"])
+
+
+@cache
+def _norm_p_root_classes(p, n):
+    """The walked classes of norm p or 2p that hold a root, at a block."""
+    quot = _block_quotient(p, n)
+    gram = [list(r) for r in quot.gram]
+    return [
+        v for v, m in linalg.short_vectors(gram, quot.form.admissible_root_norms)
+        if m % p == 0 and quotient.root_class_shift(quot.form, quot, v, m) is not None
+    ]
 
 
 @pytest.mark.parametrize("p,n", sorted(NONREFLECTIVITY_BLOCKS))
@@ -123,7 +143,9 @@ def test_early_stop_agrees_with_the_full_walk(monkeypatch, p, n):
             assert all(c in full["classes"] for c in early["classes"]), e
 
 
-@pytest.mark.parametrize("p,n", [(5, 9), (7, 4), (11, 5), (5, 10)])
+@pytest.mark.parametrize(
+    "p,n", [(5, 9), (7, 4), (11, 5), (5, 10), (13, 2), (17, 3)]
+)
 def test_root_class_shift_matches_the_scan(monkeypatch, p, n):
     # the direct shift against every shift in [0, m), on every class of
     # root norm at each null vector the classification meets
@@ -136,6 +158,78 @@ def test_root_class_shift_matches_the_scan(monkeypatch, p, n):
         for coords, m in linalg.short_vectors(gram, form.admissible_root_norms):
             assert quotient.root_class_shift(form, quot, coords, m) == \
                 oracles.root_class_shift_scan(form, quot, coords, m), (e, coords)
+
+
+@st.composite
+def block_classes(draw):
+    """A published block's quotient and drawn class coordinates: an
+    integer combination of its walked root classes of norm p or 2p, plus
+    p times a drawn vector, plus (half the time) a drawn vector.  Without
+    the last term every residue row vanishes on the class."""
+    p, n = draw(st.sampled_from(sorted(NONREFLECTIVITY_BLOCKS)))
+    quot = _block_quotient(p, n)
+    vector = st.lists(st.integers(-3, 3), min_size=quot.rank, max_size=quot.rank)
+    coords = [p * z for z in draw(vector)]
+    for v in _norm_p_root_classes(p, n)[:6]:
+        a = draw(st.integers(-2, 2))
+        coords = [c + a * x for c, x in zip(coords, v)]
+    if draw(st.booleans()):
+        coords = [c + x for c, x in zip(coords, draw(vector))]
+    return quot, coords
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_classes())
+def test_residue_rows_decide_drawn_classes_as_the_scan_does(drawn):
+    # for a declared norm p or 2p the scan tests p | x_i + t e_i over every
+    # t in [0, m); the residue rows must vanish exactly when some t works.
+    # At the class's own norm the fast path must return the scan's shift.
+    quot, coords = drawn
+    form = quot.form
+    _, _, rows = quot.residue_rows
+    vanish = all(sum(w * c for w, c in zip(row, coords)) % form.p == 0 for row in rows)
+    for m in form.admissible_root_norms:
+        if m % form.p == 0:
+            scan = oracles.root_class_shift_scan(form, quot, coords, m)
+            assert vanish == (scan is not None), (form, coords, m)
+    m = quot.class_norm(coords)
+    assert quotient.root_class_shift(form, quot, coords, m) == \
+        oracles.root_class_shift_scan(form, quot, coords, m), (form, coords)
+
+
+def test_lift_runs_once_per_root_class_and_never_for_a_rejected_one(monkeypatch):
+    # the (5,9) quotient is rank deficient, so root_classes walks every
+    # class; the norm-5 classes without a root are decided by their residues
+    quot = _block_quotient(5, 9)
+    form = quot.form
+    walked = linalg.short_vectors([list(r) for r in quot.gram], form.admissible_root_norms)
+    lifted = []
+    original = quotient.NullQuotient.lift
+
+    def lift(self, coords):
+        lifted.append(list(coords))
+        return original(self, coords)
+
+    monkeypatch.setattr(quotient.NullQuotient, "lift", lift)
+    rc = quotient.root_classes(form, quot)
+    assert not rc["full_rank"]
+    assert sorted(lifted) == [c["coords"] for c in rc["classes"]]
+    assert 5 in [m for v, m in walked if list(v) not in lifted]
+
+
+@pytest.mark.parametrize("norm", [1, 13])
+def test_a_shifted_class_that_is_not_a_root_raises(monkeypatch, norm):
+    # the root check on every root class survives python -O
+    quot = _block_quotient(13, 3)
+    form = quot.form
+    gram = [list(r) for r in quot.gram]
+    coords = next(
+        v for v, m in linalg.short_vectors(gram, [norm])
+        if quotient.root_class_shift(form, quot, v, m) is not None
+    )
+    monkeypatch.setattr(Form, "is_root", lambda self, v: False)
+    with pytest.raises(ConsistencyError):
+        quotient.root_class_shift(form, quot, coords, norm)
 
 
 def test_rank_deficit_at_first_failures():
