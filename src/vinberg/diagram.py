@@ -39,7 +39,7 @@ class Diagram:
     """Walls with their pairwise angle data.
 
     A diagram only grows: extend appends walls, and the edges between old
-    walls never change.
+    walls never change, so neither does the PSD class of a node set.
     """
 
     def __init__(self):
@@ -47,6 +47,7 @@ class Diagram:
         self.gram: list[list[int]] = []
         self.edges: dict = {}  # (i, j) with i < j -> edge kind
         self.adjacent: list[set] = []  # node -> the nodes it shares an edge with
+        self.classes: dict = {}  # frozenset of nodes -> PSD class
 
     def __len__(self) -> int:
         return len(self.norms)
@@ -93,8 +94,12 @@ class Diagram:
         return [[self.gram[i][j] for j in subset] for i in subset]
 
     def psd_class(self, nodes) -> str:
-        """linalg.psd_classify of the Gram of a set of nodes."""
-        return linalg.psd_classify(self.subgram(sorted(nodes)))
+        """linalg.psd_classify of the Gram of a frozenset of nodes,
+        remembered in classes."""
+        cls = self.classes.get(nodes)
+        if cls is None:
+            cls = self.classes[nodes] = linalg.psd_classify(self.subgram(sorted(nodes)))
+        return cls
 
 
 def build_diagram(form, roots) -> Diagram:

@@ -440,6 +440,13 @@ def psd_classify(G) -> str:
     plus row i and column j, that is the Schur-complement entry times the
     positive minor on the pivots.  So signs and zeros match the rational
     elimination, while entries stay the size of minors.
+
+    The critical-subdiagram walk classifies its sets by bordering instead
+    (volume.bordered_column).  This serves the Gram matrices that do not
+    grow one node from a definite one: Diagram.psd_class (the cross-check
+    in diagram.classify_component, and volume's hyperbolic test for a
+    component the walk did not reach), quotient.null_quotient and
+    isometry.vertex_walls.
     """
     den = lcm(*(x.denominator for row in G for x in row))
     A = [[int(x * den) for x in row] for row in G]

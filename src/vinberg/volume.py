@@ -23,14 +23,18 @@ second, edge-counting decider as a reference.
 The diagram work lives in a ChamberDiagram.  Whether a wall subset is
 elliptic, critical or affine depends only on the Gram of its roots, so
 the sets found for roots[:k] stay valid for roots[:k + j], and every new
-one holds a new wall.  grow adds the new Gram rows and edges, then one
-walk (critical_submatrices) from the new walls records the new critical
-sets and affine components.  The object also keeps the PSD class of
-every wall subset classified, keyed by node set; C as one live
-cones.Cone, given only the walls it lacks when (b) or a corner is read;
-the hyperbolic S proved to meet (b), since a face proved {0} stays {0}
-while the roots grow; and, for the cusp scan, the null vector of each
-affine component and the quotient root classes of each null vector.
+one holds a new wall.  grow adds the new Gram rows, each new inner
+product computed once, and edges; then one walk (critical_submatrices)
+from the new walls records the new critical sets and affine components.
+The walk classifies each set it meets, an elliptic set plus one wall, by
+bordered elimination against that elliptic set's stored pivot rows, and
+decides which indefinite sets are critical once it has finished.  The
+object also keeps the PSD class of every wall subset classified, keyed
+by node set (Diagram.classes); C as one live cones.Cone, given only the
+walls it lacks when (b) or a corner is read; the hyperbolic S proved to
+meet (b), since a face proved {0} stays {0} while the roots grow; and,
+for the cusp scan, the null vector of each affine component and the
+quotient root classes of each null vector.
 
 Every fact it holds was proved on a prefix of its roots, so a list that
 does not extend them starts it from nothing: a misused object cannot
@@ -58,7 +62,6 @@ class ChamberDiagram(dg.Diagram):
         super().__init__()
         self.form = form
         self.roots: list = []
-        self.classes: dict = {}  # node set -> PSD class
         self.critical: dict = {}  # node set -> "parabolic" | "hyperbolic"
         self.affine: dict = {}  # connected affine node set -> catalog type
         self.trivial_cones: set = set()  # hyperbolic S whose fixed cone is {0}
@@ -66,13 +69,6 @@ class ChamberDiagram(dg.Diagram):
         self.null_marks: dict = {}  # affine node set -> (marks, null vector)
         self.root_classes: dict = {}  # null vector -> quotient.root_classes
         self.grow(roots)
-
-    def psd_class(self, nodes) -> str:
-        """Diagram.psd_class of a frozenset of nodes, remembered."""
-        cls = self.classes.get(nodes)
-        if cls is None:
-            cls = self.classes[nodes] = super().psd_class(nodes)
-        return cls
 
     def grow(self, roots) -> None:
         """Make roots the walls, exploring only the ones not seen before.
@@ -86,7 +82,14 @@ class ChamberDiagram(dg.Diagram):
             k = 0
         if len(roots) == k:
             return  # a second call on the same prefix does no diagram work
-        self.extend([[self.form.inner_product(r, s) for r in roots] for s in roots[k:]])
+        # each new pair's inner product once: the rows' upper triangle, mirrored
+        rows = [
+            [self.form.inner_product(r, s) for r in roots[: j + 1]]
+            for j, s in enumerate(roots[k:], k)
+        ]
+        for t, row in enumerate(rows):
+            row.extend(later[k + t] for later in rows[t + 1:])
+        self.extend(rows)
         critical, affine = critical_submatrices(self, range(k, len(roots)))
         self.critical.update(critical)
         self.affine.update(affine)
@@ -109,35 +112,87 @@ class ChamberDiagram(dg.Diagram):
         return out
 
 
+def bordered_column(columns, row) -> tuple[int, ...]:
+    """The Bareiss pivot column that bordering a positive definite integer
+    matrix G by one node adds.
+
+    columns are G's fraction-free pivot columns, () for the empty matrix:
+    column j holds entry j of pivot rows 0..j, the last being the leading
+    principal minor of order j + 1.  row is the new node's inner products
+    with G's nodes, in order, then its norm.  Eliminating it against the
+    pivot rows takes O(k^2) exact divisions; by symmetry its entries as it
+    is eliminated are the pivot rows' entries in the new column.  The last
+    entry of the returned column is det G times the Schur complement, so,
+    G being definite, its sign is the bordered matrix's class: > 0
+    definite, 0 degenerate, < 0 indefinite (inertia adds over a Schur
+    complement).
+    """
+    x = list(row)
+    k = len(columns)
+    out = []
+    prev = 1
+    for i, col in enumerate(columns):
+        d = col[i]
+        f = x[i]
+        out.append(f)
+        for j in range(i + 1, k):
+            x[j] = (d * x[j] - f * columns[j][i]) // prev
+        x[k] = (d * x[k] - f * f) // prev
+        prev = d
+    out.append(x[k])
+    return tuple(out)
+
+
 def critical_submatrices(diagram, start) -> tuple[dict, dict]:
     """The critical and the connected affine wall subsets holding a start node.
 
     One walk grows connected elliptic sets from the start nodes, one
     adjacent wall at a time.  It reaches every connected t holding a start
     node v whose proper subsets are all elliptic: for a leaf w != v of a
-    spanning tree of t, t - {w} is connected, elliptic and holds v.  A
-    degenerate t must then be in the affine catalog (classify_component
-    checks structure against Gram), so it is critical and parabolic.  An
-    indefinite t is critical, and hyperbolic, when dropping any one wall
-    leaves an elliptic set.  Returns (critical, affine): node sets to
-    "parabolic" or "hyperbolic", and node sets to catalog types.
+    spanning tree of t, t - {w} is connected, elliptic and holds v.
+
+    Each elliptic set s keeps its nodes in the order the walk added them
+    and their Bareiss pivot columns, so t = s + {v} is classified by
+    bordered_column: v's Gram row eliminated against s's pivot rows, whose
+    last pivot is det G_t.  G_s is definite, so det G_t > 0, = 0, < 0 make
+    t definite, degenerate, indefinite; each class goes into
+    diagram.classes.  A degenerate t must be in the affine catalog
+    (classify_component checks structure against Gram), so it is critical
+    and parabolic.
+
+    An indefinite t is critical, and hyperbolic, when dropping any one
+    wall leaves a definite set.  That is decided after the walk, when
+    every connected elliptic set holding a start node is known: t - {u}
+    is definite iff each of its connected components is a single wall or
+    has the memoised class "definite" (diagram.psd_class), which the walk
+    recorded for the sets it reached; a component it did not reach gets
+    psd_classify, so the answer never rests on the walk's reach.  Returns
+    (critical, affine): node sets to "parabolic" or "hyperbolic", in the
+    order the walk met them, and node sets to catalog types.
     """
     adjacent = diagram.adjacent
+    gram = diagram.gram
+    classes = diagram.classes
     elliptic = {frozenset([i]) for i in start}
-    frontier = list(elliptic)
+    # each elliptic set still to extend, with its nodes in walk order and
+    # their pivot columns
+    frontier = [(s, (i,), ((gram[i][i],),)) for s in elliptic for i in s]
     critical: dict = {}
     affine: dict = {}
     while frontier:
-        s = frontier.pop()
+        s, order, columns = frontier.pop()
         for v in set().union(*(adjacent[i] for i in s)) - s:
             t = s | {v}
             if t in elliptic or t in critical:
                 continue
-            cls = diagram.psd_class(t)
-            if cls == "definite":
+            row = gram[v]
+            column = bordered_column(columns, [row[i] for i in order] + [row[v]])
+            if column[-1] > 0:
+                classes[t] = "definite"
                 elliptic.add(t)
-                frontier.append(t)
-            elif cls == "degenerate":
+                frontier.append((t, order + (v,), columns + (column,)))
+            elif column[-1] == 0:
+                classes[t] = "degenerate"
                 name = dg.classify_component(diagram, t)
                 if name is None or not dg.is_affine_type(name):
                     raise ConsistencyError(
@@ -145,9 +200,26 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
                     )
                 affine[t] = name
                 critical[t] = "parabolic"
-            elif all(diagram.psd_class(t - {u}) == "definite" for u in t):
-                critical[t] = "hyperbolic"
+            else:
+                classes[t] = "indefinite"
+                critical[t] = "hyperbolic"  # kept only if the test below holds
+    for t, cls in list(critical.items()):
+        if cls == "hyperbolic" and not all(_definite(diagram, t - {u}) for u in t):
+            del critical[t]
     return critical, affine
+
+
+def _definite(diagram, nodes) -> bool:
+    """Whether the Gram of a set of walls is positive definite: the Gram
+    is block diagonal over the connected components, and a single wall
+    has positive norm."""
+    cls = diagram.classes.get(nodes)
+    if cls is not None:
+        return cls == "definite"
+    return all(
+        len(comp) == 1 or diagram.psd_class(frozenset(comp)) == "definite"
+        for comp in dg.components(diagram, nodes)
+    )
 
 
 def cone_fixed_set(chamber, nodes) -> list:

@@ -497,6 +497,45 @@ def test_cusp_scan_silent_at_genuine_ideal_vertex(search):
     assert cert is None
 
 
+# The disputed forms: the walls orthogonal to the published null vector,
+# by connected component (node indices into the certificate's roots) with
+# the norm of their walls, and the norms of the root classes at it.
+DISPUTED_VERTICES = {
+    (11, 4): {"components": [((1, 5), 2), ((3, 7), 1), ((4, 8), 22)], "class_norms": [1, 2, 22]},
+    (17, 3): {"components": [((1, 3), 2), ((6, 7), 34)], "class_norms": [2, 34]},
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(DISPUTED_VERTICES))
+def test_published_null_vector_is_a_full_rank_ideal_vertex(report, p, n):
+    # the published argument finds an affine set of deficient rank at the
+    # block's null vector; on the stored chamber that vertex has an affine
+    # set of full rank n - 1, one A~1 more than the block lists, made of
+    # walls of norm 2p, and its root classes have full rank and index 2
+    form = Form(p, n)
+    blk = NONREFLECTIVITY_BLOCKS[(p, n)]
+    expected = DISPUTED_VERTICES[(p, n)]
+    e = blk["null_vector"]
+    roots = [tuple(r) for r in report(p, n)["certificate"]["payload"]["roots"]]
+    assert form.norm(e) == 0
+    products = [form.inner_product(r, e) for r in roots]
+    # e lies in the closed chamber: on the non-positive side of every wall
+    assert all(x <= 0 for x in products)
+    d = diagram.build_diagram(form, roots)
+    comps = diagram.components(d, [i for i, x in enumerate(products) if x == 0])
+    assert [(c, {form.norm(roots[i]) for i in c}) for c in comps] == [
+        (nodes, {norm}) for nodes, norm in expected["components"]
+    ]
+    # n - 1 components of rank 1: the affine set has full rank n - 1
+    assert [diagram.classify_component(d, c) for c in comps] == ["A~1"] * (n - 1)
+    assert blk["component_types"] == ["A~1"] * (n - 2)
+    assert 2 * p in {form.norm(roots[i]) for c in comps for i in c}
+    rc = quotient.root_classes(form, quotient.null_quotient(form, e))
+    assert rc["full_rank"] and rc["rank"] == n - 1
+    assert rc["index"] == 2
+    assert sorted(c["norm"] for c in rc["classes"]) == expected["class_norms"]
+
+
 def test_affine_null_marks_published_block(cert_7_4):
     form = Form(7, 4)
     roots = [tuple(r) for r in cert_7_4["payload"]["roots"]]

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from unittest.mock import patch
 
 import pytest
@@ -120,14 +120,17 @@ def walk_order_scan(G, norms, box):
     walks the half of every sign pair whose last nonzero coordinate is
     positive; so its order is the lexicographic order of the reversed
     vector.  It reports the sign with the first nonzero coordinate
-    positive.
+    positive.  Norms are computed in integers, on den G against den norms.
     """
+    den = lcm(*(Fraction(x).denominator for row in G for x in row))
+    scaled = [[int(x * den) for x in row] for row in G]
+    wanted = {m * den for m in norms}
     hits = []
     for v in product(*box):
         if next((x for x in reversed(v) if x), 0) > 0:
-            m = quadratic_norm(G, v)
-            if m in norms:
-                hits.append((v[::-1], v, m))
+            m = quadratic_norm(scaled, v)
+            if m in wanted:
+                hits.append((v[::-1], v, Fraction(m, den)))
     out = []
     for _, v, m in sorted(hits):
         if next(x for x in v if x) < 0:

@@ -3,6 +3,8 @@ independent confirmations, critical submatrices, the grown chamber
 diagram, prefixes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracles
@@ -74,6 +76,79 @@ def test_grown_diagram_matches_a_scratch_build_on_every_prefix(search, p, n, ste
             frozenset(item["nodes"]): item["class"] for item in critical
         }, k
         assert chamber.affine_components() == oracles.affine_components(d, d.psd_class), k
+
+
+@st.composite
+def bordered_definite_grams(draw, max_size=8):
+    """A positive definite integer G = L L^T (L lower triangular with a
+    positive diagonal) of size 1-8 and one bordering row (b, c).  Half the
+    rows have b = G y and c = y^T G y + delta, so the Schur complement
+    c - b^T G^-1 b is delta: positive, zero or negative as drawn; the rest
+    have b and c drawn freely."""
+    d = draw(st.integers(1, max_size))
+    entries = st.integers(-3, 3)
+    L = [
+        [draw(entries) if j < i else draw(st.integers(1, 3)) if j == i else 0 for j in range(d)]
+        for i in range(d)
+    ]
+    G = linalg.mat_mul(L, linalg.transpose(L))
+    if draw(st.booleans()):
+        y = [draw(entries) for _ in range(d)]
+        b = linalg.mat_vec(G, y)
+        delta = draw(st.integers(-2, 2))
+        c = sum(a * x for a, x in zip(y, b)) + delta
+    else:
+        b = [draw(st.integers(-20, 20)) for _ in range(d)]
+        c = draw(st.integers(-20, 60))
+        delta = None
+    return G, b, c, delta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=bordered_definite_grams())
+def test_bordered_column_classifies_as_psd_classify_does(drawn):
+    G, b, c, delta = drawn
+    d = len(G)
+    # G's pivot columns, grown node by node from the empty matrix
+    columns = ()
+    for k in range(d):
+        columns += (volume.bordered_column(columns, G[k][: k + 1]),)
+        assert columns[-1][-1] == linalg.det([row[: k + 1] for row in G[: k + 1]]) > 0
+    bordered = [G[i] + [b[i]] for i in range(d)] + [b + [c]]
+    column = volume.bordered_column(columns, b + [c])
+    assert len(column) == d + 1
+    assert column[-1] == linalg.det(bordered)
+    if delta is not None:
+        # det of the bordered matrix is det G times the Schur complement
+        assert column[-1] == columns[-1][-1] * delta
+    sign = (column[-1] > 0) - (column[-1] < 0)
+    cls = {1: "definite", 0: "degenerate", -1: "indefinite"}[sign]
+    assert cls == linalg.psd_classify(bordered)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_walk_grown_in_random_steps_matches_the_oracle(search, data):
+    # as the search grows it, batch by batch: every walk after the first
+    # starts from the new walls only
+    p, n = data.draw(st.sampled_from(AGREEMENT_FORMS))
+    form = Form(p, n)
+    roots = search(p, n).roots
+    chamber = volume.ChamberDiagram(form)
+    k = 0
+    while k < len(roots):
+        k = min(len(roots), k + data.draw(st.integers(1, 5)))
+        prefix = roots[:k]
+        chamber.grow(prefix)
+        d = diagram.build_diagram(form, prefix)
+        critical = oracles.critical_submatrices(d, d.psd_class)
+        assert chamber.critical == {
+            frozenset(item["nodes"]): item["class"] for item in critical
+        }, k
+        assert chamber.affine_components() == oracles.affine_components(d, d.psd_class), k
+    # every class the bordered steps recorded is the eliminated one
+    for nodes, cls in chamber.classes.items():
+        assert cls == linalg.psd_classify(chamber.subgram(sorted(nodes))), sorted(nodes)
 
 
 def test_growing_by_a_bad_angle_raises_as_build_diagram_does(search):
