@@ -63,7 +63,9 @@ it stops at the first batch whose accepts are not a prefix of the stored
 roots, the ideal-vertex replay also at the stored root count or above
 the height of the highest stored root, and the symmetry replay after the
 stored batches_done or above the lowest image under the stored isometry
-of a stored root that is not stored, whichever comes first.
+of a stored root that is not stored, whichever comes first.  The
+symmetry replay's final cursor also gives the height frontier that the
+frame corners' bounds must lie below.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from vinberg import cones, linalg, published, quotient
 from vinberg import volume as _volume
 from vinberg.errors import CertificateError, DiagramError
 from vinberg.forms import Form
-from vinberg.search import Budget, open_height, reproduces
+from vinberg.search import Budget, reproduces
 
 SCHEMA_VERSION = 3
 
@@ -445,7 +447,7 @@ def _verify_ideal_vertex(form: Form, payload) -> list[str]:
     # the search accepts roots in order of height, so it has reached the
     # stored count by the batch of the highest stored root or never
     top = max(map(form.height, roots), default=0)
-    if not reproduces(form, roots, None, Budget(max_height=top, max_roots=len(roots))):
+    if reproduces(form, roots, None, Budget(max_height=top, max_roots=len(roots))) is None:
         return ["payload.roots: not a state of the root search"]
     if len(e) != form.dim or form.norm(e) != 0 or not any(e) or not form.is_primitive(e):
         return ["payload.null_vector: not a primitive null vector"]
@@ -565,9 +567,9 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     images = [form.height(v) for v in map(apply, roots) if v not in in_roots]
     # with no image outside the roots, T permutes them; a cap of 0 stops the replay
     cap = Budget(max_height=min(images, default=0), max_roots=len(roots) + 1)
-    if not reproduces(form, roots, batches, cap):
+    frontier = reproduces(form, roots, batches, cap)
+    if frontier is None:
         return ["payload.roots: not the search state after this many batches"]
-    frontier = open_height(form, batches)
     for label in labels:
         if bounds[label] >= frontier:
             return [

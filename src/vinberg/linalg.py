@@ -14,7 +14,8 @@ short_vectors (Fincke-Pohst) clears the denominators of one rational LDL
 decomposition, done in Fractions once per walk, and then walks its tree
 on an integer remainder with isqrt windows, solving its last coordinate
 for each wanted norm directly.
-row_hnf, snf and integer_kernel work over the integers throughout.
+charpoly, row_hnf, snf and integer_kernel work over the integers
+throughout.
 """
 
 from __future__ import annotations
@@ -472,24 +473,24 @@ def psd_classify(G) -> str:
     return "definite"
 
 
-def charpoly(M) -> list:
-    """Characteristic polynomial det(x I - M) by the Faddeev-LeVerrier
-    recurrence.  Returns coefficients [1, c1, ..., cn]; integer matrices
-    give integer coefficients."""
+def charpoly(M) -> list[int]:
+    """Characteristic polynomial det(x I - M) of an integer matrix by the
+    Faddeev-LeVerrier recurrence.  Returns integer coefficients
+    [1, c1, ..., cn].
+
+    With M_0 = I, c_k = -tr(M M_{k-1}) / k and M_k = M M_{k-1} + c_k I.
+    Every c_k is an integer for integer M, so the division is exact.
+    """
     n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    coeffs = [Fraction(1)]
-    Mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    Mk = identity(n)
     for k in range(1, n + 1):
-        Mk = mat_mul(A, Mk)
-        c = -sum(Mk[i][i] for i in range(n)) / k
+        Mk = mat_mul(M, Mk)
+        c = -sum(Mk[i][i] for i in range(n)) // k
         for i in range(n):
             Mk[i][i] += c
         coeffs.append(c)
-    out = []
-    for c in coeffs:
-        out.append(int(c) if c.denominator == 1 else c)
-    return out
+    return coeffs
 
 
 def ldl(G) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -546,7 +547,9 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int | Frac
     the set.  Those x_0 are emitted in ascending order, as the full walk
     of the window would meet them, and x_0 >= 1 only while every other
     coordinate is zero.  A vector is negated when its first nonzero
-    coordinate is negative.
+    coordinate is negative.  Level 1 sums the part of the leaf's c that
+    x_2, ..., x_{n-1} fix once per node, and a leaf with no root returns
+    at once.
 
     The walk order is deterministic but not sorted; callers that need an
     order sort.  stop, if given, is called as stop(x, norm) on each vector
@@ -577,8 +580,12 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int | Frac
     x = [0] * n
     D0, w0 = D[0], w[0]
 
-    def leaves(R: int, free: bool) -> None:
-        c = sum(a * x[j] for j, a in terms[0])
+    # the leaf's c is a_01 x_1 plus the part that x_2, ..., x_{n-1} fix;
+    # level 1 sums that part once per node
+    a01 = dict(terms[0]).get(1, 0)
+    rest0 = [(j, a) for j, a in terms[0] if j > 1]
+
+    def leaves(R: int, free: bool, c: int) -> None:
         hits = []
         for gap, m in gaps:
             q, r = divmod(R - gap, w0)
@@ -591,6 +598,8 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int | Frac
                 t, r = divmod(N - c, D0)
                 if r == 0 and (t >= 1 or not free):
                     hits.append((t, m))
+        if not hits:
+            return
         hits.sort()
         for t, m in hits:
             x[0] = t
@@ -603,21 +612,28 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int | Frac
         x[0] = 0
 
     def walk(i: int, R: int, free: bool) -> None:
-        if i == 0:
-            leaves(R, free)
-            return
         c = sum(a * x[j] for j, a in terms[i])
         Di, wi = D[i], w[i]
         s = isqrt(R // wi)
         lo = 0 if free else -((s + c) // Di)
-        for t in range(lo, (s - c) // Di + 1):
-            x[i] = t
-            N = Di * t + c
-            walk(i - 1, R - wi * N * N, free and t == 0)
+        if i == 1:
+            c0 = sum(a * x[j] for j, a in rest0)
+            for t in range(lo, (s - c) // Di + 1):
+                x[1] = t
+                N = Di * t + c
+                leaves(R - wi * N * N, free and t == 0, c0 + a01 * t)
+        else:
+            for t in range(lo, (s - c) // Di + 1):
+                x[i] = t
+                N = Di * t + c
+                walk(i - 1, R - wi * N * N, free and t == 0)
         x[i] = 0
 
     try:
-        walk(n - 1, top, True)
+        if n == 1:
+            leaves(top, True, 0)
+        else:
+            walk(n - 1, top, True)
     except _StopWalk:
         pass
     return found

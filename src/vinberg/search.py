@@ -11,7 +11,8 @@ replay is that stream, and the only code that enumerates batches.
 run_search reads it and tests the chamber after each batch that accepted
 a root; classify.root_table reads it with the finite-volume test alone.
 reproduces replays it with no closure test, to check a resumed state and
-the roots of ideal-vertex and symmetry certificates.
+the roots of ideal-vertex and symmetry certificates, and hands back the
+height frontier the replay reached.
 
 The finite-volume test runs once after each batch that accepted a root,
 not after each root.  That returns the same roots, because no root is
@@ -96,10 +97,14 @@ class SearchState:
     accepted: list
     batches_done: int = 0
     counters: dict = field(default_factory=_default_counters)
+    # (k0, m) of the batch at the cursor, kept by fresh and replay; not
+    # serialized, so None on a state read from JSON until it is replayed
+    next_batch: Optional[tuple[int, int]] = None
 
     @classmethod
     def fresh(cls, form: Form) -> "SearchState":
-        state = cls(form=form, accepted=list(form.initial_roots()))
+        state = cls(form, list(form.initial_roots()))
+        state.next_batch = next(batch_sequence(form))
         state.counters["accepted"] = len(state.accepted)
         return state
 
@@ -145,16 +150,17 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
     """The batch stream from state's cursor on, advancing state as it goes.
 
     Each step enumerates one batch, accepts its candidates into
-    state.accepted, updates the counters and batches_done, and yields the
-    batch's accepts.  The stream ends where the budget stops the search.
+    state.accepted, updates the counters, batches_done and next_batch,
+    and yields the batch's accepts.  The stream ends where the budget
+    stops the search.
     """
     form = state.form
     accepted = state.accepted
     top = Fraction(budget.max_height)
-    for k0, m in islice(batch_sequence(form), state.batches_done, None):
-        # k0^2 / m > max_height, by cross-multiplying
-        if len(accepted) >= budget.max_roots or k0 * k0 * top.denominator > top.numerator * m:
-            return
+    heads = islice(batch_sequence(form), state.batches_done, None)
+    k0, m = state.next_batch = next(heads)
+    # k0^2 / m > max_height, by cross-multiplying
+    while len(accepted) < budget.max_roots and k0 * k0 * top.denominator <= top.numerator * m:
         candidates = enumerate_batch(form, k0, m, accepted)
         fresh = []
         for cand in candidates:
@@ -165,21 +171,30 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
         state.counters["candidates"] += len(candidates)
         state.counters["accepted"] += len(fresh)
         state.batches_done += 1
+        k0, m = state.next_batch = next(heads)
         yield fresh
 
 
-def reproduces(form: Form, roots, batches: Optional[int], budget: Budget) -> bool:
-    """Whether a fresh replay accepts exactly roots: in exactly the given
-    number of batches, or (batches None) where the budget stops it.
+def reproduces(
+    form: Form, roots, batches: Optional[int], budget: Budget
+) -> Optional[Fraction]:
+    """The open height of a fresh replay that accepts exactly roots: in
+    exactly the given number of batches, or (batches None) where the
+    budget stops it.  None if the replay accepts anything else.
 
     The replay stops at the first batch whose accepts are not a prefix of
-    roots, so roots that the search never reaches bound it too.
+    roots, so roots that the search never reaches bound it too.  The open
+    height is that of the batch at the replay's final cursor, as
+    open_height gives it.
     """
     state = SearchState.fresh(form)
     for _ in islice(replay(state, budget), batches):
         if state.accepted != roots[: len(state.accepted)]:
-            return False
-    return state.accepted == roots and batches in (None, state.batches_done)
+            return None
+    if state.accepted != roots or batches not in (None, state.batches_done):
+        return None
+    k0, m = state.next_batch
+    return Fraction(k0 * k0, m)
 
 
 def run_search(
@@ -213,7 +228,7 @@ def run_search(
     if resumed:
         state.accepted = [tuple(r) for r in state.accepted]
         bound = Budget(budget.max_height, max_roots=len(state.accepted) + 1)
-        if not reproduces(form, state.accepted, state.batches_done, bound):
+        if reproduces(form, state.accepted, state.batches_done, bound) is None:
             raise ConsistencyError(
                 f"accepted: not the roots the search accepts in "
                 f"{state.batches_done} batches up to height {budget.max_height}"

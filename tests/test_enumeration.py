@@ -5,9 +5,11 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
+import pytest
+
 from vinberg import enumeration
 from vinberg.forms import Form
-from vinberg.search import batch_sequence
+from vinberg.search import Budget, SearchState, batch_sequence, replay
 
 
 def random_case(rng):
@@ -38,8 +40,30 @@ def test_pure_kernel_contract():
         assert out == sorted(out, reverse=True)
 
 
+def box_scan(n, target, step, consts, coeffs):
+    """The kernel's contract by a scan of the box of multiples of step,
+    with the last coordinate solved, in lexicographically decreasing
+    order."""
+    top = isqrt(target)
+    out = []
+    for head in product(range(top - top % step, -1, -step), repeat=n - 1):
+        rest = target - sum(x * x for x in head)
+        last = isqrt(rest) if rest >= 0 else -1
+        if last * last != rest or last % step:
+            continue
+        v = head + (last,)
+        if any(a < b for a, b in zip(v, v[1:])):
+            continue
+        if any(c + sum(a * b for a, b in zip(row, v)) > 0
+               for c, row in zip(consts, coeffs)):
+            continue
+        out.append(v)
+    return out
+
+
 def test_pure_kernel_completeness_small():
-    # against a full box scan, with and without the divisibility step
+    # against a box scan, in value and order, with and without the
+    # divisibility step
     rng = random.Random(808)
     for step in (1, 5, 7):
         for _ in range(30):
@@ -50,19 +74,79 @@ def test_pure_kernel_completeness_small():
             consts = [rng.randint(-20 * step, 5) for _ in range(rng.randint(0, 3))]
             coeffs = [[rng.randint(-4, 4) for _ in range(n)] for _ in consts]
             out = enumeration.enumerate_batch_vectors(n, target, step, consts, coeffs)
-            brute = set()
-            for v in product(range(isqrt(target) + 1), repeat=n):
-                if sum(x * x for x in v) != target:
-                    continue
-                if any(x % step for x in v):
-                    continue
-                if any(a < b for a, b in zip(v, v[1:])):
-                    continue
-                if any(c + sum(a * b for a, b in zip(row, v)) > 0
-                       for c, row in zip(consts, coeffs)):
-                    continue
-                brute.add(v)
-            assert set(out) == brute, (n, target, step, consts, coeffs)
+            assert out == box_scan(n, target, step, consts, coeffs), (
+                n, target, step, consts, coeffs)
+
+
+@pytest.mark.parametrize("p", [13, 23])
+def test_kernel_on_search_states(p):
+    # the prior rows of real batches: the initial roots and the roots
+    # accepted before each batch, on every batch of the stream up to
+    # height 400
+    form = Form(p, 3)
+    state = SearchState.fresh(form)
+    for _ in replay(state, Budget(max_height=Fraction(400), max_roots=10**6)):
+        pass
+    roots = state.accepted
+    state = SearchState.fresh(form)
+    stream = replay(state, Budget(max_height=Fraction(400), max_roots=10**6))
+    while True:
+        k0, m = state.next_batch
+        target = m + p * k0 * k0
+        step = p if m % p == 0 else 1
+        for prior in (state.accepted, roots):
+            consts = [-p * k0 * r[0] for r in prior]
+            coeffs = [list(r[1:]) for r in prior]
+            out = enumeration.enumerate_batch_vectors(3, target, step, consts, coeffs)
+            assert out == box_scan(3, target, step, consts, coeffs), (k0, m)
+        if next(stream, None) is None:
+            break
+    assert state.accepted == roots
+    assert len(roots) > len(form.initial_roots()) + 10
+
+
+def test_kernel_at_the_dropped_row_bound():
+    # rows whose prefix sums are all <= 0 hold on every sorted nonnegative
+    # vector when their constant is <= 0, and are dropped; a constant of 1
+    # keeps them.  A row with a positive prefix sum C is dropped at a
+    # constant of -k C, with k the largest k_1 the batch allows, and kept
+    # just past it.
+    rng = random.Random(1207)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        step = rng.choice((1, 1, 2, 3))
+        target = rng.randint(0, 150)
+        k = step * isqrt(target)
+        target *= step * step
+        consts, coeffs = [], []
+        for _ in range(rng.randint(1, 4)):
+            sums = [rng.randint(-6, 0) for _ in range(n)]
+            if rng.random() < 0.5:
+                sums[rng.randrange(n)] = rng.randint(1, 4)
+            coeffs.append([b - a for a, b in zip([0] + sums, sums)])
+            if max(sums) < 0 and rng.random() < 0.5:
+                # the bound k max C is not an upper bound where k_1 < k
+                consts.append(rng.randint(1, -k * max(sums) + 1))
+            else:
+                consts.append(-k * max(0, *sums) + rng.choice((-1, 0, 0, 1, 1)))
+        out = enumeration.enumerate_batch_vectors(n, target, step, consts, coeffs)
+        assert out == box_scan(n, target, step, consts, coeffs), (
+            n, target, step, consts, coeffs)
+
+
+def test_kernel_on_two_coordinates():
+    # n = 2: the pair loop is the whole walk
+    rng = random.Random(2)
+    for target in range(0, 700):
+        consts = [rng.randint(-60, 10) for _ in range(rng.randint(0, 2))]
+        coeffs = [[rng.randint(-5, 5) for _ in range(2)] for _ in consts]
+        out = enumeration.enumerate_batch_vectors(2, target, 1, consts, coeffs)
+        assert out == box_scan(2, target, 1, consts, coeffs), (target, consts, coeffs)
+    for step in (5, 13):
+        for k in range(0, 60):
+            target = step * step * k
+            assert enumeration.enumerate_batch_vectors(2, target, step, [], []) == box_scan(
+                2, target, step, [], [])
 
 
 def test_enumerate_batch_prefixes_first_coordinate():

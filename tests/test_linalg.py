@@ -103,11 +103,12 @@ def test_solve_and_inverse():
 
 def test_charpoly_matches_sympy():
     rng = random.Random(23)
-    for _ in range(20):
-        d = rng.randint(1, 4)
-        A = random_matrix(rng, d, d, -4, 4)
+    lam = sympy.symbols("lam")
+    for _ in range(30):
+        d = rng.randint(1, 6)
+        A = random_matrix(rng, d, d, -50, 50)
         ours = linalg.charpoly(A)
-        lam = sympy.symbols("lam")
+        assert all(type(c) is int for c in ours)
         theirs = sympy.Matrix(A).charpoly(lam).all_coeffs()
         assert ours == [int(c) for c in theirs]
 
@@ -172,6 +173,27 @@ def test_short_vectors_on_rank_one_and_unreached_norms():
     A2 = [[2, -1], [-1, 2]]
     assert linalg.short_vectors(A2, {4, 5}) == []
     assert linalg.short_vectors(A2, {2}) == [((1, 0), 2), ((0, 1), 2), ((1, 1), 2)]
+
+
+@pytest.mark.parametrize("G", [
+    [[1]], [[3]], [[Fraction(7, 3)]],
+    [[2, -1], [-1, 2]], [[3, 1], [1, 5]], [[1, 0], [0, 1]],
+    [[Fraction(5, 2), 1], [1, Fraction(4, 3)]], [[6, 5], [5, 6]],
+])
+def test_short_vectors_on_one_and_two_levels(G):
+    # a 1x1 Gram reaches the leaf from the top, a 2x2 one from level 1
+    d = len(G)
+    norms = {1, 2, 3, 5, Fraction(7, 3), 6, 12, Fraction(37, 6), 20}
+    inv = linalg.mat_inv(G)
+    lims = [isqrt(int(max(norms) * inv[i][i])) for i in range(d)]
+    full = linalg.short_vectors(G, norms)
+    assert full == walk_order_scan(G, norms, [range(-lim, lim + 1) for lim in lims])
+    assert full
+    assert linalg.short_vectors(G, norms, lambda v, m: False) == full
+    for k in range(1, len(full) + 1):
+        walked = []
+        got = linalg.short_vectors(G, norms, lambda v, m: walked.append(v) or len(walked) == k)
+        assert got == full[:k]
 
 
 def test_short_vectors_stop_ends_the_walk_at_the_kth_vector():

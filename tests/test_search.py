@@ -2,15 +2,25 @@
 
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracles
 from vinberg.classify import classify_form
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, open_height, replay, run_search
+from vinberg.search import (
+    Budget,
+    SearchState,
+    batch_sequence,
+    open_height,
+    replay,
+    run_search,
+)
 
 
 def test_terminates_reflective_with_expected_roots(search):
@@ -37,6 +47,46 @@ def test_matches_brute_force_oracle_low_heights(p, n):
         pass
     expect = oracles.brute_force_accepted(form, Fraction(2))
     assert state.accepted == expect
+
+
+# box points the brute-force oracle may scan for one drawn case
+ORACLE_BOX = 60000
+
+
+@st.composite
+def forms_and_heights(draw):
+    """A form and a height: the height of one of its first batches, or a
+    height between that batch and the next, drawn among the batches the
+    oracle's box scan can afford."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29]))
+    n = draw(st.integers(2, 4))
+    form = Form(p, n)
+    heights = []
+    cost = 0
+    for k0, m in batch_sequence(form):
+        cost += (2 * isqrt(m + p * k0 * k0) + 1) ** n
+        if cost > ORACLE_BOX:
+            break
+        heights.append(Fraction(k0 * k0, m))
+    assume(heights)
+    i = draw(st.integers(0, len(heights) - 1))
+    h = heights[i]
+    if draw(st.booleans()):
+        h = (h + open_height(form, i + 1)) / 2
+    return form, h
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(forms_and_heights())
+def test_replay_matches_brute_force_oracle(case):
+    form, height = case
+    state = SearchState.fresh(form)
+    for _ in replay(state, Budget(max_height=height, max_roots=10**6)):
+        pass
+    assert state.accepted == oracles.brute_force_accepted(form, height)
+    # the replay stops at the first batch above the height, its cursor
+    k0, m = state.next_batch
+    assert Fraction(k0 * k0, m) == open_height(form, state.batches_done) > height
 
 
 def test_open_height_is_next_batch_height():
