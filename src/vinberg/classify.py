@@ -19,7 +19,7 @@ from typing import Optional
 from vinberg import certificates, diagram, isometry, volume
 from vinberg.errors import ConsistencyError, VinbergError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, open_height, replay, run_search
+from vinberg.search import Budget, SearchState, replay, run_search
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -78,16 +78,16 @@ def classify_form(
     if certificate is None:
         # Budget ran out.  Rescan the final state without the rank gate,
         # then hunt for a symmetry between corners certified by the
-        # height frontier the search has cleared.
+        # height frontier the search has cleared: the height of the batch
+        # at its cursor, kept by the replay that ran out.
         certificate = certificates.scan_for_cusp_obstruction(result.chamber, min_rank=1)
     if certificate is None:
-        batches = result.state.batches_done
         symmetry = isometry.find_infinite_symmetry(
-            result.chamber, open_height(form, batches)
+            result.chamber, result.state.open_height()
         )
         if symmetry is not None:
             certificate = certificates.infinite_symmetry_certificate(
-                form, roots, symmetry, batches
+                form, roots, symmetry, result.state.batches_done
             )
 
     if certificate is not None:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
 
-from vinberg.enumeration import enumerate_batch
+from vinberg.enumeration import enumerate_batch, prior_row
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 
@@ -53,20 +53,6 @@ def batch_sequence(form: Form) -> Iterator[tuple[int, int]]:
                 m = other
         yield head[m], m
         head[m] += 1
-
-
-def open_height(form: Form, batches_done: int) -> Fraction:
-    """Height of the first batch a run with this cursor has not processed.
-
-    Heights are strictly increasing along the batch sequence, so a state
-    with this cursor has seen every root of height below the returned
-    value and none at or above it.
-    """
-    gen = batch_sequence(form)
-    for _ in range(batches_done):
-        next(gen)
-    k0, m = next(gen)
-    return Fraction(k0 * k0, m)
 
 
 @dataclass
@@ -107,6 +93,16 @@ class SearchState:
         state.next_batch = next(batch_sequence(form))
         state.counters["accepted"] = len(state.accepted)
         return state
+
+    def open_height(self) -> Fraction:
+        """Height of next_batch, the first batch the state has not processed.
+
+        Heights are strictly increasing along the batch sequence, so the
+        state has seen every root of height below the returned value and
+        none at or above it.
+        """
+        k0, m = self.next_batch
+        return Fraction(k0 * k0, m)
 
     def to_json(self) -> dict:
         return {
@@ -153,20 +149,28 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
     state.accepted, updates the counters, batches_done and next_batch,
     and yields the batch's accepts.  The stream ends where the budget
     stops the search.
+
+    The batches read each accepted root through its enumeration.prior_row:
+    first coordinate, spatial part and the peak of its prefix sums, which
+    bounds what the row can reject.  The replay builds that row once per
+    root, for the starting roots and then as it accepts each root, and
+    hands the rows to every later batch.
     """
     form = state.form
     accepted = state.accepted
+    rows = [prior_row(r) for r in accepted]
     top = Fraction(budget.max_height)
     heads = islice(batch_sequence(form), state.batches_done, None)
     k0, m = state.next_batch = next(heads)
     # k0^2 / m > max_height, by cross-multiplying
     while len(accepted) < budget.max_roots and k0 * k0 * top.denominator <= top.numerator * m:
-        candidates = enumerate_batch(form, k0, m, accepted)
+        candidates = enumerate_batch(form, k0, m, rows)
         fresh = []
         for cand in candidates:
             if all(form.inner_product(cand, r) <= 0 for r in fresh):
                 fresh.append(cand)
         accepted.extend(fresh)
+        rows.extend(map(prior_row, fresh))
         state.counters["batches"] += 1
         state.counters["candidates"] += len(candidates)
         state.counters["accepted"] += len(fresh)
@@ -184,8 +188,7 @@ def reproduces(
 
     The replay stops at the first batch whose accepts are not a prefix of
     roots, so roots that the search never reaches bound it too.  The open
-    height is that of the batch at the replay's final cursor, as
-    open_height gives it.
+    height is the replay state's open_height, at its final cursor.
     """
     state = SearchState.fresh(form)
     for _ in islice(replay(state, budget), batches):
@@ -193,8 +196,7 @@ def reproduces(
             return None
     if state.accepted != roots or batches not in (None, state.batches_done):
         return None
-    k0, m = state.next_batch
-    return Fraction(k0 * k0, m)
+    return state.open_height()
 
 
 def run_search(

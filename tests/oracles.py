@@ -157,6 +157,19 @@ def brute_force_accepted(form, max_height):
     return accepted
 
 
+def open_height(form, batches_done):
+    """Height of the first batch a run with this cursor has not processed,
+    found by walking the batch sequence from batch 0; the reference for
+    SearchState.open_height, which reads the cursor's next_batch."""
+    from vinberg.search import batch_sequence
+
+    gen = batch_sequence(form)
+    for _ in range(batches_done):
+        next(gen)
+    k0, m = next(gen)
+    return Fraction(k0 * k0, m)
+
+
 def root_class_witness_window(form, quot, coords, factor=10):
     """Smallest |t| in [-factor*m, factor*m) making lift + t e a root.
 

@@ -1,15 +1,26 @@
 """Candidate enumeration: kernel contract and batch-stream properties."""
 
+import functools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vinberg import enumeration
+from vinberg import enumeration, search
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, batch_sequence, replay
+from vinberg.search import Budget, SearchState, batch_sequence, replay, run_search
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_case(rng):
@@ -22,11 +33,18 @@ def random_case(rng):
     return n, target, step, consts, coeffs
 
 
+def kernel(n, target, step, consts, coeffs):
+    """The kernel, with each row's peak max(0, C_1, ..., C_n) over its
+    prefix sums worked out here."""
+    peaks = [max(0, *accumulate(row)) for row in coeffs]
+    return enumeration.enumerate_batch_vectors(n, target, step, consts, coeffs, peaks)
+
+
 def test_pure_kernel_contract():
     rng = random.Random(5150)
     for _ in range(80):
         n, target, step, consts, coeffs = random_case(rng)
-        out = enumeration.enumerate_batch_vectors(n, target, step, consts, coeffs)
+        out = kernel(n, target, step, consts, coeffs)
         seen = set()
         for v in out:
             assert len(v) == n
@@ -73,7 +91,7 @@ def test_pure_kernel_completeness_small():
                 target = step * step * rng.randint(0, 30)
             consts = [rng.randint(-20 * step, 5) for _ in range(rng.randint(0, 3))]
             coeffs = [[rng.randint(-4, 4) for _ in range(n)] for _ in consts]
-            out = enumeration.enumerate_batch_vectors(n, target, step, consts, coeffs)
+            out = kernel(n, target, step, consts, coeffs)
             assert out == box_scan(n, target, step, consts, coeffs), (
                 n, target, step, consts, coeffs)
 
@@ -97,12 +115,40 @@ def test_kernel_on_search_states(p):
         for prior in (state.accepted, roots):
             consts = [-p * k0 * r[0] for r in prior]
             coeffs = [list(r[1:]) for r in prior]
-            out = enumeration.enumerate_batch_vectors(3, target, step, consts, coeffs)
+            out = kernel(3, target, step, consts, coeffs)
             assert out == box_scan(3, target, step, consts, coeffs), (k0, m)
         if next(stream, None) is None:
             break
     assert state.accepted == roots
     assert len(roots) > len(form.initial_roots()) + 10
+
+
+@pytest.mark.parametrize("p", [13, 23])
+def test_replay_rows_give_the_raw_rows_lists(p, monkeypatch):
+    # every batch of the stream up to height 400 gets, from the replay,
+    # the rows of the roots accepted before it, and enumerate_batch on
+    # them returns what the kernel returns on the raw rows
+    form = Form(p, 3)
+    state = SearchState.fresh(form)
+    batches = []
+
+    def checked(form_, k0, m, rows):
+        prior = state.accepted
+        assert rows == [enumeration.prior_row(r) for r in prior]
+        out = enumeration.enumerate_batch(form_, k0, m, rows)
+        step = p if m % p == 0 else 1
+        consts = [-p * k0 * r[0] for r in prior]
+        coeffs = [list(r[1:]) for r in prior]
+        raw = kernel(3, m + p * k0 * k0, step, consts, coeffs)
+        assert out == [(k0, *v) for v in raw], (k0, m)
+        batches.append(out)
+        return out
+
+    monkeypatch.setattr(search, "enumerate_batch", checked)
+    for _ in replay(state, Budget(max_height=Fraction(400), max_roots=10**6)):
+        pass
+    assert len(batches) == state.batches_done
+    assert sum(map(len, batches)) > 10
 
 
 def test_kernel_at_the_dropped_row_bound():
@@ -129,7 +175,7 @@ def test_kernel_at_the_dropped_row_bound():
                 consts.append(rng.randint(1, -k * max(sums) + 1))
             else:
                 consts.append(-k * max(0, *sums) + rng.choice((-1, 0, 0, 1, 1)))
-        out = enumeration.enumerate_batch_vectors(n, target, step, consts, coeffs)
+        out = kernel(n, target, step, consts, coeffs)
         assert out == box_scan(n, target, step, consts, coeffs), (
             n, target, step, consts, coeffs)
 
@@ -140,19 +186,20 @@ def test_kernel_on_two_coordinates():
     for target in range(0, 700):
         consts = [rng.randint(-60, 10) for _ in range(rng.randint(0, 2))]
         coeffs = [[rng.randint(-5, 5) for _ in range(2)] for _ in consts]
-        out = enumeration.enumerate_batch_vectors(2, target, 1, consts, coeffs)
+        out = kernel(2, target, 1, consts, coeffs)
         assert out == box_scan(2, target, 1, consts, coeffs), (target, consts, coeffs)
     for step in (5, 13):
         for k in range(0, 60):
             target = step * step * k
-            assert enumeration.enumerate_batch_vectors(2, target, step, [], []) == box_scan(
+            assert kernel(2, target, step, [], []) == box_scan(
                 2, target, step, [], [])
 
 
 def test_enumerate_batch_prefixes_first_coordinate():
     form = Form(11, 3)
     prior = form.initial_roots()
-    out = enumeration.enumerate_batch(form, 1, 2, prior)
+    out = enumeration.enumerate_batch(
+        form, 1, 2, [enumeration.prior_row(r) for r in prior])
     for v in out:
         assert v[0] == 1
         assert form.norm(v) == 2
@@ -189,3 +236,106 @@ def test_batch_sequence_strictly_increasing_and_complete():
             if Fraction(k0 * k0, m) <= cut
         }
         assert set(batches) == expect
+
+
+@functools.cache
+def has_two_squares(r):
+    """Whether r = a^2 + b^2 for some a >= b >= 0, by trying every a."""
+    return any(isqrt(r - a * a) ** 2 == r - a * a
+               for a in range(isqrt(r) + 1) if 2 * a * a >= r)
+
+
+# the doubling boundaries: powers of two, the table's sizes from 1024 on
+EDGES = [1 << k for k in range(10, 17)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.one_of(st.integers(0, 70000), st.sampled_from(EDGES),
+                       st.sampled_from([e - 1 for e in EDGES])),
+             min_size=1, max_size=4),
+    st.lists(st.integers(0, 70000), max_size=30),
+)
+def test_two_squares_table_matches_brute_force(bounds, probes):
+    # grown from empty through the drawn bounds; checked at drawn values
+    # and on both sides of every doubling boundary it crossed, down to
+    # below the square of its largest first term
+    t = bytearray()
+    with mock.patch.object(enumeration, "_TWO_SQUARES", t):
+        for bound in bounds:
+            assert enumeration.two_squares_table(bound) is t
+            assert len(t) > bound
+            checked = set(probes) | {bound}
+            for edge in EDGES:
+                checked.update(range(edge - 2 * isqrt(edge) - 2, edge + 8))
+            for r in sorted(checked):
+                if r < len(t):
+                    assert t[r] == has_two_squares(r), r
+
+
+GROWTH_SCRIPT = """
+import json, sys
+from vinberg import enumeration
+out = []
+for n, target, step in json.loads(sys.argv[1]):
+    out.append(enumeration.enumerate_batch_vectors(n, target, step, [-40], [[1] * n], [n]))
+print(json.dumps([len(enumeration._TWO_SQUARES), out]))
+"""
+
+
+def test_kernel_output_does_not_depend_on_table_growth_order():
+    # a large target first, so the table starts large, then small ones;
+    # and the reverse, so it grows on the way; each in a fresh process
+    cases = [[3, 40001, 1], [4, 25 * 1290, 5], [3, 901, 1], [3, 250, 1]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    runs = []
+    for order in (cases, cases[::-1]):
+        proc = subprocess.run(
+            [sys.executable, "-c", GROWTH_SCRIPT, json.dumps(order)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        size, out = json.loads(proc.stdout)
+        assert size == 65536
+        runs.append({tuple(case): [tuple(v) for v in vecs] for case, vecs in zip(order, out)})
+    assert runs[0] == runs[1]
+    for (n, target, step), vecs in runs[0].items():
+        if n == 3:
+            assert vecs == box_scan(n, target, step, [-40], [[1] * n]), target
+        assert vecs == kernel(n, target, step, [-40], [[1] * n])
+
+
+def test_two_coordinate_batches_leave_the_table_alone():
+    t = bytearray()
+    with mock.patch.object(enumeration, "_TWO_SQUARES", t):
+        assert kernel(2, 10**6 + 1, 1, [], []) == box_scan(
+            2, 10**6 + 1, 1, [], [])
+        run_search(Form(83, 2), Budget(max_height=Fraction(1600)))
+    assert len(t) == 0
+
+
+class Unread:
+    """Rows that fail the test if anything reads them."""
+
+    def __iter__(self):
+        raise AssertionError("rows read")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29]),
+    st.integers(2, 6),
+    st.integers(1, 300),
+    st.booleans(),
+    st.lists(st.lists(st.integers(-30, 30), min_size=7, max_size=7), max_size=5),
+)
+def test_norm_p_batch_off_the_lattice_is_empty_before_its_rows(p, n, k0, double, roots):
+    # p | k_i for i >= 1 puts p^2 | m + p k0^2; where it does not divide,
+    # the batch is empty for any rows, and returns before reading them
+    m = 2 * p if double else p
+    assume((m + p * k0 * k0) % (p * p))
+    form = Form(p, n)
+    rows = [enumeration.prior_row(tuple(r[: n + 1])) for r in roots]
+    assert enumeration.enumerate_batch(form, k0, m, rows) == []
+    assert enumeration.enumerate_batch(form, k0, m, Unread()) == []

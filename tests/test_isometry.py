@@ -72,7 +72,7 @@ def test_vertex_walls_match_accepted_walls_at_certified_corners(search):
     form = Form(23, 3)
     result = search(23, 3)
     roots = result.roots
-    frontier = vsearch.open_height(form, result.state.batches_done)
+    frontier = oracles.open_height(form, result.state.batches_done)
     for c in isometry.chamber_corners(volume.ChamberDiagram(form, roots)):
         if isometry.corner_height_bound(form, c["vector"]) >= frontier:
             continue
@@ -304,7 +304,7 @@ def test_infinite_order_evidence_matches_factoring_oracle(T):
 def test_find_infinite_symmetry_on_the_16_wall_chamber(search):
     form = Form(23, 3)
     result = search(23, 3)
-    frontier = vsearch.open_height(form, result.state.batches_done)
+    frontier = oracles.open_height(form, result.state.batches_done)
     witness = isometry.find_infinite_symmetry(
         volume.ChamberDiagram(form, result.roots), frontier
     )

@@ -17,7 +17,6 @@ from vinberg.search import (
     Budget,
     SearchState,
     batch_sequence,
-    open_height,
     replay,
     run_search,
 )
@@ -72,7 +71,7 @@ def forms_and_heights(draw):
     i = draw(st.integers(0, len(heights) - 1))
     h = heights[i]
     if draw(st.booleans()):
-        h = (h + open_height(form, i + 1)) / 2
+        h = (h + oracles.open_height(form, i + 1)) / 2
     return form, h
 
 
@@ -85,21 +84,41 @@ def test_replay_matches_brute_force_oracle(case):
         pass
     assert state.accepted == oracles.brute_force_accepted(form, height)
     # the replay stops at the first batch above the height, its cursor
-    k0, m = state.next_batch
-    assert Fraction(k0 * k0, m) == open_height(form, state.batches_done) > height
+    assert state.open_height() == oracles.open_height(form, state.batches_done) > height
 
 
 def test_open_height_is_next_batch_height():
     form = Form(13, 2)
-    assert open_height(form, 0) < open_height(form, 1) < open_height(form, 5)
+    assert oracles.open_height(form, 0) < oracles.open_height(form, 1) < oracles.open_height(form, 5)
     # the frontier after k batches admits exactly the first k batch heights
     state = SearchState.fresh(form)
     for _ in islice(replay(state, Budget()), 7):
         pass
-    frontier = open_height(form, 7)
+    frontier = state.open_height()
+    assert frontier == oracles.open_height(form, 7)
     for r in state.accepted:
         if r[0] > 0:
             assert form.height(r) < frontier
+
+
+def test_resumed_undecided_state_keeps_the_symmetry_frontier():
+    # a state read from JSON has no next_batch until its resumed search
+    # replays the stream; the symmetry hunt then reads the same frontier,
+    # and finds the same certificate, as on a fresh run
+    form = Form(13, 3)
+    partial = run_search(form, Budget(max_roots=10))
+    assert partial.status == "undecided"
+    doc = partial.state.to_json()
+    state = SearchState.from_json(doc)
+    assert state.next_batch is None
+    resumed = run_search(form, state=state)
+    assert resumed.status == "undecided"
+    assert resumed.state.open_height() == oracles.open_height(
+        form, resumed.state.batches_done)
+    fresh = classify_form(13, 3)
+    assert fresh["certificate"]["kind"] == "infinite_symmetry"
+    report = classify_form(13, 3, state=SearchState.from_json(doc))
+    assert report["certificate"] == fresh["certificate"]
 
 
 def test_replay_reproduces_prefix(search):
