@@ -94,10 +94,11 @@ def affine_null_marks(form: Form, roots, nodes):
     """
     nodes = sorted(nodes)
     G = [[form.inner_product(roots[i], roots[j]) for j in nodes] for i in nodes]
-    ker = linalg.kernel(G)
+    ker = linalg.integer_kernel(G)
     if len(ker) != 1:
         raise ValueError("marks are only defined for affine subdiagrams")
-    marks = list(cones.primitive_vector(ker[0]))
+    # a rank-one saturated kernel's generator is primitive
+    marks = ker[0]
     if marks[0] < 0:
         marks = [-m for m in marks]
     if not all(m > 0 for m in marks):
@@ -282,11 +283,6 @@ def _inherited_payload(base) -> dict:
 
 # ---------------------------------------------------------------------------
 # verification
-
-def verify_certificate(cert: dict) -> bool:
-    """True iff every stored claim re-derives from the primary data."""
-    return not verification_failures(cert)
-
 
 def verification_failures(cert: dict) -> list[str]:
     """All re-derivation mismatches; empty means the certificate is valid.

@@ -40,9 +40,10 @@ def classify_form(
 ) -> dict:
     """Classify one form, returning a report dict.
 
-    Keys: form, verdict, roots, diagram, certificate, timings (exact work
-    counters, so reports are byte-identical across runs), budget; plus
-    volume for reflective verdicts and state for undecided ones.
+    Keys: schema_version, form, verdict, roots, diagram, certificate,
+    timings (exact work counters, so reports are byte-identical across
+    runs), budget; plus volume for reflective verdicts and state for
+    undecided ones.
 
     Every non-reflective certificate is re-checked from scratch before it
     is attached; a verification failure is an internal error and raises

@@ -99,7 +99,7 @@ def main() -> None:
 )
 def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
     """Classify one form and print the result."""
-    form = _form(p, n)
+    _form(p, n)
     state = None
     if resume_path is not None:
         try:
@@ -124,16 +124,15 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
         with open(resume_path, "w") as fh:
             json.dump(report["state"], fh, indent=2, sort_keys=True)
 
-    roots = [tuple(r) for r in report["roots"]]
     if emit == "report":
         _dump(report)
     elif emit == "roots":
         _dump(report["roots"])
     elif emit == "diagram":
         if fmt == "dot":
-            click.echo(diagram.diagram_dot(form, roots))
+            click.echo(diagram.diagram_dot(report["diagram"]))
         elif fmt == "tikz":
-            click.echo(diagram.diagram_tikz(form, roots))
+            click.echo(diagram.diagram_tikz(report["diagram"]))
         else:
             _dump(report["diagram"])
     else:
@@ -229,13 +228,12 @@ def table_cmd(p, n, max_height, max_roots, fmt):
 )
 def diagram_cmd(p, n, max_height, max_roots, fmt):
     """Print the Coxeter diagram of the chamber found for one form."""
-    form = _form(p, n)
+    _form(p, n)
     report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
-    roots = [tuple(r) for r in report["roots"]]
     if fmt == "dot":
-        click.echo(diagram.diagram_dot(form, roots))
+        click.echo(diagram.diagram_dot(report["diagram"]))
     elif fmt == "tikz":
-        click.echo(diagram.diagram_tikz(form, roots))
+        click.echo(diagram.diagram_tikz(report["diagram"]))
     else:
         _dump(report["diagram"])
     if report["verdict"] == "undecided":

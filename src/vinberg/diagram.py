@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from vinberg import cones, linalg
+from vinberg import linalg
 from vinberg.errors import ConsistencyError, DiagramError
 
 SIMPLE, DOUBLE, TRIPLE, PARALLEL, DIVERGENT = (
@@ -357,52 +357,6 @@ def affine_sets_of_rank(diagram: Diagram, rank: int, comps) -> list[dict]:
     return out
 
 
-def polygon_cycle(form, roots) -> dict:
-    """Cyclic wall order of a closed planar chamber.
-
-    Returns {"sides": root indices in cyclic order, "vertices": corner
-    vectors}, where vertices[t] joins sides[t] and sides[t+1]; ordinary
-    corners have negative norm, ideal ones norm zero.  Requires n = 2 and
-    a chamber that closes into a polygon of finite area.
-    """
-    if form.n != 2:
-        raise ValueError("polygon walk requires a rank-2 form")
-    cone = cones.Cone(form.dim)
-    lines, rays = cones.cone_generators([form.dual(r) for r in roots], form.dim, cone)
-    if lines:
-        raise ValueError("chamber cone contains a line")
-    tight = dict(zip(cone.rays, cone.tight))
-    verts = []
-    for v in rays:
-        if form.norm(v) > 0:
-            raise ValueError("spacelike extreme ray; the polygon does not close")
-        active = tuple(sorted(tight[v]))
-        if len(active) != 2:
-            raise ConsistencyError("polygon corner must lie on exactly two sides")
-        verts.append({"vector": tuple(v), "sides": active})
-    by_side: dict = {}
-    for k, vt in enumerate(verts):
-        for i in vt["sides"]:
-            by_side.setdefault(i, []).append(k)
-    if sorted(by_side) != list(range(len(roots))) or any(
-        len(ks) != 2 for ks in by_side.values()
-    ):
-        raise ConsistencyError("sides do not close into a polygon")
-    start = 0
-    side = start
-    vk = min(by_side[start])
-    sides_order = []
-    vert_order = []
-    for _ in range(len(roots)):
-        sides_order.append(side)
-        vert_order.append(verts[vk]["vector"])
-        side = next(i for i in verts[vk]["sides"] if i != side)
-        vk = next(k for k in by_side[side] if k != vk)
-    if side != start or len(set(sides_order)) != len(roots):
-        raise ConsistencyError("polygon walk did not close into one cycle")
-    return {"sides": sides_order, "vertices": vert_order}
-
-
 def diagram_json(form, roots) -> dict:
     """Serializable description of the wall diagram.
 
@@ -450,22 +404,20 @@ _TIKZ_EDGE = {
 }
 
 
-def diagram_dot(form, roots) -> str:
-    """Graphviz source for the wall diagram (1-based vertex labels)."""
-    diagram = build_diagram(form, roots)
+def diagram_dot(doc: dict) -> str:
+    """Graphviz source for a diagram_json document (1-based vertex labels)."""
     lines = ["graph walls {", "  node [shape=circle];"]
-    for i in range(len(diagram.norms)):
-        lines.append(f"  {i + 1};")
-    for (i, j), kind in sorted(diagram.edges.items()):
-        lines.append(f"  {i + 1} -- {j + 1}{_DOT_EDGE[kind]};")
+    for node in doc["nodes"]:
+        lines.append(f"  {node['index'] + 1};")
+    for e in doc["edges"]:
+        lines.append(f"  {e['i'] + 1} -- {e['j'] + 1}{_DOT_EDGE[e['kind']]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def diagram_tikz(form, roots) -> str:
-    """TikZ source for the wall diagram, vertices on a circle."""
-    diagram = build_diagram(form, roots)
-    count = len(diagram.norms)
+def diagram_tikz(doc: dict) -> str:
+    """TikZ source for a diagram_json document, vertices on a circle."""
+    count = len(doc["nodes"])
     lines = [
         "\\begin{tikzpicture}[",
         "  wall/.style={circle, draw, fill=white, inner sep=2pt},",
@@ -475,8 +427,8 @@ def diagram_tikz(form, roots) -> str:
         "  heavy/.style={line width=1.6pt},",
         "  divergent/.style={dashed}]",
     ]
-    for (i, j), kind in sorted(diagram.edges.items()):
-        lines.append(f"  \\draw[{_TIKZ_EDGE[kind]}] (w{i + 1}) -- (w{j + 1});")
+    for e in doc["edges"]:
+        lines.append(f"  \\draw[{_TIKZ_EDGE[e['kind']]}] (w{e['i'] + 1}) -- (w{e['j'] + 1});")
     placements = []
     for i in range(count):
         angle = (90.0 - 360.0 * i / count) % 360.0

@@ -143,15 +143,6 @@ class Form:
         roots.append(tuple(last))
         return roots
 
-    def reflect(self, x: Vector, r: Vector) -> Vector:
-        """Reflection of x in the hyperplane orthogonal to the root r."""
-        m = self.norm(r)
-        t = Fraction(2 * self.inner_product(x, r), m)
-        if t.denominator != 1:
-            raise ValueError("reflection is not integral")
-        t = int(t)
-        return tuple(a - t * b for a, b in zip(x, r))
-
     def height(self, v: Vector) -> Fraction:
         """Distance measure k0^2 / <v,v> ordering the root search."""
         return Fraction(v[0] * v[0], self.norm(v))

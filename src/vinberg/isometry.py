@@ -86,22 +86,19 @@ def orient_root(form: Form, v):
 
     The chamber closure contains the control vertex, so a root not
     orthogonal to it points the right way iff their inner product is
-    negative.  Roots orthogonal to the control vertex split as positive or
-    negative combinations of the initial simple system; the positive ones
-    bound the chamber.
+    negative.  A root orthogonal to it has v_0 = 0 and norm 1 or 2 (norm p
+    or 2p would need p | v_i for every i, hence p^2 | the norm), so it is
+    +-e_i or +-e_i +- e_j: a root of B_n, whose simple system is the
+    initial roots.  The point (0, n, n - 1, ..., 1) has inner product -1
+    with every initial root and is orthogonal to no B_n root, so the
+    positive roots, the ones that bound the chamber, are those with a
+    negative inner product with it.
     """
     if v[0] != 0:
         return v if v[0] > 0 else tuple(-x for x in v)
-    initial = form.initial_roots()
-    mat = [[e[j] for e in initial] for j in range(1, form.dim)]
-    coeffs = linalg.solve(mat, list(v[1:]))
-    if coeffs is None:
-        raise ConsistencyError("root outside the span of the initial system")
-    if all(c >= 0 for c in coeffs):
+    if sum((form.n + 1 - i) * v[i] for i in range(1, form.dim)) < 0:
         return v
-    if all(c <= 0 for c in coeffs):
-        return tuple(-x for x in v)
-    raise ConsistencyError("root is a mixed combination of the initial system")
+    return tuple(-x for x in v)
 
 
 def vertex_walls(form: Form, corner) -> list:
@@ -144,12 +141,14 @@ def frame_map(form: Form, frame_from, frame_to):
 
     A frame is a list of n roots and a corner forming a basis.  Matching
     Gram matrices force any rational solution to preserve the form; only
-    integral maps are returned, acting on column vectors.
+    integral maps are returned, acting on column vectors.  Returns None
+    when frame_from is linearly dependent, so no map exists, or when the
+    map taking it to frame_to is not integral.
     """
     dim = form.dim
     B_from = [[frame_from[j][i] for j in range(dim)] for i in range(dim)]
     B_to = [[frame_to[j][i] for j in range(dim)] for i in range(dim)]
-    if linalg.det(B_from) == 0:
+    if linalg.rank(B_from) < dim:
         return None
     T = linalg.mat_mul(B_to, linalg.mat_inv(B_from))
     for row in T:
@@ -162,34 +161,6 @@ def frame_map(form: Form, frame_from, frame_to):
     if TtFT != F:
         raise ConsistencyError("matching Grams must force form preservation")
     return T
-
-
-def polygon_rotation(form: Form, roots, shift: int):
-    """Integral isometry rotating a closed planar chamber by a cyclic
-    shift of its sides, or None when no such lattice map exists.
-
-    Matches the frame (side, next side, corner between them) at position 0
-    against the one at the shifted position; Gram equality is required
-    before solving, so a structurally impossible shift returns None
-    instead of failing.
-    """
-    from vinberg import diagram as _diagram
-
-    cyc = _diagram.polygon_cycle(form, roots)
-    k = len(cyc["sides"])
-    shift %= k
-
-    def frame(t):
-        return [
-            roots[cyc["sides"][t % k]],
-            roots[cyc["sides"][(t + 1) % k]],
-            cyc["vertices"][t % k],
-        ]
-
-    f_from, f_to = frame(0), frame(shift)
-    if form.gram(f_from) != form.gram(f_to):
-        return None
-    return frame_map(form, f_from, f_to)
 
 
 def _totient(k: int) -> int:

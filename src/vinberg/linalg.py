@@ -1,27 +1,28 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra on integer matrices.
 
-Matrices are plain lists of row lists, vectors are sequences of ints or
-Fractions.  Nothing here ever touches floating point; every routine is
-deterministic, so identical inputs give byte-identical downstream reports.
+Matrices are plain lists of row lists of ints, vectors are sequences of
+ints: every matrix the package builds is a Gram matrix, a constraint
+matrix or a frame of lattice vectors.  Answers that need not be integral
+(rref, solve, mat_inv) come back as Fractions.  Nothing here ever touches
+floating point; every routine is deterministic, so identical inputs give
+byte-identical downstream reports.
 
-Elimination runs in integer arithmetic.  rref, rank, det and
-psd_classify clear each row's denominators and use Bareiss's
-fraction-free elimination, whose exact divisions keep entries the size of
-minors; rref builds its Fractions only at output, and solve, kernel and
-mat_inv read their answers off it.  Echelon keeps a growing set of rows
-in echelon form, so each new row's independence costs one reduction.
-short_vectors (Fincke-Pohst) clears the denominators of one rational LDL
-decomposition, done in Fractions once per walk, and then walks its tree
-on an integer remainder with isqrt windows, solving its last coordinate
-for each wanted norm directly.
-charpoly, row_hnf, snf and integer_kernel work over the integers
-throughout.
+rref, rank and psd_classify use Bareiss's fraction-free elimination,
+whose exact divisions keep entries the size of minors; rref builds its
+Fractions only at output, and solve and mat_inv read their answers off
+it.  Echelon keeps a growing set of rows in echelon form, so each new
+row's independence costs one reduction.  short_vectors (Fincke-Pohst)
+clears the denominators of one rational LDL decomposition, done in
+Fractions once per walk, and then walks its tree on an integer remainder
+with isqrt windows, solving its last coordinate for each wanted integer
+norm directly.  charpoly, row_hnf, snf and integer_kernel work over the
+integers throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 
@@ -42,11 +43,6 @@ def mat_vec(A, v):
     return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
-def vec_content(v) -> int:
-    """Gcd of the entries, 0 for the zero vector."""
-    return gcd(*v)
-
-
 def exgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -62,30 +58,21 @@ def exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _cleared_rows(A) -> list[list[int]]:
-    """Each row scaled by the lcm of its denominators, as ints."""
-    M = []
-    for row in A:
-        den = lcm(*(x.denominator for x in row))
-        M.append([int(x * den) for x in row])
-    return M
-
-
 def rref(A) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
+    """Reduced row echelon form of an integer matrix, over the rationals.
 
     Returns (R, pivots) where pivots lists the pivot column of each nonzero
     row.  The input is not modified.
 
-    Fraction-free Gauss-Jordan elimination: each row has its denominators
-    cleared, and with pivot d at (r, c) and prev the previous pivot, every
-    other row i becomes (d A[i] - A[i][c] A[r]) // prev.  The division is
-    exact (Bareiss): afterwards the entries of the unreduced rows are minors
-    of the cleared matrix, and by Cramer's rule those of a pivot row are
-    the pivot minor times its reduced row, so every pivot entry equals the
-    last pivot.  Dividing by it once at the end gives the unique RREF.
+    Fraction-free Gauss-Jordan elimination: with pivot d at (r, c) and prev
+    the previous pivot, every other row i becomes
+    (d A[i] - A[i][c] A[r]) // prev.  The division is exact (Bareiss):
+    afterwards the entries of the unreduced rows are minors of A, and by
+    Cramer's rule those of a pivot row are the pivot minor times its
+    reduced row, so every pivot entry equals the last pivot.  Dividing by
+    it once at the end gives the unique RREF.
     """
-    M = _cleared_rows(A)
+    M = list(A)
     m = len(M)
     n = len(M[0]) if m else 0
     pivots: list[int] = []
@@ -111,17 +98,15 @@ def rref(A) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(A) -> int:
-    """Rank over the rationals, by fraction-free elimination.
+    """Rank of an integer matrix, by fraction-free elimination.
 
-    Each row has its denominators cleared, which keeps the rank, and then
-    Bareiss's elimination runs on the integer matrix as in psd_classify:
-    with pivot d at (r, c) and prev the previous pivot, every entry right
-    of the pivot column in a later row becomes (d A[i][j] - A[i][c] A[r][j])
-    // prev, an exact division, since each active entry is a minor of the
-    cleared matrix.  So zeros, and with them the pivots, match the
-    rational elimination.
+    Bareiss's elimination as in psd_classify: with pivot d at (r, c) and
+    prev the previous pivot, every entry right of the pivot column in a
+    later row becomes (d A[i][j] - A[i][c] A[r][j]) // prev, an exact
+    division, since each active entry is a minor of A.  So zeros, and with
+    them the pivots, match the rational elimination.
     """
-    M = _cleared_rows(A)
+    M = [list(row) for row in A]
     cols = len(M[0]) if M else 0
     r = 0
     prev = 1
@@ -179,24 +164,9 @@ class Echelon:
         return True
 
 
-def kernel(A) -> list[list[Fraction]]:
-    """Basis of the rational null space {x : A x = 0}."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
-
-
 def solve(A, b):
-    """One exact solution of A x = b, or None if the system is inconsistent."""
+    """One rational solution of the integer system A x = b, or None if
+    the system is inconsistent."""
     m = len(A)
     aug = [list(A[i]) + [b[i]] for i in range(m)]
     n = len(A[0]) if m else 0
@@ -209,40 +179,9 @@ def solve(A, b):
     return x
 
 
-def det(A):
-    """Exact determinant; integer input gives an int back.
-
-    Bareiss's fraction-free elimination on the matrix with each row's
-    denominators cleared, as in rank; the last pivot is the determinant of
-    the cleared matrix, which is divided back by the row scales at the end.
-    """
-    n = len(A)
-    dens = [lcm(*(x.denominator for x in row)) for row in A]
-    M = [[int(x * den) for x in row] for row, den in zip(A, dens)]
-    scale = prod(dens)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            sign = -sign
-        prow = M[c]
-        d = prow[c]
-        for i in range(c + 1, n):
-            row = M[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (d * row[j] - f * prow[j]) // prev
-        prev = d
-    q, r = divmod(sign * prev, scale)
-    return q if r == 0 else Fraction(sign * prev, scale)
-
-
 def mat_inv(A) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix; raises on singular input."""
+    """Exact rational inverse of a square integer matrix; raises on
+    singular input."""
     n = len(A)
     aug = [list(A[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     R, pivots = rref(aug)
@@ -258,7 +197,7 @@ def row_hnf(A) -> tuple[list[list[int]], list[list[int]]]:
     entries above a pivot are reduced into [0, pivot), zero rows sink to
     the bottom.
     """
-    H = [[int(x) for x in row] for row in A]
+    H = [list(row) for row in A]
     m = len(H)
     n = len(H[0]) if m else 0
     U = identity(m)
@@ -319,7 +258,7 @@ def integer_kernel(A) -> list[list[int]]:
 def snf(A) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form.  Returns (D, U, V) with U A V = D diagonal,
     each diagonal entry nonnegative and dividing the next."""
-    D = [[int(x) for x in row] for row in A]
+    D = [list(row) for row in A]
     m = len(D)
     n = len(D[0]) if m else 0
     U = identity(m)
@@ -412,21 +351,18 @@ def snf(A) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
 
 def complete_basis(v: Sequence[int]) -> list[list[int]]:
     """Basis of Z^n, as rows, whose first row is the primitive vector v."""
-    n = len(v)
-    if vec_content(v) != 1:
+    if gcd(*v) != 1:
         raise ValueError("vector is not primitive")
-    col = [[int(x)] for x in v]
-    H, U = row_hnf(col)
-    if H[0][0] != 1:
-        raise ValueError("vector is not primitive")
-    # U v = e1, so the first column of U^-1 is v
+    _, U = row_hnf([[x] for x in v])
+    # U v = e1, the HNF of a primitive column, so the first column of
+    # U^-1 is v
     B = mat_inv(U)
     W = transpose(B)
     return [[int(x) for x in row] for row in W]
 
 
 def psd_classify(G) -> str:
-    """Classify a symmetric rational matrix by its quadratic form.
+    """Classify a symmetric integer matrix by its quadratic form.
 
     Returns "definite" (positive definite), "degenerate" (positive
     semidefinite with nontrivial kernel) or "indefinite".  Pivots on the
@@ -434,9 +370,8 @@ def psd_classify(G) -> str:
     elimination would; a PSD matrix with no positive diagonal entry left
     must have the whole active block zero.
 
-    The elimination is Bareiss's fraction-free one on the matrix with its
-    denominators cleared.  With pivot p, d = A[p][p] and prev the previous
-    pivot (1 at first), each update (d A[i][j] - A[i][p] A[p][j]) // prev
+    The elimination is Bareiss's fraction-free one.  With pivot p,
+    d = A[p][p] and prev the previous pivot (1 at first), each update (d A[i][j] - A[i][p] A[p][j]) // prev
     divides exactly: every active entry is the minor of G on the pivots
     plus row i and column j, that is the Schur-complement entry times the
     positive minor on the pivots.  So signs and zeros match the rational
@@ -449,8 +384,7 @@ def psd_classify(G) -> str:
     component the walk did not reach), quotient.null_quotient and
     isometry.vertex_walls.
     """
-    den = lcm(*(x.denominator for row in G for x in row))
-    A = [[int(x * den) for x in row] for row in G]
+    A = [list(row) for row in G]
     active = list(range(len(A)))
     prev = 1
     while active:
@@ -494,7 +428,7 @@ def charpoly(M) -> list[int]:
 
 
 def ldl(G) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Decompose a positive definite rational matrix as Q(x) = sum_i
+    """Decompose a positive definite integer matrix as Q(x) = sum_i
     d_i (x_i + sum_{j>i} l_ij x_j)^2.  Returns (L, d) with L unit upper
     triangular row-wise coefficients."""
     n = len(G)
@@ -517,21 +451,20 @@ class _StopWalk(Exception):
     """Raised at a leaf of the short_vectors walk when stop returns true."""
 
 
-def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int | Fraction]]:
+def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int]]:
     """All x in Z^n with x^T G x in the finite set norms, one per sign pair,
     in walk order.
 
-    Returns (x, x^T G x) pairs.  G must be positive definite and norms a
-    nonempty collection of positive ints or Fractions; the norm is handed
-    back as an int when it is integral and as a Fraction otherwise.  The
+    Returns (x, x^T G x) pairs.  G must be a positive definite integer
+    matrix and norms a nonempty collection of positive integer norms.  The
     representative of {x, -x} has its first nonzero coordinate positive.
 
     Exact Fincke-Pohst walk in integer arithmetic, bounded by
     bound = max(norms).  The rational LDL form
     Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 is computed once and its
     denominators cleared: with D_i the common denominator of row i of L,
-    a_ij = D_i l_ij and one scale S making S m for every m in norms and
-    every w_i = S d_i / D_i^2 integral,
+    a_ij = D_i l_ij and one scale S making every w_i = S d_i / D_i^2
+    integral,
 
         S Q(x) = sum_i w_i N_i^2,   N_i = D_i x_i + sum_{j>i} a_ij x_j.
 
@@ -560,22 +493,18 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int | Frac
     """
     n = len(G)
     L, d = ldl(G)
-    norms = sorted({Fraction(m) for m in norms})
+    norms = sorted(set(norms))
     bound = norms[-1]
     D = [lcm(*(L[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     scaled = [d[i] / (D[i] * D[i]) for i in range(n)]
-    S = lcm(*(m.denominator for m in norms), *(q.denominator for q in scaled))
+    S = lcm(*(q.denominator for q in scaled))
     w = [int(S * q) for q in scaled]
     terms = [
         [(j, int(D[i] * L[i][j])) for j in range(i + 1, n) if L[i][j]]
         for i in range(n)
     ]
-    top = int(S * bound)
-    # (S bound - S m, m), with m an int when it is integral
-    gaps = [
-        (top - int(S * m), m.numerator if m.denominator == 1 else m)
-        for m in norms
-    ]
+    top = S * bound
+    gaps = [(top - S * m, m) for m in norms]
     found: list = []
     x = [0] * n
     D0, w0 = D[0], w[0]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from operator import mul
 
 from vinberg import linalg
@@ -216,9 +217,9 @@ def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> 
         data["generator_norm"] = quot.class_norm(gen)
     stack = [list(r) for r in d_basis] + [list(r) for r in c_basis]
     if len(stack) == quot.rank:
-        index = abs(linalg.det(stack))
-        data["index"] = index
         D, U, V = linalg.snf(stack)
+        # U and V are unimodular, so the diagonal's product is |det stack|
+        data["index"] = prod(D[i][i] for i in range(len(D)))
         invariants = [D[i][i] for i in range(len(D)) if D[i][i] > 1]
         data["invariants"] = invariants
         if invariants:

@@ -8,9 +8,14 @@ scanning every shift in it, matrix
 order by factoring the characteristic polynomial with sympy, finite
 volume by counting the vertices on every edge of the chamber, diagram
 edges, critical sets and affine components from scratch, reduced
-row echelon forms and determinants by elimination in Fraction arithmetic,
-fixed cones of wall sets by a double description of their own.  None of
-them share a decision procedure with the fast paths they check.
+row echelon forms, kernels, solutions and determinants by elimination in
+Fraction arithmetic, fixed cones of wall sets by a double description of
+their own, the orientation of roots orthogonal to the control vertex by
+solving over the initial simple system.  None of them share a decision
+procedure with the fast paths they check.
+
+polygon_cycle is not an oracle: it walks a closed planar chamber's sides
+in cyclic order for the polygon symbol and rotation tests.
 """
 
 import math
@@ -50,9 +55,38 @@ def fraction_rref(A):
     return R, pivots
 
 
+def fraction_kernel(A):
+    """Basis of the rational null space {x : A x = 0}, read off
+    fraction_rref: one vector per free column, 1 there and 0 at the other
+    free columns."""
+    n = len(A[0]) if A else 0
+    R, pivots = fraction_rref(A)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_solve(A, b):
+    """One solution of A x = b read off fraction_rref of [A | b], with the
+    free coordinates zero, or None when the system is inconsistent."""
+    n = len(A[0]) if A else 0
+    R, pivots = fraction_rref([list(row) + [y] for row, y in zip(A, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][n]
+    return x
+
+
 def fraction_det(A):
     """Determinant by Gaussian elimination over Fractions; an int when
-    integral, as linalg.det returns it."""
+    integral."""
     n = len(A)
     M = [[Fraction(x) for x in row] for row in A]
     sign = 1
@@ -380,7 +414,7 @@ def cone_fixed_set(form, roots, nodes):
     walls = [form.dual(r) for r in roots]
     if nodes:
         ortho = [walls[i] for i in nodes]
-        basis = [cones.primitive_vector(b) for b in linalg.kernel(ortho)]
+        basis = [cones.primitive_vector(b) for b in fraction_kernel(ortho)]
     else:
         basis = linalg.identity(dim)
     constraints = [tuple(sum(x * y for x, y in zip(w, b)) for b in basis) for w in walls]
@@ -408,3 +442,69 @@ def root_class_shift_scan(form, quot, coords, m):
         if form.satisfies_crystallographic_condition(v, m):
             return t
     return None
+
+
+def orient_root_by_solve(form, v):
+    """The sign of a root with v_0 = 0 that bounds the chamber, by solving
+    for its coefficients over the initial simple system: the positive
+    combinations are kept, the negative ones negated, and a mixed one is
+    an error."""
+    initial = form.initial_roots()
+    A = [[e[j] for e in initial] for j in range(1, form.dim)]
+    coeffs = fraction_solve(A, list(v[1:]))
+    if coeffs is None:
+        raise AssertionError(f"{v} is outside the span of the initial system")
+    if all(c >= 0 for c in coeffs):
+        return tuple(v)
+    if all(c <= 0 for c in coeffs):
+        return tuple(-x for x in v)
+    raise AssertionError(f"{v} is a mixed combination of the initial system")
+
+
+def polygon_cycle(form, roots) -> dict:
+    """Cyclic wall order of a closed planar chamber.
+
+    Returns {"sides": root indices in cyclic order, "vertices": corner
+    vectors}, where vertices[t] joins sides[t] and sides[t+1]; ordinary
+    corners have negative norm, ideal ones norm zero.  Requires n = 2 and
+    a chamber that closes into a polygon of finite area.
+    """
+    from vinberg import cones
+    from vinberg.errors import ConsistencyError
+
+    if form.n != 2:
+        raise ValueError("polygon walk requires a rank-2 form")
+    cone = cones.Cone(form.dim)
+    lines, rays = cones.cone_generators([form.dual(r) for r in roots], form.dim, cone)
+    if lines:
+        raise ValueError("chamber cone contains a line")
+    tight = dict(zip(cone.rays, cone.tight))
+    verts = []
+    for v in rays:
+        if form.norm(v) > 0:
+            raise ValueError("spacelike extreme ray; the polygon does not close")
+        active = tuple(sorted(tight[v]))
+        if len(active) != 2:
+            raise ConsistencyError("polygon corner must lie on exactly two sides")
+        verts.append({"vector": tuple(v), "sides": active})
+    by_side: dict = {}
+    for k, vt in enumerate(verts):
+        for i in vt["sides"]:
+            by_side.setdefault(i, []).append(k)
+    if sorted(by_side) != list(range(len(roots))) or any(
+        len(ks) != 2 for ks in by_side.values()
+    ):
+        raise ConsistencyError("sides do not close into a polygon")
+    start = 0
+    side = start
+    vk = min(by_side[start])
+    sides_order = []
+    vert_order = []
+    for _ in range(len(roots)):
+        sides_order.append(side)
+        vert_order.append(verts[vk]["vector"])
+        side = next(i for i in verts[vk]["sides"] if i != side)
+        vk = next(k for k in by_side[side] if k != vk)
+    if side != start or len(set(sides_order)) != len(roots):
+        raise ConsistencyError("polygon walk did not close into one cycle")
+    return {"sides": sides_order, "vertices": vert_order}

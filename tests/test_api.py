@@ -3,8 +3,23 @@
 import importlib
 import inspect
 import pkgutil
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+import click
 
 import vinberg
+from vinberg import cli
+
+PACKAGE_DIRS = (Path(vinberg.__file__).parent, Path(__file__).resolve().parent.parent / "perfbench")
+
+# The cli's commands are click.Command objects, not functions, so
+# public_functions never yields them; the console script (vinberg.cli:main)
+# and click's dispatch are their callers.
+CLICK_COMMANDS = {
+    "main", "classify_cmd", "family_cmd", "table_cmd", "diagram_cmd", "certify_cmd", "verify_cmd",
+}
 
 
 def public_functions():
@@ -33,3 +48,34 @@ def test_no_chamber_parameter_has_a_default():
             readers[name] = param.default
     assert "volume.finite_volume" in readers
     assert [name for name, default in readers.items() if default is not inspect.Parameter.empty] == []
+
+
+def package_name_uses():
+    """How often each identifier occurs in the code of src/vinberg and
+    perfbench, not counting the name in its own def or class line; names in
+    comments and strings do not count."""
+    uses = Counter()
+    for folder in PACKAGE_DIRS:
+        for path in sorted(folder.glob("*.py")):
+            with path.open("rb") as fh:
+                previous = None
+                for tok in tokenize.tokenize(fh.readline):
+                    if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                        uses[tok.string] += 1
+                    if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                        previous = tok.string
+    return uses
+
+
+def test_every_public_function_has_a_package_caller():
+    # a public function that only tests call belongs in the tests
+    assert {name for name, obj in vars(cli).items() if isinstance(obj, click.Command)} == CLICK_COMMANDS
+    uses = package_name_uses()
+    uncalled = []
+    for name, _fn in public_functions():
+        parts = name.split(".")
+        # a constructor is called through its class name
+        called_as = parts[-2] if parts[-1] == "__init__" else parts[-1]
+        if not uses[called_as]:
+            uncalled.append(name)
+    assert uncalled == []

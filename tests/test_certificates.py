@@ -19,6 +19,11 @@ from vinberg.search import Budget, SearchState, replay
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def verify_certificate(cert):
+    """True iff every stored claim re-derives from the primary data."""
+    return not certificates.verification_failures(cert)
+
+
 @pytest.fixture(scope="module")
 def cert_5_2(report):
     return report(5, 2)["certificate"]
@@ -36,28 +41,28 @@ def cert_13_3(report):
 
 def test_round_trip_reflective(cert_5_2):
     assert cert_5_2["kind"] == "reflective"
-    assert certificates.verify_certificate(cert_5_2)
+    assert verify_certificate(cert_5_2)
 
 
 def test_round_trip_ideal_vertex(cert_7_4):
     assert cert_7_4["kind"] == "ideal_vertex_failure"
-    assert certificates.verify_certificate(cert_7_4)
+    assert verify_certificate(cert_7_4)
     blk = NONREFLECTIVITY_BLOCKS[(7, 4)]
     assert tuple(cert_7_4["payload"]["null_vector"]) == blk["null_vector"]
 
 
 def test_round_trip_infinite_symmetry(cert_13_3):
     assert cert_13_3["kind"] == "infinite_symmetry"
-    assert certificates.verify_certificate(cert_13_3)
+    assert verify_certificate(cert_13_3)
 
 
 def test_round_trip_inherited_chain(cert_7_4):
     lifted = certificates.inherited_certificate(cert_7_4, 5)
     assert lifted["kind"] == "inherited_nonreflectivity"
     assert lifted["form"] == {"p": 7, "n": 5}
-    assert certificates.verify_certificate(lifted)
+    assert verify_certificate(lifted)
     twice = certificates.inherited_certificate(lifted, 6)
-    assert certificates.verify_certificate(twice)
+    assert verify_certificate(twice)
 
 
 def test_inherited_construction_errors(cert_5_2, cert_7_4):
@@ -71,7 +76,7 @@ def test_tampered_reflective_roots(cert_5_2):
     cert = copy.deepcopy(cert_5_2)
     del cert["payload"]["roots"][-1]
     failures = certificates.verification_failures(cert)
-    assert failures and not certificates.verify_certificate(cert)
+    assert failures and not verify_certificate(cert)
 
 
 def _negate(v):
@@ -133,7 +138,7 @@ def test_malformed_roots_name_the_field(request, which):
 def test_tampered_volume_report(cert_5_2):
     cert = copy.deepcopy(cert_5_2)
     cert["payload"]["volume"]["finite"] = False
-    assert not certificates.verify_certificate(cert)
+    assert not verify_certificate(cert)
 
 
 @pytest.mark.parametrize("p,n", sorted(corpus.EXPECTED_REFLECTIVE))
@@ -154,7 +159,7 @@ def test_reflective_verification_builds_one_chamber(report, monkeypatch, p, n):
 
     counted(cones, "cone_generators")
     counted(diagram, "build_diagram")
-    assert certificates.verify_certificate(cert)
+    assert verify_certificate(cert)
     assert calls == {"cone_generators": 1, "build_diagram": 0}
 
 
@@ -246,7 +251,7 @@ def test_edited_component_type_does_not_re_derive(cert_7_4):
 def test_tampered_null_vector_orientation(cert_7_4):
     cert = copy.deepcopy(cert_7_4)
     cert["payload"]["null_vector"] = [-x for x in cert["payload"]["null_vector"]]
-    assert not certificates.verify_certificate(cert)
+    assert not verify_certificate(cert)
 
 
 def test_glue_witness_cannot_be_swapped_for_a_root(cert_7_4):
@@ -268,7 +273,7 @@ def test_glue_witness_cannot_be_swapped_for_a_root(cert_7_4):
 def test_tampered_component_marks(cert_7_4):
     cert = copy.deepcopy(cert_7_4)
     cert["payload"]["components"][0]["marks"][0] += 1
-    assert not certificates.verify_certificate(cert)
+    assert not verify_certificate(cert)
 
 
 def test_ideal_vertex_certificate_needs_a_component(cert_7_4):
@@ -384,7 +389,7 @@ def test_symmetry_replay_is_capped_below_an_unreached_wall(cert_13_3, monkeypatc
         return reproduces(form, roots, batches, budget)
 
     monkeypatch.setattr(certificates, "reproduces", spy)
-    assert certificates.verify_certificate(cert_13_3)
+    assert verify_certificate(cert_13_3)
     assert caps == [2025]
 
 
@@ -406,7 +411,7 @@ def test_tampered_height_bound(cert_13_3):
 def test_tampered_frame_corner(cert_13_3):
     cert = copy.deepcopy(cert_13_3)
     cert["payload"]["frame_from"]["corner"][1] += 1
-    assert not certificates.verify_certificate(cert)
+    assert not verify_certificate(cert)
 
 
 def test_tampered_inherited_prime(cert_7_4):
@@ -437,7 +442,7 @@ def test_annotations_required_but_content_ignored(cert_5_2):
     # annotations are commentary: arbitrary content must not break validity
     cert = copy.deepcopy(cert_5_2)
     cert["annotations"] = {"published_values": {"nonsense": True}, "note": 7}
-    assert certificates.verify_certificate(cert)
+    assert verify_certificate(cert)
 
 
 def test_malformed_documents_raise(cert_5_2, cert_13_3):
@@ -474,7 +479,7 @@ def test_cusp_scan_finds_the_rank_9_obstruction(report):
     assert cert is not None
     blk = NONREFLECTIVITY_BLOCKS[(5, 9)]
     assert tuple(cert["payload"]["null_vector"]) == blk["null_vector"]
-    assert certificates.verify_certificate(cert)
+    assert verify_certificate(cert)
 
 
 def test_direct_rank_10_search_agrees_with_inherited_verdict(report):
@@ -482,10 +487,10 @@ def test_direct_rank_10_search_agrees_with_inherited_verdict(report):
     assert rep["verdict"] == "non_reflective"
     cert = rep["certificate"]
     assert cert["kind"] == "ideal_vertex_failure"
-    assert certificates.verify_certificate(cert)
+    assert verify_certificate(cert)
     inherited = certificates.inherited_certificate(report(5, 9)["certificate"], 10)
     assert inherited["form"] == cert["form"]
-    assert certificates.verify_certificate(inherited)
+    assert verify_certificate(inherited)
 
 
 def test_cusp_scan_silent_at_genuine_ideal_vertex(search):

@@ -6,6 +6,7 @@ from itertools import combinations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from vinberg import linalg
 from vinberg.cones import Cone, cone_generators, primitive_vector
 
@@ -126,7 +127,7 @@ def _brute_force_faces(cons, dim):
             if linalg.rank([cons[i] for i in subset]) != r - 1:
                 continue
             rows = [cons[i] for i in subset] or [[0] * dim]
-            for k in linalg.kernel(rows):
+            for k in oracles.fraction_kernel(rows):
                 values = [_dot(a, k) for a in cons]
                 if not any(values):
                     continue  # in the lineality space

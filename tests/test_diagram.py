@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import corpus
+import oracles
 from vinberg import diagram, volume
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
@@ -93,7 +94,7 @@ def polygon_sequence(form, roots):
     the angle to the next side is pi/m, and None marks an ideal corner
     between parallel sides.
     """
-    cyc = diagram.polygon_cycle(form, roots)
+    cyc = oracles.polygon_cycle(form, roots)
     k = len(cyc["sides"])
     out = []
     for t in range(k):
@@ -146,7 +147,7 @@ def cycle_period(seq):
 def test_polygon_cycle_structure(search):
     form = Form(5, 2)
     roots = search(5, 2).roots
-    cyc = diagram.polygon_cycle(form, roots)
+    cyc = oracles.polygon_cycle(form, roots)
     k = len(roots)
     assert sorted(cyc["sides"]) == list(range(k))
     assert len(cyc["vertices"]) == k
@@ -197,17 +198,37 @@ GOLDEN_DOT_5_2 = textwrap.dedent("""\
       3 -- 4 [penwidth=3];
     }""")
 
+GOLDEN_TIKZ_5_2 = textwrap.dedent(r"""
+    \begin{tikzpicture}[
+      wall/.style={circle, draw, fill=white, inner sep=2pt},
+      simple/.style={},
+      double bond/.style={double, double distance=2pt},
+      triple bond/.style={double, double distance=4pt},
+      heavy/.style={line width=1.6pt},
+      divergent/.style={dashed}]
+      \node[wall] (w1) at (90.00:2) {\scriptsize $1$};
+      \node[wall] (w2) at (0.00:2) {\scriptsize $2$};
+      \node[wall] (w3) at (270.00:2) {\scriptsize $3$};
+      \node[wall] (w4) at (180.00:2) {\scriptsize $4$};
+      \draw[double bond] (w1) -- (w2);
+      \draw[divergent] (w1) -- (w3);
+      \draw[divergent] (w2) -- (w4);
+      \draw[heavy] (w3) -- (w4);
+    \end{tikzpicture}
+""").lstrip("\n")
+
 
 def test_dot_golden(search):
     form = Form(5, 2)
     roots = search(5, 2).roots
-    assert diagram.diagram_dot(form, roots).strip() == GOLDEN_DOT_5_2
+    assert diagram.diagram_dot(diagram.diagram_json(form, roots)).strip() == GOLDEN_DOT_5_2
 
 
 def test_tikz_contains_all_walls_and_styles(search):
     form = Form(5, 2)
     roots = search(5, 2).roots
-    out = diagram.diagram_tikz(form, roots)
+    out = diagram.diagram_tikz(diagram.diagram_json(form, roots))
+    assert out == GOLDEN_TIKZ_5_2
     assert out.startswith(r"\begin{tikzpicture}")
     assert out.rstrip().endswith(r"\end{tikzpicture}")
     for i in range(1, 5):

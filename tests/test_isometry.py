@@ -1,7 +1,7 @@
 """Corner geometry, frame maps, and infinite-order symmetry detection."""
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 import sympy
@@ -94,6 +94,45 @@ def test_frame_map_identity_and_degenerate():
     # linearly dependent source frame
     bad = [(0, 1, -1), (0, 2, -2), (1, 0, 0)]
     assert isometry.frame_map(form, bad, bad) is None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orient_root_matches_the_initial_system_solve(n):
+    # a root with v_0 = 0 has norm 1 or 2 (17 and 34 would need 17 | v_i),
+    # so its entries lie in {-1, 0, 1}: the 2 n^2 roots of B_n
+    form = Form(17, n)
+    roots = [
+        (0,) + w for w in product((-1, 0, 1), repeat=n) if form.is_root((0,) + w)
+    ]
+    assert len(roots) == 2 * n * n
+    for v in roots:
+        assert isometry.orient_root(form, v) == oracles.orient_root_by_solve(form, v)
+
+
+def polygon_rotation(form, roots, shift):
+    """Integral isometry rotating a closed planar chamber by a cyclic
+    shift of its sides, or None when no such lattice map exists.
+
+    Matches the frame (side, next side, corner between them) at position 0
+    against the one at the shifted position; Gram equality is required
+    before solving, so a structurally impossible shift returns None
+    instead of failing.
+    """
+    cyc = oracles.polygon_cycle(form, roots)
+    k = len(cyc["sides"])
+    shift %= k
+
+    def frame(t):
+        return [
+            roots[cyc["sides"][t % k]],
+            roots[cyc["sides"][(t + 1) % k]],
+            cyc["vertices"][t % k],
+        ]
+
+    f_from, f_to = frame(0), frame(shift)
+    if form.gram(f_from) != form.gram(f_to):
+        return None
+    return isometry.frame_map(form, f_from, f_to)
 
 
 def test_unique_frame_map_between_published_corners(search):
@@ -274,7 +313,7 @@ def _corpus_frame_maps():
         form = Form(p, 2)
         roots = vsearch.run_search(form).roots
         for shift in range(len(roots)):
-            T = isometry.polygon_rotation(form, roots, shift)
+            T = polygon_rotation(form, roots, shift)
             if T is not None:
                 maps.add(tuple(map(tuple, T)))
     return sorted(maps)
@@ -335,12 +374,12 @@ def test_polygon_rotation_shifts(search):
     # hexagon with a half-turn symmetry: shift 3 rotates, shift 1 cannot
     form = Form(19, 2)
     roots = search(19, 2).roots
-    T = isometry.polygon_rotation(form, roots, 3)
+    T = polygon_rotation(form, roots, 3)
     assert T is not None
     F = form.form_matrix
     assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), F), T) == F
-    assert isometry.polygon_rotation(form, roots, 1) is None
-    assert isometry.polygon_rotation(form, roots, 0) == [
+    assert polygon_rotation(form, roots, 1) is None
+    assert polygon_rotation(form, roots, 0) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]
     ]
 
@@ -350,4 +389,4 @@ def test_polygon_rotation_asymmetric_polygon(search):
     roots = search(17, 2).roots
     k = len(roots)
     for shift in range(1, k):
-        assert isometry.polygon_rotation(form, roots, shift) is None
+        assert polygon_rotation(form, roots, shift) is None

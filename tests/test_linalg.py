@@ -1,10 +1,10 @@
-"""Exact integer and rational linear algebra, cross-checked against sympy."""
+"""Exact linear algebra on integer matrices, cross-checked against sympy and
+the Fraction references in oracles."""
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, lcm, prod
-from unittest.mock import patch
+from math import isqrt, prod
 
 import pytest
 import sympy
@@ -49,8 +49,8 @@ def test_snf_invariant_factors_match_sympy():
         A = random_matrix(rng, rows, cols)
         D, U, V = linalg.snf(A)
         # D = U A V with unimodular U, V
-        assert abs(linalg.det(U)) == 1
-        assert abs(linalg.det(V)) == 1
+        assert abs(oracles.fraction_det(U)) == 1
+        assert abs(oracles.fraction_det(V)) == 1
         assert linalg.mat_mul(linalg.mat_mul(U, A), V) == D
         diag = [D[i][i] for i in range(min(rows, cols))]
         for a, b in zip(diag, diag[1:]):
@@ -71,7 +71,7 @@ def test_integer_kernel_is_saturated():
             assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in A)
         # saturation: every rational kernel vector, scaled integral,
         # must lie in the integer span of K
-        for q in linalg.kernel(A):
+        for q in oracles.fraction_kernel(A):
             denom = 1
             for x in q:
                 denom = denom * x.denominator // sympy.gcd(denom, x.denominator)
@@ -89,7 +89,7 @@ def test_solve_and_inverse():
         A = random_matrix(rng, d, d)
         b = [rng.randint(-9, 9) for _ in range(d)]
         x = linalg.solve(A, b)
-        if linalg.det(A) == 0:
+        if oracles.fraction_det(A) == 0:
             continue
         assert x is not None
         for i in range(d):
@@ -121,17 +121,14 @@ def walk_order_scan(G, norms, box):
     walks the half of every sign pair whose last nonzero coordinate is
     positive; so its order is the lexicographic order of the reversed
     vector.  It reports the sign with the first nonzero coordinate
-    positive.  Norms are computed in integers, on den G against den norms.
+    positive.
     """
-    den = lcm(*(Fraction(x).denominator for row in G for x in row))
-    scaled = [[int(x * den) for x in row] for row in G]
-    wanted = {m * den for m in norms}
     hits = []
     for v in product(*box):
         if next((x for x in reversed(v) if x), 0) > 0:
-            m = quadratic_norm(scaled, v)
-            if m in wanted:
-                hits.append((v[::-1], v, Fraction(m, den)))
+            m = quadratic_norm(G, v)
+            if m in norms:
+                hits.append((v[::-1], v, m))
     out = []
     for _, v, m in sorted(hits):
         if next(x for x in v if x) < 0:
@@ -147,28 +144,25 @@ def test_short_vectors_against_box_scan():
         B = random_matrix(rng, d, d, -2, 2)
         G = [[sum(B[i][k] * B[j][k] for k in range(d)) + (4 if i == j else 0)
               for j in range(d)] for i in range(d)]
-        # integer norms, then Fraction norms, which an integral G reaches
-        # only where they are integers
+        # small norms, then three sparse ones up to 90
         if k < 15:
             norms = set(rng.sample(range(1, 31), rng.randint(1, 5)))
         else:
-            norms = {Fraction(rng.randint(1, 90), rng.randint(1, 5)) for _ in range(3)}
+            norms = set(rng.sample(range(1, 91), 3))
         found = linalg.short_vectors(G, norms)
         # G - 4I is semidefinite, so 4 x_i^2 <= Q(x) boxes in every solution
-        lim = isqrt(int(max(norms)) // 4)
+        lim = isqrt(max(norms) // 4)
         assert found == walk_order_scan(G, norms, [range(-lim, lim + 1)] * d)
-        # every returned norm is x^T G x exactly; G is integral, so an int
+        # every returned norm is x^T G x exactly, as an int
         for v, m in found:
-            assert type(m) is int
+            assert type(m) is int and m == quadratic_norm(G, v)
 
 
 def test_short_vectors_on_rank_one_and_unreached_norms():
     assert linalg.short_vectors([[3]], {27, 3, 12, 5}) == [((1,), 3), ((2,), 12), ((3,), 27)]
     assert linalg.short_vectors([[3]], {5}) == []
-    half = Fraction(3, 2)
-    assert linalg.short_vectors([[half]], [6, half, Fraction(12, 2)]) == [
-        ((1,), half), ((2,), 6)
-    ]
+    # a norm listed twice is walked once
+    assert linalg.short_vectors([[3]], [12, 3, 12]) == [((1,), 3), ((2,), 12)]
     # A2 root lattice: norms 2, 6, 8 are reached, 4 and 5 never are
     A2 = [[2, -1], [-1, 2]]
     assert linalg.short_vectors(A2, {4, 5}) == []
@@ -176,14 +170,14 @@ def test_short_vectors_on_rank_one_and_unreached_norms():
 
 
 @pytest.mark.parametrize("G", [
-    [[1]], [[3]], [[Fraction(7, 3)]],
+    [[1]], [[3]], [[7]],
     [[2, -1], [-1, 2]], [[3, 1], [1, 5]], [[1, 0], [0, 1]],
-    [[Fraction(5, 2), 1], [1, Fraction(4, 3)]], [[6, 5], [5, 6]],
+    [[5, 2], [2, 4]], [[6, 5], [5, 6]],
 ])
 def test_short_vectors_on_one_and_two_levels(G):
     # a 1x1 Gram reaches the leaf from the top, a 2x2 one from level 1
     d = len(G)
-    norms = {1, 2, 3, 5, Fraction(7, 3), 6, 12, Fraction(37, 6), 20}
+    norms = {1, 2, 3, 4, 5, 6, 7, 12, 20, 37}
     inv = linalg.mat_inv(G)
     lims = [isqrt(int(max(norms) * inv[i][i])) for i in range(d)]
     full = linalg.short_vectors(G, norms)
@@ -271,19 +265,9 @@ def skewed_definite_grams(draw, max_rank=5):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     G=skewed_definite_grams(),
-    norms=st.sets(
-        st.one_of(
-            st.integers(1, 40),
-            st.fractions(min_value=Fraction(1, 12), max_value=40, max_denominator=12),
-        ),
-        min_size=1,
-        max_size=5,
-    ),
-    scale=st.integers(1, 3),
+    norms=st.sets(st.integers(1, 40), min_size=1, max_size=5),
 )
-def test_short_vectors_match_box_scan_on_skewed_lattices(G, norms, scale):
-    # scale > 1 divides the Gram, so norms need not be integers
-    G = [[Fraction(x, scale) for x in row] for row in G]
+def test_short_vectors_match_box_scan_on_skewed_lattices(G, norms):
     d = len(G)
     bound = max(norms)
     # x_i^2 <= Q(x) (G^-1)_ii by Cauchy-Schwarz, which boxes in every solution
@@ -292,25 +276,24 @@ def test_short_vectors_match_box_scan_on_skewed_lattices(G, norms, scale):
     assume(prod(2 * lim + 1 for lim in lims) <= 20000)
     found = linalg.short_vectors(G, norms)
     assert found == walk_order_scan(G, norms, [range(-lim, lim + 1) for lim in lims])
-    # scale Q(x) is an integer, so these norms make the full walk up to
-    # bound, and restricting it to norms keeps its order
-    every = norms | {Fraction(k, scale) for k in range(1, int(bound * scale) + 1)}
+    # Q(x) is an integer, so these norms make the full walk up to bound,
+    # and restricting it to norms keeps its order
+    every = set(range(1, bound + 1))
     assert found == [(v, m) for v, m in linalg.short_vectors(G, every) if m in norms]
-    # the norm is exact, and an int exactly when it is integral
+    # the norm is exact
     for v, m in found:
-        assert m == quadratic_norm(G, v)
-        assert type(m) is (int if Fraction(m).denominator == 1 else Fraction)
+        assert type(m) is int and m == quadratic_norm(G, v)
 
 
 def principal_minor_class(G):
     """Sylvester's criteria: definite iff every leading principal minor is
     positive; semidefinite iff every principal minor is nonnegative."""
     d = len(G)
-    if all(linalg.det([row[:k] for row in G[:k]]) > 0 for k in range(1, d + 1)):
+    if all(oracles.fraction_det([row[:k] for row in G[:k]]) > 0 for k in range(1, d + 1)):
         return "definite"
     for k in range(1, d + 1):
         for idx in combinations(range(d), k):
-            if linalg.det([[G[i][j] for j in idx] for i in idx]) < 0:
+            if oracles.fraction_det([[G[i][j] for j in idx] for i in idx]) < 0:
                 return "indefinite"
     return "degenerate"
 
@@ -320,7 +303,7 @@ def symmetric_matrices(draw, max_rank=6):
     """Random symmetric matrices, biased toward the semidefinite boundary:
     Gram matrices B^T B of k x d integer matrices (degenerate when k < d),
     optionally shifted by a small diagonal perturbation, or with some
-    diagonal entries zeroed; then scaled by 1/q."""
+    diagonal entries zeroed."""
     d = draw(st.integers(1, max_rank))
     entries = st.integers(-3, 3)
     if draw(st.booleans()):
@@ -338,8 +321,7 @@ def symmetric_matrices(draw, max_rank=6):
         # zero diagonal entries leave no pivot in their rows
         for i in draw(st.sets(st.integers(0, d - 1))):
             G[i][i] = 0
-    q = draw(st.integers(1, 5))
-    return [[Fraction(x, q) for x in row] for row in G] if q > 1 else G
+    return G
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -349,53 +331,48 @@ def test_psd_classify_matches_principal_minor_oracle(G):
 
 
 @st.composite
-def rational_matrices(draw, max_size=7, square=False):
-    """Rational matrices up to 7 x 7 with per-entry denominators and many
-    zero entries, so that pivots must be searched for; half of them are
-    products B C through an inner dimension k below both sizes, so
-    rank-deficient, with some rows scaled by zero."""
+def integer_matrices(draw, max_size=7, square=False):
+    """Integer matrices up to 7 x 7 with many zero entries, so that pivots
+    must be searched for; half of them are products B C through an inner
+    dimension k below both sizes, so rank-deficient, with some rows
+    scaled by zero."""
     rows = draw(st.integers(1, max_size))
     cols = rows if square else draw(st.integers(1, max_size))
-    entries = st.one_of(
-        st.just(Fraction(0)),
-        st.fractions(min_value=-6, max_value=6, max_denominator=7),
-    )
+    entries = st.one_of(st.just(0), st.integers(-6, 6))
     if draw(st.booleans()):
         return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     k = draw(st.integers(0, min(rows, cols) - 1))
     B = [[draw(entries) for _ in range(k)] for _ in range(rows)]
     C = [[draw(entries) for _ in range(cols)] for _ in range(k)]
-    A = [[sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
+    A = [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(cols)]
          for i in range(rows)]
     for i in draw(st.sets(st.integers(0, rows - 1))):
-        A[i] = [Fraction(0)] * cols
+        A[i] = [0] * cols
     return A
 
 
 @st.composite
-def rational_systems(draw):
-    """A rational matrix with zero rows and columns, and a right-hand side
+def integer_systems(draw):
+    """An integer matrix with zero rows and columns, and a right-hand side
     that is either random (often inconsistent when A is rank-deficient)
     or A x for a random x (always consistent)."""
-    A = draw(rational_matrices())
+    A = draw(integer_matrices())
     for j in draw(st.sets(st.integers(0, len(A[0]) - 1), max_size=2)):
         for row in A:
-            row[j] = Fraction(0)
-    entries = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+            row[j] = 0
+    entries = st.integers(-6, 6)
     if draw(st.booleans()):
         b = [draw(entries) for _ in A]
     else:
         x = [draw(entries) for _ in A[0]]
-        b = [sum((a * t for a, t in zip(row, x)), Fraction(0)) for row in A]
+        b = [sum(a * t for a, t in zip(row, x)) for row in A]
     return A, b
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(A=rational_matrices())
+@given(A=integer_matrices())
 def test_rank_matches_rref_pivot_count(A):
-    assert linalg.rank(A) == len(linalg.rref(A)[1])
-    ints = [[int(x * 420) for x in row] for row in A]
-    assert linalg.rank(ints) == len(linalg.rref(ints)[1])
+    assert linalg.rank(A) == len(linalg.rref(A)[1]) == len(oracles.fraction_rref(A)[1])
 
 
 @st.composite
@@ -426,54 +403,36 @@ def test_echelon_tracks_the_rank_of_every_prefix(vectors):
         assert grew == (len(span.rows) == before + 1)
 
 
-def fraction_reference(f, *args):
-    """f(*args) with linalg.rref replaced by the Fraction reference, or the
-    ValueError it raised."""
-    with patch.object(linalg, "rref", oracles.fraction_rref):
-        try:
-            return f(*args)
-        except ValueError as err:
-            return err
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(system=rational_systems())
-def test_rref_solve_kernel_match_the_fraction_reference(system):
+@given(system=integer_systems())
+def test_rref_and_solve_match_the_fraction_reference(system):
     A, b = system
-    for M in (A, [[int(x * 420) for x in row] for row in A]):
-        assert linalg.rref(M) == oracles.fraction_rref(M)
-        assert linalg.kernel(M) == fraction_reference(linalg.kernel, M)
-    assert linalg.solve(A, b) == fraction_reference(linalg.solve, A, b)
+    assert linalg.rref(A) == oracles.fraction_rref(A)
+    assert linalg.solve(A, b) == oracles.fraction_solve(A, b)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(A=rational_matrices(square=True))
-def test_det_and_inverse_match_the_fraction_reference(A):
-    for M in (A, [[int(x * 420) for x in row] for row in A]):
-        det = linalg.det(M)
-        assert det == oracles.fraction_det(M)
-        assert type(det) is type(oracles.fraction_det(M))
-        expected = fraction_reference(linalg.mat_inv, M)
-        if isinstance(expected, ValueError):
-            assert det == 0
-            with pytest.raises(ValueError):
-                linalg.mat_inv(M)
-        else:
-            assert linalg.mat_inv(M) == expected
+@given(A=integer_matrices(square=True))
+def test_inverse_matches_the_fraction_reference(A):
+    n = len(A)
+    R, pivots = oracles.fraction_rref([row + [int(i == j) for j in range(n)]
+                                       for i, row in enumerate(A)])
+    if pivots[:n] != list(range(n)):
+        assert oracles.fraction_det(A) == 0
+        with pytest.raises(ValueError):
+            linalg.mat_inv(A)
+    else:
+        assert linalg.mat_inv(A) == [row[n:] for row in R]
 
 
 def test_elimination_on_edge_shapes():
     assert linalg.rref([]) == ([], [])
-    assert linalg.det([]) == 1
-    assert linalg.mat_inv([]) == linalg.kernel([]) == linalg.solve([], []) == []
-    for A in ([[0, 2, 4]], [[0, 0, 0]], [[0], [3], [Fraction(1, 2)]], [[0], [0]]):
+    assert linalg.mat_inv([]) == linalg.solve([], []) == []
+    for A in ([[0, 2, 4]], [[0, 0, 0]], [[0], [6], [1]], [[0], [0]]):
         assert linalg.rref(A) == oracles.fraction_rref(A)
     assert linalg.rref([[0, 2, 4]]) == ([[0, 1, 2]], [1])
-    assert linalg.kernel([[0, 2, 4]]) == [[1, 0, 0], [0, -2, 1]]
-    assert linalg.solve([[0], [3], [Fraction(1, 2)]], [0, 6, 1]) == [2]
-    assert linalg.solve([[0], [3], [Fraction(1, 2)]], [1, 6, 1]) is None
+    assert linalg.solve([[0], [6], [1]], [0, 12, 2]) == [2]
+    assert linalg.solve([[0], [6], [1]], [1, 12, 2]) is None
     assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
     with pytest.raises(ValueError):
         linalg.mat_inv([[1, 2], [2, 4]])
-    assert linalg.det([[Fraction(1, 2), 1], [1, 4]]) == 1
-    assert linalg.det([[Fraction(1, 2), 1], [1, 3]]) == Fraction(1, 2)

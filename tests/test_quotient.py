@@ -289,3 +289,17 @@ def test_complement_data_on_the_a2_cusp_failure(search):
     data = quotient.orthogonal_complement_data(form, quot, image)
     assert data.get("generator_norm") == blk["complement_norm"]
     assert data.get("glue_order") == blk["glue_order"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_complement_index_is_the_determinant_of_the_stacked_bases(data):
+    # [Mbar : D + C] is |det| of D's HNF basis stacked on C's basis
+    p, n = data.draw(st.sampled_from(sorted(NONREFLECTIVITY_BLOCKS)))
+    quot = _block_quotient(p, n)
+    row = st.lists(st.integers(-3, 3), min_size=quot.rank, max_size=quot.rank)
+    image = data.draw(st.lists(row, min_size=1, max_size=quot.rank))
+    out = quotient.orthogonal_complement_data(quot.form, quot, image)
+    stack = linalg.hnf_basis(image) + out["c_basis"]
+    assert out["index"] == abs(oracles.fraction_det(stack))
+    assert out["index"] == prod(out["invariants"])
