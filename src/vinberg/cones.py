@@ -15,17 +15,15 @@ without one, the call starts from the whole space.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from vinberg import linalg
 
 
 def primitive_vector(v) -> tuple[int, ...]:
-    """Scale a rational vector (ints and Fractions) to a primitive integer vector."""
-    den = lcm(*(x.denominator for x in v))
-    w = [int(x * den) for x in v]
-    g = gcd(*w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def _dot(a, v):

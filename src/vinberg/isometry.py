@@ -141,21 +141,19 @@ def frame_map(form: Form, frame_from, frame_to):
 
     A frame is a list of n roots and a corner forming a basis.  Matching
     Gram matrices force any rational solution to preserve the form; only
-    integral maps are returned, acting on column vectors.  Returns None
-    when frame_from is linearly dependent, so no map exists, or when the
-    map taking it to frame_to is not integral.
+    integral maps are returned, acting on column vectors.  T B_from = B_to
+    for the matrices whose columns are the frames, so T is the transpose
+    of the one integral solution X of B_from^T X = B_to^T (linalg.solve;
+    the rows of B_from^T are frame_from).  Returns None when frame_from is
+    linearly dependent, so no map exists, or when the map taking it to
+    frame_to is not integral.
     """
-    dim = form.dim
-    B_from = [[frame_from[j][i] for j in range(dim)] for i in range(dim)]
-    B_to = [[frame_to[j][i] for j in range(dim)] for i in range(dim)]
-    if linalg.rank(B_from) < dim:
+    if linalg.rank(frame_from) < form.dim:
         return None
-    T = linalg.mat_mul(B_to, linalg.mat_inv(B_from))
-    for row in T:
-        for x in row:
-            if x.denominator != 1:
-                return None
-    T = [[int(x) for x in row] for row in T]
+    X = linalg.solve(frame_from, frame_to)
+    if X is None:
+        return None
+    T = linalg.transpose(X)
     F = form.form_matrix
     TtFT = linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), F), T)
     if TtFT != F:

@@ -2,26 +2,23 @@
 
 Matrices are plain lists of row lists of ints, vectors are sequences of
 ints: every matrix the package builds is a Gram matrix, a constraint
-matrix or a frame of lattice vectors.  Answers that need not be integral
-(rref, solve, mat_inv) come back as Fractions.  Nothing here ever touches
-floating point; every routine is deterministic, so identical inputs give
-byte-identical downstream reports.
+matrix or a frame of lattice vectors, and every answer is an int.
+Nothing here touches Fractions or floating point; every routine is
+deterministic, so identical inputs give byte-identical downstream reports.
 
-rref, rank and psd_classify use Bareiss's fraction-free elimination,
-whose exact divisions keep entries the size of minors; rref builds its
-Fractions only at output, and solve and mat_inv read their answers off
-it.  Echelon keeps a growing set of rows in echelon form, so each new
-row's independence costs one reduction.  short_vectors (Fincke-Pohst)
-clears the denominators of one rational LDL decomposition, done in
-Fractions once per walk, and then walks its tree on an integer remainder
-with isqrt windows, solving its last coordinate for each wanted integer
-norm directly.  charpoly, row_hnf, snf and integer_kernel work over the
-integers throughout.
+solve, rank and psd_classify use Bareiss's fraction-free elimination,
+whose exact divisions keep entries the size of minors; solve returns the
+integral solution of a system with several right-hand sides, or None.
+Echelon keeps a growing set of rows in echelon form, so each new row's
+independence costs one reduction.  short_vectors (Fincke-Pohst) walks its
+tree on the integral Gram-Schmidt data of integral_ldl, an integer
+remainder and isqrt windows, solving its last coordinate for each wanted
+integer norm directly.  charpoly, row_hnf, snf and integer_kernel work
+over the integers throughout.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -56,45 +53,6 @@ def exgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def rref(A) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of an integer matrix, over the rationals.
-
-    Returns (R, pivots) where pivots lists the pivot column of each nonzero
-    row.  The input is not modified.
-
-    Fraction-free Gauss-Jordan elimination: with pivot d at (r, c) and prev
-    the previous pivot, every other row i becomes
-    (d A[i] - A[i][c] A[r]) // prev.  The division is exact (Bareiss):
-    afterwards the entries of the unreduced rows are minors of A, and by
-    Cramer's rule those of a pivot row are the pivot minor times its
-    reduced row, so every pivot entry equals the last pivot.  Dividing by
-    it once at the end gives the unique RREF.
-    """
-    M = list(A)
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(n):
-        pr = next((i for i in range(r, m) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        prow = M[r]
-        d = prow[c]
-        for i in range(m):
-            if i != r:
-                f = M[i][c]
-                M[i] = [(d * a - f * b) // prev for a, b in zip(M[i], prow)]
-        prev = d
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [[Fraction(v, prev) for v in row] for row in M], pivots
 
 
 def rank(A) -> int:
@@ -164,30 +122,53 @@ class Echelon:
         return True
 
 
-def solve(A, b):
-    """One rational solution of the integer system A x = b, or None if
-    the system is inconsistent."""
-    m = len(A)
-    aug = [list(A[i]) + [b[i]] for i in range(m)]
+def solve(A, B) -> list[list[int]] | None:
+    """The integral X with A X = B and every free row zero, or None.
+
+    A is m x n and B is m x k, both integer.  Returns None when the system
+    is inconsistent, or when its rational solution with zero free
+    coordinates is not integral.
+
+    Fraction-free Gauss-Jordan elimination on [A | B], pivoting in A's
+    columns: with pivot d at (r, c) and prev the previous pivot, every
+    other row i becomes (d M[i] - M[i][c] M[r]) // prev.  The division is
+    exact (Bareiss): afterwards the rows without a pivot are minors of
+    [A | B], zero on A, and the system is consistent exactly when they are
+    zero on B too.  By Cramer's rule a pivot row is the last pivot times
+    the reduced row, so X's row at the pivot column of row r is row r's
+    part on B divided by the last pivot, when every division is exact.
+    """
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    m = len(M)
     n = len(A[0]) if m else 0
-    R, pivots = rref(aug)
-    if n in pivots:
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        prow = M[r]
+        d = prow[c]
+        for i in range(m):
+            if i != r:
+                f = M[i][c]
+                M[i] = [(d * a - f * b) // prev for a, b in zip(M[i], prow)]
+        prev = d
+        pivots.append(c)
+        if r + 1 == m:
+            break
+    if any(any(row[n:]) for row in M[len(pivots):]):
         return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
-    return x
-
-
-def mat_inv(A) -> list[list[Fraction]]:
-    """Exact rational inverse of a square integer matrix; raises on
-    singular input."""
-    n = len(A)
-    aug = [list(A[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in R]
+    X = [[0] * (len(M[0]) - n) for _ in range(n)]
+    for row, c in zip(M, pivots):
+        for j, y in enumerate(row[n:]):
+            q, rem = divmod(y, prev)
+            if rem:
+                return None
+            X[c][j] = q
+    return X
 
 
 def row_hnf(A) -> tuple[list[list[int]], list[list[int]]]:
@@ -356,9 +337,7 @@ def complete_basis(v: Sequence[int]) -> list[list[int]]:
     _, U = row_hnf([[x] for x in v])
     # U v = e1, the HNF of a primitive column, so the first column of
     # U^-1 is v
-    B = mat_inv(U)
-    W = transpose(B)
-    return [[int(x) for x in row] for row in W]
+    return transpose(solve(U, identity(len(v))))
 
 
 def psd_classify(G) -> str:
@@ -427,24 +406,53 @@ def charpoly(M) -> list[int]:
     return coeffs
 
 
-def ldl(G) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Decompose a positive definite integer matrix as Q(x) = sum_i
-    d_i (x_i + sum_{j>i} l_ij x_j)^2.  Returns (L, d) with L unit upper
-    triangular row-wise coefficients."""
+def integral_ldl(G) -> tuple[list[int], list[list[tuple[int, int]]], list[int], int]:
+    """Integral Gram-Schmidt data of a positive definite integer matrix.
+
+    Returns (D, terms, w, S) with terms[i] the pairs (j, a_ij), j > i and
+    a_ij nonzero, such that
+
+        S x^T G x = sum_i w_i N_i^2,   N_i = D_i x_i + sum_{j>i} a_ij x_j,
+
+    D_i and w_i positive and every row (D_i, a_ij) primitive.  Bareiss's
+    elimination without pivoting leaves the rows lambda_i, whose diagonal
+    entries are the leading minors Delta_{i+1} (Delta_0 = 1), so that
+    x^T G x = sum_i (Delta_{i+1} x_i + sum_{j>i} lambda_ij x_j)^2
+    / (Delta_i Delta_{i+1}) (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7).  Row i is divided by the gcd g_i of its
+    entries, and S is the least common denominator of the weights
+    g_i^2 / (Delta_i Delta_{i+1}).  So D_i is the common denominator of
+    row i of the rational LDL form, and S the least scale clearing its
+    weights.
+    """
     n = len(G)
-    A = [[Fraction(x) for x in row] for row in G]
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
+    lam = [list(row) for row in G]
+    prev = 1
     for i in range(n):
-        d[i] = A[i][i]
-        if d[i] <= 0:
+        prow = lam[i]
+        d = prow[i]
+        if d <= 0:
             raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            L[i][j] = A[i][j] / d[i]
+        # the active block stays symmetric, so only its upper half is kept
         for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                A[r][c] -= A[i][r] * A[i][c] / d[i]
-    return L, d
+            row = lam[r]
+            f = prow[r]
+            for c in range(r, n):
+                row[c] = (d * row[c] - f * prow[c]) // prev
+        prev = d
+    D, terms, num, den = [], [], [], []
+    prev = 1
+    for i, row in enumerate(lam):
+        g = gcd(*row[i:])
+        D.append(row[i] // g)
+        terms.append([(j, row[j] // g) for j in range(i + 1, n) if row[j]])
+        q = prev * row[i]
+        h = gcd(g * g, q)
+        num.append(g * g // h)
+        den.append(q // h)
+        prev = row[i]
+    S = lcm(*den)
+    return D, terms, [S // b * a for a, b in zip(num, den)], S
 
 
 class _StopWalk(Exception):
@@ -460,11 +468,10 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int]]:
     representative of {x, -x} has its first nonzero coordinate positive.
 
     Exact Fincke-Pohst walk in integer arithmetic, bounded by
-    bound = max(norms).  The rational LDL form
-    Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 is computed once and its
-    denominators cleared: with D_i the common denominator of row i of L,
-    a_ij = D_i l_ij and one scale S making every w_i = S d_i / D_i^2
-    integral,
+    bound = max(norms), on the integral Gram-Schmidt data of integral_ldl
+    (Cohen, Alg. 2.6.7): the Bareiss rows lambda_i and leading minors
+    Delta_i of G give Q(x) = sum_i (Delta_{i+1} x_i + sum_{j>i} lambda_ij
+    x_j)^2 / (Delta_i Delta_{i+1}), and dividing row i by its content gives
 
         S Q(x) = sum_i w_i N_i^2,   N_i = D_i x_i + sum_{j>i} a_ij x_j.
 
@@ -492,17 +499,9 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int]]:
     one.
     """
     n = len(G)
-    L, d = ldl(G)
+    D, terms, w, S = integral_ldl(G)
     norms = sorted(set(norms))
     bound = norms[-1]
-    D = [lcm(*(L[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    scaled = [d[i] / (D[i] * D[i]) for i in range(n)]
-    S = lcm(*(q.denominator for q in scaled))
-    w = [int(S * q) for q in scaled]
-    terms = [
-        [(j, int(D[i] * L[i][j])) for j in range(i + 1, n) if L[i][j]]
-        for i in range(n)
-    ]
     top = S * bound
     gaps = [(top - S * m, m) for m in norms]
     found: list = []

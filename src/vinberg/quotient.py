@@ -74,12 +74,11 @@ class NullQuotient:
         """Coordinates of the class of x in Mbar; x must lie in e^perp."""
         if self.form.inner_product(x, self.e) != 0:
             raise ValueError("vector is not orthogonal to the null direction")
-        cols = [list(self.e)] + [list(r) for r in self.class_basis]
-        A = [[cols[j][i] for j in range(len(cols))] for i in range(self.form.dim)]
-        sol = linalg.solve(A, list(x))
-        if sol is None or any(c.denominator != 1 for c in sol):
+        A = linalg.transpose([self.e, *self.class_basis])
+        sol = linalg.solve(A, [[a] for a in x])
+        if sol is None:
             raise ValueError("vector is not in the orthogonal sublattice")
-        return [int(c) for c in sol[1:]]
+        return [c for c, in sol[1:]]
 
     def class_norm(self, coords) -> int:
         return sum(
@@ -98,12 +97,10 @@ def null_quotient(form: Form, e) -> NullQuotient:
         raise ValueError("primitive vector required")
     m_rows = linalg.integer_kernel([form.dual(e)])
     # coordinates of e inside M, then a change of basis putting e first
-    A = [[m_rows[j][i] for j in range(len(m_rows))] for i in range(form.dim)]
-    coords = linalg.solve(A, list(e))
-    if coords is None or any(c.denominator != 1 for c in coords):
+    coords = linalg.solve(linalg.transpose(m_rows), [[a] for a in e])
+    if coords is None:
         raise ConsistencyError("null vector is not in the integer kernel of its own dual")
-    coords = [int(c) for c in coords]
-    W = linalg.complete_basis(coords)
+    W = linalg.complete_basis([c for c, in coords])
     basis = [
         tuple(sum(W[i][j] * m_rows[j][k] for j in range(len(m_rows))) for k in range(form.dim))
         for i in range(len(m_rows))
@@ -223,11 +220,11 @@ def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> 
         invariants = [D[i][i] for i in range(len(D)) if D[i][i] > 1]
         data["invariants"] = invariants
         if invariants:
-            Vinv = linalg.mat_inv(V)
-            # rows of V^-1 are a basis in which the sublattice is diagonal
+            # V is unimodular, and the rows of its inverse are a basis in
+            # which the sublattice is diagonal
+            Vinv = linalg.solve(V, linalg.identity(len(V)))
             big = max(range(len(D)), key=lambda i: D[i][i])
-            glue = [int(x) for x in Vinv[big]]
-            data["glue_vector"] = list(quot.lift(glue))
+            data["glue_vector"] = list(quot.lift(Vinv[big]))
             data["glue_order"] = D[big][big]
     else:
         data["index"] = None

@@ -8,8 +8,8 @@ scanning every shift in it, matrix
 order by factoring the characteristic polynomial with sympy, finite
 volume by counting the vertices on every edge of the chamber, diagram
 edges, critical sets and affine components from scratch, reduced
-row echelon forms, kernels, solutions and determinants by elimination in
-Fraction arithmetic, fixed cones of wall sets by a double description of
+row echelon forms, kernels, solutions, determinants and LDL
+decompositions by elimination in Fraction arithmetic, fixed cones of wall sets by a double description of
 their own, the orientation of roots orthogonal to the control vertex by
 solving over the initial simple system.  None of them share a decision
 procedure with the fast paths they check.
@@ -29,8 +29,9 @@ import sympy
 def fraction_rref(A):
     """Reduced row echelon form by Gauss-Jordan elimination over Fractions.
 
-    Returns (R, pivots) as linalg.rref does; the reference its
-    fraction-free elimination is checked against.
+    Returns (R, pivots), pivots listing the pivot column of each nonzero
+    row; the reference linalg's fraction-free eliminations are checked
+    against.
     """
     R = [[Fraction(x) for x in row] for row in A]
     m = len(R)
@@ -106,6 +107,49 @@ def fraction_det(A):
                 M[i] = [x - f * y for x, y in zip(M[i], M[c])]
     result *= sign
     return int(result) if result.denominator == 1 else result
+
+
+def clear_denominators(v):
+    """v times the lcm of its entries' denominators: an integer vector on
+    the same ray."""
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    return [int(x * den) for x in v]
+
+
+def fraction_ldl(G):
+    """Decompose a positive definite integer matrix as Q(x) = sum_i
+    d_i (x_i + sum_{j>i} l_ij x_j)^2 in Fractions.  Returns (L, d) with L
+    unit upper triangular row-wise coefficients."""
+    n = len(G)
+    A = [[Fraction(x) for x in row] for row in G]
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    for i in range(n):
+        d[i] = A[i][i]
+        if d[i] <= 0:
+            raise ValueError("matrix is not positive definite")
+        for j in range(i + 1, n):
+            L[i][j] = A[i][j] / d[i]
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                A[r][c] -= A[i][r] * A[i][c] / d[i]
+    return L, d
+
+
+def cleared_ldl(G):
+    """(D, terms, w, S) as linalg.integral_ldl returns them, read off
+    fraction_ldl: D_i the common denominator of row i of L, a_ij = D_i l_ij,
+    and S the least scale making every w_i = S d_i / D_i^2 integral."""
+    L, d = fraction_ldl(G)
+    n = len(G)
+    D = [math.lcm(*(L[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    scaled = [d[i] / (D[i] * D[i]) for i in range(n)]
+    S = math.lcm(*(q.denominator for q in scaled))
+    terms = [
+        [(j, int(D[i] * L[i][j])) for j in range(i + 1, n) if L[i][j]]
+        for i in range(n)
+    ]
+    return D, terms, [int(S * q) for q in scaled], S
 
 
 def reflection_matrix(form, r):
@@ -414,7 +458,7 @@ def cone_fixed_set(form, roots, nodes):
     walls = [form.dual(r) for r in roots]
     if nodes:
         ortho = [walls[i] for i in nodes]
-        basis = [cones.primitive_vector(b) for b in fraction_kernel(ortho)]
+        basis = [cones.primitive_vector(clear_denominators(b)) for b in fraction_kernel(ortho)]
     else:
         basis = linalg.identity(dim)
     constraints = [tuple(sum(x * y for x, y in zip(w, b)) for b in basis) for w in walls]

@@ -1,5 +1,6 @@
 """Package-wide rules on public signatures."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -79,3 +80,34 @@ def test_every_public_function_has_a_package_caller():
         if not uses[called_as]:
             uncalled.append(name)
     assert uncalled == []
+
+
+def fraction_uses(tree) -> list[int]:
+    """Lines in an AST that import the fractions module, name Fraction or
+    read a .numerator or .denominator."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+            or isinstance(node, ast.Name) and node.id == "Fraction"
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("Fraction", "numerator", "denominator")
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_lattice_layer_builds_no_fraction():
+    # the lattice layer is integer-only: exact divisions, no rationals
+    package = PACKAGE_DIRS[0]
+    for name in ("linalg", "cones", "quotient"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        assert (name, fraction_uses(tree)) == (name, [])
+    tree = ast.parse((package / "isometry.py").read_text())
+    frame_map = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "frame_map"
+    )
+    assert fraction_uses(frame_map) == []
+    # the scan sees the Fractions the module does build elsewhere
+    assert fraction_uses(tree) != []

@@ -12,9 +12,8 @@ from vinberg.cones import Cone, cone_generators, primitive_vector
 
 
 def test_primitive_vector():
-    from fractions import Fraction
     assert primitive_vector([2, 4, 6]) == (1, 2, 3)
-    assert primitive_vector([Fraction(1, 2), Fraction(3, 4)]) == (2, 3)
+    assert primitive_vector([4, 6]) == (2, 3)
     assert primitive_vector([-3, 3]) == (-1, 1)
 
 
@@ -132,9 +131,9 @@ def _brute_force_faces(cons, dim):
                 if not any(values):
                     continue  # in the lineality space
                 if all(v <= 0 for v in values):
-                    d = primitive_vector(k)
+                    d = primitive_vector(oracles.clear_denominators(k))
                 elif all(v >= 0 for v in values):
-                    d = primitive_vector([-x for x in k])
+                    d = primitive_vector(oracles.clear_denominators([-x for x in k]))
                 else:
                     continue
                 tight = frozenset(i for i, v in enumerate(values) if v == 0)

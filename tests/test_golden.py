@@ -4,7 +4,8 @@ The digests were frozen from a run that verified every certificate, on
 the forms of the benchmark workloads plus the stretch forms (5,10),
 (17,4) and (29,3): their certificates, their whole classify_form reports
 (volume, diagram and work counters included), and the root tables of
-four families.  A change meant to
+four families.  The whole reports of the primes 29 to 83 at n = 2, 3
+are frozen too, each certificate verified.  A change meant to
 leave the output alone must keep them; a change that alters a
 certificate or a report on purpose bumps certificates.SCHEMA_VERSION or
 classify.REPORT_SCHEMA_VERSION and refreezes them with
@@ -19,6 +20,7 @@ import json
 
 import pytest
 
+from vinberg.certificates import verification_failures
 from vinberg.classify import classify_form, root_table
 
 CERTIFICATE_SHA256 = {
@@ -79,6 +81,41 @@ REPORT_SHA256 = {
     (29, 3): "c23940cb21eef5a2d6d703910f7928424fbca306c641eceb84892861ea16eb0e",
 }
 
+# classify_form(p, n) for the primes 29 <= p <= 83 at n = 2, 3, beyond the
+# corpus ((29, 3) is in REPORT_SHA256).  Their rank-3 symmetry
+# certificates and skewed quotients reach the lattice layer at sizes the
+# corpus does not; (53, 2), (61, 2), (73, 2) and (83, 2) stop undecided at
+# the default max_height, so their digests cover the resumable state.
+BEYOND_CORPUS_REPORT_SHA256 = {
+    (29, 2): "1c32ea5a24617c7abf8a1613d5a89368d97537e8608bed2ee12dca27e69ffe70",
+    (31, 2): "fb5a99d202fe280b7281540beab388ff30721df8871d8cc38a127a9ab74b565d",
+    (31, 3): "9ab22fdf8ee8da0b861b6fb84f464140c955d0b909cfb187eb3afc0418886681",
+    (37, 2): "ccd8bee885b1548f5bdd8bd0f8347e84fa3755c47867b0e90c5651d23faa0b01",
+    (37, 3): "89a55b00ff35b7708a75197eaefa46788f1924b286a99efaaa95ded081c6309e",
+    (41, 2): "53b3c707b40ce5b737e207c0637a7788b91e448633252eb13547c1fea94d8452",
+    (41, 3): "cbb4634e94380f23fd27d457cb227960a42faa5e5fb182a0531ecb2465c1d83c",
+    (43, 2): "04016418c4fbdab17a6641c4f9f8af2e76dfdf29dc577838b71a4e0578a2a111",
+    (43, 3): "8a008cd2faf4254034274de63447282203405d60a33fafefb2a6eb7e9dacecae",
+    (47, 2): "c8cfad4f221352fd33254f40fb524e3c72c01a422901644bb2986ab98894d6d6",
+    (47, 3): "ef5781f5929fac9162165e56c09e1581d4fe82885539bc00465d50c642cdff30",
+    (53, 2): "bcc3b9ba5e3bd19262cc146b22eda6c4d9399b2455cfd4abee5c4df77f1c0341",
+    (53, 3): "0dcd5c95775b61a6e6df3a61ce24c67ee9d493b05c16e1c7550cf14ff80ecc3d",
+    (59, 2): "2ea040e0179617a45977c9630646d5add9e0f3aac2b963163d5c87d80d1454db",
+    (59, 3): "100d14ff7a4d1e9182f1cd2d122a30568113957fdc289559f7750d93021c51c8",
+    (61, 2): "250796360a9fe6df29180fb010a2b5a571c62986322be15613b6c367c34d23b9",
+    (61, 3): "b3cbf2591cc12b691f22c2dbb2a6848d90b71f4dd52fd3cd151a9fbe198c9253",
+    (67, 2): "df88755d89b3c12a55de86acf724d7e2b265c1557f1a0d70244ae0ccf7f2c0ee",
+    (67, 3): "29eb6853b41bdcfec219aa5c8f89d735fadda7ae741aca54ca1483b81223f99c",
+    (71, 2): "b6b7a9aaaf570a2aeedba912ee751313bd381dac7c16f82d09c660406dfff2e6",
+    (71, 3): "79115ad8231e289a5587d856ac7ed074d955c77ceab6b3b79e85f225b3d318c6",
+    (73, 2): "19984cfeb0ffa2defc1a7fd55cbc77b54278d3594730f475dfce3c1019358c89",
+    (73, 3): "1fce3d066531c397ea136d2ef0210b76348564f0c9a53701a3db43e2b9746b1a",
+    (79, 2): "f557ea4406d3baa9fe51411c5cb07234eff21504e68ce59195a8d4cb8fb4ebff",
+    (79, 3): "31b96e600dd010c3500840e7a6b850e3f3855237d3a274c2c144263270647ddd",
+    (83, 2): "c0084e105af72996ebb8650da37a6452c4e056743e1c7ddec9a60be91e9cdc3c",
+    (83, 3): "f119f73b200fb6c11ec0bc7e92bed5a7c669a42af2c8b6f440a6e975132eeb65",
+}
+
 # root_table(p, max_rank) with the default budget, keyed by (p, max_rank)
 ROOT_TABLE_SHA256 = {
     (5, 4): "a129307333b6e0b26cd3ba03d21d11cf96608e460396bc8f9ff5cf8e8e102159",
@@ -100,6 +137,8 @@ def digests() -> None:
         ("CERTIFICATE_SHA256", CERTIFICATE_SHA256, lambda key: reports[key]["certificate"]),
         ("REPORT_SHA256", REPORT_SHA256, reports.__getitem__),
         ("ROOT_TABLE_SHA256", ROOT_TABLE_SHA256, lambda key: root_table(*key)),
+        ("BEYOND_CORPUS_REPORT_SHA256", BEYOND_CORPUS_REPORT_SHA256,
+         lambda key: classify_form(*key)),
     ):
         print(f"{label} = {{")
         for p, n in table:
@@ -120,3 +159,13 @@ def test_report_digest_is_frozen(report, p, n):
 @pytest.mark.parametrize("p,max_rank", sorted(ROOT_TABLE_SHA256))
 def test_root_table_digest_is_frozen(p, max_rank):
     assert certificate_digest(root_table(p, max_rank)) == ROOT_TABLE_SHA256[(p, max_rank)]
+
+
+@pytest.mark.parametrize("p,n", sorted(BEYOND_CORPUS_REPORT_SHA256))
+def test_report_beyond_the_corpus_is_frozen_and_verifies(report, p, n):
+    rep = report(p, n)
+    assert certificate_digest(rep) == BEYOND_CORPUS_REPORT_SHA256[(p, n)]
+    if rep["verdict"] == "undecided":
+        assert rep["certificate"] is None and "state" in rep
+    else:
+        assert verification_failures(rep["certificate"]) == []

@@ -2,7 +2,6 @@
 the Fraction references in oracles."""
 
 import random
-from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, prod
 
@@ -37,9 +36,7 @@ def test_hnf_matches_sympy_row_span():
         # integer span equality: each basis solves over Z in the other
         for basis, other in ((ours, theirs), (theirs, ours)):
             for row in other:
-                sol = linalg.solve([[b[i] for b in basis] for i in range(len(row))], list(row))
-                assert sol is not None
-                assert all(x.denominator == 1 for x in sol)
+                assert linalg.solve(linalg.transpose(basis), [[x] for x in row]) is not None
 
 
 def test_snf_invariant_factors_match_sympy():
@@ -72,14 +69,8 @@ def test_integer_kernel_is_saturated():
         # saturation: every rational kernel vector, scaled integral,
         # must lie in the integer span of K
         for q in oracles.fraction_kernel(A):
-            denom = 1
-            for x in q:
-                denom = denom * x.denominator // sympy.gcd(denom, x.denominator)
-            v = [int(x * denom) for x in q]
-            if not any(v):
-                continue
-            sol = linalg.solve([[b[i] for b in K] for i in range(cols)], v)
-            assert sol is not None and all(x.denominator == 1 for x in sol)
+            v = oracles.clear_denominators(q)
+            assert linalg.solve(linalg.transpose(K), [[x] for x in v]) is not None
 
 
 def test_solve_and_inverse():
@@ -88,17 +79,26 @@ def test_solve_and_inverse():
         d = rng.randint(1, 4)
         A = random_matrix(rng, d, d)
         b = [rng.randint(-9, 9) for _ in range(d)]
-        x = linalg.solve(A, b)
-        if oracles.fraction_det(A) == 0:
+        det = oracles.fraction_det(A)
+        if det == 0:
             continue
-        assert x is not None
-        for i in range(d):
-            assert sum(Fraction(A[i][j]) * x[j] for j in range(d)) == b[i]
-        Ai = linalg.mat_inv(A)
-        eye = linalg.mat_mul(A, Ai)
-        for i in range(d):
-            for j in range(d):
-                assert eye[i][j] == (1 if i == j else 0)
+        x = linalg.solve(A, [[y] for y in b])
+        ref = oracles.fraction_solve(A, b)
+        if all(t.denominator == 1 for t in ref):
+            assert [t for t, in x] == ref
+        else:
+            assert x is None
+        # the inverse is integral exactly when A is unimodular
+        Ai = linalg.solve(A, linalg.identity(d))
+        assert (Ai is None) == (abs(det) != 1)
+        # elementary row operations on I give a unimodular U
+        U = linalg.identity(d)
+        for _ in range(6 if d > 1 else 0):
+            i, j = rng.sample(range(d), 2)
+            m = rng.randint(-3, 3)
+            U[i] = [a + m * c for a, c in zip(U[i], U[j])]
+        Ui = linalg.solve(U, linalg.identity(d))
+        assert linalg.mat_mul(U, Ui) == linalg.mat_mul(Ui, U) == linalg.identity(d)
 
 
 def test_charpoly_matches_sympy():
@@ -178,7 +178,7 @@ def test_short_vectors_on_one_and_two_levels(G):
     # a 1x1 Gram reaches the leaf from the top, a 2x2 one from level 1
     d = len(G)
     norms = {1, 2, 3, 4, 5, 6, 7, 12, 20, 37}
-    inv = linalg.mat_inv(G)
+    inv = fraction_inverse(G)
     lims = [isqrt(int(max(norms) * inv[i][i])) for i in range(d)]
     full = linalg.short_vectors(G, norms)
     assert full == walk_order_scan(G, norms, [range(-lim, lim + 1) for lim in lims])
@@ -229,13 +229,28 @@ def test_ldl_reconstructs_gram():
         B = random_matrix(rng, d, d, -3, 3)
         G = [[sum(B[i][k] * B[j][k] for k in range(d)) + (2 if i == j else 0)
               for j in range(d)] for i in range(d)]
-        L, diag = linalg.ldl(G)
-        # convention: Q(x) = sum_k d_k (x_k + sum_{j>k} L[k][j] x_j)^2,
-        # so G = L^T D L with L unit upper triangular
+        D, terms, w, S = linalg.integral_ldl(G)
+        # S Q(x) = sum_k w_k N_k^2 with N_k = C[k] . x, so S G = C^T W C
+        # with C upper triangular, C[k][k] = D_k
+        C = [[0] * d for _ in range(d)]
+        for k in range(d):
+            C[k][k] = D[k]
+            for j, a in terms[k]:
+                C[k][j] = a
+        assert all(x > 0 for x in D + w)
         for i in range(d):
             for j in range(d):
-                s = sum(diag[k] * L[k][i] * L[k][j] for k in range(d))
-                assert s == G[i][j]
+                assert sum(w[k] * C[k][i] * C[k][j] for k in range(d)) == S * G[i][j]
+    with pytest.raises(ValueError):
+        linalg.integral_ldl([[1, 2], [2, 4]])
+
+
+def fraction_inverse(G):
+    """G^-1 in Fractions, read off fraction_rref of [G | I]."""
+    n = len(G)
+    R, _ = oracles.fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(G)])
+    return [row[n:] for row in R]
 
 
 def quadratic_norm(G, v):
@@ -271,7 +286,7 @@ def test_short_vectors_match_box_scan_on_skewed_lattices(G, norms):
     d = len(G)
     bound = max(norms)
     # x_i^2 <= Q(x) (G^-1)_ii by Cauchy-Schwarz, which boxes in every solution
-    inv = linalg.mat_inv(G)
+    inv = fraction_inverse(G)
     lims = [isqrt(int(bound * inv[i][i])) for i in range(d)]
     assume(prod(2 * lim + 1 for lim in lims) <= 20000)
     found = linalg.short_vectors(G, norms)
@@ -283,6 +298,13 @@ def test_short_vectors_match_box_scan_on_skewed_lattices(G, norms):
     # the norm is exact
     for v, m in found:
         assert type(m) is int and m == quadratic_norm(G, v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(G=skewed_definite_grams())
+def test_integral_ldl_matches_the_fraction_reference(G):
+    # the walk's windows, and so its order, are fixed by (D, a, w, S)
+    assert linalg.integral_ldl(G) == oracles.cleared_ldl(G)
 
 
 def principal_minor_class(G):
@@ -353,26 +375,34 @@ def integer_matrices(draw, max_size=7, square=False):
 
 @st.composite
 def integer_systems(draw):
-    """An integer matrix with zero rows and columns, and a right-hand side
-    that is either random (often inconsistent when A is rank-deficient)
-    or A x for a random x (always consistent)."""
+    """An integer matrix with zero rows and columns, and one to three
+    right-hand sides, each either random (often inconsistent when A is
+    rank-deficient, often non-integral when A is square with |det A| > 1)
+    or A x for a random integer x (consistent).  Half the time A is then
+    scaled by q = 2..4, which turns every consistent A x column into one
+    whose solutions are x / q, so consistent and non-integral."""
     A = draw(integer_matrices())
     for j in draw(st.sets(st.integers(0, len(A[0]) - 1), max_size=2)):
         for row in A:
             row[j] = 0
     entries = st.integers(-6, 6)
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            columns.append([draw(entries) for _ in A])
+        else:
+            x = [draw(entries) for _ in A[0]]
+            columns.append([sum(a * t for a, t in zip(row, x)) for row in A])
     if draw(st.booleans()):
-        b = [draw(entries) for _ in A]
-    else:
-        x = [draw(entries) for _ in A[0]]
-        b = [sum(a * t for a, t in zip(row, x)) for row in A]
-    return A, b
+        q = draw(st.integers(2, 4))
+        A = [[q * a for a in row] for row in A]
+    return A, [list(row) for row in zip(*columns)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(A=integer_matrices())
 def test_rank_matches_rref_pivot_count(A):
-    assert linalg.rank(A) == len(linalg.rref(A)[1]) == len(oracles.fraction_rref(A)[1])
+    assert linalg.rank(A) == len(oracles.fraction_rref(A)[1])
 
 
 @st.composite
@@ -403,12 +433,16 @@ def test_echelon_tracks_the_rank_of_every_prefix(vectors):
         assert grew == (len(span.rows) == before + 1)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(system=integer_systems())
-def test_rref_and_solve_match_the_fraction_reference(system):
-    A, b = system
-    assert linalg.rref(A) == oracles.fraction_rref(A)
-    assert linalg.solve(A, b) == oracles.fraction_solve(A, b)
+def test_solve_matches_the_fraction_reference(system):
+    A, B = system
+    X = linalg.solve(A, B)
+    refs = [oracles.fraction_solve(A, list(col)) for col in zip(*B)]
+    if any(x is None or any(t.denominator != 1 for t in x) for x in refs):
+        assert X is None
+    else:
+        assert X == [list(row) for row in zip(*refs)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -417,22 +451,27 @@ def test_inverse_matches_the_fraction_reference(A):
     n = len(A)
     R, pivots = oracles.fraction_rref([row + [int(i == j) for j in range(n)]
                                        for i, row in enumerate(A)])
+    inv = linalg.solve(A, linalg.identity(n))
     if pivots[:n] != list(range(n)):
+        # A X = I has no solution at all
         assert oracles.fraction_det(A) == 0
-        with pytest.raises(ValueError):
-            linalg.mat_inv(A)
+        assert inv is None
+    elif all(x.denominator == 1 for row in R for x in row[n:]):
+        assert inv == [row[n:] for row in R]
     else:
-        assert linalg.mat_inv(A) == [row[n:] for row in R]
+        assert inv is None
 
 
 def test_elimination_on_edge_shapes():
-    assert linalg.rref([]) == ([], [])
-    assert linalg.mat_inv([]) == linalg.solve([], []) == []
-    for A in ([[0, 2, 4]], [[0, 0, 0]], [[0], [6], [1]], [[0], [0]]):
-        assert linalg.rref(A) == oracles.fraction_rref(A)
-    assert linalg.rref([[0, 2, 4]]) == ([[0, 1, 2]], [1])
-    assert linalg.solve([[0], [6], [1]], [0, 12, 2]) == [2]
-    assert linalg.solve([[0], [6], [1]], [1, 12, 2]) is None
-    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
-    with pytest.raises(ValueError):
-        linalg.mat_inv([[1, 2], [2, 4]])
+    assert linalg.solve([], []) == []
+    assert linalg.solve([[0, 2, 4]], [[6, 2]]) == [[0, 0], [3, 1], [0, 0]]
+    # x = (0, 3/2, 0) is rational only
+    assert linalg.solve([[0, 2, 4]], [[3]]) is None
+    assert linalg.solve([[0, 0, 0]], [[0]]) == [[0], [0], [0]]
+    assert linalg.solve([[0, 0, 0]], [[1]]) is None
+    assert linalg.solve([[0], [6], [1]], [[0], [12], [2]]) == [[2]]
+    assert linalg.solve([[0], [6], [1]], [[1], [12], [2]]) is None
+    assert linalg.solve([[0], [0]], [[0, 0], [0, 0]]) == [[0, 0]]
+    assert linalg.solve([[1, 1], [2, 2]], [[1], [3]]) is None
+    assert linalg.solve([[1, 2], [2, 4]], linalg.identity(2)) is None
+    assert linalg.solve([[2, 1], [1, 1]], linalg.identity(2)) == [[1, -1], [-1, 2]]
