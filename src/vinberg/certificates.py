@@ -115,11 +115,11 @@ def scan_for_cusp_obstruction(chamber, min_rank=None):
     common null vector; groups of total rank at least min_rank (default
     n - 2) have their quotient tested.  The chamber keeps across batches
     the null vector of each affine component, which depends on its roots
-    alone, and the root classes of each null vector, which depend on the
-    form alone.  A full-rank entry stopped its walk early and only
-    full_rank is read from it; a deficient entry is complete and is handed
-    to the certificate.  Returns an ideal_vertex_failure certificate, or
-    None.
+    alone, and the quotient and root classes of each null vector, which
+    depend on the form alone.  A full-rank entry stopped its walk early and
+    only full_rank is read from it; a deficient entry is complete and is
+    handed, with its quotient, to the certificate.  Returns an
+    ideal_vertex_failure certificate, or None.
     """
     form, accepted = chamber.form, chamber.roots
     if min_rank is None:
@@ -138,9 +138,10 @@ def scan_for_cusp_obstruction(chamber, min_rank=None):
             continue
         if e not in cache:
             quot = quotient.null_quotient(form, e)
-            cache[e] = quotient.root_classes(form, quot)
-        if not cache[e]["full_rank"]:
-            return ideal_vertex_certificate(chamber, e, comps, cache[e])
+            cache[e] = quot, quotient.root_classes(form, quot)
+        quot, rc = cache[e]
+        if not rc["full_rank"]:
+            return ideal_vertex_certificate(chamber, quot, comps, rc)
     return None
 
 
@@ -158,19 +159,19 @@ def _document(form: Form, kind: str, payload: dict) -> dict:
     }
 
 
-def ideal_vertex_certificate(chamber, e, components, rc) -> dict:
-    """Certificate that the quotient at e has rank-deficient root classes.
+def ideal_vertex_certificate(chamber, quot, components, rc) -> dict:
+    """Certificate that the quotient quot, at its null vector e, has
+    rank-deficient root classes.
 
     components are affine components of the chamber with null vector e,
     whose marks the cusp scan left in chamber.null_marks; rc is
-    quotient.root_classes at e.
+    quotient.root_classes of quot.
     """
     comps = [
         {"nodes": sorted(c["nodes"]), "type": c["type"],
          "marks": chamber.null_marks[frozenset(c["nodes"])][0]}
         for c in components
     ]
-    quot = quotient.null_quotient(chamber.form, e)
     payload = _ideal_vertex_payload(quot, chamber.roots, comps, rc)
     return _document(chamber.form, "ideal_vertex_failure", payload)
 
@@ -184,8 +185,8 @@ def _ideal_vertex_payload(quot, roots, components, rc) -> dict:
     """
     form = quot.form
     components = sorted(components, key=lambda c: c["nodes"])
-    image = [quot.class_coordinates(roots[i]) for i in sorted(
-        i for c in components for i in c["nodes"])]
+    image = quot.class_coordinates([roots[i] for i in sorted(
+        i for c in components for i in c["nodes"])])
     comp_data = quotient.orthogonal_complement_data(form, quot, image)
     return {
         "roots": [list(r) for r in roots],

@@ -106,9 +106,18 @@ def vertex_walls(form: Form, corner) -> list:
 
     Enumerates every root of the form orthogonal to the corner (a finite
     set: short vectors of the definite lattice corner^perp cap L), orients
-    each to the chamber side, and keeps the irredundant ones, which cut
-    out the chamber germ at the corner.  Valid whenever the corner lies in
-    the closure of the full chamber.
+    each to the chamber side, and keeps the irredundant ones, sorted, which
+    cut out the chamber germ at the corner.  Valid whenever the corner
+    lies in the closure of the full chamber.
+
+    A root of norm p or 2p has p | v_j for every j >= 1; in the
+    coordinates c of the basis b of corner^perp cap L that reads
+    sum_i c_i b_i[j] = 0 mod p, one congruence per column j >= 1 of the
+    basis.  linalg.congruent_short_vectors walks those norms on the
+    lattice the congruences cut out and norms 1 and 2 on the whole one,
+    so every vector it returns is a root: norm 1 and 2 vectors always are,
+    and the congruences make a norm p or 2p vector one (its norm is
+    squarefree, so it is primitive).
     """
     dim = form.dim
     basis = linalg.integer_kernel([form.dual(corner)])
@@ -117,14 +126,17 @@ def vertex_walls(form: Form, corner) -> list:
     ]
     if linalg.psd_classify(gram) != "definite":
         raise ValueError("corner must be timelike")
+    rows = linalg.transpose(basis)[1:]
     oriented = set()
-    for coords, _ in linalg.short_vectors(gram, form.admissible_root_norms):
+    walked = linalg.congruent_short_vectors(gram, form.admissible_root_norms, form.p, rows)
+    for coords, _ in walked:
         v = tuple(
             sum(coords[i] * basis[i][j] for i in range(len(basis)))
             for j in range(dim)
         )
-        if form.is_root(v):
-            oriented.add(orient_root(form, v))
+        if not form.is_root(v):
+            raise ConsistencyError(f"walked vector {list(v)} is not a root")
+        oriented.add(orient_root(form, v))
     walls = sorted(oriented)
     cone = cones.Cone(dim)
     cones.cone_generators([form.dual(w) for w in walls], dim, cone)

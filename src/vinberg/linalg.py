@@ -13,8 +13,12 @@ Echelon keeps a growing set of rows in echelon form, so each new row's
 independence costs one reduction.  short_vectors (Fincke-Pohst) walks its
 tree on the integral Gram-Schmidt data of integral_ldl, an integer
 remainder and isqrt windows, solving its last coordinate for each wanted
-integer norm directly.  charpoly, row_hnf, snf and integer_kernel work
-over the integers throughout.
+integer norm directly.  congruent_short_vectors composes two such walks:
+norms divisible by a prime p on the lattice cut out by congruences mod p
+(congruence_basis, a Gauss-Jordan elimination mod p whose basis rows are
+p e_j and e_j minus reduced entries), the other norms on the whole one.
+charpoly, row_hnf, snf and integer_kernel work over the integers
+throughout.
 """
 
 from __future__ import annotations
@@ -564,4 +568,95 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int]]:
             walk(n - 1, top, True)
     except _StopWalk:
         pass
+    return found
+
+
+def congruence_basis(rows, p: int, n: int) -> list[list[int]]:
+    """Basis, as rows, of the lattice {c in Z^n : sum_j row[j] c_j = 0 mod p
+    for every row}, p prime.
+
+    Gauss-Jordan elimination of the rows mod p, with pivots taken from the
+    last column down, leaves one reduced row per pivot column c: 1 at c, 0
+    at the other pivot columns and right of c.  Basis row j is p e_j for a
+    pivot column j and, for a free column j, e_j minus the reduced rows'
+    entries at j, each placed at its row's pivot column, which lies right
+    of j.  So the basis is upper triangular with diagonal p on the r pivot
+    columns and 1 elsewhere: its index in Z^n is p^r, r the rank of the
+    rows mod p, which is the index of the congruence lattice it lies in.
+    The p's sit on the last coordinates, the ones short_vectors walks
+    first.
+    """
+    M = [[a % p for a in row] for row in rows]
+    pivots: list[int] = []
+    for c in reversed(range(n)):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = pow(M[r][c], -1, p)
+        prow = M[r] = [a * inv % p for a in M[r]]
+        for i, row in enumerate(M):
+            f = row[c]
+            if i != r and f:
+                M[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+        pivots.append(c)
+    reduced = dict(zip(pivots, M))
+    basis = []
+    for j in range(n):
+        row = [0] * n
+        if j in reduced:
+            row[j] = p
+        else:
+            row[j] = 1
+            for c, prow in reduced.items():
+                row[c] = -prow[j]
+        basis.append(row)
+    return basis
+
+
+def congruent_short_vectors(
+    G, norms, p: int, rows, stop=None
+) -> list[tuple[tuple[int, ...], int]]:
+    """short_vectors(G, norms, stop), restricted for norms divisible by p
+    to the x with sum_j row[j] x_j = 0 mod p for every row.
+
+    Returns the (x, x^T G x) pairs with m = x^T G x in norms and either
+    p not dividing m or x in the congruence lattice, one per sign pair,
+    the first nonzero coordinate of x positive.  Each norm is walked where
+    its vectors can lie.  The norms divisible by p go first, on the
+    congruence lattice: short_vectors walks its Gram B G B^T, B the rows of
+    congruence_basis, and each vector y found is mapped back to x = B^T y.
+    B is upper triangular with a positive diagonal, so x has its first
+    nonzero coordinate where y has, with the same sign.  The other norms
+    are then walked on the whole lattice, bounded by the largest of them.
+
+    stop is called as in short_vectors, on each x as it is found, across
+    both walks; once it returns true the result holds the vectors found so
+    far and no further walk runs.  Without a stop the result is the
+    complete set, ordered by walk, not sorted.
+    """
+    n = len(G)
+    fine = [m for m in norms if m % p == 0]
+    coarse = [m for m in norms if m % p]
+    found: list = []
+    stopped = False
+
+    def keep(x, m) -> bool:
+        nonlocal stopped
+        found.append((x, m))
+        stopped = stop is not None and stop(x, m)
+        return stopped
+
+    if fine:
+        B = congruence_basis(rows, p, n)
+        Bt = transpose(B)
+        H = mat_mul(mat_mul(B, G), Bt)
+
+        def lift(y, m) -> bool:
+            return keep(tuple(sum(a * b for a, b in zip(col, y)) for col in Bt), m)
+
+        short_vectors(H, fine, lift)
+    if coarse and not stopped:
+        short_vectors(G, coarse, keep)
     return found

@@ -20,7 +20,9 @@ x_i - x[i0] u e[i] = 0 mod p.  Since x = sum_j c_j B_j over the class
 basis B, that is one linear form per i != i0 in the class coordinates c,
 with coefficients B_j[i] - B_j[i0] u e[i] mod p: the residue rows.  A
 class of norm p or 2p holds a root exactly when c is in their common
-kernel mod p, so a class outside it is rejected without being lifted.
+kernel mod p.  So the rows cut the walk: root_classes walks norms p and
+2p only on the sublattice of index p^r they cut out
+(linalg.congruent_short_vectors), and never meets a class outside it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import mul
 
 from vinberg import linalg
 from vinberg.errors import ConsistencyError
@@ -70,15 +71,18 @@ class NullQuotient:
                 vec[k] += c * row[k]
         return tuple(vec)
 
-    def class_coordinates(self, x) -> list[int]:
-        """Coordinates of the class of x in Mbar; x must lie in e^perp."""
-        if self.form.inner_product(x, self.e) != 0:
+    def class_coordinates(self, vectors) -> list[list[int]]:
+        """Coordinates in Mbar of the class of each vector, which must lie
+        in e^perp; one solve takes every vector as a right-hand side."""
+        if any(self.form.inner_product(x, self.e) for x in vectors):
             raise ValueError("vector is not orthogonal to the null direction")
+        if not vectors:
+            return []
         A = linalg.transpose([self.e, *self.class_basis])
-        sol = linalg.solve(A, [[a] for a in x])
+        sol = linalg.solve(A, linalg.transpose(vectors))
         if sol is None:
             raise ValueError("vector is not in the orthogonal sublattice")
-        return [c for c, in sol[1:]]
+        return linalg.transpose(sol[1:])
 
     def class_norm(self, coords) -> int:
         return sum(
@@ -117,29 +121,22 @@ def null_quotient(form: Form, e) -> NullQuotient:
 def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
     """Shift t making lift(coords) + t e a root, or None if no t works.
 
-    m is the class norm of coords, as linalg.short_vectors returns it
+    m is the class norm of coords, as the walk of root_classes returns it
     (quot.class_norm re-derives it).  The divisibility conditions on
     v = x + t e are m | 2p v0 and m | 2 vi.  For m = 1 or 2 every t
     satisfies them; for m = p or 2p they say p | xi + t ei for each
     i >= 1.  The i0 condition fixes t = -x[i0] u modulo p, and the others
-    are then linear in coords modulo p: quot.residue_rows.  A class that
-    fails a residue row is rejected before it is lifted; one that passes
-    is lifted, shifted and checked in full.  The returned shift is the
-    smallest witness in [0, m).
+    then hold exactly when coords passes quot.residue_rows, on which
+    root_classes walks these norms.  The class is lifted, shifted and
+    checked in full.  The returned shift is the smallest witness in [0, m).
     """
     if m <= 0 or m not in form.admissible_root_norms:
         return None
-    p = form.p
+    x = quot.lift(coords)
     t = 0
-    if m % p == 0:
-        i0, u, rows = quot.residue_rows
-        for row in rows:
-            if sum(map(mul, row, coords)) % p:
-                return None
-        x = quot.lift(coords)
-        t = -x[i0] * u % p
-    else:
-        x = quot.lift(coords)
+    if m % form.p == 0:
+        i0, u, _ = quot.residue_rows
+        t = -x[i0] * u % form.p
     v = tuple(a + t * b for a, b in zip(x, quot.e))
     if not form.satisfies_crystallographic_condition(v, m):
         return None
@@ -153,17 +150,21 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     """Root classes of the quotient up to sign, with the lattice they span.
 
     Walks the classes whose norm is an admissible root norm (1, 2, p or
-    2p; linalg.short_vectors, which hands over each class with its norm),
-    keeps those containing a root, and returns their coordinate vectors,
-    sorted, together with the rank and (when full) the index of their span
-    inside the quotient.  A class of any other norm holds no root.
-    norm_bound records 2p, the largest norm a root can have.
+    2p), each norm where its root classes can lie
+    (linalg.congruent_short_vectors, which hands over each class with its
+    norm).  The classes of norm p or 2p are walked first, on the sublattice
+    cut out by quot.residue_rows; then those of norm 1 and 2, every one of
+    which holds a root, on the whole quotient.  A class of any other norm
+    holds no root.  root_class_shift keeps the classes that contain a root,
+    and they are returned by coordinate vector, sorted, with the rank and
+    (when full) the index of their span inside the quotient.  norm_bound
+    records 2p, the largest norm a root can have.
 
-    The walk ends as soon as the classes found so far span the quotient
+    The walks end as soon as the classes found so far span the quotient
     rationally: full rank is all the obstruction test needs to know.  So
     classes, rank and index are those of every root class only when
     full_rank is false; a full-rank result covers the classes walked
-    before the stop.
+    before the stop, and its index is that of their span.
     """
     classes = []
     span = linalg.Echelon()
@@ -177,16 +178,14 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
         return len(span.rows) == quot.rank
 
     gram = [list(r) for r in quot.gram]
-    linalg.short_vectors(gram, form.admissible_root_norms, visit)
+    _, _, rows = quot.residue_rows
+    linalg.congruent_short_vectors(gram, form.admissible_root_norms, form.p, rows, visit)
     classes.sort(key=lambda c: c["coords"])
-    span = linalg.hnf_basis([c["coords"] for c in classes])
-    rank = len(span)
+    rank = len(span.rows)
+    index = None
     if rank == quot.rank:
-        index = 1
-        for i, row in enumerate(span):
-            index *= row[i]
-    else:
-        index = None
+        basis = linalg.hnf_basis([c["coords"] for c in classes])
+        index = prod(row[i] for i, row in enumerate(basis))
     return {
         "norm_bound": 2 * form.p,
         "classes": classes,

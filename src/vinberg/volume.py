@@ -33,8 +33,9 @@ object also keeps the PSD class of every wall subset classified, keyed
 by node set (Diagram.classes); C as one live cones.Cone, given only the
 walls it lacks when (b) or a corner is read; the hyperbolic S proved to
 meet (b), since a face proved {0} stays {0} while the roots grow; and,
-for the cusp scan, the null vector of each affine component and the
-quotient root classes of each null vector.
+for the cusp scan, the null vector of each affine component and, for
+each null vector, its quotient lattice and that quotient's root classes,
+which the certificate reuses.
 
 Every fact it holds was proved on a prefix of its roots, so a list that
 does not extend them starts it from nothing: a misused object cannot
@@ -67,7 +68,8 @@ class ChamberDiagram(dg.Diagram):
         self.trivial_cones: set = set()  # hyperbolic S whose fixed cone is {0}
         self.cone = cones.Cone(form.dim)  # the chamber cone, on a prefix of roots
         self.null_marks: dict = {}  # affine node set -> (marks, null vector)
-        self.root_classes: dict = {}  # null vector -> quotient.root_classes
+        # null vector -> (quotient.null_quotient, quotient.root_classes of it)
+        self.root_classes: dict = {}
         self.grow(roots)
 
     def grow(self, roots) -> None:

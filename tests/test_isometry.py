@@ -80,6 +80,35 @@ def test_vertex_walls_match_accepted_walls_at_certified_corners(search):
         assert walls == sorted(roots[i] for i in c["orthogonal"]), c
 
 
+@pytest.mark.parametrize("p,n", [(13, 3), (19, 3)])
+def test_vertex_walls_walk_only_roots_at_certified_corners(report, monkeypatch, p, n):
+    # the norm p and 2p vectors are walked on the lattice where their roots
+    # lie, so every vector the walk hands over is a root: 18 at each form,
+    # where a walk of the whole lattice hands over 42 at (13,3) and 90 at
+    # (19,3), norm p vectors that are not roots among them
+    form = Form(p, n)
+    payload = report(p, n)["certificate"]["payload"]
+    walked, whole, checked = [], [], []
+    walk, is_root = linalg.congruent_short_vectors, Form.is_root
+
+    def record_walk(gram, norms, *args):
+        found = walk(gram, norms, *args)
+        walked.extend(found)
+        whole.extend(linalg.short_vectors(gram, norms))
+        return found
+
+    def record_check(self, v):
+        checked.append(is_root(self, v))
+        return checked[-1]
+
+    monkeypatch.setattr(linalg, "congruent_short_vectors", record_walk)
+    monkeypatch.setattr(Form, "is_root", record_check)
+    for label in ("frame_from", "frame_to"):
+        isometry.vertex_walls(form, tuple(payload[label]["corner"]))
+    assert walked and len(checked) == len(walked) and all(checked)
+    assert any(m % p == 0 for _, m in whole)
+
+
 def test_vertex_walls_rejects_null_vector():
     form = Form(11, 3)
     with pytest.raises(ValueError):

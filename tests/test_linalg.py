@@ -307,6 +307,70 @@ def test_integral_ldl_matches_the_fraction_reference(G):
     assert linalg.integral_ldl(G) == oracles.cleared_ldl(G)
 
 
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over GF(p), by sympy."""
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    if not rows:
+        return 0
+    return DomainMatrix([[GF(p)(a) for a in row] for row in rows],
+                        (len(rows), len(rows[0])), GF(p)).rank()
+
+
+@st.composite
+def congruence_walks(draw):
+    """A positive definite Gram of rank d, a prime p, up to d residue rows
+    mod p, and the norms p, 2p and 3p with up to three more from 1..3p."""
+    G = draw(skewed_definite_grams(max_rank=4))
+    d = len(G)
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    row = st.lists(st.integers(-2 * p, 2 * p), min_size=d, max_size=d)
+    rows = draw(st.lists(row, max_size=d))
+    norms = draw(st.sets(st.integers(1, 3 * p), max_size=3)) | {p, 2 * p, 3 * p}
+    return G, p, rows, norms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(walk=congruence_walks())
+def test_congruent_short_vectors_match_the_filtered_walk(walk):
+    G, p, rows, norms = walk
+    d = len(G)
+    B = linalg.congruence_basis(rows, p, d)
+    # B spans the congruence lattice: its rows satisfy every congruence,
+    # and their index p^r is the congruence lattice's
+    assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows for v in B)
+    assert abs(oracles.fraction_det(B)) == p ** rank_mod_p(rows, p)
+    found = linalg.congruent_short_vectors(G, norms, p, rows)
+    assert len(found) == len(set(found))
+    assert set(found) == {
+        (x, m) for x, m in linalg.short_vectors(G, norms)
+        if m % p or all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)
+    }
+    for x, m in found:
+        assert next(a for a in x if a) > 0
+        assert m == quadratic_norm(G, x)
+    # a stop at the kth vector leaves the first k, across both walks
+    for k in range(1, min(len(found), 6) + 1):
+        walked = []
+        got = linalg.congruent_short_vectors(
+            G, norms, p, rows, lambda x, m: walked.append(x) or len(walked) == k)
+        assert got == found[:k]
+
+
+def test_congruent_short_vectors_on_the_square_lattice():
+    # x_0 + 2 x_1 = 0 mod 5: the pivot is the last column, so the basis is
+    # upper triangular with p last, and the norm-5 walk runs first
+    assert linalg.congruence_basis([[1, 2]], 5, 2) == [[1, -3], [0, 5]]
+    assert linalg.congruence_basis([], 5, 2) == linalg.congruence_basis([[5, 10]], 5, 2) == \
+        linalg.identity(2)
+    Z2 = linalg.identity(2)
+    assert linalg.congruent_short_vectors(Z2, [1, 5], 5, [[1, 2]]) == \
+        [((1, 2), 5), ((2, -1), 5), ((1, 0), 1), ((0, 1), 1)]
+    assert linalg.congruent_short_vectors(Z2, [1, 5], 5, [[1, 2]], lambda x, m: True) == \
+        [((1, 2), 5)]
+
+
 def principal_minor_class(G):
     """Sylvester's criteria: definite iff every leading principal minor is
     positive; semidefinite iff every principal minor is nonnegative."""

@@ -2,6 +2,7 @@
 
 from functools import cache
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,7 @@ def test_null_quotient_structure(p, n):
     for i in range(quot.rank):
         coords = [1 if j == i else 0 for j in range(quot.rank)]
         v = quot.lift(coords)
-        assert quot.class_coordinates(v) == coords
+        assert quot.class_coordinates([v]) == [coords]
 
 
 def test_quotient_rejects_bad_vectors():
@@ -199,7 +200,8 @@ def test_residue_rows_decide_drawn_classes_as_the_scan_does(drawn):
 
 def test_lift_runs_once_per_root_class_and_never_for_a_rejected_one(monkeypatch):
     # the (5,9) quotient is rank deficient, so root_classes walks every
-    # class; the norm-5 classes without a root are decided by their residues
+    # root class; the norm-5 classes without a root, which a walk of the
+    # whole quotient meets, are never lifted
     quot = _block_quotient(5, 9)
     form = quot.form
     walked = linalg.short_vectors([list(r) for r in quot.gram], form.admissible_root_norms)
@@ -215,6 +217,31 @@ def test_lift_runs_once_per_root_class_and_never_for_a_rejected_one(monkeypatch)
     assert not rc["full_rank"]
     assert sorted(lifted) == [c["coords"] for c in rc["classes"]]
     assert 5 in [m for v, m in walked if list(v) not in lifted]
+
+
+def test_root_class_shift_never_meets_a_norm_p_class_that_fails_a_residue_row(monkeypatch):
+    # the deficient (5,9) quotient is walked in full; its norm-5 classes
+    # are walked on the lattice the residue rows cut out, so every class
+    # handed over holds a root.  A whole-quotient walk hands over 490
+    # classes, 448 of them of norm 5 without a root, for the 42 root classes
+    quot = _block_quotient(5, 9)
+    form = quot.form
+    _, _, rows = quot.residue_rows
+    handed = []
+    original = quotient.root_class_shift
+
+    def record(form, quot, coords, m):
+        handed.append((list(coords), m))
+        return original(form, quot, coords, m)
+
+    monkeypatch.setattr(quotient, "root_class_shift", record)
+    rc = quotient.root_classes(form, quot)
+    assert not rc["full_rank"]
+    norm_p = [c for c, m in handed if m % form.p == 0]
+    assert all(sum(map(mul, row, c)) % form.p == 0 for c in norm_p for row in rows)
+    assert sorted(handed) == sorted((c["coords"], c["norm"]) for c in rc["classes"])
+    walked = linalg.short_vectors([list(r) for r in quot.gram], form.admissible_root_norms)
+    assert len(walked) > 10 * len(handed)
 
 
 @pytest.mark.parametrize("norm", [1, 13])
@@ -282,10 +309,8 @@ def test_complement_data_on_the_a2_cusp_failure(search):
     blk = NONREFLECTIVITY_BLOCKS[(7, 4)]
     quot = quotient.null_quotient(form, blk["null_vector"])
     roots = search(7, 4).roots
-    image = []
-    for r in roots:
-        if form.inner_product(r, blk["null_vector"]) == 0:
-            image.append(quot.class_coordinates(r))
+    image = quot.class_coordinates(
+        [r for r in roots if form.inner_product(r, blk["null_vector"]) == 0])
     data = quotient.orthogonal_complement_data(form, quot, image)
     assert data.get("generator_norm") == blk["complement_norm"]
     assert data.get("glue_order") == blk["glue_order"]
