@@ -108,22 +108,20 @@ def affine_null_marks(form: Form, roots, nodes):
     return marks, cones.primitive_vector(e)
 
 
-def scan_for_cusp_obstruction(chamber, min_rank=None):
+def scan_for_cusp_obstruction(chamber):
     """Look for a null direction whose root classes have deficient rank.
 
     Groups the affine components of a grown volume.ChamberDiagram by their
-    common null vector; groups of total rank at least min_rank (default
-    n - 2) have their quotient tested.  The chamber keeps across batches
-    the null vector of each affine component, which depends on its roots
-    alone, and the quotient and root classes of each null vector, which
-    depend on the form alone.  A full-rank entry stopped its walk early and
-    only full_rank is read from it; a deficient entry is complete and is
-    handed, with its quotient, to the certificate.  Returns an
-    ideal_vertex_failure certificate, or None.
+    common null vector and tests the quotient of every group: whichever
+    affine components meet at e, a deficient quotient depends on e alone.
+    The chamber keeps across batches the null vector of each affine
+    component, which depends on its roots alone, and the quotient and root
+    classes of each null vector, which depend on the form alone.  A
+    full-rank entry stopped its walk early and only full_rank is read from
+    it; a deficient entry is complete and is handed, with its quotient, to
+    the certificate.  Returns an ideal_vertex_failure certificate, or None.
     """
     form, accepted = chamber.form, chamber.roots
-    if min_rank is None:
-        min_rank = form.n - 2
     groups: dict = {}
     null_marks = chamber.null_marks
     for comp in chamber.affine_components():
@@ -133,15 +131,12 @@ def scan_for_cusp_obstruction(chamber, min_rank=None):
         groups.setdefault(null_marks[key][1], []).append(comp)
     cache = chamber.root_classes
     for e in sorted(groups):
-        comps = groups[e]
-        if sum(c["rank"] for c in comps) < min_rank:
-            continue
         if e not in cache:
             quot = quotient.null_quotient(form, e)
             cache[e] = quot, quotient.root_classes(form, quot)
         quot, rc = cache[e]
         if not rc["full_rank"]:
-            return ideal_vertex_certificate(chamber, quot, comps, rc)
+            return ideal_vertex_certificate(chamber, quot, groups[e], rc)
     return None
 
 

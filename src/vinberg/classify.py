@@ -45,6 +45,8 @@ def classify_form(
     runs), budget; plus volume for reflective verdicts and state for
     undecided ones.
 
+    A non-reflective verdict comes from the search's cusp scan or, once
+    the budget has run out, from the symmetry hunt on the final chamber.
     Every non-reflective certificate is re-checked from scratch before it
     is attached; a verification failure is an internal error and raises
     ConsistencyError.  A resumed run (state given) re-derives the state's
@@ -77,12 +79,9 @@ def classify_form(
 
     certificate = result.certificate
     if certificate is None:
-        # Budget ran out.  Rescan the final state without the rank gate,
-        # then hunt for a symmetry between corners certified by the
-        # height frontier the search has cleared: the height of the batch
-        # at its cursor, kept by the replay that ran out.
-        certificate = certificates.scan_for_cusp_obstruction(result.chamber, min_rank=1)
-    if certificate is None:
+        # Budget ran out.  Hunt for a symmetry between corners certified
+        # by the height frontier the search has cleared: the height of the
+        # batch at its cursor, kept by the replay that ran out.
         symmetry = isometry.find_infinite_symmetry(
             result.chamber, result.state.open_height()
         )

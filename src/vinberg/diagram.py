@@ -306,14 +306,6 @@ def _classify_component_structurally(diagram, comp) -> str | None:
     return _classify_two_forks(diagram, comp, forks)
 
 
-def type_rank(name: str) -> int:
-    """Rank of a catalog type: node count if spherical, one less if affine."""
-    fam, _, num = name.partition("~")
-    if num:
-        return int(num)
-    return int(name[1:])
-
-
 def is_affine_type(name: str) -> bool:
     return "~" in name
 
@@ -326,7 +318,8 @@ def affine_sets_of_rank(diagram: Diagram, rank: int, comps) -> list[dict]:
     """All unions of pairwise orthogonal affine components with the given
     total rank.  comps lists the connected affine subdiagrams as
     volume.ChamberDiagram.affine_components does; the chosen ones must be
-    node-disjoint and unjoined by edges."""
+    node-disjoint and unjoined by edges.  A connected affine diagram's
+    rank is its node count minus one."""
     out = []
     chosen: list[int] = []
 
@@ -338,7 +331,8 @@ def affine_sets_of_rank(diagram: Diagram, rank: int, comps) -> list[dict]:
             return
         for i in range(start, len(comps)):
             c = comps[i]
-            if total + c["rank"] > rank:
+            c_rank = len(c["nodes"]) - 1
+            if total + c_rank > rank:
                 continue
             if any(
                 not _orthogonal(diagram, comps[j]["nodes"], c["nodes"])
@@ -347,7 +341,7 @@ def affine_sets_of_rank(diagram: Diagram, rank: int, comps) -> list[dict]:
             ):
                 continue
             chosen.append(i)
-            backtrack(i + 1, total + c["rank"])
+            backtrack(i + 1, total + c_rank)
             chosen.pop()
 
     backtrack(0, 0)

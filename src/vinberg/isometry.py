@@ -160,8 +160,6 @@ def frame_map(form: Form, frame_from, frame_to):
     linearly dependent, so no map exists, or when the map taking it to
     frame_to is not integral.
     """
-    if linalg.rank(frame_from) < form.dim:
-        return None
     X = linalg.solve(frame_from, frame_to)
     if X is None:
         return None

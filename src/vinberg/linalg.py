@@ -127,52 +127,44 @@ class Echelon:
 
 
 def solve(A, B) -> list[list[int]] | None:
-    """The integral X with A X = B and every free row zero, or None.
+    """The integral X with A X = B, or None.
 
-    A is m x n and B is m x k, both integer.  Returns None when the system
-    is inconsistent, or when its rational solution with zero free
-    coordinates is not integral.
+    A is m x n and B is m x k, both integer.  Returns None when A's
+    columns are linearly dependent, when the system is inconsistent, or
+    when its one rational solution is not integral.
 
     Fraction-free Gauss-Jordan elimination on [A | B], pivoting in A's
-    columns: with pivot d at (r, c) and prev the previous pivot, every
-    other row i becomes (d M[i] - M[i][c] M[r]) // prev.  The division is
-    exact (Bareiss): afterwards the rows without a pivot are minors of
-    [A | B], zero on A, and the system is consistent exactly when they are
-    zero on B too.  By Cramer's rule a pivot row is the last pivot times
-    the reduced row, so X's row at the pivot column of row r is row r's
-    part on B divided by the last pivot, when every division is exact.
+    columns: with pivot d at (c, c) and prev the previous pivot, every
+    other row i becomes (d M[i] - M[i][c] M[c]) // prev.  The division is
+    exact (Bareiss).  Column c has a pivot among rows c.. exactly when it
+    is independent of the columns before it.  The rows after the n-th are
+    then minors of [A | B], zero on A, and the system is consistent
+    exactly when they are zero on B too.  By Cramer's rule row c is the
+    last pivot times the reduced row, so X's row c is row c's part on B
+    divided by the last pivot, when every division is exact.
     """
     M = [list(a) + list(b) for a, b in zip(A, B)]
     m = len(M)
     n = len(A[0]) if m else 0
-    pivots: list[int] = []
     prev = 1
     for c in range(n):
-        r = len(pivots)
-        pr = next((i for i in range(r, m) if M[i][c]), None)
+        pr = next((i for i in range(c, m) if M[i][c]), None)
         if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        prow = M[r]
+            return None
+        M[c], M[pr] = M[pr], M[c]
+        prow = M[c]
         d = prow[c]
         for i in range(m):
-            if i != r:
+            if i != c:
                 f = M[i][c]
                 M[i] = [(d * a - f * b) // prev for a, b in zip(M[i], prow)]
         prev = d
-        pivots.append(c)
-        if r + 1 == m:
-            break
-    if any(any(row[n:]) for row in M[len(pivots):]):
+    if any(any(row[n:]) for row in M[n:]):
         return None
-    X = [[0] * (len(M[0]) - n) for _ in range(n)]
-    for row, c in zip(M, pivots):
-        for j, y in enumerate(row[n:]):
-            q, rem = divmod(y, prev)
-            if rem:
-                return None
-            X[c][j] = q
-    return X
+    X = [row[n:] for row in M[:n]]
+    if any(y % prev for row in X for y in row):
+        return None
+    return [[y // prev for y in row] for row in X]
 
 
 def row_hnf(A) -> tuple[list[list[int]], list[list[int]]]:

@@ -156,15 +156,14 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     cut out by quot.residue_rows; then those of norm 1 and 2, every one of
     which holds a root, on the whole quotient.  A class of any other norm
     holds no root.  root_class_shift keeps the classes that contain a root,
-    and they are returned by coordinate vector, sorted, with the rank and
-    (when full) the index of their span inside the quotient.  norm_bound
-    records 2p, the largest norm a root can have.
+    and they are returned by coordinate vector, sorted, with the rank of
+    their span.  norm_bound records 2p, the largest norm a root can have;
+    index is None, kept for the certificate schema.
 
     The walks end as soon as the classes found so far span the quotient
     rationally: full rank is all the obstruction test needs to know.  So
-    classes, rank and index are those of every root class only when
-    full_rank is false; a full-rank result covers the classes walked
-    before the stop, and its index is that of their span.
+    classes and rank are those of every root class only when full_rank is
+    false; a full-rank result covers the classes walked before the stop.
     """
     classes = []
     span = linalg.Echelon()
@@ -182,15 +181,11 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     linalg.congruent_short_vectors(gram, form.admissible_root_norms, form.p, rows, visit)
     classes.sort(key=lambda c: c["coords"])
     rank = len(span.rows)
-    index = None
-    if rank == quot.rank:
-        basis = linalg.hnf_basis([c["coords"] for c in classes])
-        index = prod(row[i] for i, row in enumerate(basis))
     return {
         "norm_bound": 2 * form.p,
         "classes": classes,
         "rank": rank,
-        "index": index,
+        "index": None,
         "full_rank": rank == quot.rank,
     }
 

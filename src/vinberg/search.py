@@ -9,7 +9,8 @@ batch) is non-positive.
 
 replay is that stream, and the only code that enumerates batches.
 run_search reads it and tests the chamber after each batch that accepted
-a root; classify.root_table reads it with the finite-volume test alone.
+a root, and a resumed state before its first batch; classify.root_table
+reads it with the finite-volume test alone.
 reproduces replays it with no closure test, to check a resumed state and
 the roots of ideal-vertex and symmetry certificates, and hands back the
 height frontier the replay reached.
@@ -206,20 +207,22 @@ def run_search(
 ) -> SearchResult:
     """Run the root search until decided or out of budget.
 
-    After every batch that accepted a root, the finite-volume test runs
-    first and then the certificate scan, which looks for null directions
+    One step decides the chamber when it can: the finite-volume test
+    first, then the certificate scan, which looks for null directions
     whose orthogonal quotient cannot be generated by root classes; a hit
     proves the chamber will never close up and stops the search early.
+    The step runs after every batch that accepted a root and, on a
+    resumed search, once before any new batch.
 
     A resumed search (state given) first replays a fresh search through
     the state's batches_done batches, no higher than budget.max_height,
     and raises ConsistencyError naming accepted unless that reaches the
-    cursor with the same roots.  It then runs the finite-volume test once:
-    a closed chamber accepts no further root, so a final state would
-    otherwise run on to the budget.  Both tests read one
-    volume.ChamberDiagram, built on the starting roots and grown after
-    each batch that accepted a root; the result carries it, grown on the
-    final roots, to the caller's post-search rescan and symmetry hunt.
+    cursor with the same roots.  Its roots are then decided as they stand:
+    a closed chamber accepts no further root, and the budget left may
+    accept none, so a final state would otherwise run on undecided.  The
+    step reads one volume.ChamberDiagram, built on the starting roots and
+    grown after each batch that accepted a root; the result carries it,
+    grown on the final roots, to the caller's symmetry hunt.
     """
     from vinberg import certificates as _certificates
     from vinberg import volume as _volume
@@ -239,24 +242,23 @@ def run_search(
         state = SearchState.fresh(form)
     chamber = _volume.ChamberDiagram(form, state.accepted)
 
-    def volume_now() -> Optional[dict]:
+    def decide() -> Optional[SearchResult]:
         state.counters["volume_checks"] += 1
         report = _volume.finite_volume(chamber)
-        return report if report["finite"] else None
-
-    if resumed:
-        report = volume_now()
-        if report:
-            return SearchResult("reflective", state, chamber, volume_report=report)
-
-    for fresh in replay(state, budget):
-        if not fresh:
-            continue
-        chamber.grow(state.accepted)
-        report = volume_now()
-        if report:
+        if report["finite"]:
             return SearchResult("reflective", state, chamber, volume_report=report)
         cert = _certificates.scan_for_cusp_obstruction(chamber)
         if cert is not None:
             return SearchResult("nonreflective", state, chamber, certificate=cert)
+        return None
+
+    result = decide() if resumed else None
+    if result:
+        return result
+    for fresh in replay(state, budget):
+        if fresh:
+            chamber.grow(state.accepted)
+            result = decide()
+            if result:
+                return result
     return SearchResult("undecided", state, chamber)

@@ -43,8 +43,8 @@ change an answer.  Its readers (finite_volume, the cusp scan, the corner
 and symmetry hunt in isometry) take it grown and read its form and roots;
 none builds or grows one.  search.run_search owns one per run and grows
 it after each batch that accepted a root, so finite_volume and the cusp
-scan on the same prefix share it, and the post-search rescan and
-symmetry hunt read it too.  classify.root_table owns one per rank.
+scan on the same prefix share it, and the post-search symmetry hunt
+reads it too.  classify.root_table owns one per rank.
 certificates._verify_reflective builds a fresh one on the stored roots,
 so a stored report is re-derived from the roots alone, sharing nothing
 with the search.
@@ -105,11 +105,8 @@ class ChamberDiagram(dg.Diagram):
         return self.cone
 
     def affine_components(self) -> list[dict]:
-        """Every connected affine subdiagram with its type and rank, by nodes."""
-        out = [
-            {"nodes": tuple(sorted(s)), "type": name, "rank": dg.type_rank(name)}
-            for s, name in self.affine.items()
-        ]
+        """Every connected affine subdiagram with its type, by nodes."""
+        out = [{"nodes": tuple(sorted(s)), "type": name} for s, name in self.affine.items()]
         out.sort(key=lambda d: d["nodes"])
         return out
 

@@ -400,8 +400,7 @@ def affine_components(d, classify):
 
     _elliptic_walk(d, classify, found)
     return sorted(
-        ({"nodes": tuple(sorted(s)), "type": name, "rank": dg.type_rank(name)}
-         for s, name in affine.items()),
+        ({"nodes": tuple(sorted(s)), "type": name} for s, name in affine.items()),
         key=lambda item: item["nodes"],
     )
 

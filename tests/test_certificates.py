@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import corpus
-from vinberg import certificates, cones, diagram, quotient, volume
+from vinberg import certificates, cones, diagram, linalg, quotient, volume
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
@@ -475,7 +476,7 @@ def test_cusp_scan_finds_the_rank_9_obstruction(report):
     rep = report(5, 9)
     form = Form(5, 9)
     roots = [tuple(r) for r in rep["roots"]]
-    cert = certificates.scan_for_cusp_obstruction(volume.ChamberDiagram(form, roots), min_rank=1)
+    cert = certificates.scan_for_cusp_obstruction(volume.ChamberDiagram(form, roots))
     assert cert is not None
     blk = NONREFLECTIVITY_BLOCKS[(5, 9)]
     assert tuple(cert["payload"]["null_vector"]) == blk["null_vector"]
@@ -488,6 +489,12 @@ def test_direct_rank_10_search_agrees_with_inherited_verdict(report):
     cert = rep["certificate"]
     assert cert["kind"] == "ideal_vertex_failure"
     assert verify_certificate(cert)
+    # the search meets the (5,9) block's D~7, of rank 7 < n - 2, and
+    # decides on it after two batches
+    blk = NONREFLECTIVITY_BLOCKS[(5, 9)]
+    assert cert["payload"]["null_vector"] == [*blk["null_vector"], 0]
+    assert [c["type"] for c in cert["payload"]["components"]] == ["D~7"]
+    assert rep["timings"]["batches"] == 2
     inherited = certificates.inherited_certificate(report(5, 9)["certificate"], 10)
     assert inherited["form"] == cert["form"]
     assert verify_certificate(inherited)
@@ -498,7 +505,7 @@ def test_cusp_scan_silent_at_genuine_ideal_vertex(search):
     # span a sublattice of index 2; the scan must not flag it
     form = Form(11, 3)
     roots = search(11, 3).roots
-    cert = certificates.scan_for_cusp_obstruction(volume.ChamberDiagram(form, roots), min_rank=1)
+    cert = certificates.scan_for_cusp_obstruction(volume.ChamberDiagram(form, roots))
     assert cert is None
 
 
@@ -537,7 +544,10 @@ def test_published_null_vector_is_a_full_rank_ideal_vertex(report, p, n):
     assert 2 * p in {form.norm(roots[i]) for c in comps for i in c}
     rc = quotient.root_classes(form, quotient.null_quotient(form, e))
     assert rc["full_rank"] and rc["rank"] == n - 1
-    assert rc["index"] == 2
+    # root_classes reports no index; the walked classes' span has index 2
+    assert rc["index"] is None
+    basis = linalg.hnf_basis([c["coords"] for c in rc["classes"]])
+    assert prod(row[i] for i, row in enumerate(basis)) == 2
     assert sorted(c["norm"] for c in rc["classes"]) == expected["class_norms"]
 
 

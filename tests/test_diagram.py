@@ -56,10 +56,10 @@ def test_affine_types():
     assert diagram.classify_component(d, (0, 1, 2)) == "A~2"
 
 
-def test_type_rank_and_affinity():
-    assert diagram.type_rank("A3") == 3
-    assert diagram.type_rank("B~3") == 3
+def test_affinity():
     assert diagram.is_affine_type("A~1")
+    assert diagram.is_affine_type("B~3")
+    assert not diagram.is_affine_type("A3")
     assert not diagram.is_affine_type("A1")
 
 

@@ -6,9 +6,10 @@ the forms of the benchmark workloads plus the stretch forms (5,10),
 (volume, diagram and work counters included), and the root tables of
 four families.  The whole reports of the primes 29 to 83 at n = 2, 3
 are frozen too, each certificate verified.  A change meant to
-leave the output alone must keep them; a change that alters a
-certificate or a report on purpose bumps certificates.SCHEMA_VERSION or
-classify.REPORT_SCHEMA_VERSION and refreezes them with
+leave the output alone must keep them.  A change to a document's
+format bumps certificates.SCHEMA_VERSION or classify.REPORT_SCHEMA_VERSION;
+one that makes the search decide sooner, or otherwise alters a
+certificate or a report on purpose, refreezes the digests it alters with
 
     PYTHONPATH=src python -c "from test_golden import digests; digests()"
 
@@ -47,7 +48,7 @@ CERTIFICATE_SHA256 = {
     (13, 3): "d9c10a3e5f527d506165ec89e9319de09117464abca9f62dc58584b8882c766c",
     (19, 3): "efc2ddee54178bc5a353295ea18cbab1480d8d07f60e00cbfeb56babe3d999bd",
     (23, 3): "70fdbc1a2a66a017f744c8587314d3f89c540457a0a1e774c583f0598ae048ff",
-    (5, 10): "d03a423d1d7f1854db0db83e002de4a86ad4fb454cee2b9ba941ea2a111286e5",
+    (5, 10): "333d88fa282023802024df48020798af0cd36f40d97a250cb6accd21102f6c81",
     (17, 4): "fb8176b72e9a1f518f1e169176b582df9a220002dd96a1589488e0dc46329282",
     (29, 3): "861b55c8c9c9a1398018aa3450c0270357c22eccd4f0ef85aa0233a62a8f2f73",
 }
@@ -76,7 +77,7 @@ REPORT_SHA256 = {
     (13, 3): "4d32e28d2d908c2e40cceb31d6b5421bbca7d522be20ac64eb1ce6882870a3cb",
     (19, 3): "4462c2dc72858736a625a792dbd13bf93b75c272bd30d7066d8da01b9f793743",
     (23, 3): "0e39bb80b8d46ea5f4fac44952aa284748d56f64e04ea7566a845aa22c65921a",
-    (5, 10): "8d4c2499538977f0872478dfa12b736abd0601d804b5ae3108e92907922910c6",
+    (5, 10): "6f389207ab4e2c65868239014b98964f9cb0da87a3c240204da3143c17b51e0d",
     (17, 4): "cad3883357016cbf467ec39b39556a6c45e51bec3851d25a1e6eb0e17c725ba7",
     (29, 3): "c23940cb21eef5a2d6d703910f7928424fbca306c641eceb84892861ea16eb0e",
 }

@@ -439,17 +439,26 @@ def integer_matrices(draw, max_size=7, square=False):
 
 @st.composite
 def integer_systems(draw):
-    """An integer matrix with zero rows and columns, and one to three
-    right-hand sides, each either random (often inconsistent when A is
-    rank-deficient, often non-integral when A is square with |det A| > 1)
-    or A x for a random integer x (consistent).  Half the time A is then
-    scaled by q = 2..4, which turns every consistent A x column into one
-    whose solutions are x / q, so consistent and non-integral."""
-    A = draw(integer_matrices())
-    for j in draw(st.sets(st.integers(0, len(A[0]) - 1), max_size=2)):
-        for row in A:
-            row[j] = 0
+    """An integer matrix and one to three right-hand sides.  Half the
+    matrices are square or tall with random entries, so their columns are
+    independent but for chance, as solve's callers pass; the others come
+    from integer_matrices with zero rows and columns.  Each right-hand
+    side is either random (often inconsistent when A is tall or
+    rank-deficient, often non-integral when A is square with
+    |det A| > 1) or A x for a random integer x (consistent).  Half the
+    time A is then scaled by q = 2..4, which turns every consistent A x
+    column into one whose solutions are x / q, so consistent and
+    non-integral."""
     entries = st.integers(-6, 6)
+    if draw(st.booleans()):
+        cols = draw(st.integers(1, 5))
+        rows = draw(st.integers(cols, 7))
+        A = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    else:
+        A = draw(integer_matrices())
+        for j in draw(st.sets(st.integers(0, len(A[0]) - 1), max_size=2)):
+            for row in A:
+                row[j] = 0
     columns = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
@@ -503,7 +512,8 @@ def test_solve_matches_the_fraction_reference(system):
     A, B = system
     X = linalg.solve(A, B)
     refs = [oracles.fraction_solve(A, list(col)) for col in zip(*B)]
-    if any(x is None or any(t.denominator != 1 for t in x) for x in refs):
+    dependent = len(oracles.fraction_rref(A)[1]) < len(A[0])
+    if dependent or any(x is None or any(t.denominator != 1 for t in x) for x in refs):
         assert X is None
     else:
         assert X == [list(row) for row in zip(*refs)]
@@ -528,14 +538,17 @@ def test_inverse_matches_the_fraction_reference(A):
 
 def test_elimination_on_edge_shapes():
     assert linalg.solve([], []) == []
-    assert linalg.solve([[0, 2, 4]], [[6, 2]]) == [[0, 0], [3, 1], [0, 0]]
-    # x = (0, 3/2, 0) is rational only
-    assert linalg.solve([[0, 2, 4]], [[3]]) is None
-    assert linalg.solve([[0, 0, 0]], [[0]]) == [[0], [0], [0]]
+    # dependent columns: None, consistent or not
+    assert linalg.solve([[0, 2, 4]], [[6, 2]]) is None
+    assert linalg.solve([[0, 0, 0]], [[0]]) is None
     assert linalg.solve([[0, 0, 0]], [[1]]) is None
+    assert linalg.solve([[0], [0]], [[0, 0], [0, 0]]) is None
+    assert linalg.solve([[1, 1], [2, 2]], [[2], [4]]) is None
+    assert linalg.solve([[1, 1], [2, 2]], [[1], [3]]) is None
     assert linalg.solve([[0], [6], [1]], [[0], [12], [2]]) == [[2]]
     assert linalg.solve([[0], [6], [1]], [[1], [12], [2]]) is None
-    assert linalg.solve([[0], [0]], [[0, 0], [0, 0]]) == [[0, 0]]
-    assert linalg.solve([[1, 1], [2, 2]], [[1], [3]]) is None
+    # x = 3/2 is rational only
+    assert linalg.solve([[0], [2]], [[0], [3]]) is None
+    assert linalg.solve([[0, 1], [2, 0], [4, 0]], [[5, 0], [6, 2], [12, 4]]) == [[3, 1], [5, 0]]
     assert linalg.solve([[1, 2], [2, 4]], linalg.identity(2)) is None
     assert linalg.solve([[2, 1], [1, 1]], linalg.identity(2)) == [[1, -1], [-1, 2]]

@@ -158,6 +158,30 @@ def test_resume_from_final_reflective_state(search):
     assert report["certificate"] == classify_form(7, 3)["certificate"]
 
 
+@pytest.mark.parametrize("p,n", [(7, 4), (5, 9), (11, 5)])
+def test_resume_at_the_deciding_batch_is_nonreflective(search, p, n):
+    # a budget that accepts nothing past the state's cursor: only the cusp
+    # scan on entry can see that the resumed roots are already decided
+    form = Form(p, n)
+    fresh = search(p, n)
+    assert fresh.status == "nonreflective"
+    k = fresh.state.batches_done
+    state = SearchState.from_json(fresh.state.to_json())
+    resumed = run_search(form, Budget(max_height=oracles.open_height(form, k - 1)), state=state)
+    assert resumed.status == "nonreflective"
+    assert resumed.roots == fresh.roots
+    assert resumed.state.batches_done == k
+    assert resumed.certificate == fresh.certificate
+
+
+def test_cusp_scan_decides_23_4_in_search():
+    # the (23,4) obstruction has affine rank below n - 2; the scan tests
+    # every null vector, so the search stops there, short of max_roots
+    res = run_search(Form(23, 4))
+    assert res.status == "nonreflective"
+    assert len(res.roots) < Budget().max_roots
+
+
 def test_resume_rejects_tampered_reflective_state(search):
     # the final (7,3) state with accepted[3] reflected in accepted[4]: the
     # resumed search closes a chamber that the real search never reaches
