@@ -542,7 +542,7 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
         return ["payload.frame_to.corner: corners must be distinct of equal norm"]
 
     def apply(v):
-        return tuple(sum(T[i][j] * v[j] for j in range(form.dim)) for i in range(form.dim))
+        return tuple(linalg.mat_vec(T, v))
 
     if apply(c_from) != c_to:
         issues.append("payload.matrix: does not map the source corner to the target")

@@ -19,7 +19,7 @@ from typing import Optional
 from vinberg import certificates, diagram, isometry, volume
 from vinberg.errors import ConsistencyError, VinbergError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, replay, run_search
+from vinberg.search import Budget, SearchState, default_counters, replay, run_search
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -120,7 +120,7 @@ def _inherited_report(
         "roots": None,
         "diagram": None,
         "certificate": certificate,
-        "timings": {"batches": 0, "candidates": 0, "accepted": 0, "volume_checks": 0},
+        "timings": default_counters(),
         "budget": _budget_json(budget),
         "inherited_from": base_certificate["form"]["n"],
     }

@@ -2,22 +2,22 @@
 
 A cone {y : a . y <= 0 for all a} in Q^d is carried as generators split
 into lines (the lineality space) and rays, all scaled to primitive integer
-vectors.  Adjacency of rays is decided algebraically, by the rank of the
-common tight constraint set, so redundant rays can never corrupt the
-result; they only cost a little time at the sizes that occur here.
+vectors.  The rays are exactly the extreme rays modulo the lineality
+space, each once, and each carries the set of constraints it is tight on,
+which is the cone's face lattice.  So adjacency of two rays is decided
+combinatorially (Fukuda and Prodon 1996): they span a 2-face iff no third
+ray is tight on every constraint both are tight on.
 
 A Cone holds the double-description state: lines, rays, the constraints
 each ray is tight on, and the constraints processed so far.  Passing one
-to cone_generators adds constraints to it one at a time (Fukuda and
-Prodon 1996), so a cone cut out by a growing list is never recomputed;
-without one, the call starts from the whole space.
+to cone_generators adds constraints to it one at a time, so a cone cut
+out by a growing list is never recomputed; without one, the call starts
+from the whole space.  The module imports nothing else from vinberg.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-from vinberg import linalg
 
 
 def primitive_vector(v) -> tuple[int, ...]:
@@ -33,8 +33,12 @@ def _dot(a, v):
 class Cone:
     """Double-description state of {y : a . y <= 0 for every processed a}.
 
-    rays[k] is tight on processed[i] exactly for i in tight[k].  Rays may
-    repeat or be redundant; generators() gives the canonical generators.
+    rays[k] is tight on processed[i] exactly for i in tight[k].  The rays
+    are exactly the extreme rays modulo the lineality space spanned by
+    lines, each once and nonzero: a constraint that cuts a line projects
+    the rays along it and adds it as one new ray, and one that cuts no
+    line keeps the rays on its side and adds one per adjacent pair it
+    separates, so no step repeats a ray or keeps a redundant one.
     """
 
     def __init__(self, dim):
@@ -44,8 +48,8 @@ class Cone:
         self.processed: list[tuple] = []
 
     def generators(self) -> tuple[list, list]:
-        """(lines, rays), sorted, the rays distinct and nonzero."""
-        return sorted(self.lines), sorted({r for r in self.rays if any(r)})
+        """(lines, rays), sorted."""
+        return sorted(self.lines), sorted(self.rays)
 
 
 def cone_generators(constraints, dim, cone=None) -> tuple[list, list]:
@@ -94,16 +98,17 @@ def cone_generators(constraints, dim, cone=None) -> tuple[list, list]:
             pos = [k for k, v in enumerate(values) if v > 0]
             new_rays = [rays[k] for k in neg + zero]
             new_tight = [tight[k] for k in neg] + [tight[k] | here for k in zero]
+            # a 2-face is cut out by constraints of rank need, so by at
+            # least need of them
             need = dim - len(lines) - 2
             for kp in pos:
                 for kn in neg:
                     common = tight[kp] & tight[kn]
-                    # rays span a 2-face exactly when the common tight
-                    # constraints cut the space down to lineality plus a
-                    # plane, which takes at least need of them
-                    if len(rays) > 2 and (len(common) < need or linalg.rank(
-                        [processed[c] for c in sorted(common)]
-                    ) != need):
+                    # the smallest face holding both rays is spanned by the
+                    # rays tight on common; it is a 2-face iff they are the two
+                    if len(common) < need or any(
+                        common <= t for k, t in enumerate(tight) if k != kp and k != kn
+                    ):
                         continue
                     vp, vn = values[kp], values[kn]
                     new_rays.append(primitive_vector(

@@ -45,22 +45,17 @@ def chamber_corners(chamber) -> list[dict]:
     cone on the non-positive side of every root, as primitive
     future-pointing vectors, each with the indices of all roots
     orthogonal to it: the cone's tight set of the ray.  Sorted by vector.
+    The cone is pointed, so each extreme ray is tight on walls of rank n.
     """
-    form, roots = chamber.form, chamber.roots
+    form = chamber.form
     cone = chamber.chamber_cone()
-    lines, rays = cone.generators()
-    if lines:
+    if cone.lines:
         return []
-    tight = dict(zip(cone.rays, cone.tight))
-    corners = []
-    for ray in rays:
-        if form.norm(ray) >= 0 or ray[0] <= 0:
-            continue
-        orth = sorted(tight[ray])
-        if linalg.rank([list(roots[i]) for i in orth]) < form.n:
-            continue
-        corners.append({"vector": ray, "orthogonal": orth})
-    return corners
+    return [
+        {"vector": ray, "orthogonal": sorted(tight)}
+        for ray, tight in sorted(zip(cone.rays, cone.tight))
+        if form.norm(ray) < 0 and ray[0] > 0
+    ]
 
 
 def corner_height_bound(form: Form, corner) -> Fraction:
@@ -140,12 +135,12 @@ def vertex_walls(form: Form, corner) -> list:
     walls = sorted(oriented)
     cone = cones.Cone(dim)
     cones.cone_generators([form.dual(w) for w in walls], dim, cone)
-    # a wall is a facet when the generators tight on it span a hyperplane
-    return [
-        w for k, w in enumerate(walls)
-        if linalg.rank(cone.lines + [r for r, t in zip(cone.rays, cone.tight) if k in t])
-        == dim - 1
+    # the germ cone is full-dimensional and its rays are its extreme rays,
+    # so a wall is a facet iff no other wall's face holds more of them
+    faces = [
+        frozenset(i for i, t in enumerate(cone.tight) if k in t) for k in range(len(walls))
     ]
+    return [w for w, face in zip(walls, faces) if not any(face < other for other in faces)]
 
 
 def frame_map(form: Form, frame_from, frame_to):
@@ -216,7 +211,7 @@ def infinite_order_evidence(T) -> dict | None:
     T = [list(row) for row in T]
     dim = len(T)
     bound = max_finite_order(dim)
-    identity = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    identity = linalg.identity(dim)
     power = T
     for _ in range(bound):
         if power == identity:

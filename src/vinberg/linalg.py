@@ -6,8 +6,8 @@ matrix or a frame of lattice vectors, and every answer is an int.
 Nothing here touches Fractions or floating point; every routine is
 deterministic, so identical inputs give byte-identical downstream reports.
 
-solve, rank and psd_classify use Bareiss's fraction-free elimination,
-whose exact divisions keep entries the size of minors; solve returns the
+solve and psd_classify use Bareiss's fraction-free elimination, whose
+exact divisions keep entries the size of minors; solve returns the
 integral solution of a system with several right-hand sides, or None.
 Echelon keeps a growing set of rows in echelon form, so each new row's
 independence costs one reduction.  short_vectors (Fincke-Pohst) walks its
@@ -57,39 +57,6 @@ def exgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def rank(A) -> int:
-    """Rank of an integer matrix, by fraction-free elimination.
-
-    Bareiss's elimination as in psd_classify: with pivot d at (r, c) and
-    prev the previous pivot, every entry right of the pivot column in a
-    later row becomes (d A[i][j] - A[i][c] A[r][j]) // prev, an exact
-    division, since each active entry is a minor of A.  So zeros, and with
-    them the pivots, match the rational elimination.
-    """
-    M = [list(row) for row in A]
-    cols = len(M[0]) if M else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        prow = M[r]
-        d = prow[c]
-        for i in range(r + 1, len(M)):
-            row = M[i]
-            f = row[c]
-            for j in range(c + 1, cols):
-                row[j] = (d * row[j] - f * prow[j]) // prev
-            row[c] = 0
-        prev = d
-        r += 1
-        if r == len(M):
-            break
-    return r
 
 
 class Echelon:

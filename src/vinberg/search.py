@@ -72,8 +72,14 @@ class Budget:
 STATE_SCHEMA_VERSION = 2
 
 
-def _default_counters() -> dict:
+def default_counters() -> dict:
+    """The search's work counters, all zero: the keys of every state's and
+    report's counters."""
     return {"batches": 0, "candidates": 0, "accepted": 0, "volume_checks": 0}
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 @dataclass
@@ -83,7 +89,7 @@ class SearchState:
     form: Form
     accepted: list
     batches_done: int = 0
-    counters: dict = field(default_factory=_default_counters)
+    counters: dict = field(default_factory=default_counters)
     # (k0, m) of the batch at the cursor, kept by fresh and replay; not
     # serialized, so None on a state read from JSON until it is replayed
     next_batch: Optional[tuple[int, int]] = None
@@ -120,13 +126,20 @@ class SearchState:
         if version != STATE_SCHEMA_VERSION:
             raise ValueError(f"schema_version: unsupported value {version!r}")
         batches = doc["batches_done"]
-        if not isinstance(batches, int) or isinstance(batches, bool) or batches < 0:
+        if not _is_count(batches):
             raise ValueError("batches_done: not a non-negative integer")
+        counters = doc["counters"]
+        if not (
+            isinstance(counters, dict)
+            and counters.keys() == default_counters().keys()
+            and all(map(_is_count, counters.values()))
+        ):
+            raise ValueError("counters: not the four work counters as non-negative integers")
         return cls(
             form=Form(doc["form"]["p"], doc["form"]["n"]),
             accepted=[tuple(r) for r in doc["accepted"]],
             batches_done=batches,
-            counters=dict(doc["counters"]),
+            counters=dict(counters),
         )
 
 

@@ -10,9 +10,10 @@ span the whole space and
   (b) for every hyperbolic critical subdiagram S, the set of directions
       orthogonal to S and on the non-positive side of every wall is {0}.
 That set is the face of the chamber cone C = {x : <x, r> <= 0 for every
-root} tight on S.  The rank is checked first, so C is pointed, and a face
-of a pointed cone is spanned by the extreme rays it holds: (b) fails for
-S exactly when some ray of C is tight on every wall of S.
+root} tight on S.  The rank is checked first, as the dimension less that
+of C's lineality space, so C is pointed, and a face of a pointed cone is
+spanned by the extreme rays it holds: (b) fails for S exactly when some
+ray of C is tight on every wall of S.
 
 This is the only finite-volume decider the search runs.  Reflective
 certificates confirm its verdict without the diagram:
@@ -52,7 +53,7 @@ with the search.
 
 from __future__ import annotations
 
-from vinberg import cones, diagram as dg, linalg
+from vinberg import cones, diagram as dg
 from vinberg.errors import ConsistencyError
 
 
@@ -226,17 +227,20 @@ def cone_fixed_set(chamber, nodes) -> list:
 
     They span the face {x in C : <x, r_i> = 0 for i in nodes} of the
     chamber cone C; when C is pointed, that face is the fixed cone of the
-    walls and is {0} exactly when the list is empty.
+    walls and is {0} exactly when the list is empty.  The cone's raw rays
+    are its extreme rays, each once and nonzero, so none is filtered out.
     """
     cone = chamber.chamber_cone()
     nodes = set(nodes)
-    # a zero ray is tight on every wall and spans nothing
-    return [r for r, t in zip(cone.rays, cone.tight) if nodes <= t and any(r)]
+    return [r for r, t in zip(cone.rays, cone.tight) if nodes <= t]
 
 
 def _critical_decider(chamber, report) -> bool:
     form = chamber.form
-    rk = linalg.rank(chamber.gram)
+    # the walls' span: the initial roots span the definite hyperplane
+    # x0 = 0 and a later root leaves it, so the form is nondegenerate on
+    # the span and this is also the rank of the Gram
+    rk = form.dim - len(chamber.chamber_cone().lines)
     report["rank"] = rk
     if rk != form.dim:
         report["rank_deficient"] = True

@@ -9,7 +9,8 @@ order by factoring the characteristic polynomial with sympy, finite
 volume by counting the vertices on every edge of the chamber, diagram
 edges, critical sets and affine components from scratch, reduced
 row echelon forms, kernels, solutions, determinants and LDL
-decompositions by elimination in Fraction arithmetic, fixed cones of wall sets by a double description of
+decompositions by elimination in Fraction arithmetic, ranks by Bareiss
+elimination, fixed cones of wall sets by a double description of
 their own, the orientation of roots orthogonal to the control vertex by
 solving over the initial simple system.  None of them share a decision
 procedure with the fast paths they check.
@@ -107,6 +108,41 @@ def fraction_det(A):
                 M[i] = [x - f * y for x, y in zip(M[i], M[c])]
     result *= sign
     return int(result) if result.denominator == 1 else result
+
+
+def rank(A) -> int:
+    """Rank of an integer matrix, by fraction-free elimination.
+
+    Bareiss's elimination as in linalg.psd_classify: with pivot d at
+    (r, c) and prev the previous pivot, every entry right of the pivot
+    column in a later row becomes (d A[i][j] - A[i][c] A[r][j]) // prev,
+    an exact division, since each active entry is a minor of A.  So zeros,
+    and with them the pivots, match the rational elimination.  The package
+    reads every rank off its double-description cones; this is the
+    reference they are checked against.
+    """
+    M = [list(row) for row in A]
+    cols = len(M[0]) if M else 0
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        prow = M[r]
+        d = prow[c]
+        for i in range(r + 1, len(M)):
+            row = M[i]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (d * row[j] - f * prow[j]) // prev
+            row[c] = 0
+        prev = d
+        r += 1
+        if r == len(M):
+            break
+    return r
 
 
 def clear_denominators(v):

@@ -112,3 +112,23 @@ def test_lattice_layer_builds_no_fraction():
         assert (name, fraction_uses(fn)) == (name, [])
     # the scan sees the Fractions the module does build elsewhere
     assert fraction_uses(tree) != []
+
+
+def vinberg_imports(tree) -> list[int]:
+    """Lines in an AST that import the vinberg package or a module of it,
+    relative imports included."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "vinberg" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "vinberg")
+    ]
+
+
+def test_double_description_stands_alone():
+    # cones reads every rank fact off its own face lattice, so it needs no
+    # other module of the package
+    package = PACKAGE_DIRS[0]
+    assert vinberg_imports(ast.parse((package / "cones.py").read_text())) == []
+    # the scan sees the package imports the other modules do make
+    assert vinberg_imports(ast.parse((package / "volume.py").read_text())) != []

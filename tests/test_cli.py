@@ -170,6 +170,19 @@ def test_resume_rejects_forged_undecided_state(runner, tmp_path, forged_13_3_sta
     assert state_file.read_text() == before
 
 
+@pytest.mark.parametrize("counters", [{}, {"batches": "x"}])
+def test_resume_rejects_malformed_counters(runner, tmp_path, search, counters):
+    state_file = tmp_path / "state.json"
+    doc = search(13, 3).state.to_json()
+    doc["counters"] = dict(doc["counters"], **counters) if counters else counters
+    state_file.write_text(json.dumps(doc))
+    res = runner.invoke(
+        main, ["classify", "13", "3", "--max-roots", "12", "--resume", str(state_file)]
+    )
+    assert res.exit_code == 2
+    assert "counters" in res.output
+
+
 def _package_env() -> dict:
     src = str(Path(vinberg.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vinberg import linalg
 from vinberg.cones import Cone, cone_generators, primitive_vector
 
 
@@ -119,11 +118,11 @@ def _brute_force_faces(cons, dim):
     """Tight-constraint sets of the one-step-above-lineality faces of
     {a . y <= 0}, and a primitive direction for each, by scanning every
     constraint subset of rank one below the full rank."""
-    r = linalg.rank(cons)
+    r = oracles.rank(cons)
     faces = {}
     for size in range(r):
         for subset in combinations(range(len(cons)), size):
-            if linalg.rank([cons[i] for i in subset]) != r - 1:
+            if oracles.rank([cons[i] for i in subset]) != r - 1:
                 continue
             rows = [cons[i] for i in subset] or [[0] * dim]
             for k in oracles.fraction_kernel(rows):
@@ -154,11 +153,11 @@ constraint_sets = st.integers(1, 5).flatmap(
 def test_generators_match_brute_force_extreme_rays(case):
     dim, cons = case
     lines, rays = cone_generators(cons, dim)
-    assert len(lines) == dim - linalg.rank(cons)
+    assert len(lines) == dim - oracles.rank(cons)
     for l in lines:
         assert all(_dot(a, l) == 0 for a in cons)
     if cons:
-        assert linalg.rank(lines + [list(a) for a in cons]) == dim
+        assert oracles.rank(lines + [list(a) for a in cons]) == dim
     faces = _brute_force_faces(cons, dim)
     tight = [frozenset(i for i, a in enumerate(cons) if _dot(a, r) == 0) for r in rays]
     for r in rays:
@@ -184,7 +183,9 @@ def test_live_cone_fed_in_chunks_matches_one_shot_on_every_prefix(case):
     # the chamber cone of a search is fed each batch's new walls; after
     # every chunk it must be the cone of the whole prefix, and every ray
     # must know exactly the constraints it is tight on (the face test
-    # of condition (b) reads nothing else)
+    # of condition (b) reads nothing else); the raw rays are the extreme
+    # rays modulo the lineality space, each once, which the adjacency test
+    # and every reader of the rays rely on
     (dim, cons), cuts = case
     cone = Cone(dim)
     for start, stop in zip([0] + cuts, cuts + [len(cons)]):
@@ -192,6 +193,13 @@ def test_live_cone_fed_in_chunks_matches_one_shot_on_every_prefix(case):
         assert cone_generators(cons[start:stop], dim, cone) == cone_generators(prefix, dim)
         assert cone.processed == [tuple(a) for a in prefix]
         assert len(cone.tight) == len(cone.rays)
+        assert len(set(cone.rays)) == len(cone.rays)
         for r, tight in zip(cone.rays, cone.tight):
             assert any(r)
             assert tight == {i for i, a in enumerate(prefix) if _dot(a, r) == 0}
+        # one ray per face one step above the lineality space
+        faces = _brute_force_faces(prefix, dim)
+        assert sorted(cone.tight, key=sorted) == sorted(faces, key=sorted)
+        if not cone.lines:
+            # a pointed cone's extreme rays are determined exactly
+            assert dict(zip(cone.tight, cone.rays)) == faces

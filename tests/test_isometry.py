@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from vinberg import isometry, linalg, search as vsearch, volume
+from vinberg import cones, isometry, linalg, search as vsearch, volume
 from vinberg.forms import Form
 
 
@@ -78,6 +78,37 @@ def test_vertex_walls_match_accepted_walls_at_certified_corners(search):
             continue
         walls = isometry.vertex_walls(form, c["vector"])
         assert walls == sorted(roots[i] for i in c["orthogonal"]), c
+
+
+@pytest.mark.parametrize("p,n", [(13, 3), (19, 3), (23, 3)])
+def test_corner_walls_match_the_rank_tests(search, monkeypatch, p, n):
+    # chamber_corners keeps every extreme ray of negative norm and
+    # vertex_walls picks facets by their tight rays; the rank tests they
+    # replace are the reference: walls of rank n at each corner, and a
+    # facet where the generators tight on a wall span a hyperplane
+    form = Form(p, n)
+    result = search(p, n)
+    corners = isometry.chamber_corners(result.chamber)
+    assert corners
+    built = []
+    dd = cones.cone_generators
+
+    def record(constraints, dim, cone=None):
+        built.append(cone)
+        return dd(constraints, dim, cone)
+
+    monkeypatch.setattr(cones, "cone_generators", record)
+    for c in corners:
+        assert oracles.rank([result.roots[i] for i in c["orthogonal"]]) == n, c
+        built.clear()
+        walls = isometry.vertex_walls(form, c["vector"])
+        (cone,) = built
+        facets = [
+            a for k, a in enumerate(cone.processed)
+            if oracles.rank(cone.lines + [r for r, t in zip(cone.rays, cone.tight) if k in t])
+            == form.dim - 1
+        ]
+        assert [form.dual(w) for w in walls] == facets, c
 
 
 @pytest.mark.parametrize("p,n", [(13, 3), (19, 3)])

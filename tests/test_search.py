@@ -236,6 +236,21 @@ def test_state_rejects_unknown_schemas_and_bad_cursors():
     for batches in (True, -1, "3", 2.0):
         with pytest.raises(ValueError, match="batches_done"):
             SearchState.from_json(dict(doc, batches_done=batches))
+    counters = doc["counters"]
+    for bad in (
+        {},
+        [],
+        None,
+        {k: v for k, v in counters.items() if k != "volume_checks"},
+        dict(counters, extra=0),
+        dict(counters, batches="x"),
+        dict(counters, candidates=-1),
+        dict(counters, accepted=True),
+        dict(counters, volume_checks=1.0),
+    ):
+        with pytest.raises(ValueError, match="counters"):
+            SearchState.from_json(dict(doc, counters=bad))
+    assert SearchState.from_json(doc).counters == counters
     missing = {k: v for k, v in doc.items() if k != "schema_version"}
     with pytest.raises(KeyError, match="schema_version"):
         SearchState.from_json(missing)

@@ -255,7 +255,10 @@ def test_face_test_matches_a_scratch_fixed_cone_on_every_prefix(search, p, n):
     for k in range(n, len(roots) + 1):
         prefix = roots[:k]
         chamber.grow(prefix)
-        if linalg.rank(chamber.gram) != form.dim:
+        # the decider reads the walls' rank off the chamber cone's lines
+        rk = oracles.rank(chamber.gram)
+        assert form.dim - len(chamber.chamber_cone().lines) == rk, k
+        if rk != form.dim:
             continue  # condition (b) is read only on a pointed chamber cone
         for nodes, cls in chamber.critical.items():
             if cls == "hyperbolic":
