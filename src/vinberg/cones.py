@@ -18,6 +18,7 @@ from the whole space.  The module imports nothing else from vinberg.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 
 def primitive_vector(v) -> tuple[int, ...]:
@@ -27,7 +28,7 @@ def primitive_vector(v) -> tuple[int, ...]:
 
 
 def _dot(a, v):
-    return sum(x * y for x, y in zip(a, v))
+    return sum(map(mul, a, v))
 
 
 class Cone:

@@ -13,8 +13,8 @@ semidefiniteness of the Gram matrix; a mismatch raises ConsistencyError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from vinberg import linalg
 from vinberg.errors import ConsistencyError, DiagramError
@@ -27,12 +27,14 @@ SIMPLE, DOUBLE, TRIPLE, PARALLEL, DIVERGENT = (
     "divergent",
 )
 
-_COS2_KIND = {
-    Fraction(1, 4): SIMPLE,
-    Fraction(1, 2): DOUBLE,
-    Fraction(3, 4): TRIPLE,
-    Fraction(1): PARALLEL,
-}
+# 4 cos^2 -> kind
+_COS2_KIND = {1: SIMPLE, 2: DOUBLE, 3: TRIPLE, 4: PARALLEL}
+
+
+def _cos2(ip: int, q: int) -> tuple[int, int]:
+    """cos^2 = ip^2 / q in lowest terms, for a product of norms q > 0."""
+    g = gcd(ip * ip, q)
+    return ip * ip // g, q // g
 
 
 class Diagram:
@@ -58,7 +60,10 @@ class Diagram:
 
         The new pairs are checked in lexicographic order before anything
         is stored, so a bad angle raises the DiagramError that building the
-        whole list at once would, and leaves the diagram as it was.
+        whole list at once would, and leaves the diagram as it was.  The
+        angle test is in integers: with q > 0 the product of the two norms,
+        4 ip^2 = k q for k = 1..4 gives the kind, and 4 ip^2 > 4 q a
+        divergent pair.
         """
         k = len(self.norms)
         norms = self.norms + [row[k + t] for t, row in enumerate(rows)]
@@ -67,12 +72,14 @@ class Diagram:
             for j in range(max(i + 1, k), len(norms)):
                 ip = rows[j - k][i]
                 if ip:
-                    cos2 = Fraction(ip * ip, norms[i] * norms[j])
-                    edges[(i, j)] = DIVERGENT if cos2 > 1 else _COS2_KIND.get(cos2)
-                    if edges[(i, j)] is None:
+                    a, q = 4 * ip * ip, norms[i] * norms[j]
+                    kind = DIVERGENT if a > 4 * q > 0 else None if a % q else _COS2_KIND.get(a // q)
+                    if kind is None:
+                        num, den = _cos2(ip, q)
                         raise DiagramError(
-                            f"walls {i} and {j} meet at cos^2 = {cos2}, outside the crystallographic set"
+                            f"walls {i} and {j} meet at cos^2 = {num}/{den}, outside the crystallographic set"
                         )
+                    edges[(i, j)] = kind
         for i, row in enumerate(self.gram):
             row.extend(new[i] for new in rows)
         self.gram.extend(list(row) for row in rows)
@@ -364,18 +371,8 @@ def diagram_json(form, roots) -> dict:
     ]
     edges = []
     for (i, j), kind in sorted(diagram.edges.items()):
-        cos2 = Fraction(
-            diagram.gram[i][j] ** 2, diagram.norms[i] * diagram.norms[j]
-        )
-        edges.append(
-            {
-                "i": i,
-                "j": j,
-                "kind": kind,
-                "cos2_num": cos2.numerator,
-                "cos2_den": cos2.denominator,
-            }
-        )
+        num, den = _cos2(diagram.gram[i][j], diagram.norms[i] * diagram.norms[j])
+        edges.append({"i": i, "j": j, "kind": kind, "cos2_num": num, "cos2_den": den})
     return {"nodes": nodes, "edges": edges}
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 Vector = tuple[int, ...]
 
@@ -51,7 +52,8 @@ class Form:
     def inner_product(self, u: Vector, v: Vector) -> int:
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return -self.p * u[0] * v[0] + sum(a * b for a, b in zip(u[1:], v[1:]))
+        # the plain dot product, less (p + 1) u0 v0 for coordinate 0's sign
+        return sum(map(mul, u, v)) - (self.p + 1) * u[0] * v[0]
 
     def norm(self, v: Vector) -> int:
         return self.inner_product(v, v)

@@ -24,6 +24,7 @@ throughout.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -37,11 +38,11 @@ def transpose(A: Sequence[Sequence]) -> list[list]:
 
 def mat_mul(A, B):
     Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_vec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -611,11 +612,8 @@ def congruent_short_vectors(
         B = congruence_basis(rows, p, n)
         Bt = transpose(B)
         H = mat_mul(mat_mul(B, G), Bt)
-
-        def lift(y, m) -> bool:
-            return keep(tuple(sum(a * b for a, b in zip(col, y)) for col in Bt), m)
-
-        short_vectors(H, fine, lift)
+        # walk the basis coordinates y and keep x = B^T y
+        short_vectors(H, fine, lambda y, m: keep(tuple(mat_vec(Bt, y)), m))
     if coarse and not stopped:
         short_vectors(G, coarse, keep)
     return found

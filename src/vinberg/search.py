@@ -78,8 +78,12 @@ def default_counters() -> dict:
     return {"batches": 0, "candidates": 0, "accepted": 0, "volume_checks": 0}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    return _is_int(v) and v >= 0
 
 
 @dataclass
@@ -135,9 +139,25 @@ class SearchState:
             and all(map(_is_count, counters.values()))
         ):
             raise ValueError("counters: not the four work counters as non-negative integers")
+        form = doc["form"]
+        if not isinstance(form, dict):
+            raise ValueError("form: not an object with p and n")
+        for key in ("p", "n"):
+            if not _is_int(form[key]):
+                raise ValueError(f"form.{key}: not an integer")
+        form = Form(form["p"], form["n"])
+        accepted = doc["accepted"]
+        if not (
+            isinstance(accepted, list)
+            and all(
+                isinstance(r, list) and len(r) == form.dim and all(map(_is_int, r))
+                for r in accepted
+            )
+        ):
+            raise ValueError(f"accepted: not a list of rows of {form.dim} integers")
         return cls(
-            form=Form(doc["form"]["p"], doc["form"]["n"]),
-            accepted=[tuple(r) for r in doc["accepted"]],
+            form=form,
+            accepted=[tuple(r) for r in accepted],
             batches_done=batches,
             counters=dict(counters),
         )

@@ -29,7 +29,11 @@ product computed once, and edges; then one walk (critical_submatrices)
 from the new walls records the new critical sets and affine components.
 The walk classifies each set it meets, an elliptic set plus one wall, by
 bordered elimination against that elliptic set's stored pivot rows, and
-decides which indefinite sets are critical once it has finished.  The
+decides which indefinite sets are critical once it has finished.  A
+hyperbolic critical set of 3 or more walls is a Lanner diagram, of at
+most 5 walls, so only indefinite sets of 3 to 5 walls are tested for
+minimality: larger ones are dropped, and 2-wall ones kept, without a
+test.  The
 object also keeps the PSD class of every wall subset classified, keyed
 by node set (Diagram.classes); C as one live cones.Cone, given only the
 walls it lacks when (b) or a corner is read; the hyperbolic S proved to
@@ -161,12 +165,17 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
     and parabolic.
 
     An indefinite t is critical, and hyperbolic, when dropping any one
-    wall leaves a definite set.  That is decided after the walk, when
-    every connected elliptic set holding a start node is known: t - {u}
-    is definite iff each of its connected components is a single wall or
-    has the memoised class "definite" (diagram.psd_class), which the walk
-    recorded for the sets it reached; a component it did not reach gets
-    psd_classify, so the answer never rests on the walk's reach.  Returns
+    wall leaves a definite set.  With 3 or more nodes its pairs are then
+    definite, so every angle is finite and t is a Lanner diagram, which
+    has at most 5 nodes (Lanner 1950; Vinberg 1985, Hyperbolic reflection
+    groups): a larger t is dropped untested.  A 2-node t is kept untested,
+    since its proper subsets are single walls, of positive norm.
+    For 3 to 5 nodes the test runs after the walk, when every connected
+    elliptic set holding a start node is known: t - {u} is definite iff
+    each of its connected components is a single wall or has the memoised
+    class "definite" (diagram.psd_class), which the walk recorded for the
+    sets it reached; a component it did not reach gets psd_classify, so
+    the answer never rests on the walk's reach.  Returns
     (critical, affine): node sets to "parabolic" or "hyperbolic", in the
     order the walk met them, and node sets to catalog types.
     """
@@ -204,7 +213,9 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
                 classes[t] = "indefinite"
                 critical[t] = "hyperbolic"  # kept only if the test below holds
     for t, cls in list(critical.items()):
-        if cls == "hyperbolic" and not all(_definite(diagram, t - {u}) for u in t):
+        if cls == "hyperbolic" and (
+            len(t) > 5 or len(t) > 2 and not all(_definite(diagram, t - {u}) for u in t)
+        ):
             del critical[t]
     return critical, affine
 

@@ -347,18 +347,17 @@ def has_finite_order(T):
     return radical.is_zero_matrix
 
 
-def scratch_edges(form, roots):
-    """Diagram edges of roots from their whole Gram, pair by pair in
-    lexicographic order, raising DiagramError at the first angle outside
-    the crystallographic set."""
+def scratch_edges(gram):
+    """Diagram edges of walls from their whole Gram, pair by pair in
+    lexicographic order, each cos^2 a Fraction, raising DiagramError at
+    the first angle outside the crystallographic set."""
     from vinberg.diagram import DIVERGENT, DOUBLE, PARALLEL, SIMPLE, TRIPLE
     from vinberg.errors import DiagramError
 
     kinds = {Fraction(1, 4): SIMPLE, Fraction(1, 2): DOUBLE,
              Fraction(3, 4): TRIPLE, Fraction(1): PARALLEL}
-    gram = form.gram(roots)
     edges = {}
-    for i, j in combinations(range(len(roots)), 2):
+    for i, j in combinations(range(len(gram)), 2):
         ip = gram[i][j]
         if ip == 0:
             continue

@@ -99,9 +99,10 @@ def fraction_uses(tree) -> list[int]:
 
 
 def test_lattice_layer_builds_no_fraction():
-    # the lattice layer is integer-only: exact divisions, no rationals
+    # the lattice layer is integer-only: exact divisions, no rationals;
+    # so are the diagram's angle test and the finite-volume walk
     package = PACKAGE_DIRS[0]
-    for name in ("linalg", "cones", "quotient"):
+    for name in ("linalg", "cones", "quotient", "diagram", "volume"):
         tree = ast.parse((package / f"{name}.py").read_text())
         assert (name, fraction_uses(tree)) == (name, [])
     tree = ast.parse((package / "isometry.py").read_text())

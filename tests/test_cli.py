@@ -183,6 +183,28 @@ def test_resume_rejects_malformed_counters(runner, tmp_path, search, counters):
     assert "counters" in res.output
 
 
+@pytest.mark.parametrize(
+    "field,tamper",
+    [
+        ("accepted", lambda doc: doc.update(accepted=[[float(x) for x in r] for r in doc["accepted"]])),
+        ("accepted", lambda doc: doc["accepted"][4].pop()),
+        ("form.p", lambda doc: doc["form"].update(p="13")),
+        ("form", lambda doc: doc.update(form=[13, 3])),
+    ],
+    ids=["float-rows", "short-row", "string-p", "form-list"],
+)
+def test_resume_rejects_mistyped_state(runner, tmp_path, search, field, tamper):
+    state_file = tmp_path / "state.json"
+    doc = search(13, 3).state.to_json()
+    tamper(doc)
+    state_file.write_text(json.dumps(doc))
+    res = runner.invoke(
+        main, ["classify", "13", "3", "--max-roots", "12", "--resume", str(state_file)]
+    )
+    assert res.exit_code == 2
+    assert f"{field}:" in res.output
+
+
 def _package_env() -> dict:
     src = str(Path(vinberg.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

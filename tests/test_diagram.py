@@ -4,11 +4,13 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracles
 from vinberg import diagram, volume
-from vinberg.errors import ConsistencyError
+from vinberg.errors import ConsistencyError, DiagramError
 from vinberg.forms import Form
 
 
@@ -32,6 +34,61 @@ def gram_diagram(gram):
     d = diagram.Diagram()
     d.extend(gram)
     return d
+
+
+@st.composite
+def root_norm_grams(draw):
+    """A symmetric Gram on root norms 1, 2, p, 2p and a split point k.
+
+    Each inner product is one at a crystallographic angle for its pair of
+    norms (4 ip^2 = j <u,u> <v,v>, j = 0..4) or, in half the Grams, also
+    any integer of about that size, so bad angles and divergent pairs
+    both occur.
+    """
+    # p = 3 is not a form's prime, but norms 2 and 6 are the only ones here
+    # that meet in a triple bond (ip = 3)
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    size = draw(st.integers(2, 6))
+    norms = [draw(st.sampled_from([1, 2, p, 2 * p])) for _ in range(size)]
+    wild = draw(st.booleans())
+    gram = [[0] * size for _ in range(size)]
+    for i in range(size):
+        gram[i][i] = norms[i]
+        for j in range(i + 1, size):
+            q = norms[i] * norms[j]
+            good = [ip for ip in range(-2 * p, 2 * p + 1) if 4 * ip * ip in (0, q, 2 * q, 3 * q, 4 * q)]
+            any_ip = st.integers(-2 * p - 2, 2 * p + 2)
+            ip = draw(st.sampled_from(good) | any_ip if wild else st.sampled_from(good))
+            gram[i][j] = gram[j][i] = ip
+    return gram, draw(st.integers(0, size))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=root_norm_grams())
+def test_integer_angle_test_matches_fraction_oracle(drawn):
+    # extend classifies angles in integers; the oracle builds a Fraction
+    # cos^2 per pair.  Grown in two steps, as a search grows its walls
+    gram, k = drawn
+    d = diagram.Diagram()
+    for size, rows in ((k, [row[:k] for row in gram[:k]]), (len(gram), gram[k:])):
+        try:
+            expected, error = oracles.scratch_edges([row[:size] for row in gram[:size]]), None
+        except DiagramError as exc:
+            expected, error = None, str(exc)
+        before = (len(d), dict(d.edges))
+        try:
+            d.extend(rows)
+        except DiagramError as exc:
+            assert str(exc) == error
+            # a failed extend stores nothing
+            assert (len(d), d.edges) == before
+            break
+        assert error is None and d.edges == expected
+    for i in range(len(gram)):
+        for j in range(i + 1, len(gram)):
+            if gram[i][j]:
+                cos2 = Fraction(gram[i][j] ** 2, gram[i][i] * gram[j][j])
+                assert diagram._cos2(gram[i][j], gram[i][i] * gram[j][j]) == (cos2.numerator, cos2.denominator)
 
 
 def test_elliptic_path_types():

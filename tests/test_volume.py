@@ -59,6 +59,24 @@ def test_deciders_agree_on_every_prefix(search, p, n):
         assert oracles.edge_decider(form, prefix) == finite, k
 
 
+def test_walk_drops_indefinite_sets_beyond_the_lanner_bound(search):
+    # a hyperbolic critical set is a Lanner diagram, of at most 5 walls, so
+    # critical_submatrices drops larger indefinite sets without testing
+    # them; the walk does meet such sets, and the oracle, which tests every
+    # subset, keeps none
+    larger = 0
+    for p, n in AGREEMENT_FORMS:
+        form = Form(p, n)
+        roots = search(p, n).roots
+        chamber = volume.ChamberDiagram(form, roots)
+        # the walk records the class of every set it meets
+        larger += sum(1 for s, c in chamber.classes.items() if c == "indefinite" and len(s) > 5)
+        d = diagram.build_diagram(form, roots)
+        kept = oracles.critical_submatrices(d, d.psd_class)
+        assert all(len(item["nodes"]) <= 5 for item in kept if item["class"] == "hyperbolic"), (p, n)
+    assert larger > 0
+
+
 @pytest.mark.parametrize("p,n", AGREEMENT_FORMS)
 @pytest.mark.parametrize("step", [1, 2])
 def test_grown_diagram_matches_a_scratch_build_on_every_prefix(search, p, n, step):
@@ -70,7 +88,7 @@ def test_grown_diagram_matches_a_scratch_build_on_every_prefix(search, p, n, ste
         prefix = roots[:k]
         chamber.grow(prefix)
         d = diagram.build_diagram(form, prefix)
-        assert chamber.edges == oracles.scratch_edges(form, prefix), k
+        assert chamber.edges == oracles.scratch_edges(form.gram(prefix)), k
         critical = oracles.critical_submatrices(d, d.psd_class)
         assert chamber.critical == {
             frozenset(item["nodes"]): item["class"] for item in critical
@@ -162,7 +180,7 @@ def test_growing_by_a_bad_angle_raises_as_build_diagram_does(search):
     with pytest.raises(DiagramError) as whole:
         diagram.build_diagram(form, bad)
     with pytest.raises(DiagramError) as scratch:
-        oracles.scratch_edges(form, bad)
+        oracles.scratch_edges(form.gram(bad))
     chamber = volume.ChamberDiagram(form)
     chamber.grow(roots)
     edges = dict(chamber.edges)
