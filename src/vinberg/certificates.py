@@ -54,7 +54,8 @@ by key: a key that differs fails as "payload.<key>: does not re-derive".
   conclusion.
 
 Malformed documents (a missing field, or a primary field of the wrong
-type) raise CertificateError naming the offending field.
+type) raise CertificateError naming the offending field.  Its readers
+(_require, _count, _form, _ints, _rows) read search state files too.
 
 The ideal-vertex and symmetry checks re-derive the stored roots by
 replaying the search's batch stream (search.reproduces reads
@@ -284,24 +285,46 @@ def verification_failures(cert: dict) -> list[str]:
     """All re-derivation mismatches; empty means the certificate is valid.
 
     Malformed documents (missing or type-broken fields) raise
-    CertificateError naming the field instead.
+    CertificateError naming the field instead.  An inherited chain is
+    walked in a loop, so only the JSON reader bounds its length; a base's
+    failures and malformed fields are named under payload.base.
     """
-    if _require(cert, "schema_version") != SCHEMA_VERSION:
-        raise CertificateError("schema_version: unsupported value")
-    kind = _require(cert, "kind")
-    if kind not in _KINDS:
-        raise CertificateError("kind: unknown certificate kind")
-    form = _form(cert, "")
-    payload = _require(cert, "payload")
-    if not isinstance(_require(cert, "annotations"), dict):
-        raise CertificateError("annotations: must be an object")
-    if kind == "reflective":
-        return _verify_reflective(form, payload)
-    if kind == "ideal_vertex_failure":
-        return _verify_ideal_vertex(form, payload)
-    if kind == "infinite_symmetry":
-        return _verify_infinite_symmetry(form, payload)
-    return _verify_inherited(form, payload)
+    links = []  # payloads of the inherited certificates above cert
+    try:
+        while True:
+            if _require(cert, "schema_version") != SCHEMA_VERSION:
+                raise CertificateError("schema_version: unsupported value")
+            kind = _require(cert, "kind")
+            if kind not in _KINDS:
+                raise CertificateError("kind: unknown certificate kind")
+            form = _form(cert, "")
+            payload = _require(cert, "payload")
+            if not isinstance(_require(cert, "annotations"), dict):
+                raise CertificateError("annotations: must be an object")
+            if kind != "inherited_nonreflectivity":
+                issues = _VERIFIERS[kind](form, payload)
+                break
+            cert = _require(payload, "base", "payload.base")
+            base_kind = _require(cert, "kind", "payload.base.kind")
+            base_form = _form(cert, "payload.base.")
+            if base_kind not in _NONREFLECTIVE:
+                issues = ["payload.base.kind: not a nonreflectivity certificate"]
+                break
+            issues = []
+            if base_form.p != form.p:
+                issues.append("payload.base.form: prime mismatch")
+            if base_form.n >= form.n:
+                issues.append("payload.base.form: base rank must be lower")
+            if issues:
+                break
+            links.append(payload)
+        while links:
+            payload = links.pop()
+            issues = [f"payload.base.{s}" for s in issues] + _rederived(
+                payload, _inherited_payload(payload["base"]))
+    except CertificateError as exc:
+        raise CertificateError("payload.base." * len(links) + str(exc))
+    return issues
 
 
 def _require(doc, key, label=None):
@@ -311,21 +334,32 @@ def _require(doc, key, label=None):
     return doc[key]
 
 
+def _count(doc, key, label=None) -> int:
+    """doc[key], which must be a non-negative integer."""
+    value = _require(doc, key, label)
+    if type(value) is not int or value < 0:
+        raise CertificateError(f"{label or key}: not a non-negative integer")
+    return value
+
+
 def _form(doc, prefix: str) -> Form:
-    """The Form of a certificate's form field; prefix places it in the
+    """The Form of a document's form field; prefix places it in the
     enclosing document."""
-    _require(doc, "form", f"{prefix}form")
-    p = _require(doc["form"], "p", f"{prefix}form.p")
-    n = _require(doc["form"], "n", f"{prefix}form.n")
+    form = _require(doc, "form", f"{prefix}form")
+    if not isinstance(form, dict):
+        raise CertificateError(f"{prefix}form: not an object")
+    for key in ("p", "n"):
+        if type(_require(form, key, f"{prefix}form.{key}")) is not int:
+            raise CertificateError(f"{prefix}form.{key}: not an integer")
     try:
-        return Form(p, n)
-    except (ValueError, TypeError) as exc:
+        return Form(form["p"], form["n"])
+    except ValueError as exc:
         raise CertificateError(f"{prefix}form: {exc}")
 
 
 def _ints(doc, key, label: str) -> list[int]:
     """doc[key], which must be a list of integers; CertificateError naming
-    label otherwise.  Every list-of-integers primary field is read here."""
+    label otherwise.  Every list-of-integers field is read here."""
     try:
         value = doc[key]
     except (KeyError, IndexError, TypeError):
@@ -335,18 +369,18 @@ def _ints(doc, key, label: str) -> list[int]:
     return value
 
 
-def _rows(payload, key) -> list[list[int]]:
-    """payload[key], which must be a list of lists of integers."""
-    rows = _require(payload, key, f"payload.{key}")
+def _rows(doc, key, label: str) -> list[list[int]]:
+    """doc[key], which must be a list of lists of integers; label names it."""
+    rows = _require(doc, key, label)
     if not isinstance(rows, list):
-        raise CertificateError(f"payload.{key}: not a list")
-    return [_ints(rows, i, f"payload.{key}[{i}]") for i in range(len(rows))]
+        raise CertificateError(f"{label}: not a list")
+    return [_ints(rows, i, f"{label}[{i}]") for i in range(len(rows))]
 
 
 def _roots(form: Form, payload) -> tuple[list, list[str]]:
     """payload.roots as tuples, with a failure for each entry that is not a
     root of the form."""
-    roots = [tuple(r) for r in _rows(payload, "roots")]
+    roots = [tuple(r) for r in _rows(payload, "roots", "payload.roots")]
     return roots, [
         f"payload.roots[{i}]: not a root of the form"
         for i, r in enumerate(roots) if len(r) != form.dim or not form.is_root(r)
@@ -492,10 +526,8 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     from vinberg import isometry
 
     roots, issues = _roots(form, payload)
-    batches = _require(payload, "batches_done", "payload.batches_done")
-    if not isinstance(batches, int) or isinstance(batches, bool) or batches < 0:
-        raise CertificateError("payload.batches_done: not a non-negative integer")
-    T = _rows(payload, "matrix")
+    batches = _count(payload, "batches_done", "payload.batches_done")
+    T = _rows(payload, "matrix", "payload.matrix")
     labels = ("frame_from", "frame_to")
     frames = {}
     for label in labels:
@@ -572,21 +604,8 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     return _rederived(payload, _symmetry_payload(form, roots, symmetry, batches))
 
 
-def _verify_inherited(form: Form, payload) -> list[str]:
-    base = _require(payload, "base", "payload.base")
-    kind = _require(base, "kind", "payload.base.kind")
-    base_form = _form(base, "payload.base.")
-    if kind not in _NONREFLECTIVE:
-        return ["payload.base.kind: not a nonreflectivity certificate"]
-    issues = []
-    if base_form.p != form.p:
-        issues.append("payload.base.form: prime mismatch")
-    if base_form.n >= form.n:
-        issues.append("payload.base.form: base rank must be lower")
-    if issues:
-        return issues
-    try:
-        issues = [f"payload.base.{s}" for s in verification_failures(base)]
-    except CertificateError as exc:
-        raise CertificateError(f"payload.base.{exc}")
-    return issues + _rederived(payload, _inherited_payload(base))
+_VERIFIERS = {
+    "reflective": _verify_reflective,
+    "ideal_vertex_failure": _verify_ideal_vertex,
+    "infinite_symmetry": _verify_infinite_symmetry,
+}

@@ -7,7 +7,9 @@ byte-identical.
 
 Exit codes: 0 when every requested verdict is decided, 3 when any is
 undecided under the budget; verify returns 0 for a valid certificate,
-1 for an invalid one, 2 for a malformed document.  Bad arguments exit 2.
+1 for an invalid one, 2 for a malformed document.  Bad arguments exit 2,
+and so does a malformed --resume state file.  A file that is not UTF-8
+JSON is malformed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,16 @@ EXIT_UNDECIDED = 3
 
 def _dump(obj) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _load(path):
+    """The JSON document in the file at path, for verify and --resume;
+    CertificateError if it is not UTF-8 JSON or nests too deep to parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise CertificateError(f"not JSON: {exc}")
 
 
 def _parse_height(text: str) -> Fraction:
@@ -103,13 +115,11 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
     state = None
     if resume_path is not None:
         try:
-            with open(resume_path) as fh:
-                doc = json.load(fh)
-            state = SearchState.from_json(doc)
+            state = SearchState.from_json(_load(resume_path))
         except FileNotFoundError:
             state = None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise click.UsageError(f"--resume: unreadable state file: {exc}")
+        except CertificateError as exc:
+            raise click.UsageError(f"--resume: {exc}")
         if state is not None and (state.form.p != p or state.form.n != n):
             raise click.UsageError("--resume: state file is for a different form")
 
@@ -258,13 +268,7 @@ def certify_cmd(p, n, max_height, max_roots):
 def verify_cmd(path):
     """Check a certificate file; exit 0 valid, 1 invalid, 2 malformed."""
     try:
-        with open(path) as fh:
-            cert = json.load(fh)
-    except json.JSONDecodeError as exc:
-        click.echo(f"malformed: not JSON: {exc}", err=True)
-        sys.exit(2)
-    try:
-        failures = certificates.verification_failures(cert)
+        failures = certificates.verification_failures(_load(path))
     except CertificateError as exc:
         click.echo(f"malformed: {exc}", err=True)
         sys.exit(2)

@@ -27,11 +27,6 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def is_quadratic_residue(a: int, p: int) -> bool:
-    a %= p
-    return any(x * x % p == a for x in range(p))
-
-
 @dataclass(frozen=True)
 class Form:
     """The form -p x0^2 + x1^2 + ... + xn^2 on Z^{n+1}."""
@@ -119,14 +114,16 @@ class Form:
         m | 2 gcd(p v_0, v_1, ..., v_n) and m | 2p; the candidates are
         1, 2, p, 2p.  Norm p needs v_0^2 = -1 (mod p) solvable and norm 2p
         needs v_0^2 = -2 (mod p) solvable, because p must divide every v_i
-        with i >= 1 in those cases.
+        with i >= 1 in those cases.  By the supplementary laws of quadratic
+        reciprocity, -1 is a square mod p iff p = 1 (mod 4), and -2 iff
+        p = 1 or 3 (mod 8).
         """
         norms = [1, 2]
-        if is_quadratic_residue(-1, self.p):
+        if self.p % 4 == 1:
             norms.append(self.p)
-        if is_quadratic_residue(-2, self.p):
+        if self.p % 8 in (1, 3):
             norms.append(2 * self.p)
-        return tuple(sorted(norms))
+        return tuple(norms)
 
     def initial_roots(self) -> list[Vector]:
         """Simple roots of the stabilizer of the control vector.

@@ -134,13 +134,13 @@ SYMMETRY_WITNESS_23_3: Dict[str, Any] = {
 
 # Published reflectivity verdict per form, for annotation purposes: the
 # treatment finds the chamber-closing root systems for these forms and
-# rules the remaining ranks out.
+# rules the remaining ranks out, (23,3) by the symmetry witness above.
 PUBLISHED_VERDICTS: Dict[Tuple[int, int], str] = {}
 for _p, _ranks in ((5, range(2, 9)), (7, (2, 3)), (11, (2, 3)),
-                   (13, (2,)), (17, (2,)), (19, (2,)), (23, (2, 3))):
+                   (13, (2,)), (17, (2,)), (19, (2,)), (23, (2,))):
     for _n in _ranks:
         PUBLISHED_VERDICTS[(_p, _n)] = "reflective"
-for _key in NONREFLECTIVITY_BLOCKS:
+for _key in (*NONREFLECTIVITY_BLOCKS, (23, 3)):
     PUBLISHED_VERDICTS[_key] = "non_reflective"
 
 

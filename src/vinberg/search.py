@@ -31,7 +31,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from vinberg.enumeration import enumerate_batch, prior_row
-from vinberg.errors import ConsistencyError
+from vinberg.errors import CertificateError, ConsistencyError
 from vinberg.forms import Form
 
 
@@ -78,14 +78,6 @@ def default_counters() -> dict:
     return {"batches": 0, "candidates": 0, "accepted": 0, "volume_checks": 0}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_count(v) -> bool:
-    return _is_int(v) and v >= 0
-
-
 @dataclass
 class SearchState:
     """Resumable snapshot: accepted roots plus the batch cursor."""
@@ -125,41 +117,26 @@ class SearchState:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "SearchState":
-        version = doc["schema_version"]
-        if version != STATE_SCHEMA_VERSION:
-            raise ValueError(f"schema_version: unsupported value {version!r}")
-        batches = doc["batches_done"]
-        if not _is_count(batches):
-            raise ValueError("batches_done: not a non-negative integer")
-        counters = doc["counters"]
-        if not (
-            isinstance(counters, dict)
-            and counters.keys() == default_counters().keys()
-            and all(map(_is_count, counters.values()))
-        ):
-            raise ValueError("counters: not the four work counters as non-negative integers")
-        form = doc["form"]
-        if not isinstance(form, dict):
-            raise ValueError("form: not an object with p and n")
-        for key in ("p", "n"):
-            if not _is_int(form[key]):
-                raise ValueError(f"form.{key}: not an integer")
-        form = Form(form["p"], form["n"])
-        accepted = doc["accepted"]
-        if not (
-            isinstance(accepted, list)
-            and all(
-                isinstance(r, list) and len(r) == form.dim and all(map(_is_int, r))
-                for r in accepted
-            )
-        ):
-            raise ValueError(f"accepted: not a list of rows of {form.dim} integers")
+    def from_json(cls, doc) -> "SearchState":
+        """The state of a to_json document; CertificateError naming the
+        first malformed field, read by the certificate readers."""
+        from vinberg.certificates import _count, _form, _require, _rows
+
+        if _require(doc, "schema_version") != STATE_SCHEMA_VERSION:
+            raise CertificateError("schema_version: unsupported value")
+        form = _form(doc, "")
+        accepted = _rows(doc, "accepted", "accepted")
+        if any(len(r) != form.dim for r in accepted):
+            raise CertificateError(f"accepted: not a list of rows of {form.dim} integers")
+        batches = _count(doc, "batches_done")
+        counters = _require(doc, "counters")
+        if not isinstance(counters, dict) or counters.keys() != default_counters().keys():
+            raise CertificateError("counters: not the four work counters")
         return cls(
             form=form,
             accepted=[tuple(r) for r in accepted],
             batches_done=batches,
-            counters=dict(counters),
+            counters={key: _count(counters, key, f"counters.{key}") for key in counters},
         )
 
 

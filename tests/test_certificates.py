@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import corpus
-from vinberg import certificates, cones, diagram, linalg, quotient, volume
-from vinberg.errors import CertificateError
+from vinberg import certificates, cones, diagram, linalg, published, quotient, volume
+from vinberg.errors import CertificateError, ConsistencyError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
-from vinberg.search import Budget, SearchState, replay
+from vinberg.search import Budget, SearchState, replay, run_search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -186,30 +186,87 @@ def _field_paths(value, path=()):
         yield from _field_paths(value[key], path + (key,))
 
 
-@pytest.mark.parametrize("which", KIND_FIXTURES)
-def test_type_broken_payload_fields_are_invalid_or_malformed(request, which):
-    # every payload field in turn, set to a value of each JSON type that
-    # breaks it: the verdict is a failure list or CertificateError, never
-    # another exception, and never valid unless the field is commentary
-    cert = request.getfixturevalue(which)
-    edits = 0
-    for path in _field_paths(cert["payload"]):
+def _type_broken_edits(doc):
+    """(path, copy of doc) with the field at path set to a value of each
+    JSON type that breaks it, for every field of doc."""
+    for path in _field_paths(doc):
         for bad in (None, "x", [], {}):
-            edited = copy.deepcopy(cert)
-            parent = edited["payload"]
+            edited = copy.deepcopy(doc)
+            parent = edited
             for key in path[:-1]:
                 parent = parent[key]
-            if parent[path[-1]] == bad:
-                continue
-            parent[path[-1]] = bad
-            edits += 1
-            try:
-                failures = certificates.verification_failures(edited)
-            except CertificateError:
-                continue
-            assert isinstance(failures, list), (path, bad)
-            assert failures or "annotations" in path, (path, bad)
+            if parent[path[-1]] != bad:
+                parent[path[-1]] = bad
+                yield path, edited
+
+
+def _field_label(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def _assert_names_the_field(exc, path):
+    # the message starts with a field path that contains the edited field
+    # or lies inside it
+    named, edited = str(exc).split(": ")[0], _field_label(path)
+    shorter, longer = sorted((named, edited), key=len)
+    assert longer == shorter or longer.startswith((shorter + ".", shorter + "[")), (
+        path, str(exc))
+
+
+@pytest.mark.parametrize("which", KIND_FIXTURES)
+def test_type_broken_payload_fields_are_invalid_or_malformed(request, which):
+    # every field in turn, set to a value of each JSON type that breaks it:
+    # the verdict is a failure list or CertificateError naming the field,
+    # never another exception, and never valid unless the field is
+    # commentary
+    edits = 0
+    for path, edited in _type_broken_edits(request.getfixturevalue(which)):
+        edits += 1
+        try:
+            failures = certificates.verification_failures(edited)
+        except CertificateError as exc:
+            _assert_names_the_field(exc, path)
+            continue
+        assert isinstance(failures, list), path
+        assert failures or "annotations" in path, path
     assert edits > 20
+
+
+def test_type_broken_state_fields_are_malformed(search):
+    # the state reader names the field; the one edit it reads, an empty
+    # accepted list, fails the resumed search's replay
+    edits = 0
+    for path, edited in _type_broken_edits(search(13, 3).state.to_json()):
+        edits += 1
+        try:
+            state = SearchState.from_json(edited)
+        except CertificateError as exc:
+            _assert_names_the_field(exc, path)
+            continue
+        assert path == ("accepted",) and state.accepted == [], path
+        with pytest.raises(ConsistencyError, match="^accepted: "):
+            run_search(state.form, state=state)
+    assert edits > 20
+
+
+def test_inherited_chain_is_walked_without_recursion(cert_7_4):
+    # a chain deeper than the interpreter's recursion limit, so deeper than
+    # the JSON reader takes: verification is not what bounds its length
+    cert = cert_7_4
+    for n in range(5, 5 + 1200):
+        cert = certificates.inherited_certificate(cert, n)
+    assert verify_certificate(cert)
+    cert["payload"]["conclusion"] = None
+    base = cert["payload"]["base"]
+    base["payload"]["base"]["form"]["p"] = "7"
+    with pytest.raises(CertificateError, match=r"^payload\.base\.payload\.base\.form\.p: "):
+        certificates.verification_failures(cert)
+    base["payload"]["base"]["form"]["p"] = 7
+    base["payload"]["conclusion"] = None
+    assert certificates.verification_failures(cert) == [
+        "payload.base.payload.conclusion: does not re-derive",
+        "payload.conclusion: does not re-derive",
+    ]
 
 
 # top-level payload keys that each kind re-derives from its primary fields
@@ -444,6 +501,22 @@ def test_annotations_required_but_content_ignored(cert_5_2):
     cert = copy.deepcopy(cert_5_2)
     cert["annotations"] = {"published_values": {"nonsense": True}, "note": 7}
     assert verify_certificate(cert)
+
+
+def test_published_verdicts_agree_with_the_corpus_transcription(report):
+    # reflective exactly on the corpus's published set, and non-reflective
+    # exactly at each family's first published failure
+    verdicts = published.PUBLISHED_VERDICTS
+    reflective = {key for key, v in verdicts.items() if v == "reflective"}
+    assert reflective == corpus.PUBLISHED_REFLECTIVE
+    first_failures = {
+        (p, min(n for n in range(2, 12) if (p, n) not in reflective))
+        for p, _ in reflective
+    }
+    assert {key for key, v in verdicts.items() if v == "non_reflective"} == first_failures
+    pub = report(23, 3)["certificate"]["annotations"]["published_values"]
+    assert pub["verdict"] == "non_reflective"
+    assert "symmetry_witness" in pub
 
 
 def test_malformed_documents_raise(cert_5_2, cert_13_3):

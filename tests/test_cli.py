@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 import corpus
 import vinberg
+from vinberg import certificates
 from vinberg.cli import main
 from vinberg.forms import Form
 
@@ -186,12 +188,13 @@ def test_resume_rejects_malformed_counters(runner, tmp_path, search, counters):
 @pytest.mark.parametrize(
     "field,tamper",
     [
-        ("accepted", lambda doc: doc.update(accepted=[[float(x) for x in r] for r in doc["accepted"]])),
+        ("accepted[0]", lambda doc: doc.update(accepted=[[float(x) for x in r] for r in doc["accepted"]])),
         ("accepted", lambda doc: doc["accepted"][4].pop()),
         ("form.p", lambda doc: doc["form"].update(p="13")),
+        ("form.p", lambda doc: doc["form"].pop("p")),
         ("form", lambda doc: doc.update(form=[13, 3])),
     ],
-    ids=["float-rows", "short-row", "string-p", "form-list"],
+    ids=["float-rows", "short-row", "string-p", "missing-p", "form-list"],
 )
 def test_resume_rejects_mistyped_state(runner, tmp_path, search, field, tamper):
     state_file = tmp_path / "state.json"
@@ -202,7 +205,16 @@ def test_resume_rejects_mistyped_state(runner, tmp_path, search, field, tamper):
         main, ["classify", "13", "3", "--max-roots", "12", "--resume", str(state_file)]
     )
     assert res.exit_code == 2
-    assert f"{field}:" in res.output
+    assert f"Error: --resume: {field}:" in res.output
+
+
+@pytest.mark.parametrize("command", [["verify"], ["classify", "13", "3", "--resume"]])
+def test_a_json_list_is_a_malformed_document(runner, tmp_path, command):
+    path = tmp_path / "doc.json"
+    path.write_text("[13, 3]")
+    res = runner.invoke(main, command + [str(path)])
+    assert res.exit_code == 2
+    assert "schema_version: missing field" in res.output
 
 
 def _package_env() -> dict:
@@ -302,20 +314,44 @@ def test_verify_invalid_certificate(runner, tmp_path):
     assert "invalid:" in res.stderr
 
 
-def test_verify_malformed_documents(runner, tmp_path):
+def _inherited_chain_text(base, links) -> str:
+    """base wrapped in links inherited certificates, one rank each, as
+    JSON text nested by string, so that no encoder limits its depth."""
+    text = json.dumps(base)
+    for n in range(base["form"]["n"] + 1, base["form"]["n"] + links + 1):
+        link = certificates.inherited_certificate(base, n)
+        link["payload"]["base"] = None
+        text = json.dumps(link).replace('"base": null', '"base": ' + text)
+    return text
+
+
+def test_verify_malformed_documents(runner, tmp_path, report):
     cert_file = tmp_path / "cert.json"
-    cert_file.write_text("{not json")
-    res = runner.invoke(main, ["verify", str(cert_file)])
-    assert res.exit_code == 2
-    assert "malformed:" in res.stderr
+    # broken JSON, bytes that are not UTF-8, and nesting too deep to parse
+    for content in (
+        b"{not json",
+        b'{"schema_version": 3}\xff',
+        '{"note": "caf\u00e9"}'.encode("latin-1"),
+        _inherited_chain_text(report(7, 4)["certificate"], 1200).encode(),
+    ):
+        cert_file.write_bytes(content)
+        res = runner.invoke(main, ["verify", str(cert_file)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("malformed: not JSON:")
     cert_file.write_text("{}")
     res = runner.invoke(main, ["verify", str(cert_file)])
     assert res.exit_code == 2
     missing = runner.invoke(main, ["verify", str(tmp_path / "absent.json")])
     assert missing.exit_code == 2
-    cert = json.loads(runner.invoke(main, ["certify", "7", "4"]).output)
+    cert = copy.deepcopy(report(7, 4)["certificate"])
     cert["payload"]["null_vector"] = None
     cert_file.write_text(json.dumps(cert))
     res = runner.invoke(main, ["verify", str(cert_file)])
     assert res.exit_code == 2
     assert "malformed: payload.null_vector" in res.stderr
+    cert = copy.deepcopy(report(13, 3)["certificate"])
+    cert["form"]["p"] = "13"
+    cert_file.write_text(json.dumps(cert))
+    res = runner.invoke(main, ["verify", str(cert_file)])
+    assert res.exit_code == 2
+    assert res.stderr == "malformed: form.p: not an integer\n"

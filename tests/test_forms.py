@@ -6,16 +6,16 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from vinberg.forms import Form, is_quadratic_residue
+from vinberg.forms import Form
 
 
 def legendre(a, p):
-    # Euler's criterion, independent of the package's residue scan
+    # Euler's criterion, independent of the package's supplementary laws
     r = pow(a % p, (p - 1) // 2, p)
     return 0 if r == 0 else (1 if r == 1 else -1)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 999999999989])
 def test_admissible_norms_match_residue_conditions(p):
     form = Form(p, 3)
     expected = [1, 2]
@@ -34,12 +34,6 @@ def test_admissible_norms_known_families():
     assert Form(17, 2).admissible_root_norms == (1, 2, 17, 34)
     assert Form(19, 2).admissible_root_norms == (1, 2, 38)
     assert Form(23, 2).admissible_root_norms == (1, 2)
-
-
-def test_residue_helper_agrees_with_legendre():
-    for p in (5, 7, 11, 13, 17, 19, 23):
-        for a in range(1, p):
-            assert is_quadratic_residue(a, p) == (legendre(a, p) == 1)
 
 
 def test_inner_product_signature():

@@ -47,7 +47,7 @@ CERTIFICATE_SHA256 = {
     (11, 5): "2931231ba723d9ac4b846cc41f249f46e03b54a219b2b36dd6fbd9f668edb706",
     (13, 3): "d9c10a3e5f527d506165ec89e9319de09117464abca9f62dc58584b8882c766c",
     (19, 3): "efc2ddee54178bc5a353295ea18cbab1480d8d07f60e00cbfeb56babe3d999bd",
-    (23, 3): "70fdbc1a2a66a017f744c8587314d3f89c540457a0a1e774c583f0598ae048ff",
+    (23, 3): "6f11625a7dfaf75ec4e1e373c03685f8873bab2df4cc027ed8b00b07f48e3178",
     (5, 10): "333d88fa282023802024df48020798af0cd36f40d97a250cb6accd21102f6c81",
     (17, 4): "fb8176b72e9a1f518f1e169176b582df9a220002dd96a1589488e0dc46329282",
     (29, 3): "861b55c8c9c9a1398018aa3450c0270357c22eccd4f0ef85aa0233a62a8f2f73",
@@ -76,7 +76,7 @@ REPORT_SHA256 = {
     (11, 5): "331d63c1e97148b89038e897f8732ad91d424fff762038119ce1185bee1b275c",
     (13, 3): "4d32e28d2d908c2e40cceb31d6b5421bbca7d522be20ac64eb1ce6882870a3cb",
     (19, 3): "4462c2dc72858736a625a792dbd13bf93b75c272bd30d7066d8da01b9f793743",
-    (23, 3): "0e39bb80b8d46ea5f4fac44952aa284748d56f64e04ea7566a845aa22c65921a",
+    (23, 3): "8c5a9f1ae9a83ea208cf30a91d8744ea341b351c1f6db2de402398e07a63bc84",
     (5, 10): "6f389207ab4e2c65868239014b98964f9cb0da87a3c240204da3143c17b51e0d",
     (17, 4): "cad3883357016cbf467ec39b39556a6c45e51bec3851d25a1e6eb0e17c725ba7",
     (29, 3): "c23940cb21eef5a2d6d703910f7928424fbca306c641eceb84892861ea16eb0e",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from vinberg.classify import classify_form
-from vinberg.errors import ConsistencyError
+from vinberg.errors import CertificateError, ConsistencyError
 from vinberg.forms import Form
 from vinberg.search import (
     Budget,
@@ -228,13 +228,13 @@ def test_state_rejects_unknown_schemas_and_bad_cursors():
     # schema 1 kept p and n at the top level; it is no longer read
     old = {k: v for k, v in doc.items() if k != "form"}
     old.update(schema_version=1, p=5, n=3)
-    with pytest.raises(ValueError, match="schema_version"):
+    with pytest.raises(CertificateError, match="schema_version"):
         SearchState.from_json(old)
     for version in (0, 3, "2", None):
-        with pytest.raises(ValueError, match="schema_version"):
+        with pytest.raises(CertificateError, match="schema_version"):
             SearchState.from_json(dict(doc, schema_version=version))
     for batches in (True, -1, "3", 2.0):
-        with pytest.raises(ValueError, match="batches_done"):
+        with pytest.raises(CertificateError, match="batches_done"):
             SearchState.from_json(dict(doc, batches_done=batches))
     counters = doc["counters"]
     for bad in (
@@ -248,9 +248,9 @@ def test_state_rejects_unknown_schemas_and_bad_cursors():
         dict(counters, accepted=True),
         dict(counters, volume_checks=1.0),
     ):
-        with pytest.raises(ValueError, match="counters"):
+        with pytest.raises(CertificateError, match="counters"):
             SearchState.from_json(dict(doc, counters=bad))
     assert SearchState.from_json(doc).counters == counters
     missing = {k: v for k, v in doc.items() if k != "schema_version"}
-    with pytest.raises(KeyError, match="schema_version"):
+    with pytest.raises(CertificateError, match="schema_version: missing"):
         SearchState.from_json(missing)
