@@ -34,6 +34,8 @@ Three verdict-carrying documents plus an inheritance wrapper:
   be finite and nonempty interior of finite volume is impossible.
 - inherited_nonreflectivity: lifts a failure at rank n to any rank above,
   by restricting to the orthogonal complement of a norm-one basis root.
+  Its base is a direct obstruction, never another inherited certificate:
+  the lift is transitive, so one step from the first failure suffices.
 
 Each kind has one payload builder, which construction and verification
 both call.  A verifier checks the primary fields against the form, then
@@ -49,9 +51,8 @@ by key: a key that differs fails as "payload.<key>: does not re-derive".
 - infinite_symmetry: primary roots, batches_done, matrix and each
   frame's root_indices and corner; re-derived frame_from and frame_to
   (height_bound, also checked per frame), evidence and conclusion.
-- inherited_nonreflectivity: primary base (a nonreflectivity certificate
-  of the same prime and a lower rank, verified in turn); re-derived
-  conclusion.
+- inherited_nonreflectivity: primary base (a direct obstruction of the
+  same prime and a lower rank, verified in turn); re-derived conclusion.
 
 Malformed documents (a missing field, or a primary field of the wrong
 type) raise CertificateError naming the offending field.  Its readers
@@ -71,6 +72,8 @@ frame corners' bounds must lie below.
 
 from __future__ import annotations
 
+import json
+
 from vinberg import diagram as _diagram
 from vinberg import cones, linalg, published, quotient
 from vinberg import volume as _volume
@@ -81,7 +84,7 @@ from vinberg.search import Budget, reproduces
 SCHEMA_VERSION = 3
 
 _KINDS = ("reflective", "ideal_vertex_failure", "infinite_symmetry", "inherited_nonreflectivity")
-_NONREFLECTIVE = _KINDS[1:]
+_OBSTRUCTIONS = _KINDS[1:3]
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +266,11 @@ def inherited_certificate(base: dict, n: int) -> dict:
 
     Restricting to the orthogonal complement of the norm-one basis root
     -v_n reduces the rank-n lattice to the rank n-1 one, so every failure
-    propagates upward; no new search is needed.
+    propagates upward; no new search is needed.  base must be a direct
+    obstruction: lift the first failure, not an inherited certificate.
     """
-    _require(base, "kind")
-    if base["kind"] not in _NONREFLECTIVE:
-        raise CertificateError("payload.base.kind: not a nonreflectivity certificate")
+    if _require(base, "kind", "payload.base.kind") not in _OBSTRUCTIONS:
+        raise CertificateError("payload.base.kind: not a direct obstruction")
     if n <= base["form"]["n"]:
         raise CertificateError("form.n: inherited rank must exceed the base rank")
     form = Form(base["form"]["p"], n)
@@ -285,46 +288,41 @@ def verification_failures(cert: dict) -> list[str]:
     """All re-derivation mismatches; empty means the certificate is valid.
 
     Malformed documents (missing or type-broken fields) raise
-    CertificateError naming the field instead.  An inherited chain is
-    walked in a loop, so only the JSON reader bounds its length; a base's
-    failures and malformed fields are named under payload.base.
+    CertificateError naming the field instead.  An inherited certificate
+    is checked together with its base, whose kind must be a direct
+    obstruction; the base's failures and malformed fields are named under
+    payload.base.
     """
-    links = []  # payloads of the inherited certificates above cert
+    form, kind, payload = _envelope(cert)
+    if kind != "inherited_nonreflectivity":
+        return _VERIFIERS[kind](form, payload)
+    base = _require(payload, "base", "payload.base")
     try:
-        while True:
-            if _require(cert, "schema_version") != SCHEMA_VERSION:
-                raise CertificateError("schema_version: unsupported value")
-            kind = _require(cert, "kind")
-            if kind not in _KINDS:
-                raise CertificateError("kind: unknown certificate kind")
-            form = _form(cert, "")
-            payload = _require(cert, "payload")
-            if not isinstance(_require(cert, "annotations"), dict):
-                raise CertificateError("annotations: must be an object")
-            if kind != "inherited_nonreflectivity":
-                issues = _VERIFIERS[kind](form, payload)
-                break
-            cert = _require(payload, "base", "payload.base")
-            base_kind = _require(cert, "kind", "payload.base.kind")
-            base_form = _form(cert, "payload.base.")
-            if base_kind not in _NONREFLECTIVE:
-                issues = ["payload.base.kind: not a nonreflectivity certificate"]
-                break
-            issues = []
-            if base_form.p != form.p:
-                issues.append("payload.base.form: prime mismatch")
-            if base_form.n >= form.n:
-                issues.append("payload.base.form: base rank must be lower")
-            if issues:
-                break
-            links.append(payload)
-        while links:
-            payload = links.pop()
-            issues = [f"payload.base.{s}" for s in issues] + _rederived(
-                payload, _inherited_payload(payload["base"]))
+        base_form, base_kind, base_payload = _envelope(base)
+        issues = [issue for bad, issue in (
+            (base_kind not in _OBSTRUCTIONS, "kind: not a direct obstruction"),
+            (base_form.p != form.p, "form: prime mismatch"),
+            (base_form.n >= form.n, "form: base rank must be lower"),
+        ) if bad] or _VERIFIERS[base_kind](base_form, base_payload)
     except CertificateError as exc:
-        raise CertificateError("payload.base." * len(links) + str(exc))
-    return issues
+        raise CertificateError(f"payload.base.{exc}")
+    return [f"payload.base.{s}" for s in issues] + _rederived(
+        payload, _inherited_payload(base))
+
+
+def _envelope(cert) -> tuple[Form, str, dict]:
+    """The form, kind and payload of a certificate, after the checks that
+    every kind shares."""
+    if _count(cert, "schema_version") != SCHEMA_VERSION:
+        raise CertificateError("schema_version: unsupported value")
+    kind = _require(cert, "kind")
+    if kind not in _KINDS:
+        raise CertificateError("kind: unknown certificate kind")
+    form = _form(cert, "")
+    payload = _require(cert, "payload")
+    if not isinstance(_require(cert, "annotations"), dict):
+        raise CertificateError("annotations: must be an object")
+    return form, kind, payload
 
 
 def _require(doc, key, label=None):
@@ -389,14 +387,16 @@ def _roots(form: Form, payload) -> tuple[list, list[str]]:
 
 def _rederived(payload, rebuilt: dict) -> list[str]:
     """The top-level keys on which payload and the rebuilt payload differ,
-    a stored key that the builder does not make included.  A key missing
-    from payload raises CertificateError naming it."""
+    a stored key that the builder does not make included.  Values compare
+    as JSON text, so true is not 1 and 1.0 is not 1.  A key missing from
+    payload raises CertificateError naming it."""
     for key in rebuilt:
         _require(payload, key, f"payload.{key}")
+    text = {key: json.dumps(value, sort_keys=True) for key, value in rebuilt.items()}
     return [
         f"payload.{key}: does not re-derive"
         for key in payload
-        if key not in rebuilt or payload[key] != rebuilt[key]
+        if json.dumps(payload[key], sort_keys=True) != text.get(key)
     ]
 
 
@@ -433,7 +433,7 @@ def _verify_reflective(form: Form, payload) -> list[str]:
     roots, issues = _roots(form, payload)
     if issues:
         return issues
-    if roots[: form.n] != form.initial_roots():
+    if len(roots) < form.n or roots[: form.n] != form.initial_roots():
         return ["payload.roots: does not start with the initial roots"]
     for i in range(form.n, len(roots)):
         if roots[i][0] <= 0:
@@ -467,6 +467,8 @@ def _verify_ideal_vertex(form: Form, payload) -> list[str]:
         return issues
     if not node_sets:
         return ["payload.components: no affine component"]
+    if len(roots) < form.n:  # every search state holds the n initial roots
+        return ["payload.roots: not a state of the root search"]
     issues = _acute_pair(form, roots)
     if issues:
         return issues
@@ -537,6 +539,8 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
         }
     if issues:
         return issues
+    if len(roots) < form.n:  # as in _verify_ideal_vertex
+        return ["payload.roots: not the search state after this many batches"]
 
     if len(T) != form.dim or any(len(row) != form.dim for row in T):
         return ["payload.matrix: not an integer matrix of the right size"]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: classify, family, table, diagram, certify, verify.  All
-output goes to stdout as deterministic JSON (sorted keys) unless a text
-format is selected, so repeated runs with the same flags are
-byte-identical.
+Subcommands: classify, family, table, verify.  classify --emit picks
+the artifact of one form: its report, roots, Coxeter diagram or verdict
+certificate.  All output goes to stdout as deterministic JSON (sorted
+keys) unless a text format is selected, so repeated runs with the same
+flags are byte-identical.
 
 Exit codes: 0 when every requested verdict is decided, 3 when any is
 undecided under the budget; verify returns 0 for a valid certificate,
@@ -57,16 +58,17 @@ def _form(p: int, n: int) -> Form:
 
 
 def _budget_options(fn):
+    default = Budget()
     fn = click.option(
         "--max-height",
-        default="400",
+        default=str(default.max_height),
         show_default=True,
         metavar="A/B",
         help="Stop before any batch of height exceeding this rational.",
     )(fn)
     fn = click.option(
         "--max-roots",
-        default=64,
+        default=default.max_roots,
         show_default=True,
         type=int,
         help="Stop once this many roots are accepted.",
@@ -100,7 +102,7 @@ def main() -> None:
     default="json",
     show_default=True,
     type=click.Choice(["json", "dot", "tikz"]),
-    help="Output format; dot/tikz apply to diagrams.",
+    help="Output format; dot and tikz need --emit diagram.",
 )
 @click.option(
     "--resume",
@@ -112,6 +114,8 @@ def main() -> None:
 def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
     """Classify one form and print the result."""
     _form(p, n)
+    if fmt != "json" and emit != "diagram":
+        raise click.UsageError(f"--format {fmt} needs --emit diagram")
     state = None
     if resume_path is not None:
         try:
@@ -222,44 +226,6 @@ def table_cmd(p, n, max_height, max_roots, fmt):
     else:
         _dump(table)
     if any(v == "undecided" for v in table["verdicts"].values()):
-        sys.exit(EXIT_UNDECIDED)
-
-
-@main.command(name="diagram")
-@click.argument("p", type=int)
-@click.argument("n", type=int)
-@_budget_options
-@click.option(
-    "--format",
-    "fmt",
-    default="json",
-    show_default=True,
-    type=click.Choice(["json", "dot", "tikz"]),
-)
-def diagram_cmd(p, n, max_height, max_roots, fmt):
-    """Print the Coxeter diagram of the chamber found for one form."""
-    _form(p, n)
-    report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
-    if fmt == "dot":
-        click.echo(diagram.diagram_dot(report["diagram"]))
-    elif fmt == "tikz":
-        click.echo(diagram.diagram_tikz(report["diagram"]))
-    else:
-        _dump(report["diagram"])
-    if report["verdict"] == "undecided":
-        sys.exit(EXIT_UNDECIDED)
-
-
-@main.command(name="certify")
-@click.argument("p", type=int)
-@click.argument("n", type=int)
-@_budget_options
-def certify_cmd(p, n, max_height, max_roots):
-    """Print the verdict certificate for one form."""
-    _form(p, n)
-    report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
-    _dump(report["certificate"])
-    if report["verdict"] == "undecided":
         sys.exit(EXIT_UNDECIDED)
 
 

@@ -2,7 +2,8 @@
 
 Vectors are (n+1)-tuples of ints indexed 0..n; coordinate 0 carries the
 negative sign.  Throughout, p is an odd prime >= 5 and n >= 2, giving a
-Lorentzian lattice of signature (1, n).
+Lorentzian lattice of signature (1, n); p stays below PRIME_LIMIT, where
+the primality test is exact.
 """
 
 from __future__ import annotations
@@ -16,14 +17,32 @@ from operator import mul
 Vector = tuple[int, ...]
 
 
+# No composite below PRIME_LIMIT is a strong probable prime to all of
+# these bases (Sorenson and Webster 2017), so Miller-Rabin on them is exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
+    """Whether 0 <= m < PRIME_LIMIT is prime, by deterministic Miller-Rabin."""
+    for a in _MR_BASES:
+        if m % a == 0:
+            return m == a
     if m < 2:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
             return False
-        f += 1
     return True
 
 
@@ -35,7 +54,9 @@ class Form:
     n: int
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p < 5:
+        if self.p >= PRIME_LIMIT:
+            raise ValueError(f"p must be below {PRIME_LIMIT}")
+        if self.p < 5 or not _is_prime(self.p):
             raise ValueError("p must be a prime >= 5")
         if self.n < 2:
             raise ValueError("n must be >= 2")

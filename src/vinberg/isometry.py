@@ -301,12 +301,6 @@ def find_infinite_symmetry(chamber, height_limit) -> dict | None:
                 evidence = infinite_order_evidence(T)
                 if evidence is None:
                     continue
-                walls_from = [roots[i] for i in base]
-                walls_to = sorted(roots[i] for i in c_to["orthogonal"])
-                if sorted(
-                    tuple(linalg.mat_vec(T, w)) for w in walls_from
-                ) != walls_to:
-                    continue
                 return {
                     "matrix": T,
                     "frame_from": {

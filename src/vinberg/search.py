@@ -122,7 +122,7 @@ class SearchState:
         first malformed field, read by the certificate readers."""
         from vinberg.certificates import _count, _form, _require, _rows
 
-        if _require(doc, "schema_version") != STATE_SCHEMA_VERSION:
+        if _count(doc, "schema_version") != STATE_SCHEMA_VERSION:
             raise CertificateError("schema_version: unsupported value")
         form = _form(doc, "")
         accepted = _rows(doc, "accepted", "accepted")

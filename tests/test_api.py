@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -18,9 +19,7 @@ PACKAGE_DIRS = (Path(vinberg.__file__).parent, Path(__file__).resolve().parent.p
 # The cli's commands are click.Command objects, not functions, so
 # public_functions never yields them; the console script (vinberg.cli:main)
 # and click's dispatch are their callers.
-CLICK_COMMANDS = {
-    "main", "classify_cmd", "family_cmd", "table_cmd", "diagram_cmd", "certify_cmd", "verify_cmd",
-}
+CLICK_COMMANDS = {"main", "classify_cmd", "family_cmd", "table_cmd", "verify_cmd"}
 
 
 def public_functions():
@@ -80,6 +79,11 @@ def test_every_public_function_has_a_package_caller():
         if not uses[called_as]:
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_cli_docstring_lists_the_registered_commands():
+    listed = re.search(r"Subcommands: ([a-z, ]+)\.", cli.__doc__).group(1)
+    assert sorted(listed.split(", ")) == sorted(cli.main.commands)
 
 
 def fraction_uses(tree) -> list[int]:

@@ -3,19 +3,22 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from vinberg import certificates, cones, diagram, linalg, published, quotient, volume
 from vinberg.errors import CertificateError, ConsistencyError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
-from vinberg.search import Budget, SearchState, replay, run_search
+from vinberg.search import Budget, SearchState, replay, reproduces, run_search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -57,13 +60,17 @@ def test_round_trip_infinite_symmetry(cert_13_3):
     assert verify_certificate(cert_13_3)
 
 
-def test_round_trip_inherited_chain(cert_7_4):
-    lifted = certificates.inherited_certificate(cert_7_4, 5)
-    assert lifted["kind"] == "inherited_nonreflectivity"
-    assert lifted["form"] == {"p": 7, "n": 5}
-    assert verify_certificate(lifted)
-    twice = certificates.inherited_certificate(lifted, 6)
-    assert verify_certificate(twice)
+def test_round_trip_inherited_in_one_step(cert_7_4):
+    # the lift is transitive, so one step from the first failure reaches
+    # every rank above it; an inherited certificate is never a base
+    for n in (5, 6, 11):
+        lifted = certificates.inherited_certificate(cert_7_4, n)
+        assert lifted["kind"] == "inherited_nonreflectivity"
+        assert lifted["form"] == {"p": 7, "n": n}
+        assert lifted["payload"]["base"] == cert_7_4
+        assert verify_certificate(lifted)
+    with pytest.raises(CertificateError, match=r"^payload\.base\.kind: "):
+        certificates.inherited_certificate(lifted, 12)
 
 
 def test_inherited_construction_errors(cert_5_2, cert_7_4):
@@ -164,6 +171,36 @@ def test_reflective_verification_builds_one_chamber(report, monkeypatch, p, n):
     assert calls == {"cone_generators": 1, "build_diagram": 0}
 
 
+def test_rootless_certificates_fail_before_quadratic_work(
+        monkeypatch, cert_5_2, cert_7_4, cert_13_3):
+    # a document with no roots is far smaller than the n initial roots;
+    # each verifier fails it without building them
+    original = Form.initial_roots
+
+    def guarded(form):
+        assert form.n <= 100, "initial roots built for a rootless document"
+        return original(form)
+
+    monkeypatch.setattr(Form, "initial_roots", guarded)
+    n = 10**6
+    expected = {
+        "reflective": "payload.roots: does not start with the initial roots",
+        "ideal_vertex_failure": "payload.roots: not a state of the root search",
+        "infinite_symmetry": "payload.roots: not the search state after this many batches",
+    }
+    for cert in (cert_5_2, cert_7_4, cert_13_3):
+        cert = copy.deepcopy(cert)
+        cert["form"]["n"] = n
+        cert["payload"]["roots"] = []
+        assert certificates.verification_failures(cert) == [expected[cert["kind"]]]
+    base = copy.deepcopy(cert_7_4)
+    base["form"]["n"] = n - 1
+    base["payload"]["roots"] = []
+    lifted = certificates.inherited_certificate(base, n)
+    assert certificates.verification_failures(lifted) == [
+        "payload.base." + expected["ideal_vertex_failure"]]
+
+
 @pytest.fixture(scope="module")
 def cert_inherited(cert_7_4):
     return certificates.inherited_certificate(cert_7_4, 5)
@@ -249,24 +286,117 @@ def test_type_broken_state_fields_are_malformed(search):
     assert edits > 20
 
 
-def test_inherited_chain_is_walked_without_recursion(cert_7_4):
-    # a chain deeper than the interpreter's recursion limit, so deeper than
-    # the JSON reader takes: verification is not what bounds its length
-    cert = cert_7_4
-    for n in range(5, 5 + 1200):
-        cert = certificates.inherited_certificate(cert, n)
-    assert verify_certificate(cert)
-    cert["payload"]["conclusion"] = None
-    base = cert["payload"]["base"]
-    base["payload"]["base"]["form"]["p"] = "7"
-    with pytest.raises(CertificateError, match=r"^payload\.base\.payload\.base\.form\.p: "):
+def test_nested_inherited_chain_is_invalid_at_the_base_kind(cert_7_4, cert_5_2):
+    # a hand-nested chain is refused in one step: its base is not a direct
+    # obstruction, whatever lies below
+    nested = certificates.inherited_certificate(cert_7_4, 5)
+    cert = certificates.inherited_certificate(cert_7_4, 6)
+    cert["payload"]["base"] = copy.deepcopy(nested)
+    assert certificates.verification_failures(cert) == [
+        "payload.base.kind: not a direct obstruction"]
+    cert["payload"]["base"] = copy.deepcopy(cert_5_2)
+    assert certificates.verification_failures(cert) == [
+        "payload.base.kind: not a direct obstruction", "payload.base.form: prime mismatch"]
+    # a base's own malformed fields and failures keep their prefix
+    cert = copy.deepcopy(nested)
+    cert["payload"]["base"]["form"]["p"] = "7"
+    with pytest.raises(CertificateError, match=r"^payload\.base\.form\.p: "):
         certificates.verification_failures(cert)
-    base["payload"]["base"]["form"]["p"] = 7
-    base["payload"]["conclusion"] = None
+    cert = copy.deepcopy(nested)
+    cert["payload"]["base"]["payload"]["null_vector"] = None
+    with pytest.raises(CertificateError, match=r"^payload\.base\.payload\.null_vector: "):
+        certificates.verification_failures(cert)
+    cert = copy.deepcopy(nested)
+    cert["payload"]["base"]["payload"]["conclusion"] = None
+    cert["payload"]["conclusion"] = None
     assert certificates.verification_failures(cert) == [
         "payload.base.payload.conclusion: does not re-derive",
         "payload.conclusion: does not re-derive",
     ]
+
+
+def _every_field(value, path=()):
+    """Each field under value: every key of an object, every list entry."""
+    keys = list(value) if isinstance(value, dict) else (
+        range(len(value)) if isinstance(value, list) else [])
+    for key in keys:
+        yield path + (key,)
+        yield from _every_field(value[key], path + (key,))
+
+
+def _field_exists(doc, label) -> bool:
+    """Whether a field label such as payload.roots[2] is a field of doc."""
+    for name, index in re.findall(r"\.?([A-Za-z_]+)|\[(\d+)\]", label):
+        key = int(index) if index else name
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            return False
+    return True
+
+
+@st.composite
+def _mutations(draw, value):
+    """A value that breaks value: an out-of-range integer, a nested list,
+    two rows swapped, or a value of the wrong type."""
+    kinds = ["out_of_range", "nested_list", "wrong_type"]
+    if isinstance(value, list) and len(value) >= 2:
+        kinds.append("swap_rows")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "out_of_range":
+        return draw(st.sampled_from([-1, -(10**30), 10**30, 2**64]))
+    if kind == "nested_list":
+        return [[value]] if not isinstance(value, list) else [value]
+    if kind == "swap_rows":
+        i = draw(st.integers(0, len(value) - 2))
+        j = draw(st.integers(i + 1, len(value) - 1))
+        rows = list(value)
+        rows[i], rows[j] = rows[j], rows[i]
+        return rows
+    wrong = [None, "7", 1.5, True, {}, []]
+    if type(value) is int:
+        wrong.append(float(value))
+    return draw(st.sampled_from(wrong))
+
+
+def _may_stay_valid(which, path, value) -> bool:
+    """Edits that leave a document valid: annotations and work counters
+    are commentary, and an inherited verdict holds at every higher rank."""
+    return ("annotations" in path or path[0] == "counters"
+            or which == "cert_inherited" and path == ("form", "n") and value == 10**30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_are_invalid_or_name_a_field(
+        data, cert_5_2, cert_7_4, cert_13_3, cert_inherited, search):
+    # certificates of all four kinds and a state file, one drawn field
+    # mutated: the reader raises CertificateError naming a field of the
+    # document, or the document fails its check; nothing else is raised
+    docs = {"cert_5_2": cert_5_2, "cert_7_4": cert_7_4, "cert_13_3": cert_13_3,
+            "cert_inherited": cert_inherited, "state": search(13, 3).state.to_json()}
+    which = data.draw(st.sampled_from(sorted(docs)))
+    doc = docs[which]
+    path = data.draw(st.sampled_from(list(_every_field(doc))))
+    edited = copy.deepcopy(doc)
+    parent = edited
+    for key in path[:-1]:
+        parent = parent[key]
+    value = data.draw(_mutations(parent[path[-1]]))
+    assume(json.dumps(value) != json.dumps(parent[path[-1]]))
+    parent[path[-1]] = value
+    try:
+        if which == "state":
+            state = SearchState.from_json(edited)
+            bound = Budget(max_roots=len(state.accepted) + 1)
+            valid = reproduces(state.form, state.accepted, state.batches_done, bound) is not None
+        else:
+            valid = verify_certificate(edited)
+    except CertificateError as exc:
+        assert _field_exists(doc, str(exc).split(": ")[0]), (which, path, str(exc))
+        return
+    assert not valid or _may_stay_valid(which, path, value), (which, path, value)
 
 
 # top-level payload keys that each kind re-derives from its primary fields

@@ -285,26 +285,41 @@ def test_table_json_matches_text_content(runner):
 
 
 def test_diagram_command(runner):
-    res = runner.invoke(main, ["diagram", "5", "2", "--format", "dot"])
+    # the diagram command is gone; classify --emit diagram prints the diagram
+    res = runner.invoke(main, ["classify", "5", "2", "--emit", "diagram", "--format", "dot"])
     assert res.exit_code == 0
     assert res.output.startswith("graph walls {")
-    undecided = runner.invoke(main, ["diagram", "13", "3", "--max-height", "2"])
+    undecided = runner.invoke(
+        main, ["classify", "13", "3", "--emit", "diagram", "--max-height", "2"])
     assert undecided.exit_code == 3
+    assert runner.invoke(main, ["diagram", "5", "2"]).exit_code == 2
+
+
+def test_format_needs_emit_diagram(runner):
+    for emit in ("report", "roots", "certificate"):
+        for fmt in ("dot", "tikz"):
+            res = runner.invoke(main, ["classify", "5", "2", "--emit", emit, "--format", fmt])
+            assert res.exit_code == 2, (emit, fmt)
+            assert "--format" in res.output
+    json_report = runner.invoke(main, ["classify", "5", "2", "--format", "json"])
+    assert json_report.exit_code == 0
 
 
 def test_certify_and_verify_round_trip(runner, tmp_path):
+    # the certify command is gone; classify --emit certificate prints the certificate
     cert_file = tmp_path / "cert.json"
-    for args in (["certify", "5", "2"], ["certify", "7", "4"], ["certify", "13", "3"]):
-        emitted = runner.invoke(main, args)
+    for p, n in ((5, 2), (7, 4), (13, 3)):
+        emitted = runner.invoke(main, ["classify", str(p), str(n), "--emit", "certificate"])
         assert emitted.exit_code == 0
         cert_file.write_text(emitted.output)
         verified = runner.invoke(main, ["verify", str(cert_file)])
         assert verified.exit_code == 0
         assert verified.output == "valid\n"
+    assert runner.invoke(main, ["certify", "5", "2"]).exit_code == 2
 
 
 def test_verify_invalid_certificate(runner, tmp_path):
-    emitted = runner.invoke(main, ["certify", "5", "2"])
+    emitted = runner.invoke(main, ["classify", "5", "2", "--emit", "certificate"])
     cert = json.loads(emitted.output)
     cert["payload"]["roots"] = cert["payload"]["roots"][:-1]
     cert_file = tmp_path / "cert.json"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from vinberg.forms import Form
+from vinberg.forms import PRIME_LIMIT, Form, _is_prime
 
 
 def legendre(a, p):
@@ -110,3 +110,26 @@ def test_rejects_bad_parameters():
         Form(7, 1)
     with pytest.raises(ValueError):
         Form(5, 2).norm((1, 2))
+
+
+def test_primality_agrees_with_trial_division():
+    limit = 10**5
+    composite = [False] * limit
+    for f in range(2, limit):
+        for m in range(2 * f, limit, f):
+            composite[m] = True
+    assert [m for m in range(limit) if _is_prime(m)] == [
+        m for m in range(2, limit) if not composite[m]]
+    # strong pseudoprimes to every base up to 23, and to every one up to 37
+    for m in (3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(m)
+
+
+def test_large_primes_construct_below_the_limit():
+    assert Form(99999999999973, 2).p == 99999999999973
+    assert Form(10**18 + 3, 2).p == 10**18 + 3
+    with pytest.raises(ValueError):
+        Form(1000003 * 1000033, 2)
+    # the limit itself is a strong pseudoprime to all the bases
+    with pytest.raises(ValueError, match="below"):
+        Form(PRIME_LIMIT, 2)
