@@ -115,24 +115,23 @@ def affine_null_marks(form: Form, roots, nodes):
 def scan_for_cusp_obstruction(chamber):
     """Look for a null direction whose root classes have deficient rank.
 
-    Groups the affine components of a grown volume.ChamberDiagram by their
-    common null vector and tests the quotient of every group: whichever
-    affine components meet at e, a deficient quotient depends on e alone.
-    The chamber keeps across batches the null vector of each affine
-    component, which depends on its roots alone, and the quotient and root
-    classes of each null vector, which depend on the form alone.  A
-    full-rank entry stopped its walk early and only full_rank is read from
-    it; a deficient entry is complete and is handed, with its quotient, to
-    the certificate.  Returns an ideal_vertex_failure certificate, or None.
+    Tests, in order of null vector e, the quotient at every cusp of a grown
+    volume.ChamberDiagram (its affine components grouped by e): whichever
+    components meet at e, a deficient quotient depends on e alone.  The
+    chamber keeps across batches e for each cusp's first member, which
+    depends on its roots alone, and the quotient and root classes of each
+    e, which depend on the form alone.  A full-rank entry stopped its walk
+    early and only full_rank is read from it; a deficient entry is complete
+    and is handed, with its quotient and cusp, to the certificate.  Returns
+    an ideal_vertex_failure certificate, or None.
     """
     form, accepted = chamber.form, chamber.roots
     groups: dict = {}
     null_marks = chamber.null_marks
-    for comp in chamber.affine_components():
-        key = frozenset(comp["nodes"])
-        if key not in null_marks:
-            null_marks[key] = affine_null_marks(form, accepted, comp["nodes"])
-        groups.setdefault(null_marks[key][1], []).append(comp)
+    for cusp in chamber.cusps():
+        if cusp[0] not in null_marks:
+            null_marks[cusp[0]] = affine_null_marks(form, accepted, cusp[0])
+        groups[null_marks[cusp[0]][1]] = cusp
     cache = chamber.root_classes
     for e in sorted(groups):
         if e not in cache:
@@ -158,18 +157,18 @@ def _document(form: Form, kind: str, payload: dict) -> dict:
     }
 
 
-def ideal_vertex_certificate(chamber, quot, components, rc) -> dict:
+def ideal_vertex_certificate(chamber, quot, node_sets, rc) -> dict:
     """Certificate that the quotient quot, at its null vector e, has
     rank-deficient root classes.
 
-    components are affine components of the chamber with null vector e,
-    whose marks the cusp scan left in chamber.null_marks; rc is
-    quotient.root_classes of quot.
+    node_sets are keys of chamber.affine with null vector e, a cusp of
+    the chamber; each one's marks are computed here, once, for this one
+    certificate.  rc is quotient.root_classes of quot.
     """
     comps = [
-        {"nodes": sorted(c["nodes"]), "type": c["type"],
-         "marks": chamber.null_marks[frozenset(c["nodes"])][0]}
-        for c in components
+        {"nodes": sorted(s), "type": chamber.affine[s],
+         "marks": affine_null_marks(chamber.form, chamber.roots, s)[0]}
+        for s in node_sets
     ]
     payload = _ideal_vertex_payload(quot, chamber.roots, comps, rc)
     return _document(chamber.form, "ideal_vertex_failure", payload)
@@ -191,7 +190,9 @@ def _ideal_vertex_payload(quot, roots, components, rc) -> dict:
         "roots": [list(r) for r in roots],
         "components": components,
         "null_vector": list(quot.e),
-        "affine_rank": len(linalg.hnf_basis(image)),
+        # the quotient Gram is definite, so the span of the image and its
+        # orthogonal complement have complementary ranks
+        "affine_rank": quot.rank - len(comp_data["c_basis"]),
         "quotient": {
             "class_basis": [list(r) for r in quot.class_basis],
             "gram": [list(r) for r in quot.gram],

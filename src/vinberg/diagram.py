@@ -317,47 +317,6 @@ def is_affine_type(name: str) -> bool:
     return "~" in name
 
 
-def _orthogonal(diagram: Diagram, a, b) -> bool:
-    return all(diagram.kind(i, j) is None for i in a for j in b)
-
-
-def affine_sets_of_rank(diagram: Diagram, rank: int, comps) -> list[dict]:
-    """All unions of pairwise orthogonal affine components with the given
-    total rank.  comps lists the connected affine subdiagrams as
-    volume.ChamberDiagram.affine_components does; the chosen ones must be
-    node-disjoint and unjoined by edges.  A connected affine diagram's
-    rank is its node count minus one."""
-    out = []
-    chosen: list[int] = []
-
-    def backtrack(start: int, total: int):
-        if total == rank:
-            nodes = tuple(sorted(x for i in chosen for x in comps[i]["nodes"]))
-            types = tuple(sorted(comps[i]["type"] for i in chosen))
-            out.append({"nodes": nodes, "types": types})
-            return
-        for i in range(start, len(comps)):
-            c = comps[i]
-            c_rank = len(c["nodes"]) - 1
-            if total + c_rank > rank:
-                continue
-            if any(
-                not _orthogonal(diagram, comps[j]["nodes"], c["nodes"])
-                or set(comps[j]["nodes"]) & set(c["nodes"])
-                for j in chosen
-            ):
-                continue
-            chosen.append(i)
-            backtrack(i + 1, total + c_rank)
-            chosen.pop()
-
-    backtrack(0, 0)
-    # the chosen components are the connected components of their union,
-    # so distinct choices give distinct node sets
-    out.sort(key=lambda d: d["nodes"])
-    return out
-
-
 def diagram_json(form, roots) -> dict:
     """Serializable description of the wall diagram.
 

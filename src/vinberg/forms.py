@@ -54,6 +54,8 @@ class Form:
     n: int
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.n) is not int:
+            raise ValueError("p and n must be integers")
         if self.p >= PRIME_LIMIT:
             raise ValueError(f"p must be below {PRIME_LIMIT}")
         if self.p < 5 or not _is_prime(self.p):

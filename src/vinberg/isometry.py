@@ -30,6 +30,7 @@ is the identity, the order is infinite.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from vinberg import cones, linalg
@@ -179,6 +180,7 @@ def _totient(k: int) -> int:
     return out
 
 
+@cache
 def max_finite_order(d: int) -> int:
     """Largest order of a finite-order matrix in GL_d(Z).
 
@@ -224,9 +226,10 @@ def infinite_order_evidence(T) -> dict | None:
     }
 
 
-def _matching_frames(form: Form, roots, orth, target_norms, target_gram):
-    """Ordered index tuples from orth whose Gram matches the target, by DFS."""
-    n = len(target_norms)
+def _matching_frames(gram, orth, target):
+    """Ordered index tuples from orth whose Gram, read off gram, is the
+    target Gram, by DFS."""
+    n = len(target)
     out = []
     chosen = []
 
@@ -236,13 +239,9 @@ def _matching_frames(form: Form, roots, orth, target_norms, target_gram):
             out.append(tuple(chosen))
             return
         for i in orth:
-            if i in chosen:
-                continue
-            if form.norm(roots[i]) != target_norms[s]:
-                continue
-            if any(
-                form.inner_product(roots[i], roots[j]) != target_gram[t][s]
-                for t, j in enumerate(chosen)
+            # i's inner products with the chosen walls and with itself
+            if i in chosen or any(
+                gram[i][j] != target[t][s] for t, j in enumerate(chosen + [i])
             ):
                 continue
             chosen.append(i)
@@ -281,19 +280,14 @@ def find_infinite_symmetry(chamber, height_limit) -> dict | None:
             )
     for ci, c_from in enumerate(corners):
         base = tuple(sorted(c_from["orthogonal"]))
-        norms = [form.norm(roots[i]) for i in base]
-        gram = [
-            [form.inner_product(roots[i], roots[j]) for j in base] for i in base
-        ]
+        target = chamber.subgram(base)
         frame_from = [roots[i] for i in base] + [c_from["vector"]]
         for cj, c_to in enumerate(corners):
             if cj == ci:
                 continue
             if form.norm(c_from["vector"]) != form.norm(c_to["vector"]):
                 continue
-            for perm in _matching_frames(
-                form, roots, c_to["orthogonal"], norms, gram
-            ):
+            for perm in _matching_frames(chamber.gram, c_to["orthogonal"], target):
                 frame_to = [roots[i] for i in perm] + [c_to["vector"]]
                 T = frame_map(form, frame_from, frame_to)
                 if T is None:

@@ -9,7 +9,10 @@ span the whole space and
       of full rank n - 1, and
   (b) for every hyperbolic critical subdiagram S, the set of directions
       orthogonal to S and on the non-positive side of every wall is {0}.
-That set is the face of the chamber cone C = {x : <x, r> <= 0 for every
+(a) is read by cusp (ChamberDiagram.cusps): S extends iff the ranks
+(nodes less one) of the components at its null vector e sum to n - 1,
+the rank of the definite e^perp / Z e, which they never exceed.  The set
+in (b) is the face of the chamber cone C = {x : <x, r> <= 0 for every
 root} tight on S.  The rank is checked first, as the dimension less that
 of C's lineality space, so C is pointed, and a face of a pointed cone is
 spanned by the extreme rays it holds: (b) fails for S exactly when some
@@ -38,7 +41,7 @@ object also keeps the PSD class of every wall subset classified, keyed
 by node set (Diagram.classes); C as one live cones.Cone, given only the
 walls it lacks when (b) or a corner is read; the hyperbolic S proved to
 meet (b), since a face proved {0} stays {0} while the roots grow; and,
-for the cusp scan, the null vector of each affine component and, for
+for the cusp scan, the null vector of each cusp's first member and, for
 each null vector, its quotient lattice and that quotient's root classes,
 which the certificate reuses.
 
@@ -72,7 +75,7 @@ class ChamberDiagram(dg.Diagram):
         self.affine: dict = {}  # connected affine node set -> catalog type
         self.trivial_cones: set = set()  # hyperbolic S whose fixed cone is {0}
         self.cone = cones.Cone(form.dim)  # the chamber cone, on a prefix of roots
-        self.null_marks: dict = {}  # affine node set -> (marks, null vector)
+        self.null_marks: dict = {}  # a cusp's first member -> (marks, null vector)
         # null vector -> (quotient.null_quotient, quotient.root_classes of it)
         self.root_classes: dict = {}
         self.grow(roots)
@@ -109,11 +112,30 @@ class ChamberDiagram(dg.Diagram):
             cones.cone_generators([self.form.dual(r) for r in new], self.form.dim, self.cone)
         return self.cone
 
-    def affine_components(self) -> list[dict]:
-        """Every connected affine subdiagram with its type, by nodes."""
-        out = [{"nodes": tuple(sorted(s)), "type": name} for s, name in self.affine.items()]
-        out.sort(key=lambda d: d["nodes"])
-        return out
+    def cusps(self) -> list[list[frozenset]]:
+        """The connected affine subdiagrams grouped by their null vector.
+
+        For walls at acute angles, two connected affine subdiagrams share
+        their null vector exactly when they are disjoint and no edge joins
+        them.  If they are, their null vectors are orthogonal, and
+        orthogonal null vectors of a Lorentzian form are proportional.  If
+        they share e, their union lies in e^perp, where the form is
+        positive semidefinite, and a connected positive-semidefinite
+        diagram holds no connected affine one properly.  Only search roots
+        and roots that passed certificates._acute_pair reach a
+        ChamberDiagram, so the premise holds, and a component joins the
+        first group whose first member it neither overlaps nor shares an
+        edge with.  Groups and their members are in order of sorted nodes.
+        """
+        groups: list[list[frozenset]] = []
+        for s in sorted(self.affine, key=sorted):
+            for group in groups:
+                if s.isdisjoint(group[0].union(*(self.adjacent[i] for i in group[0]))):
+                    group.append(s)
+                    break
+            else:
+                groups.append([s])
+        return groups
 
 
 def bordered_column(columns, row) -> tuple[int, ...]:
@@ -261,8 +283,8 @@ def _critical_decider(chamber, report) -> bool:
     criticals = [{"nodes": sorted(s), "class": c} for s, c in chamber.critical.items()]
     criticals.sort(key=lambda d: d["nodes"])
     report["critical"] = criticals
-    full = dg.affine_sets_of_rank(chamber, form.n - 1, chamber.affine_components())
-    affine_nodes = [set(item["nodes"]) for item in full]
+    # the affine sets at the cusps whose components reach rank n - 1 together
+    full = {s for cusp in chamber.cusps() if sum(len(c) - 1 for c in cusp) == form.n - 1 for s in cusp}
     cond_a = []
     cond_b = []
     ok = True
@@ -270,7 +292,7 @@ def _critical_decider(chamber, report) -> bool:
         nodes = item["nodes"]
         if item["class"] == "parabolic":
             # does the parabolic subdiagram extend to an affine one of rank n - 1?
-            good = any(set(nodes) <= a for a in affine_nodes)
+            good = frozenset(nodes) in full
             cond_a.append({"nodes": nodes, "extends": good})
         else:
             # a fixed cone proved {0} on fewer roots stays {0}

@@ -7,7 +7,8 @@ classes by widening the shift window far past the claimed period or by
 scanning every shift in it, matrix
 order by factoring the characteristic polynomial with sympy, finite
 volume by counting the vertices on every edge of the chamber, diagram
-edges, critical sets and affine components from scratch, reduced
+edges, critical sets and affine components from scratch, full-rank
+affine sets by backtracking over pairwise orthogonal components, reduced
 row echelon forms, kernels, solutions, determinants and LDL
 decompositions by elimination in Fraction arithmetic, ranks by Bareiss
 elimination, fixed cones of wall sets by a double description of
@@ -440,6 +441,33 @@ def affine_components(d, classify):
     )
 
 
+def affine_sets_of_rank(d, rank, comps):
+    """Node sets of every union of pairwise orthogonal affine components
+    of d with the given total rank, by backtracking.
+
+    comps lists the connected affine subdiagrams as affine_components
+    does; the chosen ones must be node-disjoint and unjoined by edges.  A
+    connected affine diagram's rank is its node count minus one.  The
+    reference for condition (a), which volume reads by cusp instead.
+    """
+    out = []
+
+    def backtrack(start, chosen, total):
+        if total == rank:
+            out.append(frozenset().union(*chosen))
+            return
+        for k in range(start, len(comps)):
+            c = frozenset(comps[k]["nodes"])
+            if total + len(c) - 1 <= rank and all(
+                not c & s and all(d.kind(i, j) is None for i in s for j in c)
+                for s in chosen
+            ):
+                backtrack(k + 1, chosen + [c], total + len(c) - 1)
+
+    backtrack(0, [], 0)
+    return out
+
+
 def edge_decider(form, roots):
     """Finite volume of the chamber by counting vertices on its edges.
 
@@ -454,12 +482,7 @@ def edge_decider(form, roots):
     from vinberg import diagram as dg
 
     d = dg.build_diagram(form, roots)
-    affine_nodes = [
-        set(item["nodes"])
-        for item in dg.affine_sets_of_rank(
-            d, form.n - 1, affine_components(d, d.psd_class)
-        )
-    ]
+    affine_nodes = affine_sets_of_rank(d, form.n - 1, affine_components(d, d.psd_class))
     found_any_vertex = False
     for subset in combinations(range(len(d)), form.n - 1):
         s = frozenset(subset)

@@ -130,6 +130,23 @@ def vinberg_imports(tree) -> list[int]:
     ]
 
 
+def vinberg_modules(tree) -> set[str]:
+    """The modules of the vinberg package that an AST imports, by name:
+    `from vinberg import a`, `from vinberg.a import x`, `import vinberg.a`
+    and their relative forms all name a."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["vinberg" if node.level else None, node.module]))
+            if module == "vinberg":
+                names.update(a.name for a in node.names)
+            elif module.startswith("vinberg."):
+                names.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("vinberg."))
+    return names
+
+
 def test_double_description_stands_alone():
     # cones reads every rank fact off its own face lattice, so it needs no
     # other module of the package
@@ -137,3 +154,10 @@ def test_double_description_stands_alone():
     assert vinberg_imports(ast.parse((package / "cones.py").read_text())) == []
     # the scan sees the package imports the other modules do make
     assert vinberg_imports(ast.parse((package / "volume.py").read_text())) != []
+
+
+def test_condition_a_reads_the_diagram_alone():
+    # volume decides condition (a) by cusp from the diagram's edges, so it
+    # never reaches the certificates' kernel code for null vectors
+    tree = ast.parse((PACKAGE_DIRS[0] / "volume.py").read_text())
+    assert vinberg_modules(tree) == {"cones", "diagram", "errors"}

@@ -121,14 +121,14 @@ def test_affinity():
 
 
 def test_affine_sets_of_full_rank(search):
+    # the component types at each cusp whose ranks reach n - 1
     form = Form(5, 5)
     roots = search(5, 5).roots
     chamber = volume.ChamberDiagram(form, roots)
     types = {
-        item["types"]
-        for item in diagram.affine_sets_of_rank(
-            chamber, form.n - 1, chamber.affine_components()
-        )
+        tuple(sorted(chamber.affine[s] for s in cusp))
+        for cusp in chamber.cusps()
+        if sum(len(s) - 1 for s in cusp) == form.n - 1
     }
     assert types == corpus.EXPECTED_P5_AFFINE_TYPES[5]
 

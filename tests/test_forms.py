@@ -112,6 +112,13 @@ def test_rejects_bad_parameters():
         Form(5, 2).norm((1, 2))
 
 
+@pytest.mark.parametrize("p,n", [(5.0, 2), (5, 3.0), (True, 2)])
+def test_rejects_parameters_that_are_not_ints(p, n):
+    # a float or bool would construct and then compute in floats
+    with pytest.raises(ValueError, match="integers"):
+        Form(p, n)
+
+
 def test_primality_agrees_with_trial_division():
     limit = 10**5
     composite = [False] * limit

@@ -18,6 +18,12 @@ def fresh_report(form, roots):
     return volume.finite_volume(volume.ChamberDiagram(form, roots))
 
 
+def scratch_affine(d):
+    """oracles.affine_components of a diagram, keyed as
+    ChamberDiagram.affine keeps them."""
+    return {frozenset(c["nodes"]): c["type"] for c in oracles.affine_components(d, d.psd_class)}
+
+
 @pytest.mark.parametrize("p,n", sorted(corpus.EXPECTED_REFLECTIVE))
 def test_finite_on_every_reflective_chamber(search, p, n):
     form = Form(p, n)
@@ -93,7 +99,7 @@ def test_grown_diagram_matches_a_scratch_build_on_every_prefix(search, p, n, ste
         assert chamber.critical == {
             frozenset(item["nodes"]): item["class"] for item in critical
         }, k
-        assert chamber.affine_components() == oracles.affine_components(d, d.psd_class), k
+        assert chamber.affine == scratch_affine(d), k
 
 
 @st.composite
@@ -163,10 +169,40 @@ def test_walk_grown_in_random_steps_matches_the_oracle(search, data):
         assert chamber.critical == {
             frozenset(item["nodes"]): item["class"] for item in critical
         }, k
-        assert chamber.affine_components() == oracles.affine_components(d, d.psd_class), k
+        assert chamber.affine == scratch_affine(d), k
     # every class the bordered steps recorded is the eliminated one
     for nodes, cls in chamber.classes.items():
         assert cls == linalg.psd_classify(chamber.subgram(sorted(nodes))), sorted(nodes)
+
+
+CUSP_FORMS = sorted(corpus.EXPECTED_REFLECTIVE) + [(5, 9), (7, 4), (11, 5), (13, 3), (19, 3), (23, 3)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cusps_group_by_null_vector_and_decide_condition_a(search, data):
+    # on a drawn prefix of a reflective, cusp or symmetry form: cusps()
+    # groups the affine components as their null vectors do, and condition
+    # (a) read by cusp is the backtracking over orthogonal components
+    p, n = data.draw(st.sampled_from(CUSP_FORMS))
+    form = Form(p, n)
+    roots = search(p, n).roots
+    prefix = roots[: data.draw(st.integers(n, len(roots)))]
+    chamber = volume.ChamberDiagram(form, prefix)
+    by_null = {}
+    for s in sorted(chamber.affine, key=sorted):
+        by_null.setdefault(certificates.affine_null_marks(form, prefix, s)[1], []).append(s)
+    cusps = chamber.cusps()
+    assert len(cusps) == len(by_null)
+    assert {tuple(c) for c in cusps} == {tuple(g) for g in by_null.values()}
+    report = volume.finite_volume(chamber)
+    if "condition_a" in report:
+        d = diagram.build_diagram(form, prefix)
+        full = oracles.affine_sets_of_rank(d, n - 1, oracles.affine_components(d, d.psd_class))
+        assert report["condition_a"] == [
+            {"nodes": c["nodes"], "extends": any(set(c["nodes"]) <= a for a in full)}
+            for c in report["critical"] if c["class"] == "parabolic"
+        ]
 
 
 def test_growing_by_a_bad_angle_raises_as_build_diagram_does(search):
