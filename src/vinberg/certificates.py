@@ -75,7 +75,7 @@ from __future__ import annotations
 import json
 
 from vinberg import diagram as _diagram
-from vinberg import cones, linalg, published, quotient
+from vinberg import cones, isometry, linalg, published, quotient
 from vinberg import volume as _volume
 from vinberg.errors import CertificateError, DiagramError
 from vinberg.forms import Form
@@ -229,8 +229,6 @@ def infinite_symmetry_certificate(form: Form, accepted, symmetry, batches_done) 
 def _symmetry_payload(form: Form, roots, symmetry, batches_done) -> dict:
     """The symmetry payload; symmetry is isometry.find_infinite_symmetry's
     matrix, frames (root_indices and corner) and evidence."""
-    from vinberg import isometry
-
     def frame_out(fr):
         corner = tuple(fr["corner"])
         return {
@@ -491,8 +489,8 @@ def _verify_ideal_vertex(form: Form, payload) -> list[str]:
             return [f"{label}: bad index set"]
         if _diagram.components(d, nodes) != [tuple(nodes)]:
             return [f"{label}: not a connected subdiagram"]
-        name = _diagram.classify_component(d, nodes)
-        if name is None or not _diagram.is_affine_type(name):
+        name = _diagram.affine_type(d, nodes)
+        if name is None:
             return [f"{label}: not an affine subdiagram"]
         marks, e_comp = affine_null_marks(form, roots, nodes)
         if e_comp != e:
@@ -526,8 +524,6 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     every wall below its frontier, so a stored root's image that is not
     stored lies above the replay.
     """
-    from vinberg import isometry
-
     roots, issues = _roots(form, payload)
     batches = _count(payload, "batches_done", "payload.batches_done")
     T = _rows(payload, "matrix", "payload.matrix")

@@ -1,4 +1,4 @@
-"""Coxeter diagrams of wall systems and their classification.
+"""Coxeter diagrams of wall systems and their affine subdiagrams.
 
 Nodes are wall indices; an edge records the exact value of
 cos^2(angle) = <u,v>^2 / (<u,u><v,v>) between two walls.  Only five values
@@ -6,9 +6,12 @@ can occur for walls in acute position: 1/4, 1/2, 3/4 (dihedral angles
 pi/3, pi/4, pi/6), 1 (parallel walls) and anything > 1 (divergent walls).
 Any other value in [0, 1) is rejected as a hard error.
 
-Connected subdiagrams are classified structurally against the spherical
-and affine catalogs and the verdict is double-checked by exact
-semidefiniteness of the Gram matrix; a mismatch raises ConsistencyError.
+A connected subdiagram is named structurally against the affine catalog
+(Vinberg 1985, Hyperbolic reflection groups), the only names the package
+reports: the types of the components at a cusp.  The name is
+double-checked by exact semidefiniteness of the Gram matrix, since a
+connected subdiagram is affine iff its Gram is degenerate; a mismatch
+raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -45,14 +48,13 @@ class Diagram:
     """
 
     def __init__(self):
-        self.norms: list[int] = []
         self.gram: list[list[int]] = []
         self.edges: dict = {}  # (i, j) with i < j -> edge kind
         self.adjacent: list[set] = []  # node -> the nodes it shares an edge with
         self.classes: dict = {}  # frozenset of nodes -> PSD class
 
     def __len__(self) -> int:
-        return len(self.norms)
+        return len(self.gram)
 
     def extend(self, rows) -> None:
         """Append one wall per row, each row its inner products with every
@@ -65,8 +67,8 @@ class Diagram:
         4 ip^2 = k q for k = 1..4 gives the kind, and 4 ip^2 > 4 q a
         divergent pair.
         """
-        k = len(self.norms)
-        norms = self.norms + [row[k + t] for t, row in enumerate(rows)]
+        k = len(self.gram)
+        norms = [row[i] for i, row in enumerate([*self.gram, *rows])]
         edges = {}
         for i in range(len(norms)):
             for j in range(max(i + 1, k), len(norms)):
@@ -83,7 +85,6 @@ class Diagram:
         for i, row in enumerate(self.gram):
             row.extend(new[i] for new in rows)
         self.gram.extend(list(row) for row in rows)
-        self.norms = norms
         self.edges.update(edges)
         self.adjacent.extend(set() for _ in rows)
         for i, j in edges:
@@ -136,185 +137,68 @@ def components(diagram: Diagram, subset) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _classify_path(kinds: tuple) -> str | None:
-    """Type of a path component given its edge kinds in path order."""
-    canon = min(kinds, tuple(reversed(kinds)))
-    k = len(kinds) + 1  # node count
-    if all(e == SIMPLE for e in canon):
-        return f"A{k}"
-    if canon == (TRIPLE,):
-        return "G2"
-    if canon == (SIMPLE, TRIPLE):
-        return "G~2"
-    if any(e not in (SIMPLE, DOUBLE) for e in canon):
-        return None
-    doubles = [i for i, e in enumerate(canon) if e == DOUBLE]
-    if len(doubles) == 1:
-        i = doubles[0]
-        if i == 0 or i == len(canon) - 1:
-            return f"B{k}"
-        if k == 4:
-            return "F4"
-        if k == 5 and i == 1:
-            # double bond adjacent to the middle node of a 5-path
-            return "F~4"
-        return None
-    if doubles == [0, len(canon) - 1]:
-        return f"C~{k - 1}"
-    return None
+def _walk(diagram, comp, prev, cur) -> tuple:
+    """Edge kinds along the unbranched walk from prev through cur to a leaf."""
+    kinds = [diagram.kind(prev, cur)]
+    while nxt := [j for j in diagram.neighbors(cur, comp) if j != prev]:
+        prev, cur = cur, nxt[0]
+        kinds.append(diagram.kind(prev, cur))
+    return tuple(kinds)
 
 
-def _leg_profile(diagram, comp, fork):
-    """Walk the legs hanging off a degree-3 or degree-4 node.
-
-    Returns a list of (length, edge_kinds_outward) per leg, or None if the
-    component is not a star/tree of simple structure around the fork.
-    """
-    legs = []
-    for first in diagram.neighbors(fork, comp):
-        length = 0
-        kinds = []
-        prev, cur = fork, first
-        while True:
-            length += 1
-            kinds.append(diagram.kind(prev, cur))
-            nxt = [j for j in diagram.neighbors(cur, comp) if j != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None  # second branch point: not handled here
-            prev, cur = cur, nxt[0]
-        legs.append((length, tuple(kinds)))
-    return sorted(legs)
-
-
-def _classify_one_fork(diagram, comp, fork) -> str | None:
-    legs = _leg_profile(diagram, comp, fork)
-    if legs is None:
-        return None
-    lengths = tuple(l for l, _ in legs)
-    all_kinds = [k for _, kinds in legs for k in kinds]
-    k = len(comp)
-    if all(e == SIMPLE for e in all_kinds):
-        if lengths == (1, 1, k - 3):
-            return f"D{k}"
-        table = {
-            (1, 2, 2): "E6",
-            (1, 2, 3): "E7",
-            (1, 2, 4): "E8",
-            (2, 2, 2): "E~6",
-            (1, 3, 3): "E~7",
-            (1, 2, 5): "E~8",
-        }
-        return table.get(lengths)
-    # single double bond at the far end of one leg: affine B
-    specials = [
-        (i, kinds)
-        for i, (_, kinds) in enumerate(legs)
-        if any(e != SIMPLE for e in kinds)
-    ]
-    if len(specials) != 1:
-        return None
-    idx, kinds = specials[0]
-    if kinds[:-1] != (SIMPLE,) * (len(kinds) - 1) or kinds[-1] != DOUBLE:
-        return None
-    others = [l for i, (l, _) in enumerate(legs) if i != idx]
-    if others == [1, 1]:
-        return f"B~{k - 1}"
-    return None
-
-
-def _classify_two_forks(diagram, comp, forks) -> str | None:
-    k = len(comp)
-    for fork in forks:
-        leaf_legs = 0
-        for j in diagram.neighbors(fork, comp):
-            if len(diagram.neighbors(j, comp)) == 1:
-                leaf_legs += 1
-        if leaf_legs < 2:
-            return None
+def _affine_structure(diagram, comp) -> str | None:
+    """Affine type of a connected subdiagram read from its edges alone."""
     kinds = [diagram.kind(i, j) for i, j in combinations(comp, 2) if diagram.kind(i, j)]
-    if any(e != SIMPLE for e in kinds):
+    if kinds == [PARALLEL]:
+        return "A~1"
+    if PARALLEL in kinds or DIVERGENT in kinds:
         return None
-    return f"D~{k - 1}"
+    k = len(comp)
+    simple = all(e == SIMPLE for e in kinds)
+    degrees = {i: len(diagram.neighbors(i, comp)) for i in comp}
+    forks = [i for i in comp if degrees[i] > 2]
+    if len(kinds) == k:  # one cycle
+        return f"A~{k - 1}" if simple and not forks else None
+    if len(kinds) != k - 1 or k < 3:  # not a tree, or too small for a path type
+        return None
+    if not forks:
+        end = next(i for i in comp if degrees[i] == 1)
+        path = _walk(diagram, comp, end, diagram.neighbors(end, comp)[0])
+        canon = min(path, path[::-1])
+        if canon == (DOUBLE,) + (SIMPLE,) * (k - 3) + (DOUBLE,):
+            return f"C~{k - 1}"
+        # F~4 has its double bond next to the middle node of its 5-path
+        return {(SIMPLE, TRIPLE): "G~2", (SIMPLE, DOUBLE, SIMPLE, SIMPLE): "F~4"}.get(canon)
+    if max(degrees.values()) > 3:
+        return "D~4" if k == 5 and simple else None
+    if len(forks) == 1:
+        legs = sorted(_walk(diagram, comp, forks[0], j) for j in diagram.neighbors(forks[0], comp))
+        if simple:
+            lengths = tuple(sorted(map(len, legs)))
+            return {(2, 2, 2): "E~6", (1, 3, 3): "E~7", (1, 2, 5): "E~8"}.get(lengths)
+        # two one-node legs, the third ending in the only double bond
+        if legs == sorted([(SIMPLE,), (SIMPLE,), (SIMPLE,) * (k - 4) + (DOUBLE,)]):
+            return f"B~{k - 1}"
+        return None
+    leaves = {i for i in comp if degrees[i] == 1}
+    if len(forks) == 2 and simple and all(len(leaves & diagram.adjacent[f]) == 2 for f in forks):
+        return f"D~{k - 1}"
+    return None
 
 
-def classify_component(diagram: Diagram, comp) -> str | None:
-    """Catalog name of a connected subdiagram, None if neither spherical
-    nor affine.  The structural verdict is cross-checked against exact
-    semidefiniteness of the Gram matrix."""
+def affine_type(diagram: Diagram, comp) -> str | None:
+    """Affine catalog name of a connected subdiagram, None if it is not
+    affine.  The name is read from the structure and cross-checked
+    against exact semidefiniteness: a connected subdiagram is affine iff
+    its Gram is degenerate, and a disagreement raises ConsistencyError."""
     comp = tuple(sorted(comp))
-    name = _classify_component_structurally(diagram, comp)
+    name = _affine_structure(diagram, comp)
     cls = diagram.psd_class(frozenset(comp))
-    if name is None:
-        expected = "indefinite"
-    elif "~" in name:
-        expected = "degenerate"
-    else:
-        expected = "definite"
-    if cls != expected:
+    if (name is None) == (cls == "degenerate"):
         raise ConsistencyError(
-            f"structure says {name or 'indefinite'} but Gram is {cls} for {comp}"
+            f"structure says {name or 'not affine'} but Gram is {cls} for {comp}"
         )
     return name
-
-
-def _classify_component_structurally(diagram, comp) -> str | None:
-    k = len(comp)
-    kinds = [diagram.kind(i, j) for i, j in combinations(comp, 2) if diagram.kind(i, j)]
-    if k == 1:
-        return "A1"
-    if any(e == DIVERGENT for e in kinds):
-        return None
-    if any(e == PARALLEL for e in kinds):
-        if k == 2 and kinds == [PARALLEL]:
-            return "A~1"
-        return None
-    edge_count = len(kinds)
-    degrees = {i: len(diagram.neighbors(i, comp)) for i in comp}
-    maxdeg = max(degrees.values())
-    if maxdeg > 4:
-        return None
-    if maxdeg == 4:
-        centers = [i for i in comp if degrees[i] == 4]
-        if k == 5 and len(centers) == 1 and all(e == SIMPLE for e in kinds):
-            return "D~4"
-        return None
-    forks = [i for i in comp if degrees[i] == 3]
-    if len(forks) > 2:
-        return None
-    if edge_count == k:  # exactly one cycle
-        if forks or not all(e == SIMPLE for e in kinds):
-            return None
-        if all(degrees[i] == 2 for i in comp):
-            return f"A~{k - 1}"
-        return None
-    if edge_count != k - 1:  # not a tree
-        return None
-    if len(forks) == 0:
-        # a path: read the edge kinds endpoint to endpoint
-        ends = [i for i in comp if degrees[i] == 1]
-        if len(ends) != 2:
-            return None
-        order = [ends[0]]
-        while len(order) < k:
-            nxt = [
-                j
-                for j in diagram.neighbors(order[-1], comp)
-                if len(order) < 2 or j != order[-2]
-            ]
-            if len(nxt) != 1:
-                return None
-            order.append(nxt[0])
-        path_kinds = tuple(diagram.kind(a, b) for a, b in zip(order, order[1:]))
-        return _classify_path(path_kinds)
-    if len(forks) == 1:
-        return _classify_one_fork(diagram, comp, forks[0])
-    return _classify_two_forks(diagram, comp, forks)
-
-
-def is_affine_type(name: str) -> bool:
-    return "~" in name
 
 
 def diagram_json(form, roots) -> dict:
@@ -325,12 +209,12 @@ def diagram_json(form, roots) -> dict:
     """
     diagram = build_diagram(form, roots)
     nodes = [
-        {"index": i, "root": list(root), "norm": diagram.norms[i]}
+        {"index": i, "root": list(root), "norm": diagram.gram[i][i]}
         for i, root in enumerate(roots)
     ]
     edges = []
     for (i, j), kind in sorted(diagram.edges.items()):
-        num, den = _cos2(diagram.gram[i][j], diagram.norms[i] * diagram.norms[j])
+        num, den = _cos2(diagram.gram[i][j], diagram.gram[i][i] * diagram.gram[j][j])
         edges.append({"i": i, "j": j, "kind": kind, "cos2_num": num, "cos2_den": den})
     return {"nodes": nodes, "edges": edges}
 

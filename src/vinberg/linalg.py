@@ -323,8 +323,8 @@ def psd_classify(G) -> str:
     The critical-subdiagram walk classifies its sets by bordering instead
     (volume.bordered_column).  This serves the Gram matrices that do not
     grow one node from a definite one: Diagram.psd_class (the cross-check
-    in diagram.classify_component, and volume's hyperbolic test for a
-    component the walk did not reach), quotient.null_quotient and
+    in diagram.affine_type, and volume's hyperbolic test for a component
+    the walk did not reach), quotient.null_quotient and
     isometry.vertex_walls.
     """
     A = [list(row) for row in G]

@@ -30,6 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
 
+from vinberg import volume
 from vinberg.enumeration import enumerate_batch, prior_row
 from vinberg.errors import CertificateError, ConsistencyError
 from vinberg.forms import Form
@@ -86,25 +87,22 @@ class SearchState:
     accepted: list
     batches_done: int = 0
     counters: dict = field(default_factory=default_counters)
-    # (k0, m) of the batch at the cursor, kept by fresh and replay; not
-    # serialized, so None on a state read from JSON until it is replayed
-    next_batch: Optional[tuple[int, int]] = None
 
     @classmethod
     def fresh(cls, form: Form) -> "SearchState":
         state = cls(form, list(form.initial_roots()))
-        state.next_batch = next(batch_sequence(form))
         state.counters["accepted"] = len(state.accepted)
         return state
 
     def open_height(self) -> Fraction:
-        """Height of next_batch, the first batch the state has not processed.
+        """Height of the batch at the cursor, the first batch the state has
+        not processed.
 
         Heights are strictly increasing along the batch sequence, so the
         state has seen every root of height below the returned value and
         none at or above it.
         """
-        k0, m = self.next_batch
+        k0, m = next(islice(batch_sequence(self.form), self.batches_done, None))
         return Fraction(k0 * k0, m)
 
     def to_json(self) -> dict:
@@ -132,12 +130,13 @@ class SearchState:
         counters = _require(doc, "counters")
         if not isinstance(counters, dict) or counters.keys() != default_counters().keys():
             raise CertificateError("counters: not the four work counters")
-        return cls(
-            form=form,
-            accepted=[tuple(r) for r in accepted],
-            batches_done=batches,
-            counters={key: _count(counters, key, f"counters.{key}") for key in counters},
-        )
+        counters = {key: _count(counters, key, f"counters.{key}") for key in counters}
+        # the search counts every batch and accept in both places
+        if counters["batches"] != batches:
+            raise CertificateError("counters.batches: not batches_done")
+        if counters["accepted"] != len(accepted):
+            raise CertificateError("counters.accepted: not the number of accepted roots")
+        return cls(form, [tuple(r) for r in accepted], batches, counters)
 
 
 @dataclass
@@ -157,9 +156,9 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
     """The batch stream from state's cursor on, advancing state as it goes.
 
     Each step enumerates one batch, accepts its candidates into
-    state.accepted, updates the counters, batches_done and next_batch,
-    and yields the batch's accepts.  The stream ends where the budget
-    stops the search.
+    state.accepted, updates the counters and batches_done, and yields
+    the batch's accepts.  The stream ends where the budget stops the
+    search.
 
     The batches read each accepted root through its enumeration.prior_row:
     first coordinate, spatial part and the peak of its prefix sums, which
@@ -172,7 +171,7 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
     rows = [prior_row(r) for r in accepted]
     top = Fraction(budget.max_height)
     heads = islice(batch_sequence(form), state.batches_done, None)
-    k0, m = state.next_batch = next(heads)
+    k0, m = next(heads)
     # k0^2 / m > max_height, by cross-multiplying
     while len(accepted) < budget.max_roots and k0 * k0 * top.denominator <= top.numerator * m:
         candidates = enumerate_batch(form, k0, m, rows)
@@ -186,7 +185,7 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
         state.counters["candidates"] += len(candidates)
         state.counters["accepted"] += len(fresh)
         state.batches_done += 1
-        k0, m = state.next_batch = next(heads)
+        k0, m = next(heads)
         yield fresh
 
 
@@ -235,7 +234,6 @@ def run_search(
     grown on the final roots, to the caller's symmetry hunt.
     """
     from vinberg import certificates as _certificates
-    from vinberg import volume as _volume
 
     if budget is None:
         budget = Budget()
@@ -250,11 +248,11 @@ def run_search(
             )
     else:
         state = SearchState.fresh(form)
-    chamber = _volume.ChamberDiagram(form, state.accepted)
+    chamber = volume.ChamberDiagram(form, state.accepted)
 
     def decide() -> Optional[SearchResult]:
         state.counters["volume_checks"] += 1
-        report = _volume.finite_volume(chamber)
+        report = volume.finite_volume(chamber)
         if report["finite"]:
             return SearchResult("reflective", state, chamber, volume_report=report)
         cert = _certificates.scan_for_cusp_obstruction(chamber)

@@ -61,7 +61,6 @@ with the search.
 from __future__ import annotations
 
 from vinberg import cones, diagram as dg
-from vinberg.errors import ConsistencyError
 
 
 class ChamberDiagram(dg.Diagram):
@@ -182,9 +181,9 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
     bordered_column: v's Gram row eliminated against s's pivot rows, whose
     last pivot is det G_t.  G_s is definite, so det G_t > 0, = 0, < 0 make
     t definite, degenerate, indefinite; each class goes into
-    diagram.classes.  A degenerate t must be in the affine catalog
-    (classify_component checks structure against Gram), so it is critical
-    and parabolic.
+    diagram.classes.  A degenerate t is affine, so it is critical and
+    parabolic; dg.affine_type names it and raises ConsistencyError if its
+    structure is not in the affine catalog.
 
     An indefinite t is critical, and hyperbolic, when dropping any one
     wall leaves a definite set.  With 3 or more nodes its pairs are then
@@ -224,12 +223,7 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
                 frontier.append((t, order + (v,), columns + (column,)))
             elif column[-1] == 0:
                 classes[t] = "degenerate"
-                name = dg.classify_component(diagram, t)
-                if name is None or not dg.is_affine_type(name):
-                    raise ConsistencyError(
-                        f"degenerate connected subdiagram {sorted(t)} failed affine classification"
-                    )
-                affine[t] = name
+                affine[t] = dg.affine_type(diagram, t)
                 critical[t] = "parabolic"
             else:
                 classes[t] = "indefinite"

@@ -275,7 +275,7 @@ def brute_force_accepted(form, max_height):
 def open_height(form, batches_done):
     """Height of the first batch a run with this cursor has not processed,
     found by walking the batch sequence from batch 0; the reference for
-    SearchState.open_height, which reads the cursor's next_batch."""
+    SearchState.open_height."""
     from vinberg.search import batch_sequence
 
     gen = batch_sequence(form)
@@ -428,8 +428,8 @@ def affine_components(d, classify):
     def found(t, cls):
         if cls != "degenerate":
             return False
-        name = dg.classify_component(d, sorted(t))
-        if name is None or not dg.is_affine_type(name):
+        name = dg.affine_type(d, sorted(t))
+        if name is None:
             raise ConsistencyError(f"degenerate connected subdiagram {sorted(t)} is not affine")
         affine[t] = name
         return True

@@ -160,4 +160,4 @@ def test_condition_a_reads_the_diagram_alone():
     # volume decides condition (a) by cusp from the diagram's edges, so it
     # never reaches the certificates' kernel code for null vectors
     tree = ast.parse((PACKAGE_DIRS[0] / "volume.py").read_text())
-    assert vinberg_modules(tree) == {"cones", "diagram", "errors"}
+    assert vinberg_modules(tree) == {"cones", "diagram"}

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import corpus
 from vinberg import certificates, cones, diagram, linalg, published, quotient, volume
-from vinberg.errors import CertificateError, ConsistencyError
+from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
-from vinberg.search import Budget, SearchState, replay, reproduces, run_search
+from vinberg.search import Budget, SearchState, replay, reproduces
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -270,19 +270,17 @@ def test_type_broken_payload_fields_are_invalid_or_malformed(request, which):
 
 
 def test_type_broken_state_fields_are_malformed(search):
-    # the state reader names the field; the one edit it reads, an empty
-    # accepted list, fails the resumed search's replay
+    # the state reader names the field; the one edit that reads as rows,
+    # an empty accepted list, disagrees with the accepted counter
     edits = 0
     for path, edited in _type_broken_edits(search(13, 3).state.to_json()):
         edits += 1
-        try:
-            state = SearchState.from_json(edited)
-        except CertificateError as exc:
-            _assert_names_the_field(exc, path)
-            continue
-        assert path == ("accepted",) and state.accepted == [], path
-        with pytest.raises(ConsistencyError, match="^accepted: "):
-            run_search(state.form, state=state)
+        with pytest.raises(CertificateError) as exc:
+            SearchState.from_json(edited)
+        if path == ("accepted",) and edited["accepted"] == []:
+            assert str(exc.value).startswith("counters.accepted: ")
+        else:
+            _assert_names_the_field(exc.value, path)
     assert edits > 20
 
 
@@ -474,6 +472,23 @@ def test_ideal_vertex_certificate_needs_a_component(cert_7_4):
     roots = [tuple(r) for r in payload["roots"]]
     cert["payload"] = certificates._ideal_vertex_payload(quot, roots, [], payload["root_classes"])
     assert certificates.verification_failures(cert) == ["payload.components: no affine component"]
+
+
+@pytest.mark.parametrize(
+    "nodes,failure",
+    [
+        ([0, 1], "not an affine subdiagram"),  # spherical
+        ([0, 1, 2, 3, 4, 5], "not an affine subdiagram"),  # indefinite
+        ([0, 2], "not a connected subdiagram"),
+        ([3, 5], "not a connected subdiagram"),
+        ([1, 0], "bad index set"),
+        ([0, 99], "bad index set"),
+    ],
+)
+def test_ideal_vertex_component_must_be_a_connected_affine_subdiagram(cert_7_4, nodes, failure):
+    cert = copy.deepcopy(cert_7_4)
+    cert["payload"]["components"][0]["nodes"] = nodes
+    assert certificates.verification_failures(cert) == [f"payload.components[0].nodes: {failure}"]
 
 
 def test_tampered_root_class_shift(cert_7_4):
@@ -742,7 +757,7 @@ def test_published_null_vector_is_a_full_rank_ideal_vertex(report, p, n):
         (nodes, {norm}) for nodes, norm in expected["components"]
     ]
     # n - 1 components of rank 1: the affine set has full rank n - 1
-    assert [diagram.classify_component(d, c) for c in comps] == ["A~1"] * (n - 1)
+    assert [diagram.affine_type(d, c) for c in comps] == ["A~1"] * (n - 1)
     assert blk["component_types"] == ["A~1"] * (n - 2)
     assert 2 * p in {form.norm(roots[i]) for c in comps for i in c}
     rc = quotient.root_classes(form, quotient.null_quotient(form, e))

@@ -172,7 +172,9 @@ def test_resume_rejects_forged_undecided_state(runner, tmp_path, forged_13_3_sta
     assert state_file.read_text() == before
 
 
-@pytest.mark.parametrize("counters", [{}, {"batches": "x"}])
+@pytest.mark.parametrize(
+    "counters", [{}, {"batches": "x"}, {"batches": 999}, {"accepted": 7}]
+)
 def test_resume_rejects_malformed_counters(runner, tmp_path, search, counters):
     state_file = tmp_path / "state.json"
     doc = search(13, 3).state.to_json()
@@ -230,7 +232,7 @@ def test_resume_rejects_a_cursor_past_the_budget(tmp_path, search):
     # A subprocess with a timeout turns a hang into a failure.
     state_file = tmp_path / "state.json"
     doc = search(7, 3).state.to_json()
-    doc["batches_done"] = 10**7
+    doc["batches_done"] = doc["counters"]["batches"] = 10**7
     state_file.write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "vinberg.cli", "classify", "7", "3",

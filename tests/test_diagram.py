@@ -2,6 +2,7 @@
 
 import textwrap
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -92,32 +93,163 @@ def test_integer_angle_test_matches_fraction_oracle(drawn):
 
 
 def test_elliptic_path_types():
-    # A3: simple chain
+    # spherical diagrams have no affine name
     a3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     d = gram_diagram(a3)
-    assert diagram.classify_component(d, (0, 1, 2)) == "A3"
+    assert diagram.affine_type(d, (0, 1, 2)) is None
     # B3/C3 realization: chain with one double bond (cos^2 = 1/2)
     b3 = [[2, -1, 0], [-1, 2, -2], [0, -2, 4]]
     d = gram_diagram(b3)
-    assert diagram.classify_component(d, (0, 1, 2)) in ("B3", "C3")
+    assert diagram.affine_type(d, (0, 1, 2)) is None
 
 
 def test_affine_types():
     # A~1: parallel pair
     a1t = [[2, -2], [-2, 2]]
     d = gram_diagram(a1t)
-    assert diagram.classify_component(d, (0, 1)) == "A~1"
+    assert diagram.affine_type(d, (0, 1)) == "A~1"
     # A~2: triangle of simple bonds
     a2t = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     d = gram_diagram(a2t)
-    assert diagram.classify_component(d, (0, 1, 2)) == "A~2"
+    assert diagram.affine_type(d, (0, 1, 2)) == "A~2"
 
 
-def test_affinity():
-    assert diagram.is_affine_type("A~1")
-    assert diagram.is_affine_type("B~3")
-    assert not diagram.is_affine_type("A3")
-    assert not diagram.is_affine_type("A1")
+# 4 cos^2 of each bond kind
+_FOUR_COS2 = {"simple": 1, "double": 2, "triple": 3, "parallel": 4}
+
+
+def coxeter_gram(size, edges):
+    """A Gram realisation of walls 0..size-1 joined by (i, j, kind) edges,
+    listed so that each edge's i is wall 0 or met in an earlier edge.
+
+    Norms run outward from wall 0 (norm 12): a double bond doubles the
+    norm, a triple bond triples it, any other edge keeps it.  Each inner
+    product then meets its kind exactly, and a divergent pair gets one
+    just past the parallel value.
+    """
+    norms = {0: 12}
+    for i, j, kind in edges:
+        norms.setdefault(j, norms[i] * {"double": 2, "triple": 3}.get(kind, 1))
+    gram = [[norms[i] if i == j else 0 for j in range(size)] for i in range(size)]
+    for i, j, kind in edges:
+        q = norms[i] * norms[j]
+        if kind == "divergent":
+            ip = -(isqrt(q) + 1)
+        else:
+            ip = -isqrt(_FOUR_COS2[kind] * q // 4)
+            assert 4 * ip * ip == _FOUR_COS2[kind] * q
+        gram[i][j] = gram[j][i] = ip
+    return gram
+
+
+def path(*kinds):
+    return len(kinds) + 1, [(i, i + 1, kind) for i, kind in enumerate(kinds)]
+
+
+def star(*legs):
+    """A node 0 with one leg of simple bonds per length in legs."""
+    edges, size = [], 1
+    for length in legs:
+        edges += [(0 if t == 0 else size + t - 1, size + t, "simple") for t in range(length)]
+        size += length
+    return size, edges
+
+
+def with_last(kind, size_edges):
+    """The diagram with its last edge's kind replaced."""
+    size, edges = size_edges
+    return size, edges[:-1] + [edges[-1][:2] + (kind,)]
+
+
+def cycle(size):
+    return size, path(*["simple"] * (size - 1))[1] + [(0, size - 1, "simple")]
+
+
+def d_tilde(k):
+    """k + 1 walls: a simple chain of k - 3 nodes with two leaves at each end."""
+    size, edges = path(*["simple"] * (k - 4))
+    end = size - 1
+    leaves = [(0, size), (0, size + 1), (end, size + 2), (end, size + 3)]
+    return size + 4, edges + [(i, j, "simple") for i, j in leaves]
+
+
+AFFINE_TABLE = {
+    "A~1": path("parallel"),
+    **{f"A~{k}": cycle(k + 1) for k in range(2, 9)},
+    **{f"B~{k}": with_last("double", star(1, 1, k - 2)) for k in range(3, 9)},
+    **{f"C~{k}": path("double", *["simple"] * (k - 2), "double") for k in range(2, 9)},
+    **{f"D~{k}": d_tilde(k) for k in range(4, 9)},
+    "E~6": star(2, 2, 2),
+    "E~7": star(1, 3, 3),
+    "E~8": star(1, 2, 5),
+    "F~4": path("simple", "simple", "double", "simple"),
+    "G~2": path("simple", "triple"),
+}
+
+SPHERICAL_TABLE = {
+    **{f"A{k}": path(*["simple"] * (k - 1)) for k in range(1, 9)},
+    **{f"B{k}": path(*["simple"] * (k - 2), "double") for k in range(2, 9)},
+    **{f"D{k}": star(1, 1, k - 3) for k in range(4, 9)},
+    "E6": star(1, 2, 2),
+    "E7": star(1, 2, 3),
+    "E8": star(1, 2, 4),
+    "F4": path("simple", "double", "simple"),
+    "G2": path("triple"),
+}
+
+
+@pytest.mark.parametrize("name", AFFINE_TABLE)
+def test_every_affine_type_up_to_rank_8_is_named(name):
+    size, edges = AFFINE_TABLE[name]
+    d = gram_diagram(coxeter_gram(size, edges))
+    assert diagram.affine_type(d, range(size)) == name
+    assert d.psd_class(frozenset(range(size))) == "degenerate"
+
+
+@pytest.mark.parametrize("name", SPHERICAL_TABLE)
+def test_spherical_types_have_no_affine_name(name):
+    size, edges = SPHERICAL_TABLE[name]
+    d = gram_diagram(coxeter_gram(size, edges))
+    assert diagram.affine_type(d, range(size)) is None
+    assert d.psd_class(frozenset(range(size))) == "definite"
+
+
+_KINDS_BY_RATIO = {
+    1: ["simple", "parallel", "divergent"],
+    2: ["double", "divergent"],
+    3: ["triple", "divergent"],
+}
+
+
+@st.composite
+def acute_trees_and_cycles(draw):
+    """A tree of 2 to 10 walls, in half the draws closed by one more edge,
+    with every edge at a kind its two norms allow."""
+    size = draw(st.integers(2, 10))
+    kinds = st.sampled_from(["simple"] * 12 + ["double"] * 3 + ["triple", "parallel", "divergent"])
+    edges = [(draw(st.integers(0, j - 1)), j, draw(kinds)) for j in range(1, size)]
+    if size > 2 and draw(st.booleans()):
+        norms = [row[i] for i, row in enumerate(coxeter_gram(size, edges))]
+        i, j = draw(st.sampled_from([
+            (i, j) for i in range(size) for j in range(i + 1, size)
+            if not any(e[:2] == (i, j) for e in edges)
+        ]))
+        low, high = sorted((norms[i], norms[j]))
+        allowed = _KINDS_BY_RATIO.get(high // low if high % low == 0 else 0, ["divergent"])
+        edges.append((i, j, draw(st.sampled_from(allowed))))
+    return size, edges
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(drawn=acute_trees_and_cycles())
+def test_affine_type_agrees_with_the_gram(drawn):
+    # affine_type raises if its name disagrees with the Gram's class, so
+    # never raising means structure and semidefiniteness agree
+    size, edges = drawn
+    d = gram_diagram(coxeter_gram(size, edges))
+    name = diagram.affine_type(d, range(size))
+    if name is not None:
+        assert int(name.split("~")[1]) + 1 == size
 
 
 def test_affine_sets_of_full_rank(search):

@@ -108,8 +108,9 @@ def test_kernel_on_search_states(p):
     roots = state.accepted
     state = SearchState.fresh(form)
     stream = replay(state, Budget(max_height=Fraction(400), max_roots=10**6))
+    heads = batch_sequence(form)
     while True:
-        k0, m = state.next_batch
+        k0, m = next(heads)
         target = m + p * k0 * k0
         step = p if m % p == 0 else 1
         for prior in (state.accepted, roots):

@@ -102,15 +102,15 @@ def test_open_height_is_next_batch_height():
 
 
 def test_resumed_undecided_state_keeps_the_symmetry_frontier():
-    # a state read from JSON has no next_batch until its resumed search
-    # replays the stream; the symmetry hunt then reads the same frontier,
-    # and finds the same certificate, as on a fresh run
+    # a state read from JSON is the state written; the resumed search's
+    # symmetry hunt reads the same frontier, and finds the same
+    # certificate, as on a fresh run
     form = Form(13, 3)
     partial = run_search(form, Budget(max_roots=10))
     assert partial.status == "undecided"
     doc = partial.state.to_json()
     state = SearchState.from_json(doc)
-    assert state.next_batch is None
+    assert state == partial.state
     resumed = run_search(form, state=state)
     assert resumed.status == "undecided"
     assert resumed.state.open_height() == oracles.open_height(
@@ -237,6 +237,12 @@ def test_state_rejects_unknown_schemas_and_bad_cursors():
         with pytest.raises(CertificateError, match="batches_done"):
             SearchState.from_json(dict(doc, batches_done=batches))
     counters = doc["counters"]
+    # the search counts each batch and accept twice, so a state whose
+    # counts disagree was not written by it
+    with pytest.raises(CertificateError, match="^counters.batches: "):
+        SearchState.from_json(dict(doc, counters=dict(counters, batches=999)))
+    with pytest.raises(CertificateError, match="^counters.accepted: "):
+        SearchState.from_json(dict(doc, counters=dict(counters, accepted=7)))
     for bad in (
         {},
         [],
