@@ -592,9 +592,10 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     images = [form.height(v) for v in map(apply, roots) if v not in in_roots]
     # with no image outside the roots, T permutes them; a cap of 0 stops the replay
     cap = Budget(max_height=min(images, default=0), max_roots=len(roots) + 1)
-    frontier = reproduces(form, roots, batches, cap)
-    if frontier is None:
+    replayed = reproduces(form, roots, batches, cap)
+    if replayed is None:
         return ["payload.roots: not the search state after this many batches"]
+    frontier = replayed.open_height()
     for label in labels:
         if bounds[label] >= frontier:
             return [

@@ -1,11 +1,10 @@
 """Top-level classification of one form or a whole family of ranks.
 
-classify_form runs the root search and turns the outcome into a report
-with one of three verdicts: reflective (the search's finite-volume test,
-run once per batch that accepted a root, closed the chamber; the
-certificate is checkable from its roots alone), non_reflective (a
-verified obstruction certificate exists), or undecided (budget ran out
-and no obstruction was found; a resumable state is attached).
+classify_form turns search.run_search's verdict into a report: reflective
+(the chamber closed; the certificate is checkable from its roots alone),
+non_reflective (an obstruction certificate, re-verified from scratch here
+before it is attached), or undecided (budget ran out and no obstruction
+was found; a resumable state is attached).
 classify_family walks ranks upward and stops searching after the first
 non-reflective rank, since the obstruction persists in all higher ranks;
 later ranks get inheritance certificates instead.
@@ -16,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from vinberg import certificates, diagram, isometry, volume
+from vinberg import certificates, diagram, volume
 from vinberg.errors import ConsistencyError, VinbergError
 from vinberg.forms import Form
 from vinberg.search import Budget, SearchState, default_counters, replay, run_search
@@ -45,59 +44,32 @@ def classify_form(
     runs), budget; plus volume for reflective verdicts and state for
     undecided ones.
 
-    A non-reflective verdict comes from the search's cusp scan or, once
-    the budget has run out, from the symmetry hunt on the final chamber.
     Every non-reflective certificate is re-checked from scratch before it
     is attached; a verification failure is an internal error and raises
     ConsistencyError.  A resumed run (state given) re-derives the state's
     roots by replaying its batch cursor, so a tampered state raises
     ConsistencyError instead of yielding a verdict.
     """
-    form = Form(p, n)
     if budget is None:
         budget = Budget()
-    result = run_search(form, budget, state=state)
+    result = run_search(Form(p, n), budget, state=state)
+    if result.verdict == "non_reflective":
+        _check_certificate(result.certificate)
     roots = result.roots
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "form": {"p": p, "n": n},
-        "verdict": None,
+        "verdict": result.verdict,
         "roots": [list(r) for r in roots],
-        "diagram": diagram.diagram_json(form, roots),
-        "certificate": None,
+        "diagram": diagram.diagram_json(result.state.form, roots),
+        "certificate": result.certificate,
         "timings": dict(result.state.counters),
         "budget": _budget_json(budget),
     }
-
-    if result.status == "reflective":
-        report["verdict"] = "reflective"
-        report["volume"] = result.volume_report
-        report["certificate"] = certificates.reflective_certificate(
-            form, roots, result.volume_report
-        )
-        return report
-
-    certificate = result.certificate
-    if certificate is None:
-        # Budget ran out.  Hunt for a symmetry between corners certified
-        # by the height frontier the search has cleared: the height of the
-        # batch at its cursor, kept by the replay that ran out.
-        symmetry = isometry.find_infinite_symmetry(
-            result.chamber, result.state.open_height()
-        )
-        if symmetry is not None:
-            certificate = certificates.infinite_symmetry_certificate(
-                form, roots, symmetry, result.state.batches_done
-            )
-
-    if certificate is not None:
-        _check_certificate(certificate)
-        report["verdict"] = "non_reflective"
-        report["certificate"] = certificate
-        return report
-
-    report["verdict"] = "undecided"
-    report["state"] = result.state.to_json()
+    if result.verdict == "reflective":
+        report["volume"] = result.certificate["payload"]["volume"]
+    elif result.verdict == "undecided":
+        report["state"] = result.state.to_json()
     return report
 
 

@@ -190,8 +190,11 @@ def affine_type(diagram: Diagram, comp) -> str | None:
     """Affine catalog name of a connected subdiagram, None if it is not
     affine.  The name is read from the structure and cross-checked
     against exact semidefiniteness: a connected subdiagram is affine iff
-    its Gram is degenerate, and a disagreement raises ConsistencyError."""
+    its Gram is degenerate, and a disagreement raises ConsistencyError.
+    A set that is not connected raises ValueError."""
     comp = tuple(sorted(comp))
+    if components(diagram, comp) != [comp]:
+        raise ValueError(f"{comp} is not a connected subdiagram")
     name = _affine_structure(diagram, comp)
     cls = diagram.psd_class(frozenset(comp))
     if (name is None) == (cls == "degenerate"):

@@ -63,23 +63,22 @@ def prior_row(root) -> tuple:
     return root[0], spatial, max(0, *accumulate(spatial))
 
 
-def enumerate_batch_vectors(n, target, step, prior_consts, prior_coeffs, prior_peaks):
+def enumerate_batch_vectors(n, target, step, priors):
     """Spatial parts of candidate roots for one batch.
 
     Yields every tuple (k_1, ..., k_n), n >= 2, with
       k_1 >= k_2 >= ... >= k_n >= 0,
       step | k_i for all i,
       k_1^2 + ... + k_n^2 = target,
-      prior_consts[r] + sum_i prior_coeffs[r][i] * k_i <= 0 for every r,
+      const + sum_i c_i * k_i <= 0 for every (const, c, peak) in priors,
     as a list in lexicographically decreasing order.
 
     With C_j = c_1 + ... + c_j the prefix sums of a row and k_{n+1} = 0,
     sum_i c_i k_i = sum_j C_j (k_j - k_{j+1}) <= k_1 max(0, max_j C_j),
     since the differences are nonnegative and sum to k_1.  Every vector
     has k_1 <= step isqrt(target / step^2), so a row whose constant plus
-    that bound is <= 0 cannot reject one and is not checked.
-    prior_peaks[r] is that max(0, max_j C_j) for row r, as prior_row
-    gives it.
+    that bound is <= 0 cannot reject one and is not checked.  A row's
+    peak is that max(0, max_j C_j), as prior_row gives it.
     """
     if step > 1:
         sq = step * step
@@ -88,9 +87,9 @@ def enumerate_batch_vectors(n, target, step, prior_consts, prior_coeffs, prior_p
         target //= sq
     top = isqrt(target)
     reach = top * step
-    priors = [
+    live = [
         (base, [c * step for c in row] if step > 1 else row)
-        for base, row, peak in zip(prior_consts, prior_coeffs, prior_peaks)
+        for base, row, peak in priors
         if base + reach * peak > 0
     ]
     out = []
@@ -112,7 +111,7 @@ def enumerate_batch_vectors(n, target, step, prior_consts, prior_coeffs, prior_p
                 continue
             j[last] = a
             j[-1] = b
-            for base, row in priors:
+            for base, row in live:
                 s = base
                 for c, k in zip(row, j):
                     s += c * k
@@ -164,8 +163,6 @@ def enumerate_batch(form, k0, m, prior_rows) -> list[tuple[int, ...]]:
     if target % (step * step):
         return []
     c = -p * k0
-    consts = [c * r0 for r0, _, _ in prior_rows]
-    coeffs = [row for _, row, _ in prior_rows]
-    peaks = [peak for _, _, peak in prior_rows]
-    vecs = enumerate_batch_vectors(form.n, target, step, consts, coeffs, peaks)
+    priors = [(c * r0, row, peak) for r0, row, peak in prior_rows]
+    vecs = enumerate_batch_vectors(form.n, target, step, priors)
     return [(k0, *v) for v in vecs]

@@ -34,7 +34,6 @@ NONREFLECTIVITY_BLOCKS: Dict[Tuple[int, int], Dict[str, Any]] = {
         "glue_vector": (0, 0, 1, -2, 0, 0, 0, 0, 0, 0),
         "glue_order": None,
         "root_sublattice_index": 4,
-        "verdict": "non_reflective",
     },
     (7, 4): {
         "component_types": ["A~2"],
@@ -44,7 +43,6 @@ NONREFLECTIVITY_BLOCKS: Dict[Tuple[int, int], Dict[str, Any]] = {
         "glue_vector": (0, 1, -2, 0, 0),
         "glue_order": 3,
         "root_sublattice_index": None,
-        "verdict": "non_reflective",
     },
     (11, 4): {
         "component_types": ["A~1", "A~1"],
@@ -54,7 +52,6 @@ NONREFLECTIVITY_BLOCKS: Dict[Tuple[int, int], Dict[str, Any]] = {
         "glue_vector": (0, 1, -3, 0, 0),
         "glue_order": 4,
         "root_sublattice_index": None,
-        "verdict": "non_reflective",
     },
     (13, 3): {
         "component_types": ["A~1"],
@@ -64,7 +61,6 @@ NONREFLECTIVITY_BLOCKS: Dict[Tuple[int, int], Dict[str, Any]] = {
         "glue_vector": (0, 2, -3, 0),
         "glue_order": 2,
         "root_sublattice_index": None,
-        "verdict": "non_reflective",
     },
     (17, 3): {
         "component_types": ["A~1"],
@@ -74,7 +70,6 @@ NONREFLECTIVITY_BLOCKS: Dict[Tuple[int, int], Dict[str, Any]] = {
         "glue_vector": (0, 2, -3, 0),
         "glue_order": 4,
         "root_sublattice_index": None,
-        "verdict": "non_reflective",
     },
     (19, 3): {
         "component_types": ["A~1"],
@@ -84,7 +79,6 @@ NONREFLECTIVITY_BLOCKS: Dict[Tuple[int, int], Dict[str, Any]] = {
         "glue_vector": None,
         "glue_order": None,
         "root_sublattice_index": None,
-        "verdict": "non_reflective",
     },
 }
 
@@ -158,7 +152,7 @@ def published_values(p: int, n: int) -> Optional[Dict[str, Any]]:
     if block is not None:
         out["nonreflectivity"] = {
             k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in block.items() if k != "verdict"
+            for k, v in block.items()
         }
     if n == 2 and p in POLYGONS:
         poly = POLYGONS[p]

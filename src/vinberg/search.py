@@ -1,4 +1,5 @@
-"""The root search: one stream of batches ordered by height, and budgets.
+"""The root search: one stream of batches ordered by height, budgets, and
+the verdict.
 
 A batch is a pair (k0, m): all candidate roots with first coordinate k0 and
 norm m.  Batches are processed in increasing order of the height k0^2/m.
@@ -7,13 +8,17 @@ of their spatial part; a candidate is accepted when its inner product with
 every previously accepted root (including earlier accepts from the same
 batch) is non-positive.
 
-replay is that stream, and the only code that enumerates batches.
-run_search reads it and tests the chamber after each batch that accepted
-a root, and a resumed state before its first batch; classify.root_table
-reads it with the finite-volume test alone.
-reproduces replays it with no closure test, to check a resumed state and
-the roots of ideal-vertex and symmetry certificates, and hands back the
-height frontier the replay reached.
+replay is that stream, and the only code that enumerates batches.  Three
+readers:
+- run_search decides the form.  It tests the chamber after each batch
+  that accepted a root, and a resumed state before its first batch: the
+  finite-volume test, then the cusp scan.  Once the budget is spent it
+  hunts for an infinite-order symmetry of the chamber below the height
+  the replay reached.  A decided verdict comes with its certificate.
+- classify.root_table reads it with the finite-volume test alone.
+- reproduces replays it with no closure test, to check a resumed state and
+  the roots of ideal-vertex and symmetry certificates, and hands back the
+  replayed state: its counters and the height frontier it reached.
 
 The finite-volume test runs once after each batch that accepted a root,
 not after each root.  That returns the same roots, because no root is
@@ -30,7 +35,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
 
-from vinberg import volume
+from vinberg import isometry, volume
 from vinberg.enumeration import enumerate_batch, prior_row
 from vinberg.errors import CertificateError, ConsistencyError
 from vinberg.forms import Form
@@ -117,7 +122,11 @@ class SearchState:
     @classmethod
     def from_json(cls, doc) -> "SearchState":
         """The state of a to_json document; CertificateError naming the
-        first malformed field, read by the certificate readers."""
+        first malformed field, read by the certificate readers.
+
+        counters.candidates is checked by run_search's resume replay.
+        counters.volume_checks is never checked: every resume adds one
+        decide step, so it depends on how often the state was resumed."""
         from vinberg.certificates import _count, _form, _require, _rows
 
         if _count(doc, "schema_version") != STATE_SCHEMA_VERSION:
@@ -141,11 +150,10 @@ class SearchState:
 
 @dataclass
 class SearchResult:
-    status: str  # "reflective" | "nonreflective" | "undecided"
+    verdict: str  # "reflective" | "non_reflective" | "undecided"
     state: SearchState
     chamber: object  # the search's volume.ChamberDiagram, grown on its roots
-    certificate: Optional[dict] = None
-    volume_report: Optional[dict] = None
+    certificate: Optional[dict] = None  # None exactly when undecided
 
     @property
     def roots(self):
@@ -191,14 +199,15 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
 
 def reproduces(
     form: Form, roots, batches: Optional[int], budget: Budget
-) -> Optional[Fraction]:
-    """The open height of a fresh replay that accepts exactly roots: in
-    exactly the given number of batches, or (batches None) where the
-    budget stops it.  None if the replay accepts anything else.
+) -> Optional[SearchState]:
+    """The state of a fresh replay that accepts exactly roots: in exactly
+    the given number of batches, or (batches None) where the budget stops
+    it.  None if the replay accepts anything else.
 
     The replay stops at the first batch whose accepts are not a prefix of
-    roots, so roots that the search never reaches bound it too.  The open
-    height is the replay state's open_height, at its final cursor.
+    roots, so roots that the search never reaches bound it too.  The state
+    holds the replay's counters and its final cursor, whose open_height is
+    the height frontier the replay cleared.
     """
     state = SearchState.fresh(form)
     for _ in islice(replay(state, budget), batches):
@@ -206,7 +215,7 @@ def reproduces(
             return None
     if state.accepted != roots or batches not in (None, state.batches_done):
         return None
-    return state.open_height()
+    return state
 
 
 def run_search(
@@ -221,17 +230,21 @@ def run_search(
     whose orthogonal quotient cannot be generated by root classes; a hit
     proves the chamber will never close up and stops the search early.
     The step runs after every batch that accepted a root and, on a
-    resumed search, once before any new batch.
+    resumed search, once before any new batch.  Once the budget is spent,
+    the search hunts for an infinite-order symmetry between chamber
+    corners certified by the height of the batch at its cursor; a hit
+    makes the verdict non_reflective, a miss leaves it undecided.
 
     A resumed search (state given) first replays a fresh search through
     the state's batches_done batches, no higher than budget.max_height,
     and raises ConsistencyError naming accepted unless that reaches the
-    cursor with the same roots.  Its roots are then decided as they stand:
-    a closed chamber accepts no further root, and the budget left may
+    cursor with the same roots, or counters.candidates unless it counts
+    the same candidates.  Its roots are then decided as they stand: a
+    closed chamber accepts no further root, and the budget left may
     accept none, so a final state would otherwise run on undecided.  The
-    step reads one volume.ChamberDiagram, built on the starting roots and
-    grown after each batch that accepted a root; the result carries it,
-    grown on the final roots, to the caller's symmetry hunt.
+    step and the hunt read one volume.ChamberDiagram, built on the
+    starting roots and grown after each batch that accepted a root; the
+    result carries it, grown on the final roots.
     """
     from vinberg import certificates as _certificates
 
@@ -241,10 +254,13 @@ def run_search(
     if resumed:
         state.accepted = [tuple(r) for r in state.accepted]
         bound = Budget(budget.max_height, max_roots=len(state.accepted) + 1)
-        if reproduces(form, state.accepted, state.batches_done, bound) is None:
+        cut = f"in {state.batches_done} batches up to height {budget.max_height}"
+        replayed = reproduces(form, state.accepted, state.batches_done, bound)
+        if replayed is None:
+            raise ConsistencyError(f"accepted: not the roots the search accepts {cut}")
+        if replayed.counters["candidates"] != state.counters["candidates"]:
             raise ConsistencyError(
-                f"accepted: not the roots the search accepts in "
-                f"{state.batches_done} batches up to height {budget.max_height}"
+                f"counters.candidates: not the candidates the search enumerates {cut}"
             )
     else:
         state = SearchState.fresh(form)
@@ -254,10 +270,11 @@ def run_search(
         state.counters["volume_checks"] += 1
         report = volume.finite_volume(chamber)
         if report["finite"]:
-            return SearchResult("reflective", state, chamber, volume_report=report)
+            cert = _certificates.reflective_certificate(form, state.accepted, report)
+            return SearchResult("reflective", state, chamber, cert)
         cert = _certificates.scan_for_cusp_obstruction(chamber)
         if cert is not None:
-            return SearchResult("nonreflective", state, chamber, certificate=cert)
+            return SearchResult("non_reflective", state, chamber, cert)
         return None
 
     result = decide() if resumed else None
@@ -269,4 +286,10 @@ def run_search(
             result = decide()
             if result:
                 return result
-    return SearchResult("undecided", state, chamber)
+    symmetry = isometry.find_infinite_symmetry(chamber, state.open_height())
+    if symmetry is None:
+        return SearchResult("undecided", state, chamber)
+    cert = _certificates.infinite_symmetry_certificate(
+        form, state.accepted, symmetry, state.batches_done
+    )
+    return SearchResult("non_reflective", state, chamber, cert)

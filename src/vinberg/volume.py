@@ -51,8 +51,8 @@ change an answer.  Its readers (finite_volume, the cusp scan, the corner
 and symmetry hunt in isometry) take it grown and read its form and roots;
 none builds or grows one.  search.run_search owns one per run and grows
 it after each batch that accepted a root, so finite_volume and the cusp
-scan on the same prefix share it, and the post-search symmetry hunt
-reads it too.  classify.root_table owns one per rank.
+scan on the same prefix share it, and so does its symmetry hunt once
+the budget is spent.  classify.root_table owns one per rank.
 certificates._verify_reflective builds a fresh one on the stored roots,
 so a stored report is re-derived from the roots alone, sharing nothing
 with the search.

@@ -161,3 +161,20 @@ def test_condition_a_reads_the_diagram_alone():
     # never reaches the certificates' kernel code for null vectors
     tree = ast.parse((PACKAGE_DIRS[0] / "volume.py").read_text())
     assert vinberg_modules(tree) == {"cones", "diagram"}
+
+
+def test_the_search_alone_decides():
+    # run_search closes the chamber, scans the cusps and hunts for a
+    # symmetry; classify only writes its verdict and certificate down
+    package = PACKAGE_DIRS[0]
+    assert "isometry" not in vinberg_modules(ast.parse((package / "classify.py").read_text()))
+    deciders = ("find_infinite_symmetry", "reflective_certificate", "infinite_symmetry_certificate")
+    callers = {name: set() for name in deciders}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in callers:
+                    callers[name].add(path.stem)
+    assert callers == {name: {"search"} for name in deciders}

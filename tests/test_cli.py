@@ -172,6 +172,15 @@ def test_resume_rejects_forged_undecided_state(runner, tmp_path, forged_13_3_sta
     assert state_file.read_text() == before
 
 
+def test_resume_rejects_an_edited_candidate_count(runner, tmp_path, state_13_3):
+    state_file = tmp_path / "state.json"
+    state_13_3["counters"]["candidates"] += 1000
+    state_file.write_text(json.dumps(state_13_3))
+    res = runner.invoke(main, ["classify", "13", "3", "--resume", str(state_file)])
+    assert res.exit_code == 2
+    assert "Error: --resume: counters.candidates: " in res.output
+
+
 @pytest.mark.parametrize(
     "counters", [{}, {"batches": "x"}, {"batches": 999}, {"accepted": 7}]
 )

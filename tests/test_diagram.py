@@ -114,6 +114,17 @@ def test_affine_types():
     assert diagram.affine_type(d, (0, 1, 2)) == "A~2"
 
 
+@pytest.mark.parametrize("size", [6, 4], ids=["two-triangles", "triangle-and-node"])
+def test_affine_type_refuses_a_disconnected_set(size):
+    # two disjoint A~2 triangles have a degenerate Gram and six edges, so
+    # a structure read alone would name them A~5; a triangle and an
+    # isolated node have no node of degree 1 to start a path from
+    gram = [[2 if i == j else -(i // 3 == j // 3) for j in range(size)] for i in range(size)]
+    d = gram_diagram(gram)
+    with pytest.raises(ValueError, match="not a connected subdiagram"):
+        diagram.affine_type(d, range(size))
+
+
 # 4 cos^2 of each bond kind
 _FOUR_COS2 = {"simple": 1, "double": 2, "triple": 3, "parallel": 4}
 

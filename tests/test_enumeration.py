@@ -34,10 +34,10 @@ def random_case(rng):
 
 
 def kernel(n, target, step, consts, coeffs):
-    """The kernel, with each row's peak max(0, C_1, ..., C_n) over its
-    prefix sums worked out here."""
-    peaks = [max(0, *accumulate(row)) for row in coeffs]
-    return enumeration.enumerate_batch_vectors(n, target, step, consts, coeffs, peaks)
+    """The kernel on rows given as constants and coefficients, with each
+    row's peak max(0, C_1, ..., C_n) over its prefix sums worked out here."""
+    priors = [(c, row, max(0, *accumulate(row))) for c, row in zip(consts, coeffs)]
+    return enumeration.enumerate_batch_vectors(n, target, step, priors)
 
 
 def test_pure_kernel_contract():
@@ -279,7 +279,7 @@ import json, sys
 from vinberg import enumeration
 out = []
 for n, target, step in json.loads(sys.argv[1]):
-    out.append(enumeration.enumerate_batch_vectors(n, target, step, [-40], [[1] * n], [n]))
+    out.append(enumeration.enumerate_batch_vectors(n, target, step, [(-40, [1] * n, n)]))
 print(json.dumps([len(enumeration._TWO_SQUARES), out]))
 """
 

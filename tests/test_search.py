@@ -24,7 +24,7 @@ from vinberg.search import (
 
 def test_terminates_reflective_with_expected_roots(search):
     res = search(5, 2)
-    assert res.status == "reflective"
+    assert res.verdict == "reflective"
     assert set(res.roots) == corpus.expected_root_set(Form(5, 2))
 
 
@@ -101,24 +101,25 @@ def test_open_height_is_next_batch_height():
             assert form.height(r) < frontier
 
 
-def test_resumed_undecided_state_keeps_the_symmetry_frontier():
+def test_resumed_undecided_state_keeps_the_symmetry_frontier(search, report):
     # a state read from JSON is the state written; the resumed search's
     # symmetry hunt reads the same frontier, and finds the same
     # certificate, as on a fresh run
     form = Form(13, 3)
-    partial = run_search(form, Budget(max_roots=10))
-    assert partial.status == "undecided"
+    partial = run_search(form, Budget(max_roots=5))
+    assert partial.verdict == "undecided"
     doc = partial.state.to_json()
     state = SearchState.from_json(doc)
     assert state == partial.state
     resumed = run_search(form, state=state)
-    assert resumed.status == "undecided"
+    assert resumed.verdict == "non_reflective"
     assert resumed.state.open_height() == oracles.open_height(
         form, resumed.state.batches_done)
-    fresh = classify_form(13, 3)
+    assert resumed.certificate == search(13, 3).certificate
+    fresh = report(13, 3)
     assert fresh["certificate"]["kind"] == "infinite_symmetry"
-    report = classify_form(13, 3, state=SearchState.from_json(doc))
-    assert report["certificate"] == fresh["certificate"]
+    resumed_report = classify_form(13, 3, state=SearchState.from_json(doc))
+    assert resumed_report["certificate"] == fresh["certificate"]
 
 
 def test_replay_reproduces_prefix(search):
@@ -135,11 +136,11 @@ def test_replay_reproduces_prefix(search):
 def test_resume_equals_uninterrupted_run(search):
     form = Form(17, 2)
     partial = run_search(form, Budget(max_roots=4))
-    assert partial.status == "undecided"
+    assert partial.verdict == "undecided"
     doc = partial.state.to_json()
     state = SearchState.from_json(doc)
     resumed = run_search(form, state=state)
-    assert resumed.status == "reflective"
+    assert resumed.verdict == "reflective"
     assert resumed.roots == search(17, 2).roots
 
 
@@ -148,9 +149,9 @@ def test_resume_from_final_reflective_state(search):
     # on entry can see that a resumed final state is already decided
     fresh = search(7, 3)
     resumed = run_search(Form(7, 3), state=SearchState.from_json(fresh.state.to_json()))
-    assert resumed.status == "reflective"
+    assert resumed.verdict == "reflective"
     assert resumed.roots == fresh.roots
-    assert resumed.volume_report == fresh.volume_report
+    assert resumed.certificate == fresh.certificate
     checks = resumed.state.counters["volume_checks"]
     assert checks == fresh.state.counters["volume_checks"] + 1
     report = classify_form(7, 3, state=SearchState.from_json(fresh.state.to_json()))
@@ -164,11 +165,11 @@ def test_resume_at_the_deciding_batch_is_nonreflective(search, p, n):
     # scan on entry can see that the resumed roots are already decided
     form = Form(p, n)
     fresh = search(p, n)
-    assert fresh.status == "nonreflective"
+    assert fresh.verdict == "non_reflective"
     k = fresh.state.batches_done
     state = SearchState.from_json(fresh.state.to_json())
     resumed = run_search(form, Budget(max_height=oracles.open_height(form, k - 1)), state=state)
-    assert resumed.status == "nonreflective"
+    assert resumed.verdict == "non_reflective"
     assert resumed.roots == fresh.roots
     assert resumed.state.batches_done == k
     assert resumed.certificate == fresh.certificate
@@ -178,7 +179,7 @@ def test_cusp_scan_decides_23_4_in_search():
     # the (23,4) obstruction has affine rank below n - 2; the scan tests
     # every null vector, so the search stops there, short of max_roots
     res = run_search(Form(23, 4))
-    assert res.status == "nonreflective"
+    assert res.verdict == "non_reflective"
     assert len(res.roots) < Budget().max_roots
 
 
@@ -198,9 +199,17 @@ def test_resume_rejects_forged_undecided_state(forged_13_3_state):
         classify_form(13, 3, budget=Budget(max_roots=8), state=state)
 
 
+def test_resume_rejects_an_edited_candidate_count(state_13_3):
+    # the resume replay counts the candidates of the state's batches, so
+    # an edited count cannot reach the report
+    state_13_3["counters"]["candidates"] += 1000
+    with pytest.raises(ConsistencyError, match="^counters.candidates: "):
+        classify_form(13, 3, state=SearchState.from_json(state_13_3))
+
+
 def test_budget_exhaustion_is_undecided():
     res = run_search(Form(13, 3), Budget(max_roots=5))
-    assert res.status == "undecided"
+    assert res.verdict == "undecided"
     assert res.certificate is None
 
 
