@@ -40,7 +40,8 @@ Three verdict-carrying documents plus an inheritance wrapper:
 Each kind has one payload builder, which construction and verification
 both call.  A verifier checks the primary fields against the form, then
 rebuilds the payload from them and compares it with the stored one, key
-by key: a key that differs fails as "payload.<key>: does not re-derive".
+by key, with the same type at every node (true is not 1, 1.0 is not 1):
+a key that differs fails as "payload.<key>: does not re-derive".
 
 - reflective: primary roots; re-derived volume and conclusion.
 - ideal_vertex_failure: primary roots, null_vector and each component's
@@ -55,31 +56,30 @@ by key: a key that differs fails as "payload.<key>: does not re-derive".
   same prime and a lower rank, verified in turn); re-derived conclusion.
 
 Malformed documents (a missing field, or a primary field of the wrong
-type) raise CertificateError naming the offending field.  Its readers
-(_require, _count, _form, _ints, _rows) read search state files too.
+type) raise CertificateError naming the offending field.  The readers
+_require, _count, _form (the top-level form field), _ints and _rows
+read search state files too.
 
 The ideal-vertex and symmetry checks re-derive the stored roots by
 replaying the search's batch stream (search.reproduces reads
 search.replay) with no closure test.  The stored data bound each replay:
 it stops at the first batch whose accepts are not a prefix of the stored
-roots, the ideal-vertex replay also at the stored root count or above
-the height of the highest stored root, and the symmetry replay after the
-stored batches_done or above the lowest image under the stored isometry
-of a stored root that is not stored, whichever comes first.  The
+roots, the ideal-vertex replay also above the height of the highest
+stored root, and the symmetry replay after the stored batches_done or
+above the lowest image under the stored isometry of a stored root that
+is not stored, whichever comes first.  The
 symmetry replay's final cursor also gives the height frontier that the
 frame corners' bounds must lie below.
 """
 
 from __future__ import annotations
 
-import json
-
 from vinberg import diagram as _diagram
 from vinberg import cones, isometry, linalg, published, quotient
 from vinberg import volume as _volume
 from vinberg.errors import CertificateError, DiagramError
 from vinberg.forms import Form
-from vinberg.search import Budget, reproduces
+from vinberg.search import reproduces
 
 SCHEMA_VERSION = 3
 
@@ -96,9 +96,8 @@ def affine_null_marks(form: Form, roots, nodes):
     nodes index into roots and must carry a connected affine subdiagram;
     the Gram kernel is then one-dimensional with all marks of one sign.
     """
-    nodes = sorted(nodes)
-    G = [[form.inner_product(roots[i], roots[j]) for j in nodes] for i in nodes]
-    ker = linalg.integer_kernel(G)
+    rows = [roots[i] for i in sorted(nodes)]
+    ker = linalg.integer_kernel(form.gram(rows))
     if len(ker) != 1:
         raise ValueError("marks are only defined for affine subdiagrams")
     # a rank-one saturated kernel's generator is primitive
@@ -107,7 +106,7 @@ def affine_null_marks(form: Form, roots, nodes):
         marks = [-m for m in marks]
     if not all(m > 0 for m in marks):
         raise ValueError("marks of an affine diagram must have one sign")
-    e = [sum(m * roots[i][k] for m, i in zip(marks, nodes)) for k in range(form.dim)]
+    e = linalg.mat_vec(linalg.transpose(rows), marks)
     # the marks are coprime but their root combination need not be
     return marks, cones.primitive_vector(e)
 
@@ -185,30 +184,21 @@ def _ideal_vertex_payload(quot, roots, components, rc) -> dict:
     components = sorted(components, key=lambda c: c["nodes"])
     image = quot.class_coordinates([roots[i] for i in sorted(
         i for c in components for i in c["nodes"])])
-    comp_data = quotient.orthogonal_complement_data(form, quot, image)
+    complement, glue = quotient.orthogonal_complement_data(form, quot, image)
     return {
         "roots": [list(r) for r in roots],
         "components": components,
         "null_vector": list(quot.e),
         # the quotient Gram is definite, so the span of the image and its
         # orthogonal complement have complementary ranks
-        "affine_rank": quot.rank - len(comp_data["c_basis"]),
+        "affine_rank": quot.rank - len(complement["basis"]),
         "quotient": {
             "class_basis": [list(r) for r in quot.class_basis],
             "gram": [list(r) for r in quot.gram],
         },
         "affine_image": image,
-        "complement": {
-            "basis": comp_data["c_basis"],
-            "generator": comp_data.get("generator"),
-            "generator_norm": comp_data.get("generator_norm"),
-        },
-        "glue": {
-            "index": comp_data["index"],
-            "invariants": comp_data.get("invariants", []),
-            "vector": comp_data.get("glue_vector"),
-            "order": comp_data.get("glue_order"),
-        },
+        "complement": complement,
+        "glue": glue,
         "root_classes": rc,
         "conclusion": "root_classes_rank_deficient",
     }
@@ -317,7 +307,7 @@ def _envelope(cert) -> tuple[Form, str, dict]:
     kind = _require(cert, "kind")
     if kind not in _KINDS:
         raise CertificateError("kind: unknown certificate kind")
-    form = _form(cert, "")
+    form = _form(cert)
     payload = _require(cert, "payload")
     if not isinstance(_require(cert, "annotations"), dict):
         raise CertificateError("annotations: must be an object")
@@ -339,19 +329,18 @@ def _count(doc, key, label=None) -> int:
     return value
 
 
-def _form(doc, prefix: str) -> Form:
-    """The Form of a document's form field; prefix places it in the
-    enclosing document."""
-    form = _require(doc, "form", f"{prefix}form")
+def _form(doc) -> Form:
+    """The Form of a document's form field."""
+    form = _require(doc, "form")
     if not isinstance(form, dict):
-        raise CertificateError(f"{prefix}form: not an object")
+        raise CertificateError("form: not an object")
     for key in ("p", "n"):
-        if type(_require(form, key, f"{prefix}form.{key}")) is not int:
-            raise CertificateError(f"{prefix}form.{key}: not an integer")
+        if type(_require(form, key, f"form.{key}")) is not int:
+            raise CertificateError(f"form.{key}: not an integer")
     try:
         return Form(form["p"], form["n"])
     except ValueError as exc:
-        raise CertificateError(f"{prefix}form: {exc}")
+        raise CertificateError(f"form: {exc}")
 
 
 def _ints(doc, key, label: str) -> list[int]:
@@ -384,18 +373,29 @@ def _roots(form: Form, payload) -> tuple[list, list[str]]:
     ]
 
 
+def _same(a, b) -> bool:
+    """Whether two JSON values are equal with the same type at every node,
+    so true is not 1 and 1.0 is not 1: objects by key set and then value,
+    lists by length and then element."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 def _rederived(payload, rebuilt: dict) -> list[str]:
-    """The top-level keys on which payload and the rebuilt payload differ,
-    a stored key that the builder does not make included.  Values compare
-    as JSON text, so true is not 1 and 1.0 is not 1.  A key missing from
-    payload raises CertificateError naming it."""
+    """The top-level keys on which payload and the rebuilt payload differ
+    (_same), a stored key that the builder does not make included.  A key
+    missing from payload raises CertificateError naming it."""
     for key in rebuilt:
         _require(payload, key, f"payload.{key}")
-    text = {key: json.dumps(value, sort_keys=True) for key, value in rebuilt.items()}
     return [
         f"payload.{key}: does not re-derive"
         for key in payload
-        if json.dumps(payload[key], sort_keys=True) != text.get(key)
+        if key not in rebuilt or not _same(payload[key], rebuilt[key])
     ]
 
 
@@ -474,7 +474,7 @@ def _verify_ideal_vertex(form: Form, payload) -> list[str]:
     # the search accepts roots in order of height, so it has reached the
     # stored count by the batch of the highest stored root or never
     top = max(map(form.height, roots), default=0)
-    if reproduces(form, roots, None, Budget(max_height=top, max_roots=len(roots))) is None:
+    if reproduces(form, roots, None, top) is None:
         return ["payload.roots: not a state of the root search"]
     if len(e) != form.dim or form.norm(e) != 0 or not any(e) or not form.is_primitive(e):
         return ["payload.null_vector: not a primitive null vector"]
@@ -591,8 +591,7 @@ def _verify_infinite_symmetry(form: Form, payload) -> list[str]:
     in_roots = set(roots)
     images = [form.height(v) for v in map(apply, roots) if v not in in_roots]
     # with no image outside the roots, T permutes them; a cap of 0 stops the replay
-    cap = Budget(max_height=min(images, default=0), max_roots=len(roots) + 1)
-    replayed = reproduces(form, roots, batches, cap)
+    replayed = reproduces(form, roots, batches, min(images, default=0))
     if replayed is None:
         return ["payload.roots: not the search state after this many batches"]
     frontier = replayed.open_height()

@@ -98,10 +98,7 @@ class Form:
         ]
 
     def is_primitive(self, v: Vector) -> bool:
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        return g == 1
+        return gcd(*v) == 1
 
     def satisfies_crystallographic_condition(self, v: Vector, m: int | None = None) -> bool:
         """Whether reflection in v maps the lattice to itself.

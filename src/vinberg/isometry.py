@@ -117,19 +117,15 @@ def vertex_walls(form: Form, corner) -> list:
     """
     dim = form.dim
     basis = linalg.integer_kernel([form.dual(corner)])
-    gram = [
-        [form.inner_product(a, b) for b in basis] for a in basis
-    ]
+    gram = form.gram(basis)
     if linalg.psd_classify(gram) != "definite":
         raise ValueError("corner must be timelike")
-    rows = linalg.transpose(basis)[1:]
+    columns = linalg.transpose(basis)
+    rows = columns[1:]
     oriented = set()
     walked = linalg.congruent_short_vectors(gram, form.admissible_root_norms, form.p, rows)
     for coords, _ in walked:
-        v = tuple(
-            sum(coords[i] * basis[i][j] for i in range(len(basis)))
-            for j in range(dim)
-        )
+        v = tuple(linalg.mat_vec(columns, coords))
         if not form.is_root(v):
             raise ConsistencyError(f"walked vector {list(v)} is not a root")
         oriented.add(orient_root(form, v))

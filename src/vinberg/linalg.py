@@ -18,7 +18,10 @@ norms divisible by a prime p on the lattice cut out by congruences mod p
 (congruence_basis, a Gauss-Jordan elimination mod p whose basis rows are
 p e_j and e_j minus reduced entries), the other norms on the whole one.
 charpoly, row_hnf, snf and integer_kernel work over the integers
-throughout.
+throughout.  row_hnf and snf share one unimodular step, _combine_rows:
+rows i and j become s i + t j and a j - b i from exgcd of their entries
+in one column, applied to the matrix and its transform alike; snf takes
+its column steps as the same row steps on the transposes.
 """
 
 from __future__ import annotations
@@ -58,6 +61,22 @@ def exgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _combine_rows(mats, i, j, c) -> None:
+    """The unimodular two-row step: with x, y the entries of rows i and j
+    in column c of mats[0], g, s, t = exgcd(x, y), a = x // g and
+    b = y // g, rows i and j of every matrix in mats become s i + t j and
+    a j - b i.  The step has determinant s a + t b = 1 and leaves
+    mats[0][j][c] zero."""
+    x, y = mats[0][i][c], mats[0][j][c]
+    g, s, t = exgcd(x, y)
+    a, b = x // g, y // g
+    for M in mats:
+        M[i], M[j] = (
+            [s * u + t * v for u, v in zip(M[i], M[j])],
+            [a * v - b * u for u, v in zip(M[i], M[j])],
+        )
 
 
 class Echelon:
@@ -154,19 +173,8 @@ def row_hnf(A) -> tuple[list[list[int]], list[list[int]]]:
         H[r], H[piv] = H[piv], H[r]
         U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, m):
-            if H[i][c] == 0:
-                continue
-            g, s, t = exgcd(H[r][c], H[i][c])
-            a, b = H[r][c] // g, H[i][c] // g
-            # det of [[s, t], [-b, a]] is s*a + t*b = 1
-            H[r], H[i] = (
-                [s * x + t * y for x, y in zip(H[r], H[i])],
-                [a * y - b * x for x, y in zip(H[r], H[i])],
-            )
-            U[r], U[i] = (
-                [s * x + t * y for x, y in zip(U[r], U[i])],
-                [a * y - b * x for x, y in zip(U[r], U[i])],
-            )
+            if H[i][c]:
+                _combine_rows((H, U), r, i, c)
         if H[r][c] < 0:
             H[r] = [-x for x in H[r]]
             U[r] = [-x for x in U[r]]
@@ -200,41 +208,35 @@ def integer_kernel(A) -> list[list[int]]:
     return [list(U[i]) for i in range(len(H)) if not any(H[i])]
 
 
+def _clear_column(D, U, r) -> None:
+    """Clear column r of D below row r by unimodular row steps on D and U:
+    a row whose entry is a multiple of the corner D[r][r] loses that
+    multiple of row r, which keeps row r as it is; any other is combined
+    with row r by _combine_rows."""
+    for i in range(r + 1, len(D)):
+        if D[i][r] == 0:
+            continue
+        if D[i][r] % D[r][r] == 0:
+            q = D[i][r] // D[r][r]
+            D[i] = [x - q * y for x, y in zip(D[i], D[r])]
+            U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+        else:
+            _combine_rows((D, U), r, i, r)
+
+
 def snf(A) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form.  Returns (D, U, V) with U A V = D diagonal,
-    each diagonal entry nonnegative and dividing the next."""
+    each diagonal entry nonnegative and dividing the next.
+
+    Column steps on D and V are the same row steps on their transposes,
+    so one routine, _clear_column, clears both the corner's column and
+    its row.
+    """
     D = [list(row) for row in A]
     m = len(D)
     n = len(D[0]) if m else 0
     U = identity(m)
     V = identity(n)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def combine_rows(i, j, s, t, a, b):
-        # rows i, j <- (s i + t j, a j - b i), unimodular since s a + t b = 1
-        D[i], D[j] = (
-            [s * x + t * y for x, y in zip(D[i], D[j])],
-            [a * y - b * x for x, y in zip(D[i], D[j])],
-        )
-        U[i], U[j] = (
-            [s * x + t * y for x, y in zip(U[i], U[j])],
-            [a * y - b * x for x, y in zip(U[i], U[j])],
-        )
-
-    def combine_cols(i, j, s, t, a, b):
-        for row in (*D, *V):
-            x, y = row[i], row[j]
-            row[i], row[j] = s * x + t * y, a * y - b * x
-
     for t0 in range(min(m, n)):
         while True:
             # move a nonzero entry of the trailing block to the corner
@@ -244,35 +246,17 @@ def snf(A) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
             )
             if pos is None:
                 break
-            if pos[0] != t0:
-                swap_rows(t0, pos[0])
-            if pos[1] != t0:
-                swap_cols(t0, pos[1])
-            for i in range(t0 + 1, m):
-                if D[i][t0] == 0:
-                    continue
-                if D[i][t0] % D[t0][t0] == 0:
-                    # plain subtraction keeps the corner row untouched
-                    q = D[i][t0] // D[t0][t0]
-                    D[i] = [x - q * y for x, y in zip(D[i], D[t0])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[t0])]
-                else:
-                    g, s, t = exgcd(D[t0][t0], D[i][t0])
-                    combine_rows(t0, i, s, t, D[t0][t0] // g, D[i][t0] // g)
-            for j in range(t0 + 1, n):
-                if D[t0][j] == 0:
-                    continue
-                if D[t0][j] % D[t0][t0] == 0:
-                    q = D[t0][j] // D[t0][t0]
-                    for row in (*D, *V):
-                        row[j] -= q * row[t0]
-                else:
-                    g, s, t = exgcd(D[t0][t0], D[t0][j])
-                    combine_cols(t0, j, s, t, D[t0][t0] // g, D[t0][j] // g)
+            i, j = pos
+            D[t0], D[i] = D[i], D[t0]
+            U[t0], U[i] = U[i], U[t0]
+            for row in (*D, *V):
+                row[t0], row[j] = row[j], row[t0]
+            _clear_column(D, U, t0)
+            Dt, Vt = transpose(D), transpose(V)
+            _clear_column(Dt, Vt, t0)
+            D, V = transpose(Dt), transpose(Vt)
             # column ops can re-dirty the column under the corner
-            if any(D[i][t0] for i in range(t0 + 1, m)) or any(
-                D[t0][j] for j in range(t0 + 1, n)
-            ):
+            if any(D[i][t0] for i in range(t0 + 1, m)):
                 continue
             bad = next(
                 (

@@ -65,11 +65,7 @@ class NullQuotient:
 
     def lift(self, coords) -> Vector:
         """Lattice representative of the class with the given coordinates."""
-        vec = [0] * self.form.dim
-        for c, row in zip(coords, self.class_basis):
-            for k in range(self.form.dim):
-                vec[k] += c * row[k]
-        return tuple(vec)
+        return tuple(linalg.mat_vec(linalg.transpose(self.class_basis), coords))
 
     def class_coordinates(self, vectors) -> list[list[int]]:
         """Coordinates in Mbar of the class of each vector, which must lie
@@ -85,11 +81,7 @@ class NullQuotient:
         return linalg.transpose(sol[1:])
 
     def class_norm(self, coords) -> int:
-        return sum(
-            self.gram[i][j] * coords[i] * coords[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(c * g for c, g in zip(coords, linalg.mat_vec(self.gram, coords)))
 
 
 def null_quotient(form: Form, e) -> NullQuotient:
@@ -105,10 +97,7 @@ def null_quotient(form: Form, e) -> NullQuotient:
     if coords is None:
         raise ConsistencyError("null vector is not in the integer kernel of its own dual")
     W = linalg.complete_basis([c for c, in coords])
-    basis = [
-        tuple(sum(W[i][j] * m_rows[j][k] for j in range(len(m_rows))) for k in range(form.dim))
-        for i in range(len(m_rows))
-    ]
+    basis = [tuple(row) for row in linalg.mat_mul(W, m_rows)]
     if basis[0] != e:
         raise ConsistencyError("basis completion did not keep the null vector first")
     class_basis = tuple(basis[1:])
@@ -190,37 +179,37 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     }
 
 
-def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> dict:
-    """Complement of the span D of the given classes inside the quotient.
+def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> tuple[dict, dict]:
+    """The complement and glue objects of the ideal-vertex payload, for the
+    span D of the given classes inside the quotient.
 
-    Returns the complement generators C (classes orthogonal to D), the norm
-    of a generator when C has rank one, the index [Mbar : D + C] and the
-    cyclic structure of the glue group with a representative glue vector.
+    complement holds the basis of C, the classes orthogonal to D, and, when
+    C has rank one, the lift and norm of its generator.  glue holds the
+    index [Mbar : D + C], the invariant factors above 1 of the glue group
+    Mbar / (D + C), and the lift and order of a generator of its largest
+    cyclic factor.  Every key is present, None where a value is absent.
+    The quotient Gram is definite, so D and C have complementary ranks and
+    D's basis stacked on C's is square: the glue group is finite and read
+    off the stack's Smith normal form.
     """
     G = [list(r) for r in quot.gram]
     d_basis = linalg.hnf_basis(image_coords)
     rows = [linalg.mat_vec(G, d) for d in d_basis]
     c_basis = linalg.integer_kernel(rows) if rows else linalg.identity(quot.rank)
-    data: dict = {"c_basis": [list(r) for r in c_basis]}
+    complement = {"basis": [list(r) for r in c_basis], "generator": None, "generator_norm": None}
     if len(c_basis) == 1:
-        gen = c_basis[0]
-        data["generator"] = list(quot.lift(gen))
-        data["generator_norm"] = quot.class_norm(gen)
-    stack = [list(r) for r in d_basis] + [list(r) for r in c_basis]
-    if len(stack) == quot.rank:
-        D, U, V = linalg.snf(stack)
-        # U and V are unimodular, so the diagonal's product is |det stack|
-        data["index"] = prod(D[i][i] for i in range(len(D)))
-        invariants = [D[i][i] for i in range(len(D)) if D[i][i] > 1]
-        data["invariants"] = invariants
-        if invariants:
-            # V is unimodular, and the rows of its inverse are a basis in
-            # which the sublattice is diagonal
-            Vinv = linalg.solve(V, linalg.identity(len(V)))
-            big = max(range(len(D)), key=lambda i: D[i][i])
-            data["glue_vector"] = list(quot.lift(Vinv[big]))
-            data["glue_order"] = D[big][big]
-    else:
-        data["index"] = None
-    return data
-
+        complement["generator"] = list(quot.lift(c_basis[0]))
+        complement["generator_norm"] = quot.class_norm(c_basis[0])
+    D, U, V = linalg.snf(d_basis + c_basis)
+    invariants = [D[i][i] for i in range(len(D)) if D[i][i] > 1]
+    # U and V are unimodular, so the diagonal's product is |det stack|
+    glue = {"index": prod(D[i][i] for i in range(len(D))), "invariants": invariants,
+            "vector": None, "order": None}
+    if invariants:
+        # V is unimodular, and the rows of its inverse are a basis in
+        # which the sublattice is diagonal
+        Vinv = linalg.solve(V, linalg.identity(len(V)))
+        big = max(range(len(D)), key=lambda i: D[i][i])
+        glue["vector"] = list(quot.lift(Vinv[big]))
+        glue["order"] = D[big][big]
+    return complement, glue

@@ -18,7 +18,8 @@ readers:
 - classify.root_table reads it with the finite-volume test alone.
 - reproduces replays it with no closure test, to check a resumed state and
   the roots of ideal-vertex and symmetry certificates, and hands back the
-  replayed state: its counters and the height frontier it reached.
+  replayed state: its counters and the height frontier it reached.  Its
+  callers give only a height cap; the roots it checks cap the rest.
 
 The finite-volume test runs once after each batch that accepted a root,
 not after each root.  That returns the same roots, because no root is
@@ -131,7 +132,7 @@ class SearchState:
 
         if _count(doc, "schema_version") != STATE_SCHEMA_VERSION:
             raise CertificateError("schema_version: unsupported value")
-        form = _form(doc, "")
+        form = _form(doc)
         accepted = _rows(doc, "accepted", "accepted")
         if any(len(r) != form.dim for r in accepted):
             raise CertificateError(f"accepted: not a list of rows of {form.dim} integers")
@@ -198,19 +199,20 @@ def replay(state: SearchState, budget: Budget) -> Iterator[list]:
 
 
 def reproduces(
-    form: Form, roots, batches: Optional[int], budget: Budget
+    form: Form, roots, batches: Optional[int], max_height
 ) -> Optional[SearchState]:
     """The state of a fresh replay that accepts exactly roots: in exactly
-    the given number of batches, or (batches None) where the budget stops
+    the given number of batches, or (batches None) where max_height stops
     it.  None if the replay accepts anything else.
 
     The replay stops at the first batch whose accepts are not a prefix of
-    roots, so roots that the search never reaches bound it too.  The state
-    holds the replay's counters and its final cursor, whose open_height is
-    the height frontier the replay cleared.
+    roots, so roots that the search never reaches bound it too; its root
+    cap, len(roots) + 1, stops it no earlier.  The state holds the
+    replay's counters and its final cursor, whose open_height is the
+    height frontier the replay cleared.
     """
     state = SearchState.fresh(form)
-    for _ in islice(replay(state, budget), batches):
+    for _ in islice(replay(state, Budget(max_height, len(roots) + 1)), batches):
         if state.accepted != roots[: len(state.accepted)]:
             return None
     if state.accepted != roots or batches not in (None, state.batches_done):
@@ -253,9 +255,8 @@ def run_search(
     resumed = state is not None
     if resumed:
         state.accepted = [tuple(r) for r in state.accepted]
-        bound = Budget(budget.max_height, max_roots=len(state.accepted) + 1)
         cut = f"in {state.batches_done} batches up to height {budget.max_height}"
-        replayed = reproduces(form, state.accepted, state.batches_done, bound)
+        replayed = reproduces(form, state.accepted, state.batches_done, budget.max_height)
         if replayed is None:
             raise ConsistencyError(f"accepted: not the roots the search accepts {cut}")
         if replayed.counters["candidates"] != state.counters["candidates"]:

@@ -178,3 +178,31 @@ def test_the_search_alone_decides():
                 if name in callers:
                     callers[name].add(path.stem)
     assert callers == {name: {"search"} for name in deciders}
+
+
+def call_sites(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every call of name in the
+    package, by attribute or by plain name."""
+    sites = []
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                sites.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE_DIRS[0].glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+def test_one_unimodular_row_step():
+    # row_hnf and snf, columns included, take every exgcd step through
+    # linalg._combine_rows
+    assert call_sites("exgcd") == [("linalg", "_combine_rows")]
+    # the scan sees calls inside methods and nested functions
+    assert ("search", "decide") in call_sites("finite_volume")

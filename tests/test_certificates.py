@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from vinberg import certificates, cones, diagram, linalg, published, quotient, volume
+from vinberg import certificates, cones, diagram, isometry, linalg, published, quotient, volume
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
@@ -387,8 +387,8 @@ def test_mutated_documents_are_invalid_or_name_a_field(
     try:
         if which == "state":
             state = SearchState.from_json(edited)
-            bound = Budget(max_roots=len(state.accepted) + 1)
-            valid = reproduces(state.form, state.accepted, state.batches_done, bound) is not None
+            top = Budget().max_height
+            valid = reproduces(state.form, state.accepted, state.batches_done, top) is not None
         else:
             valid = verify_certificate(edited)
     except CertificateError as exc:
@@ -425,6 +425,28 @@ def test_unknown_payload_key_does_not_re_derive(request, which):
     cert = copy.deepcopy(request.getfixturevalue(which))
     cert["payload"]["note"] = None
     assert certificates.verification_failures(cert) == ["payload.note: does not re-derive"]
+
+
+# edits that a plain == lets through: each stores a value of another JSON
+# type, by (certificate, path in the payload, value)
+TYPED_EDITS = {
+    "glue_index_float": ("cert_7_4", ("glue", "index"), 3.0),
+    "glue_vector_bool": ("cert_7_4", ("glue", "vector", 0), True),
+    "class_coordinate_bool": ("cert_7_4", ("root_classes", "classes", 0, "coords", 2), True),
+    "volume_finite_int": ("cert_5_2", ("volume", "finite"), 1),
+}
+
+
+@pytest.mark.parametrize("which,path,value", list(TYPED_EDITS.values()), ids=list(TYPED_EDITS))
+def test_a_value_of_another_type_does_not_re_derive(request, which, path, value):
+    cert = copy.deepcopy(request.getfixturevalue(which))
+    parent = cert["payload"]
+    for key in path[:-1]:
+        parent = parent[key]
+    assert parent[path[-1]] == value and type(parent[path[-1]]) is not type(value)
+    parent[path[-1]] = value
+    failures = certificates.verification_failures(cert)
+    assert failures == [f"payload.{path[0]}: does not re-derive"], failures
 
 
 def test_edited_component_type_does_not_re_derive(cert_7_4):
@@ -587,9 +609,9 @@ def test_symmetry_replay_is_capped_below_an_unreached_wall(cert_13_3, monkeypatc
     caps = []
     reproduces = certificates.reproduces
 
-    def spy(form, roots, batches=None, budget=None):
-        caps.append(budget.max_height)
-        return reproduces(form, roots, batches, budget)
+    def spy(form, roots, batches, max_height):
+        caps.append(max_height)
+        return reproduces(form, roots, batches, max_height)
 
     monkeypatch.setattr(certificates, "reproduces", spy)
     assert verify_certificate(cert_13_3)
@@ -615,6 +637,32 @@ def test_tampered_frame_corner(cert_13_3):
     cert = copy.deepcopy(cert_13_3)
     cert["payload"]["frame_from"]["corner"][1] += 1
     assert not verify_certificate(cert)
+
+
+def test_finite_order_frame_map_is_no_symmetry(cert_13_3):
+    # the (13,3) corners (1,0,0,0) and (12,39,13,13) are certified and
+    # their frames match, but the isometry between them has finite order,
+    # a map the hunt skips; with the frames' height bounds re-derived, the
+    # order check alone rejects the forgery
+    form = Form(13, 3)
+    cert = copy.deepcopy(cert_13_3)
+    payload = cert["payload"]
+    roots = [tuple(r) for r in payload["roots"]]
+    chamber = volume.ChamberDiagram(form, roots)
+    source, target = (1, 0, 0, 0), (12, 39, 13, 13)
+    walls = {c["vector"]: c["orthogonal"] for c in isometry.chamber_corners(chamber)}
+    assert walls[source] == [0, 1, 2] and walls[target] == [1, 3, 5]
+    base = (0, 1, 2)
+    [perm] = isometry._matching_frames(chamber.gram, walls[target], chamber.subgram(base))
+    assert perm == (5, 1, 3)
+    T = isometry.frame_map(
+        form, [roots[i] for i in base] + [source], [roots[i] for i in perm] + [target])
+    assert isometry.infinite_order_evidence(T) is None
+    payload["matrix"] = T
+    for label, idx, corner in (("frame_from", base, source), ("frame_to", perm, target)):
+        payload[label] = {"root_indices": list(idx), "corner": list(corner),
+                          "height_bound": str(isometry.corner_height_bound(form, corner))}
+    assert certificates.verification_failures(cert) == ["payload.matrix: matrix has finite order"]
 
 
 def test_tampered_inherited_prime(cert_7_4):
@@ -725,6 +773,25 @@ def test_cusp_scan_silent_at_genuine_ideal_vertex(search):
     roots = search(11, 3).roots
     cert = certificates.scan_for_cusp_obstruction(volume.ChamberDiagram(form, roots))
     assert cert is None
+
+
+def test_full_rank_cusp_is_no_ideal_vertex_failure(search):
+    # the (5,5) chamber closes, and its A~4 cusp at e = (1, ..., 1) is a
+    # genuine ideal vertex whose root classes have full rank; a
+    # certificate built there re-derives in every field, so the rank check
+    # alone rejects it
+    form = Form(5, 5)
+    chamber = search(5, 5).chamber
+    cusp = [frozenset({0, 1, 2, 3, 5})]
+    assert cusp in chamber.cusps()
+    _, e = certificates.affine_null_marks(form, chamber.roots, cusp[0])
+    assert e == (1,) * 6
+    quot = quotient.null_quotient(form, e)
+    rc = quotient.root_classes(form, quot)
+    cert = certificates.ideal_vertex_certificate(chamber, quot, cusp, rc)
+    assert certificates.verification_failures(cert) == [
+        "payload.root_classes: root classes span the quotient rationally"
+    ]
 
 
 # The disputed forms: the walls orthogonal to the published null vector,

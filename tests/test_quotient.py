@@ -311,9 +311,9 @@ def test_complement_data_on_the_a2_cusp_failure(search):
     roots = search(7, 4).roots
     image = quot.class_coordinates(
         [r for r in roots if form.inner_product(r, blk["null_vector"]) == 0])
-    data = quotient.orthogonal_complement_data(form, quot, image)
-    assert data.get("generator_norm") == blk["complement_norm"]
-    assert data.get("glue_order") == blk["glue_order"]
+    complement, glue = quotient.orthogonal_complement_data(form, quot, image)
+    assert complement["generator_norm"] == blk["complement_norm"]
+    assert glue["order"] == blk["glue_order"]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -324,7 +324,7 @@ def test_complement_index_is_the_determinant_of_the_stacked_bases(data):
     quot = _block_quotient(p, n)
     row = st.lists(st.integers(-3, 3), min_size=quot.rank, max_size=quot.rank)
     image = data.draw(st.lists(row, min_size=1, max_size=quot.rank))
-    out = quotient.orthogonal_complement_data(quot.form, quot, image)
-    stack = linalg.hnf_basis(image) + out["c_basis"]
-    assert out["index"] == abs(oracles.fraction_det(stack))
-    assert out["index"] == prod(out["invariants"])
+    complement, glue = quotient.orthogonal_complement_data(quot.form, quot, image)
+    stack = linalg.hnf_basis(image) + complement["basis"]
+    assert glue["index"] == abs(oracles.fraction_det(stack))
+    assert glue["index"] == prod(glue["invariants"])
