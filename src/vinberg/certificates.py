@@ -27,7 +27,11 @@ Three verdict-carrying documents plus an inheritance wrapper:
   the same null direction, and the extension's classes span the quotient
   rationally; a rank deficit therefore rules finite volume out.  (The
   span can be a proper finite-index sublattice at a genuine ideal vertex,
-  so index alone decides nothing.)
+  so index alone decides nothing.)  The search's scan reads the
+  chamber's walls through e before it walks the quotient: each wall is a
+  root in e^perp, so its class is a root class, and walls whose classes
+  span the quotient prove full rank with no walk.  The verifier walks
+  every root class itself, unseeded.
 - infinite_symmetry: an integral form-preserving isometry of infinite
   order carrying one certified chamber vertex, with its complete wall
   set, to another.  Such a map fixes the chamber, so the wall set cannot
@@ -116,13 +120,24 @@ def scan_for_cusp_obstruction(chamber):
 
     Tests, in order of null vector e, the quotient at every cusp of a grown
     volume.ChamberDiagram (its affine components grouped by e): whichever
-    components meet at e, a deficient quotient depends on e alone.  The
-    chamber keeps across batches e for each cusp's first member, which
-    depends on its roots alone, and the quotient and root classes of each
-    e, which depend on the form alone.  A full-rank entry stopped its walk
-    early and only full_rank is read from it; a deficient entry is complete
-    and is handed, with its quotient and cusp, to the certificate.  Returns
-    an ideal_vertex_failure certificate, or None.
+    components meet at e, a deficient quotient depends on e alone.
+
+    The walls through e come first.  Each is a root orthogonal to e, so
+    its class in e^perp / Z e holds a root and is a root class; when e and
+    the walls have rank n, the walls' classes span the rank n - 1 quotient
+    rationally, so the root classes do too and e cannot be deficient.  Such
+    an e is stored as None, with no quotient built and no walk.  Otherwise
+    the walk of quotient.root_classes is seeded with the walls' classes: a
+    full-rank walk stops once its classes complete the walls' span, and a
+    deficient one still walks every root class, among them the walls' own,
+    so its result is the unseeded one.
+
+    The chamber keeps across batches e for each cusp's first member, which
+    depends on its roots alone, and for each e None or its quotient and
+    root classes, whose rank depends on the form alone.  A full-rank entry
+    stopped its walk early and only full_rank is read from it; a deficient
+    entry is complete and is handed, with its quotient and cusp, to the
+    certificate.  Returns an ideal_vertex_failure certificate, or None.
     """
     form, accepted = chamber.form, chamber.roots
     groups: dict = {}
@@ -134,10 +149,18 @@ def scan_for_cusp_obstruction(chamber):
     cache = chamber.root_classes
     for e in sorted(groups):
         if e not in cache:
-            quot = quotient.null_quotient(form, e)
-            cache[e] = quot, quotient.root_classes(form, quot)
-        quot, rc = cache[e]
-        if not rc["full_rank"]:
+            walls = [r for r in accepted if form.inner_product(r, e) == 0]
+            span = linalg.Echelon()
+            for v in (e, *walls):
+                span.add(v)
+            if len(span.rows) == form.n:
+                cache[e] = None
+            else:
+                quot = quotient.null_quotient(form, e)
+                known = quot.class_coordinates(walls)
+                cache[e] = quot, quotient.root_classes(form, quot, known=known)
+        if cache[e] is not None and not cache[e][1]["full_rank"]:
+            quot, rc = cache[e]
             return ideal_vertex_certificate(chamber, quot, groups[e], rc)
     return None
 

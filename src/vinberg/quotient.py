@@ -135,7 +135,7 @@ def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
     return t
 
 
-def root_classes(form: Form, quot: NullQuotient) -> dict:
+def root_classes(form: Form, quot: NullQuotient, *, known=()) -> dict:
     """Root classes of the quotient up to sign, with the lattice they span.
 
     Walks the classes whose norm is an admissible root norm (1, 2, p or
@@ -153,9 +153,19 @@ def root_classes(form: Form, quot: NullQuotient) -> dict:
     rationally: full rank is all the obstruction test needs to know.  So
     classes and rank are those of every root class only when full_rank is
     false; a full-rank result covers the classes walked before the stop.
+
+    known seeds the span, so a full-rank walk stops once its classes
+    complete known's span.  known must hold class coordinates
+    (class_coordinates) of roots in e^perp: each is then, up to sign, a
+    class the walk visits, so a walk that never reaches full rank returns
+    exactly the unseeded result.  Any other vector could make full_rank
+    true where the root classes are deficient.  known's classes are not
+    listed in classes.
     """
     classes = []
     span = linalg.Echelon()
+    for v in known:
+        span.add(v)
 
     def visit(v, m) -> bool:
         t = root_class_shift(form, quot, v, m)

@@ -42,8 +42,9 @@ by node set (Diagram.classes); C as one live cones.Cone, given only the
 walls it lacks when (b) or a corner is read; the hyperbolic S proved to
 meet (b), since a face proved {0} stays {0} while the roots grow; and,
 for the cusp scan, the null vector of each cusp's first member and, for
-each null vector, its quotient lattice and that quotient's root classes,
-which the certificate reuses.
+each null vector, None when the walls through it span its quotient, or
+else its quotient lattice and that quotient's root classes, which the
+certificate reuses.
 
 Every fact it holds was proved on a prefix of its roots, so a list that
 does not extend them starts it from nothing: a misused object cannot
@@ -75,7 +76,8 @@ class ChamberDiagram(dg.Diagram):
         self.trivial_cones: set = set()  # hyperbolic S whose fixed cone is {0}
         self.cone = cones.Cone(form.dim)  # the chamber cone, on a prefix of roots
         self.null_marks: dict = {}  # a cusp's first member -> (marks, null vector)
-        # null vector -> (quotient.null_quotient, quotient.root_classes of it)
+        # null vector -> None when the walls through it span its quotient,
+        # else (quotient.null_quotient, quotient.root_classes of it)
         self.root_classes: dict = {}
         self.grow(roots)
 

@@ -665,6 +665,37 @@ def test_finite_order_frame_map_is_no_symmetry(cert_13_3):
     assert certificates.verification_failures(cert) == ["payload.matrix: matrix has finite order"]
 
 
+# well-formed forgeries, each failing one verifier rejection that the
+# tamper tests above do not reach: (form, payload edit, the one failure)
+WELL_FORMED_FORGERIES = {
+    "duplicated_component": (
+        (5, 9), lambda pl: pl["components"].append(copy.deepcopy(pl["components"][0])),
+        "payload.components: overlapping components"),
+    # the null vector of another cusp of the (5,9) chamber
+    "another_cusps_null_vector": (
+        (5, 9), lambda pl: pl.update(null_vector=[1, 2, 1] + [0] * 7),
+        "payload.components[0].nodes: null vector is not payload.null_vector"),
+    "doubled_corner": (
+        (13, 3), lambda pl: pl["frame_from"].update(
+            corner=[2 * x for x in pl["frame_from"]["corner"]]),
+        "payload.frame_from.corner: not primitive"),
+    "frame_to_is_frame_from": (
+        (13, 3), lambda pl: pl.update(frame_to=copy.deepcopy(pl["frame_from"])),
+        "payload.frame_to.corner: corners must be distinct of equal norm"),
+    "frame_root_off_the_corner": (
+        (13, 3), lambda pl: pl["frame_from"].update(root_indices=[0, 1, 3]),
+        "payload.frame_from.root_indices: frame roots must contain the corner"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WELL_FORMED_FORGERIES))
+def test_well_formed_forgery_fails_its_own_check(report, name):
+    (p, n), edit, failure = WELL_FORMED_FORGERIES[name]
+    cert = copy.deepcopy(report(p, n)["certificate"])
+    edit(cert["payload"])
+    assert certificates.verification_failures(cert) == [failure]
+
+
 def test_tampered_inherited_prime(cert_7_4):
     lifted = certificates.inherited_certificate(cert_7_4, 5)
     cert = copy.deepcopy(lifted)

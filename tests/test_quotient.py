@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import oracles
-from vinberg import linalg, quotient
-from vinberg.classify import classify_form
+from vinberg import certificates, linalg, quotient
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
+from vinberg.search import run_search
 
 
 @cache
@@ -106,30 +107,29 @@ def test_root_class_shift_matches_wide_window_oracle():
             assert (fast is None) == (wide is None), (p, n, coords, fast, wide)
 
 
-def _scanned_null_vectors(monkeypatch, p, n):
-    """Every null vector whose root classes classify_form(p, n) asks for."""
-    seen = []
-    original = quotient.root_classes
-
-    def record(form, quot):
-        seen.append(quot.e)
-        return original(form, quot)
-
-    with monkeypatch.context() as m:
-        m.setattr(quotient, "root_classes", record)
-        classify_form(p, n)
-    return sorted(set(seen))
+def _scanned_null_vectors(result):
+    """The null vector of every cusp of result's final chamber, among them
+    every one its search scanned (a cusp once found stays one as the roots
+    grow), and its certificate's null vector, which the verifier walks."""
+    chamber = result.chamber
+    seen = {
+        certificates.affine_null_marks(chamber.form, chamber.roots, cusp[0])[1]
+        for cusp in chamber.cusps()
+    }
+    if result.certificate["kind"] == "ideal_vertex_failure":
+        seen.add(tuple(result.certificate["payload"]["null_vector"]))
+    return sorted(seen)
 
 
 @pytest.mark.parametrize(
     "p,n", [(5, 9), (7, 4), (11, 5), (13, 3), (19, 3), (23, 3), (11, 3), (17, 3)]
 )
-def test_early_stop_agrees_with_the_full_walk(monkeypatch, p, n):
+def test_early_stop_agrees_with_the_full_walk(search, p, n):
     # root_classes stops its walk once the classes reach full rank; at
     # every null vector the scan meets, that answer must be the full
     # walk's, and a deficient result must be the full result itself
     form = Form(p, n)
-    null_vectors = _scanned_null_vectors(monkeypatch, p, n)
+    null_vectors = _scanned_null_vectors(search(p, n))
     # the (23,3) chamber has no affine subdiagram, so its scan meets none
     assert bool(null_vectors) == ((p, n) != (23, 3))
     for e in null_vectors:
@@ -147,11 +147,11 @@ def test_early_stop_agrees_with_the_full_walk(monkeypatch, p, n):
 @pytest.mark.parametrize(
     "p,n", [(5, 9), (7, 4), (11, 5), (5, 10), (13, 2), (17, 3)]
 )
-def test_root_class_shift_matches_the_scan(monkeypatch, p, n):
+def test_root_class_shift_matches_the_scan(search, p, n):
     # the direct shift against every shift in [0, m), on every class of
     # root norm at each null vector the classification meets
     form = Form(p, n)
-    null_vectors = _scanned_null_vectors(monkeypatch, p, n)
+    null_vectors = _scanned_null_vectors(search(p, n))
     assert null_vectors
     for e in null_vectors:
         quot = quotient.null_quotient(form, e)
@@ -159,6 +159,43 @@ def test_root_class_shift_matches_the_scan(monkeypatch, p, n):
         for coords, m in linalg.short_vectors(gram, form.admissible_root_norms):
             assert quotient.root_class_shift(form, quot, coords, m) == \
                 oracles.root_class_shift_scan(form, quot, coords, m), (e, coords)
+
+
+@pytest.mark.parametrize("p,n", sorted(
+    corpus.EXPECTED_REFLECTIVE | {(5, 9), (7, 4), (11, 5), (13, 3), (19, 3)}))
+def test_the_walls_shortcut_is_exact(monkeypatch, p, n):
+    # at every decide step the scan stores a null vector as spanned (None)
+    # when the chamber's walls through it span the quotient; the complete
+    # walk must then find full rank.  A deficient null vector's walk,
+    # seeded with the walls' classes, must return the unseeded walk's dict.
+    form = Form(p, n)
+    spanned, deficient = set(), {}
+    original = certificates.scan_for_cusp_obstruction
+
+    def record(chamber):
+        cert = original(chamber)
+        for e, entry in chamber.root_classes.items():
+            if entry is None:
+                spanned.add(e)
+            elif not entry[1]["full_rank"]:
+                walls = [r for r in chamber.roots if form.inner_product(r, e) == 0]
+                deficient[e] = entry, walls
+        return cert
+
+    monkeypatch.setattr(certificates, "scan_for_cusp_obstruction", record)
+    run_search(form)
+    assert bool(deficient) == ((p, n) in {(5, 9), (7, 4), (11, 5)})
+    if (p, n) == (11, 3):
+        # the index-2 ideal vertex: its walls span the quotient rationally
+        assert spanned == {(1, 3, 1, 1)}
+    for e in spanned:
+        assert _all_root_classes(form, quotient.null_quotient(form, e))["full_rank"], e
+    for e, ((quot, stored), walls) in deficient.items():
+        seeded = quotient.root_classes(form, quot, known=quot.class_coordinates(walls))
+        unseeded = quotient.root_classes(form, quot)
+        assert seeded.keys() == unseeded.keys() == stored.keys()
+        for key in unseeded:
+            assert seeded[key] == unseeded[key] == stored[key], (e, key)
 
 
 @st.composite
