@@ -8,18 +8,18 @@ Three verdict-carrying documents plus an inheritance wrapper:
   reflection lies in O(L).  The first n roots are the initial simple
   roots and every later root has x0 > 0, so points next to the control
   vertex lie strictly inside every wall and the chamber has interior.
-  Every pair of walls meets at an angle pi/k or not at all.  The
-  critical-subdiagram report re-derives and says finite, and the chamber
-  cone has all its extreme rays in the closed future light cone.  The
-  chamber is then a Coxeter polytope of finite volume, so the
+  Two walls meet at an angle pi/k or not at all, as both their norms
+  divide twice their inner product.  volume's two finite-volume tests
+  pass: the critical-subdiagram report re-derives and says finite, and
+  the chamber cone has all its extreme rays in the closed future light
+  cone.  The chamber is then a Coxeter polytope of finite volume, so the
   reflections in its walls generate a discrete subgroup of O(L) with the
   chamber as fundamental domain; it has finite covolume, hence finite
   index, and the form is reflective.  Which search produced the roots
-  does not matter.  The angle, report and cone checks read one
-  volume.ChamberDiagram built fresh on the stored roots, and the report's
-  condition (b) and the cone check read its one chamber cone, so one
-  fault in the double description could pass both; a check that shares
-  no cone code is ROADMAP direction 5.
+  does not matter.  Both tests read one volume.ChamberDiagram built
+  fresh on the stored roots, and condition (b) and the cone test read its
+  one chamber cone, so one fault in the double description could pass
+  both; a check that shares no cone code is ROADMAP direction 5.
 - ideal_vertex_failure: a primitive null vector e arising from affine
   subdiagrams of the accepted set whose quotient lattice e^perp / Z e has
   root classes of deficient rank.  An affine subset of the simple roots
@@ -81,7 +81,7 @@ from __future__ import annotations
 from vinberg import diagram as _diagram
 from vinberg import cones, isometry, linalg, published, quotient
 from vinberg import volume as _volume
-from vinberg.errors import CertificateError, DiagramError
+from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.search import reproduces
 
@@ -430,26 +430,6 @@ def _acute_pair(form: Form, roots) -> list[str]:
     return []
 
 
-def chamber_cone_closes(chamber) -> bool:
-    """Whether a grown volume.ChamberDiagram's chamber has finite volume,
-    by its cone.
-
-    The cone {x : <x, r> <= 0 for every root r} is the chamber's own
-    (ChamberDiagram.chamber_cone), which condition (b) may already have
-    read.  Finite volume holds iff it has no lines and every extreme ray
-    points into the future (x0 > 0) with norm <= 0: the chamber is then
-    the hull of finitely many points of hyperbolic space and its boundary
-    at infinity.  This test reads no Coxeter diagram, so it confirms
-    volume.finite_volume's critical-subdiagram verdict independently of
-    the diagram walk.
-    """
-    form = chamber.form
-    lines, rays = chamber.chamber_cone().generators()
-    return not lines and bool(rays) and all(
-        r[0] > 0 and form.norm(r) <= 0 for r in rays
-    )
-
-
 def _verify_reflective(form: Form, payload) -> list[str]:
     """The reflective checks of the module docstring, in that order."""
     roots, issues = _roots(form, payload)
@@ -463,14 +443,12 @@ def _verify_reflective(form: Form, payload) -> list[str]:
     issues = _acute_pair(form, roots)
     if issues:
         return issues
-    try:
-        chamber = _volume.ChamberDiagram(form, roots)
-    except DiagramError as exc:
-        return [f"payload.roots: {exc}"]
+    # no DiagramError here: <r,r> and <s,s> divide 2<r,s>, so 4 cos^2 is an integer
+    chamber = _volume.ChamberDiagram(form, roots)
     report = _volume.finite_volume(chamber)
     if not report["finite"]:
         issues.append("payload.volume: chamber volume is not finite")
-    if not chamber_cone_closes(chamber):
+    if not _volume.chamber_cone_closes(chamber):
         issues.append("payload.roots: chamber cone is not in the closed light cone")
     return issues + _rederived(payload, _reflective_payload(roots, report))
 

@@ -11,10 +11,11 @@ exact divisions keep entries the size of minors; solve returns the
 integral solution of a system with several right-hand sides, or None.
 Echelon keeps a growing set of rows in echelon form, so each new row's
 independence costs one reduction.  short_vectors (Fincke-Pohst) walks its
-tree on the integral Gram-Schmidt data of integral_ldl, an integer
-remainder and isqrt windows, solving its last coordinate for each wanted
-integer norm directly.  congruent_short_vectors composes two such walks:
-norms divisible by a prime p on the lattice cut out by congruences mod p
+tree on the integral Gram-Schmidt data of integral_ldl, read off
+psd_classify's pass (_symmetric_bareiss), an integer remainder and isqrt
+windows, solving its last coordinate for each wanted integer norm
+directly.  congruent_short_vectors composes two such walks: norms
+divisible by a prime p on the lattice cut out by congruences mod p
 (congruence_basis, a Gauss-Jordan elimination mod p whose basis rows are
 p e_j and e_j minus reduced entries), the other norms on the whole one.
 charpoly, row_hnf, snf and integer_kernel work over the integers
@@ -309,8 +310,14 @@ def psd_classify(G) -> str:
     grow one node from a definite one: Diagram.psd_class (the cross-check
     in diagram.affine_type, and volume's hyperbolic test for a component
     the walk did not reach), quotient.null_quotient and
-    isometry.vertex_walls.
+    isometry.vertex_walls; integral_ldl reads the rows of its pass.
     """
+    return _symmetric_bareiss(G)[0]
+
+
+def _symmetric_bareiss(G) -> tuple[str, list[list[int]]]:
+    """psd_classify's class of G and its eliminated matrix, in which a definite
+    G, pivoted in index order, has Bareiss's row lambda_i in row i from column i on."""
     A = [list(row) for row in G]
     active = list(range(len(A)))
     prev = 1
@@ -320,8 +327,8 @@ def psd_classify(G) -> str:
             for i in active:
                 for j in active:
                     if A[i][j] != 0:
-                        return "indefinite"
-            return "degenerate"
+                        return "indefinite", A
+            return "degenerate", A
         active.remove(piv)
         d = A[piv][piv]
         prow = A[piv]
@@ -331,7 +338,7 @@ def psd_classify(G) -> str:
             for j in active:
                 row[j] = (d * row[j] - f * prow[j]) // prev
         prev = d
-    return "definite"
+    return "definite", A
 
 
 def charpoly(M) -> list[int]:
@@ -362,9 +369,9 @@ def integral_ldl(G) -> tuple[list[int], list[list[tuple[int, int]]], list[int], 
 
         S x^T G x = sum_i w_i N_i^2,   N_i = D_i x_i + sum_{j>i} a_ij x_j,
 
-    D_i and w_i positive and every row (D_i, a_ij) primitive.  Bareiss's
-    elimination without pivoting leaves the rows lambda_i, whose diagonal
-    entries are the leading minors Delta_{i+1} (Delta_0 = 1), so that
+    D_i and w_i positive and every row (D_i, a_ij) primitive.  psd_classify's
+    pass leaves Bareiss's rows lambda_i, whose diagonal entries are the
+    leading minors Delta_{i+1} (Delta_0 = 1), so that
     x^T G x = sum_i (Delta_{i+1} x_i + sum_{j>i} lambda_ij x_j)^2
     / (Delta_i Delta_{i+1}) (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7).  Row i is divided by the gcd g_i of its
@@ -374,20 +381,9 @@ def integral_ldl(G) -> tuple[list[int], list[list[tuple[int, int]]], list[int], 
     weights.
     """
     n = len(G)
-    lam = [list(row) for row in G]
-    prev = 1
-    for i in range(n):
-        prow = lam[i]
-        d = prow[i]
-        if d <= 0:
-            raise ValueError("matrix is not positive definite")
-        # the active block stays symmetric, so only its upper half is kept
-        for r in range(i + 1, n):
-            row = lam[r]
-            f = prow[r]
-            for c in range(r, n):
-                row[c] = (d * row[c] - f * prow[c]) // prev
-        prev = d
+    cls, lam = _symmetric_bareiss(G)
+    if cls != "definite":
+        raise ValueError("matrix is not positive definite")
     D, terms, num, den = [], [], [], []
     prev = 1
     for i, row in enumerate(lam):

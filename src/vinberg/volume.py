@@ -1,6 +1,6 @@
-"""Finite-volume test for the chamber cut out by the accepted roots.
+"""Both finite-volume tests for the chamber cut out by the accepted roots.
 
-The test is Vinberg's critical-subdiagram criterion (Vinberg 1972).  A
+finite_volume is Vinberg's critical-subdiagram criterion (Vinberg 1972).  A
 critical subdiagram is a connected, inclusion-minimal non-elliptic set of
 walls; by eigenvalue interlacing it is either parabolic (degenerate) or
 hyperbolic (indefinite).  The chamber has finite volume iff the walls
@@ -18,11 +18,8 @@ of C's lineality space, so C is pointed, and a face of a pointed cone is
 spanned by the extreme rays it holds: (b) fails for S exactly when some
 ray of C is tight on every wall of S.
 
-This is the only finite-volume decider the search runs.  Reflective
-certificates confirm its verdict without the diagram:
-certificates._verify_reflective checks that the chamber cone's extreme
-rays all lie in the closed future light cone.  tests/oracles.py keeps a
-second, edge-counting decider as a reference.
+The search runs finite_volume alone; the verifier adds the cone test,
+chamber_cone_closes.  tests/oracles.py keeps an edge-counting decider.
 
 The diagram work lives in a ChamberDiagram.  Whether a wall subset is
 elliptic, critical or affine depends only on the Gram of its roots, so
@@ -54,9 +51,9 @@ none builds or grows one.  search.run_search owns one per run and grows
 it after each batch that accepted a root, so finite_volume and the cusp
 scan on the same prefix share it, and so does its symmetry hunt once
 the budget is spent.  classify.root_table owns one per rank.
-certificates._verify_reflective builds a fresh one on the stored roots,
-so a stored report is re-derived from the roots alone, sharing nothing
-with the search.
+certificates._verify_reflective builds a fresh one on the stored roots
+and runs both tests on it, so a stored report is re-derived from the
+roots alone, sharing nothing with the search.
 """
 
 from __future__ import annotations
@@ -264,21 +261,20 @@ def cone_fixed_set(chamber, nodes) -> list:
     return [r for r, t in zip(cone.rays, cone.tight) if nodes <= t]
 
 
-def _critical_decider(chamber, report) -> bool:
+def finite_volume(chamber) -> dict:
+    """Critical-subdiagram verdict on a grown ChamberDiagram's roots, as a
+    serializable report."""
     form = chamber.form
     # the walls' span: the initial roots span the definite hyperplane
     # x0 = 0 and a later root leaves it, so the form is nondegenerate on
     # the span and this is also the rank of the Gram
     rk = form.dim - len(chamber.chamber_cone().lines)
-    report["rank"] = rk
     if rk != form.dim:
-        report["rank_deficient"] = True
-        return False
+        return {"finite": False, "rank": rk, "rank_deficient": True}
     # lists, not tuples: the report is embedded in JSON certificates and
     # must compare equal after a serialization round trip
     criticals = [{"nodes": sorted(s), "class": c} for s, c in chamber.critical.items()]
     criticals.sort(key=lambda d: d["nodes"])
-    report["critical"] = criticals
     # the affine sets at the cusps whose components reach rank n - 1 together
     full = {s for cusp in chamber.cusps() if sum(len(c) - 1 for c in cusp) == form.n - 1 for s in cusp}
     cond_a = []
@@ -298,14 +294,24 @@ def _critical_decider(chamber, report) -> bool:
                 chamber.trivial_cones.add(key)
             cond_b.append({"nodes": nodes, "trivial_cone": good})
         ok = ok and good
-    report["condition_a"] = cond_a
-    report["condition_b"] = cond_b
-    return ok
+    return {"finite": ok, "rank": rk, "critical": criticals,
+            "condition_a": cond_a, "condition_b": cond_b}
 
 
-def finite_volume(chamber) -> dict:
-    """Critical-subdiagram verdict on a grown ChamberDiagram's roots, as a
-    serializable report."""
-    report: dict = {"finite": False}
-    report["finite"] = _critical_decider(chamber, report)
-    return report
+def chamber_cone_closes(chamber) -> bool:
+    """Whether a grown ChamberDiagram's chamber has finite volume, by its cone.
+
+    The cone {x : <x, r> <= 0 for every root r} is the chamber's own
+    (ChamberDiagram.chamber_cone), which condition (b) may already have
+    read.  Finite volume holds iff it has no lines and every extreme ray
+    points into the future (x0 > 0) with norm <= 0: the chamber is then
+    the hull of finitely many points of hyperbolic space and its boundary
+    at infinity.  This test reads no Coxeter diagram, so it confirms
+    finite_volume's critical-subdiagram verdict independently of the
+    diagram walk.
+    """
+    form = chamber.form
+    lines, rays = chamber.chamber_cone().generators()
+    return not lines and bool(rays) and all(
+        r[0] > 0 and form.norm(r) <= 0 for r in rays
+    )

@@ -163,6 +163,18 @@ def test_condition_a_reads_the_diagram_alone():
     assert vinberg_modules(tree) == {"cones", "diagram"}
 
 
+def test_both_finite_volume_tests_live_in_volume():
+    # the search runs finite_volume alone; the reflective verifier runs both,
+    # and certificates keeps no finite-volume code of its own
+    tree = ast.parse((PACKAGE_DIRS[0] / "certificates.py").read_text())
+    assert "chamber_cone_closes" not in {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "DiagramError" not in {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names}
+    assert call_sites("chamber_cone_closes") == [("certificates", "_verify_reflective")]
+
+
 def test_the_search_alone_decides():
     # run_search closes the chamber, scans the cusps and hunts for a
     # symmetry; classify only writes its verdict and certificate down
@@ -206,3 +218,15 @@ def test_one_unimodular_row_step():
     assert call_sites("exgcd") == [("linalg", "_combine_rows")]
     # the scan sees calls inside methods and nested functions
     assert ("search", "decide") in call_sites("finite_volume")
+
+
+def test_one_symmetric_elimination():
+    # psd_classify and integral_ldl read one Bareiss pass, and integral_ldl
+    # runs no elimination (a loop nested in a loop) of its own
+    assert sorted(call_sites("_symmetric_bareiss")) == [
+        ("linalg", "integral_ldl"), ("linalg", "psd_classify")]
+    tree = ast.parse((PACKAGE_DIRS[0] / "linalg.py").read_text())
+    [ldl] = [node for node in tree.body if getattr(node, "name", None) == "integral_ldl"]
+    loops = [node for node in ast.walk(ldl) if isinstance(node, ast.For)]
+    assert not any(isinstance(inner, ast.For) for loop in loops for inner in ast.walk(loop)
+                   if inner is not loop)

@@ -1,5 +1,6 @@
 """Certificate construction, verification, and tamper resistance."""
 
+import ast
 import copy
 import json
 import os
@@ -18,7 +19,7 @@ from vinberg import certificates, cones, diagram, isometry, linalg, published, q
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
-from vinberg.search import Budget, SearchState, replay, reproduces
+from vinberg.search import Budget, SearchState, replay, reproduces, run_search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,10 +82,33 @@ def test_inherited_construction_errors(cert_5_2, cert_7_4):
 
 
 def test_tampered_reflective_roots(cert_5_2):
+    # without its last wall the chamber is open, and both finite-volume
+    # tests of volume say so
     cert = copy.deepcopy(cert_5_2)
     del cert["payload"]["roots"][-1]
-    failures = certificates.verification_failures(cert)
-    assert failures and not verify_certificate(cert)
+    assert certificates.verification_failures(cert) == [
+        "payload.volume: chamber volume is not finite",
+        "payload.roots: chamber cone is not in the closed light cone",
+        "payload.volume: does not re-derive",
+    ]
+
+
+@pytest.mark.parametrize("p,n", sorted(
+    corpus.EXPECTED_REFLECTIVE | {(p, n) for p, (n, _) in corpus.EXPECTED_FIRST_FAILURE.items()}))
+def test_roots_meet_at_pi_over_k(search, p, n):
+    # a root r of norm m has m | 2 p r_0 and m | 2 r_i, so m divides 2<r, s>
+    # for every integral s: two roots r, s have <r,r><s,s> | 4<r,s>^2, 4 cos^2
+    # is an integer, and the reflective verifier needs no angle check
+    form = Form(p, n)
+    result = search(p, n)
+    roots = list(result.roots)
+    if result.certificate["kind"] == "infinite_symmetry":
+        for label in ("frame_from", "frame_to"):
+            corner = tuple(result.certificate["payload"][label]["corner"])
+            roots += isometry.vertex_walls(form, corner)
+    for j, s in enumerate(roots):
+        for r in roots[:j]:
+            assert 4 * form.inner_product(r, s) ** 2 % (form.norm(r) * form.norm(s)) == 0, (r, s)
 
 
 def _negate(v):
@@ -665,35 +689,228 @@ def test_finite_order_frame_map_is_no_symmetry(cert_13_3):
     assert certificates.verification_failures(cert) == ["payload.matrix: matrix has finite order"]
 
 
-# well-formed forgeries, each failing one verifier rejection that the
-# tamper tests above do not reach: (form, payload edit, the one failure)
+def _reflected_target(pl):
+    """Compose the (13,3) matrix with the reflection in frame_to's corner c,
+    which is integral: the norm of c, -13, divides 2<x, c> for every x."""
+    form = Form(13, 3)
+    c = pl["frame_to"]["corner"]
+    unit = linalg.identity(form.dim)
+    twice = [2 * form.inner_product(e, c) for e in unit]
+    assert all(t % form.norm(c) == 0 for t in twice)
+    reflection = [[unit[i][j] - twice[j] // form.norm(c) * c[i] for j in range(form.dim)]
+                  for i in range(form.dim)]
+    pl["matrix"] = linalg.mat_mul(reflection, pl["matrix"])
+
+
+def _unbounded_hunt(pl):
+    """Replace the payload with a symmetry hunted with no height limit on the
+    undecided (13,3) search under Budget(400, 8): the hunt's far corner is not
+    certified by the heights that search scanned."""
+    form = Form(13, 3)
+    result = run_search(form, Budget(400, 8))
+    assert result.verdict == "undecided"
+    symmetry = isometry.find_infinite_symmetry(result.chamber, 10**9)
+    pl.clear()
+    pl.update(certificates.infinite_symmetry_certificate(
+        form, result.chamber.roots, symmetry, result.state.batches_done)["payload"])
+
+
+def _extra_wall_through_the_corner(pl):
+    # the root (0,-1,0,1) is orthogonal to the corner (1,0,0,0) but no wall there
+    pl["roots"].append([0, -1, 0, 1])
+    pl["frame_from"]["root_indices"] = [0, len(pl["roots"]) - 1, 2]
+
+
+def _swap_target_frame_roots(pl):
+    indices = pl["frame_to"]["root_indices"]
+    indices[0], indices[1] = indices[1], indices[0]
+
+
+# well-formed forgeries, each failing verifier rejections that the tamper
+# tests above do not reach: (form, payload edit, the exact failures)
 WELL_FORMED_FORGERIES = {
+    "repeated_root": (
+        (11, 3), lambda pl: pl["roots"].append(list(pl["roots"][6])),
+        ["payload.roots[7]: acute angle with root 6"]),
+    "doubled_null_vector": (
+        (7, 4), lambda pl: pl.update(null_vector=[2 * x for x in pl["null_vector"]]),
+        ["payload.null_vector: not a primitive null vector"]),
     "duplicated_component": (
         (5, 9), lambda pl: pl["components"].append(copy.deepcopy(pl["components"][0])),
-        "payload.components: overlapping components"),
+        ["payload.components: overlapping components"]),
     # the null vector of another cusp of the (5,9) chamber
     "another_cusps_null_vector": (
         (5, 9), lambda pl: pl.update(null_vector=[1, 2, 1] + [0] * 7),
-        "payload.components[0].nodes: null vector is not payload.null_vector"),
+        ["payload.components[0].nodes: null vector is not payload.null_vector"]),
+    "short_matrix": (
+        (13, 3), lambda pl: pl["matrix"].pop(),
+        ["payload.matrix: not an integer matrix of the right size"]),
+    "repeated_frame_root": (
+        (13, 3), lambda pl: pl["frame_from"].update(root_indices=[0, 0, 1]),
+        ["payload.frame_from.root_indices: bad index set"]),
+    "past_corner": (
+        (13, 3), lambda pl: pl["frame_from"].update(corner=[-1, 0, 0, 0]),
+        ["payload.frame_from.corner: not a future timelike vector"]),
     "doubled_corner": (
         (13, 3), lambda pl: pl["frame_from"].update(
             corner=[2 * x for x in pl["frame_from"]["corner"]]),
-        "payload.frame_from.corner: not primitive"),
-    "frame_to_is_frame_from": (
-        (13, 3), lambda pl: pl.update(frame_to=copy.deepcopy(pl["frame_from"])),
-        "payload.frame_to.corner: corners must be distinct of equal norm"),
+        ["payload.frame_from.corner: not primitive"]),
+    # (1,0,0,1) is on the wrong side of the initial root (0,0,-1,1)
+    "corner_outside_the_chamber": (
+        (13, 3), lambda pl: pl["frame_to"].update(corner=[1, 0, 0, 1]),
+        ["payload.frame_to.corner: outside the chamber"]),
     "frame_root_off_the_corner": (
         (13, 3), lambda pl: pl["frame_from"].update(root_indices=[0, 1, 3]),
-        "payload.frame_from.root_indices: frame roots must contain the corner"),
+        ["payload.frame_from.root_indices: frame roots must contain the corner"]),
+    "extra_wall_through_the_corner": (
+        (13, 3), _extra_wall_through_the_corner,
+        ["payload.frame_from.root_indices: not the complete wall set through the corner"]),
+    "frame_to_is_frame_from": (
+        (13, 3), lambda pl: pl.update(frame_to=copy.deepcopy(pl["frame_from"])),
+        ["payload.frame_to.corner: corners must be distinct of equal norm"]),
+    # the reflection fixes the target frame's roots and negates its corner
+    "reflected_target": (
+        (13, 3), _reflected_target,
+        ["payload.matrix: does not map the source corner to the target"]),
+    "swapped_target_frame_roots": (
+        (13, 3), _swap_target_frame_roots,
+        ["payload.matrix: does not map frame root 0 as stated",
+         "payload.matrix: does not map frame root 1 as stated"]),
+    "unbounded_hunt": (
+        (13, 3), _unbounded_hunt,
+        ["payload.frame_to.corner: separating-wall bound not cleared by the scanned height"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WELL_FORMED_FORGERIES))
 def test_well_formed_forgery_fails_its_own_check(report, name):
-    (p, n), edit, failure = WELL_FORMED_FORGERIES[name]
+    (p, n), edit, failures = WELL_FORMED_FORGERIES[name]
     cert = copy.deepcopy(report(p, n)["certificate"])
     edit(cert["payload"])
-    assert certificates.verification_failures(cert) == [failure]
+    assert certificates.verification_failures(cert) == failures
+
+
+# (verifier function, failure message with its f-string fields as {expr})
+# -> the test that reaches it; a forgery is named as its test's parameter
+FORGERY_TEST = "test_well_formed_forgery_fails_its_own_check"
+VERIFIER_MESSAGES = {
+    ("verification_failures", "kind: not a direct obstruction"):
+        "test_nested_inherited_chain_is_invalid_at_the_base_kind",
+    ("verification_failures", "form: prime mismatch"): "test_tampered_inherited_prime",
+    ("verification_failures", "form: base rank must be lower"):
+        "test_inherited_base_rank_must_be_lower",
+    ("_roots", "payload.roots[{i}]: not a root of the form"):
+        "test_tampered_reflective_certificate_names_the_field",
+    ("_rederived", "payload.{key}: does not re-derive"):
+        "test_edited_derived_key_does_not_re_derive",
+    ("_acute_pair", "payload.roots[{j}]: acute angle with root {i}"):
+        f"{FORGERY_TEST}[repeated_root]",
+    ("_verify_reflective", "payload.roots: does not start with the initial roots"):
+        "test_rootless_certificates_fail_before_quadratic_work",
+    ("_verify_reflective", "payload.roots[{i}]: first coordinate is not positive"):
+        "test_tampered_reflective_certificate_names_the_field",
+    ("_verify_reflective", "payload.volume: chamber volume is not finite"):
+        "test_tampered_reflective_roots",
+    ("_verify_reflective", "payload.roots: chamber cone is not in the closed light cone"):
+        "test_tampered_reflective_roots",
+    ("_verify_ideal_vertex", "payload.components: no affine component"):
+        "test_ideal_vertex_certificate_needs_a_component",
+    ("_verify_ideal_vertex", "payload.roots: not a state of the root search"):
+        "test_ideal_vertex_roots_must_replay",
+    ("_verify_ideal_vertex", "payload.null_vector: not a primitive null vector"):
+        f"{FORGERY_TEST}[doubled_null_vector]",
+    ("_verify_ideal_vertex", "payload.null_vector: wrong light-cone orientation"):
+        "test_tampered_null_vector_orientation",
+    ("_verify_ideal_vertex", "{label}: bad index set"):
+        "test_ideal_vertex_component_must_be_a_connected_affine_subdiagram",
+    ("_verify_ideal_vertex", "{label}: not a connected subdiagram"):
+        "test_ideal_vertex_component_must_be_a_connected_affine_subdiagram",
+    ("_verify_ideal_vertex", "{label}: not an affine subdiagram"):
+        "test_ideal_vertex_component_must_be_a_connected_affine_subdiagram",
+    ("_verify_ideal_vertex", "{label}: null vector is not payload.null_vector"):
+        f"{FORGERY_TEST}[another_cusps_null_vector]",
+    ("_verify_ideal_vertex", "payload.components: overlapping components"):
+        f"{FORGERY_TEST}[duplicated_component]",
+    ("_verify_ideal_vertex", "payload.root_classes: root classes span the quotient rationally"):
+        "test_full_rank_cusp_is_no_ideal_vertex_failure",
+    ("_verify_infinite_symmetry", "payload.roots: not the search state after this many batches"):
+        "test_symmetry_roots_must_be_the_state_after_batches_done",
+    ("_verify_infinite_symmetry", "payload.matrix: not an integer matrix of the right size"):
+        f"{FORGERY_TEST}[short_matrix]",
+    ("_verify_infinite_symmetry", "payload.matrix: does not preserve the form"):
+        "test_tampered_symmetry_matrix",
+    ("_verify_infinite_symmetry", "payload.{label}.root_indices: bad index set"):
+        f"{FORGERY_TEST}[repeated_frame_root]",
+    ("_verify_infinite_symmetry", "payload.{label}.corner: not a future timelike vector"):
+        f"{FORGERY_TEST}[past_corner]",
+    ("_verify_infinite_symmetry", "payload.{label}.corner: not primitive"):
+        f"{FORGERY_TEST}[doubled_corner]",
+    ("_verify_infinite_symmetry", "payload.{label}.corner: outside the chamber"):
+        f"{FORGERY_TEST}[corner_outside_the_chamber]",
+    ("_verify_infinite_symmetry", "payload.{label}.height_bound: does not re-derive"):
+        "test_tampered_height_bound",
+    ("_verify_infinite_symmetry",
+     "payload.{label}.root_indices: frame roots must contain the corner"):
+        f"{FORGERY_TEST}[frame_root_off_the_corner]",
+    ("_verify_infinite_symmetry",
+     "payload.{label}.root_indices: not the complete wall set through the corner"):
+        f"{FORGERY_TEST}[extra_wall_through_the_corner]",
+    ("_verify_infinite_symmetry", "payload.frame_to.corner: corners must be distinct of equal norm"):
+        f"{FORGERY_TEST}[frame_to_is_frame_from]",
+    ("_verify_infinite_symmetry", "payload.matrix: does not map the source corner to the target"):
+        f"{FORGERY_TEST}[reflected_target]",
+    ("_verify_infinite_symmetry", "payload.matrix: does not map frame root {s} as stated"):
+        f"{FORGERY_TEST}[swapped_target_frame_roots]",
+    ("_verify_infinite_symmetry", "payload.matrix: matrix has finite order"):
+        "test_finite_order_frame_map_is_no_symmetry",
+    ("_verify_infinite_symmetry",
+     "payload.{label}.corner: separating-wall bound not cleared by the scanned height"):
+        f"{FORGERY_TEST}[unbounded_hunt]",
+}
+
+
+def _verifier_messages() -> set:
+    """(function, message) for every failure message in certificates.py:
+    each string holding ': ' that is neither a docstring nor raised, so a
+    CertificateError's text is left out; f-string fields read {expr}."""
+    def text(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        return "".join(v.value if isinstance(v, ast.Constant) else "{" + ast.unparse(v.value) + "}"
+                       for v in node.values)
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+            children = node.body[1:] if ast.get_docstring(node) else node.body
+        elif isinstance(node, ast.Raise):
+            return
+        elif isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant) and isinstance(
+                node.value, str):
+            if function and ": " in text(node):
+                found.add((function, text(node)))
+            return
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, function)
+
+    found: set = set()
+    visit(ast.parse(Path(certificates.__file__).read_text()), None)
+    return found
+
+
+def test_every_verifier_message_is_reached_by_a_named_test():
+    # a verifier that gains a message fails here until the table names the
+    # test reaching it; a forgery's listed failures must show the message
+    assert _verifier_messages() == set(VERIFIER_MESSAGES)
+    for (_, message), test in VERIFIER_MESSAGES.items():
+        name, _, forgery = test.partition("[")
+        assert callable(globals().get(name)), test
+        if forgery:
+            pattern = ".+".join(map(re.escape, re.split(r"\{[^}]*\}", message)))
+            failures = WELL_FORMED_FORGERIES[forgery.rstrip("]")][2]
+            assert any(re.fullmatch(pattern, f) for f in failures), test
 
 
 def test_tampered_inherited_prime(cert_7_4):
@@ -702,6 +919,13 @@ def test_tampered_inherited_prime(cert_7_4):
     cert["form"]["p"] = 11
     failures = certificates.verification_failures(cert)
     assert any("prime mismatch" in f for f in failures)
+
+
+def test_inherited_base_rank_must_be_lower(cert_7_4):
+    lifted = copy.deepcopy(certificates.inherited_certificate(cert_7_4, 5))
+    lifted["form"]["n"] = 4
+    assert certificates.verification_failures(lifted) == [
+        "payload.base.form: base rank must be lower"]
 
 
 def test_tampered_inherited_base_propagates(cert_7_4):

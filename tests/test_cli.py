@@ -275,6 +275,15 @@ def test_family_inherits_past_first_failure(runner):
     assert reports[3]["certificate"]["kind"] == "inherited_nonreflectivity"
 
 
+def test_family_and_table_exit_three_when_a_rank_is_undecided(runner):
+    family = runner.invoke(main, ["family", "13", "--max-rank", "3", "--max-roots", "5"])
+    assert family.exit_code == 3
+    assert [r["verdict"] for r in json.loads(family.output)] == ["undecided", "undecided"]
+    table = runner.invoke(main, ["table", "13", "3", "--max-roots", "5"])
+    assert table.exit_code == 3
+    assert json.loads(table.output)["verdicts"] == {"2": "undecided", "3": "undecided"}
+
+
 def test_table_text_shows_published_row(runner):
     res = runner.invoke(main, ["table", "17", "2", "--format", "text"])
     assert res.exit_code == 0

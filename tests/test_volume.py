@@ -32,7 +32,7 @@ def test_finite_on_every_reflective_chamber(search, p, n):
     report = volume.finite_volume(chamber)
     assert report["finite"] is True
     # the chamber cone and the edge count confirm the closure
-    assert certificates.chamber_cone_closes(chamber)
+    assert volume.chamber_cone_closes(chamber)
     assert oracles.edge_decider(form, roots)
 
 
@@ -61,7 +61,7 @@ def test_deciders_agree_on_every_prefix(search, p, n):
         finite = volume.finite_volume(chamber)["finite"]
         # a cone built from nothing on the prefix, not the grown one
         fresh = volume.ChamberDiagram(form, prefix)
-        assert certificates.chamber_cone_closes(fresh) == finite, k
+        assert volume.chamber_cone_closes(fresh) == finite, k
         assert oracles.edge_decider(form, prefix) == finite, k
 
 
