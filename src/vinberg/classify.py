@@ -8,6 +8,9 @@ was found; a resumable state is attached).
 classify_family walks ranks upward and stops searching after the first
 non-reflective rank, since the obstruction persists in all higher ranks;
 later ranks get inheritance certificates instead.
+root_table reads the family's reports: their verdicts, and the roots of
+every rank searched, merged into one table.  Ranks past the first
+failure run no search, so they list no rows.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from vinberg import certificates, diagram, volume
+from vinberg import certificates, diagram
 from vinberg.errors import ConsistencyError, VinbergError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, default_counters, replay, run_search
+from vinberg.search import Budget, SearchState, default_counters, run_search
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -131,36 +134,23 @@ def root_table(
     max_rank: int,
     budget: Optional[Budget] = None,
 ) -> dict:
-    """Merged table of found roots for ranks 2..max_rank.
+    """Merged table of found roots for ranks 2..max_rank, read off
+    classify_family.
 
-    Vectors found at a lower rank reappear, zero-padded, at higher ranks;
-    the table keeps one row per padded vector with the list of ranks where
-    the search accepted it.  Rows sort by batch height and carry 1-based
-    labels.  Initial basis roots are omitted, matching the convention that
-    tables list found vectors only.  Each rank reads the search's batch
-    stream with the finite-volume test after every batch that accepted a
-    root and no cusp scan, so its verdict is reflective or undecided.
+    The verdicts are the family's.  Vectors found at a lower rank
+    reappear, zero-padded, at higher ranks; the table keeps one row per
+    padded vector with the list of ranks where the search accepted it.
+    Rows sort by batch height and carry 1-based labels.  Initial basis
+    roots are omitted, matching the convention that tables list found
+    vectors only.  Ranks past the first failure inherit it without a
+    search, so they list no rows.
     """
-    if max_rank < 2:
-        raise VinbergError(f"max_rank must be at least 2, got {max_rank}")
-    if budget is None:
-        budget = Budget()
+    reports = classify_family(p, max_rank, budget)
     rows = {}
-    verdicts = {}
-    for rank in range(2, max_rank + 1):
-        form = Form(p, rank)
-        state = SearchState.fresh(form)
-        chamber = volume.ChamberDiagram(form, state.accepted)
-        verdicts[rank] = "undecided"
-        for accepts in replay(state, budget):
-            if not accepts:
-                continue
-            chamber.grow(state.accepted)
-            if volume.finite_volume(chamber)["finite"]:
-                verdicts[rank] = "reflective"
-                break
-        for root in state.accepted[form.n:]:
-            key = tuple(root) + (0,) * (max_rank - rank)
+    for report in reports:
+        form = Form(p, report["form"]["n"])
+        for root in (report["roots"] or [])[form.n:]:
+            key = tuple(root) + (0,) * (max_rank - form.n)
             entry = rows.setdefault(
                 key,
                 {
@@ -169,7 +159,7 @@ def root_table(
                     "ranks": [],
                 },
             )
-            entry["ranks"].append(rank)
+            entry["ranks"].append(form.n)
     ordered = sorted(rows.items(), key=lambda item: (item[1]["height"], item[0]))
     table_rows = []
     for label, (vector, entry) in enumerate(ordered, start=1):
@@ -187,6 +177,6 @@ def root_table(
     return {
         "p": p,
         "max_rank": max_rank,
-        "verdicts": {str(rank): verdicts[rank] for rank in sorted(verdicts)},
+        "verdicts": {str(r["form"]["n"]): r["verdict"] for r in reports},
         "rows": table_rows,
     }

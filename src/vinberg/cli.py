@@ -218,7 +218,8 @@ def _table_text(table) -> str:
     type=click.Choice(["json", "text"]),
 )
 def table_cmd(p, n, max_height, max_roots, fmt):
-    """Print the found-root table for ranks 2..N of family p."""
+    """Print the found-root table and the family's verdicts for ranks 2..N
+    of family p; ranks past the first failure list no rows."""
     _form(p, n)
     table = classify.root_table(p, n, budget=_budget(max_height, max_roots))
     if fmt == "text":

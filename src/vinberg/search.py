@@ -8,14 +8,13 @@ of their spatial part; a candidate is accepted when its inner product with
 every previously accepted root (including earlier accepts from the same
 batch) is non-positive.
 
-replay is that stream, and the only code that enumerates batches.  Three
+replay is that stream, and the only code that enumerates batches.  Two
 readers:
 - run_search decides the form.  It tests the chamber after each batch
   that accepted a root, and a resumed state before its first batch: the
   finite-volume test, then the cusp scan.  Once the budget is spent it
   hunts for an infinite-order symmetry of the chamber below the height
   the replay reached.  A decided verdict comes with its certificate.
-- classify.root_table reads it with the finite-volume test alone.
 - reproduces replays it with no closure test, to check a resumed state and
   the roots of ideal-vertex and symmetry certificates, and hands back the
   replayed state: its counters and the height frontier it reached.  Its

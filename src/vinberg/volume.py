@@ -50,10 +50,9 @@ and symmetry hunt in isometry) take it grown and read its form and roots;
 none builds or grows one.  search.run_search owns one per run and grows
 it after each batch that accepted a root, so finite_volume and the cusp
 scan on the same prefix share it, and so does its symmetry hunt once
-the budget is spent.  classify.root_table owns one per rank.
-certificates._verify_reflective builds a fresh one on the stored roots
-and runs both tests on it, so a stored report is re-derived from the
-roots alone, sharing nothing with the search.
+the budget is spent.  certificates._verify_reflective builds a fresh one
+on the stored roots and runs both tests on it, so a stored report is
+re-derived from the roots alone, sharing nothing with the search.
 """
 
 from __future__ import annotations

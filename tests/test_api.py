@@ -192,6 +192,15 @@ def test_the_search_alone_decides():
     assert callers == {name: {"search"} for name in deciders}
 
 
+def test_the_root_table_reads_the_family():
+    # the table is a view of classify_family: only the search replays the
+    # batch stream, and only the search and the verifier test the volume
+    assert call_sites("finite_volume") == [
+        ("certificates", "_verify_reflective"), ("search", "decide")]
+    assert {module for module, _ in call_sites("replay")} == {"search"}
+    assert "volume" not in vinberg_modules(ast.parse((PACKAGE_DIRS[0] / "classify.py").read_text()))
+
+
 def call_sites(name: str) -> list[tuple[str, str | None]]:
     """(module, innermost enclosing function) of every call of name in the
     package, by attribute or by plain name."""

@@ -284,6 +284,21 @@ def test_family_and_table_exit_three_when_a_rank_is_undecided(runner):
     assert json.loads(table.output)["verdicts"] == {"2": "undecided", "3": "undecided"}
 
 
+def test_table_prints_the_family_verdicts(runner):
+    # the table reads the family's reports, so the symmetry route decides
+    # (13,3) for both commands
+    family = runner.invoke(main, ["family", "13", "--max-rank", "3"])
+    assert family.exit_code == 0
+    table = runner.invoke(main, ["table", "13", "3"])
+    assert table.exit_code == 0
+    verdicts = json.loads(table.output)["verdicts"]
+    assert verdicts == {str(r["form"]["n"]): r["verdict"] for r in json.loads(family.output)}
+    assert verdicts == {"2": "reflective", "3": "non_reflective"}
+    as_text = runner.invoke(main, ["table", "13", "3", "--format", "text"])
+    assert as_text.exit_code == 0
+    assert "n=3: non_reflective" in as_text.output
+
+
 def test_table_text_shows_published_row(runner):
     res = runner.invoke(main, ["table", "17", "2", "--format", "text"])
     assert res.exit_code == 0

@@ -3,8 +3,8 @@
 The digests were frozen from a run that verified every certificate, on
 the forms of the benchmark workloads plus the stretch forms (5,10),
 (17,4) and (29,3): their certificates, their whole classify_form reports
-(volume, diagram and work counters included), and the root tables of
-four families.  The whole reports of the primes 29 to 83 at n = 2, 3
+(volume, diagram and work counters included), and six root tables of
+five families.  The whole reports of the primes 29 to 83 at n = 2, 3
 are frozen too, each certificate verified.  A change meant to
 leave the output alone must keep them.  A change to a document's
 format bumps certificates.SCHEMA_VERSION or classify.REPORT_SCHEMA_VERSION;
@@ -120,9 +120,11 @@ BEYOND_CORPUS_REPORT_SHA256 = {
 # root_table(p, max_rank) with the default budget, keyed by (p, max_rank)
 ROOT_TABLE_SHA256 = {
     (5, 4): "a129307333b6e0b26cd3ba03d21d11cf96608e460396bc8f9ff5cf8e8e102159",
-    (13, 3): "d4c2929cf3d58292fc2acca5154434aa9fe002eac4a0ab79924a49aeb6c1685b",
+    (13, 3): "0dfd66a606ebc277e3143765ad152ce497bc243b2ab322c66c9cb342802e35ad",
     (17, 3): "650e9b0de01a55be5ea200f235f5a270921573fbfa1c37cdea52fec8321c0d20",
-    (7, 4): "fb3ef8f2b100a3ce0d397906c26982c0f591e87ea58e0ed41b814a0bb026dc98",
+    (7, 4): "a609e55a4b5b36b72a6669139a57b05bbad25360d9fd10b3e4ad951f12670000",
+    (5, 9): "1d3a885277c50865d3ef450b5e595004f72e0fb8e92ccac4121e02570cb3f4be",
+    (11, 6): "02c8fb296c462d983163b10432975cd7a7e73aa6b857a259429dc7e3107ba500",
 }
 
 
