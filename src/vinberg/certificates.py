@@ -78,6 +78,8 @@ frame corners' bounds must lie below.
 
 from __future__ import annotations
 
+from operator import mul
+
 from vinberg import diagram as _diagram
 from vinberg import cones, isometry, linalg, published, quotient
 from vinberg import volume as _volume
@@ -423,9 +425,11 @@ def _rederived(payload, rebuilt: dict) -> list[str]:
 
 
 def _acute_pair(form: Form, roots) -> list[str]:
-    for j in range(len(roots)):
+    # <r_i, r_j> is dual(r_i) . r_j; _roots has checked every length
+    duals = [form.dual(r) for r in roots]
+    for j, r in enumerate(roots):
         for i in range(j):
-            if form.inner_product(roots[i], roots[j]) > 0:
+            if sum(map(mul, duals[i], r)) > 0:
                 return [f"payload.roots[{j}]: acute angle with root {i}"]
     return []
 

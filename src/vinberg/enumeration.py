@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
+from operator import mul
 
 # _TWO_SQUARES[r] == 1 iff r = a^2 + b^2 for some integers a, b, for
 # every r < len(_TWO_SQUARES): an arithmetic fact, not search data
@@ -112,10 +113,7 @@ def enumerate_batch_vectors(n, target, step, priors):
             j[last] = a
             j[-1] = b
             for base, row in live:
-                s = base
-                for c, k in zip(row, j):
-                    s += c * k
-                if s > 0:
+                if base + sum(map(mul, row, j)) > 0:
                     break
             else:
                 out.append(tuple(x * step for x in j))
@@ -144,6 +142,9 @@ def enumerate_batch_vectors(n, target, step, priors):
         dfs(0, target, top)
     else:
         pairs(target, top)
+    # dfs holds itself through its closure cell: unbound, the closures are
+    # freed here, not left as cyclic garbage for the collector
+    dfs = None
     return out
 
 

@@ -8,7 +8,6 @@ the primality test is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -46,22 +45,42 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Form:
-    """The form -p x0^2 + x1^2 + ... + xn^2 on Z^{n+1}."""
+    """The form -p x0^2 + x1^2 + ... + xn^2 on Z^{n+1}.
 
-    p: int
-    n: int
+    A value: equal and hashable by (p, n), and immutable.
+    """
 
-    def __post_init__(self):
-        if type(self.p) is not int or type(self.n) is not int:
+    def __init__(self, p: int, n: int):
+        if type(p) is not int or type(n) is not int:
             raise ValueError("p and n must be integers")
-        if self.p >= PRIME_LIMIT:
+        if p >= PRIME_LIMIT:
             raise ValueError(f"p must be below {PRIME_LIMIT}")
-        if self.p < 5 or not _is_prime(self.p):
+        if p < 5 or not _is_prime(p):
             raise ValueError("p must be a prime >= 5")
-        if self.n < 2:
+        if n < 2:
             raise ValueError("n must be >= 2")
+        # past __setattr__, which refuses every assignment; not through
+        # __dict__, which would turn the inline attribute values into a dict
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+    def __repr__(self):
+        return f"Form(p={self.p!r}, n={self.n!r})"
 
     @property
     def dim(self) -> int:
@@ -87,7 +106,13 @@ class Form:
         return (-self.p * v[0],) + tuple(v[1:])
 
     def gram(self, vectors) -> list[list[int]]:
-        return [[self.inner_product(u, v) for v in vectors] for u in vectors]
+        """The Gram matrix, each unordered pair computed once."""
+        k = len(vectors)
+        G = [[0] * k for _ in range(k)]
+        for i, u in enumerate(vectors):
+            for j in range(i, k):
+                G[i][j] = G[j][i] = self.inner_product(u, vectors[j])
+        return G
 
     @property
     def form_matrix(self) -> list[list[int]]:

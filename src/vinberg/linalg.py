@@ -508,6 +508,7 @@ def short_vectors(G, norms, stop=None) -> list[tuple[tuple[int, ...], int]]:
             walk(n - 1, top, True)
     except _StopWalk:
         pass
+    walk = None  # as in enumeration.enumerate_batch_vectors: no cyclic garbage
     return found
 
 

@@ -27,7 +27,6 @@ kernel mod p.  So the rows cut the walk: root_classes walks norms p and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
@@ -36,12 +35,13 @@ from vinberg.errors import ConsistencyError
 from vinberg.forms import Form, Vector
 
 
-@dataclass(frozen=True)
 class NullQuotient:
-    form: Form
-    e: Vector
-    class_basis: tuple  # lattice representatives of the quotient generators
-    gram: tuple  # positive definite Gram of the quotient
+    def __init__(self, form: Form, e: Vector, class_basis: tuple, gram: tuple):
+        self.form = form
+        self.e = e
+        self.class_basis = class_basis  # lattice representatives of the quotient generators
+        self.gram = gram  # positive definite Gram of the quotient
+        self._columns = linalg.transpose(class_basis)  # for lift
 
     @property
     def rank(self) -> int:
@@ -65,7 +65,7 @@ class NullQuotient:
 
     def lift(self, coords) -> Vector:
         """Lattice representative of the class with the given coordinates."""
-        return tuple(linalg.mat_vec(linalg.transpose(self.class_basis), coords))
+        return tuple(linalg.mat_vec(self._columns, coords))
 
     def class_coordinates(self, vectors) -> list[list[int]]:
         """Coordinates in Mbar of the class of each vector, which must lie

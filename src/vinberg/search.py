@@ -30,10 +30,9 @@ has positive norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from vinberg import isometry, volume
 from vinberg.enumeration import enumerate_batch, prior_row
@@ -62,8 +61,7 @@ def batch_sequence(form: Form) -> Iterator[tuple[int, int]]:
         head[m] += 1
 
 
-@dataclass
-class Budget:
+class Budget(NamedTuple):
     """Stopping bounds for the search.
 
     The search stops (undecided) before a batch whose height exceeds
@@ -84,14 +82,20 @@ def default_counters() -> dict:
     return {"batches": 0, "candidates": 0, "accepted": 0, "volume_checks": 0}
 
 
-@dataclass
 class SearchState:
-    """Resumable snapshot: accepted roots plus the batch cursor."""
+    """Resumable snapshot: accepted roots plus the batch cursor; states
+    with equal fields are equal."""
 
-    form: Form
-    accepted: list
-    batches_done: int = 0
-    counters: dict = field(default_factory=default_counters)
+    def __init__(self, form: Form, accepted: list, batches_done: int = 0, counters: dict | None = None):
+        self.form = form
+        self.accepted = accepted
+        self.batches_done = batches_done
+        self.counters = default_counters() if counters is None else counters
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @classmethod
     def fresh(cls, form: Form) -> "SearchState":
@@ -148,8 +152,7 @@ class SearchState:
         return cls(form, [tuple(r) for r in accepted], batches, counters)
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     verdict: str  # "reflective" | "non_reflective" | "undecided"
     state: SearchState
     chamber: object  # the search's volume.ChamberDiagram, grown on its roots

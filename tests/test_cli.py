@@ -264,6 +264,22 @@ def test_runtime_imports_leave_sympy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_library_imports_add_no_code_introspection_modules():
+    # dataclasses brings in inspect (and ast, dis, tokenize) at import
+    # time; compared with a bare interpreter, so that site hooks do not count
+    env = _package_env()
+    code = "import sys; print(' '.join(sorted(sys.modules)))"
+    lib = "import vinberg.classify, vinberg.certificates; " + code
+    bare, loaded = (
+        set(subprocess.run(
+            [sys.executable, "-c", c], env=env, capture_output=True, text=True, check=True
+        ).stdout.split())
+        for c in (code, lib)
+    )
+    assert "vinberg.certificates" in loaded
+    assert not {"dataclasses", "inspect"} & (loaded - bare)
+
+
 def test_family_inherits_past_first_failure(runner):
     res = runner.invoke(main, ["family", "7", "--max-rank", "5"])
     assert res.exit_code == 0

@@ -119,6 +119,20 @@ def test_rejects_parameters_that_are_not_ints(p, n):
         Form(p, n)
 
 
+def test_form_is_an_immutable_value():
+    form = Form(5, 3)
+    assert form == Form(p=5, n=3) and form != Form(5, 4) and form != (5, 3)
+    assert len({form, Form(5, 3), Form(7, 3)}) == 2
+    assert {form: 1}[Form(5, 3)] == 1
+    with pytest.raises(AttributeError):
+        form.p = 7
+    with pytest.raises(AttributeError):
+        del form.n
+    assert (form.p, form.n) == (5, 3)
+    assert repr(form) == "Form(p=5, n=3)"
+    assert form.admissible_root_norms is form.admissible_root_norms
+
+
 def test_primality_agrees_with_trial_division():
     limit = 10**5
     composite = [False] * limit
