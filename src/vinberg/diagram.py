@@ -45,12 +45,16 @@ class Diagram:
 
     A diagram only grows: extend appends walls, and the edges between old
     walls never change, so neither does the PSD class of a node set.
+    far[i] holds the walls that wall i meets at a PARALLEL or DIVERGENT
+    edge: a pair whose Gram is not definite, so no elliptic set holds
+    both.
     """
 
     def __init__(self):
         self.gram: list[list[int]] = []
         self.edges: dict = {}  # (i, j) with i < j -> edge kind
         self.adjacent: list[set] = []  # node -> the nodes it shares an edge with
+        self.far: list[set] = []  # node -> the nodes parallel or divergent to it
         self.classes: dict = {}  # frozenset of nodes -> PSD class
 
     def __len__(self) -> int:
@@ -87,9 +91,13 @@ class Diagram:
         self.gram.extend(list(row) for row in rows)
         self.edges.update(edges)
         self.adjacent.extend(set() for _ in rows)
-        for i, j in edges:
+        self.far.extend(set() for _ in rows)
+        for (i, j), kind in edges.items():
             self.adjacent[i].add(j)
             self.adjacent[j].add(i)
+            if kind in (PARALLEL, DIVERGENT):
+                self.far[i].add(j)
+                self.far[j].add(i)
 
     def kind(self, i: int, j: int):
         return self.edges.get((min(i, j), max(i, j)))

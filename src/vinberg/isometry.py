@@ -245,6 +245,7 @@ def _matching_frames(gram, orth, target):
             chosen.pop()
 
     extend()
+    extend = None  # as in enumeration.enumerate_batch_vectors: no cyclic garbage
     return out
 
 

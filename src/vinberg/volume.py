@@ -29,16 +29,20 @@ product computed once, and edges; then one walk (critical_submatrices)
 from the new walls records the new critical sets and affine components.
 The walk classifies each set it meets, an elliptic set plus one wall, by
 bordered elimination against that elliptic set's stored pivot rows, and
-decides which indefinite sets are critical once it has finished.  A
-hyperbolic critical set of 3 or more walls is a Lanner diagram, of at
-most 5 walls, so only indefinite sets of 3 to 5 walls are tested for
-minimality: larger ones are dropped, and 2-wall ones kept, without a
-test.  The
-object also keeps the PSD class of every wall subset classified, keyed
-by node set (Diagram.classes); C as one live cones.Cone, given only the
-walls it lacks when (b) or a corner is read; the hyperbolic S proved to
-meet (b), since a face proved {0} stays {0} while the roots grow; and,
-for the cusp scan, the null vector of each cusp's first member and, for
+decides which indefinite sets are critical once it has finished.  It
+extends an elliptic set of 2 or more walls only by walls at a finite
+angle to each of its own (in none of their Diagram.far): a parallel or
+divergent pair is not elliptic, so no set holding one is elliptic, and
+none of 3 or more walls is critical.  A hyperbolic critical set of 3 or
+more walls is a Lanner diagram, of at most 5 walls, so only indefinite
+sets of 4 to 5 walls are tested for minimality: larger ones are dropped
+untested, and 2-wall ones, and 3-wall ones, all of whose pairs that
+rule leaves at finite angles, are kept untested.  The object also keeps
+the PSD class of every wall subset classified, keyed by node set
+(Diagram.classes); C as one live cones.Cone, given only the walls it
+lacks when (b) or a corner is read; the hyperbolic S proved to meet
+(b), since a face proved {0} stays {0} while the roots grow; and, for
+the cusp scan, the null vector of each cusp's first member and, for
 each null vector, None when the walls through it span its quotient, or
 else its quotient lattice and that quotient's root classes, which the
 certificate reuses.
@@ -174,6 +178,17 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
     node v whose proper subsets are all elliptic: for a leaf w != v of a
     spanning tree of t, t - {w} is connected, elliptic and holds v.
 
+    A set s of 2 or more walls is extended only by walls far from none of
+    its own (diagram.far: a PARALLEL or DIVERGENT edge), which loses no
+    such t.  A far pair's Gram is not definite, so an elliptic s holds no
+    far pair, and t = s + {v} holds one only if v is far from a wall of s;
+    then t is not elliptic, and neither t nor a set holding it is
+    critical, since a critical set of 3 or more walls has only elliptic
+    proper subsets.  A single wall is extended by every adjacent wall, so
+    the 2-wall critical sets, A~1 and divergent pairs, are still found.
+    Each frontier entry carries the walls it may be extended by and the
+    union of its walls' far sets, so no step rebuilds them.
+
     Each elliptic set s keeps its nodes in the order the walk added them
     and their Bareiss pivot columns, so t = s + {v} is classified by
     bordered_column: v's Gram row eliminated against s's pivot rows, whose
@@ -188,28 +203,32 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
     definite, so every angle is finite and t is a Lanner diagram, which
     has at most 5 nodes (Lanner 1950; Vinberg 1985, Hyperbolic reflection
     groups): a larger t is dropped untested.  A 2-node t is kept untested,
-    since its proper subsets are single walls, of positive norm.
-    For 3 to 5 nodes the test runs after the walk, when every connected
-    elliptic set holding a start node is known: t - {u} is definite iff
-    each of its connected components is a single wall or has the memoised
-    class "definite" (diagram.psd_class), which the walk recorded for the
-    sets it reached; a component it did not reach gets psd_classify, so
-    the answer never rests on the walk's reach.  Returns
-    (critical, affine): node sets to "parabolic" or "hyperbolic", in the
-    order the walk met them, and node sets to catalog types.
+    since its proper subsets are single walls, of positive norm, and so is
+    a 3-node t: s is elliptic and v at a finite angle to both its walls,
+    so each pair is definite.  For 4 to 5 nodes the test runs after the
+    walk, when every connected elliptic set holding a start node is known:
+    t - {u} is definite iff each of its connected components is a single
+    wall or has the memoised class "definite" (diagram.psd_class), which
+    the walk recorded for the sets it reached; a component it did not
+    reach gets psd_classify, so the answer never rests on the walk's
+    reach.  Returns (critical, affine): node sets to "parabolic" or
+    "hyperbolic", in the order the walk met them, and node sets to
+    catalog types.
     """
     adjacent = diagram.adjacent
+    far = diagram.far
     gram = diagram.gram
     classes = diagram.classes
     elliptic = {frozenset([i]) for i in start}
-    # each elliptic set still to extend, with its nodes in walk order and
-    # their pivot columns
-    frontier = [(s, (i,), ((gram[i][i],),)) for s in elliptic for i in s]
+    # each elliptic set still to extend, with its nodes in walk order, their
+    # pivot columns, the walls it may be extended by and the walls far from
+    # one of its own
+    frontier = [(s, (i,), ((gram[i][i],),), adjacent[i], far[i]) for s in elliptic for i in s]
     critical: dict = {}
     affine: dict = {}
     while frontier:
-        s, order, columns = frontier.pop()
-        for v in set().union(*(adjacent[i] for i in s)) - s:
+        s, order, columns, reach, far_s = frontier.pop()
+        for v in reach:
             t = s | {v}
             if t in elliptic or t in critical:
                 continue
@@ -218,7 +237,10 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
             if column[-1] > 0:
                 classes[t] = "definite"
                 elliptic.add(t)
-                frontier.append((t, order + (v,), columns + (column,)))
+                far_t = far_s | far[v]
+                frontier.append(
+                    (t, order + (v,), columns + (column,), (reach | adjacent[v]) - t - far_t, far_t)
+                )
             elif column[-1] == 0:
                 classes[t] = "degenerate"
                 affine[t] = dg.affine_type(diagram, t)
@@ -228,7 +250,7 @@ def critical_submatrices(diagram, start) -> tuple[dict, dict]:
                 critical[t] = "hyperbolic"  # kept only if the test below holds
     for t, cls in list(critical.items()):
         if cls == "hyperbolic" and (
-            len(t) > 5 or len(t) > 2 and not all(_definite(diagram, t - {u}) for u in t)
+            len(t) > 5 or len(t) > 3 and not all(_definite(diagram, t - {u}) for u in t)
         ):
             del critical[t]
     return critical, affine

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vinberg import enumeration, linalg, search
+from vinberg import enumeration, isometry, linalg, search
 from vinberg.forms import Form
 from vinberg.search import Budget, SearchState, batch_sequence, replay, run_search
 
@@ -25,15 +25,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_recursive_walks_leave_no_cyclic_garbage():
-    # both walks recurse through closures; a cycle left per batch or per
-    # quotient walk would run the collector inside whichever phase of a
-    # request fills its first generation
+    # the batch, quotient and frame walks recurse through closures; a cycle
+    # left per batch, quotient walk or corner pair would run the collector
+    # inside whichever phase of a request fills its first generation
     priors = [enumeration.prior_row(r) for r in Form(5, 4).initial_roots()]
     gc.collect()
     gc.disable()
     try:
         assert enumeration.enumerate_batch_vectors(4, 54, 1, priors)
         assert linalg.short_vectors([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [2, 4])
+        a2 = [[2, -1], [-1, 2]]
+        assert isometry._matching_frames(a2, [0, 1], a2) == [(0, 1), (1, 0)]
         assert gc.collect() == 0
     finally:
         gc.enable()

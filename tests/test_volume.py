@@ -75,7 +75,7 @@ def test_walk_drops_indefinite_sets_beyond_the_lanner_bound(search):
         form = Form(p, n)
         roots = search(p, n).roots
         chamber = volume.ChamberDiagram(form, roots)
-        # the walk records the class of every set it meets
+        # the walk records the class of every set it classifies
         larger += sum(1 for s, c in chamber.classes.items() if c == "indefinite" and len(s) > 5)
         d = diagram.build_diagram(form, roots)
         kept = oracles.critical_submatrices(d, d.psd_class)
@@ -176,6 +176,37 @@ def test_walk_grown_in_random_steps_matches_the_oracle(search, data):
 
 
 CUSP_FORMS = sorted(corpus.EXPECTED_REFLECTIVE) + [(5, 9), (7, 4), (11, 5), (13, 3), (19, 3), (23, 3)]
+
+
+@pytest.mark.parametrize("p,n", CUSP_FORMS)
+def test_walk_classifies_no_far_pair_beyond_two_walls(search, p, n):
+    # on every benchmark form: an elliptic set holds no parallel or
+    # divergent pair, so the walk extends a set of 2 or more walls by no
+    # wall far from one of its own, and a set holding a far pair is
+    # classified only as a pair itself; grown root by root and built from
+    # nothing on every prefix
+    form = Form(p, n)
+    roots = search(p, n).roots
+    grown = volume.ChamberDiagram(form)
+    for k in range(1, len(roots) + 1):
+        grown.grow(roots[:k])
+        for chamber in (grown, volume.ChamberDiagram(form, roots[:k])):
+            far = {(i, j) for i, walls in enumerate(chamber.far) for j in walls}
+            edges = {e for e, kind in chamber.edges.items() if kind in (diagram.PARALLEL, diagram.DIVERGENT)}
+            assert far == edges | {(j, i) for i, j in edges}, k
+            for nodes in chamber.classes:
+                if len(nodes) > 2:
+                    assert not any((i, j) in far for i in nodes for j in nodes), (k, sorted(nodes))
+
+
+def test_walk_classifies_a_pinned_number_of_sets_on_the_reflective_chambers(search):
+    # an exact count of the walk's work, which losing the far-pair pruning
+    # would raise from 456 to 863
+    total = sum(
+        len(volume.ChamberDiagram(Form(p, n), search(p, n).roots).classes)
+        for p, n in sorted(corpus.EXPECTED_REFLECTIVE)
+    )
+    assert total == 456
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
