@@ -8,7 +8,8 @@ deterministic, so identical inputs give byte-identical downstream reports.
 
 solve and psd_classify use Bareiss's fraction-free elimination, whose
 exact divisions keep entries the size of minors; solve returns the
-integral solution of a system with several right-hand sides, or None.
+integral solution of a system with several right-hand sides, or None,
+for isometry.frame_map's frames and one column of snf's V^-1.
 Echelon keeps a growing set of rows in echelon form, so each new row's
 independence costs one reduction.  short_vectors (Fincke-Pohst) walks its
 tree on the integral Gram-Schmidt data of integral_ldl, read off
@@ -22,7 +23,9 @@ charpoly, row_hnf, snf and integer_kernel work over the integers
 throughout.  row_hnf and snf share one unimodular step, _combine_rows:
 rows i and j become s i + t j and a j - b i from exgcd of their entries
 in one column, applied to the matrix and its transform alike; snf takes
-its column steps as the same row steps on the transposes.
+its column steps as the same row steps on the transposes.  row_hnf
+can also carry W = U^-T, taking each step's inverse transpose as it
+goes (Cohen, 2.4), so null_quotient inverts no transform it builds.
 """
 
 from __future__ import annotations
@@ -64,15 +67,21 @@ def exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _combine_rows(mats, i, j, c) -> None:
+def _combine_rows(mats, i, j, c, inverses=()) -> None:
     """The unimodular two-row step: with x, y the entries of rows i and j
     in column c of mats[0], g, s, t = exgcd(x, y), a = x // g and
     b = y // g, rows i and j of every matrix in mats become s i + t j and
-    a j - b i.  The step has determinant s a + t b = 1 and leaves
-    mats[0][j][c] zero."""
+    a j - b i: E = [[s, t], [-b, a]], of determinant s a + t b = 1, leaves
+    mats[0][j][c] zero.  Each matrix in inverses takes E^-T = J E J^T, J
+    the quarter turn: the same step with (s, t) and (a, b) exchanged."""
     x, y = mats[0][i][c], mats[0][j][c]
     g, s, t = exgcd(x, y)
     a, b = x // g, y // g
+    _row_step(mats, i, j, s, t, a, b)
+    _row_step(inverses, i, j, a, b, s, t)
+
+
+def _row_step(mats, i, j, s, t, a, b) -> None:
     for M in mats:
         M[i], M[j] = (
             [s * u + t * v for u, v in zip(M[i], M[j])],
@@ -155,39 +164,43 @@ def solve(A, B) -> list[list[int]] | None:
     return [[y // prev for y in row] for row in X]
 
 
-def row_hnf(A) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form of an integer matrix.
-
-    Returns (H, U) with U unimodular and U A = H.  Pivots are positive,
-    entries above a pivot are reduced into [0, pivot), zero rows sink to
-    the bottom.
+def row_hnf(A, inverse=False) -> tuple[list[list[int]], ...]:
+    """Row Hermite normal form of an integer matrix: (H, U) with U
+    unimodular and U A = H, or with inverse (H, U, W), W = U^-T, so that
+    row i of W reads the coefficient of row i of U in a vector.  Pivots
+    are positive, entries above a pivot are reduced into [0, pivot), zero
+    rows sink to the bottom.  W takes each step's inverse transpose: a swap
+    or a sign change is its own, and row i - q row r is row r + q row i.
     """
     H = [list(row) for row in A]
     m = len(H)
     n = len(H[0]) if m else 0
     U = identity(m)
+    out = (H, U, identity(m)) if inverse else (H, U)
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if H[i][c] != 0), None)
         if piv is None:
             continue
-        H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
+        for M in out:
+            M[r], M[piv] = M[piv], M[r]
         for i in range(r + 1, m):
             if H[i][c]:
-                _combine_rows((H, U), r, i, c)
+                _combine_rows((H, U), r, i, c, out[2:])
         if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
+            for M in out:
+                M[r] = [-x for x in M[r]]
         for i in range(r):
             q = H[i][c] // H[r][c]
             if q:
                 H[i] = [x - q * y for x, y in zip(H[i], H[r])]
                 U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+                for W in out[2:]:
+                    W[r] = [x + q * y for x, y in zip(W[r], W[i])]
         r += 1
         if r == m:
             break
-    return H, U
+    return out
 
 
 def hnf_basis(vectors) -> list[list[int]]:
@@ -227,11 +240,8 @@ def _clear_column(D, U, r) -> None:
 
 def snf(A) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form.  Returns (D, U, V) with U A V = D diagonal,
-    each diagonal entry nonnegative and dividing the next.
-
-    Column steps on D and V are the same row steps on their transposes,
-    so one routine, _clear_column, clears both the corner's column and
-    its row.
+    each diagonal entry nonnegative and dividing the next; _clear_column
+    clears the corner's column on (D, U) and its row on (D^T, V^T).
     """
     D = [list(row) for row in A]
     m = len(D)
@@ -277,16 +287,6 @@ def snf(A) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
             D[t0] = [-x for x in D[t0]]
             U[t0] = [-x for x in U[t0]]
     return D, U, V
-
-
-def complete_basis(v: Sequence[int]) -> list[list[int]]:
-    """Basis of Z^n, as rows, whose first row is the primitive vector v."""
-    if gcd(*v) != 1:
-        raise ValueError("vector is not primitive")
-    _, U = row_hnf([[x] for x in v])
-    # U v = e1, the HNF of a primitive column, so the first column of
-    # U^-1 is v
-    return transpose(solve(U, identity(len(v))))
 
 
 def psd_classify(G) -> str:

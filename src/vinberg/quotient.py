@@ -36,12 +36,16 @@ from vinberg.forms import Form, Vector
 
 
 class NullQuotient:
-    def __init__(self, form: Form, e: Vector, class_basis: tuple, gram: tuple):
+    """Mbar = M / Z e, M = e^perp, with class_basis lifting its basis to M
+    and to_classes the dual rows that read a vector of M in that basis."""
+
+    def __init__(self, form: Form, e: Vector, class_basis: tuple, gram: tuple, to_classes: list):
         self.form = form
         self.e = e
         self.class_basis = class_basis  # lattice representatives of the quotient generators
         self.gram = gram  # positive definite Gram of the quotient
         self._columns = linalg.transpose(class_basis)  # for lift
+        self._to_classes = to_classes  # the dual basis to (e, *class_basis) past e's row
 
     @property
     def rank(self) -> int:
@@ -69,42 +73,45 @@ class NullQuotient:
 
     def class_coordinates(self, vectors) -> list[list[int]]:
         """Coordinates in Mbar of the class of each vector, which must lie
-        in e^perp; one solve takes every vector as a right-hand side."""
+        in e^perp: its product with the dual rows, exact because every
+        integer vector of e^perp lies in M."""
         if any(self.form.inner_product(x, self.e) for x in vectors):
             raise ValueError("vector is not orthogonal to the null direction")
-        if not vectors:
-            return []
-        A = linalg.transpose([self.e, *self.class_basis])
-        sol = linalg.solve(A, linalg.transpose(vectors))
-        if sol is None:
-            raise ValueError("vector is not in the orthogonal sublattice")
-        return linalg.transpose(sol[1:])
+        return [linalg.mat_vec(self._to_classes, x) for x in vectors]
 
     def class_norm(self, coords) -> int:
         return sum(c * g for c, g in zip(coords, linalg.mat_vec(self.gram, coords)))
 
 
 def null_quotient(form: Form, e) -> NullQuotient:
-    """Construct M = e^perp and Mbar = M / Z e for a primitive null vector."""
+    """Construct M = e^perp and Mbar = M / Z e for a primitive null vector.
+
+    Two column HNFs (linalg.row_hnf, whose U and W = U^-T have dual rows)
+    give both bases, and nothing is inverted by elimination.  The first,
+    U1 G e = (g, 0, ..., 0), makes U1[1:] a basis of M, in which e has
+    coordinates y = W1[1:] e (W1[0] e = 0 because e is null).  The
+    second, U2 y = e_1, makes y the first row of W2, so the basis
+    W2 U1[1:] of M starts with e; its other rows are class_basis.  The
+    class coordinates of x in M are then U2[1:] W1[1:] x.
+    """
     e = tuple(e)
     if form.norm(e) != 0 or not any(e):
         raise ValueError("null vector required")
     if not form.is_primitive(e):
         raise ValueError("primitive vector required")
-    m_rows = linalg.integer_kernel([form.dual(e)])
-    # coordinates of e inside M, then a change of basis putting e first
-    coords = linalg.solve(linalg.transpose(m_rows), [[a] for a in e])
-    if coords is None:
+    _, U1, W1 = linalg.row_hnf([[a] for a in form.dual(e)], inverse=True)
+    y0, *y = linalg.mat_vec(W1, e)
+    if y0:
         raise ConsistencyError("null vector is not in the integer kernel of its own dual")
-    W = linalg.complete_basis([c for c, in coords])
-    basis = [tuple(row) for row in linalg.mat_mul(W, m_rows)]
+    _, U2, W2 = linalg.row_hnf([[a] for a in y], inverse=True)
+    basis = [tuple(row) for row in linalg.mat_mul(W2, U1[1:])]
     if basis[0] != e:
         raise ConsistencyError("basis completion did not keep the null vector first")
     class_basis = tuple(basis[1:])
     gram = tuple(tuple(row) for row in form.gram(class_basis))
     if linalg.psd_classify([list(r) for r in gram]) != "definite":
         raise ValueError("quotient is not positive definite; e is not isotropic-primitive as expected")
-    return NullQuotient(form=form, e=e, class_basis=class_basis, gram=gram)
+    return NullQuotient(form, e, class_basis, gram, linalg.mat_mul(U2[1:], W1[1:]))
 
 
 def root_class_shift(form: Form, quot: NullQuotient, coords, m) -> int | None:
@@ -217,9 +224,10 @@ def orthogonal_complement_data(form: Form, quot: NullQuotient, image_coords) -> 
             "vector": None, "order": None}
     if invariants:
         # V is unimodular, and the rows of its inverse are a basis in
-        # which the sublattice is diagonal
-        Vinv = linalg.solve(V, linalg.identity(len(V)))
+        # which the sublattice is diagonal; row big x of V^-1 solves
+        # V^T x = e_big
         big = max(range(len(D)), key=lambda i: D[i][i])
-        glue["vector"] = list(quot.lift(Vinv[big]))
+        x = linalg.solve(linalg.transpose(V), [[int(i == big)] for i in range(len(V))])
+        glue["vector"] = list(quot.lift([a for a, in x]))
         glue["order"] = D[big][big]
     return complement, glue

@@ -13,8 +13,14 @@ row echelon forms, kernels, solutions, determinants and LDL
 decompositions by elimination in Fraction arithmetic, ranks by Bareiss
 elimination, fixed cones of wall sets by a double description of
 their own, the orientation of roots orthogonal to the control vertex by
-solving over the initial simple system.  None of them share a decision
-procedure with the fast paths they check.
+solving over the initial simple system, the class coordinates of vectors
+in a null quotient by a Fraction solve against the quotient's basis.
+None of them share a decision procedure with the fast paths they check.
+
+hermite_with_transform is not an oracle either: it is the row Hermite
+normal form with its transform as linalg computed it before row_hnf
+carried the inverse transform, kept so that H and U provably do not
+change.
 
 polygon_cycle is not an oracle: it walks a closed planar chamber's sides
 in cyclic order for the polygon symbol and rotation tests.
@@ -85,6 +91,70 @@ def fraction_solve(A, b):
     for r, pc in enumerate(pivots):
         x[pc] = R[r][n]
     return x
+
+
+def hermite_with_transform(A):
+    """(H, U) with U unimodular and U A = H in row Hermite normal form, by
+    the step sequence linalg.row_hnf takes: per pivot column, the first
+    nonzero row below r is swapped up and every later nonzero row is
+    combined with row r through the extended Euclidean coefficients, the
+    pivot is made positive, and the rows above are reduced by floor
+    division.  U is not unique, so the steps must match exactly."""
+
+    def euclid(a, b):
+        old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        return (-old_r, -old_s, -old_t) if old_r < 0 else (old_r, old_s, old_t)
+
+    H = [list(row) for row in A]
+    m = len(H)
+    n = len(H[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if H[i][c]), None)
+        if piv is None:
+            continue
+        H[r], H[piv], U[r], U[piv] = H[piv], H[r], U[piv], U[r]
+        for i in range(r + 1, m):
+            x, y = H[r][c], H[i][c]
+            if not y:
+                continue
+            g, s, t = euclid(x, y)
+            a, b = x // g, y // g
+            for M in (H, U):
+                M[r], M[i] = ([s * u + t * v for u, v in zip(M[r], M[i])],
+                              [a * v - b * u for u, v in zip(M[r], M[i])])
+        if H[r][c] < 0:
+            H[r], U[r] = [-x for x in H[r]], [-x for x in U[r]]
+        for i in range(r):
+            q = H[i][c] // H[r][c]
+            H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+            U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+        r += 1
+        if r == m:
+            break
+    return H, U
+
+
+def class_coordinates_by_solve(quot, vectors):
+    """The coordinates of each vector's class in quot: the solution c of
+    c_0 e + sum_j c_{j+1} class_basis[j] = x, read past c_0 and required
+    integral.  Raises ValueError for a vector outside e^perp, as the
+    package does."""
+    if any(quot.form.inner_product(x, quot.e) for x in vectors):
+        raise ValueError("vector is not orthogonal to the null direction")
+    A = [list(col) for col in zip(quot.e, *quot.class_basis)]
+    out = []
+    for x in vectors:
+        c = fraction_solve(A, list(x))
+        assert c is not None and all(t.denominator == 1 for t in c), x
+        out.append([int(t) for t in c[1:]])
+    return out
 
 
 def fraction_det(A):

@@ -229,6 +229,14 @@ def test_one_unimodular_row_step():
     assert ("search", "decide") in call_sites("finite_volume")
 
 
+def test_no_unimodular_transform_is_inverted_by_elimination():
+    # row_hnf carries W = U^-T for null_quotient's bases and class
+    # coordinates, so linalg.solve serves frame_map's frames and the one
+    # column of snf's V^-1 that the glue vector reads
+    assert call_sites("solve") == [
+        ("isometry", "frame_map"), ("quotient", "orthogonal_complement_data")]
+
+
 def test_one_symmetric_elimination():
     # psd_classify and integral_ldl read one Bareiss pass, and integral_ldl
     # runs no elimination (a loop nested in a loop) of its own

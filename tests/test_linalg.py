@@ -438,6 +438,30 @@ def integer_matrices(draw, max_size=7, square=False):
 
 
 @st.composite
+def hnf_inputs(draw):
+    """integer_matrices, or half the time a single column of up to 10
+    entries, zeros and negatives among them, scaled by 1..4 so that its
+    content is often above 1: the shape of null_quotient's two HNFs."""
+    if draw(st.booleans()):
+        return draw(integer_matrices())
+    column = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=1, max_size=10))
+    g = draw(st.integers(1, 4))
+    return [[g * x] for x in column]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(A=hnf_inputs())
+def test_row_hnf_keeps_its_transform_and_carries_its_inverse(A):
+    # H and U are those of the algorithm before W was carried, with or
+    # without inverse, and W = U^-T
+    H, U = linalg.row_hnf(A)
+    assert (H, U) == oracles.hermite_with_transform(A)
+    H2, U2, W = linalg.row_hnf(A, inverse=True)
+    assert (H2, U2) == (H, U)
+    assert linalg.mat_mul(U, linalg.transpose(W)) == linalg.identity(len(A))
+
+
+@st.composite
 def integer_systems(draw):
     """An integer matrix and one to three right-hand sides.  Half the
     matrices are square or tall with random entries, so their columns are

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from vinberg import certificates, linalg, quotient
+from vinberg import certificates, linalg, quotient, volume
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
@@ -48,6 +48,41 @@ def test_null_quotient_structure(p, n):
         coords = [1 if j == i else 0 for j in range(quot.rank)]
         v = quot.lift(coords)
         assert quot.class_coordinates([v]) == [coords]
+
+
+BENCHMARK_FORMS = sorted(corpus.EXPECTED_REFLECTIVE) + [(5, 9), (7, 4), (11, 5), (13, 3), (19, 3), (23, 3)]
+# the benchmark forms none of whose prefix chambers has a cusp
+CUSPLESS = {(7, 2), (7, 3), (11, 2), (19, 2), (23, 2), (23, 3)}
+
+
+@pytest.mark.parametrize("p,n", BENCHMARK_FORMS)
+def test_class_coordinates_match_the_solve_at_every_prefix_cusp(search, p, n):
+    # the product with the dual basis rows against a solve in the
+    # quotient's basis, on the walls through every cusp of every prefix
+    # chamber, and on the null vector itself
+    form = Form(p, n)
+    roots = search(p, n).roots
+    chamber = volume.ChamberDiagram(form)
+    quots = {}
+    for k in range(1, len(roots) + 1):
+        chamber.grow(roots[:k])
+        for cusp in chamber.cusps():
+            e = certificates.affine_null_marks(form, chamber.roots, cusp[0])[1]
+            if e not in quots:
+                quots[e] = quotient.null_quotient(form, e)
+            vectors = [r for r in chamber.roots if form.inner_product(r, e) == 0] + [e]
+            assert quots[e].class_coordinates(vectors) == \
+                oracles.class_coordinates_by_solve(quots[e], vectors), (k, e)
+    assert bool(quots) == ((p, n) not in CUSPLESS)
+
+
+def test_class_coordinates_refuse_a_vector_off_the_null_direction():
+    quot = _block_quotient(7, 4)
+    form = quot.form
+    x = next(r for r in form.initial_roots() if form.inner_product(r, quot.e))
+    for coordinates in (quot.class_coordinates, lambda v: oracles.class_coordinates_by_solve(quot, v)):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            coordinates([*quot.class_basis, x])
 
 
 def test_quotient_rejects_bad_vectors():
