@@ -9,17 +9,17 @@ flags are byte-identical.
 Exit codes: 0 when every requested verdict is decided, 3 when any is
 undecided under the budget; verify returns 0 for a valid certificate,
 1 for an invalid one, 2 for a malformed document.  Bad arguments exit 2,
-and so does a malformed --resume state file.  A file that is not UTF-8
-JSON is malformed.
+and so do a malformed --resume state file and a file that cannot be read
+or written; the CLI's own errors go to stderr as "Error: <message>".  A
+file that is not UTF-8 JSON is malformed.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from fractions import Fraction
-
-import click
 
 from vinberg import certificates, classify, diagram
 from vinberg.errors import CertificateError, VinbergError
@@ -29,13 +29,18 @@ from vinberg.search import Budget, SearchState
 EXIT_UNDECIDED = 3
 
 
+class _UsageError(Exception):
+    """A bad argument: main prints it as Error: <message> and returns 2."""
+
+
 def _dump(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load(path):
     """The JSON document in the file at path, for verify and --resume;
-    CertificateError if it is not UTF-8 JSON or nests too deep to parse."""
+    CertificateError if it is not UTF-8 JSON or nests too deep to parse,
+    OSError if the file cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -43,143 +48,79 @@ def _load(path):
         raise CertificateError(f"not JSON: {exc}")
 
 
-def _parse_height(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"--max-height: not a rational: {text!r}")
-
-
 def _form(p: int, n: int) -> Form:
     try:
         return Form(p, n)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _budget_options(fn):
-    default = Budget()
-    fn = click.option(
-        "--max-height",
-        default=str(default.max_height),
-        show_default=True,
-        metavar="A/B",
-        help="Stop before any batch of height exceeding this rational.",
-    )(fn)
-    fn = click.option(
-        "--max-roots",
-        default=default.max_roots,
-        show_default=True,
-        type=int,
-        help="Stop once this many roots are accepted.",
-    )(fn)
-    return fn
+        raise _UsageError(str(exc))
 
 
 def _budget(max_height: str, max_roots: int) -> Budget:
-    return Budget(max_height=_parse_height(max_height), max_roots=max_roots)
+    try:
+        height = Fraction(max_height)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"--max-height: not a rational: {max_height!r}")
+    return Budget(max_height=height, max_roots=max_roots)
 
 
-@click.group()
-def main() -> None:
-    """Reflectivity of the forms -p x0^2 + x1^2 + ... + xn^2, p prime >= 5."""
+def _exit_code(verdicts) -> int:
+    return EXIT_UNDECIDED if "undecided" in verdicts else 0
 
 
-@main.command(name="classify")
-@click.argument("p", type=int)
-@click.argument("n", type=int)
-@_budget_options
-@click.option(
-    "--emit",
-    default="report",
-    show_default=True,
-    type=click.Choice(["report", "roots", "diagram", "certificate"]),
-    help="Which artifact to print.",
-)
-@click.option(
-    "--format",
-    "fmt",
-    default="json",
-    show_default=True,
-    type=click.Choice(["json", "dot", "tikz"]),
-    help="Output format; dot and tikz need --emit diagram.",
-)
-@click.option(
-    "--resume",
-    "resume_path",
-    default=None,
-    type=click.Path(dir_okay=False),
-    help="State file: resumed from if present, rewritten while undecided.",
-)
-def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path):
+def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path) -> int:
     """Classify one form and print the result."""
     _form(p, n)
     if fmt != "json" and emit != "diagram":
-        raise click.UsageError(f"--format {fmt} needs --emit diagram")
+        raise _UsageError(f"--format {fmt} needs --emit diagram")
     state = None
     if resume_path is not None:
         try:
             state = SearchState.from_json(_load(resume_path))
         except FileNotFoundError:
-            state = None
-        except CertificateError as exc:
-            raise click.UsageError(f"--resume: {exc}")
+            pass
+        except (OSError, CertificateError) as exc:
+            raise _UsageError(f"--resume: {exc}")
         if state is not None and (state.form.p != p or state.form.n != n):
-            raise click.UsageError("--resume: state file is for a different form")
+            raise _UsageError("--resume: state file is for a different form")
 
     try:
         report = classify.classify_form(
             p, n, budget=_budget(max_height, max_roots), state=state
         )
     except VinbergError as exc:
-        raise click.UsageError(f"--resume: {exc}" if state is not None else str(exc))
+        raise _UsageError(f"--resume: {exc}" if state is not None else str(exc))
 
-    if resume_path is not None and report["verdict"] == "undecided":
-        with open(resume_path, "w") as fh:
-            json.dump(report["state"], fh, indent=2, sort_keys=True)
-
-    if emit == "report":
-        _dump(report)
-    elif emit == "roots":
-        _dump(report["roots"])
-    elif emit == "diagram":
-        if fmt == "dot":
-            click.echo(diagram.diagram_dot(report["diagram"]))
-        elif fmt == "tikz":
-            click.echo(diagram.diagram_tikz(report["diagram"]))
-        else:
-            _dump(report["diagram"])
+    # a format other than json implies --emit diagram, checked above
+    if fmt == "dot":
+        print(diagram.diagram_dot(report["diagram"]))
+    elif fmt == "tikz":
+        print(diagram.diagram_tikz(report["diagram"]))
     else:
-        _dump(report["certificate"])
+        _dump(report if emit == "report" else report[emit])
 
-    if report["verdict"] == "undecided":
-        sys.exit(EXIT_UNDECIDED)
+    # written after the report is printed, so that a failed write loses no report
+    if resume_path is not None and report["verdict"] == "undecided":
+        try:
+            with open(resume_path, "w") as fh:
+                json.dump(report["state"], fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            raise _UsageError(f"--resume: {exc}")
+    return _exit_code([report["verdict"]])
 
 
-@main.command(name="family")
-@click.argument("p", type=int)
-@_budget_options
-@click.option(
-    "--max-rank",
-    default=10,
-    show_default=True,
-    type=int,
-    help="Classify ranks 2 through this value.",
-)
-def family_cmd(p, max_height, max_roots, max_rank):
+def family_cmd(p, max_height, max_roots, max_rank) -> int:
     """Classify every rank of one family, inheriting past the first failure."""
     _form(p, 2)
     if max_rank < 2:
-        raise click.UsageError("--max-rank must be at least 2")
+        raise _UsageError("--max-rank must be at least 2")
     try:
         reports = classify.classify_family(
             p, max_rank, budget=_budget(max_height, max_roots)
         )
     except VinbergError as exc:
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc))
     _dump(reports)
-    if any(r["verdict"] == "undecided" for r in reports):
-        sys.exit(EXIT_UNDECIDED)
+    return _exit_code(r["verdict"] for r in reports)
 
 
 def _vector_text(vector) -> str:
@@ -206,45 +147,102 @@ def _table_text(table) -> str:
     return "\n".join(lines)
 
 
-@main.command(name="table")
-@click.argument("p", type=int)
-@click.argument("n", type=int)
-@_budget_options
-@click.option(
-    "--format",
-    "fmt",
-    default="json",
-    show_default=True,
-    type=click.Choice(["json", "text"]),
-)
-def table_cmd(p, n, max_height, max_roots, fmt):
+def table_cmd(p, n, max_height, max_roots, fmt) -> int:
     """Print the found-root table and the family's verdicts for ranks 2..N
     of family p; ranks past the first failure list no rows."""
     _form(p, n)
     table = classify.root_table(p, n, budget=_budget(max_height, max_roots))
     if fmt == "text":
-        click.echo(_table_text(table))
+        print(_table_text(table))
     else:
         _dump(table)
-    if any(v == "undecided" for v in table["verdicts"].values()):
-        sys.exit(EXIT_UNDECIDED)
+    return _exit_code(table["verdicts"].values())
 
 
-@main.command(name="verify")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-def verify_cmd(path):
+def verify_cmd(path) -> int:
     """Check a certificate file; exit 0 valid, 1 invalid, 2 malformed."""
     try:
         failures = certificates.verification_failures(_load(path))
+    except OSError as exc:
+        raise _UsageError(str(exc))
     except CertificateError as exc:
-        click.echo(f"malformed: {exc}", err=True)
-        sys.exit(2)
+        print(f"malformed: {exc}", file=sys.stderr)
+        return 2
+    for failure in failures:
+        print(f"invalid: {failure}", file=sys.stderr)
     if failures:
-        for failure in failures:
-            click.echo(f"invalid: {failure}", err=True)
-        sys.exit(1)
-    click.echo("valid")
+        return 1
+    print("valid")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands; each sets run to its handler,
+    which takes the other parsed values as keywords.  No parser accepts an
+    abbreviated option."""
+    budget = Budget()
+    parser = argparse.ArgumentParser(
+        prog="vinberg",
+        description="Reflectivity of the forms -p x0^2 + x1^2 + ... + xn^2, p prime >= 5.",
+        allow_abbrev=False,
+    )
+    subcommands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, *integers, budgeted=True):
+        sub = subcommands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        for arg in integers:
+            sub.add_argument(arg, type=int)
+        if budgeted:
+            sub.add_argument(
+                "--max-height", default=str(budget.max_height), metavar="A/B",
+                help="Stop before any batch of height exceeding this rational"
+                " (default: %(default)s).",
+            )
+            sub.add_argument(
+                "--max-roots", default=budget.max_roots, type=int, metavar="N",
+                help="Stop once this many roots are accepted (default: %(default)s).",
+            )
+        return sub
+
+    sub = command("classify", classify_cmd, "p", "n")
+    sub.add_argument(
+        "--emit", default="report", choices=["report", "roots", "diagram", "certificate"],
+        help="Which artifact to print (default: %(default)s).",
+    )
+    sub.add_argument(
+        "--format", dest="fmt", default="json", choices=["json", "dot", "tikz"],
+        help="Output format; dot and tikz need --emit diagram (default: %(default)s).",
+    )
+    sub.add_argument(
+        "--resume", dest="resume_path", metavar="PATH",
+        help="State file: resumed from if present, rewritten while undecided.",
+    )
+    command("family", family_cmd, "p").add_argument(
+        "--max-rank", default=10, type=int, metavar="N",
+        help="Classify ranks 2 through this value (default: %(default)s).",
+    )
+    command("table", table_cmd, "p", "n").add_argument(
+        "--format", dest="fmt", default="json", choices=["json", "text"],
+        help="Output format (default: %(default)s).",
+    )
+    command("verify", verify_cmd, budgeted=False).add_argument("path")
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run the command line argv (sys.argv[1:] when None) and return its
+    exit code; argparse's own usage errors raise SystemExit(2)."""
+    args = vars(build_parser().parse_args(argv))
+    run = args.pop("run")
+    try:
+        return run(**args)
+    except _UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

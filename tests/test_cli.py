@@ -1,199 +1,221 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import corpus
 import vinberg
 from vinberg import certificates
 from vinberg.cli import main
 from vinberg.forms import Form
+from vinberg.search import Budget
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
 
 
-def test_classify_reflective_report(runner):
-    res = runner.invoke(main, ["classify", "5", "2"])
+def invoke(args) -> Result:
+    """Run the CLI on args in this process; argparse's usage errors and
+    --help end in SystemExit, whose code is the exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, stdout.getvalue(), stderr.getvalue())
+
+
+def test_classify_reflective_report():
+    res = invoke(["classify", "5", "2"])
     assert res.exit_code == 0
-    report = json.loads(res.output)
+    report = json.loads(res.stdout)
     assert report["verdict"] == "reflective"
     assert report["form"] == {"p": 5, "n": 2}
     assert len(report["roots"]) == corpus.EXPECTED_P5_COUNTS[2]
     assert report["certificate"]["kind"] == "reflective"
 
 
-def test_classify_nonreflective_exit_zero(runner):
-    res = runner.invoke(main, ["classify", "13", "3"])
+def test_classify_nonreflective_exit_zero():
+    res = invoke(["classify", "13", "3"])
     assert res.exit_code == 0
-    report = json.loads(res.output)
+    report = json.loads(res.stdout)
     assert report["verdict"] == "non_reflective"
     assert report["certificate"]["kind"] == "infinite_symmetry"
 
 
-def test_classify_undecided_exit_code(runner):
-    res = runner.invoke(
-        main, ["classify", "13", "3", "--max-height", "2", "--max-roots", "6"]
-    )
+def test_classify_undecided_exit_code():
+    res = invoke(["classify", "13", "3", "--max-height", "2", "--max-roots", "6"])
     assert res.exit_code == 3
-    report = json.loads(res.output)
+    report = json.loads(res.stdout)
     assert report["verdict"] == "undecided"
     assert "state" in report
 
 
-def test_classify_output_is_byte_deterministic(runner):
-    a = runner.invoke(main, ["classify", "5", "3"])
-    b = runner.invoke(main, ["classify", "5", "3"])
+def test_classify_output_is_byte_deterministic():
+    a = invoke(["classify", "5", "3"])
+    b = invoke(["classify", "5", "3"])
     assert a.exit_code == b.exit_code == 0
-    assert a.output == b.output
+    assert a.stdout == b.stdout
 
 
-def test_classify_emit_roots(runner):
-    res = runner.invoke(main, ["classify", "5", "2", "--emit", "roots"])
+def test_classify_emit_roots():
+    res = invoke(["classify", "5", "2", "--emit", "roots"])
     assert res.exit_code == 0
-    roots = [tuple(r) for r in json.loads(res.output)]
+    roots = [tuple(r) for r in json.loads(res.stdout)]
     assert len(roots) == len(set(roots))
     assert set(roots) == corpus.expected_root_set(Form(5, 2))
 
 
-def test_classify_emit_certificate(runner):
-    res = runner.invoke(main, ["classify", "7", "4", "--emit", "certificate"])
+def test_classify_emit_certificate():
+    res = invoke(["classify", "7", "4", "--emit", "certificate"])
     assert res.exit_code == 0
-    cert = json.loads(res.output)
+    cert = json.loads(res.stdout)
     assert cert["kind"] == "ideal_vertex_failure"
 
 
-def test_classify_emit_diagram_formats(runner):
-    dot = runner.invoke(main, ["classify", "5", "2", "--emit", "diagram", "--format", "dot"])
+def test_classify_emit_diagram_formats():
+    dot = invoke(["classify", "5", "2", "--emit", "diagram", "--format", "dot"])
     assert dot.exit_code == 0
-    assert dot.output.startswith("graph walls {")
-    tikz = runner.invoke(main, ["classify", "5", "2", "--emit", "diagram", "--format", "tikz"])
+    assert dot.stdout.startswith("graph walls {")
+    tikz = invoke(["classify", "5", "2", "--emit", "diagram", "--format", "tikz"])
     assert tikz.exit_code == 0
-    assert "\\draw" in tikz.output
-    bad = runner.invoke(main, ["classify", "5", "2", "--emit", "diagram", "--format", "text"])
+    assert "\\draw" in tikz.stdout
+    bad = invoke(["classify", "5", "2", "--emit", "diagram", "--format", "text"])
     assert bad.exit_code == 2
 
 
-def test_classify_emit_table_format_validation(runner):
+def test_classify_emit_table_format_validation():
     # the table has its own subcommand; classify no longer emits it
-    bad = runner.invoke(main, ["classify", "5", "2", "--emit", "table"])
+    bad = invoke(["classify", "5", "2", "--emit", "table"])
     assert bad.exit_code == 2
-    bad = runner.invoke(main, ["classify", "5", "2", "--emit", "table", "--format", "text"])
+    bad = invoke(["classify", "5", "2", "--emit", "table", "--format", "text"])
     assert bad.exit_code == 2
 
 
-def test_bad_arguments_exit_two(runner):
-    assert runner.invoke(main, ["classify", "4", "2"]).exit_code == 2
-    assert runner.invoke(main, ["classify", "7", "1"]).exit_code == 2
-    assert runner.invoke(
-        main, ["classify", "5", "2", "--max-height", "bogus"]
-    ).exit_code == 2
-    assert runner.invoke(main, ["family", "7", "--max-rank", "1"]).exit_code == 2
+def test_bad_arguments_exit_two():
+    assert invoke(["classify", "4", "2"]).exit_code == 2
+    assert invoke(["classify", "7", "1"]).exit_code == 2
+    assert invoke(["classify", "5", "2", "--max-height", "bogus"]).exit_code == 2
+    assert invoke(["family", "7", "--max-rank", "1"]).exit_code == 2
     # the search has one mode; the old option is gone
-    assert runner.invoke(
-        main, ["classify", "5", "2", "--check-every", "batch"]
-    ).exit_code == 2
+    assert invoke(["classify", "5", "2", "--check-every", "batch"]).exit_code == 2
     # family runs its ranks in order in one process; the option is gone
-    assert runner.invoke(main, ["family", "7", "--jobs", "2"]).exit_code == 2
+    assert invoke(["family", "7", "--jobs", "2"]).exit_code == 2
+    # an option is spelled out: a prefix of one is no option
+    assert invoke(["classify", "13", "3", "--max-h", "2", "--max-r", "6"]).exit_code == 2
+    assert invoke(["classify", "5", "2", "--em", "roots"]).exit_code == 2
+    assert invoke(["family", "7", "--max-ra", "3"]).exit_code == 2
 
 
-def test_resume_round_trip(runner, tmp_path):
-    state_file = str(tmp_path / "state.json")
-    first = runner.invoke(
-        main, ["classify", "13", "2", "--max-height", "2", "--resume", state_file]
+@pytest.mark.parametrize("command", ["classify", "family", "table"])
+def test_help_shows_the_budget_defaults(command):
+    res = invoke([command, "--help"])
+    assert res.exit_code == 0
+    # argparse wraps the help to the terminal's width
+    text = " ".join(res.stdout.split())
+    budget = Budget()
+    assert (
+        "--max-height A/B Stop before any batch of height exceeding this rational"
+        f" (default: {budget.max_height})." in text
     )
+    assert f"--max-roots N Stop once this many roots are accepted (default: {budget.max_roots})." in text
+    max_rank = "--max-rank N Classify ranks 2 through this value (default: 10)."
+    assert (max_rank in text) == (command == "family")
+
+
+def test_resume_round_trip(tmp_path):
+    state_file = str(tmp_path / "state.json")
+    first = invoke(["classify", "13", "2", "--max-height", "2", "--resume", state_file])
     assert first.exit_code == 3
     saved = json.loads((tmp_path / "state.json").read_text())
     assert saved["form"] == {"p": 13, "n": 2}
 
-    resumed = runner.invoke(main, ["classify", "13", "2", "--resume", state_file])
+    resumed = invoke(["classify", "13", "2", "--resume", state_file])
     assert resumed.exit_code == 0
-    direct = runner.invoke(main, ["classify", "13", "2"])
-    rep_resumed = json.loads(resumed.output)
-    rep_direct = json.loads(direct.output)
+    direct = invoke(["classify", "13", "2"])
+    rep_resumed = json.loads(resumed.stdout)
+    rep_direct = json.loads(direct.stdout)
     assert rep_resumed["verdict"] == rep_direct["verdict"] == "reflective"
     assert rep_resumed["roots"] == rep_direct["roots"]
     assert rep_resumed["certificate"] == rep_direct["certificate"]
 
 
-def test_resume_from_final_reflective_state(runner, tmp_path, search):
+def test_resume_from_final_reflective_state(tmp_path, search):
     state_file = tmp_path / "state.json"
     state_file.write_text(json.dumps(search(7, 3).state.to_json()))
-    resumed = runner.invoke(main, ["classify", "7", "3", "--resume", str(state_file)])
+    resumed = invoke(["classify", "7", "3", "--resume", str(state_file)])
     assert resumed.exit_code == 0
-    direct = runner.invoke(main, ["classify", "7", "3"])
-    rep_resumed = json.loads(resumed.output)
-    rep_direct = json.loads(direct.output)
+    direct = invoke(["classify", "7", "3"])
+    rep_resumed = json.loads(resumed.stdout)
+    rep_direct = json.loads(direct.stdout)
     assert rep_resumed["verdict"] == rep_direct["verdict"] == "reflective"
     assert rep_resumed["certificate"] == rep_direct["certificate"]
 
 
-def test_resume_rejects_mismatched_state(runner, tmp_path):
+def test_resume_rejects_mismatched_state(tmp_path):
     state_file = str(tmp_path / "state.json")
-    first = runner.invoke(
-        main, ["classify", "13", "2", "--max-height", "2", "--resume", state_file]
-    )
+    first = invoke(["classify", "13", "2", "--max-height", "2", "--resume", state_file])
     assert first.exit_code == 3
-    other = runner.invoke(main, ["classify", "13", "3", "--resume", state_file])
+    other = invoke(["classify", "13", "3", "--resume", state_file])
     assert other.exit_code == 2
     (tmp_path / "state.json").write_text("garbage")
-    bad = runner.invoke(main, ["classify", "13", "2", "--resume", state_file])
+    bad = invoke(["classify", "13", "2", "--resume", state_file])
     assert bad.exit_code == 2
 
 
-def test_resume_rejects_tampered_state(runner, tmp_path, search):
+def test_resume_rejects_tampered_state(tmp_path, search):
     state_file = tmp_path / "state.json"
     doc = search(7, 3).state.to_json()
     doc["accepted"][3] = [2, 5, 2, 1]
     state_file.write_text(json.dumps(doc))
-    res = runner.invoke(main, ["classify", "7", "3", "--resume", str(state_file)])
+    res = invoke(["classify", "7", "3", "--resume", str(state_file)])
     assert res.exit_code == 2
-    assert "accepted" in res.output
+    assert "accepted" in res.stderr
 
 
-def test_resume_rejects_forged_undecided_state(runner, tmp_path, forged_13_3_state):
+def test_resume_rejects_forged_undecided_state(tmp_path, forged_13_3_state):
     state_file = tmp_path / "state.json"
     state_file.write_text(json.dumps(forged_13_3_state))
     before = state_file.read_text()
-    res = runner.invoke(
-        main, ["classify", "13", "3", "--max-roots", "8", "--resume", str(state_file)]
-    )
+    res = invoke(["classify", "13", "3", "--max-roots", "8", "--resume", str(state_file)])
     assert res.exit_code == 2
-    assert "accepted" in res.output
+    assert "accepted" in res.stderr
     assert state_file.read_text() == before
 
 
-def test_resume_rejects_an_edited_candidate_count(runner, tmp_path, state_13_3):
+def test_resume_rejects_an_edited_candidate_count(tmp_path, state_13_3):
     state_file = tmp_path / "state.json"
     state_13_3["counters"]["candidates"] += 1000
     state_file.write_text(json.dumps(state_13_3))
-    res = runner.invoke(main, ["classify", "13", "3", "--resume", str(state_file)])
+    res = invoke(["classify", "13", "3", "--resume", str(state_file)])
     assert res.exit_code == 2
-    assert "Error: --resume: counters.candidates: " in res.output
+    assert "Error: --resume: counters.candidates: " in res.stderr
 
 
 @pytest.mark.parametrize(
     "counters", [{}, {"batches": "x"}, {"batches": 999}, {"accepted": 7}]
 )
-def test_resume_rejects_malformed_counters(runner, tmp_path, search, counters):
+def test_resume_rejects_malformed_counters(tmp_path, search, counters):
     state_file = tmp_path / "state.json"
     doc = search(13, 3).state.to_json()
     doc["counters"] = dict(doc["counters"], **counters) if counters else counters
     state_file.write_text(json.dumps(doc))
-    res = runner.invoke(
-        main, ["classify", "13", "3", "--max-roots", "12", "--resume", str(state_file)]
-    )
+    res = invoke(["classify", "13", "3", "--max-roots", "12", "--resume", str(state_file)])
     assert res.exit_code == 2
-    assert "counters" in res.output
+    assert "counters" in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -207,25 +229,39 @@ def test_resume_rejects_malformed_counters(runner, tmp_path, search, counters):
     ],
     ids=["float-rows", "short-row", "string-p", "missing-p", "form-list"],
 )
-def test_resume_rejects_mistyped_state(runner, tmp_path, search, field, tamper):
+def test_resume_rejects_mistyped_state(tmp_path, search, field, tamper):
     state_file = tmp_path / "state.json"
     doc = search(13, 3).state.to_json()
     tamper(doc)
     state_file.write_text(json.dumps(doc))
-    res = runner.invoke(
-        main, ["classify", "13", "3", "--max-roots", "12", "--resume", str(state_file)]
-    )
+    res = invoke(["classify", "13", "3", "--max-roots", "12", "--resume", str(state_file)])
     assert res.exit_code == 2
-    assert f"Error: --resume: {field}:" in res.output
+    assert f"Error: --resume: {field}:" in res.stderr
 
 
 @pytest.mark.parametrize("command", [["verify"], ["classify", "13", "3", "--resume"]])
-def test_a_json_list_is_a_malformed_document(runner, tmp_path, command):
+def test_a_json_list_is_a_malformed_document(tmp_path, command):
     path = tmp_path / "doc.json"
     path.write_text("[13, 3]")
-    res = runner.invoke(main, command + [str(path)])
+    res = invoke(command + [str(path)])
     assert res.exit_code == 2
-    assert "schema_version: missing field" in res.output
+    assert "schema_version: missing field" in res.stderr
+
+
+@pytest.mark.parametrize("command", [["verify"], ["classify", "13", "3", "--resume"]])
+def test_a_directory_is_no_document(tmp_path, command):
+    res = invoke(command + [str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error: ")
+
+
+def test_a_state_file_that_cannot_be_written_exits_two(tmp_path):
+    # the search runs before the state is written; its report is kept
+    state_file = tmp_path / "absent" / "state.json"
+    res = invoke(["classify", "13", "3", "--max-height", "2", "--resume", str(state_file)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error: --resume: ")
+    assert json.loads(res.stdout)["verdict"] == "undecided"
 
 
 def _package_env() -> dict:
@@ -269,21 +305,26 @@ def test_library_imports_add_no_code_introspection_modules():
     # time; compared with a bare interpreter, so that site hooks do not count
     env = _package_env()
     code = "import sys; print(' '.join(sorted(sys.modules)))"
-    lib = "import vinberg.classify, vinberg.certificates; " + code
-    bare, loaded = (
-        set(subprocess.run(
-            [sys.executable, "-c", c], env=env, capture_output=True, text=True, check=True
+
+    def modules_after(imports):
+        return set(subprocess.run(
+            [sys.executable, "-c", imports + code], env=env, capture_output=True, text=True,
+            check=True,
         ).stdout.split())
-        for c in (code, lib)
-    )
-    assert "vinberg.certificates" in loaded
-    assert not {"dataclasses", "inspect"} & (loaded - bare)
+
+    bare = modules_after("")
+    for imports in ("vinberg.classify, vinberg.certificates", "vinberg.cli"):
+        loaded = modules_after(f"import {imports}; ")
+        assert imports.split(", ")[-1] in loaded
+        assert not {"dataclasses", "inspect"} & (loaded - bare)
+        # nor does any module from outside the standard library
+        assert {name.split(".")[0] for name in loaded - bare} <= sys.stdlib_module_names | {"vinberg"}
 
 
-def test_family_inherits_past_first_failure(runner):
-    res = runner.invoke(main, ["family", "7", "--max-rank", "5"])
+def test_family_inherits_past_first_failure():
+    res = invoke(["family", "7", "--max-rank", "5"])
     assert res.exit_code == 0
-    reports = json.loads(res.output)
+    reports = json.loads(res.stdout)
     assert [r["verdict"] for r in reports] == [
         "reflective", "reflective", "non_reflective", "non_reflective"
     ]
@@ -291,91 +332,90 @@ def test_family_inherits_past_first_failure(runner):
     assert reports[3]["certificate"]["kind"] == "inherited_nonreflectivity"
 
 
-def test_family_and_table_exit_three_when_a_rank_is_undecided(runner):
-    family = runner.invoke(main, ["family", "13", "--max-rank", "3", "--max-roots", "5"])
+def test_family_and_table_exit_three_when_a_rank_is_undecided():
+    family = invoke(["family", "13", "--max-rank", "3", "--max-roots", "5"])
     assert family.exit_code == 3
-    assert [r["verdict"] for r in json.loads(family.output)] == ["undecided", "undecided"]
-    table = runner.invoke(main, ["table", "13", "3", "--max-roots", "5"])
+    assert [r["verdict"] for r in json.loads(family.stdout)] == ["undecided", "undecided"]
+    table = invoke(["table", "13", "3", "--max-roots", "5"])
     assert table.exit_code == 3
-    assert json.loads(table.output)["verdicts"] == {"2": "undecided", "3": "undecided"}
+    assert json.loads(table.stdout)["verdicts"] == {"2": "undecided", "3": "undecided"}
 
 
-def test_table_prints_the_family_verdicts(runner):
+def test_table_prints_the_family_verdicts():
     # the table reads the family's reports, so the symmetry route decides
     # (13,3) for both commands
-    family = runner.invoke(main, ["family", "13", "--max-rank", "3"])
+    family = invoke(["family", "13", "--max-rank", "3"])
     assert family.exit_code == 0
-    table = runner.invoke(main, ["table", "13", "3"])
+    table = invoke(["table", "13", "3"])
     assert table.exit_code == 0
-    verdicts = json.loads(table.output)["verdicts"]
-    assert verdicts == {str(r["form"]["n"]): r["verdict"] for r in json.loads(family.output)}
+    verdicts = json.loads(table.stdout)["verdicts"]
+    assert verdicts == {str(r["form"]["n"]): r["verdict"] for r in json.loads(family.stdout)}
     assert verdicts == {"2": "reflective", "3": "non_reflective"}
-    as_text = runner.invoke(main, ["table", "13", "3", "--format", "text"])
+    as_text = invoke(["table", "13", "3", "--format", "text"])
     assert as_text.exit_code == 0
-    assert "n=3: non_reflective" in as_text.output
+    assert "n=3: non_reflective" in as_text.stdout
 
 
-def test_table_text_shows_published_row(runner):
-    res = runner.invoke(main, ["table", "17", "2", "--format", "text"])
+def test_table_text_shows_published_row():
+    res = invoke(["table", "17", "2", "--format", "text"])
     assert res.exit_code == 0
-    assert "p=17 ranks 2..2" in res.output
-    assert "n=2: reflective" in res.output
+    assert "p=17 ranks 2..2" in res.stdout
+    assert "n=2: reflective" in res.stdout
     # one documented row, unreduced batch height k0^2/m
-    assert "576/34" in res.output
-    assert "24v0+85v1+51v2" in res.output
+    assert "576/34" in res.stdout
+    assert "24v0+85v1+51v2" in res.stdout
 
 
-def test_table_json_matches_text_content(runner):
-    as_json = runner.invoke(main, ["table", "5", "3"])
+def test_table_json_matches_text_content():
+    as_json = invoke(["table", "5", "3"])
     assert as_json.exit_code == 0
-    table = json.loads(as_json.output)
+    table = json.loads(as_json.stdout)
     assert table["verdicts"] == {"2": "reflective", "3": "reflective"}
-    as_text = runner.invoke(main, ["table", "5", "3", "--format", "text"])
+    as_text = invoke(["table", "5", "3", "--format", "text"])
     for row in table["rows"]:
-        assert row["height"] in as_text.output
+        assert row["height"] in as_text.stdout
 
 
-def test_diagram_command(runner):
+def test_diagram_command():
     # the diagram command is gone; classify --emit diagram prints the diagram
-    res = runner.invoke(main, ["classify", "5", "2", "--emit", "diagram", "--format", "dot"])
+    res = invoke(["classify", "5", "2", "--emit", "diagram", "--format", "dot"])
     assert res.exit_code == 0
-    assert res.output.startswith("graph walls {")
-    undecided = runner.invoke(
-        main, ["classify", "13", "3", "--emit", "diagram", "--max-height", "2"])
+    assert res.stdout.startswith("graph walls {")
+    undecided = invoke(["classify", "13", "3", "--emit", "diagram", "--max-height", "2"])
     assert undecided.exit_code == 3
-    assert runner.invoke(main, ["diagram", "5", "2"]).exit_code == 2
+    assert invoke(["diagram", "5", "2"]).exit_code == 2
 
 
-def test_format_needs_emit_diagram(runner):
+def test_format_needs_emit_diagram():
     for emit in ("report", "roots", "certificate"):
         for fmt in ("dot", "tikz"):
-            res = runner.invoke(main, ["classify", "5", "2", "--emit", emit, "--format", fmt])
+            res = invoke(["classify", "5", "2", "--emit", emit, "--format", fmt])
             assert res.exit_code == 2, (emit, fmt)
-            assert "--format" in res.output
-    json_report = runner.invoke(main, ["classify", "5", "2", "--format", "json"])
+            assert "--format" in res.stderr
+    json_report = invoke(["classify", "5", "2", "--format", "json"])
     assert json_report.exit_code == 0
 
 
-def test_certify_and_verify_round_trip(runner, tmp_path):
+def test_certify_and_verify_round_trip(tmp_path):
     # the certify command is gone; classify --emit certificate prints the certificate
     cert_file = tmp_path / "cert.json"
     for p, n in ((5, 2), (7, 4), (13, 3)):
-        emitted = runner.invoke(main, ["classify", str(p), str(n), "--emit", "certificate"])
+        emitted = invoke(["classify", str(p), str(n), "--emit", "certificate"])
         assert emitted.exit_code == 0
-        cert_file.write_text(emitted.output)
-        verified = runner.invoke(main, ["verify", str(cert_file)])
+        cert_file.write_text(emitted.stdout)
+        verified = invoke(["verify", str(cert_file)])
         assert verified.exit_code == 0
-        assert verified.output == "valid\n"
-    assert runner.invoke(main, ["certify", "5", "2"]).exit_code == 2
+        assert verified.stdout == "valid\n"
+    assert invoke(["certify", "5", "2"]).exit_code == 2
 
 
-def test_verify_invalid_certificate(runner, tmp_path):
-    emitted = runner.invoke(main, ["classify", "5", "2", "--emit", "certificate"])
-    cert = json.loads(emitted.output)
+def test_verify_invalid_certificate(tmp_path):
+    emitted = invoke(["classify", "5", "2", "--emit", "certificate"])
+    cert = json.loads(emitted.stdout)
     cert["payload"]["roots"] = cert["payload"]["roots"][:-1]
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(cert))
-    res = runner.invoke(main, ["verify", str(cert_file)])
+    res = invoke(["verify", str(cert_file)])
     assert res.exit_code == 1
     assert "invalid:" in res.stderr
 
@@ -391,7 +431,7 @@ def _inherited_chain_text(base, links) -> str:
     return text
 
 
-def test_verify_malformed_documents(runner, tmp_path, report):
+def test_verify_malformed_documents(tmp_path, report):
     cert_file = tmp_path / "cert.json"
     # broken JSON, bytes that are not UTF-8, and nesting too deep to parse
     for content in (
@@ -401,23 +441,23 @@ def test_verify_malformed_documents(runner, tmp_path, report):
         _inherited_chain_text(report(7, 4)["certificate"], 1200).encode(),
     ):
         cert_file.write_bytes(content)
-        res = runner.invoke(main, ["verify", str(cert_file)])
+        res = invoke(["verify", str(cert_file)])
         assert res.exit_code == 2
         assert res.stderr.startswith("malformed: not JSON:")
     cert_file.write_text("{}")
-    res = runner.invoke(main, ["verify", str(cert_file)])
+    res = invoke(["verify", str(cert_file)])
     assert res.exit_code == 2
-    missing = runner.invoke(main, ["verify", str(tmp_path / "absent.json")])
+    missing = invoke(["verify", str(tmp_path / "absent.json")])
     assert missing.exit_code == 2
     cert = copy.deepcopy(report(7, 4)["certificate"])
     cert["payload"]["null_vector"] = None
     cert_file.write_text(json.dumps(cert))
-    res = runner.invoke(main, ["verify", str(cert_file)])
+    res = invoke(["verify", str(cert_file)])
     assert res.exit_code == 2
     assert "malformed: payload.null_vector" in res.stderr
     cert = copy.deepcopy(report(13, 3)["certificate"])
     cert["form"]["p"] = "13"
     cert_file.write_text(json.dumps(cert))
-    res = runner.invoke(main, ["verify", str(cert_file)])
+    res = invoke(["verify", str(cert_file)])
     assert res.exit_code == 2
     assert res.stderr == "malformed: form.p: not an integer\n"
