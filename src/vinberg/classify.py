@@ -37,7 +37,7 @@ def _budget_json(budget: Budget) -> dict:
 def classify_form(
     p: int,
     n: int,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
     state: Optional[SearchState] = None,
 ) -> dict:
     """Classify one form, returning a report dict.
@@ -53,8 +53,6 @@ def classify_form(
     roots by replaying its batch cursor, so a tampered state raises
     ConsistencyError instead of yielding a verdict.
     """
-    if budget is None:
-        budget = Budget()
     result = run_search(Form(p, n), budget, state=state)
     if result.verdict == "non_reflective":
         _check_certificate(result.certificate)
@@ -104,7 +102,7 @@ def _inherited_report(
 def classify_family(
     p: int,
     max_rank: int,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
 ) -> list:
     """Classify ranks 2..max_rank of one family, lowest first.
 
@@ -113,8 +111,6 @@ def classify_family(
     """
     if max_rank < 2:
         raise VinbergError(f"max_rank must be at least 2, got {max_rank}")
-    if budget is None:
-        budget = Budget()
 
     reports = []
     base_certificate = None
@@ -132,7 +128,7 @@ def classify_family(
 def root_table(
     p: int,
     max_rank: int,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
 ) -> dict:
     """Merged table of found roots for ranks 2..max_rank, read off
     classify_family.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -77,11 +78,11 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path) -> int:
         try:
             state = SearchState.from_json(_load(resume_path))
         except FileNotFoundError:
-            pass
+            # a new state file, written after the search: its directory must exist
+            if not os.path.isdir(os.path.dirname(resume_path) or "."):
+                raise _UsageError(f"--resume: no directory to write {resume_path!r} in")
         except (OSError, CertificateError) as exc:
             raise _UsageError(f"--resume: {exc}")
-        if state is not None and (state.form.p != p or state.form.n != n):
-            raise _UsageError("--resume: state file is for a different form")
 
     try:
         report = classify.classify_form(

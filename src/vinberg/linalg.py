@@ -6,26 +6,26 @@ matrix or a frame of lattice vectors, and every answer is an int.
 Nothing here touches Fractions or floating point; every routine is
 deterministic, so identical inputs give byte-identical downstream reports.
 
-solve and psd_classify use Bareiss's fraction-free elimination, whose
-exact divisions keep entries the size of minors; solve returns the
-integral solution of a system with several right-hand sides, or None,
-for isometry.frame_map's frames and one column of snf's V^-1.
-Echelon keeps a growing set of rows in echelon form, so each new row's
-independence costs one reduction.  short_vectors (Fincke-Pohst) walks its
-tree on the integral Gram-Schmidt data of integral_ldl, read off
-psd_classify's pass (_symmetric_bareiss), an integer remainder and isqrt
-windows, solving its last coordinate for each wanted integer norm
-directly.  congruent_short_vectors composes two such walks: norms
-divisible by a prime p on the lattice cut out by congruences mod p
-(congruence_basis, a Gauss-Jordan elimination mod p whose basis rows are
-p e_j and e_j minus reduced entries), the other norms on the whole one.
-charpoly, row_hnf, snf and integer_kernel work over the integers
-throughout.  row_hnf and snf share one unimodular step, _combine_rows:
-rows i and j become s i + t j and a j - b i from exgcd of their entries
-in one column, applied to the matrix and its transform alike; snf takes
-its column steps as the same row steps on the transposes.  row_hnf
-can also carry W = U^-T, taking each step's inverse transpose as it
-goes (Cohen, 2.4), so null_quotient inverts no transform it builds.
+Every integer system, kernel, basis and normal form takes one unimodular
+row step, _combine_rows: rows i and j become s i + t j and a j - b i from
+exgcd of their entries in one column, applied to the matrix and its
+transform alike.  solve (for isometry.frame_map's frames and one column of
+snf's V^-1), hnf_basis and integer_kernel read row_hnf's pass; snf takes
+its column steps as the same row steps on the transposes.  row_hnf can
+also carry W = U^-T, taking each step's inverse transpose as it goes
+(Cohen, 2.4), so null_quotient inverts no transform it builds.  Gram
+classes keep Bareiss's symmetric fraction-free elimination (psd_classify),
+whose exact divisions keep entries the size of minors.  Echelon keeps a
+growing set of rows in echelon form, so each new row's independence costs
+one reduction.  short_vectors (Fincke-Pohst) walks its tree on the
+integral Gram-Schmidt data of integral_ldl, read off psd_classify's pass
+(_symmetric_bareiss), an integer remainder and isqrt windows, solving its
+last coordinate for each wanted integer norm directly.
+congruent_short_vectors composes two such walks: norms divisible by a
+prime p on the lattice cut out by congruences mod p (congruence_basis, a
+Gauss-Jordan elimination mod p whose basis rows are p e_j and e_j minus
+reduced entries), the other norms on the whole one.  charpoly works over
+the integers throughout.
 """
 
 from __future__ import annotations
@@ -130,38 +130,29 @@ def solve(A, B) -> list[list[int]] | None:
     columns are linearly dependent, when the system is inconsistent, or
     when its one rational solution is not integral.
 
-    Fraction-free Gauss-Jordan elimination on [A | B], pivoting in A's
-    columns: with pivot d at (c, c) and prev the previous pivot, every
-    other row i becomes (d M[i] - M[i][c] M[c]) // prev.  The division is
-    exact (Bareiss).  Column c has a pivot among rows c.. exactly when it
-    is independent of the columns before it.  The rows after the n-th are
-    then minors of [A | B], zero on A, and the system is consistent
-    exactly when they are zero on B too.  By Cramer's rule row c is the
-    last pivot times the reduced row, so X's row c is row c's part on B
-    divided by the last pivot, when every division is exact.
+    With H, U = row_hnf(A), A X = B exactly when H X = U B, U being
+    unimodular.  A's columns are independent exactly when H has its n
+    pivots on the diagonal; the rows of H past the n-th are then zero, so
+    the system is consistent exactly when those rows of U B are zero too.
+    H's first n rows are then upper triangular, so X is solved from its
+    last row up, each row's share taken out of the rows above it, and is
+    integral exactly when every division by a pivot is exact.
     """
-    M = [list(a) + list(b) for a, b in zip(A, B)]
-    m = len(M)
-    n = len(A[0]) if m else 0
-    prev = 1
-    for c in range(n):
-        pr = next((i for i in range(c, m) if M[i][c]), None)
-        if pr is None:
+    H, U = row_hnf(A)
+    n = len(A[0]) if A else 0
+    if len(H) < n or not all(H[i][i] for i in range(n)):
+        return None
+    Y = mat_mul(U, B)
+    if any(any(row) for row in Y[n:]):
+        return None
+    X = [None] * n
+    for i in reversed(range(n)):
+        d = H[i][i]
+        if any(y % d for y in Y[i]):
             return None
-        M[c], M[pr] = M[pr], M[c]
-        prow = M[c]
-        d = prow[c]
-        for i in range(m):
-            if i != c:
-                f = M[i][c]
-                M[i] = [(d * a - f * b) // prev for a, b in zip(M[i], prow)]
-        prev = d
-    if any(any(row[n:]) for row in M[n:]):
-        return None
-    X = [row[n:] for row in M[:n]]
-    if any(y % prev for row in X for y in row):
-        return None
-    return [[y // prev for y in row] for row in X]
+        X[i] = x = [y // d for y in Y[i]]
+        Y[:i] = [[a - h[i] * b for a, b in zip(y, x)] if h[i] else y for h, y in zip(H, Y[:i])]
+    return X
 
 
 def row_hnf(A, inverse=False) -> tuple[list[list[int]], ...]:
@@ -205,8 +196,6 @@ def row_hnf(A, inverse=False) -> tuple[list[list[int]], ...]:
 
 def hnf_basis(vectors) -> list[list[int]]:
     """Canonical basis (nonzero HNF rows) of the lattice spanned by the rows."""
-    if not vectors:
-        return []
     H, _ = row_hnf(vectors)
     return [row for row in H if any(row)]
 

@@ -224,7 +224,7 @@ def reproduces(
 
 def run_search(
     form: Form,
-    budget: Optional[Budget] = None,
+    budget: Budget = Budget(),
     state: Optional[SearchState] = None,
 ) -> SearchResult:
     """Run the root search until decided or out of budget.
@@ -239,7 +239,8 @@ def run_search(
     corners certified by the height of the batch at its cursor; a hit
     makes the verdict non_reflective, a miss leaves it undecided.
 
-    A resumed search (state given) first replays a fresh search through
+    A resumed search (state given) raises ConsistencyError naming form
+    unless the state is for form.  It then replays a fresh search through
     the state's batches_done batches, no higher than budget.max_height,
     and raises ConsistencyError naming accepted unless that reaches the
     cursor with the same roots, or counters.candidates unless it counts
@@ -252,10 +253,10 @@ def run_search(
     """
     from vinberg import certificates as _certificates
 
-    if budget is None:
-        budget = Budget()
     resumed = state is not None
     if resumed:
+        if state.form != form:
+            raise ConsistencyError(f"form: the state is for {state.form}, not {form}")
         state.accepted = [tuple(r) for r in state.accepted]
         cut = f"in {state.batches_done} batches up to height {budget.max_height}"
         replayed = reproduces(form, state.accepted, state.batches_done, budget.max_height)

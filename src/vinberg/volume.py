@@ -91,8 +91,6 @@ class ChamberDiagram(dg.Diagram):
         if len(self) != k or list(roots[:k]) != self.roots:
             self.__init__(self.form)
             k = 0
-        if len(roots) == k:
-            return  # a second call on the same prefix does no diagram work
         # each new pair's inner product once: the rows' upper triangle, mirrored
         rows = [
             [self.form.inner_product(r, s) for r in roots[: j + 1]]

@@ -247,19 +247,32 @@ def test_one_unimodular_row_step():
 
 def test_no_unimodular_transform_is_inverted_by_elimination():
     # row_hnf carries W = U^-T for null_quotient's bases and class
-    # coordinates, so linalg.solve serves frame_map's frames and the one
-    # column of snf's V^-1 that the glue vector reads
+    # coordinates, so linalg.solve, itself a row_hnf pass, serves only
+    # frame_map's frames and the one column of snf's V^-1 that the glue
+    # vector reads
     assert call_sites("solve") == [
         ("isometry", "frame_map"), ("quotient", "orthogonal_complement_data")]
 
 
+def runs_an_elimination(name: str) -> bool:
+    """Whether linalg's function name holds a loop nested in a loop."""
+    tree = ast.parse((PACKAGE_DIRS[0] / "linalg.py").read_text())
+    [fn] = [node for node in tree.body if getattr(node, "name", None) == name]
+    loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
+    return any(isinstance(inner, ast.For) for loop in loops for inner in ast.walk(loop)
+               if inner is not loop)
+
+
+def test_every_integer_system_takes_the_unimodular_row_step():
+    # solve reads row_hnf's pass and back-substitutes, with no elimination
+    # of its own
+    assert ("linalg", "solve") in call_sites("row_hnf")
+    assert not runs_an_elimination("solve")
+
+
 def test_one_symmetric_elimination():
     # psd_classify and integral_ldl read one Bareiss pass, and integral_ldl
-    # runs no elimination (a loop nested in a loop) of its own
+    # runs no elimination of its own
     assert sorted(call_sites("_symmetric_bareiss")) == [
         ("linalg", "integral_ldl"), ("linalg", "psd_classify")]
-    tree = ast.parse((PACKAGE_DIRS[0] / "linalg.py").read_text())
-    [ldl] = [node for node in tree.body if getattr(node, "name", None) == "integral_ldl"]
-    loops = [node for node in ast.walk(ldl) if isinstance(node, ast.For)]
-    assert not any(isinstance(inner, ast.For) for loop in loops for inner in ast.walk(loop)
-                   if inner is not loop)
+    assert not runs_an_elimination("integral_ldl")

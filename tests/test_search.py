@@ -207,6 +207,14 @@ def test_resume_rejects_an_edited_candidate_count(state_13_3):
         classify_form(13, 3, state=SearchState.from_json(state_13_3))
 
 
+@pytest.mark.parametrize("other", [Form(5, 3), Form(7, 4)])
+def test_resume_rejects_a_state_of_another_form(other):
+    # a fresh state has cursor 0, so the resume replay alone cannot tell
+    # its form from the one searched
+    with pytest.raises(ConsistencyError, match="^form: "):
+        classify_form(7, 3, state=SearchState.fresh(other))
+
+
 def test_budget_exhaustion_is_undecided():
     res = run_search(Form(13, 3), Budget(max_roots=5))
     assert res.verdict == "undecided"
