@@ -55,7 +55,10 @@ a key that differs fails as "payload.<key>: does not re-derive".
   (checked rank-deficient) and conclusion.
 - infinite_symmetry: primary roots, batches_done, matrix and each
   frame's root_indices and corner; re-derived frame_from and frame_to
-  (height_bound, also checked per frame), evidence and conclusion.
+  (height_bound, also checked per frame), evidence and conclusion.  The
+  roots and batches_done are a cut of the search, its first batches_done
+  batches and the roots they accept; the search stores the shortest cut
+  that certifies both corners, not the cut its budget reached.
 - inherited_nonreflectivity: primary base (a direct obstruction of the
   same prime and a lower rank, verified in turn); re-derived conclusion.
 
@@ -74,6 +77,17 @@ above the lowest image under the stored isometry of a stored root that
 is not stored, whichever comes first.  The
 symmetry replay's final cursor also gives the height frontier that the
 frame corners' bounds must lie below.
+
+A symmetry certificate verifies on any cut of the search whose frontier
+clears its corners' bounds and whose roots hold its frames, the budget cut
+as well as the shortest one (search.certifying_cut), because the image cap
+never stops the replay short of the cut.  The isometry maps walls of the
+full chamber P to walls of P, every stored root is a wall of P, and the
+replay through the cut stores every wall of P below the cut's frontier;
+so a stored root's image that is not stored lies at or above that
+frontier, and so does the cap, the lowest such image.  For (13,3) the shortest cut is 65 of the
+search's 120 batches, with frontier 1600/13 under the cap 1936/13; the
+budget cut's frontier is 5329/13, under the cap 2025.
 """
 
 from __future__ import annotations
@@ -232,10 +246,14 @@ def _ideal_vertex_payload(quot, roots, components, rc) -> dict:
 def infinite_symmetry_certificate(form: Form, accepted, symmetry, batches_done) -> dict:
     """Certificate from a frame-to-frame symmetry of the partial chamber.
 
-    batches_done pins down the exact search cut that produced the roots,
-    so a verifier can replay it and recover the height frontier; each
-    frame corner carries its separating-wall bound, which must lie below
-    that frontier for the corner to be a certified chamber vertex.
+    accepted and batches_done are a cut of the search: the roots that its
+    first batches_done batches accept.  search.run_search passes the
+    shortest cut that certifies the corners (search.certifying_cut), not
+    the budget cut; the cut is stored as given, so one that certifies
+    nothing fails verification.  A verifier replays the cut to recover
+    the height frontier; each frame corner carries its separating-wall
+    bound, which must lie below that frontier for the corner to be a
+    certified chamber vertex.
     """
     payload = _symmetry_payload(form, accepted, symmetry, batches_done)
     return _document(form, "infinite_symmetry", payload)

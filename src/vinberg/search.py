@@ -14,7 +14,9 @@ readers:
   that accepted a root, and a resumed state before its first batch: the
   finite-volume test, then the cusp scan.  Once the budget is spent it
   hunts for an infinite-order symmetry of the chamber below the height
-  the replay reached.  A decided verdict comes with its certificate.
+  the replay reached.  A decided verdict comes with its certificate; a
+  symmetry certificate stores the shortest prefix of the stream that
+  certifies its corners (certifying_cut).
 - reproduces replays it with no closure test, to check a resumed state and
   the roots of ideal-vertex and symmetry certificates, and hands back the
   replayed state: its counters and the height frontier it reached.  Its
@@ -214,7 +216,9 @@ def reproduces(
     height frontier the replay cleared.
     """
     state = SearchState.fresh(form)
-    for _ in islice(replay(state, Budget(max_height, len(roots) + 1)), batches):
+    stream = replay(state, Budget(max_height, len(roots) + 1))
+    # a count past the replay's reach leaves the loop when the stream ends
+    while state.batches_done != batches and next(stream, None) is not None:
         if state.accepted != roots[: len(state.accepted)]:
             return None
     if state.accepted != roots or batches not in (None, state.batches_done):
@@ -237,7 +241,10 @@ def run_search(
     resumed search, once before any new batch.  Once the budget is spent,
     the search hunts for an infinite-order symmetry between chamber
     corners certified by the height of the batch at its cursor; a hit
-    makes the verdict non_reflective, a miss leaves it undecided.
+    makes the verdict non_reflective, a miss leaves it undecided.  The
+    hit's certificate stores the shortest cut of the search that still
+    certifies its corners (certifying_cut), as its roots and
+    batches_done; the result's state and chamber are the whole search's.
 
     A resumed search (state given) raises ConsistencyError naming form
     unless the state is for form.  It then replays a fresh search through
@@ -293,7 +300,34 @@ def run_search(
     symmetry = isometry.find_infinite_symmetry(chamber, state.open_height())
     if symmetry is None:
         return SearchResult("undecided", state, chamber)
-    cert = _certificates.infinite_symmetry_certificate(
-        form, state.accepted, symmetry, state.batches_done
-    )
+    roots, batches = certifying_cut(state, symmetry)
+    cert = _certificates.infinite_symmetry_certificate(form, roots, symmetry, batches)
     return SearchResult("non_reflective", state, chamber, cert)
+
+
+def certifying_cut(state: SearchState, symmetry: dict) -> tuple[list, int]:
+    """The roots and batch count of the shortest prefix of state's search
+    that certifies symmetry's corners.
+
+    The cut ends after the last batch of height at most need, the largest
+    of both corners' separating-wall bounds and the frame roots' heights,
+    so its open height clears both bounds and its roots hold both frames:
+    the initial roots and the accepted roots of height at most need.
+    ConsistencyError naming batches_done if the cut passes the state's.
+    """
+    form, frames = state.form, (symmetry["frame_from"], symmetry["frame_to"])
+    need = max(
+        *(isometry.corner_height_bound(form, fr["corner"]) for fr in frames),
+        *(form.height(state.accepted[i]) for fr in frames for i in fr["root_indices"]),
+    )
+    batches = 0
+    # k0^2 / m <= need, by cross-multiplying
+    for k0, m in batch_sequence(form):
+        if k0 * k0 * need.denominator > need.numerator * m:
+            break
+        batches += 1
+    if batches > state.batches_done:
+        raise ConsistencyError(
+            f"batches_done: the certifying cut passes the search's {state.batches_done} batches"
+        )
+    return [r for r in state.accepted if form.height(r) <= need], batches

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
+import oracles
 from vinberg import certificates, cones, diagram, isometry, linalg, published, quotient, volume
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
@@ -625,11 +627,21 @@ def test_forged_symmetry_certificate_is_rejected_without_hanging(cert_13_3, repo
     assert late_failures == ["payload.roots: not the search state after this many batches"]
 
 
+@pytest.mark.parametrize("batches", [2**63, 2**64, 10**30])
+def test_symmetry_batch_count_past_any_index_is_rejected(cert_13_3, batches):
+    # islice takes no count past sys.maxsize; the capped replay still ends
+    # short of the count, and the roots are rejected, not raised on
+    cert = copy.deepcopy(cert_13_3)
+    cert["payload"]["batches_done"] = batches
+    assert certificates.verification_failures(cert) == [
+        "payload.roots: not the search state after this many batches"]
+
+
 def test_symmetry_replay_is_capped_below_an_unreached_wall(cert_13_3, monkeypatch):
     # the stored isometry maps chamber walls to chamber walls, so an image
     # of a stored root that is not stored is a wall the search has not yet
-    # reached; the lowest one, at height 2025, caps the replay, above the
-    # frontier 5329/13 of the stored 120 batches
+    # reached; the lowest one, at height 1936/13, caps the replay, above the
+    # frontier 1600/13 of the stored 65 batches
     caps = []
     reproduces = certificates.reproduces
 
@@ -639,7 +651,53 @@ def test_symmetry_replay_is_capped_below_an_unreached_wall(cert_13_3, monkeypatc
 
     monkeypatch.setattr(certificates, "reproduces", spy)
     assert verify_certificate(cert_13_3)
-    assert caps == [2025]
+    assert caps == [Fraction(1936, 13)]
+    assert cert_13_3["payload"]["batches_done"] == 65
+    roots = [tuple(r) for r in cert_13_3["payload"]["roots"]]
+    replayed = reproduces(Form(13, 3), roots, 65, caps[0])
+    assert replayed.open_height() == Fraction(1600, 13) < caps[0]
+
+
+# the symmetry certificates of the corpus and of the primes 29..83 at
+# n = 2, 3, where only (53,2), (61,2), (73,2) and (83,2) stay undecided
+SYMMETRY_FORMS = sorted(
+    {(p, n) for p, (n, kind) in corpus.EXPECTED_FIRST_FAILURE.items()
+     if kind == "infinite_symmetry"}
+    | {(p, n) for p in (29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83) for n in (2, 3)}
+    - {(53, 2), (61, 2), (73, 2), (83, 2)}
+)
+
+
+@pytest.mark.parametrize("p,n", SYMMETRY_FORMS)
+def test_symmetry_certificate_stores_the_shortest_certifying_cut(report, p, n):
+    # the stored cut ends at the last batch no higher than both corners'
+    # bounds and every frame root: its frontier clears the bounds, and the
+    # frontier one batch earlier does not clear them with the frame roots
+    form, rep = Form(p, n), report(p, n)
+    cert = rep["certificate"]
+    assert cert["kind"] == "infinite_symmetry"
+    assert verify_certificate(cert)
+    pl = cert["payload"]
+    roots, batches = pl["roots"], pl["batches_done"]
+    assert roots == rep["roots"][: len(roots)]
+    assert batches <= rep["timings"]["batches"]
+    frames = (pl["frame_from"], pl["frame_to"])
+    bounds = [Fraction(fr["height_bound"]) for fr in frames]
+    need = max(bounds + [form.height(roots[i]) for fr in frames for i in fr["root_indices"]])
+    assert max(bounds) < oracles.open_height(form, batches)
+    assert oracles.open_height(form, batches - 1) <= need
+
+
+def test_the_full_budget_cut_of_13_3_still_verifies(search, cert_13_3):
+    # certificates written before the cut was trimmed store every root and
+    # batch of the search; they verify as they did
+    pl, state = cert_13_3["payload"], search(13, 3).state
+    symmetry = {key: pl[key] for key in ("matrix", "frame_from", "frame_to", "evidence")}
+    full = certificates.infinite_symmetry_certificate(
+        Form(13, 3), state.accepted, symmetry, state.batches_done)
+    assert full["payload"]["batches_done"] == 120 > pl["batches_done"]
+    assert len(full["payload"]["roots"]) > len(pl["roots"])
+    assert verify_certificate(full)
 
 
 def test_tampered_symmetry_matrix(cert_13_3):

@@ -206,6 +206,18 @@ def test_resume_rejects_an_edited_candidate_count(tmp_path, state_13_3):
     assert "Error: --resume: counters.candidates: " in res.stderr
 
 
+@pytest.mark.parametrize("batches", [2**63, 2**64, 10**30])
+def test_resume_rejects_a_cursor_past_any_index(tmp_path, state_13_3, batches):
+    # a count past sys.maxsize is rejected like any other wrong cursor,
+    # not raised from the replay as a traceback
+    state_file = tmp_path / "state.json"
+    state_13_3["batches_done"] = state_13_3["counters"]["batches"] = batches
+    state_file.write_text(json.dumps(state_13_3))
+    res = invoke(["classify", "13", "3", "--resume", str(state_file)])
+    assert res.exit_code == 2
+    assert "Error: --resume: accepted: " in res.stderr
+
+
 @pytest.mark.parametrize(
     "counters", [{}, {"batches": "x"}, {"batches": 999}, {"accepted": 7}]
 )

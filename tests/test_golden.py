@@ -45,12 +45,12 @@ CERTIFICATE_SHA256 = {
     (5, 9): "c5a13baaab723a5f709eabccf22994e1f3df0333ab96aa779695226e0c49fd2a",
     (7, 4): "b5d1b607bda7b202b64dc736be68b20253ff14644d11596ed8c542fb5a0d4479",
     (11, 5): "2931231ba723d9ac4b846cc41f249f46e03b54a219b2b36dd6fbd9f668edb706",
-    (13, 3): "d9c10a3e5f527d506165ec89e9319de09117464abca9f62dc58584b8882c766c",
-    (19, 3): "efc2ddee54178bc5a353295ea18cbab1480d8d07f60e00cbfeb56babe3d999bd",
-    (23, 3): "6f11625a7dfaf75ec4e1e373c03685f8873bab2df4cc027ed8b00b07f48e3178",
+    (13, 3): "e352688f18b4634f1e0a58d511ffc06bbe9473b6a7ebbf35b54a7a8b027a6167",
+    (19, 3): "f8671cd71f4024810548560a02cf7720f6836f8933da9976555dad4219902538",
+    (23, 3): "e380f5206878329689e5b1ce19efbd7f296e4db97e963de67bc7c9ca7b8be817",
     (5, 10): "333d88fa282023802024df48020798af0cd36f40d97a250cb6accd21102f6c81",
-    (17, 4): "fb8176b72e9a1f518f1e169176b582df9a220002dd96a1589488e0dc46329282",
-    (29, 3): "861b55c8c9c9a1398018aa3450c0270357c22eccd4f0ef85aa0233a62a8f2f73",
+    (17, 4): "83e9c219a9392711e27b199147b1c3c132e9e83828b7477250c486e75e1a83fa",
+    (29, 3): "e80c54d481c3858b1bb17979ae81d0b3a4994362abe3b014e424aa1942577d0b",
 }
 
 REPORT_SHA256 = {
@@ -74,12 +74,12 @@ REPORT_SHA256 = {
     (5, 9): "3538e64b247d8889fe094f6f92beaaa8893332c80b6d775b300eb7389fa37104",
     (7, 4): "86ba7449374aca94e85f7fea17fc3a388346fcbd47d4fd10becb7165a1fc5610",
     (11, 5): "331d63c1e97148b89038e897f8732ad91d424fff762038119ce1185bee1b275c",
-    (13, 3): "4d32e28d2d908c2e40cceb31d6b5421bbca7d522be20ac64eb1ce6882870a3cb",
-    (19, 3): "4462c2dc72858736a625a792dbd13bf93b75c272bd30d7066d8da01b9f793743",
-    (23, 3): "8c5a9f1ae9a83ea208cf30a91d8744ea341b351c1f6db2de402398e07a63bc84",
+    (13, 3): "61965d62911133577eef6b4321efb59ce6c5cc173219e3123a4540badd152caf",
+    (19, 3): "bb5038a1ded70cd60c0e810293149e551ba38c1d2a8fa92f13e23262636bd473",
+    (23, 3): "e00a216f7e06711cbf6236188d8d6c3b94aeacf1c38f5698cce7e61a890d3f4b",
     (5, 10): "6f389207ab4e2c65868239014b98964f9cb0da87a3c240204da3143c17b51e0d",
-    (17, 4): "cad3883357016cbf467ec39b39556a6c45e51bec3851d25a1e6eb0e17c725ba7",
-    (29, 3): "c23940cb21eef5a2d6d703910f7928424fbca306c641eceb84892861ea16eb0e",
+    (17, 4): "b2d66507107df2ee4bd1dd503f4a5512103a1f90ee9a5edaa6a588dca229b454",
+    (29, 3): "3d74d839e675bcfcd252f3be923aecd32b60c37e5ec11fd4590428d802ca57be",
 }
 
 # classify_form(p, n) for the primes 29 <= p <= 83 at n = 2, 3, beyond the
@@ -88,33 +88,33 @@ REPORT_SHA256 = {
 # corpus does not; (53, 2), (61, 2), (73, 2) and (83, 2) stop undecided at
 # the default max_height, so their digests cover the resumable state.
 BEYOND_CORPUS_REPORT_SHA256 = {
-    (29, 2): "1c32ea5a24617c7abf8a1613d5a89368d97537e8608bed2ee12dca27e69ffe70",
-    (31, 2): "fb5a99d202fe280b7281540beab388ff30721df8871d8cc38a127a9ab74b565d",
-    (31, 3): "9ab22fdf8ee8da0b861b6fb84f464140c955d0b909cfb187eb3afc0418886681",
-    (37, 2): "ccd8bee885b1548f5bdd8bd0f8347e84fa3755c47867b0e90c5651d23faa0b01",
-    (37, 3): "89a55b00ff35b7708a75197eaefa46788f1924b286a99efaaa95ded081c6309e",
-    (41, 2): "53b3c707b40ce5b737e207c0637a7788b91e448633252eb13547c1fea94d8452",
-    (41, 3): "cbb4634e94380f23fd27d457cb227960a42faa5e5fb182a0531ecb2465c1d83c",
-    (43, 2): "04016418c4fbdab17a6641c4f9f8af2e76dfdf29dc577838b71a4e0578a2a111",
-    (43, 3): "8a008cd2faf4254034274de63447282203405d60a33fafefb2a6eb7e9dacecae",
-    (47, 2): "c8cfad4f221352fd33254f40fb524e3c72c01a422901644bb2986ab98894d6d6",
+    (29, 2): "191c7f1cd0f2961fcd958763bd861dd7be16b5948cc7b0c047c795bf11cc9d41",
+    (31, 2): "6d1053dd084b3532d1a4c48c349c01f3beccd84eb6f7e22004eef183f7173c36",
+    (31, 3): "2269fd2b4e87980e43b250ec7fe70e3e50dbeaea5fc497d739ac1e490a1bb2f7",
+    (37, 2): "d29d6d4e61bb44109f65519a2bc7c22c6dea307d454a726879d6ba35ef2896dd",
+    (37, 3): "16a34cf194fd60d311f9f54442e81553ba0fb161bb7799cd4dfcbac5f09f73e7",
+    (41, 2): "2d40b06e3b57f55dd98ecd3f96721a053403e7b4f895d13d8734058c0a72951a",
+    (41, 3): "0a97e4a26e8ce6827c14fb55059cc02fba8cfafd0ca809554d492670d8e81839",
+    (43, 2): "492fe391caae96cfea88f8498151445ad3fb5084a72ea1144ab54d5e14758f36",
+    (43, 3): "16ab54710a7e73c4838b24553ea72f20dd655da298f2ec6ef51fafd8686ad41b",
+    (47, 2): "e799d99019b51fa3fa155334609363e9b6e6a5df8076abf652a5935b02c1e8bb",
     (47, 3): "ef5781f5929fac9162165e56c09e1581d4fe82885539bc00465d50c642cdff30",
     (53, 2): "bcc3b9ba5e3bd19262cc146b22eda6c4d9399b2455cfd4abee5c4df77f1c0341",
-    (53, 3): "0dcd5c95775b61a6e6df3a61ce24c67ee9d493b05c16e1c7550cf14ff80ecc3d",
-    (59, 2): "2ea040e0179617a45977c9630646d5add9e0f3aac2b963163d5c87d80d1454db",
-    (59, 3): "100d14ff7a4d1e9182f1cd2d122a30568113957fdc289559f7750d93021c51c8",
+    (53, 3): "048286dfa1f20e44bc2818e69289e4872daa7e2f99ae5d5c9d384325cfe5bf37",
+    (59, 2): "b744a8b33e5a416133351cc67c564021fc5fde4d66dfa02b00ea244d9f36aea2",
+    (59, 3): "dc62fc1c5c3089a1840219c6ae6b680fdfb56129aeaa26f45e3ed1d8b123fc23",
     (61, 2): "250796360a9fe6df29180fb010a2b5a571c62986322be15613b6c367c34d23b9",
-    (61, 3): "b3cbf2591cc12b691f22c2dbb2a6848d90b71f4dd52fd3cd151a9fbe198c9253",
-    (67, 2): "df88755d89b3c12a55de86acf724d7e2b265c1557f1a0d70244ae0ccf7f2c0ee",
-    (67, 3): "29eb6853b41bdcfec219aa5c8f89d735fadda7ae741aca54ca1483b81223f99c",
-    (71, 2): "b6b7a9aaaf570a2aeedba912ee751313bd381dac7c16f82d09c660406dfff2e6",
-    (71, 3): "79115ad8231e289a5587d856ac7ed074d955c77ceab6b3b79e85f225b3d318c6",
+    (61, 3): "a8d76be4a73aad2eb47a4ba140be0f34871f2398d6b3251a7615d6f404ed9555",
+    (67, 2): "b15ee290c9bdfb979169899065515550babf86fc1b82771a015efd33013f302e",
+    (67, 3): "6b6881aeb17c0c4c4aac7ab144ccb8272e936e18fba6079c7c6d8e4605c3d366",
+    (71, 2): "2deda0abf724cf00774d8fb5f557084657aa0f74982aca67fe1e1b2ec02898eb",
+    (71, 3): "4aa42cd9c708dccb53f2324821e6c79b32220a8eb2ccaadb9a35c14b00786218",
     (73, 2): "19984cfeb0ffa2defc1a7fd55cbc77b54278d3594730f475dfce3c1019358c89",
-    (73, 3): "1fce3d066531c397ea136d2ef0210b76348564f0c9a53701a3db43e2b9746b1a",
-    (79, 2): "f557ea4406d3baa9fe51411c5cb07234eff21504e68ce59195a8d4cb8fb4ebff",
-    (79, 3): "31b96e600dd010c3500840e7a6b850e3f3855237d3a274c2c144263270647ddd",
+    (73, 3): "6199117d492371227fc8d4789156dc38e2a800d9f79886b0613b29a0856a8338",
+    (79, 2): "c6ef0f5d85a03c352c0eba93d19fdbbf38ab43589a23a4e0f022964554e7fb4b",
+    (79, 3): "1ae2a46f1524d25250670b83f3812ac3806e6e5c1a099a834adf891ed4a3ed57",
     (83, 2): "c0084e105af72996ebb8650da37a6452c4e056743e1c7ddec9a60be91e9cdc3c",
-    (83, 3): "f119f73b200fb6c11ec0bc7e92bed5a7c669a42af2c8b6f440a6e975132eeb65",
+    (83, 3): "0a83f4c48b79ddfabb53618d843f8b334d72cbc05e8f23c97a6aa643c6013890",
 }
 
 # root_table(p, max_rank) with the default budget, keyed by (p, max_rank)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
+from vinberg import isometry
 from vinberg.classify import classify_form
 from vinberg.errors import CertificateError, ConsistencyError
 from vinberg.forms import Form
@@ -17,6 +18,7 @@ from vinberg.search import (
     Budget,
     SearchState,
     batch_sequence,
+    certifying_cut,
     replay,
     run_search,
 )
@@ -122,6 +124,16 @@ def test_resumed_undecided_state_keeps_the_symmetry_frontier(search, report):
     assert resumed_report["certificate"] == fresh["certificate"]
 
 
+def test_a_cut_past_the_search_is_an_internal_error():
+    # a hunt with no height limit on the undecided (13,3) search under
+    # Budget(400, 8) finds a corner whose bound the search has not cleared
+    result = run_search(Form(13, 3), Budget(400, 8))
+    assert result.verdict == "undecided"
+    symmetry = isometry.find_infinite_symmetry(result.chamber, 10**9)
+    with pytest.raises(ConsistencyError, match="^batches_done: "):
+        certifying_cut(result.state, symmetry)
+
+
 def test_replay_reproduces_prefix(search):
     full = search(13, 3)
     k = full.state.batches_done
@@ -205,6 +217,15 @@ def test_resume_rejects_an_edited_candidate_count(state_13_3):
     state_13_3["counters"]["candidates"] += 1000
     with pytest.raises(ConsistencyError, match="^counters.candidates: "):
         classify_form(13, 3, state=SearchState.from_json(state_13_3))
+
+
+@pytest.mark.parametrize("batches", [2**63, 2**64, 10**30])
+def test_resume_rejects_a_cursor_past_any_index(state_13_3, batches):
+    # islice takes no count past sys.maxsize; the resume replay still ends
+    # at the first root past the state's and rejects the cursor
+    state_13_3["batches_done"] = state_13_3["counters"]["batches"] = batches
+    with pytest.raises(ConsistencyError, match="^accepted: "):
+        run_search(Form(13, 3), state=SearchState.from_json(state_13_3))
 
 
 @pytest.mark.parametrize("other", [Form(5, 3), Form(7, 4)])
