@@ -63,9 +63,7 @@ a key that differs fails as "payload.<key>: does not re-derive".
   same prime and a lower rank, verified in turn); re-derived conclusion.
 
 Malformed documents (a missing field, or a primary field of the wrong
-type) raise CertificateError naming the offending field.  The readers
-_require, _count, _form (the top-level form field), _ints and _rows
-read search state files too.
+type) raise CertificateError naming the offending field.
 
 The ideal-vertex and symmetry checks re-derive the stored roots by
 replaying the search's batch stream (search.reproduces reads

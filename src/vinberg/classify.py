@@ -4,7 +4,7 @@ classify_form turns search.run_search's verdict into a report: reflective
 (the chamber closed; the certificate is checkable from its roots alone),
 non_reflective (an obstruction certificate, re-verified from scratch here
 before it is attached), or undecided (budget ran out and no obstruction
-was found; a resumable state is attached).
+was found; a rerun under a larger budget may decide it).
 classify_family walks ranks upward and stops searching after the first
 non-reflective rank, since the obstruction persists in all higher ranks;
 later ranks get inheritance certificates instead.
@@ -16,14 +16,13 @@ failure run no search, so they list no rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from vinberg import certificates, diagram
 from vinberg.errors import ConsistencyError, VinbergError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState, default_counters, run_search
+from vinberg.search import Budget, default_counters, run_search
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 def _budget_json(budget: Budget) -> dict:
@@ -34,26 +33,18 @@ def _budget_json(budget: Budget) -> dict:
     }
 
 
-def classify_form(
-    p: int,
-    n: int,
-    budget: Budget = Budget(),
-    state: Optional[SearchState] = None,
-) -> dict:
+def classify_form(p: int, n: int, budget: Budget = Budget()) -> dict:
     """Classify one form, returning a report dict.
 
     Keys: schema_version, form, verdict, roots, diagram, certificate,
     timings (exact work counters, so reports are byte-identical across
-    runs), budget; plus volume for reflective verdicts and state for
-    undecided ones.
+    runs), budget; plus volume for reflective verdicts.
 
     Every non-reflective certificate is re-checked from scratch before it
     is attached; a verification failure is an internal error and raises
-    ConsistencyError.  A resumed run (state given) re-derives the state's
-    roots by replaying its batch cursor, so a tampered state raises
-    ConsistencyError instead of yielding a verdict.
+    ConsistencyError.
     """
-    result = run_search(Form(p, n), budget, state=state)
+    result = run_search(Form(p, n), budget)
     if result.verdict == "non_reflective":
         _check_certificate(result.certificate)
     roots = result.roots
@@ -69,8 +60,6 @@ def classify_form(
     }
     if result.verdict == "reflective":
         report["volume"] = result.certificate["payload"]["volume"]
-    elif result.verdict == "undecided":
-        report["state"] = result.state.to_json()
     return report
 
 

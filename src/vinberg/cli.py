@@ -7,25 +7,24 @@ keys) unless a text format is selected, so repeated runs with the same
 flags are byte-identical.
 
 Exit codes: 0 when every requested verdict is decided, 3 when any is
-undecided under the budget; verify returns 0 for a valid certificate,
-1 for an invalid one, 2 for a malformed document.  Bad arguments exit 2,
-and so do a malformed --resume state file and a file that cannot be read
-or written; the CLI's own errors go to stderr as "Error: <message>".  A
-file that is not UTF-8 JSON is malformed.
+undecided under the budget, and stderr then says which options to raise;
+verify returns 0 for a valid certificate, 1 for an invalid one, 2 for a
+malformed document.  Bad arguments exit 2, and so does a file that
+cannot be read; the CLI's own errors go to stderr as "Error: <message>".
+A file that is not UTF-8 JSON is malformed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from vinberg import certificates, classify, diagram
 from vinberg.errors import CertificateError, VinbergError
 from vinberg.forms import Form
-from vinberg.search import Budget, SearchState
+from vinberg.search import Budget
 
 EXIT_UNDECIDED = 3
 
@@ -39,9 +38,9 @@ def _dump(obj) -> None:
 
 
 def _load(path):
-    """The JSON document in the file at path, for verify and --resume;
-    CertificateError if it is not UTF-8 JSON or nests too deep to parse,
-    OSError if the file cannot be read."""
+    """The JSON document in the file at path, for verify; CertificateError
+    if it is not UTF-8 JSON or nests too deep to parse, OSError if the
+    file cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -65,31 +64,21 @@ def _budget(max_height: str, max_roots: int) -> Budget:
 
 
 def _exit_code(verdicts) -> int:
-    return EXIT_UNDECIDED if "undecided" in verdicts else 0
+    if "undecided" not in verdicts:
+        return 0
+    print("undecided: rerun with a larger --max-height or --max-roots", file=sys.stderr)
+    return EXIT_UNDECIDED
 
 
-def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path) -> int:
+def classify_cmd(p, n, max_height, max_roots, emit, fmt) -> int:
     """Classify one form and print the result."""
     _form(p, n)
     if fmt != "json" and emit != "diagram":
         raise _UsageError(f"--format {fmt} needs --emit diagram")
-    state = None
-    if resume_path is not None:
-        try:
-            state = SearchState.from_json(_load(resume_path))
-        except FileNotFoundError:
-            # a new state file, written after the search: its directory must exist
-            if not os.path.isdir(os.path.dirname(resume_path) or "."):
-                raise _UsageError(f"--resume: no directory to write {resume_path!r} in")
-        except (OSError, CertificateError) as exc:
-            raise _UsageError(f"--resume: {exc}")
-
     try:
-        report = classify.classify_form(
-            p, n, budget=_budget(max_height, max_roots), state=state
-        )
+        report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
     except VinbergError as exc:
-        raise _UsageError(f"--resume: {exc}" if state is not None else str(exc))
+        raise _UsageError(str(exc))
 
     # a format other than json implies --emit diagram, checked above
     if fmt == "dot":
@@ -98,14 +87,6 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt, resume_path) -> int:
         print(diagram.diagram_tikz(report["diagram"]))
     else:
         _dump(report if emit == "report" else report[emit])
-
-    # written after the report is printed, so that a failed write loses no report
-    if resume_path is not None and report["verdict"] == "undecided":
-        try:
-            with open(resume_path, "w") as fh:
-                json.dump(report["state"], fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            raise _UsageError(f"--resume: {exc}")
     return _exit_code([report["verdict"]])
 
 
@@ -216,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--format", dest="fmt", default="json", choices=["json", "dot", "tikz"],
         help="Output format; dot and tikz need --emit diagram (default: %(default)s).",
-    )
-    sub.add_argument(
-        "--resume", dest="resume_path", metavar="PATH",
-        help="State file: resumed from if present, rewritten while undecided.",
     )
     command("family", family_cmd, "p").add_argument(
         "--max-rank", default=10, type=int, metavar="N",

@@ -18,4 +18,4 @@ class ConsistencyError(VinbergError):
 
 
 class CertificateError(VinbergError):
-    """A certificate or state document is structurally malformed."""
+    """A certificate document is structurally malformed."""

@@ -11,16 +11,15 @@ batch) is non-positive.
 replay is that stream, and the only code that enumerates batches.  Two
 readers:
 - run_search decides the form.  It tests the chamber after each batch
-  that accepted a root, and a resumed state before its first batch: the
-  finite-volume test, then the cusp scan.  Once the budget is spent it
-  hunts for an infinite-order symmetry of the chamber below the height
-  the replay reached.  A decided verdict comes with its certificate; a
-  symmetry certificate stores the shortest prefix of the stream that
-  certifies its corners (certifying_cut).
-- reproduces replays it with no closure test, to check a resumed state and
-  the roots of ideal-vertex and symmetry certificates, and hands back the
-  replayed state: its counters and the height frontier it reached.  Its
-  callers give only a height cap; the roots it checks cap the rest.
+  that accepted a root: the finite-volume test, then the cusp scan.
+  Once the budget is spent it hunts for an infinite-order symmetry of
+  the chamber below the height the replay reached.  A decided verdict
+  comes with its certificate; a symmetry certificate stores the shortest
+  prefix of the stream that certifies its corners (certifying_cut).
+- reproduces replays it with no closure test, to check the roots of
+  ideal-vertex and symmetry certificates, and hands back the replayed
+  state: its counters and the height frontier it reached.  Its callers
+  give only a height cap; the roots it checks cap the rest.
 
 The finite-volume test runs once after each batch that accepted a root,
 not after each root.  That returns the same roots, because no root is
@@ -38,7 +37,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from vinberg import isometry, volume
 from vinberg.enumeration import enumerate_batch, prior_row
-from vinberg.errors import CertificateError, ConsistencyError
+from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
 
 
@@ -75,9 +74,6 @@ class Budget(NamedTuple):
     max_roots: int = 64
 
 
-STATE_SCHEMA_VERSION = 2
-
-
 def default_counters() -> dict:
     """The search's work counters, all zero: the keys of every state's and
     report's counters."""
@@ -85,19 +81,14 @@ def default_counters() -> dict:
 
 
 class SearchState:
-    """Resumable snapshot: accepted roots plus the batch cursor; states
-    with equal fields are equal."""
+    """The search's cursor: accepted roots, the batches done and the work
+    counters, which start at 0."""
 
-    def __init__(self, form: Form, accepted: list, batches_done: int = 0, counters: dict | None = None):
+    def __init__(self, form: Form, accepted: list):
         self.form = form
         self.accepted = accepted
-        self.batches_done = batches_done
-        self.counters = default_counters() if counters is None else counters
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
+        self.batches_done = 0
+        self.counters = default_counters()
 
     @classmethod
     def fresh(cls, form: Form) -> "SearchState":
@@ -115,43 +106,6 @@ class SearchState:
         """
         k0, m = next(islice(batch_sequence(self.form), self.batches_done, None))
         return Fraction(k0 * k0, m)
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": STATE_SCHEMA_VERSION,
-            "form": {"p": self.form.p, "n": self.form.n},
-            "accepted": [list(r) for r in self.accepted],
-            "batches_done": self.batches_done,
-            "counters": dict(self.counters),
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "SearchState":
-        """The state of a to_json document; CertificateError naming the
-        first malformed field, read by the certificate readers.
-
-        counters.candidates is checked by run_search's resume replay.
-        counters.volume_checks is never checked: every resume adds one
-        decide step, so it depends on how often the state was resumed."""
-        from vinberg.certificates import _count, _form, _require, _rows
-
-        if _count(doc, "schema_version") != STATE_SCHEMA_VERSION:
-            raise CertificateError("schema_version: unsupported value")
-        form = _form(doc)
-        accepted = _rows(doc, "accepted", "accepted")
-        if any(len(r) != form.dim for r in accepted):
-            raise CertificateError(f"accepted: not a list of rows of {form.dim} integers")
-        batches = _count(doc, "batches_done")
-        counters = _require(doc, "counters")
-        if not isinstance(counters, dict) or counters.keys() != default_counters().keys():
-            raise CertificateError("counters: not the four work counters")
-        counters = {key: _count(counters, key, f"counters.{key}") for key in counters}
-        # the search counts every batch and accept in both places
-        if counters["batches"] != batches:
-            raise CertificateError("counters.batches: not batches_done")
-        if counters["accepted"] != len(accepted):
-            raise CertificateError("counters.accepted: not the number of accepted roots")
-        return cls(form, [tuple(r) for r in accepted], batches, counters)
 
 
 class SearchResult(NamedTuple):
@@ -226,55 +180,28 @@ def reproduces(
     return state
 
 
-def run_search(
-    form: Form,
-    budget: Budget = Budget(),
-    state: Optional[SearchState] = None,
-) -> SearchResult:
+def run_search(form: Form, budget: Budget = Budget()) -> SearchResult:
     """Run the root search until decided or out of budget.
 
     One step decides the chamber when it can: the finite-volume test
     first, then the certificate scan, which looks for null directions
     whose orthogonal quotient cannot be generated by root classes; a hit
     proves the chamber will never close up and stops the search early.
-    The step runs after every batch that accepted a root and, on a
-    resumed search, once before any new batch.  Once the budget is spent,
-    the search hunts for an infinite-order symmetry between chamber
-    corners certified by the height of the batch at its cursor; a hit
-    makes the verdict non_reflective, a miss leaves it undecided.  The
+    The step runs after every batch that accepted a root.  Once the budget
+    is spent, the search hunts for an infinite-order symmetry between
+    chamber corners certified by the height of the batch at its cursor; a
+    hit makes the verdict non_reflective, a miss leaves it undecided.  The
     hit's certificate stores the shortest cut of the search that still
     certifies its corners (certifying_cut), as its roots and
     batches_done; the result's state and chamber are the whole search's.
 
-    A resumed search (state given) raises ConsistencyError naming form
-    unless the state is for form.  It then replays a fresh search through
-    the state's batches_done batches, no higher than budget.max_height,
-    and raises ConsistencyError naming accepted unless that reaches the
-    cursor with the same roots, or counters.candidates unless it counts
-    the same candidates.  Its roots are then decided as they stand: a
-    closed chamber accepts no further root, and the budget left may
-    accept none, so a final state would otherwise run on undecided.  The
-    step and the hunt read one volume.ChamberDiagram, built on the
-    starting roots and grown after each batch that accepted a root; the
+    The step and the hunt read one volume.ChamberDiagram, built on the
+    initial roots and grown after each batch that accepted a root; the
     result carries it, grown on the final roots.
     """
     from vinberg import certificates as _certificates
 
-    resumed = state is not None
-    if resumed:
-        if state.form != form:
-            raise ConsistencyError(f"form: the state is for {state.form}, not {form}")
-        state.accepted = [tuple(r) for r in state.accepted]
-        cut = f"in {state.batches_done} batches up to height {budget.max_height}"
-        replayed = reproduces(form, state.accepted, state.batches_done, budget.max_height)
-        if replayed is None:
-            raise ConsistencyError(f"accepted: not the roots the search accepts {cut}")
-        if replayed.counters["candidates"] != state.counters["candidates"]:
-            raise ConsistencyError(
-                f"counters.candidates: not the candidates the search enumerates {cut}"
-            )
-    else:
-        state = SearchState.fresh(form)
+    state = SearchState.fresh(form)
     chamber = volume.ChamberDiagram(form, state.accepted)
 
     def decide() -> Optional[SearchResult]:
@@ -288,9 +215,6 @@ def run_search(
             return SearchResult("non_reflective", state, chamber, cert)
         return None
 
-    result = decide() if resumed else None
-    if result:
-        return result
     for fresh in replay(state, budget):
         if fresh:
             chamber.grow(state.accepted)

@@ -8,7 +8,7 @@ import pytest
 
 from vinberg.classify import classify_family, classify_form
 from vinberg.forms import Form
-from vinberg.search import Budget, run_search
+from vinberg.search import run_search
 
 _searches = {}
 _reports = {}
@@ -52,19 +52,3 @@ def family():
         return _families[p]
 
     return get
-
-
-@pytest.fixture()
-def state_13_3():
-    """The (13,3) state document after six roots, undecided."""
-    return run_search(Form(13, 3), Budget(max_roots=6)).state.to_json()
-
-
-@pytest.fixture()
-def forged_13_3_state(state_13_3):
-    """The (13,3) state after six roots, with accepted[5] swapped for a
-    root obtuse to the five before it that the search never accepts."""
-    doc = state_13_3
-    assert doc["accepted"][5] == [2, 7, 2, 1]
-    doc["accepted"][5] = [2, 7, 2, 0]
-    return doc

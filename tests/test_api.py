@@ -179,6 +179,14 @@ def test_condition_a_reads_the_diagram_alone():
     assert vinberg_modules(tree) == {"cones", "diagram"}
 
 
+def test_a_certificate_is_the_one_document_read():
+    # the package opens a file in cli._load alone, and only verify reads
+    # one, so no input from outside but a certificate reaches the search
+    file_calls = ("open", "read_text", "read_bytes", "write_text", "write_bytes")
+    assert [site for name in file_calls for site in call_sites(name)] == [("cli", "_load")]
+    assert call_sites("_load") == [("cli", "verify_cmd")]
+
+
 def test_both_finite_volume_tests_live_in_volume():
     # the search runs finite_volume alone; the reflective verifier runs both,
     # and certificates keeps no finite-volume code of its own

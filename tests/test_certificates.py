@@ -21,7 +21,7 @@ from vinberg import certificates, cones, diagram, isometry, linalg, published, q
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.published import NONREFLECTIVITY_BLOCKS
-from vinberg.search import Budget, SearchState, replay, reproduces, run_search
+from vinberg.search import Budget, SearchState, replay, run_search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -295,21 +295,6 @@ def test_type_broken_payload_fields_are_invalid_or_malformed(request, which):
     assert edits > 20
 
 
-def test_type_broken_state_fields_are_malformed(search):
-    # the state reader names the field; the one edit that reads as rows,
-    # an empty accepted list, disagrees with the accepted counter
-    edits = 0
-    for path, edited in _type_broken_edits(search(13, 3).state.to_json()):
-        edits += 1
-        with pytest.raises(CertificateError) as exc:
-            SearchState.from_json(edited)
-        if path == ("accepted",) and edited["accepted"] == []:
-            assert str(exc.value).startswith("counters.accepted: ")
-        else:
-            _assert_names_the_field(exc.value, path)
-    assert edits > 20
-
-
 def test_nested_inherited_chain_is_invalid_at_the_base_kind(cert_7_4, cert_5_2):
     # a hand-nested chain is refused in one step: its base is not a direct
     # obstruction, whatever lies below
@@ -384,9 +369,9 @@ def _mutations(draw, value):
 
 
 def _may_stay_valid(which, path, value) -> bool:
-    """Edits that leave a document valid: annotations and work counters
-    are commentary, and an inherited verdict holds at every higher rank."""
-    return ("annotations" in path or path[0] == "counters"
+    """Edits that leave a document valid: annotations are commentary, and
+    an inherited verdict holds at every higher rank."""
+    return ("annotations" in path
             or which == "cert_inherited" and path == ("form", "n") and value == 10**30)
 
 
@@ -394,12 +379,12 @@ def _may_stay_valid(which, path, value) -> bool:
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_documents_are_invalid_or_name_a_field(
-        data, cert_5_2, cert_7_4, cert_13_3, cert_inherited, search):
-    # certificates of all four kinds and a state file, one drawn field
-    # mutated: the reader raises CertificateError naming a field of the
-    # document, or the document fails its check; nothing else is raised
+        data, cert_5_2, cert_7_4, cert_13_3, cert_inherited):
+    # certificates of all four kinds, one drawn field mutated: the reader
+    # raises CertificateError naming a field of the document, or the
+    # document fails its check; nothing else is raised
     docs = {"cert_5_2": cert_5_2, "cert_7_4": cert_7_4, "cert_13_3": cert_13_3,
-            "cert_inherited": cert_inherited, "state": search(13, 3).state.to_json()}
+            "cert_inherited": cert_inherited}
     which = data.draw(st.sampled_from(sorted(docs)))
     doc = docs[which]
     path = data.draw(st.sampled_from(list(_every_field(doc))))
@@ -411,12 +396,7 @@ def test_mutated_documents_are_invalid_or_name_a_field(
     assume(json.dumps(value) != json.dumps(parent[path[-1]]))
     parent[path[-1]] = value
     try:
-        if which == "state":
-            state = SearchState.from_json(edited)
-            top = Budget().max_height
-            valid = reproduces(state.form, state.accepted, state.batches_done, top) is not None
-        else:
-            valid = verify_certificate(edited)
+        valid = verify_certificate(edited)
     except CertificateError as exc:
         assert _field_exists(doc, str(exc).split(": ")[0]), (which, path, str(exc))
         return

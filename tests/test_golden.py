@@ -54,67 +54,67 @@ CERTIFICATE_SHA256 = {
 }
 
 REPORT_SHA256 = {
-    (5, 2): "b95818513d70dffe7156532aa1fc65118fda0f1c97373034c030e0d20d64e1d6",
-    (5, 3): "0c32541b72620797b53ca236f7d094e43526801c7faab8fb262cea7f7fc382a9",
-    (5, 4): "7373cb35a2b91a7e47f0e252b70508563bf004f5d9eda6bdf8c3f52e6012ef95",
-    (5, 5): "d86fe79082c33ab0312953eb462e1824d4d74de79d9a77adbda41edd04f22f89",
-    (5, 6): "9367eb15052f843f72b2e5bae1c208524fb141ac8dd8296882aed61ff14a1535",
-    (5, 7): "3aadbfcf032fb96bcf8718d6a49286caf16699af022f439d39cb758680bf2811",
-    (5, 8): "a781736b879ffba665c201ff7506c200f278b0d8458adc57e0894dd7765d0b65",
-    (7, 2): "c0035a864be857cc58a16eb4bb78dd4733169c1a127d237689dc8491806e8bf2",
-    (7, 3): "bf80de0b1bd4b3a7498ebb44a2ec78258d3fa2b05697f215fe81b2804adb30da",
-    (11, 2): "dfc75a640f2288d3dc96c1b4a3bef7fbc0bbaecaaa43249b3241e34d3220c4e0",
-    (11, 3): "75da712618f7a770ded517e2a66ccbc5b693273f755d0f73d6ecf43bf788fe0c",
-    (11, 4): "52254f4cd95a0a59bc246b954bc8978349ba4036287bbbd8db6e5788209e1f23",
-    (13, 2): "a1bc2d294c8432221b5dadef15a0682a0bcdfeca4002b0145ed72ddb035f80cf",
-    (17, 2): "3679d2998de2654fc3ce46b027338318268ed5d787ab11cd06e3d2257b2b0914",
-    (17, 3): "a483c3e8eea737f9d0082263a38490f8678f7526753b9a74680ff45f1df58b7a",
-    (19, 2): "383dc030c3e4ac723736869df2c8cbfd3edd3e8ad5e5eb6e143e306c51f0a355",
-    (23, 2): "d2761151f7dc0706bd49bc99be9e44e5429d34b033e51d71dfebc5cae8eec146",
-    (5, 9): "3538e64b247d8889fe094f6f92beaaa8893332c80b6d775b300eb7389fa37104",
-    (7, 4): "86ba7449374aca94e85f7fea17fc3a388346fcbd47d4fd10becb7165a1fc5610",
-    (11, 5): "331d63c1e97148b89038e897f8732ad91d424fff762038119ce1185bee1b275c",
-    (13, 3): "61965d62911133577eef6b4321efb59ce6c5cc173219e3123a4540badd152caf",
-    (19, 3): "bb5038a1ded70cd60c0e810293149e551ba38c1d2a8fa92f13e23262636bd473",
-    (23, 3): "e00a216f7e06711cbf6236188d8d6c3b94aeacf1c38f5698cce7e61a890d3f4b",
-    (5, 10): "6f389207ab4e2c65868239014b98964f9cb0da87a3c240204da3143c17b51e0d",
-    (17, 4): "b2d66507107df2ee4bd1dd503f4a5512103a1f90ee9a5edaa6a588dca229b454",
-    (29, 3): "3d74d839e675bcfcd252f3be923aecd32b60c37e5ec11fd4590428d802ca57be",
+    (5, 2): "a164ef5d13475243eb181795f24265ce8c71eccf63306e63e95d33e593827a4d",
+    (5, 3): "a3ced248f073e93c60c2e587f2a4edc180a4f02766d4f0f8288b5fe488e2c1fd",
+    (5, 4): "58c329e6641364569ad4ed95a5391dfd31b8070eb0010c9b7df459671623f46f",
+    (5, 5): "32d1944eb4c297f24efd9ad303bbdb06f522e38125f0958226dbfb7f3f73b59a",
+    (5, 6): "6276d78080b12118bf3f4a5331871b2ae32d42d08908897f0c442bb0792fa690",
+    (5, 7): "d5365cc7cba712858327558c4c5cdf6f1a306c84785af250a5af02990416b4ef",
+    (5, 8): "e232b38470b28c8bf59600285669ebe53f3a6016c186641dd3afd2a11544e8af",
+    (7, 2): "9de9d0874013ec5df426631b7a5b0b3f18f6d134ae70b289f374e08ded41e4eb",
+    (7, 3): "ba015be1f5a88368524c8d1158e65f3a8eedb96b8cda56b8769644b7f0ab8217",
+    (11, 2): "827c890621655e27e30882b2ff94cfa7d7c665487fdf34327a9da522ac2a3378",
+    (11, 3): "75ba3ba3e33a73be294192420a73ea484a95c7d3f89ddfcbfb15e572a52ad194",
+    (11, 4): "75e07a15eb9baacd789ae82b04bb8b332c1bf74746ab9d2079bde48036e1cbff",
+    (13, 2): "57a1154f34e7c837d78db56d11cd4701762e5cb262b74d35162773d0842a8e4e",
+    (17, 2): "a82904306a9419cc652b452567f62babb6c1d2f190c702adcba8d7103422f3a5",
+    (17, 3): "a1fa6c2e7ab0ebc9225d89813135eaaa6738e9e7ba0471a6023e28a427c230b6",
+    (19, 2): "f40231eda7da82cc29e1d3c720758b215b6d9605c68a7aff619461dbaa8dec48",
+    (23, 2): "d0c5898be2ff0fd2cb65330cdb15724bc1d703286e363e4c066258db91bf1d52",
+    (5, 9): "ea9174dda4cfc7aa3feb23cd39b12fe35ed6ac242a71d2f45cff719bd5726a14",
+    (7, 4): "441eff033eabcc3344e791b44a76e8a1100aae87cd8a7f6c4c481fb8e47f5e33",
+    (11, 5): "30fba51976103dd5bf1e77c6c0d2f5671ec399a52f3b0bda2aa0ac1a0993a0c1",
+    (13, 3): "6e1da58cc754f7812408dd9bfd175407bb33df7773308ccb562aaa217bf11827",
+    (19, 3): "2f498144b6e2fa4a83b6dc46b052bbe4f308aa02e55139ced6039ddd24117a1c",
+    (23, 3): "9559c58882cf01a7af2934bdad18327dfaf6a60714c05b7583b4690ab2d40158",
+    (5, 10): "4a2914960f716b5fa529e1e343f0e8477d2cb1b6530741943834569ffcaefb9a",
+    (17, 4): "49f4306c1c5c824dabe1462a0e88284bc232430f3266c21c050ace5a9a7baa2b",
+    (29, 3): "0669110288c4219fde921f14db8316f5ec21aa6cfc28d41106270a5c1f9cb8f3",
 }
 
 # classify_form(p, n) for the primes 29 <= p <= 83 at n = 2, 3, beyond the
 # corpus ((29, 3) is in REPORT_SHA256).  Their rank-3 symmetry
 # certificates and skewed quotients reach the lattice layer at sizes the
 # corpus does not; (53, 2), (61, 2), (73, 2) and (83, 2) stop undecided at
-# the default max_height, so their digests cover the resumable state.
+# the default max_height, so their digests cover the undecided report.
 BEYOND_CORPUS_REPORT_SHA256 = {
-    (29, 2): "191c7f1cd0f2961fcd958763bd861dd7be16b5948cc7b0c047c795bf11cc9d41",
-    (31, 2): "6d1053dd084b3532d1a4c48c349c01f3beccd84eb6f7e22004eef183f7173c36",
-    (31, 3): "2269fd2b4e87980e43b250ec7fe70e3e50dbeaea5fc497d739ac1e490a1bb2f7",
-    (37, 2): "d29d6d4e61bb44109f65519a2bc7c22c6dea307d454a726879d6ba35ef2896dd",
-    (37, 3): "16a34cf194fd60d311f9f54442e81553ba0fb161bb7799cd4dfcbac5f09f73e7",
-    (41, 2): "2d40b06e3b57f55dd98ecd3f96721a053403e7b4f895d13d8734058c0a72951a",
-    (41, 3): "0a97e4a26e8ce6827c14fb55059cc02fba8cfafd0ca809554d492670d8e81839",
-    (43, 2): "492fe391caae96cfea88f8498151445ad3fb5084a72ea1144ab54d5e14758f36",
-    (43, 3): "16ab54710a7e73c4838b24553ea72f20dd655da298f2ec6ef51fafd8686ad41b",
-    (47, 2): "e799d99019b51fa3fa155334609363e9b6e6a5df8076abf652a5935b02c1e8bb",
-    (47, 3): "ef5781f5929fac9162165e56c09e1581d4fe82885539bc00465d50c642cdff30",
-    (53, 2): "bcc3b9ba5e3bd19262cc146b22eda6c4d9399b2455cfd4abee5c4df77f1c0341",
-    (53, 3): "048286dfa1f20e44bc2818e69289e4872daa7e2f99ae5d5c9d384325cfe5bf37",
-    (59, 2): "b744a8b33e5a416133351cc67c564021fc5fde4d66dfa02b00ea244d9f36aea2",
-    (59, 3): "dc62fc1c5c3089a1840219c6ae6b680fdfb56129aeaa26f45e3ed1d8b123fc23",
-    (61, 2): "250796360a9fe6df29180fb010a2b5a571c62986322be15613b6c367c34d23b9",
-    (61, 3): "a8d76be4a73aad2eb47a4ba140be0f34871f2398d6b3251a7615d6f404ed9555",
-    (67, 2): "b15ee290c9bdfb979169899065515550babf86fc1b82771a015efd33013f302e",
-    (67, 3): "6b6881aeb17c0c4c4aac7ab144ccb8272e936e18fba6079c7c6d8e4605c3d366",
-    (71, 2): "2deda0abf724cf00774d8fb5f557084657aa0f74982aca67fe1e1b2ec02898eb",
-    (71, 3): "4aa42cd9c708dccb53f2324821e6c79b32220a8eb2ccaadb9a35c14b00786218",
-    (73, 2): "19984cfeb0ffa2defc1a7fd55cbc77b54278d3594730f475dfce3c1019358c89",
-    (73, 3): "6199117d492371227fc8d4789156dc38e2a800d9f79886b0613b29a0856a8338",
-    (79, 2): "c6ef0f5d85a03c352c0eba93d19fdbbf38ab43589a23a4e0f022964554e7fb4b",
-    (79, 3): "1ae2a46f1524d25250670b83f3812ac3806e6e5c1a099a834adf891ed4a3ed57",
-    (83, 2): "c0084e105af72996ebb8650da37a6452c4e056743e1c7ddec9a60be91e9cdc3c",
-    (83, 3): "0a83f4c48b79ddfabb53618d843f8b334d72cbc05e8f23c97a6aa643c6013890",
+    (29, 2): "1ea63025e8d1d9bea0556caed33c5692fdcc5b0b79fd59caa7e68fe7a55064f3",
+    (31, 2): "91c054d384b4e6adf7929995df580b2c09e6eb3eace4f3b5c159e22dfc6fdeca",
+    (31, 3): "7748a66461a453e86ea24cd8b223a66c82652c3941366e13346d4b500cd6b8a0",
+    (37, 2): "ddaae6b8531c3c948742da06184a19c65472bdb6f1d6aaff8fbacb346ed1e177",
+    (37, 3): "cec115d50c90fe8921fd372a96dbac623fe3b7f8fd21e4c20a082dfb6dfde8b3",
+    (41, 2): "3a5ffc8bd69062fe4cf4a195225ace848c008df64c510528f9fc9e624388498f",
+    (41, 3): "35ebfe56cdf928626e12280d963d1cc78a3cc9c32a758ca509e70290f477f1f9",
+    (43, 2): "e976a4d98a2156a1a8c26ea5cb96db24097d4a68a945d01615499906d9203036",
+    (43, 3): "87bf94f280dbcf948c41a556369ce74ba3f2cdc8d403ce57e2ff7a4fd15f9a5c",
+    (47, 2): "226047aec366592c571ac38cdee6a921d6cecd7c658660730bf65cc20da89bc1",
+    (47, 3): "1650f2319e6a19b2e27db470a466aeedc4a344a01ae9ee829a3995aa647e8337",
+    (53, 2): "284b6347368eafbb11d61b104ab73036455abb049c17dbf6c1e5b719fee4fb0c",
+    (53, 3): "89d3b870dfd07279f20270e43c65175defe2482a36d888168ebc01d416b48cc3",
+    (59, 2): "87f505cbc12af5efdfbf40fa54f29cadb1f10c912634b6d3eb45f46024af22b9",
+    (59, 3): "9bb84e6ebf9d8d9f21fc98b3b82610e62e5e331784224d96d461c371d01578b5",
+    (61, 2): "96f842639ebe1949cc3c34683c61cf7313c1ec6315b7e9dc347019001ec6b1f6",
+    (61, 3): "7efa7a33b49bfad858fba037ed4f899daee6942cb773db994a6fa0329a2dc374",
+    (67, 2): "dffdcc59ce8756aead2a43a8aefc7626241afbf82da3ee6fd41424d1031548d0",
+    (67, 3): "3f173ef45727ec720ebac9c62946fa712acb74e4b4f72e3bb1f6e2bc3473356f",
+    (71, 2): "9a40ce6086194cf01872062ec9e49d4f1bfce93515ae534e63a54ec62b537c34",
+    (71, 3): "3fa2be9f91fdff43364ead7715a6b909e70323478495138458b931689f128051",
+    (73, 2): "be56223656d073951f0e168b0de33ebbfc03b34041d5b11aa82c2117e46dba7d",
+    (73, 3): "37c4dcc7875e3077bb406ae1d3160293d938ed741fcdc8bfeedc930214b829cb",
+    (79, 2): "b048f5dc3c909e3d78749d7f3523835204c1320343f065aba0245d7646de4c29",
+    (79, 3): "ed541f7b89be1489f38563758026aa88252edefac1f5107121511fd556179013",
+    (83, 2): "1ca7189c84e44fb59713a3f6de4567f1b65b63d67e8f0a488693b6ba19277268",
+    (83, 3): "279521bcf4aad38510aa8bbec04dcd7368396b0e1248ec4731ada7df109352e9",
 }
 
 # root_table(p, max_rank) with the default budget, keyed by (p, max_rank)
@@ -169,6 +169,6 @@ def test_report_beyond_the_corpus_is_frozen_and_verifies(report, p, n):
     rep = report(p, n)
     assert certificate_digest(rep) == BEYOND_CORPUS_REPORT_SHA256[(p, n)]
     if rep["verdict"] == "undecided":
-        assert rep["certificate"] is None and "state" in rep
+        assert rep["certificate"] is None and "state" not in rep
     else:
         assert verification_failures(rep["certificate"]) == []
