@@ -11,7 +11,9 @@ undecided under the budget, and stderr then says which options to raise;
 verify returns 0 for a valid certificate, 1 for an invalid one, 2 for a
 malformed document.  Bad arguments exit 2, and so does a file that
 cannot be read; the CLI's own errors go to stderr as "Error: <message>".
-A file that is not UTF-8 JSON is malformed.
+A file that is not UTF-8 JSON is malformed.  An internal error, such as
+the ConsistencyError of a failed self-check, is not caught: it
+propagates with its traceback and Python's exit code 1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from vinberg import certificates, classify, diagram
-from vinberg.errors import CertificateError, VinbergError
+from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.search import Budget
 
@@ -75,10 +77,7 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt) -> int:
     _form(p, n)
     if fmt != "json" and emit != "diagram":
         raise _UsageError(f"--format {fmt} needs --emit diagram")
-    try:
-        report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
-    except VinbergError as exc:
-        raise _UsageError(str(exc))
+    report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
 
     # a format other than json implies --emit diagram, checked above
     if fmt == "dot":
@@ -95,12 +94,7 @@ def family_cmd(p, max_height, max_roots, max_rank) -> int:
     _form(p, 2)
     if max_rank < 2:
         raise _UsageError("--max-rank must be at least 2")
-    try:
-        reports = classify.classify_family(
-            p, max_rank, budget=_budget(max_height, max_roots)
-        )
-    except VinbergError as exc:
-        raise _UsageError(str(exc))
+    reports = classify.classify_family(p, max_rank, budget=_budget(max_height, max_roots))
     _dump(reports)
     return _exit_code(r["verdict"] for r in reports)
 

@@ -106,12 +106,13 @@ class Form:
         return (-self.p * v[0],) + tuple(v[1:])
 
     def gram(self, vectors) -> list[list[int]]:
-        """The Gram matrix, each unordered pair computed once."""
+        """The Gram matrix, each unordered pair computed once as the dot
+        product dual(u) . v; dual, once per vector, checks every length."""
         k = len(vectors)
         G = [[0] * k for _ in range(k)]
-        for i, u in enumerate(vectors):
+        for i, u in enumerate(map(self.dual, vectors)):
             for j in range(i, k):
-                G[i][j] = G[j][i] = self.inner_product(u, vectors[j])
+                G[i][j] = G[j][i] = sum(map(mul, u, vectors[j]))
         return G
 
     @property
@@ -145,11 +146,12 @@ class Form:
         """Primitive, positive norm, and reflection in v preserves the lattice."""
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        if self.norm(v) <= 0:
+        m = self.norm(v)
+        if m <= 0:
             return False
         if not self.is_primitive(v):
             return False
-        return self.satisfies_crystallographic_condition(v)
+        return self.satisfies_crystallographic_condition(v, m)
 
     @cached_property
     def admissible_root_norms(self) -> tuple[int, ...]:

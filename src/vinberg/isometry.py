@@ -24,14 +24,15 @@ certified exactly:
 Order is decided exactly by integer matrix powers.  A finite-order
 matrix in GL_d(Z) is semisimple with roots of unity as eigenvalues, so
 its order is at most max_finite_order(d); if no power up to that bound
-is the identity, the order is infinite.
+is the identity, the order is infinite.  A characteristic polynomial
+coefficient c_k with |c_k| > comb(d, k) proves it without the powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, lcm
 
 from vinberg import cones, linalg
 from vinberg.errors import ConsistencyError
@@ -45,16 +46,17 @@ def chamber_corners(chamber) -> list[dict]:
     Corners are the negative-norm extreme rays of the chamber cone, the
     cone on the non-positive side of every root, as primitive
     future-pointing vectors, each with the indices of all roots
-    orthogonal to it: the cone's tight set of the ray.  Sorted by vector.
-    The cone is pointed, so each extreme ray is tight on walls of rank n.
+    orthogonal to it: the set bits of the ray's mask (cones.Cone.masks),
+    ascending.  Sorted by vector, the rays being distinct.  The cone is
+    pointed, so each extreme ray is tight on walls of rank n.
     """
     form = chamber.form
     cone = chamber.chamber_cone()
     if cone.lines:
         return []
     return [
-        {"vector": ray, "orthogonal": sorted(tight)}
-        for ray, tight in sorted(zip(cone.rays, cone.tight))
+        {"vector": ray, "orthogonal": cones.bits(mask)}
+        for ray, mask in sorted(zip(cone.rays, cone.masks))
         if form.norm(ray) < 0 and ray[0] > 0
     ]
 
@@ -104,7 +106,8 @@ def vertex_walls(form: Form, corner) -> list:
     set: short vectors of the definite lattice corner^perp cap L), orients
     each to the chamber side, and keeps the irredundant ones, sorted, which
     cut out the chamber germ at the corner.  Valid whenever the corner
-    lies in the closure of the full chamber.
+    lies in the closure of the full chamber.  A wall is kept iff no other
+    wall's face, a mask over the germ cone's rays, strictly contains its own.
 
     A root of norm p or 2p has p | v_j for every j >= 1; in the
     coordinates c of the basis b of corner^perp cap L that reads
@@ -133,11 +136,10 @@ def vertex_walls(form: Form, corner) -> list:
     cone = cones.Cone(dim)
     cones.cone_generators([form.dual(w) for w in walls], dim, cone)
     # the germ cone is full-dimensional and its rays are its extreme rays,
-    # so a wall is a facet iff no other wall's face holds more of them
-    faces = [
-        frozenset(i for i, t in enumerate(cone.tight) if k in t) for k in range(len(walls))
-    ]
-    return [w for w, face in zip(walls, faces) if not any(face < other for other in faces)]
+    # so a wall is a facet iff no other wall's face, the rays on it as a
+    # mask, holds more of them
+    faces = [sum(1 << j for j, m in enumerate(cone.masks) if m >> k & 1) for k in range(len(walls))]
+    return [w for w, f in zip(walls, faces) if not any(f != g and f & g == f for g in faces)]
 
 
 def frame_map(form: Form, frame_from, frame_to):
@@ -204,21 +206,28 @@ def infinite_order_evidence(T) -> dict | None:
 
     T has finite order iff T^k = I for some k up to max_finite_order of
     its size, so checking those powers decides the order exactly.  The
-    characteristic polynomial rides along for readers.
+    characteristic polynomial is read first: a finite-order T has roots
+    of unity as its d eigenvalues, so its coefficient c_k, a signed sum
+    of comb(d, k) products of k of them, has |c_k| <= comb(d, k).  A
+    coefficient past that bound proves infinite order without the powers;
+    then no power up to the bound is the identity, so the evidence is the
+    same.  The characteristic polynomial rides along for readers.
     """
     T = [list(row) for row in T]
     dim = len(T)
     bound = max_finite_order(dim)
-    identity = linalg.identity(dim)
-    power = T
-    for _ in range(bound):
-        if power == identity:
-            return None
-        power = linalg.mat_mul(power, T)
+    charpoly = linalg.charpoly(T)
+    if all(abs(c) <= comb(dim, k) for k, c in enumerate(charpoly)):
+        identity = linalg.identity(dim)
+        power = T
+        for _ in range(bound):
+            if power == identity:
+                return None
+            power = linalg.mat_mul(power, T)
     return {
         "reason": "no_power_up_to_order_bound_is_identity",
         "order_bound": bound,
-        "charpoly": linalg.charpoly(T),
+        "charpoly": charpoly,
     }
 
 

@@ -61,6 +61,8 @@ re-derived from the roots alone, sharing nothing with the search.
 
 from __future__ import annotations
 
+from operator import mul
+
 from vinberg import cones, diagram as dg
 
 
@@ -91,10 +93,11 @@ class ChamberDiagram(dg.Diagram):
         if len(self) != k or list(roots[:k]) != self.roots:
             self.__init__(self.form)
             k = 0
-        # each new pair's inner product once: the rows' upper triangle, mirrored
+        # each new pair's inner product once, as dual(s) . r (dual checks
+        # each new root's length): the rows' upper triangle, mirrored
         rows = [
-            [self.form.inner_product(r, s) for r in roots[: j + 1]]
-            for j, s in enumerate(roots[k:], k)
+            [sum(map(mul, d, r)) for r in roots[: j + 1]]
+            for j, d in enumerate(map(self.form.dual, roots[k:]), k)
         ]
         for t, row in enumerate(rows):
             row.extend(later[k + t] for later in rows[t + 1:])
@@ -274,10 +277,11 @@ def cone_fixed_set(chamber, nodes) -> list:
     chamber cone C; when C is pointed, that face is the fixed cone of the
     walls and is {0} exactly when the list is empty.  The cone's raw rays
     are its extreme rays, each once and nonzero, so none is filtered out.
+    A ray is kept iff its mask (cones.Cone.masks) contains that of nodes.
     """
     cone = chamber.chamber_cone()
-    nodes = set(nodes)
-    return [r for r, t in zip(cone.rays, cone.tight) if nodes <= t]
+    want = sum(1 << i for i in set(nodes))
+    return [r for r, m in zip(cone.rays, cone.masks) if m & want == want]
 
 
 def finite_volume(chamber) -> dict:

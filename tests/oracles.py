@@ -418,6 +418,28 @@ def has_finite_order(T):
     return radical.is_zero_matrix
 
 
+def infinite_order_evidence_by_powers(T):
+    """isometry.infinite_order_evidence by matrix powers alone: every power
+    of T up to max_finite_order of its size is compared with the identity,
+    with no characteristic-polynomial shortcut.  Returns the same evidence
+    document, built here, or None when some power is the identity."""
+    from vinberg import isometry, linalg
+
+    T = [list(row) for row in T]
+    bound = isometry.max_finite_order(len(T))
+    identity = linalg.identity(len(T))
+    power = T
+    for _ in range(bound):
+        if power == identity:
+            return None
+        power = linalg.mat_mul(power, T)
+    return {
+        "reason": "no_power_up_to_order_bound_is_identity",
+        "order_bound": bound,
+        "charpoly": linalg.charpoly(T),
+    }
+
+
 def scratch_edges(gram):
     """Diagram edges of walls from their whole Gram, pair by pair in
     lexicographic order, each cos^2 a Fraction, raising DiagramError at

@@ -14,7 +14,7 @@ import pytest
 
 import corpus
 import vinberg
-from vinberg import certificates
+from vinberg import certificates, classify
 from vinberg.cli import main
 from vinberg.forms import Form
 from vinberg.search import Budget
@@ -171,6 +171,36 @@ def test_undecided_output_is_byte_deterministic_across_hash_seeds():
         assert json.loads(proc.stdout)["verdict"] == "undecided"
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "13", "3", "--emit", "certificate"],
+    ["classify", "5", "8", "--emit", "report"],
+])
+def test_decided_output_is_byte_deterministic_across_hash_seeds(args):
+    # chamber_corners and the finite-volume report read the cone's masks;
+    # their order must not follow set iteration
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vinberg.cli", *args],
+            env=dict(_package_env(), PYTHONHASHSEED=seed), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("args", [["classify", "5", "2"], ["family", "5"]])
+def test_a_consistency_error_propagates(monkeypatch, args):
+    # an internal error is not a bad argument: no "Error:" line, no exit 2
+    def broken(*_args, **_kwargs):
+        raise vinberg.ConsistencyError("self-check failed")
+
+    monkeypatch.setattr(classify, "run_search", broken)
+    with pytest.raises(vinberg.ConsistencyError, match="self-check failed"):
+        main(args)
 
 
 def test_runtime_imports_leave_sympy_unloaded():

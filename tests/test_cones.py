@@ -197,6 +197,10 @@ def test_live_cone_fed_in_chunks_matches_one_shot_on_every_prefix(case):
         for r, tight in zip(cone.rays, cone.tight):
             assert any(r)
             assert tight == {i for i, a in enumerate(prefix) if _dot(a, r) == 0}
+        # the stored masks themselves: bit i set iff processed[i] . ray == 0
+        assert len(cone.masks) == len(cone.rays)
+        for r, mask in zip(cone.rays, cone.masks):
+            assert mask == sum(1 << i for i, a in enumerate(cone.processed) if _dot(a, r) == 0)
         # one ray per face one step above the lineality space
         faces = _brute_force_faces(prefix, dim)
         assert sorted(cone.tight, key=sorted) == sorted(faces, key=sorted)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vinberg.forms import PRIME_LIMIT, Form, _is_prime
@@ -154,3 +156,27 @@ def test_large_primes_construct_below_the_limit():
     # the limit itself is a strong pseudoprime to all the bases
     with pytest.raises(ValueError, match="below"):
         Form(PRIME_LIMIT, 2)
+
+
+def _vectors(dim):
+    return st.lists(st.tuples(*[st.integers(-50, 50)] * dim), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([(5, 2), (13, 3), (23, 5)]).flatmap(
+    lambda pn: st.tuples(st.just(Form(*pn)), _vectors(pn[1] + 1), st.data())
+))
+def test_gram_is_the_pairwise_inner_product_matrix(case):
+    form, vectors, data = case
+    ip = form.inner_product
+    assert form.gram(vectors) == [[ip(u, v) for v in vectors] for u in vectors]
+    if vectors:
+        # one vector of the wrong length fails as inner_product does
+        at = data.draw(st.integers(0, len(vectors) - 1))
+        bad = list(vectors)
+        bad[at] = (bad[at] + (1,)) if data.draw(st.booleans()) else bad[at][:-1]
+        with pytest.raises(ValueError, match="dimension mismatch") as expected:
+            [[ip(u, v) for v in bad] for u in bad]
+        with pytest.raises(ValueError, match="dimension mismatch") as got:
+            form.gram(bad)
+        assert got.value.args == expected.value.args

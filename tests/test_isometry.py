@@ -400,6 +400,38 @@ def test_infinite_order_evidence_matches_factoring_oracle(T):
         assert evidence["charpoly"] == linalg.charpoly(T)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(T=st.one_of(
+    st.integers(1, 6).flatmap(signed_permutations),
+    st.deferred(lambda: st.sampled_from(_corpus_frame_maps())),
+))
+def test_infinite_order_evidence_matches_the_powers_oracle(T):
+    # the characteristic-polynomial shortcut leaves the evidence as the
+    # power loop alone builds it, byte for byte
+    T = [list(row) for row in T]
+    assert isometry.infinite_order_evidence(T) == oracles.infinite_order_evidence_by_powers(T)
+
+
+def test_a_unipotent_block_at_the_coefficient_bound_takes_the_power_path(monkeypatch):
+    # (x - 1)^4 = x^4 - 4x^3 + 6x^2 - 4x + 1: every |c_k| = comb(4, k), so
+    # no coefficient proves infinite order and the powers must decide
+    J = [[int(j in (i, i + 1)) for j in range(4)] for i in range(4)]
+    assert linalg.charpoly(J) == [1, -4, 6, -4, 1]
+    powers = []
+    mat_mul = linalg.mat_mul
+
+    def counted(A, B):
+        powers.append(1)
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    evidence = isometry.infinite_order_evidence(J)
+    # charpoly's 4 products, then the power loop's 12
+    assert len(powers) == 4 + isometry.max_finite_order(4)
+    assert evidence == oracles.infinite_order_evidence_by_powers(J)
+    assert evidence == {"reason": ORDER_REASON, "order_bound": 12, "charpoly": [1, -4, 6, -4, 1]}
+
+
 def test_find_infinite_symmetry_on_the_16_wall_chamber(search):
     form = Form(23, 3)
     result = search(23, 3)
