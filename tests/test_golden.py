@@ -5,8 +5,10 @@ the forms of the benchmark workloads plus the stretch forms (5,10),
 (17,4) and (29,3): their certificates, their whole classify_form reports
 (volume, diagram and work counters included), and six root tables of
 five families.  The whole reports of the primes 29 to 83 at n = 2, 3
-are frozen too, each certificate verified.  A change meant to
-leave the output alone must keep them.  A change to a document's
+are frozen too, each certificate verified, and one digest covers all of
+those reports with their certificates removed, so a change meant to alter
+certificates alone is checked to leave the rest of every report as it
+was.  A change meant to leave the output alone must keep them.  A change to a document's
 format bumps certificates.SCHEMA_VERSION or classify.REPORT_SCHEMA_VERSION;
 one that makes the search decide sooner, or otherwise alters a
 certificate or a report on purpose, refreezes the digests it alters with
@@ -117,6 +119,13 @@ BEYOND_CORPUS_REPORT_SHA256 = {
     (83, 3): "279521bcf4aad38510aa8bbec04dcd7368396b0e1248ec4731ada7df109352e9",
 }
 
+# one digest over every report above, REPORT_SHA256's and
+# BEYOND_CORPUS_REPORT_SHA256's, in key order, each with its certificate
+# removed: a change meant to alter certificates alone must keep it
+REPORTS_WITHOUT_CERTIFICATE_SHA256 = (
+    "40e1d8bb798defe5489618cc3c9e35599def1ed611662e25c302b6dd3f33db80"
+)
+
 # root_table(p, max_rank) with the default budget, keyed by (p, max_rank)
 ROOT_TABLE_SHA256 = {
     (5, 4): "a129307333b6e0b26cd3ba03d21d11cf96608e460396bc8f9ff5cf8e8e102159",
@@ -133,20 +142,32 @@ def certificate_digest(certificate) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def without_certificates(report) -> list:
+    """[p, n, report with its certificate removed] for every key of
+    REPORT_SHA256 and BEYOND_CORPUS_REPORT_SHA256, sorted; report(p, n)
+    gives the report."""
+    return [
+        [p, n, {key: value for key, value in report(p, n).items() if key != "certificate"}]
+        for p, n in sorted(REPORT_SHA256.keys() | BEYOND_CORPUS_REPORT_SHA256.keys())
+    ]
+
+
 def digests() -> None:
     """Print the tables above from a fresh run."""
-    reports = {key: classify_form(*key) for key in CERTIFICATE_SHA256}
+    reports = {key: classify_form(*key)
+               for key in CERTIFICATE_SHA256.keys() | BEYOND_CORPUS_REPORT_SHA256.keys()}
     for label, table, digest in (
         ("CERTIFICATE_SHA256", CERTIFICATE_SHA256, lambda key: reports[key]["certificate"]),
         ("REPORT_SHA256", REPORT_SHA256, reports.__getitem__),
         ("ROOT_TABLE_SHA256", ROOT_TABLE_SHA256, lambda key: root_table(*key)),
-        ("BEYOND_CORPUS_REPORT_SHA256", BEYOND_CORPUS_REPORT_SHA256,
-         lambda key: classify_form(*key)),
+        ("BEYOND_CORPUS_REPORT_SHA256", BEYOND_CORPUS_REPORT_SHA256, reports.__getitem__),
     ):
         print(f"{label} = {{")
         for p, n in table:
             print(f'    ({p}, {n}): "{certificate_digest(digest((p, n)))}",')
         print("}")
+    digest = certificate_digest(without_certificates(lambda p, n: reports[(p, n)]))
+    print(f'REPORTS_WITHOUT_CERTIFICATE_SHA256 = (\n    "{digest}"\n)')
 
 
 @pytest.mark.parametrize("p,n", sorted(CERTIFICATE_SHA256))
@@ -157,6 +178,11 @@ def test_certificate_digest_is_frozen(report, p, n):
 @pytest.mark.parametrize("p,n", sorted(REPORT_SHA256))
 def test_report_digest_is_frozen(report, p, n):
     assert certificate_digest(report(p, n)) == REPORT_SHA256[(p, n)]
+
+
+def test_reports_without_their_certificates_are_frozen(report):
+    digest = certificate_digest(without_certificates(report))
+    assert digest == REPORTS_WITHOUT_CERTIFICATE_SHA256
 
 
 @pytest.mark.parametrize("p,max_rank", sorted(ROOT_TABLE_SHA256))
