@@ -83,9 +83,11 @@ never stops the replay short of the cut.  The isometry maps walls of the
 full chamber P to walls of P, every stored root is a wall of P, and the
 replay through the cut stores every wall of P below the cut's frontier;
 so a stored root's image that is not stored lies at or above that
-frontier, and so does the cap, the lowest such image.  For (13,3) the shortest cut is 65 of the
-search's 120 batches, with frontier 1600/13 under the cap 1936/13; the
-budget cut's frontier is 5329/13, under the cap 2025.
+frontier, and so does the cap, the lowest such image.  For (13,3) the
+shortest cut is 29 of the search's 120 batches, and its frontier 25 is
+the cap: the isometry maps the initial root (0,0,0,-1) to the wall
+(5,18,1,1) of the first batch past the cut.  The budget cut's frontier is
+5329/13, under the cap 3844.
 """
 
 from __future__ import annotations

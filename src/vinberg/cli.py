@@ -58,10 +58,16 @@ def _form(p: int, n: int) -> Form:
 
 
 def _budget(max_height: str, max_roots: int) -> Budget:
+    """The search budget of the options; a bound that is not positive is a
+    bad argument."""
     try:
         height = Fraction(max_height)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--max-height: not a rational: {max_height!r}")
+    if height <= 0:
+        raise _UsageError(f"--max-height: not positive: {max_height!r}")
+    if max_roots <= 0:
+        raise _UsageError(f"--max-roots: not positive: {max_roots}")
     return Budget(max_height=height, max_roots=max_roots)
 
 

@@ -258,59 +258,84 @@ def _matching_frames(gram, orth, target):
     return out
 
 
-def find_infinite_symmetry(chamber, height_limit) -> dict | None:
-    """Search for an infinite-order isometry between two corner frames.
+def corner_need(bound: Fraction, wall_heights) -> Fraction:
+    """The height a cut of the search must reach to certify a corner: the
+    corner's separating-wall bound, which the cut's frontier must clear,
+    and the heights of its walls, which the cut's roots must hold.
 
-    For every ordered pair of distinct corners one fixed frame at the
-    source meets every Gram-compatible frame at the target; if any
-    isometry moves one corner to another, it moves the fixed frame to one
-    of those, so the sweep is complete.  Maps fixing a corner are never
-    tried: point stabilizers in a discrete group are finite.
+    A frame at a simple corner is an ordering of the corner's walls, so a
+    pair of frames needs the larger of its corners' needs.
+    find_infinite_symmetry orders its pairs by it and search.certifying_cut
+    cuts at it.
+    """
+    return max(bound, *wall_heights)
+
+
+def find_infinite_symmetry(chamber, height_limit) -> dict | None:
+    """Search for an infinite-order isometry between two corner frames,
+    trying the pairs of corners in increasing order of their need.
+
+    For every pair of distinct corners x, y of equal norm, one fixed frame
+    at x, its walls in ascending index order, meets every Gram-compatible
+    frame at y; if any isometry moves x to y, it moves the fixed frame to
+    one of those.  The maps from y to x are their inverses, integral with
+    them (det = +-1) and of the same order, so one direction per pair
+    makes the sweep complete.  Maps fixing a corner are never tried: point
+    stabilizers in a discrete group are finite.  A map with T T = I is
+    rejected before infinite_order_evidence: every finite-order map seen
+    between two corners of these chambers was such an involution, and one
+    product tells it.
 
     The corners are those of a grown volume.ChamberDiagram
     (chamber_corners) whose separating-wall bound lies strictly below
     height_limit, the ones certified to survive into the full chamber.
+    They are sorted once by corner_need, ties in chamber_corners order;
+    then for each corner y in that order, and each corner x before it,
+    x -> y is tried.  A pair's need, the larger of its corners', so never
+    falls along the sweep, and the first hit is a symmetry whose
+    certificate replays the shortest cut of any (search.certifying_cut).
+    Trying y -> x after x -> y, as a sweep over every ordered pair would,
+    could never hit first: the inverse of a hit was tried before it.
     Deterministic throughout.
     """
     form, roots = chamber.form, chamber.roots
-    corners = [
-        c for c in chamber_corners(chamber)
-        if corner_height_bound(form, c["vector"]) < height_limit
-    ]
-    for c in corners:
+    heights = [form.height(r) for r in roots]
+    corners = []
+    for c in chamber_corners(chamber):
+        vector, walls = c["vector"], tuple(c["orthogonal"])
+        bound = corner_height_bound(form, vector)
+        if bound >= height_limit:
+            continue
         # a vertex of the full chamber is simple: exactly n walls
-        if len(c["orthogonal"]) != form.n:
+        if len(walls) != form.n:
             raise ConsistencyError(
-                "certified corner must lie on exactly "
-                f"{form.n} walls, got {len(c['orthogonal'])}"
+                f"certified corner must lie on exactly {form.n} walls, got {len(walls)}"
             )
-    for ci, c_from in enumerate(corners):
-        base = tuple(sorted(c_from["orthogonal"]))
-        target = chamber.subgram(base)
-        frame_from = [roots[i] for i in base] + [c_from["vector"]]
-        for cj, c_to in enumerate(corners):
-            if cj == ci:
+        corners.append({
+            "need": corner_need(bound, (heights[i] for i in walls)),
+            "norm": form.norm(vector),
+            "vector": vector,
+            "walls": walls,
+            "subgram": chamber.subgram(walls),
+            "frame": [roots[i] for i in walls] + [vector],
+        })
+    corners.sort(key=lambda c: c["need"])
+    identity = linalg.identity(form.dim)
+    for j, y in enumerate(corners):
+        for x in corners[:j]:
+            if x["norm"] != y["norm"]:
                 continue
-            if form.norm(c_from["vector"]) != form.norm(c_to["vector"]):
-                continue
-            for perm in _matching_frames(chamber.gram, c_to["orthogonal"], target):
-                frame_to = [roots[i] for i in perm] + [c_to["vector"]]
-                T = frame_map(form, frame_from, frame_to)
-                if T is None:
+            for perm in _matching_frames(chamber.gram, y["walls"], x["subgram"]):
+                T = frame_map(form, x["frame"], [roots[i] for i in perm] + [y["vector"]])
+                if T is None or linalg.mat_mul(T, T) == identity:
                     continue
                 evidence = infinite_order_evidence(T)
                 if evidence is None:
                     continue
                 return {
                     "matrix": T,
-                    "frame_from": {
-                        "root_indices": list(base),
-                        "corner": list(c_from["vector"]),
-                    },
-                    "frame_to": {
-                        "root_indices": list(perm),
-                        "corner": list(c_to["vector"]),
-                    },
+                    "frame_from": {"root_indices": list(x["walls"]), "corner": list(x["vector"])},
+                    "frame_to": {"root_indices": list(perm), "corner": list(y["vector"])},
                     "evidence": evidence,
                 }
     return None

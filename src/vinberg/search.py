@@ -191,8 +191,9 @@ def run_search(form: Form, budget: Budget = Budget()) -> SearchResult:
     is spent, the search hunts for an infinite-order symmetry between
     chamber corners certified by the height of the batch at its cursor; a
     hit makes the verdict non_reflective, a miss leaves it undecided.  The
-    hit's certificate stores the shortest cut of the search that still
-    certifies its corners (certifying_cut), as its roots and
+    hunt tries corner pairs in increasing order of the cut they need, so
+    its hit is a symmetry with the shortest certifying cut of any, and the
+    certificate stores that cut (certifying_cut) as its roots and
     batches_done; the result's state and chamber are the whole search's.
 
     The step and the hunt read one volume.ChamberDiagram, built on the
@@ -233,16 +234,22 @@ def certifying_cut(state: SearchState, symmetry: dict) -> tuple[list, int]:
     """The roots and batch count of the shortest prefix of state's search
     that certifies symmetry's corners.
 
-    The cut ends after the last batch of height at most need, the largest
-    of both corners' separating-wall bounds and the frame roots' heights,
-    so its open height clears both bounds and its roots hold both frames:
-    the initial roots and the accepted roots of height at most need.
-    ConsistencyError naming batches_done if the cut passes the state's.
+    The cut ends after the last batch of height at most need, the larger
+    of both frames' isometry.corner_need (a corner's separating-wall bound
+    and its frame roots' heights), so its open height clears both bounds
+    and its roots hold both frames: the initial roots and the accepted
+    roots of height at most need.  The hunt tries its pairs in increasing
+    order of that need, so its first hit has the shortest cut of any
+    symmetry it could return.  ConsistencyError naming batches_done if the
+    cut passes the state's.
     """
-    form, frames = state.form, (symmetry["frame_from"], symmetry["frame_to"])
+    form = state.form
     need = max(
-        *(isometry.corner_height_bound(form, fr["corner"]) for fr in frames),
-        *(form.height(state.accepted[i]) for fr in frames for i in fr["root_indices"]),
+        isometry.corner_need(
+            isometry.corner_height_bound(form, fr["corner"]),
+            (form.height(state.accepted[i]) for i in fr["root_indices"]),
+        )
+        for fr in (symmetry["frame_from"], symmetry["frame_to"])
     )
     batches = 0
     # k0^2 / m <= need, by cross-multiplying

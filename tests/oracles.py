@@ -28,7 +28,7 @@ in cyclic order for the polygon symbol and rotation tests.
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import isqrt
 
 import sympy
@@ -438,6 +438,70 @@ def infinite_order_evidence_by_powers(T):
         "order_bound": bound,
         "charpoly": linalg.charpoly(T),
     }
+
+
+def batches_at_or_below(form, height):
+    """Count of the batches (k0, m), k0 >= 1 and m an admissible root norm,
+    with k0^2/m <= height, counted per norm with no merge of the streams."""
+    count = 0
+    for m in form.admissible_root_norms:
+        k0 = 1
+        while Fraction(k0 * k0, m) <= height:
+            count += 1
+            k0 += 1
+    return count
+
+
+def symmetry_cuts(chamber, height_limit):
+    """The certifying cut, as a batch count, of every infinite-order
+    symmetry an exhaustive hunt finds on a grown chamber, one entry per
+    map.
+
+    Every ordered pair of distinct corners of equal norm whose bound lies
+    below height_limit is tried, in no particular order.  The source frame
+    is its walls in any one order; each ordering of the target's walls
+    whose Gram, from Form.inner_product, equals the source's is a frame;
+    the map T = B_to B_from^-1 comes from a Fraction inverse and is kept
+    when integral and of infinite order by sympy's factoring
+    (has_finite_order).  A map's cut is the number of batches no higher
+    than its need: both corners' bounds and every frame root's height.
+    """
+    from vinberg import isometry
+
+    form, roots = chamber.form, chamber.roots
+    bounds = {}
+    for c in isometry.chamber_corners(chamber):
+        bound = isometry.corner_height_bound(form, c["vector"])
+        if bound < height_limit:
+            bounds[c["vector"]] = (bound, c["orthogonal"])
+
+    def gram(vectors):
+        return [[form.inner_product(a, b) for b in vectors] for a in vectors]
+
+    cuts = []
+    for (x, (bound_x, walls_x)), (y, (bound_y, walls_y)) in permutations(bounds.items(), 2):
+        if form.norm(x) != form.norm(y):
+            continue
+        source = [roots[i] for i in walls_x] + [x]
+        # column j of B_from^-1 solves B_from z = e_j
+        inverse = [fraction_solve([list(col) for col in zip(*source)],
+                                  [int(i == j) for i in range(form.dim)])
+                   for j in range(form.dim)]
+        for perm in permutations(walls_y):
+            target = [roots[i] for i in perm] + [y]
+            if gram(target) != gram(source):
+                continue
+            # T = B_to B_from^-1, the frames as the columns of B
+            T = [[sum(target[k][i] * inverse[j][k] for k in range(form.dim))
+                  for j in range(form.dim)] for i in range(form.dim)]
+            if any(t.denominator != 1 for row in T for t in row):
+                continue
+            T = [[int(t) for t in row] for row in T]
+            if has_finite_order(T):
+                continue
+            need = max(bound_x, bound_y, *(form.height(r) for r in source[:-1] + target[:-1]))
+            cuts.append(batches_at_or_below(form, need))
+    return cuts
 
 
 def scratch_edges(gram):

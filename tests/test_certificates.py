@@ -620,8 +620,10 @@ def test_symmetry_batch_count_past_any_index_is_rejected(cert_13_3, batches):
 def test_symmetry_replay_is_capped_below_an_unreached_wall(cert_13_3, monkeypatch):
     # the stored isometry maps chamber walls to chamber walls, so an image
     # of a stored root that is not stored is a wall the search has not yet
-    # reached; the lowest one, at height 1936/13, caps the replay, above the
-    # frontier 1600/13 of the stored 65 batches
+    # reached; the lowest one, (5,18,1,1) at height 25, the image of the
+    # initial root (0,0,0,-1), caps the replay.  It lies in the first batch
+    # past the stored 29, so the cap equals the frontier 25 of the replay
+    # and stops it no earlier than the count
     caps = []
     reproduces = certificates.reproduces
 
@@ -631,11 +633,14 @@ def test_symmetry_replay_is_capped_below_an_unreached_wall(cert_13_3, monkeypatc
 
     monkeypatch.setattr(certificates, "reproduces", spy)
     assert verify_certificate(cert_13_3)
-    assert caps == [Fraction(1936, 13)]
-    assert cert_13_3["payload"]["batches_done"] == 65
+    assert caps == [Fraction(25)]
+    assert cert_13_3["payload"]["batches_done"] == 29
     roots = [tuple(r) for r in cert_13_3["payload"]["roots"]]
-    replayed = reproduces(Form(13, 3), roots, 65, caps[0])
-    assert replayed.open_height() == Fraction(1600, 13) < caps[0]
+    assert (5, 18, 1, 1) not in roots
+    assert tuple(linalg.mat_vec(cert_13_3["payload"]["matrix"], roots[2])) == (5, 18, 1, 1)
+    replayed = reproduces(Form(13, 3), roots, 29, caps[0])
+    assert replayed.open_height() == Fraction(25) == caps[0]
+    assert oracles.open_height(Form(13, 3), 28) < caps[0]
 
 
 # the symmetry certificates of the corpus and of the primes 29..83 at
@@ -754,9 +759,13 @@ def _unbounded_hunt(pl):
 
 
 def _extra_wall_through_the_corner(pl):
-    # the root (0,-1,0,1) is orthogonal to the corner (1,0,0,0) but no wall there
-    pl["roots"].append([0, -1, 0, 1])
-    pl["frame_from"]["root_indices"] = [0, len(pl["roots"]) - 1, 2]
+    # the root (1,2,3,1), the wall (1,3,2,1) reflected in the wall
+    # (0,-1,1,0), is orthogonal to the corner (2,5,5,1) but no wall there
+    assert pl["frame_from"]["corner"] == [2, 5, 5, 1]
+    assert [pl["roots"][i] for i in pl["frame_from"]["root_indices"]] == [
+        [0, -1, 1, 0], [1, 3, 2, 1], [5, 13, 13, 0]]
+    pl["roots"].append([1, 2, 3, 1])
+    pl["frame_from"]["root_indices"] = [0, len(pl["roots"]) - 1, 4]
 
 
 def _swap_target_frame_roots(pl):

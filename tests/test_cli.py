@@ -121,6 +121,18 @@ def test_bad_arguments_exit_two():
     assert invoke(["family", "7", "--max-ra", "3"]).exit_code == 2
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--max-roots", "0"), ("--max-roots", "-1"), ("--max-height", "-3"), ("--max-height", "0"),
+])
+@pytest.mark.parametrize("command", [["classify", "5", "2"], ["family", "5"], ["table", "5", "2"]])
+def test_a_nonpositive_budget_is_a_bad_argument(command, option, value):
+    # such a budget stops the search before its first batch
+    res = invoke(command + [option, value])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"Error: {option}: ")
+
+
 @pytest.mark.parametrize("command", ["classify", "family", "table"])
 def test_help_shows_the_budget_defaults(command):
     res = invoke([command, "--help"])

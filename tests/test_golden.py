@@ -5,13 +5,14 @@ the forms of the benchmark workloads plus the stretch forms (5,10),
 (17,4) and (29,3): their certificates, their whole classify_form reports
 (volume, diagram and work counters included), and six root tables of
 five families.  The whole reports of the primes 29 to 83 at n = 2, 3
-are frozen too, each certificate verified, and one digest covers all of
-those reports with their certificates removed, so a change meant to alter
-certificates alone is checked to leave the rest of every report as it
-was.  A change meant to leave the output alone must keep them.  A change to a document's
-format bumps certificates.SCHEMA_VERSION or classify.REPORT_SCHEMA_VERSION;
-one that makes the search decide sooner, or otherwise alters a
-certificate or a report on purpose, refreezes the digests it alters with
+are frozen too, each certificate verified.  One more digest covers every
+frozen report with its certificate removed, so a change meant to alter
+certificates alone is checked to leave the rest of each report as it
+was.  A change meant to leave the output alone must keep them.  A change
+to a document's format bumps certificates.SCHEMA_VERSION or
+classify.REPORT_SCHEMA_VERSION; one that makes the search decide sooner,
+or otherwise alters a certificate or a report on purpose, refreezes the
+digests it alters with
 
     PYTHONPATH=src python -c "from test_golden import digests; digests()"
 
@@ -47,12 +48,12 @@ CERTIFICATE_SHA256 = {
     (5, 9): "c5a13baaab723a5f709eabccf22994e1f3df0333ab96aa779695226e0c49fd2a",
     (7, 4): "b5d1b607bda7b202b64dc736be68b20253ff14644d11596ed8c542fb5a0d4479",
     (11, 5): "2931231ba723d9ac4b846cc41f249f46e03b54a219b2b36dd6fbd9f668edb706",
-    (13, 3): "e352688f18b4634f1e0a58d511ffc06bbe9473b6a7ebbf35b54a7a8b027a6167",
-    (19, 3): "f8671cd71f4024810548560a02cf7720f6836f8933da9976555dad4219902538",
-    (23, 3): "e380f5206878329689e5b1ce19efbd7f296e4db97e963de67bc7c9ca7b8be817",
+    (13, 3): "74327df0199cc176817a9e64e88bf94151c5f7c8844e209ec6331195b884cca9",
+    (19, 3): "650dff2c0b52cc5ab9dbd5523c490dbb2847b5c31e218f34f2aebc72151f2019",
+    (23, 3): "df770a7debfeeb9508f1c1fc486ea2db15697732e1ffd4644f761001a8dd2121",
     (5, 10): "333d88fa282023802024df48020798af0cd36f40d97a250cb6accd21102f6c81",
-    (17, 4): "83e9c219a9392711e27b199147b1c3c132e9e83828b7477250c486e75e1a83fa",
-    (29, 3): "e80c54d481c3858b1bb17979ae81d0b3a4994362abe3b014e424aa1942577d0b",
+    (17, 4): "67e87129cfd72efdae446a22bf9d066397d07ed30a1ec2429c36cb17a01e2239",
+    (29, 3): "cffa019610d86cc745d6fe6c97e113fe800ec622d86bdc9c495eada8eef9142a",
 }
 
 REPORT_SHA256 = {
@@ -76,12 +77,12 @@ REPORT_SHA256 = {
     (5, 9): "ea9174dda4cfc7aa3feb23cd39b12fe35ed6ac242a71d2f45cff719bd5726a14",
     (7, 4): "441eff033eabcc3344e791b44a76e8a1100aae87cd8a7f6c4c481fb8e47f5e33",
     (11, 5): "30fba51976103dd5bf1e77c6c0d2f5671ec399a52f3b0bda2aa0ac1a0993a0c1",
-    (13, 3): "6e1da58cc754f7812408dd9bfd175407bb33df7773308ccb562aaa217bf11827",
-    (19, 3): "2f498144b6e2fa4a83b6dc46b052bbe4f308aa02e55139ced6039ddd24117a1c",
-    (23, 3): "9559c58882cf01a7af2934bdad18327dfaf6a60714c05b7583b4690ab2d40158",
+    (13, 3): "6e18648e45af3477c362067e0d1833cc08f0cb7ad5f8cffe2e94228593f54d76",
+    (19, 3): "c1d6a84233f791eb80d1347bab85e9a76e560e4c9d9463f704004fa019096a10",
+    (23, 3): "695b0c0e84d9efe80f9addab3abffd7ce2ea67a51ecfa028eb3f25d983973c64",
     (5, 10): "4a2914960f716b5fa529e1e343f0e8477d2cb1b6530741943834569ffcaefb9a",
-    (17, 4): "49f4306c1c5c824dabe1462a0e88284bc232430f3266c21c050ace5a9a7baa2b",
-    (29, 3): "0669110288c4219fde921f14db8316f5ec21aa6cfc28d41106270a5c1f9cb8f3",
+    (17, 4): "31aa1c524e221fd7454c37281118eb8dce87bd9a38b052a793c540cad6698037",
+    (29, 3): "9fe8a9f791b7753860bd52047d362cb5e02fb307ed5a6760373bcafcfb3a3d1a",
 }
 
 # classify_form(p, n) for the primes 29 <= p <= 83 at n = 2, 3, beyond the
@@ -92,31 +93,31 @@ REPORT_SHA256 = {
 BEYOND_CORPUS_REPORT_SHA256 = {
     (29, 2): "1ea63025e8d1d9bea0556caed33c5692fdcc5b0b79fd59caa7e68fe7a55064f3",
     (31, 2): "91c054d384b4e6adf7929995df580b2c09e6eb3eace4f3b5c159e22dfc6fdeca",
-    (31, 3): "7748a66461a453e86ea24cd8b223a66c82652c3941366e13346d4b500cd6b8a0",
+    (31, 3): "440a577b58f9ded87ba65185d3308b957a9629be3aaf436025409d7dd7610344",
     (37, 2): "ddaae6b8531c3c948742da06184a19c65472bdb6f1d6aaff8fbacb346ed1e177",
-    (37, 3): "cec115d50c90fe8921fd372a96dbac623fe3b7f8fd21e4c20a082dfb6dfde8b3",
+    (37, 3): "91c08de8c717a7be8a03e0558535fb08ad8897995c43ed4472af86c273b8913c",
     (41, 2): "3a5ffc8bd69062fe4cf4a195225ace848c008df64c510528f9fc9e624388498f",
-    (41, 3): "35ebfe56cdf928626e12280d963d1cc78a3cc9c32a758ca509e70290f477f1f9",
-    (43, 2): "e976a4d98a2156a1a8c26ea5cb96db24097d4a68a945d01615499906d9203036",
-    (43, 3): "87bf94f280dbcf948c41a556369ce74ba3f2cdc8d403ce57e2ff7a4fd15f9a5c",
+    (41, 3): "49747d96ec22e78934d0d68b927a1a5a67b5b015ac351680de66af5b0495edcd",
+    (43, 2): "f704529e1d65a5285f7278e0b42936a177b1e4b76d6c64c99658937110c60f8d",
+    (43, 3): "f2bc6d2b8482b28ffaf3ddc581faa131aa238e110a09cc4239b92e1858f7d7b2",
     (47, 2): "226047aec366592c571ac38cdee6a921d6cecd7c658660730bf65cc20da89bc1",
-    (47, 3): "1650f2319e6a19b2e27db470a466aeedc4a344a01ae9ee829a3995aa647e8337",
+    (47, 3): "21f8368c124b911b76d76449f95cf08a421b24337105637ea0c08a19a1a31c3a",
     (53, 2): "284b6347368eafbb11d61b104ab73036455abb049c17dbf6c1e5b719fee4fb0c",
-    (53, 3): "89d3b870dfd07279f20270e43c65175defe2482a36d888168ebc01d416b48cc3",
-    (59, 2): "87f505cbc12af5efdfbf40fa54f29cadb1f10c912634b6d3eb45f46024af22b9",
+    (53, 3): "bed614c34f85d9e0b48a883f2f6014563bea5866618c51dbbb1c42d50ca0e275",
+    (59, 2): "021da07468e490725b9e6bbdc46c069b6734dbe3ea507581306e056faa48e0fc",
     (59, 3): "9bb84e6ebf9d8d9f21fc98b3b82610e62e5e331784224d96d461c371d01578b5",
     (61, 2): "96f842639ebe1949cc3c34683c61cf7313c1ec6315b7e9dc347019001ec6b1f6",
-    (61, 3): "7efa7a33b49bfad858fba037ed4f899daee6942cb773db994a6fa0329a2dc374",
-    (67, 2): "dffdcc59ce8756aead2a43a8aefc7626241afbf82da3ee6fd41424d1031548d0",
-    (67, 3): "3f173ef45727ec720ebac9c62946fa712acb74e4b4f72e3bb1f6e2bc3473356f",
+    (61, 3): "202af1c13d3dd4ba595227d11c5ff2dd2557b6c1f47ad7a23c5cbc3fe2e239f7",
+    (67, 2): "0c5c8476718d31cd1f526698ddb84faaa24b215e870048595c41c3c2580fcfec",
+    (67, 3): "6e4c49e8050854797d72c1b64a36c3d1fdc1881e3aee5bd5421d4809a56646c1",
     (71, 2): "9a40ce6086194cf01872062ec9e49d4f1bfce93515ae534e63a54ec62b537c34",
-    (71, 3): "3fa2be9f91fdff43364ead7715a6b909e70323478495138458b931689f128051",
+    (71, 3): "2b4cfe32f27b16179c18d2f8e1e23e4629dbf3e8a40df596f3365f1dadcbe85f",
     (73, 2): "be56223656d073951f0e168b0de33ebbfc03b34041d5b11aa82c2117e46dba7d",
     (73, 3): "37c4dcc7875e3077bb406ae1d3160293d938ed741fcdc8bfeedc930214b829cb",
     (79, 2): "b048f5dc3c909e3d78749d7f3523835204c1320343f065aba0245d7646de4c29",
-    (79, 3): "ed541f7b89be1489f38563758026aa88252edefac1f5107121511fd556179013",
+    (79, 3): "df8a61c9a0cacd746a59fd6756eebe47752776ee07801616ad97e34c678a25cc",
     (83, 2): "1ca7189c84e44fb59713a3f6de4567f1b65b63d67e8f0a488693b6ba19277268",
-    (83, 3): "279521bcf4aad38510aa8bbec04dcd7368396b0e1248ec4731ada7df109352e9",
+    (83, 3): "1a6b81507662fecb9d2438e6fb16b36b491f1a58bfe7057f5c5450907221652c",
 }
 
 # one digest over every report above, REPORT_SHA256's and

@@ -462,6 +462,38 @@ def test_find_infinite_symmetry_absent_on_reflective_chamber(search):
     assert isometry.find_infinite_symmetry(chamber, max(bounds) + 1) is None
 
 
+# the corpus symmetry forms and three beyond the corpus
+SHORTEST_CUT_FORMS = sorted(
+    {(p, n) for p, (n, kind) in corpus.EXPECTED_FIRST_FAILURE.items()
+     if kind == "infinite_symmetry"} | {(29, 3), (43, 3), (67, 3)}
+)
+
+
+@pytest.mark.parametrize("p,n", SHORTEST_CUT_FORMS)
+def test_the_stored_cut_is_the_shortest_of_any_symmetry(search, report, p, n):
+    # the hunt tries its pairs in increasing order of need, so the cut of
+    # its first hit is the least over every symmetry of the final chamber
+    result = search(p, n)
+    cuts = oracles.symmetry_cuts(result.chamber, result.state.open_height())
+    assert cuts
+    assert report(p, n)["certificate"]["payload"]["batches_done"] == min(cuts)
+
+
+@pytest.mark.parametrize("p,n,budget", [
+    *((p, 3, vsearch.Budget(400, roots)) for p in (13, 19, 23) for roots in (8, 10)),
+    (53, 2, vsearch.Budget()),
+])
+def test_the_hunt_finds_a_symmetry_exactly_when_the_exhaustive_hunt_does(p, n, budget):
+    # each rank-3 form stays undecided at 8 roots and has a symmetry at 10;
+    # (53, 2) stays undecided
+    result = vsearch.run_search(Form(p, n), budget)
+    limit = result.state.open_height()
+    cuts = oracles.symmetry_cuts(result.chamber, limit)
+    assert (isometry.find_infinite_symmetry(result.chamber, limit) is None) == (not cuts)
+    if cuts:
+        assert result.certificate["payload"]["batches_done"] == min(cuts)
+
+
 def test_polygon_rotation_shifts(search):
     # hexagon with a half-turn symmetry: shift 3 rotates, shift 1 cannot
     form = Form(19, 2)
