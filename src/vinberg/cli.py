@@ -57,17 +57,18 @@ def _form(p: int, n: int) -> Form:
         raise _UsageError(str(exc))
 
 
-def _budget(max_height: str, max_roots: int) -> Budget:
-    """The search budget of the options; a bound that is not positive is a
-    bad argument."""
+def _budget(max_height: str, max_roots: int, rank: int) -> Budget:
+    """The search budget of the options.  A bound that lets no batch run is
+    a bad argument: a height that is not positive, or a root count of at
+    most rank, the n initial roots of the least rank searched."""
     try:
         height = Fraction(max_height)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--max-height: not a rational: {max_height!r}")
     if height <= 0:
         raise _UsageError(f"--max-height: not positive: {max_height!r}")
-    if max_roots <= 0:
-        raise _UsageError(f"--max-roots: not positive: {max_roots}")
+    if max_roots <= rank:
+        raise _UsageError(f"--max-roots: {max_roots} is not more than the {rank} initial roots")
     return Budget(max_height=height, max_roots=max_roots)
 
 
@@ -83,7 +84,7 @@ def classify_cmd(p, n, max_height, max_roots, emit, fmt) -> int:
     _form(p, n)
     if fmt != "json" and emit != "diagram":
         raise _UsageError(f"--format {fmt} needs --emit diagram")
-    report = classify.classify_form(p, n, budget=_budget(max_height, max_roots))
+    report = classify.classify_form(p, n, budget=_budget(max_height, max_roots, n))
 
     # a format other than json implies --emit diagram, checked above
     if fmt == "dot":
@@ -100,7 +101,7 @@ def family_cmd(p, max_height, max_roots, max_rank) -> int:
     _form(p, 2)
     if max_rank < 2:
         raise _UsageError("--max-rank must be at least 2")
-    reports = classify.classify_family(p, max_rank, budget=_budget(max_height, max_roots))
+    reports = classify.classify_family(p, max_rank, budget=_budget(max_height, max_roots, 2))
     _dump(reports)
     return _exit_code(r["verdict"] for r in reports)
 
@@ -133,7 +134,7 @@ def table_cmd(p, n, max_height, max_roots, fmt) -> int:
     """Print the found-root table and the family's verdicts for ranks 2..N
     of family p; ranks past the first failure list no rows."""
     _form(p, n)
-    table = classify.root_table(p, n, budget=_budget(max_height, max_roots))
+    table = classify.root_table(p, n, budget=_budget(max_height, max_roots, 2))
     if fmt == "text":
         print(_table_text(table))
     else:

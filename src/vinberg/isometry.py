@@ -142,19 +142,20 @@ def vertex_walls(form: Form, corner) -> list:
     return [w for w, f in zip(walls, faces) if not any(f != g and f & g == f for g in faces)]
 
 
-def frame_map(form: Form, frame_from, frame_to):
+def frame_map(form: Form, frame_from, frame_to, hnf=None):
     """Integer matrix taking one ordered frame to another, or None.
 
     A frame is a list of n roots and a corner forming a basis.  Matching
     Gram matrices force any rational solution to preserve the form; only
     integral maps are returned, acting on column vectors.  T B_from = B_to
     for the matrices whose columns are the frames, so T is the transpose
-    of the one integral solution X of B_from^T X = B_to^T (linalg.solve;
-    the rows of B_from^T are frame_from).  Returns None when frame_from is
-    linearly dependent, so no map exists, or when the map taking it to
-    frame_to is not integral.
+    of the one integral solution X of B_from^T X = B_to^T (linalg.solve_hnf
+    on hnf, linalg.row_hnf(frame_from), which a caller mapping one frame
+    to many passes in; the rows of B_from^T are frame_from).  Returns None
+    when frame_from is linearly dependent, so no map exists, or when the
+    map taking it to frame_to is not integral.
     """
-    X = linalg.solve(frame_from, frame_to)
+    X = linalg.solve_hnf(hnf or linalg.row_hnf(frame_from), frame_to)
     if X is None:
         return None
     T = linalg.transpose(X)
@@ -291,7 +292,10 @@ def find_infinite_symmetry(chamber, height_limit) -> dict | None:
     height_limit, the ones certified to survive into the full chamber.
     They are sorted once by corner_need, ties in chamber_corners order;
     then for each corner y in that order, and each corner x before it,
-    x -> y is tried.  A pair's need, the larger of its corners', so never
+    x -> y is tried.  A source frame is factored (linalg.row_hnf) at its
+    first target and reused for the rest: most certified corners are never
+    a source, so factoring each as the list is built would cost more than
+    it saves.  A pair's need, the larger of its corners', so never
     falls along the sweep, and the first hit is a symmetry whose
     certificate replays the shortest cut of any (search.certifying_cut).
     Trying y -> x after x -> y, as a sweep over every ordered pair would,
@@ -326,7 +330,9 @@ def find_infinite_symmetry(chamber, height_limit) -> dict | None:
             if x["norm"] != y["norm"]:
                 continue
             for perm in _matching_frames(chamber.gram, y["walls"], x["subgram"]):
-                T = frame_map(form, x["frame"], [roots[i] for i in perm] + [y["vector"]])
+                if "hnf" not in x:
+                    x["hnf"] = linalg.row_hnf(x["frame"])
+                T = frame_map(form, x["frame"], [roots[i] for i in perm] + [y["vector"]], x["hnf"])
                 if T is None or linalg.mat_mul(T, T) == identity:
                     continue
                 evidence = infinite_order_evidence(T)

@@ -9,9 +9,11 @@ deterministic, so identical inputs give byte-identical downstream reports.
 Every integer system, kernel, basis and normal form takes one unimodular
 row step, _combine_rows: rows i and j become s i + t j and a j - b i from
 exgcd of their entries in one column, applied to the matrix and its
-transform alike.  solve (for isometry.frame_map's frames and one column of
-snf's V^-1), hnf_basis and integer_kernel read row_hnf's pass; snf takes
-its column steps as the same row steps on the transposes.  row_hnf can
+transform alike.  solve (for one column of snf's V^-1), hnf_basis and
+integer_kernel read row_hnf's pass, and solve_hnf back-substitutes on a
+pass already made, so isometry.frame_map factors a frame once for all
+the frames it is mapped to; snf takes its column steps as the same row
+steps on the transposes.  row_hnf can
 also carry W = U^-T, taking each step's inverse transpose as it goes
 (Cohen, 2.4), so null_quotient inverts no transform it builds.  Gram
 classes keep Bareiss's symmetric fraction-free elimination (psd_classify),
@@ -138,8 +140,14 @@ def solve(A, B) -> list[list[int]] | None:
     last row up, each row's share taken out of the rows above it, and is
     integral exactly when every division by a pivot is exact.
     """
-    H, U = row_hnf(A)
-    n = len(A[0]) if A else 0
+    return solve_hnf(row_hnf(A), B)
+
+
+def solve_hnf(hnf, B) -> list[list[int]] | None:
+    """solve's X for A X = B, given hnf = row_hnf(A): its back-substitution
+    alone, so that one factored A serves many B."""
+    H, U = hnf
+    n = len(H[0]) if H else 0
     if len(H) < n or not all(H[i][i] for i in range(n)):
         return None
     Y = mat_mul(U, B)

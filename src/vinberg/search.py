@@ -26,7 +26,10 @@ not after each root.  That returns the same roots, because no root is
 ever accepted after the chamber closes: an accepted r has <r, r_i> <= 0
 for every wall r_i, so r lies in the closed chamber cone; a closed
 chamber's cone lies in the closed light cone, so norm(r) <= 0; but a root
-has positive norm.
+has positive norm.  On an open chamber the test costs one failed
+condition, not a report: volume.finite_volume keeps on the search's
+chamber the critical sets it has proved, which stay proved as roots are
+added, and stops at the first it cannot prove.
 """
 
 from __future__ import annotations

@@ -18,8 +18,12 @@ of C's lineality space, so C is pointed, and a face of a pointed cone is
 spanned by the extreme rays it holds: (b) fails for S exactly when some
 ray of C is tight on every wall of S.
 
-The search runs finite_volume alone; the verifier adds the cone test,
-chamber_cone_closes.  tests/oracles.py keeps an edge-counting decider.
+The search runs finite_volume alone, after every batch that accepts a
+root, and reads only its verdict until the chamber closes; so the test
+proves each critical set once, stops at the first set it cannot prove,
+and lists the sets only once every one is proved.  The verifier adds the
+cone test, chamber_cone_closes.  tests/oracles.py keeps an edge-counting
+decider.
 
 The diagram work lives in a ChamberDiagram.  Whether a wall subset is
 elliptic, critical or affine depends only on the Gram of its roots, so
@@ -40,8 +44,9 @@ untested, and 2-wall ones, and 3-wall ones, all of whose pairs that
 rule leaves at finite angles, are kept untested.  The object also keeps
 the PSD class of every wall subset classified, keyed by node set
 (Diagram.classes); C as one live cones.Cone, given only the walls it
-lacks when (b) or a corner is read; the hyperbolic S proved to meet
-(b), since a face proved {0} stays {0} while the roots grow; and, for
+lacks when (b) or a corner is read; open, the critical sets not yet
+proved to meet their condition, in the order the walk met them, since
+a set that meets it on a prefix meets it on every longer one; and, for
 the cusp scan, the null vector of each cusp's first member and, for
 each null vector, None when the walls through it span its quotient, or
 else its quotient lattice and that quotient's root classes, which the
@@ -75,7 +80,8 @@ class ChamberDiagram(dg.Diagram):
         self.roots: list = []
         self.critical: dict = {}  # node set -> "parabolic" | "hyperbolic"
         self.affine: dict = {}  # connected affine node set -> catalog type
-        self.trivial_cones: set = set()  # hyperbolic S whose fixed cone is {0}
+        # critical sets not yet shown to meet their condition, in walk order
+        self.open: list = []
         self.cone = cones.Cone(form.dim)  # the chamber cone, on a prefix of roots
         self.null_marks: dict = {}  # a cusp's first member -> (marks, null vector)
         # null vector -> None when the walls through it span its quotient,
@@ -104,6 +110,7 @@ class ChamberDiagram(dg.Diagram):
         self.extend(rows)
         critical, affine = critical_submatrices(self, range(k, len(roots)))
         self.critical.update(critical)
+        self.open.extend(critical)
         self.affine.update(affine)
         self.roots.extend(roots[k:])
 
@@ -286,7 +293,30 @@ def cone_fixed_set(chamber, nodes) -> list:
 
 def finite_volume(chamber) -> dict:
     """Critical-subdiagram verdict on a grown ChamberDiagram's roots, as a
-    serializable report."""
+    serializable report.
+
+    The walls' rank is checked first.  If it is short of form.dim the
+    report is {"finite": False, "rank": rk, "rank_deficient": True}.
+    Otherwise the test works from the head of chamber.open, the critical
+    sets not yet shown to meet their condition: a parabolic set passes
+    when it lies in a cusp whose components reach rank n - 1 together, a
+    hyperbolic one when its face of the chamber cone is {0}
+    (cone_fixed_set).  The cusps are grouped at most once per call, and
+    only once a parabolic set is reached.  A set that passes leaves open;
+    the first that fails stays at its head, and the report is
+    {"finite": False, "rank": rk}, with no condition lists, so that it
+    does not depend on the order the walk met the sets in.  Once open is
+    empty, every condition holds, and the report lists every critical
+    set, sorted, with each condition_a entry extending and each
+    condition_b entry's cone trivial.
+
+    A set may leave open for good because both conditions only go from
+    failing to passing as roots are added.  A cusp only gains components,
+    since an affine set found stays affine and keeps its null vector, and
+    the components' rank sum never exceeds n - 1, so a cusp that reaches
+    it keeps it.  The rank is full before any set is tested, and a face
+    shown to be {0} on some walls stays {0} once more walls cut the cone.
+    """
     form = chamber.form
     # the walls' span: the initial roots span the definite hyperplane
     # x0 = 0 and a later root leaves it, so the form is nondegenerate on
@@ -294,31 +324,39 @@ def finite_volume(chamber) -> dict:
     rk = form.dim - len(chamber.chamber_cone().lines)
     if rk != form.dim:
         return {"finite": False, "rank": rk, "rank_deficient": True}
+    full = None  # the affine sets at the cusps of rank n - 1, once needed
+    passed = 0
+    for s in chamber.open:
+        if chamber.critical[s] == "hyperbolic":
+            good = not cone_fixed_set(chamber, s)
+        else:
+            if full is None:
+                full = {
+                    t for cusp in chamber.cusps()
+                    if sum(len(c) - 1 for c in cusp) == form.n - 1 for t in cusp
+                }
+            good = s in full
+        if not good:
+            break
+        passed += 1
+    del chamber.open[:passed]
+    if chamber.open:
+        return {"finite": False, "rank": rk}
     # lists, not tuples: the report is embedded in JSON certificates and
     # must compare equal after a serialization round trip
-    criticals = [{"nodes": sorted(s), "class": c} for s, c in chamber.critical.items()]
-    criticals.sort(key=lambda d: d["nodes"])
-    # the affine sets at the cusps whose components reach rank n - 1 together
-    full = {s for cusp in chamber.cusps() if sum(len(c) - 1 for c in cusp) == form.n - 1 for s in cusp}
-    cond_a = []
-    cond_b = []
-    ok = True
-    for item in criticals:
-        nodes = item["nodes"]
-        if item["class"] == "parabolic":
-            # does the parabolic subdiagram extend to an affine one of rank n - 1?
-            good = frozenset(nodes) in full
-            cond_a.append({"nodes": nodes, "extends": good})
-        else:
-            # a fixed cone proved {0} on fewer roots stays {0}
-            key = frozenset(nodes)
-            good = key in chamber.trivial_cones or not cone_fixed_set(chamber, nodes)
-            if good:
-                chamber.trivial_cones.add(key)
-            cond_b.append({"nodes": nodes, "trivial_cone": good})
-        ok = ok and good
-    return {"finite": ok, "rank": rk, "critical": criticals,
-            "condition_a": cond_a, "condition_b": cond_b}
+    criticals = sorted(
+        ({"nodes": sorted(s), "class": c} for s, c in chamber.critical.items()),
+        key=lambda d: d["nodes"],
+    )
+    return {
+        "finite": True, "rank": rk, "critical": criticals,
+        "condition_a": [
+            {"nodes": d["nodes"], "extends": True} for d in criticals if d["class"] == "parabolic"
+        ],
+        "condition_b": [
+            {"nodes": d["nodes"], "trivial_cone": True} for d in criticals if d["class"] == "hyperbolic"
+        ],
+    }
 
 
 def chamber_cone_closes(chamber) -> bool:

@@ -22,6 +22,11 @@ normal form with its transform as linalg computed it before row_hnf
 carried the inverse transform, kept so that H and U provably do not
 change.
 
+critical_report is not an oracle either: it is volume.finite_volume's
+report as the package built it before the test stopped at the first set
+it could not prove, every critical set of the chamber tested, kept so
+that the early exit can be checked against the full evaluation.
+
 polygon_cycle is not an oracle: it walks a closed planar chamber's sides
 in cyclic order for the polygon symbol and rotation tests.
 """
@@ -622,6 +627,33 @@ def affine_sets_of_rank(d, rank, comps):
 
     backtrack(0, [], 0)
     return out
+
+
+def critical_report(chamber):
+    """volume.finite_volume's verdict on a grown ChamberDiagram, every
+    critical set tested: the rank, then, in sorted order, each parabolic
+    set against the cusps of rank n - 1 and each hyperbolic set's face of
+    the chamber cone."""
+    from vinberg import volume
+
+    form = chamber.form
+    rk = form.dim - len(chamber.chamber_cone().lines)
+    if rk != form.dim:
+        return {"finite": False, "rank": rk, "rank_deficient": True}
+    criticals = [{"nodes": sorted(s), "class": c} for s, c in chamber.critical.items()]
+    criticals.sort(key=lambda d: d["nodes"])
+    full = {s for cusp in chamber.cusps() if sum(len(c) - 1 for c in cusp) == form.n - 1 for s in cusp}
+    cond_a = []
+    cond_b = []
+    for item in criticals:
+        nodes = item["nodes"]
+        if item["class"] == "parabolic":
+            cond_a.append({"nodes": nodes, "extends": frozenset(nodes) in full})
+        else:
+            cond_b.append({"nodes": nodes, "trivial_cone": not volume.cone_fixed_set(chamber, nodes)})
+    ok = all(c["extends"] for c in cond_a) and all(c["trivial_cone"] for c in cond_b)
+    return {"finite": ok, "rank": rk, "critical": criticals,
+            "condition_a": cond_a, "condition_b": cond_b}
 
 
 def edge_decider(form, roots):

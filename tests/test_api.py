@@ -255,11 +255,12 @@ def test_one_unimodular_row_step():
 
 def test_no_unimodular_transform_is_inverted_by_elimination():
     # row_hnf carries W = U^-T for null_quotient's bases and class
-    # coordinates, so linalg.solve, itself a row_hnf pass, serves only
-    # frame_map's frames and the one column of snf's V^-1 that the glue
-    # vector reads
-    assert call_sites("solve") == [
-        ("isometry", "frame_map"), ("quotient", "orthogonal_complement_data")]
+    # coordinates, so linalg.solve, itself a row_hnf pass, serves only the
+    # one column of snf's V^-1 that the glue vector reads; frame_map
+    # back-substitutes on its source frame's pass, which the hunt makes
+    # once per source corner
+    assert call_sites("solve") == [("quotient", "orthogonal_complement_data")]
+    assert call_sites("solve_hnf") == [("isometry", "frame_map"), ("linalg", "solve")]
 
 
 def runs_an_elimination(name: str) -> bool:

@@ -133,6 +133,27 @@ def test_a_nonpositive_budget_is_a_bad_argument(command, option, value):
     assert res.stderr.startswith(f"Error: {option}: ")
 
 
+@pytest.mark.parametrize("command,max_roots", [
+    (["classify", "5", "3"], "2"), (["classify", "5", "3"], "3"), (["classify", "7", "4"], "4"),
+    (["family", "5"], "1"), (["family", "5"], "2"), (["table", "5", "3"], "2"),
+])
+def test_a_root_budget_within_the_initial_roots_is_a_bad_argument(command, max_roots):
+    # the search starts from the n initial roots, so such a budget stops
+    # it before its first batch; family and table search from rank 2
+    res = invoke(command + ["--max-roots", max_roots])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("Error: --max-roots: ")
+
+
+def test_one_root_past_the_initial_roots_runs_a_batch():
+    # the least root budget that is not a bad argument: the search runs
+    # its first batches and, out of roots, is undecided
+    res = invoke(["classify", "5", "3", "--max-roots", "4"])
+    assert res.exit_code == 3
+    assert json.loads(res.stdout)["timings"]["batches"] > 0
+
+
 @pytest.mark.parametrize("command", ["classify", "family", "table"])
 def test_help_shows_the_budget_defaults(command):
     res = invoke([command, "--help"])

@@ -11,6 +11,7 @@ import oracles
 from vinberg import certificates, diagram, linalg, volume
 from vinberg.errors import DiagramError
 from vinberg.forms import Form
+from vinberg.search import run_search
 
 
 def fresh_report(form, roots):
@@ -209,6 +210,38 @@ def test_walk_classifies_a_pinned_number_of_sets_on_the_reflective_chambers(sear
     assert total == 456
 
 
+def test_the_symmetry_searches_make_a_pinned_number_of_condition_tests(monkeypatch):
+    # an exact count of finite_volume's condition tests over the three
+    # symmetry searches, face tests (cone_fixed_set) and cusp membership
+    # tests alike: each set is proved once and a call stops at the first
+    # set it cannot prove.  Testing every set on every call, as the full
+    # evaluation does, would raise the face tests from 124 to 261 and the
+    # membership tests from 19 to 68.  A call tests the sets it drops from
+    # open and, when it stops short on a full-rank chamber, one more.
+    faces = []
+    tests = []
+    cone_fixed_set = volume.cone_fixed_set
+    finite_volume = volume.finite_volume
+
+    def counted_face(chamber, nodes):
+        faces.append(nodes)
+        return cone_fixed_set(chamber, nodes)
+
+    def counted(chamber):
+        before = len(chamber.open)
+        report = finite_volume(chamber)
+        tests.append(before - len(chamber.open) + bool(chamber.open and "rank_deficient" not in report))
+        return report
+
+    monkeypatch.setattr(volume, "cone_fixed_set", counted_face)
+    monkeypatch.setattr(volume, "finite_volume", counted)
+    for p, n in [(13, 3), (19, 3), (23, 3)]:
+        assert run_search(Form(p, n)).verdict == "non_reflective"
+    assert len(tests) == 33
+    assert len(faces) == 124
+    assert sum(tests) - len(faces) == 19
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cusps_group_by_null_vector_and_decide_condition_a(search, data):
@@ -226,14 +259,49 @@ def test_cusps_group_by_null_vector_and_decide_condition_a(search, data):
     cusps = chamber.cusps()
     assert len(cusps) == len(by_null)
     assert {tuple(c) for c in cusps} == {tuple(g) for g in by_null.values()}
-    report = volume.finite_volume(chamber)
-    if "condition_a" in report:
+    # the full evaluation, so that open prefixes are checked too: the
+    # package's report lists the conditions only once the chamber closes
+    report = oracles.critical_report(chamber)
+    if "condition_a" in report:  # the prefix of the n initial roots has rank n
         d = diagram.build_diagram(form, prefix)
         full = oracles.affine_sets_of_rank(d, n - 1, oracles.affine_components(d, d.psd_class))
         assert report["condition_a"] == [
             {"nodes": c["nodes"], "extends": any(set(c["nodes"]) <= a for a in full)}
             for c in report["critical"] if c["class"] == "parabolic"
         ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_early_exit_agrees_with_the_full_evaluation(search, data):
+    # grown prefix by prefix on a reflective, cusp or symmetry form: the
+    # verdict is the full evaluation's, a finite chamber's report is its
+    # report, and every set that has left open meets its condition on a
+    # chamber built from nothing on the prefix
+    p, n = data.draw(st.sampled_from(CUSP_FORMS))
+    form = Form(p, n)
+    roots = search(p, n).roots
+    chamber = volume.ChamberDiagram(form)
+    k = 0
+    while k < len(roots):
+        k = min(len(roots), k + data.draw(st.integers(1, 6)))
+        prefix = roots[:k]
+        chamber.grow(prefix)
+        report = volume.finite_volume(chamber)
+        full = oracles.critical_report(volume.ChamberDiagram(form, prefix))
+        assert report["finite"] == full["finite"], k
+        if report["finite"]:
+            assert report == full, k
+        proved = set(chamber.critical) - set(chamber.open)
+        assert len(chamber.open) + len(proved) == len(chamber.critical), k
+        if "rank_deficient" in full:
+            assert report == full and not proved, k
+            continue
+        good = {frozenset(c["nodes"]) for c in full["condition_a"] if c["extends"]}
+        good |= {frozenset(c["nodes"]) for c in full["condition_b"] if c["trivial_cone"]}
+        assert proved <= good, k
+        # the head of a nonempty open is the set that failed
+        assert not chamber.open or chamber.open[0] not in good, k
 
 
 def test_growing_by_a_bad_angle_raises_as_build_diagram_does(search):
