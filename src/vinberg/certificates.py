@@ -62,8 +62,9 @@ a key that differs fails as "payload.<key>: does not re-derive".
 - inherited_nonreflectivity: primary base (a direct obstruction of the
   same prime and a lower rank, verified in turn); re-derived conclusion.
 
-Malformed documents (a missing field, or a primary field of the wrong
-type) raise CertificateError naming the offending field.
+A certificate holds schema_version, kind, form (p and n) and payload,
+and nothing else.  Malformed documents (a missing or unknown field, or a
+primary field of the wrong type) raise CertificateError naming the field.
 
 The ideal-vertex and symmetry checks re-derive the stored roots by
 replaying the search's batch stream (search.reproduces reads
@@ -95,13 +96,13 @@ from __future__ import annotations
 from operator import mul
 
 from vinberg import diagram as _diagram
-from vinberg import cones, isometry, linalg, published, quotient
+from vinberg import cones, isometry, linalg, quotient
 from vinberg import volume as _volume
 from vinberg.errors import CertificateError
 from vinberg.forms import Form
 from vinberg.search import reproduces
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _KINDS = ("reflective", "ideal_vertex_failure", "infinite_symmetry", "inherited_nonreflectivity")
 _OBSTRUCTIONS = _KINDS[1:3]
@@ -182,16 +183,11 @@ def scan_for_cusp_obstruction(chamber):
 
 
 def _document(form: Form, kind: str, payload: dict) -> dict:
-    annotations = {}
-    pub = published.published_values(form.p, form.n)
-    if pub is not None:
-        annotations["published_values"] = pub
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "form": {"p": form.p, "n": form.n},
         "payload": payload,
-        "annotations": annotations,
     }
 
 
@@ -319,7 +315,7 @@ def _inherited_payload(base) -> dict:
 def verification_failures(cert: dict) -> list[str]:
     """All re-derivation mismatches; empty means the certificate is valid.
 
-    Malformed documents (missing or type-broken fields) raise
+    Malformed documents (missing, unknown or type-broken fields) raise
     CertificateError naming the field instead.  An inherited certificate
     is checked together with its base, whose kind must be a direct
     obstruction; the base's failures and malformed fields are named under
@@ -347,14 +343,18 @@ def _envelope(cert) -> tuple[Form, str, dict]:
     every kind shares."""
     if _count(cert, "schema_version") != SCHEMA_VERSION:
         raise CertificateError("schema_version: unsupported value")
+    _only(cert, ("schema_version", "kind", "form", "payload"))
     kind = _require(cert, "kind")
     if kind not in _KINDS:
         raise CertificateError("kind: unknown certificate kind")
-    form = _form(cert)
-    payload = _require(cert, "payload")
-    if not isinstance(_require(cert, "annotations"), dict):
-        raise CertificateError("annotations: must be an object")
-    return form, kind, payload
+    return _form(cert), kind, _require(cert, "payload")
+
+
+def _only(doc: dict, fields, prefix="") -> None:
+    """CertificateError naming the first key of doc outside fields."""
+    for key in doc:
+        if key not in fields:
+            raise CertificateError(f"{prefix}{key}: unknown field")
 
 
 def _require(doc, key, label=None):
@@ -377,6 +377,7 @@ def _form(doc) -> Form:
     form = _require(doc, "form")
     if not isinstance(form, dict):
         raise CertificateError("form: not an object")
+    _only(form, ("p", "n"), "form.")
     for key in ("p", "n"):
         if type(_require(form, key, f"form.{key}")) is not int:
             raise CertificateError(f"form.{key}: not an integer")

@@ -1,6 +1,9 @@
 """Frozen expected values for the test suite.
 
-Two kinds of data live here, kept deliberately separate:
+This is the only transcription of the published treatment of these forms:
+the package carries none of it, and every name defined here is read by a
+test (tests/test_api.py checks this) or by perfbench.  Two kinds of data
+live here, kept deliberately separate:
 
 - published_*: values transcribed from the published treatment of these
   forms, verbatim, including its misprints (each misprint is noted where
@@ -80,14 +83,13 @@ def expected_root_set(form):
 # expected accepted-root counts for p=5, n=2..8
 EXPECTED_P5_COUNTS = {2: 4, 3: 6, 4: 7, 5: 8, 6: 10, 7: 11, 8: 12}
 
-# the published p=23, n=3 table stops after the 14th root; rows in height
-# order (printed labels run 4..14 and repeat 5 and 7)
+# the published p=23, n=3 table stops after the 14th root: these are its
+# rows after the three initial roots, in height order
 PUBLISHED_P23_N3_ROWS = [
     (1, 4, 3, 0), (1, 5, 0, 0), (1, 4, 2, 2), (2, 7, 6, 3), (2, 9, 3, 2),
     (3, 9, 8, 8), (4, 12, 12, 9), (6, 27, 10, 1), (7, 32, 10, 2),
     (10, 33, 27, 22), (12, 55, 17, 0),
 ]
-PUBLISHED_P23_N3_LABELS = [4, 5, 5, 6, 7, 7, 8, 9, 10, 11, 12]
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,76 @@ EXPECTED_FIRST_FAILURE = {
 PUBLISHED_REFLECTIVE = {
     (5, n) for n in range(2, 9)
 } | {(7, 2), (7, 3), (11, 2), (11, 3), (13, 2), (17, 2), (19, 2), (23, 2)}
+
+
+# ---------------------------------------------------------------------------
+# published non-reflectivity arguments
+
+# for each form the published argument names a null vector e spanning an
+# affine subdiagram, a vector generating the rank-1 complement of e-perp
+# inside the root sublattice, and (where the inclusion is proper) a glue
+# vector witnessing the index.  The published failures are these forms
+# and (23, 3), which is ruled out by its symmetry instead.
+PUBLISHED_NONREFLECTIVITY_BLOCKS = {
+    (5, 9): {
+        "component_types": ["D~7"],
+        "null_vector": (2, 3, 2, 1, 1, 1, 1, 1, 1, 1),
+        # printed as v0 - 5 v2, which is not orthogonal to the null vector;
+        # the sign is a misprint, v0 + 5 v2 has the stated norm 20 and is
+        # orthogonal as claimed
+        "complement_vector_printed": (1, 0, -5, 0, 0, 0, 0, 0, 0, 0),
+        "complement_vector": (1, 0, 5, 0, 0, 0, 0, 0, 0, 0),
+        "complement_norm": 20,
+        "glue_vector": (0, 0, 1, -2, 0, 0, 0, 0, 0, 0),
+        "glue_order": None,
+        "root_sublattice_index": 4,
+    },
+    (7, 4): {
+        "component_types": ["A~2"],
+        "null_vector": (1, 2, 1, 1, 1),
+        "complement_vector": (2, 7, 0, 0, 0),
+        "complement_norm": 21,
+        "glue_vector": (0, 1, -2, 0, 0),
+        "glue_order": 3,
+        "root_sublattice_index": None,
+    },
+    (11, 4): {
+        "component_types": ["A~1", "A~1"],
+        "null_vector": (1, 3, 1, 1, 0),
+        "complement_vector": (5, 11, 11, 11, 0),
+        "complement_norm": 88,
+        "glue_vector": (0, 1, -3, 0, 0),
+        "glue_order": 4,
+        "root_sublattice_index": None,
+    },
+    (13, 3): {
+        "component_types": ["A~1"],
+        "null_vector": (1, 3, 2, 0),
+        "complement_vector": (3, 13, 0, 0),
+        "complement_norm": 52,
+        "glue_vector": (0, 2, -3, 0),
+        "glue_order": 2,
+        "root_sublattice_index": None,
+    },
+    (17, 3): {
+        "component_types": ["A~1"],
+        "null_vector": (1, 3, 2, 2),
+        "complement_vector": (3, 17, 0, 0),
+        "complement_norm": 136,
+        "glue_vector": (0, 2, -3, 0),
+        "glue_order": 4,
+        "root_sublattice_index": None,
+    },
+    (19, 3): {
+        "component_types": ["A~1"],
+        "null_vector": (1, 3, 3, 1),
+        "complement_vector": (3, 19, 0, 0),
+        "complement_norm": 190,
+        "glue_vector": None,
+        "glue_order": None,
+        "root_sublattice_index": None,
+    },
+}
 
 
 # ---------------------------------------------------------------------------

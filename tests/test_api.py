@@ -45,20 +45,22 @@ def test_no_chamber_parameter_has_a_default():
     assert [name for name, default in readers.items() if default is not inspect.Parameter.empty] == []
 
 
-def package_name_uses():
-    """How often each identifier occurs in the code of src/vinberg and
-    perfbench, not counting the name in its own def or class line; names in
-    comments and strings do not count."""
+def package_name_uses(paths=None):
+    """How often each identifier occurs in the code of the files paths (by
+    default those of src/vinberg and perfbench), not counting the name in
+    its own def or class line; names in comments and strings do not
+    count."""
+    if paths is None:
+        paths = [path for folder in PACKAGE_DIRS for path in sorted(folder.glob("*.py"))]
     uses = Counter()
-    for folder in PACKAGE_DIRS:
-        for path in sorted(folder.glob("*.py")):
-            with path.open("rb") as fh:
-                previous = None
-                for tok in tokenize.tokenize(fh.readline):
-                    if tok.type == tokenize.NAME and previous not in ("def", "class"):
-                        uses[tok.string] += 1
-                    if tok.type not in (tokenize.NL, tokenize.COMMENT):
-                        previous = tok.string
+    for path in paths:
+        with path.open("rb") as fh:
+            previous = None
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                    uses[tok.string] += 1
+                if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                    previous = tok.string
     return uses
 
 
@@ -73,6 +75,23 @@ def test_every_public_function_has_a_package_caller():
         if not uses[called_as]:
             uncalled.append(name)
     assert uncalled == []
+
+
+def test_every_corpus_name_is_read_by_a_test_or_perfbench():
+    # tests/corpus.py is the only transcription of the paper; a name that no
+    # other test module and no perfbench module reads is dead data
+    tests = Path(__file__).resolve().parent
+    corpus = tests / "corpus.py"
+    defined = set()
+    for node in ast.parse(corpus.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert {"EXPECTED_REFLECTIVE", "expected_root_set"} <= defined
+    readers = [path for path in sorted(tests.glob("*.py")) if path != corpus]
+    uses = package_name_uses(readers + sorted(PACKAGE_DIRS[1].glob("*.py")))
+    assert sorted(name for name in defined if not uses[name]) == []
 
 
 def test_cli_docstring_lists_the_registered_commands():

@@ -263,17 +263,29 @@ def test_affine_type_agrees_with_the_gram(drawn):
         assert int(name.split("~")[1]) + 1 == size
 
 
-def test_affine_sets_of_full_rank(search):
+@pytest.mark.parametrize("n", sorted(corpus.EXPECTED_P5_AFFINE_TYPES))
+def test_affine_sets_of_full_rank(search, n):
     # the component types at each cusp whose ranks reach n - 1
-    form = Form(5, 5)
-    roots = search(5, 5).roots
-    chamber = volume.ChamberDiagram(form, roots)
+    form = Form(5, n)
+    chamber = volume.ChamberDiagram(form, search(5, n).roots)
     types = {
         tuple(sorted(chamber.affine[s] for s in cusp))
         for cusp in chamber.cusps()
-        if sum(len(s) - 1 for s in cusp) == form.n - 1
+        if sum(len(s) - 1 for s in cusp) == n - 1
     }
-    assert types == corpus.EXPECTED_P5_AFFINE_TYPES[5]
+    assert types == corpus.EXPECTED_P5_AFFINE_TYPES[n]
+
+
+def test_published_affine_types_differ_only_where_the_caption_overflows():
+    # the n = 8 caption's A~4 B~6 has affine rank 4 + 6 = 10, past n - 1 = 7
+    published, expected = corpus.PUBLISHED_P5_AFFINE_TYPES, corpus.EXPECTED_P5_AFFINE_TYPES
+    assert published.keys() == expected.keys()
+    assert [n for n in published if published[n] != expected[n]] == [8]
+    too_big = {
+        types for types in published[8]
+        if sum(int(name.split("~")[1]) for name in types) > 8 - 1
+    }
+    assert too_big == {("A~4", "B~6")}
 
 
 # ---------------------------------------------------------------------------

@@ -28,61 +28,61 @@ from vinberg.certificates import verification_failures
 from vinberg.classify import classify_form, root_table
 
 CERTIFICATE_SHA256 = {
-    (5, 2): "476d74aa750a9b47cc01322a45e041f8a141240c817863dcc3438b4bd97e733c",
-    (5, 3): "748727b6825bbf13c31ebc1f745d71563a13102e5c4439ff406ff04c796f23ff",
-    (5, 4): "2579eef53b8a0f53e091e014efa1034ff4526b2a4856db960416be84828df67c",
-    (5, 5): "86ba29199f99f74d0533dc3ad127f268ee2a11510fa376ab03a83450df3cb004",
-    (5, 6): "d57649c9d709dfe957ca0b85f5a6f873e1d326149b350eabd2a3a931e891a95f",
-    (5, 7): "7033c27f0acd44217294f5a0e9be6b51b0f18ed79b51937eb71331888114bfbc",
-    (5, 8): "6a51de52210f29a8432890b060265a507e17fc4deb085def5085ae3af3666a25",
-    (7, 2): "b78ee0e9cf40611a4f4f4182123482afe27759fc01682e4999e46d29e7183967",
-    (7, 3): "0ca66b4e4368fb5efd6a3a60c4b7f45d41df579887d4d039ae4498bc53ff5e22",
-    (11, 2): "2d6c1ff1b6aeb04e52aba99bf44d38dc74484f2941c922ce6dc6f0818b37b8a5",
-    (11, 3): "f4cc3c797a081ff524533cd01d24891cc79aa4d8d861151a8a49692bffedffad",
-    (11, 4): "2dcee8b2dab6544cbf73b63095d74c4149f45c2c221b9529d6bf2578a4487dd2",
-    (13, 2): "3d98c7fe2ce0bdabc9e8fbec6b6f21b85aba76109d668ccd0ab9bf4c2a0c1a12",
-    (17, 2): "a90b4e498162938f795961639948fe6e67d433f254950a8d0efbdaa4d7183e2e",
-    (17, 3): "a7d5aec72ee54416469653ce86a47a84868a8560e50bcbf140a88a529be8c09a",
-    (19, 2): "2be560e5741934016ff7e2835d5a65bb096170cfb302b0adb87c69b644ee1238",
-    (23, 2): "9924b8db56ff95413d216765affa8fa1b189e55cbcedfde2a08fe31b3facd716",
-    (5, 9): "c5a13baaab723a5f709eabccf22994e1f3df0333ab96aa779695226e0c49fd2a",
-    (7, 4): "b5d1b607bda7b202b64dc736be68b20253ff14644d11596ed8c542fb5a0d4479",
-    (11, 5): "2931231ba723d9ac4b846cc41f249f46e03b54a219b2b36dd6fbd9f668edb706",
-    (13, 3): "74327df0199cc176817a9e64e88bf94151c5f7c8844e209ec6331195b884cca9",
-    (19, 3): "650dff2c0b52cc5ab9dbd5523c490dbb2847b5c31e218f34f2aebc72151f2019",
-    (23, 3): "df770a7debfeeb9508f1c1fc486ea2db15697732e1ffd4644f761001a8dd2121",
-    (5, 10): "333d88fa282023802024df48020798af0cd36f40d97a250cb6accd21102f6c81",
-    (17, 4): "67e87129cfd72efdae446a22bf9d066397d07ed30a1ec2429c36cb17a01e2239",
-    (29, 3): "cffa019610d86cc745d6fe6c97e113fe800ec622d86bdc9c495eada8eef9142a",
+    (5, 2): "8ff683ad3e9c22cbd7cef01ec3fb1622d14415f9edf37b7487ec1478631235ad",
+    (5, 3): "482c70bec16fec02681aac2431e372c91a69aef05333ce8d55978ed59d135238",
+    (5, 4): "2d8fd64616edb46c0a0be0c57bbba512c2271ec02eba4c3b088636797db984a8",
+    (5, 5): "95e710d05e67fb9be92c429286d4c04a594a6457b48ad98e23188f91f63468e7",
+    (5, 6): "f4e92474688d58f8b4c34fb1a69e6f111f7a7bb49dea4939afb194d38e33fa78",
+    (5, 7): "9429ff21c6c1dddf0116bc0ea176a33c9e510ccf1316abf35bcce14e8ddbe83c",
+    (5, 8): "ddd2482af71cd093a2c442beb969c7c45d61433c5f57c1bbfd500850f20d6775",
+    (7, 2): "8a69ab392211311f12aa57247b8dcc344925046d7e78730837d78593bfb26f3a",
+    (7, 3): "da7b8cdbfe607f27f9f42142026b66525c5a96588e4fa4a9efbe563a13eae149",
+    (11, 2): "4fa1e2b9b80cf2f804316e38013c3c9ebc0ed5741d9d7fbc825e99445189a355",
+    (11, 3): "06df2de7fae9c33e8c9634c74b91cf333bf68543aa44d8228ef929a6cac37d02",
+    (11, 4): "be9bdff2e39febf12dbeb0c6c5c747012a8326b4163d7ffa4aa305230dceed7a",
+    (13, 2): "afbd9e162c0fd594405538f861263d4303a7575ec9e05b258fee0de688c21a6a",
+    (17, 2): "793c6502584f833c7c5db16e5083c408eaefcdaffac3c0f355ad654a4e8a49b4",
+    (17, 3): "9bbd25d5a3ce8e4a037f7a947a20b9770236dc0688702e12dcdbcdd24fc65feb",
+    (19, 2): "41cf9a712cad7f494c3f3ed833ebd458e40e944934e3f5c89dba450388f9cff4",
+    (23, 2): "01d25ef64afe6559d82df0251d463d76ac1efcbfbe7963521809924710d31a34",
+    (5, 9): "842f46b2cd8bfb6d9d292863eb91accdd27af2103c376c0c720210e4d8b9f4e8",
+    (7, 4): "767561c829fcd514ed9ab7b840111466e8cfc2fc19e942d0dd7261abb234a8b1",
+    (11, 5): "6be137353daf61af4d1820d713ddd9b7b4b33792be66a94fcc247f1c4c10ed53",
+    (13, 3): "f8e03632408c4c3c4e6ef03a70562471721e78d2f37f05670b74db4f6e38db3b",
+    (19, 3): "51d2d0c5275c8efadcb9c89ec55c30356e5041c07fdd48c8476af86e706222b7",
+    (23, 3): "8f6814c40b05ea566a5111a2118c4e3a65dc2380db17c71e26c6051289bf493d",
+    (5, 10): "844eac9bb371e907cf7b063287b30c80a7aeecdcc99bb4613165ef24a38759e3",
+    (17, 4): "c6ceebca5c375b12186324a98e881111c4a78ca7a0f4daeec7097eff3b3c9962",
+    (29, 3): "8e51a10edb18a8008fba58bbbe5d791e9bd775ef49a52a2ec2b1f16fa2d5f456",
 }
 
 REPORT_SHA256 = {
-    (5, 2): "a164ef5d13475243eb181795f24265ce8c71eccf63306e63e95d33e593827a4d",
-    (5, 3): "a3ced248f073e93c60c2e587f2a4edc180a4f02766d4f0f8288b5fe488e2c1fd",
-    (5, 4): "58c329e6641364569ad4ed95a5391dfd31b8070eb0010c9b7df459671623f46f",
-    (5, 5): "32d1944eb4c297f24efd9ad303bbdb06f522e38125f0958226dbfb7f3f73b59a",
-    (5, 6): "6276d78080b12118bf3f4a5331871b2ae32d42d08908897f0c442bb0792fa690",
-    (5, 7): "d5365cc7cba712858327558c4c5cdf6f1a306c84785af250a5af02990416b4ef",
-    (5, 8): "e232b38470b28c8bf59600285669ebe53f3a6016c186641dd3afd2a11544e8af",
-    (7, 2): "9de9d0874013ec5df426631b7a5b0b3f18f6d134ae70b289f374e08ded41e4eb",
-    (7, 3): "ba015be1f5a88368524c8d1158e65f3a8eedb96b8cda56b8769644b7f0ab8217",
-    (11, 2): "827c890621655e27e30882b2ff94cfa7d7c665487fdf34327a9da522ac2a3378",
-    (11, 3): "75ba3ba3e33a73be294192420a73ea484a95c7d3f89ddfcbfb15e572a52ad194",
-    (11, 4): "75e07a15eb9baacd789ae82b04bb8b332c1bf74746ab9d2079bde48036e1cbff",
-    (13, 2): "57a1154f34e7c837d78db56d11cd4701762e5cb262b74d35162773d0842a8e4e",
-    (17, 2): "a82904306a9419cc652b452567f62babb6c1d2f190c702adcba8d7103422f3a5",
-    (17, 3): "a1fa6c2e7ab0ebc9225d89813135eaaa6738e9e7ba0471a6023e28a427c230b6",
-    (19, 2): "f40231eda7da82cc29e1d3c720758b215b6d9605c68a7aff619461dbaa8dec48",
-    (23, 2): "d0c5898be2ff0fd2cb65330cdb15724bc1d703286e363e4c066258db91bf1d52",
-    (5, 9): "ea9174dda4cfc7aa3feb23cd39b12fe35ed6ac242a71d2f45cff719bd5726a14",
-    (7, 4): "441eff033eabcc3344e791b44a76e8a1100aae87cd8a7f6c4c481fb8e47f5e33",
-    (11, 5): "30fba51976103dd5bf1e77c6c0d2f5671ec399a52f3b0bda2aa0ac1a0993a0c1",
-    (13, 3): "6e18648e45af3477c362067e0d1833cc08f0cb7ad5f8cffe2e94228593f54d76",
-    (19, 3): "c1d6a84233f791eb80d1347bab85e9a76e560e4c9d9463f704004fa019096a10",
-    (23, 3): "695b0c0e84d9efe80f9addab3abffd7ce2ea67a51ecfa028eb3f25d983973c64",
-    (5, 10): "4a2914960f716b5fa529e1e343f0e8477d2cb1b6530741943834569ffcaefb9a",
-    (17, 4): "31aa1c524e221fd7454c37281118eb8dce87bd9a38b052a793c540cad6698037",
-    (29, 3): "9fe8a9f791b7753860bd52047d362cb5e02fb307ed5a6760373bcafcfb3a3d1a",
+    (5, 2): "c533d49a03e009df393d57ff38bf66a00784cd7579e2df2341b5f9a222c4b41f",
+    (5, 3): "c3bd5dd007d321a7af0cc358768014537a19400dd4f53cbfd1ac40f52350da29",
+    (5, 4): "1c91ec213a2c403906aac7258b84c02677245c1831b21f777fcccc24b2afa770",
+    (5, 5): "69d7e007d5990d5f07157eb203bb0f6653cdcea8ddb63641a550c719ee5d0c33",
+    (5, 6): "363fa2fa50db552f4829b916a9302f3771b15d00b4918b88bd9bbb0b2c96261e",
+    (5, 7): "200ac22a829e57bf0e96d8170b6e5a35ad8d8e74042f7f134f20dc9b2d5ba282",
+    (5, 8): "db6a23f269f38b6f062f9cae7df1fff3b304d8778e8b5700de7ef1998241daef",
+    (7, 2): "5d88f1c50620a672293f6214ae092462a29cb72bed9e0a4e3ada8c522fe232e6",
+    (7, 3): "bb50b023c532f8d82e0a510d0581533a01fe311ae00af8a3cdd34d6b91f137a0",
+    (11, 2): "2df108ca37898f4619dfb73a6bbfac78e09e883aca7b1316cb425ea03003e6e1",
+    (11, 3): "5bccbb908c958b7072578f3d64d5f1d6dc8f887c5b462c4041af21909bb0d962",
+    (11, 4): "8352c51a4b207f8780cb040af050701dc3b76618c4a10401bac180c1af114dd3",
+    (13, 2): "f2f61b398546ac08412af0f4b0c301fae20b08e79414aece672920258cb7c7b9",
+    (17, 2): "38588d1a3a8b292d125738bedc6436a94cd55704eae820c17723c0e362a061b6",
+    (17, 3): "493ed5686470e38806051c273f7de372462e470049dfa5bbaead618abb4f43ab",
+    (19, 2): "0d29ab08d697d41dee9db2cf129b8c0ffffd396ed534e9a5b854fd69e8d10822",
+    (23, 2): "93f75add5dc61f7fe4fce0dce00fb686be6618fb43916be94ad01eef136efeb5",
+    (5, 9): "382755e8c49897a53ed7cd89ec02e17c8607b079600cf969ac4c2b00af55b233",
+    (7, 4): "3a26f85d5a9645697ce5368fadb0e1f7ab54bc78a802c7a0a720dd1b0127f293",
+    (11, 5): "d69d567aa4d118a34c651b1b08565da2a69cdc9a2a7e1fa967db286c53389f71",
+    (13, 3): "af1bd4c2595e03b8b59da8c4b4579037a133f52fd8b93c7ed8cfe43b6ca015e1",
+    (19, 3): "e0661815e2099ca3784b39569f5bb4acbb5edce67dee4272308e93c202a9bb95",
+    (23, 3): "951c26c1347001d423d5b7a731cda7af1308391228555041a26c1afc6f7c56f1",
+    (5, 10): "5fa4e5ed66f93140c14f9de873525b269ab8455a30a66d8450ab2947d0917ba3",
+    (17, 4): "0f01fce1fc010a6336f15fd6f5d5849ea33c4aef71c95f4d30472dda787ed7d9",
+    (29, 3): "599602412bc6cefdd06c751372c6d8c854215d552b688a95e0309693ae2387c2",
 }
 
 # classify_form(p, n) for the primes 29 <= p <= 83 at n = 2, 3, beyond the
@@ -91,33 +91,33 @@ REPORT_SHA256 = {
 # corpus does not; (53, 2), (61, 2), (73, 2) and (83, 2) stop undecided at
 # the default max_height, so their digests cover the undecided report.
 BEYOND_CORPUS_REPORT_SHA256 = {
-    (29, 2): "1ea63025e8d1d9bea0556caed33c5692fdcc5b0b79fd59caa7e68fe7a55064f3",
-    (31, 2): "91c054d384b4e6adf7929995df580b2c09e6eb3eace4f3b5c159e22dfc6fdeca",
-    (31, 3): "440a577b58f9ded87ba65185d3308b957a9629be3aaf436025409d7dd7610344",
-    (37, 2): "ddaae6b8531c3c948742da06184a19c65472bdb6f1d6aaff8fbacb346ed1e177",
-    (37, 3): "91c08de8c717a7be8a03e0558535fb08ad8897995c43ed4472af86c273b8913c",
-    (41, 2): "3a5ffc8bd69062fe4cf4a195225ace848c008df64c510528f9fc9e624388498f",
-    (41, 3): "49747d96ec22e78934d0d68b927a1a5a67b5b015ac351680de66af5b0495edcd",
-    (43, 2): "f704529e1d65a5285f7278e0b42936a177b1e4b76d6c64c99658937110c60f8d",
-    (43, 3): "f2bc6d2b8482b28ffaf3ddc581faa131aa238e110a09cc4239b92e1858f7d7b2",
-    (47, 2): "226047aec366592c571ac38cdee6a921d6cecd7c658660730bf65cc20da89bc1",
-    (47, 3): "21f8368c124b911b76d76449f95cf08a421b24337105637ea0c08a19a1a31c3a",
+    (29, 2): "581c77ed27734880208fdead11f38c144cc6897d54354508bb425d84af979999",
+    (31, 2): "50d0f8fbc79b4cb601916ef4aa5e08d68b53704a17775a21732a33b73b7627fa",
+    (31, 3): "8f004b6c1363e7208f0e7613f711792ab18ef5130da2c5bcd007be7dc5238c4d",
+    (37, 2): "834a62acee8c2967b040d4613c4ce9599594d3588bb7647597746ab5c2c17822",
+    (37, 3): "7c5622b95411479aeb72270f5430a817b6ad6d4ad0f7de87c0c8f1890d761a97",
+    (41, 2): "fd980897d7940fe1f8f2c905d3fe1b0beb8a1ba6d5a4aecab321726a2183a52d",
+    (41, 3): "9dbcec080c6a14a353dcbf48574181bcb8357334681dbe7d697c72ae2290021f",
+    (43, 2): "1d21a2102f79c9d079c388a23a63e4ca04ea74067dd05adf56ea4b58b2458617",
+    (43, 3): "8643846ce33aac715d3a5d46b9aee39ffc3a124d3178cc5f45cb1613059bdeea",
+    (47, 2): "35dc3ff35e11fbe544c0088daedc28ed9a07f58ae374af1a6a3c5e83265d2532",
+    (47, 3): "4e227a7ee222f32e9f966696d60cdc00918f7e9c6852d20832d9ea583093b55c",
     (53, 2): "284b6347368eafbb11d61b104ab73036455abb049c17dbf6c1e5b719fee4fb0c",
-    (53, 3): "bed614c34f85d9e0b48a883f2f6014563bea5866618c51dbbb1c42d50ca0e275",
-    (59, 2): "021da07468e490725b9e6bbdc46c069b6734dbe3ea507581306e056faa48e0fc",
-    (59, 3): "9bb84e6ebf9d8d9f21fc98b3b82610e62e5e331784224d96d461c371d01578b5",
+    (53, 3): "ccb646ed474900b89632f4e5a994084706429713c04d89ff01c507fe04d8d01e",
+    (59, 2): "b8225014dc3a754bf07568078f8f094d5b86b6b4495df97f31a4a0d13f99cae3",
+    (59, 3): "778cc1c7f14562934eddacf6b1125589d04b728f33f75bb90fca6f63dfd88966",
     (61, 2): "96f842639ebe1949cc3c34683c61cf7313c1ec6315b7e9dc347019001ec6b1f6",
-    (61, 3): "202af1c13d3dd4ba595227d11c5ff2dd2557b6c1f47ad7a23c5cbc3fe2e239f7",
-    (67, 2): "0c5c8476718d31cd1f526698ddb84faaa24b215e870048595c41c3c2580fcfec",
-    (67, 3): "6e4c49e8050854797d72c1b64a36c3d1fdc1881e3aee5bd5421d4809a56646c1",
-    (71, 2): "9a40ce6086194cf01872062ec9e49d4f1bfce93515ae534e63a54ec62b537c34",
-    (71, 3): "2b4cfe32f27b16179c18d2f8e1e23e4629dbf3e8a40df596f3365f1dadcbe85f",
+    (61, 3): "dd4ccc317cc341b0b2809dcdc845961d933df1483370e909d111b7764aefe501",
+    (67, 2): "26a513b9f95ed0cf959112593d8d6956df3e737ded346ea951dbc24183015506",
+    (67, 3): "86fb8ccf54e41e85e128fb0b736a83f6c384c7af10a87026403df55848aac91e",
+    (71, 2): "f85a710bae2bae4a11f51f9e861835158292b9cd8c3ada1af2c1d3ba7d657db8",
+    (71, 3): "0766959a58019e6742eb806df473b05f9dec74ebc405dd1775f367746a483317",
     (73, 2): "be56223656d073951f0e168b0de33ebbfc03b34041d5b11aa82c2117e46dba7d",
-    (73, 3): "37c4dcc7875e3077bb406ae1d3160293d938ed741fcdc8bfeedc930214b829cb",
-    (79, 2): "b048f5dc3c909e3d78749d7f3523835204c1320343f065aba0245d7646de4c29",
-    (79, 3): "df8a61c9a0cacd746a59fd6756eebe47752776ee07801616ad97e34c678a25cc",
+    (73, 3): "1ee5185ddd76807b1c422c634173d0c8e23718fc8e68a4d1f246304002b0afa1",
+    (79, 2): "50ce96d5fc5c15e97f02f89b0a7debf217112842bb27a4f42dab572e033ac265",
+    (79, 3): "e19731982e518652e859fb323c030d9c477c049eec539670c81ff7ac61515d93",
     (83, 2): "1ca7189c84e44fb59713a3f6de4567f1b65b63d67e8f0a488693b6ba19277268",
-    (83, 3): "1a6b81507662fecb9d2438e6fb16b36b491f1a58bfe7057f5c5450907221652c",
+    (83, 3): "b64a9ae04479b34cc5d5aa57c223f1639dc26aa151d13d4980f3e4b37c1d092e",
 }
 
 # one digest over every report above, REPORT_SHA256's and

@@ -217,6 +217,20 @@ def test_unique_frame_map_between_published_corners(search):
     assert tuple(linalg.mat_vec([list(r) for r in T], list(cf))) == ct
 
 
+def test_printed_p23_matrix_is_the_inverse_with_its_last_entry_cut():
+    # the print is T^-1 = F^-1 T^T F with v0 listed last; its final entry,
+    # 783, is printed as 7
+    T = [list(r) for r in corpus.EXPECTED_P23_MATRIX]
+    F = Form(23, 3).form_matrix
+    inverse = [[F[j][j] * T[j][i] // F[i][i] for j in range(4)] for i in range(4)]
+    assert linalg.mat_mul(T, inverse) == _identity(4)
+    rotated = [[inverse[(i + 1) % 4][(j + 1) % 4] for j in range(4)] for i in range(4)]
+    printed = corpus.PUBLISHED_P23_MATRIX
+    assert [(i, j) for i in range(4) for j in range(4)
+            if printed[i][j] != rotated[i][j]] == [(3, 3)]
+    assert (printed[3][3], rotated[3][3]) == (7, 783)
+
+
 ORDER_REASON = "no_power_up_to_order_bound_is_identity"
 
 

@@ -13,13 +13,14 @@ import oracles
 from vinberg import certificates, linalg, quotient, volume
 from vinberg.errors import ConsistencyError
 from vinberg.forms import Form
-from vinberg.published import NONREFLECTIVITY_BLOCKS
 from vinberg.search import run_search
+
+BLOCKS = corpus.PUBLISHED_NONREFLECTIVITY_BLOCKS
 
 
 @cache
 def _block_quotient(p, n):
-    return quotient.null_quotient(Form(p, n), NONREFLECTIVITY_BLOCKS[(p, n)]["null_vector"])
+    return quotient.null_quotient(Form(p, n), BLOCKS[(p, n)]["null_vector"])
 
 
 @cache
@@ -33,10 +34,10 @@ def _norm_p_root_classes(p, n):
     ]
 
 
-@pytest.mark.parametrize("p,n", sorted(NONREFLECTIVITY_BLOCKS))
+@pytest.mark.parametrize("p,n", sorted(BLOCKS))
 def test_null_quotient_structure(p, n):
     form = Form(p, n)
-    e = NONREFLECTIVITY_BLOCKS[(p, n)]["null_vector"]
+    e = BLOCKS[(p, n)]["null_vector"]
     quot = quotient.null_quotient(form, e)
     assert quot.rank == n - 1
     assert len(quot.class_basis) == n - 1
@@ -129,7 +130,7 @@ def test_root_class_shift_matches_wide_window_oracle():
 
     for p, n, sample in ((7, 4, None), (13, 3, None), (5, 9, 150)):
         form = Form(p, n)
-        e = NONREFLECTIVITY_BLOCKS[(p, n)]["null_vector"]
+        e = BLOCKS[(p, n)]["null_vector"]
         quot = quotient.null_quotient(form, e)
         classes = _classes(form, quot)
         if sample is not None and len(classes) > sample:
@@ -239,7 +240,7 @@ def block_classes(draw):
     integer combination of its walked root classes of norm p or 2p, plus
     p times a drawn vector, plus (half the time) a drawn vector.  Without
     the last term every residue row vanishes on the class."""
-    p, n = draw(st.sampled_from(sorted(NONREFLECTIVITY_BLOCKS)))
+    p, n = draw(st.sampled_from(sorted(BLOCKS)))
     quot = _block_quotient(p, n)
     vector = st.lists(st.integers(-3, 3), min_size=quot.rank, max_size=quot.rank)
     coords = [p * z for z in draw(vector)]
@@ -335,7 +336,7 @@ def test_rank_deficit_at_first_failures():
     # the certified obstructions: root classes span a proper-rank sublattice
     for p, n in ((5, 9), (7, 4)):
         form = Form(p, n)
-        e = NONREFLECTIVITY_BLOCKS[(p, n)]["null_vector"]
+        e = BLOCKS[(p, n)]["null_vector"]
         quot = quotient.null_quotient(form, e)
         rc = quotient.root_classes(form, quot)
         assert not rc["full_rank"]
@@ -364,7 +365,7 @@ def test_published_blocks_reproduce_as_lattice_data():
     # complement generator norms and glue data from the published blocks
     # are facts about the null vector's quotient lattice; check them
     # directly from the stored component root classes
-    for (p, n), blk in sorted(NONREFLECTIVITY_BLOCKS.items()):
+    for (p, n), blk in sorted(BLOCKS.items()):
         form = Form(p, n)
         quot = quotient.null_quotient(form, blk["null_vector"])
         comp = blk["complement_vector"]
@@ -378,7 +379,7 @@ def test_complement_data_on_the_a2_cusp_failure(search):
     # at (7, 4): affine A~2 triple, rank-1 complement of norm 21 with an
     # order-3 glue class, matching the stored reference block
     form = Form(7, 4)
-    blk = NONREFLECTIVITY_BLOCKS[(7, 4)]
+    blk = BLOCKS[(7, 4)]
     quot = quotient.null_quotient(form, blk["null_vector"])
     roots = search(7, 4).roots
     image = quot.class_coordinates(
@@ -392,7 +393,7 @@ def test_complement_data_on_the_a2_cusp_failure(search):
 @given(data=st.data())
 def test_complement_index_is_the_determinant_of_the_stacked_bases(data):
     # [Mbar : D + C] is |det| of D's HNF basis stacked on C's basis
-    p, n = data.draw(st.sampled_from(sorted(NONREFLECTIVITY_BLOCKS)))
+    p, n = data.draw(st.sampled_from(sorted(BLOCKS)))
     quot = _block_quotient(p, n)
     row = st.lists(st.integers(-3, 3), min_size=quot.rank, max_size=quot.rank)
     image = data.draw(st.lists(row, min_size=1, max_size=quot.rank))

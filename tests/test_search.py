@@ -24,10 +24,36 @@ from vinberg.search import (
 )
 
 
-def test_terminates_reflective_with_expected_roots(search):
-    res = search(5, 2)
-    assert res.verdict == "reflective"
-    assert set(res.roots) == corpus.expected_root_set(Form(5, 2))
+@pytest.mark.parametrize("p,n", [
+    (p, n) for p, ranks in sorted(corpus.PUBLISHED_TABLE_RANKS.items()) for n in ranks])
+def test_terminates_reflective_with_expected_roots(report, p, n):
+    # every rank of every published root table
+    rep = report(p, n)
+    assert rep["verdict"] == "reflective"
+    assert {tuple(r) for r in rep["roots"]} == corpus.expected_root_set(Form(p, n))
+
+
+def test_published_rows_past_the_published_ranks_are_the_11_4_chamber(report):
+    # every row applies below its family's first failure; the rows that
+    # apply at no published rank are those of (11, 4), whose table roots
+    # are the chamber this package proves reflective there
+    assert corpus.PUBLISHED_TABLE_ROWS.keys() == corpus.PUBLISHED_TABLE_RANKS.keys()
+    beyond = set()
+    for p, rows in corpus.PUBLISHED_TABLE_ROWS.items():
+        for vec, _norm, applies in rows:
+            ranks = [n for n in range(2, corpus.EXPECTED_FIRST_FAILURE[p][0]) if applies(n)]
+            assert ranks, (p, vec)
+            if not set(ranks) & set(corpus.PUBLISHED_TABLE_RANKS[p]):
+                beyond.add((p, min(ranks)))
+    assert beyond == {(11, 4)}
+    roots = {tuple(r) for r in report(11, 4)["roots"]}
+    assert roots == corpus.expected_root_set(Form(11, 4))
+
+
+def test_published_p23_n3_rows_are_the_roots_after_the_initial_ones(report):
+    # the printed table of the non-reflective (23, 3) stops at its 14th root
+    roots = [tuple(r) for r in report(23, 3)["roots"]]
+    assert set(roots[3:14]) == set(corpus.PUBLISHED_P23_N3_ROWS)
 
 
 def test_accepted_roots_pairwise_obtuse(search):
